@@ -16,7 +16,7 @@ use pkt::{FiveTuple, FrameMeta, IpProto, Packet, PktError};
 use qdisc::{MultiQueue, QPkt, Qdisc};
 use sim::{CrashInjector, Dur, Link, Time};
 use telemetry::{
-    Comm, DropCause, HistId, Owner, RecoveryKind, Registry, Stage, Telemetry, TraceEvent,
+    Comm, DropCause, FrameInfo, HistId, Owner, RecoveryKind, Registry, Stage, StageRec, Telemetry,
     TraceVerdict,
 };
 
@@ -197,6 +197,9 @@ pub struct NicStats {
     /// Frames lost from the TX scheduler when the device crashed (they
     /// were already counted queued; the crash purges them as drops).
     pub tx_crash_purged: u64,
+    /// Frames a scheduler reconfiguration could not carry into the new
+    /// queues (already counted queued; dropped with cause `qdisc_full`).
+    pub tx_reconfig_dropped: u64,
 }
 
 impl NicStats {
@@ -219,6 +222,7 @@ impl NicStats {
         reg.set_counter("nic.resets", self.resets);
         reg.set_counter("nic.dropped_dead", self.dropped_dead);
         reg.set_counter("nic.tx_crash_purged", self.tx_crash_purged);
+        reg.set_counter("nic.tx_reconfig_dropped", self.tx_reconfig_dropped);
     }
 }
 
@@ -239,26 +243,19 @@ fn register_nic_hists(tel: &Telemetry) -> NicHists {
     }
 }
 
-/// Builds one lifecycle event (shared by every emission site; only runs
-/// when tracing is enabled, via [`Telemetry::emit`]'s closure).
-fn trace_ev(
+/// The fields a frame's lifecycle events share (every emission site's
+/// closure; only runs when the hub keeps the events).
+fn frame_info(
     frame_id: u64,
-    at: Time,
-    stage: Stage,
-    verdict: TraceVerdict,
     meta: Option<&FrameMeta>,
     len: u32,
-    attr: Option<(u32, u32, &Comm)>,
-) -> TraceEvent {
-    TraceEvent {
+    owner: Option<Owner>,
+) -> FrameInfo {
+    FrameInfo {
         frame_id,
-        at,
-        stage,
-        verdict,
         tuple: meta.and_then(|m| m.tuple),
         len,
-        owner: attr.map(|(uid, pid, comm)| Owner::new(uid, pid, comm)),
-        generation: 0,
+        owner,
     }
 }
 
@@ -668,7 +665,7 @@ impl SmartNic {
     /// Configures the TX scheduler with per-class weights. Rejects empty,
     /// non-finite, or non-positive weights — a NaN weight would silently
     /// wedge the WFQ virtual-time arithmetic.
-    pub fn configure_scheduler(&mut self, weights: &[f64]) -> Result<(), NicError> {
+    pub fn configure_scheduler(&mut self, weights: &[f64], now: Time) -> Result<(), NicError> {
         self.check_dead()?;
         if weights.is_empty() {
             return Err(NicError::InvalidWeights {
@@ -683,8 +680,25 @@ impl SmartNic {
         {
             return Err(NicError::InvalidWeights { index, weight });
         }
-        self.scheduler.reconfigure(weights);
+        self.rebuild_scheduler(self.scheduler.num_queues(), weights, now);
         Ok(())
+    }
+
+    /// Swaps in a fresh TX scheduler bank. Frames already accepted ride
+    /// across the swap — a live reconfiguration is not a drop point — and
+    /// the few the new bank cannot hold leave as typed, attributed drops
+    /// with their pending records released, never silently.
+    fn rebuild_scheduler(&mut self, num_queues: usize, weights: &[f64], now: Time) {
+        for pkt in self.scheduler.reconfigure(num_queues, weights, now) {
+            let fid = self.tx_pending.remove(&pkt.id).map_or(0, |(_, fid)| fid);
+            self.stats.tx_reconfig_dropped += 1;
+            self.tel.emit_stage(
+                Stage::TxDrop,
+                TraceVerdict::Drop(DropCause::QdiscFull),
+                now,
+                || frame_info(fid, None, pkt.len, None),
+            );
+        }
     }
 
     /// Programs the RSS queue count and indirection table (kernel-only;
@@ -704,11 +718,8 @@ impl SmartNic {
         self.check_frozen(now)?;
         let table = RssTable::validated(num_queues, indirection)?;
         if table.num_queues() != self.scheduler.num_queues() {
-            self.scheduler = MultiQueue::new(
-                table.num_queues(),
-                self.scheduler.weights(),
-                self.cfg.tx_queue_limit,
-            );
+            let weights = self.scheduler.weights().to_vec();
+            self.rebuild_scheduler(table.num_queues(), &weights, now);
         }
         self.rss = table;
         self.regs
@@ -768,31 +779,16 @@ impl SmartNic {
     /// are policy movements, not frame processing, so they carry frame id
     /// 0; `ktrace` shows them with the flow tuple and owning process.
     fn emit_retier(&mut self, report: &RetierReport, now: Time) {
-        let tier_ev = |stage: Stage, tuple: FiveTuple, owner: Option<Owner>| TraceEvent {
-            frame_id: 0,
-            at: now,
-            stage,
-            verdict: TraceVerdict::Pass,
-            tuple: Some(tuple),
-            len: 0,
-            owner,
-            generation: 0,
-        };
-        for &(id, tuple) in &report.demoted {
-            let owner = self
-                .flows
-                .entry(id)
-                .map(|e| Owner::new(e.uid, e.pid, &e.comm));
+        let moves = (report.demoted.iter().map(|m| (Stage::FlowDemoted, m)))
+            .chain(report.promoted.iter().map(|m| (Stage::FlowPromoted, m)));
+        for (stage, &(id, tuple)) in moves {
             self.tel
-                .emit(|| tier_ev(Stage::FlowDemoted, tuple, owner.clone()));
-        }
-        for &(id, tuple) in &report.promoted {
-            let owner = self
-                .flows
-                .entry(id)
-                .map(|e| Owner::new(e.uid, e.pid, &e.comm));
-            self.tel
-                .emit(|| tier_ev(Stage::FlowPromoted, tuple, owner.clone()));
+                .emit_stage(stage, TraceVerdict::Pass, now, || FrameInfo {
+                    frame_id: 0,
+                    tuple: Some(tuple),
+                    len: 0,
+                    owner: self.flows.entry(id).map(ConnEntry::owner),
+                });
         }
     }
 
@@ -1028,17 +1024,12 @@ impl SmartNic {
                 .map(|(_, fid)| fid)
                 .unwrap_or(0);
             self.stats.tx_crash_purged += 1;
-            self.tel.emit(|| {
-                trace_ev(
-                    fid,
-                    now,
-                    Stage::TxDrop,
-                    TraceVerdict::Drop(DropCause::DeviceDead),
-                    None,
-                    pkt.len,
-                    None,
-                )
-            });
+            self.tel.emit_stage(
+                Stage::TxDrop,
+                TraceVerdict::Drop(DropCause::DeviceDead),
+                now,
+                || frame_info(fid, None, pkt.len, None),
+            );
         }
         self.tx_pending.clear();
         // Wipe volatile state back to power-on contents.
@@ -1352,10 +1343,12 @@ impl SmartNic {
                     rx_terminal
                 ));
             }
-            // A frame purged by a crash was both queued (TxQueue at
-            // enqueue time) and dropped (TxDrop at crash time), so the
-            // purged count is subtracted to keep offers == terminals.
-            let purged = s.tx_crash_purged - b.tx_crash_purged;
+            // A frame purged by a crash, or refused by a reconfigured
+            // scheduler, was both queued (TxQueue at enqueue time) and
+            // dropped (TxDrop later), so those are subtracted to keep
+            // offers == terminals.
+            let purged = (s.tx_crash_purged - b.tx_crash_purged)
+                + (s.tx_reconfig_dropped - b.tx_reconfig_dropped);
             let tx_terminal = stage(Stage::TxQueue) + stage(Stage::TxDrop) - purged;
             if stage(Stage::TxOffer) != tx_terminal {
                 violations.push(format!(
@@ -1417,6 +1410,27 @@ impl SmartNic {
         }
     }
 
+    /// The two-event lifecycle of a frame dropped before the flow table:
+    /// admitted at `now`, dropped for `cause` at `dropped_at`.
+    fn emit_rx_drop(
+        &self,
+        fid: u64,
+        meta: Option<&FrameMeta>,
+        len: u32,
+        now: Time,
+        cause: DropCause,
+        dropped_at: Time,
+    ) {
+        self.tel.emit_stages(
+            &[
+                StageRec::new(Stage::RxIngress, TraceVerdict::Pass, now),
+                StageRec::new(Stage::RxDrop, TraceVerdict::Drop(cause), dropped_at),
+            ],
+            &[],
+            || frame_info(fid, meta, len, None),
+        );
+    }
+
     /// Finishes an ingress frame the parser stage rejected (structural
     /// failure or bad transport checksum): it occupies the parser like any
     /// other frame, is visible to the sniffer (unattributed), and becomes
@@ -1445,28 +1459,14 @@ impl SmartNic {
             m
         });
         let len = packet.len() as u32;
-        self.tel.emit(|| {
-            trace_ev(
-                fid,
-                now,
-                Stage::RxIngress,
-                TraceVerdict::Pass,
-                meta_out.as_ref(),
-                len,
-                None,
-            )
-        });
-        self.tel.emit(|| {
-            trace_ev(
-                fid,
-                start + latency,
-                Stage::RxDrop,
-                TraceVerdict::Drop(DropCause::Malformed),
-                meta_out.as_ref(),
-                len,
-                None,
-            )
-        });
+        self.emit_rx_drop(
+            fid,
+            meta_out.as_ref(),
+            len,
+            now,
+            DropCause::Malformed,
+            start + latency,
+        );
         RxResult {
             disposition: RxDisposition::Drop {
                 reason: DropReason::Malformed,
@@ -1485,28 +1485,7 @@ impl SmartNic {
         self.stats.dropped_reprogramming += 1;
         let fid = self.tel.alloc_frame_id();
         let len = packet.len() as u32;
-        self.tel.emit(|| {
-            trace_ev(
-                fid,
-                now,
-                Stage::RxIngress,
-                TraceVerdict::Pass,
-                None,
-                len,
-                None,
-            )
-        });
-        self.tel.emit(|| {
-            trace_ev(
-                fid,
-                now,
-                Stage::RxDrop,
-                TraceVerdict::Drop(DropCause::Reprogramming),
-                None,
-                len,
-                None,
-            )
-        });
+        self.emit_rx_drop(fid, None, len, now, DropCause::Reprogramming, now);
         RxResult {
             disposition: RxDisposition::Drop {
                 reason: DropReason::Reprogramming,
@@ -1525,28 +1504,7 @@ impl SmartNic {
         self.stats.dropped_dead += 1;
         let fid = self.tel.alloc_frame_id();
         let len = packet.len() as u32;
-        self.tel.emit(|| {
-            trace_ev(
-                fid,
-                now,
-                Stage::RxIngress,
-                TraceVerdict::Pass,
-                None,
-                len,
-                None,
-            )
-        });
-        self.tel.emit(|| {
-            trace_ev(
-                fid,
-                now,
-                Stage::RxDrop,
-                TraceVerdict::Drop(DropCause::DeviceDead),
-                None,
-                len,
-                None,
-            )
-        });
+        self.emit_rx_drop(fid, None, len, now, DropCause::DeviceDead, now);
         RxResult {
             disposition: RxDisposition::Drop {
                 reason: DropReason::DeviceDead,
@@ -1619,21 +1577,11 @@ impl SmartNic {
         // RSS steering: the indirection table maps the Toeplitz hash to
         // the RX queue this frame is delivered on.
         meta.queue = self.rss.queue_for(meta.flow_hash);
-        let fid = meta.frame_id;
-        let len = packet.len() as u32;
 
-        // Ownership/notify fields were copied out of the entry during the
-        // lookup probe, so steering needs no second table probe. Only the
-        // comm string (consumed by observers alone) still requires the
-        // entry — skip that probe entirely unless an observer is attached.
+        // Ownership, notify and comm were copied out of the entry during
+        // the lookup probe, so neither steering nor any observer needs a
+        // second table probe.
         let cold = hit.is_some_and(|h| h.tier == FlowTier::Cold);
-        let entry_disp = hit.map(|h| (h.id, h.notify, h.pid));
-        let attribution = if self.sniffer.is_enabled() || self.tel.is_enabled() {
-            hit.and_then(|h| self.flows.entry(h.id))
-                .map(|e| (e.uid, e.pid, &e.comm))
-        } else {
-            None
-        };
 
         // Sniffer taps see everything entering the host, post-parse.
         self.sniffer.tap(
@@ -1641,84 +1589,8 @@ impl SmartNic {
             Direction::Rx,
             packet,
             &meta,
-            attribution.map(|(u, p, c)| (u, p, c.as_str())),
+            hit.map(|h| (h.uid, h.pid, h.comm.as_str())),
         );
-
-        // Lifecycle: admission, the parse stage, and flow-table steering.
-        // Ownership is joined from the flow-table entry the kernel
-        // installed — the paper's process view, with no kernel round-trip.
-        self.tel.emit(|| {
-            trace_ev(
-                fid,
-                now,
-                Stage::RxIngress,
-                TraceVerdict::Pass,
-                Some(&meta),
-                len,
-                attribution,
-            )
-        });
-        self.tel.emit(|| {
-            trace_ev(
-                fid,
-                now,
-                Stage::RxParse,
-                TraceVerdict::Pass,
-                Some(&meta),
-                len,
-                attribution,
-            )
-        });
-        let lookup_verdict = if entry_disp.is_some() {
-            TraceVerdict::Hit
-        } else {
-            TraceVerdict::Miss
-        };
-        self.tel.emit(|| {
-            trace_ev(
-                fid,
-                now,
-                Stage::RxFlowLookup,
-                lookup_verdict,
-                Some(&meta),
-                len,
-                attribution,
-            )
-        });
-        // Tier movements this lookup triggered: a cold hit may promote
-        // the flow and demote a victim; both land in the triggering
-        // frame's lifecycle trace.
-        if let Some(h) = hit {
-            if h.promoted {
-                self.tel.emit(|| {
-                    trace_ev(
-                        fid,
-                        now,
-                        Stage::FlowPromoted,
-                        TraceVerdict::Pass,
-                        Some(&meta),
-                        len,
-                        attribution,
-                    )
-                });
-            }
-            if let Some((vid, vtuple)) = h.demoted {
-                let owner = self
-                    .flows
-                    .entry(vid)
-                    .map(|e| Owner::new(e.uid, e.pid, &e.comm));
-                self.tel.emit(|| TraceEvent {
-                    frame_id: fid,
-                    at: now,
-                    stage: Stage::FlowDemoted,
-                    verdict: TraceVerdict::Pass,
-                    tuple: Some(vtuple),
-                    len: 0,
-                    owner,
-                    generation: 0,
-                });
-            }
-        }
 
         // Overlay stages. The VM context is only materialized when a
         // stage will actually run it — with no overlay loaded the frame
@@ -1741,19 +1613,6 @@ impl SmartNic {
             }
         }
 
-        // The filter stage event. A dropping verdict is *not* recorded
-        // here — the terminal RxDrop event carries the drop cause, so the
-        // ledger counts each dropped frame exactly once.
-        if filter_loaded && verdict != Verdict::Drop {
-            let fv = if verdict == Verdict::SlowPath {
-                TraceVerdict::SlowPath
-            } else {
-                TraceVerdict::Pass
-            };
-            self.tel
-                .emit(|| trace_ev(fid, now, Stage::RxFilter, fv, Some(&meta), len, attribution));
-        }
-
         // Timing: latency = all stages; occupancy = the overlay (the
         // slowest programmable stage) or the fixed stages, whichever is
         // longer. A cold-tier hit pays the host-memory table walk in the
@@ -1771,16 +1630,7 @@ impl SmartNic {
         self.pipeline_free = start + occupancy;
         let ready_at = start + latency;
 
-        // Per-stage virtual-time latencies (gated on the same flag).
-        self.tel
-            .record_hist(self.tel_hists.parse, self.cfg.parse_cost);
-        self.tel.record_hist(self.tel_hists.lookup, lookup_cost);
-        if overlay_time > Dur::ZERO {
-            self.tel.record_hist(self.tel_hists.overlay, overlay_time);
-        }
-        self.tel.record_hist(self.tel_hists.latency, latency);
-
-        let disposition = match (verdict, entry_disp) {
+        let disposition = match (verdict, hit) {
             (Verdict::Drop, _) => {
                 self.stats.rx_filtered += 1;
                 RxDisposition::Drop {
@@ -1793,9 +1643,12 @@ impl SmartNic {
                     reason: SlowPathReason::PolicyPunt,
                 }
             }
-            (_, Some((id, notify, _))) => {
+            (_, Some(h)) => {
                 self.stats.rx_delivered += 1;
-                RxDisposition::Deliver { conn: id, notify }
+                RxDisposition::Deliver {
+                    conn: h.id,
+                    notify: h.notify,
+                }
             }
             (_, None) => {
                 self.stats.rx_slowpath += 1;
@@ -1805,60 +1658,132 @@ impl SmartNic {
             }
         };
 
-        // The terminal lifecycle event: exactly one of deliver, slowpath
-        // or drop per admitted frame (the conservation ledger).
-        let (term_stage, term_verdict) = match disposition {
-            RxDisposition::Deliver { .. } => (Stage::RxDeliver, TraceVerdict::Pass),
-            RxDisposition::SlowPath { .. } => (Stage::RxSlowPath, TraceVerdict::SlowPath),
-            RxDisposition::Drop { reason } => (Stage::RxDrop, TraceVerdict::Drop(reason.cause())),
-        };
-        self.tel.emit(|| {
-            trace_ev(
-                fid,
-                ready_at,
-                term_stage,
-                term_verdict,
-                Some(&meta),
-                len,
-                attribution,
-            )
-        });
-
         // Post notifications for delivered packets on notify connections.
         let mut interrupt = false;
-        if let RxDisposition::Deliver { conn, notify: true } = disposition {
-            if let Some((_, _, pid)) = entry_disp {
-                let q = self
-                    .notify_queues
-                    .entry(pid)
-                    .or_insert_with(|| NotifyQueue::new(self.cfg.notify_capacity));
-                interrupt = q.post(Notification {
-                    conn,
-                    kind: NotifyKind::RxReady,
-                    at: ready_at,
-                });
-                self.tel.emit(|| {
-                    trace_ev(
-                        fid,
-                        ready_at,
-                        Stage::Notify,
-                        TraceVerdict::Pass,
-                        Some(&meta),
-                        len,
-                        attribution,
-                    )
-                });
-            }
+        if let (RxDisposition::Deliver { conn, notify: true }, Some(h)) = (disposition, hit) {
+            let q = self
+                .notify_queues
+                .entry(h.pid)
+                .or_insert_with(|| NotifyQueue::new(self.cfg.notify_capacity));
+            interrupt = q.post(Notification {
+                conn,
+                kind: NotifyKind::RxReady,
+                at: ready_at,
+            });
         }
 
-        RxResult {
+        let result = RxResult {
             disposition,
             ready_at,
             latency,
             interrupt,
             meta: Some(meta),
             cold,
+        };
+        if self.tel.is_enabled() {
+            // Per-stage virtual-time latencies ride the same hub call.
+            let h = &self.tel_hists;
+            let hists = [
+                (h.parse, self.cfg.parse_cost),
+                (h.lookup, lookup_cost),
+                (h.latency, latency),
+                (h.overlay, overlay_time),
+            ];
+            let n = if overlay_time > Dur::ZERO { 4 } else { 3 };
+            // A dropping filter verdict is *not* a filter-stage event —
+            // the terminal RxDrop carries the cause, so the ledger counts
+            // each dropped frame exactly once.
+            let filter_stage = match verdict {
+                _ if !filter_loaded => None,
+                Verdict::Drop => None,
+                Verdict::SlowPath => Some(TraceVerdict::SlowPath),
+                _ => Some(TraceVerdict::Pass),
+            };
+            self.trace_rx(
+                &result,
+                packet.len() as u32,
+                hit,
+                filter_stage,
+                now,
+                &hists[..n],
+            );
         }
+        result
+    }
+
+    /// Records one admitted ingress frame's NIC lifecycle — admission,
+    /// parse, flow-table steering and any tier movement it triggered, the
+    /// filter stage, the terminal event (exactly one of deliver, slowpath
+    /// or drop: the conservation ledger) and the notification — together
+    /// with its stage-latency samples, in one hub call: one borrow, the
+    /// shared fields written once. Ownership is joined from the
+    /// flow-table entry the kernel installed — the paper's process view,
+    /// with no kernel round-trip.
+    fn trace_rx(
+        &self,
+        rx: &RxResult,
+        len: u32,
+        hit: Option<LookupHit>,
+        filter_stage: Option<TraceVerdict>,
+        now: Time,
+        hists: &[(HistId, Dur)],
+    ) {
+        let meta = rx.meta.as_ref();
+        let fid = meta.map_or(0, |m| m.frame_id);
+        let frame = || {
+            frame_info(
+                fid,
+                meta,
+                len,
+                hit.map(|h| Owner::new(h.uid, h.pid, h.comm)),
+            )
+        };
+        let mut stages = [StageRec::new(Stage::RxIngress, TraceVerdict::Pass, now); 7];
+        let mut filled = 1;
+        // Appends a stage; returns how many the frame has crossed so far.
+        let mut push = |stage, verdict, at| {
+            stages[filled] = StageRec::new(stage, verdict, at);
+            filled += 1;
+            filled
+        };
+        push(Stage::RxParse, TraceVerdict::Pass, now);
+        let lookup = if hit.is_some() {
+            TraceVerdict::Hit
+        } else {
+            TraceVerdict::Miss
+        };
+        let mut steered = push(Stage::RxFlowLookup, lookup, now);
+        if hit.is_some_and(|h| h.promoted) {
+            steered = push(Stage::FlowPromoted, TraceVerdict::Pass, now);
+        }
+        if let Some(v) = filter_stage {
+            push(Stage::RxFilter, v, now);
+        }
+        let (terminal, verdict) = match rx.disposition {
+            RxDisposition::Deliver { .. } => (Stage::RxDeliver, TraceVerdict::Pass),
+            RxDisposition::SlowPath { .. } => (Stage::RxSlowPath, TraceVerdict::SlowPath),
+            RxDisposition::Drop { reason } => (Stage::RxDrop, TraceVerdict::Drop(reason.cause())),
+        };
+        let mut crossed = push(terminal, verdict, rx.ready_at);
+        if matches!(rx.disposition, RxDisposition::Deliver { notify: true, .. }) {
+            crossed = push(Stage::Notify, TraceVerdict::Pass, rx.ready_at);
+        }
+        let mut rest = &stages[..crossed];
+        if let Some((vid, vtuple)) = hit.and_then(|h| h.demoted) {
+            // The promotion's victim is traced under this frame's id but
+            // with its own tuple and owner, so it cannot share the frame's
+            // record: the record is split around it to keep the event order.
+            self.tel.emit_stages(&rest[..steered], &[], frame);
+            self.tel
+                .emit_stage(Stage::FlowDemoted, TraceVerdict::Pass, now, || FrameInfo {
+                    frame_id: fid,
+                    tuple: Some(vtuple),
+                    len: 0,
+                    owner: self.flows.entry(vid).map(ConnEntry::owner),
+                });
+            rest = &rest[steered..];
+        }
+        self.tel.emit_stages(rest, hists, frame);
     }
 
     /// Processes a burst of ingress frames arriving together at `now`,
@@ -1941,6 +1866,26 @@ impl SmartNic {
             .collect()
     }
 
+    /// Records a TX frame refused at the door: offered and dropped for
+    /// `cause` in the same instant.
+    fn emit_tx_refused(
+        &self,
+        fid: u64,
+        meta: Option<&FrameMeta>,
+        len: u32,
+        cause: DropCause,
+        now: Time,
+    ) {
+        self.tel.emit_stages(
+            &[
+                StageRec::new(Stage::TxOffer, TraceVerdict::Pass, now),
+                StageRec::new(Stage::TxDrop, TraceVerdict::Drop(cause), now),
+            ],
+            &[],
+            || frame_info(fid, meta, len, None),
+        );
+    }
+
     /// Offers an egress frame from `conn` to the NIC at `now` (the host
     /// has rung the TX doorbell and the NIC has DMA-read the frame).
     pub fn tx_enqueue(
@@ -1957,101 +1902,34 @@ impl SmartNic {
         let len = packet.len() as u32;
         if self.tick_crash(now) {
             self.stats.dropped_dead += 1;
-            self.tel.emit(|| {
-                trace_ev(
-                    fid,
-                    now,
-                    Stage::TxOffer,
-                    TraceVerdict::Pass,
-                    meta.as_ref().ok(),
-                    len,
-                    None,
-                )
-            });
-            self.tel.emit(|| {
-                trace_ev(
-                    fid,
-                    now,
-                    Stage::TxDrop,
-                    TraceVerdict::Drop(DropCause::DeviceDead),
-                    meta.as_ref().ok(),
-                    len,
-                    None,
-                )
-            });
+            self.emit_tx_refused(fid, meta.as_ref().ok(), len, DropCause::DeviceDead, now);
             return Ok(TxDisposition::Drop {
                 reason: DropReason::DeviceDead,
             });
         }
         if now < self.frozen_until {
             self.stats.dropped_reprogramming += 1;
-            self.tel.emit(|| {
-                trace_ev(
-                    fid,
-                    now,
-                    Stage::TxOffer,
-                    TraceVerdict::Pass,
-                    meta.as_ref().ok(),
-                    len,
-                    None,
-                )
-            });
-            self.tel.emit(|| {
-                trace_ev(
-                    fid,
-                    now,
-                    Stage::TxDrop,
-                    TraceVerdict::Drop(DropCause::Reprogramming),
-                    meta.as_ref().ok(),
-                    len,
-                    None,
-                )
-            });
+            self.emit_tx_refused(fid, meta.as_ref().ok(), len, DropCause::Reprogramming, now);
             return Ok(TxDisposition::Drop {
                 reason: DropReason::Reprogramming,
             });
         }
         // Borrow the entry in place: the overlay VMs, scheduler, and
-        // sniffer are all distinct NIC fields, so the (comm-string-
-        // carrying) entry never needs cloning on the TX hot path.
+        // sniffer are all distinct NIC fields, so the entry never needs
+        // cloning on the TX hot path.
         let Some(entry) = self.flows.entry(conn) else {
-            self.tel.emit(|| {
-                trace_ev(
-                    fid,
-                    now,
-                    Stage::TxOffer,
-                    TraceVerdict::Pass,
-                    meta.as_ref().ok(),
-                    len,
-                    None,
-                )
-            });
-            self.tel.emit(|| {
-                trace_ev(
-                    fid,
-                    now,
-                    Stage::TxDrop,
-                    TraceVerdict::Drop(DropCause::StaleConn),
-                    meta.as_ref().ok(),
-                    len,
-                    None,
-                )
-            });
+            self.emit_tx_refused(fid, meta.as_ref().ok(), len, DropCause::StaleConn, now);
             return Err(NicError::NoSuchConn(conn));
         };
         let ctx = Self::build_ctx(meta.as_ref().ok(), packet.len(), Some(entry), true, now);
-        let attribution = (entry.uid, entry.pid, &entry.comm);
-        self.tel.emit(|| {
-            trace_ev(
-                fid,
-                now,
-                Stage::TxOffer,
-                TraceVerdict::Pass,
-                meta.as_ref().ok(),
-                len,
-                Some(attribution),
-            )
-        });
+        let owner = entry.owner();
+        let tel = &self.tel;
+        let emit = |stage, verdict| {
+            tel.emit_stage(stage, verdict, now, || {
+                frame_info(fid, meta.as_ref().ok(), len, Some(owner))
+            })
+        };
+        emit(Stage::TxOffer, TraceVerdict::Pass);
 
         let filter_loaded = self.egress_filter.is_some();
         let mut verdict = Verdict::Pass;
@@ -2064,33 +1942,13 @@ impl SmartNic {
         }
         if verdict == Verdict::Drop {
             self.stats.tx_filtered += 1;
-            self.tel.emit(|| {
-                trace_ev(
-                    fid,
-                    now,
-                    Stage::TxDrop,
-                    TraceVerdict::Drop(DropCause::Filter),
-                    meta.as_ref().ok(),
-                    len,
-                    Some(attribution),
-                )
-            });
+            emit(Stage::TxDrop, TraceVerdict::Drop(DropCause::Filter));
             return Ok(TxDisposition::Drop {
                 reason: DropReason::Filter,
             });
         }
         if filter_loaded {
-            self.tel.emit(|| {
-                trace_ev(
-                    fid,
-                    now,
-                    Stage::TxFilter,
-                    TraceVerdict::Pass,
-                    meta.as_ref().ok(),
-                    len,
-                    Some(attribution),
-                )
-            });
+            emit(Stage::TxFilter, TraceVerdict::Pass);
         }
 
         let class = match self.classifier.as_mut() {
@@ -2107,34 +1965,15 @@ impl SmartNic {
         } else {
             0
         };
-        self.tel.emit(|| {
-            trace_ev(
-                fid,
-                now,
-                Stage::TxClass,
-                TraceVerdict::Class(class),
-                meta.as_ref().ok(),
-                len,
-                Some(attribution),
-            )
-        });
+        emit(Stage::TxClass, TraceVerdict::Class(class));
 
         // The TX tap sees frames accepted for transmission.
+        let tap_owner = Some((owner.uid, owner.pid, owner.comm.as_str()));
         match &meta {
-            Ok(m) => self.sniffer.tap(
-                now,
-                Direction::Tx,
-                packet,
-                m,
-                Some((attribution.0, attribution.1, attribution.2.as_str())),
-            ),
-            Err(e) => self.sniffer.tap_unparsed(
-                now,
-                Direction::Tx,
-                packet,
-                e,
-                Some((attribution.0, attribution.1, attribution.2.as_str())),
-            ),
+            Ok(m) => self.sniffer.tap(now, Direction::Tx, packet, m, tap_owner),
+            Err(e) => self
+                .sniffer
+                .tap_unparsed(now, Direction::Tx, packet, e, tap_owner),
         }
 
         let pkt_id = self.next_pkt_id;
@@ -2151,31 +1990,11 @@ impl SmartNic {
         match self.scheduler.enqueue_on(txq, qpkt, now) {
             Ok(()) => {
                 self.tx_pending.insert(pkt_id, (conn, fid));
-                self.tel.emit(|| {
-                    trace_ev(
-                        fid,
-                        now,
-                        Stage::TxQueue,
-                        TraceVerdict::Class(class),
-                        meta.as_ref().ok(),
-                        len,
-                        Some(attribution),
-                    )
-                });
+                emit(Stage::TxQueue, TraceVerdict::Class(class));
                 Ok(TxDisposition::Queued { class })
             }
             Err(e) => {
-                self.tel.emit(|| {
-                    trace_ev(
-                        fid,
-                        now,
-                        Stage::TxDrop,
-                        TraceVerdict::Drop(e.cause()),
-                        meta.as_ref().ok(),
-                        len,
-                        Some(attribution),
-                    )
-                });
+                emit(Stage::TxDrop, TraceVerdict::Drop(e.cause()));
                 Err(NicError::TxQueueFull)
             }
         }
@@ -2195,49 +2014,32 @@ impl SmartNic {
             .tel
             .adopt_frame_id(meta.as_ref().ok().map(|m| m.frame_id).unwrap_or(0));
         let len = packet.len() as u32;
-        let kernel_comm = Comm::new("kernel");
-        let kernel_attr = Some((0u32, 0u32, &kernel_comm));
-        self.tel.emit(|| {
-            trace_ev(
-                fid,
-                now,
-                Stage::TxOffer,
-                TraceVerdict::Pass,
-                meta.as_ref().ok(),
-                len,
-                kernel_attr,
-            )
-        });
+        // Takes the hub as an argument: `tick_crash` below needs `&mut self`.
+        let emit = |tel: &Telemetry, stage, verdict| {
+            tel.emit_stage(stage, verdict, now, || {
+                let kernel = Owner::new(0, 0, Comm::KERNEL);
+                frame_info(fid, meta.as_ref().ok(), len, Some(kernel))
+            })
+        };
+        emit(&self.tel, Stage::TxOffer, TraceVerdict::Pass);
         if self.tick_crash(now) {
             self.stats.dropped_dead += 1;
-            self.tel.emit(|| {
-                trace_ev(
-                    fid,
-                    now,
-                    Stage::TxDrop,
-                    TraceVerdict::Drop(DropCause::DeviceDead),
-                    meta.as_ref().ok(),
-                    len,
-                    kernel_attr,
-                )
-            });
+            emit(
+                &self.tel,
+                Stage::TxDrop,
+                TraceVerdict::Drop(DropCause::DeviceDead),
+            );
             return Ok(TxDisposition::Drop {
                 reason: DropReason::DeviceDead,
             });
         }
         if now < self.frozen_until {
             self.stats.dropped_reprogramming += 1;
-            self.tel.emit(|| {
-                trace_ev(
-                    fid,
-                    now,
-                    Stage::TxDrop,
-                    TraceVerdict::Drop(DropCause::Reprogramming),
-                    meta.as_ref().ok(),
-                    len,
-                    kernel_attr,
-                )
-            });
+            emit(
+                &self.tel,
+                Stage::TxDrop,
+                TraceVerdict::Drop(DropCause::Reprogramming),
+            );
             return Ok(TxDisposition::Drop {
                 reason: DropReason::Reprogramming,
             });
@@ -2251,17 +2053,11 @@ impl SmartNic {
         }
         if verdict == Verdict::Drop {
             self.stats.tx_filtered += 1;
-            self.tel.emit(|| {
-                trace_ev(
-                    fid,
-                    now,
-                    Stage::TxDrop,
-                    TraceVerdict::Drop(DropCause::Filter),
-                    meta.as_ref().ok(),
-                    len,
-                    kernel_attr,
-                )
-            });
+            emit(
+                &self.tel,
+                Stage::TxDrop,
+                TraceVerdict::Drop(DropCause::Filter),
+            );
             return Ok(TxDisposition::Drop {
                 reason: DropReason::Filter,
             });
@@ -2282,31 +2078,11 @@ impl SmartNic {
         match self.scheduler.enqueue_on(0, qpkt, now) {
             Ok(()) => {
                 self.tx_pending.insert(pkt_id, (ConnId(u64::MAX), fid));
-                self.tel.emit(|| {
-                    trace_ev(
-                        fid,
-                        now,
-                        Stage::TxQueue,
-                        TraceVerdict::Class(0),
-                        meta.as_ref().ok(),
-                        len,
-                        kernel_attr,
-                    )
-                });
+                emit(&self.tel, Stage::TxQueue, TraceVerdict::Class(0));
                 Ok(TxDisposition::Queued { class: 0 })
             }
             Err(e) => {
-                self.tel.emit(|| {
-                    trace_ev(
-                        fid,
-                        now,
-                        Stage::TxDrop,
-                        TraceVerdict::Drop(e.cause()),
-                        meta.as_ref().ok(),
-                        len,
-                        kernel_attr,
-                    )
-                });
+                emit(&self.tel, Stage::TxDrop, TraceVerdict::Drop(e.cause()));
                 Err(NicError::TxQueueFull)
             }
         }
@@ -2329,17 +2105,10 @@ impl SmartNic {
             .unwrap_or((ConnId(u64::MAX), 0));
         let arrives_at = self.link.transmit(now, u64::from(pkt.len));
         self.stats.tx_sent += 1;
-        self.tel.emit(|| {
-            trace_ev(
-                fid,
-                now,
-                Stage::TxDepart,
-                TraceVerdict::Pass,
-                None,
-                pkt.len,
-                None,
-            )
-        });
+        self.tel
+            .emit_stage(Stage::TxDepart, TraceVerdict::Pass, now, || {
+                frame_info(fid, None, pkt.len, None)
+            });
         Some(TxDeparture {
             pkt_id: pkt.id,
             conn,
@@ -2580,7 +2349,7 @@ mod tests {
         let id = nic
             .open_connection(rx_tuple(5000), 1001, 7, "app", false)
             .unwrap();
-        nic.configure_scheduler(&[1.0, 3.0]).unwrap();
+        nic.configure_scheduler(&[1.0, 3.0], Time::ZERO).unwrap();
         nic.load_program(
             ProgramSlot::Classifier,
             builtins::uid_classifier(),
@@ -2601,18 +2370,18 @@ mod tests {
     fn scheduler_rejects_degenerate_weights() {
         let mut nic = nic();
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -1.0] {
-            let err = nic.configure_scheduler(&[1.0, bad]);
+            let err = nic.configure_scheduler(&[1.0, bad], Time::ZERO);
             assert!(
                 matches!(err, Err(NicError::InvalidWeights { index: 1, .. })),
                 "{bad} accepted"
             );
         }
         assert!(matches!(
-            nic.configure_scheduler(&[]),
+            nic.configure_scheduler(&[], Time::ZERO),
             Err(NicError::InvalidWeights { index: 0, .. })
         ));
         // The existing (valid) scheduler survives every rejection.
-        assert!(nic.configure_scheduler(&[2.0, 1.0]).is_ok());
+        assert!(nic.configure_scheduler(&[2.0, 1.0], Time::ZERO).is_ok());
     }
 
     #[test]
@@ -2834,6 +2603,31 @@ mod tests {
         assert_eq!(nic.num_queues(), 4);
         assert_eq!(nic.regs.peek(RSS_NUM_QUEUES_REG), Some(4));
         assert!(nic.audit().is_empty(), "{:?}", nic.audit());
+    }
+
+    #[test]
+    fn scheduler_rebuilds_carry_queued_frames() {
+        let cfg = NicConfig {
+            num_queues: 4,
+            ..NicConfig::default()
+        };
+        let mut nic = SmartNic::new(cfg);
+        let id = nic
+            .open_connection(rx_tuple(5000), 0, 1, "a", false)
+            .unwrap();
+        for _ in 0..3 {
+            nic.tx_enqueue(id, &udp_to(9000), Time::ZERO).unwrap();
+        }
+        // A weight swap and a queue-count change each rebuild the bank;
+        // neither may strand the frames it already accepted.
+        nic.configure_scheduler(&[1.0, 3.0], Time::ZERO).unwrap();
+        assert_eq!(nic.tx_backlog(), 3);
+        assert!(nic.audit().is_empty(), "{:?}", nic.audit());
+        let one_queue = vec![0u16; crate::rss::RSS_TABLE_SIZE];
+        nic.configure_rss(1, &one_queue, Time::ZERO).unwrap();
+        assert_eq!(nic.tx_backlog(), 3);
+        assert!(nic.audit().is_empty(), "{:?}", nic.audit());
+        assert_eq!(nic.tx_poll(Time::ZERO).map(|d| d.conn), Some(id));
     }
 
     #[test]

@@ -172,8 +172,8 @@ pub struct ConnEntry {
     /// Owning process.
     pub pid: u32,
     /// Owning command name (kept for `ksniff`/`knetstat` display and
-    /// per-event attribution; the dataplane matches on uid/pid). Stored
-    /// refcounted so trace events clone a pointer, not the string.
+    /// per-event attribution; the dataplane matches on uid/pid). Interned,
+    /// so lookups and trace events copy it like any other field.
     pub comm: telemetry::Comm,
     /// Whether the connection requested notifications (blocking I/O).
     pub notify: bool,
@@ -187,6 +187,13 @@ pub struct ConnEntry {
     pub rank: u8,
     /// Logical clock of the last lookup hit (promotion recency).
     pub last_use: u64,
+}
+
+impl ConnEntry {
+    /// The process binding, as trace events and taps attribute it.
+    pub fn owner(&self) -> telemetry::Owner {
+        telemetry::Owner::new(self.uid, self.pid, self.comm)
+    }
 }
 
 /// What a lookup resolved to, after recency/promotion side effects.
@@ -209,6 +216,9 @@ pub struct LookupHit {
     pub uid: u32,
     /// Owning process (copied at probe time, as above).
     pub pid: u32,
+    /// Owning command name (copied at probe time, as above — observers
+    /// attribute the frame without a second probe for the entry).
+    pub comm: telemetry::Comm,
 }
 
 /// Tier/churn counters (registry keys `flowtable.*`).
@@ -681,6 +691,7 @@ impl FlowTable {
                 notify: entry.notify,
                 uid: entry.uid,
                 pid: entry.pid,
+                comm: entry.comm,
             });
         }
         self.tick += 1;
@@ -692,7 +703,7 @@ impl FlowTable {
                 let old = Self::victim_key(entry);
                 entry.last_use = tick;
                 let new = Self::victim_key(entry);
-                let (notify, uid, pid) = (entry.notify, entry.uid, entry.pid);
+                let (notify, uid, pid, comm) = (entry.notify, entry.uid, entry.pid, entry.comm);
                 let set = &mut self.hot[q];
                 set.remove(&old);
                 set.insert(new);
@@ -704,13 +715,14 @@ impl FlowTable {
                     notify,
                     uid,
                     pid,
+                    comm,
                 })
             }
             FlowTier::Cold => {
                 self.stats.cold_hits += 1;
                 entry.last_use = tick;
                 let rank = entry.rank;
-                let (notify, uid, pid) = (entry.notify, entry.uid, entry.pid);
+                let (notify, uid, pid, comm) = (entry.notify, entry.uid, entry.pid, entry.comm);
                 let (promoted, demoted) = if self.cache.is_some() && rank > 0 {
                     self.try_promote(id, q, sram)
                 } else {
@@ -724,6 +736,7 @@ impl FlowTable {
                     notify,
                     uid,
                     pid,
+                    comm,
                 })
             }
         }

@@ -13,7 +13,7 @@ use std::net::Ipv4Addr;
 
 use pkt::{mutate, Frame, IpProto, Packet};
 use sim::Time;
-use telemetry::{Stage, Telemetry, TraceEvent, TraceVerdict};
+use telemetry::{FrameInfo, Stage, Telemetry, TraceVerdict};
 
 use crate::sram::{Sram, SramCategory, SramError};
 
@@ -116,16 +116,13 @@ impl NatTable {
     /// Emits the RxNat lifecycle event for a translated (or missed)
     /// frame.
     fn trace(&self, fid: u64, at: Time, verdict: TraceVerdict, frame: &Frame) {
-        self.tel.emit(|| TraceEvent {
-            frame_id: fid,
-            at,
-            stage: Stage::RxNat,
-            verdict,
-            tuple: frame.meta.tuple,
-            len: frame.len() as u32,
-            owner: None,
-            generation: 0,
-        });
+        self.tel
+            .emit_stage(Stage::RxNat, verdict, at, || FrameInfo {
+                frame_id: fid,
+                tuple: frame.meta.tuple,
+                len: frame.len() as u32,
+                owner: None,
+            });
     }
 
     /// Returns the external (masquerade) address.

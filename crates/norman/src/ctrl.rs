@@ -922,7 +922,7 @@ impl ControlPlane {
                 &mut budget,
                 "configure_scheduler",
             )?;
-            nic.configure_scheduler(&bundle.sched_weights)
+            nic.configure_scheduler(&bundle.sched_weights, now)
                 .map_err(|e| format!("configure_scheduler: {e}"))?;
             self.applied_weights = bundle.sched_weights.clone();
         }

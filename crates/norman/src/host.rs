@@ -26,8 +26,8 @@ use pkt::{BufArena, FiveTuple, IpProto, Mac, Packet};
 use sim::fault::{CrashInjector, OpFaultInjector};
 use sim::{Dur, Time};
 use telemetry::{
-    CollectError, CollectorRegistry, DropCause, FileError, Owner, Profile, RecoveryKind, Registry,
-    SinkStats, Snapshot, Stage, Telemetry, TraceEvent, TraceVerdict,
+    CollectError, CollectorRegistry, DropCause, FileError, FrameInfo, Owner, Profile, RecoveryKind,
+    Registry, SinkStats, Snapshot, Stage, StageRec, Telemetry, TraceVerdict,
 };
 
 use crate::ctrl::{ControlPlane, CtrlError, PolicyStore, StagedCommit};
@@ -133,6 +133,17 @@ pub(crate) use sim::FastMap;
 /// never a payload.
 pub(crate) type PktRing = DescRing<Packet>;
 
+/// An RX ring descriptor: the frame handle plus the lifecycle id the NIC
+/// tagged the frame with, so whoever consumes the slot can name the frame
+/// it held — whenever tracing started, and whichever thread owns the ring.
+pub(crate) struct RxDesc {
+    pub pkt: Packet,
+    pub fid: u64,
+}
+
+/// The RX direction of a ring pair.
+pub(crate) type RxRing = DescRing<RxDesc>;
+
 impl RingKey {
     /// A total order so worker shards can drain their rings
     /// deterministically regardless of hash-map iteration order.
@@ -158,6 +169,10 @@ pub struct Connection {
     /// Whether notifications (blocking I/O) are enabled.
     pub notify: bool,
     ring_key: RingKey,
+    /// The process binding trace events carry, resolved once when the
+    /// connection is set up (a process's `comm` is fixed at spawn, and the
+    /// NIC's flow entry binds the same uid) — never per frame.
+    owner: Owner,
 }
 
 /// What happened to a wire-delivered frame.
@@ -278,7 +293,7 @@ pub struct Host {
     conns: FastMap<ConnId, Connection>,
     listeners: FastMap<ConnId, (Pid, IpProto, u16)>,
     pending_accepts: FastMap<ConnId, std::collections::VecDeque<FiveTuple>>,
-    rings: FastMap<RingKey, (PktRing, PktRing)>,
+    rings: FastMap<RingKey, (RxRing, PktRing)>,
     tx_retry: VecDeque<(ConnId, Packet)>,
     /// The pooled frame arena: one slab of `arena_slots x ring_slot_bytes`
     /// backing every arena-built or wire-adopted frame on this host.
@@ -298,14 +313,12 @@ pub struct Host {
     stats: HostStats,
     /// The shared telemetry hub every layer (NIC, stack, host) emits into.
     tel: Telemetry,
-    /// Frame ids currently sitting in each RX ring, FIFO order — lets
-    /// `app_recv` attribute the dequeued slot to the frame that filled it
-    /// (rings carry bytes, not descriptors). Maintained only while
-    /// tracing is enabled.
-    ring_frame_ids: FastMap<RingKey, VecDeque<u64>>,
     /// Host counters at the moment tracing was last enabled, so audits
     /// compare the event ledger against counter *deltas*.
     tel_baseline: HostStats,
+    /// Frames resident in RX rings at that same moment: the occupancy
+    /// ledger only sees enqueues made since, but dequeues of these too.
+    tel_baseline_resident: u64,
     /// The per-queue worker fleet, when multi-queue mode is active
     /// ([`Host::run_workers`]). While set, every ring pair lives inside
     /// a worker shard and the maps above hold only non-sharded state.
@@ -379,8 +392,8 @@ impl Host {
             kernel_cpu: Dur::ZERO,
             stats: HostStats::default(),
             tel,
-            ring_frame_ids: FastMap::default(),
             tel_baseline: HostStats::default(),
+            tel_baseline_resident: 0,
             workers: None,
             degrade: DegradeState::default(),
             resets_restored: 0,
@@ -434,8 +447,7 @@ impl Host {
         placements.sort_unstable_by_key(|(k, _)| k.order());
         for (key, shard) in placements {
             if let Some((rx, tx)) = self.rings.remove(&key) {
-                let fids = self.ring_frame_ids.remove(&key).unwrap_or_default();
-                pool.install(shard, key, rx, tx, fids);
+                pool.install(shard, key, rx, tx);
             }
         }
         self.workers = Some(pool);
@@ -451,9 +463,6 @@ impl Host {
             return;
         };
         for e in pool.drain_all() {
-            if !e.fids.is_empty() {
-                self.ring_frame_ids.insert(e.key, e.fids);
-            }
             self.rings.insert(e.key, (e.rx, e.tx));
         }
         pool.stop();
@@ -492,7 +501,7 @@ impl Host {
             self.sched.charge_core_busy(core, rep.busy);
             self.shard_llc[core].absorb(&rep.llc);
             self.tel.absorb(rep.events);
-            queued += rep.queued_fids;
+            queued += rep.rx_resident;
             shard_arena += rep.arena_resident;
         }
         self.shard_arena_resident = shard_arena;
@@ -613,15 +622,21 @@ impl Host {
     /// event buffer, rebaselines every layer's counters, and enables the
     /// hub. The `ktrace` analogue of `tcpdump -i any` + `strace` in one.
     pub fn start_trace(&mut self) {
-        self.quiesce();
+        let shard_resident = self.quiesce();
         self.tel.clear();
-        self.ring_frame_ids.clear();
         if let Some(pool) = self.workers.as_mut() {
             pool.clear_trace();
         }
         self.tel.set_enabled(true);
         self.nic.mark_telemetry_baseline();
         self.tel_baseline = self.stats;
+        self.tel_baseline_resident = self.rx_resident() + shard_resident;
+    }
+
+    /// Frames sitting in host-owned RX rings (worker shards report
+    /// theirs at the quiesce barrier).
+    fn rx_resident(&self) -> u64 {
+        self.rings.values().map(|(rx, _)| rx.len() as u64).sum()
     }
 
     /// Stops tracing; the captured events remain queryable.
@@ -674,12 +689,6 @@ impl Host {
         stats
     }
 
-    fn owner_of(&self, pid: Pid) -> Option<Owner> {
-        self.procs
-            .get(pid)
-            .map(|p| Owner::new(p.cred.uid.0, pid.0, &p.comm))
-    }
-
     /// Cross-checks the telemetry event ledger against the host's and
     /// NIC's independently maintained counters. Returns every violated
     /// invariant (empty = consistent). The trace ledger gives the audit
@@ -711,7 +720,7 @@ impl Host {
         let resident = self
             .rings
             .values()
-            .flat_map(|(rx, tx)| rx.iter_descs().chain(tx.iter_descs()))
+            .flat_map(|(rx, tx)| rx.iter_descs().map(|d| &d.pkt).chain(tx.iter_descs()))
             .filter(|p| p.is_arena())
             .count() as u64
             + self.shard_arena_resident
@@ -748,16 +757,13 @@ impl Host {
             ring_full,
             d(self.stats.ring_drops, self.tel_baseline.ring_drops),
         );
-        let queued: u64 = self
-            .ring_frame_ids
-            .values()
-            .map(|q| q.len() as u64)
-            .sum::<u64>()
-            + shard_queued;
+        // Frames already resident when tracing started were never counted
+        // as enqueues, but their dequeues are.
         check(
             "ring occupancy",
-            ring_enq_pass.saturating_sub(self.tel.stage_count(Stage::RingDequeue)),
-            queued,
+            (self.tel_baseline_resident + ring_enq_pass)
+                .saturating_sub(self.tel.stage_count(Stage::RingDequeue)),
+            self.rx_resident() + shard_queued,
         );
         violations
     }
@@ -1050,11 +1056,7 @@ impl Host {
         let mut conns: Vec<Connection> = self.conns.values().cloned().collect();
         conns.sort_unstable_by_key(|c| c.id.0);
         for c in &conns {
-            let comm = self
-                .procs
-                .get(c.pid)
-                .map(|p| p.comm.clone())
-                .unwrap_or_default();
+            let comm = self.procs.get(c.pid).map(|p| p.comm).unwrap_or_default();
             self.nic
                 .restore_connection(c.id, c.tuple, c.uid.0, c.pid.0, &comm, c.notify)
                 .expect("restore onto a freshly reset NIC cannot exhaust SRAM");
@@ -1070,7 +1072,7 @@ impl Host {
             let (uid, comm) = self
                 .procs
                 .get(pid)
-                .map(|p| (p.cred.uid.0, p.comm.clone()))
+                .map(|p| (p.cred.uid.0, p.comm))
                 .unwrap_or_default();
             self.nic
                 .restore_listener(id, proto, port, uid, pid.0, &comm)
@@ -1142,7 +1144,7 @@ impl Host {
                 .procs
                 .get(pid)
                 .ok_or(ConnectError::NoSuchProcess(pid))?;
-            (p.cred.uid, p.comm.clone())
+            (p.cred.uid, p.comm)
         };
         // Policy check at setup time (defense in depth: the NIC filter
         // also enforces it per packet).
@@ -1188,18 +1190,15 @@ impl Host {
             if pool.owner_of(ring_key).is_none() {
                 let n = pool.num_workers();
                 let shard = self.shard_for_tuple(&tuple, n);
-                let rx = PktRing::new(self.alloc_ring_addr(), slots, slot_bytes);
+                let rx = RxRing::new(self.alloc_ring_addr(), slots, slot_bytes);
                 let tx = PktRing::new(self.alloc_ring_addr(), slots, slot_bytes);
-                self.workers.as_mut().expect("checked above").install(
-                    shard,
-                    ring_key,
-                    rx,
-                    tx,
-                    VecDeque::new(),
-                );
+                self.workers
+                    .as_mut()
+                    .expect("checked above")
+                    .install(shard, ring_key, rx, tx);
             }
         } else if !self.rings.contains_key(&ring_key) {
-            let rx = PktRing::new(self.alloc_ring_addr(), slots, slot_bytes);
+            let rx = RxRing::new(self.alloc_ring_addr(), slots, slot_bytes);
             let tx = PktRing::new(self.alloc_ring_addr(), slots, slot_bytes);
             self.rings.insert(ring_key, (rx, tx));
         }
@@ -1212,6 +1211,7 @@ impl Host {
                 tuple,
                 notify,
                 ring_key,
+                owner: Owner::new(uid.0, pid.0, comm),
             },
         );
         // Connection setup costs kernel time (syscall + NIC programming).
@@ -1230,7 +1230,7 @@ impl Host {
                 .procs
                 .get(pid)
                 .ok_or(ConnectError::NoSuchProcess(pid))?;
-            (p.cred.uid, p.comm.clone())
+            (p.cred.uid, p.comm)
         };
         if let Some(r) = self
             .ctrl
@@ -1290,7 +1290,6 @@ impl Host {
                 pool.close(conn.ring_key);
             } else {
                 self.rings.remove(&conn.ring_key);
-                self.ring_frame_ids.remove(&conn.ring_key);
             }
         }
         true
@@ -1504,7 +1503,7 @@ impl Host {
                 pkt: packet.clone(),
                 fid: rx.meta.map_or(0, |m| m.frame_id),
                 tuple: rx.meta.and_then(|m| m.tuple),
-                owner: if trace { self.owner_of(c.pid) } else { None },
+                owner: c.owner,
                 ready_at: rx.ready_at,
                 cold: rx.cold,
                 trace,
@@ -1606,6 +1605,7 @@ impl Host {
                 };
                 let pid = c.pid;
                 let key = c.ring_key;
+                let owner = c.owner;
                 let demote = self.demote_now(c);
                 if demote {
                     // Degraded mode: this low-priority flow yields the
@@ -1638,60 +1638,45 @@ impl Host {
                     report.outcome = DeliveryOutcome::SlowPath;
                     return report;
                 };
-                let len = packet.len() as u32;
                 // Cold-tier flows DMA with DDIO bypass: a demoted flow's
                 // ring traffic must not evict the DDIO lines hot flows
                 // depend on (the §5 cliff mechanism).
                 // The descriptor *is* the frame handle: producing into the
                 // ring bumps the frame's refcount instead of copying bytes.
                 let plen = packet.len();
+                let fid = rx.meta.as_ref().map_or(0, |m| m.frame_id);
+                let desc = RxDesc { pkt: packet, fid };
                 let produced = if rx.cold {
-                    rx_ring.produce_dma_bypass_with(packet, plen, &mut self.llc, &mem)
+                    rx_ring.produce_dma_bypass_with(desc, plen, &mut self.llc, &mem)
                 } else {
-                    rx_ring.produce_dma_with(packet, plen, &mut self.llc, &mem)
+                    rx_ring.produce_dma_with(desc, plen, &mut self.llc, &mem)
                 };
-                match produced {
+                let verdict = match produced {
                     Ok(cost) => {
                         report.mem_cost = cost;
                         report.outcome = DeliveryOutcome::FastPath(conn);
                         self.stats.fast_delivered += 1;
                         self.note_ring_pressure(false, now);
-                        if self.tel.is_enabled() {
-                            // Meta fields are only read for trace events, so
-                            // the (wide) meta copy stays behind the gate.
-                            let fid = rx.meta.as_ref().map_or(0, |m| m.frame_id);
-                            let tuple = rx.meta.as_ref().and_then(|m| m.tuple);
-                            self.ring_frame_ids.entry(key).or_default().push_back(fid);
-                            self.tel.emit(|| TraceEvent {
-                                frame_id: fid,
-                                at: rx.ready_at,
-                                stage: Stage::RingEnqueue,
-                                verdict: TraceVerdict::Pass,
-                                tuple,
-                                len,
-                                owner: self.owner_of(pid),
-                                generation: 0,
-                            });
-                        }
+                        TraceVerdict::Pass
                     }
                     Err(_) => {
                         report.outcome = DeliveryOutcome::RingFull(conn);
                         self.stats.ring_drops += 1;
                         self.note_ring_pressure(true, now);
-                        let fid = rx.meta.as_ref().map_or(0, |m| m.frame_id);
-                        let tuple = rx.meta.as_ref().and_then(|m| m.tuple);
-                        self.tel.emit(|| TraceEvent {
-                            frame_id: fid,
-                            at: rx.ready_at,
-                            stage: Stage::RingEnqueue,
-                            verdict: TraceVerdict::Drop(DropCause::RingFull),
-                            tuple,
-                            len,
-                            owner: self.owner_of(pid),
-                            generation: 0,
-                        });
-                        return report;
+                        TraceVerdict::Drop(DropCause::RingFull)
                     }
+                };
+                // Meta fields are only read for the trace event, so the
+                // (wide) meta copy stays inside the closure.
+                self.tel
+                    .emit_stage(Stage::RingEnqueue, verdict, rx.ready_at, || FrameInfo {
+                        frame_id: fid,
+                        tuple: rx.meta.as_ref().and_then(|m| m.tuple),
+                        len: plen as u32,
+                        owner: Some(owner),
+                    });
+                if produced.is_err() {
+                    return report;
                 }
                 if rx.interrupt {
                     if let Some(resumed) = self.sched.wake(pid, rx.ready_at, &mut self.procs) {
@@ -1754,8 +1739,9 @@ impl Host {
         let pid = conn.pid;
         let notify = conn.notify;
         let key = conn.ring_key;
+        let owner = conn.owner;
         if self.workers.is_some() {
-            return self.app_recv_workers(pid, notify, key, now, blocking);
+            return self.app_recv_workers(pid, owner, notify, key, now, blocking);
         }
         let mem = self.cfg.mem.clone();
         let Some((rx_ring, _)) = self.rings.get_mut(&key) else {
@@ -1769,37 +1755,10 @@ impl Host {
             };
         };
         match rx_ring.consume_cpu_desc(&mut self.llc, &mem) {
-            Some((pkt, len, cost)) => {
+            Some((RxDesc { pkt, fid }, len, cost)) => {
                 let cpu = cost + self.doorbell_cost();
                 self.sched.charge_busy(pid, cpu);
-                if self.tel.is_enabled() {
-                    let fid = self
-                        .ring_frame_ids
-                        .get_mut(&key)
-                        .and_then(|q| q.pop_front())
-                        .unwrap_or(0);
-                    let owner = self.owner_of(pid);
-                    self.tel.emit(|| TraceEvent {
-                        frame_id: fid,
-                        at: now,
-                        stage: Stage::RingDequeue,
-                        verdict: TraceVerdict::Pass,
-                        tuple: None,
-                        len: len as u32,
-                        owner: None,
-                        generation: 0,
-                    });
-                    self.tel.emit(|| TraceEvent {
-                        frame_id: fid,
-                        at: now,
-                        stage: Stage::AppDeliver,
-                        verdict: TraceVerdict::Pass,
-                        tuple: None,
-                        len: len as u32,
-                        owner,
-                        generation: 0,
-                    });
-                }
+                self.trace_recv(fid, len, owner, now);
                 RecvResult {
                     len: Some(len),
                     pkt: Some(pkt),
@@ -1827,6 +1786,24 @@ impl Host {
         }
     }
 
+    /// The two events of a receive: the slot leaves the ring (the ring
+    /// knows the frame, not the process) and the frame reaches its owner.
+    fn trace_recv(&self, fid: u64, len: usize, owner: Owner, now: Time) {
+        self.tel.emit_stages(
+            &[
+                StageRec::new(Stage::RingDequeue, TraceVerdict::Pass, now).unowned(),
+                StageRec::new(Stage::AppDeliver, TraceVerdict::Pass, now),
+            ],
+            &[],
+            || FrameInfo {
+                frame_id: fid,
+                tuple: None,
+                len: len as u32,
+                owner: Some(owner),
+            },
+        );
+    }
+
     /// [`Host::app_recv`] with the ring in a worker shard: the dequeue
     /// (and its LLC traffic) happens on the owning worker; doorbells,
     /// scheduling, and trace emission stay here. Costs and events match
@@ -1834,18 +1811,18 @@ impl Host {
     fn app_recv_workers(
         &mut self,
         pid: Pid,
+        owner: Owner,
         notify: bool,
         key: RingKey,
         now: Time,
         blocking: bool,
     ) -> RecvResult {
-        let trace = self.tel.is_enabled();
-        let owner = self
+        let shard = self
             .workers
             .as_ref()
             .expect("worker mode active")
             .owner_of(key);
-        let Some(shard) = owner else {
+        let Some(shard) = shard else {
             self.stats.ring_missing += 1;
             return RecvResult {
                 len: None,
@@ -1858,39 +1835,16 @@ impl Host {
             .workers
             .as_mut()
             .expect("worker mode active")
-            .recv(shard, key, trace);
+            .recv(shard, key);
         match reply {
             RecvReply::Data {
-                pkt,
+                desc: RxDesc { pkt, fid },
                 len,
                 cost,
-                fid,
             } => {
                 let cpu = cost + self.doorbell_cost();
                 self.sched.charge_busy(pid, cpu);
-                if trace {
-                    let owner = self.owner_of(pid);
-                    self.tel.emit(|| TraceEvent {
-                        frame_id: fid,
-                        at: now,
-                        stage: Stage::RingDequeue,
-                        verdict: TraceVerdict::Pass,
-                        tuple: None,
-                        len: len as u32,
-                        owner: None,
-                        generation: 0,
-                    });
-                    self.tel.emit(|| TraceEvent {
-                        frame_id: fid,
-                        at: now,
-                        stage: Stage::AppDeliver,
-                        verdict: TraceVerdict::Pass,
-                        tuple: None,
-                        len: len as u32,
-                        owner,
-                        generation: 0,
-                    });
-                }
+                self.trace_recv(fid, len, owner, now);
                 RecvResult {
                     len: Some(len),
                     pkt: Some(pkt),

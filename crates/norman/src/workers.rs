@@ -27,7 +27,7 @@
 //! reports, and `run_workers(1)` is byte-identical to the single-queue
 //! [`Host::pump`](crate::Host::pump) path.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread::JoinHandle;
 
@@ -36,7 +36,7 @@ use pkt::{FiveTuple, Packet};
 use sim::{Dur, Time};
 use telemetry::{DropCause, Owner, Stage, TraceEvent, TraceVerdict};
 
-use crate::host::{FastMap, PktRing, RingKey};
+use crate::host::{PktRing, RingKey, RxDesc, RxRing};
 
 /// Why [`Host::run_workers`](crate::Host::run_workers) refused, or what
 /// the shard supervisor reports after a worker crash.
@@ -117,7 +117,7 @@ pub struct ShardReport {
     pub llc: LlcStats,
     /// Frames currently resident in this shard's RX rings (an absolute
     /// occupancy, not a delta — the audit's third ledger).
-    pub queued_fids: u64,
+    pub rx_resident: u64,
     /// Arena-backed frame descriptors currently resident in this shard's
     /// rings, both directions (absolute occupancy — the host's arena
     /// leak audit sums these against the arena's live-slot count).
@@ -138,13 +138,13 @@ pub(crate) struct DeliverJob {
     pub pkt: Packet,
     /// Frame length on the wire.
     pub len: usize,
-    /// Telemetry frame id (0 when tracing is off).
+    /// Telemetry frame id; rides the ring descriptor to the receiver.
     pub fid: u64,
     /// RX five-tuple, for trace events.
     pub tuple: Option<FiveTuple>,
-    /// Owning process of the destination ring, for drop attribution in
-    /// trace events. Only populated when `trace` is set.
-    pub owner: Option<Owner>,
+    /// Owning process of the destination ring, for attribution in trace
+    /// events.
+    pub owner: Owner,
     /// When the NIC finished with the frame.
     pub ready_at: Time,
     /// Whether the flow was resolved from the cold tier: its ring DMA
@@ -179,16 +179,10 @@ pub(crate) enum ShardOutcome {
 }
 
 /// Worker-side outcome of one receive.
-#[derive(Clone, Debug)]
 pub(crate) enum RecvReply {
-    /// Dequeued the frame at this cost; `fid` is the frame id that
-    /// filled the slot (0 when untracked).
-    Data {
-        pkt: Packet,
-        len: usize,
-        cost: Dur,
-        fid: u64,
-    },
+    /// Dequeued this descriptor (the frame and its lifecycle id) at this
+    /// cost.
+    Data { desc: RxDesc, len: usize, cost: Dur },
     /// The ring is empty.
     Empty,
     /// The shard has no ring for this key.
@@ -209,16 +203,14 @@ pub(crate) enum SendReply {
 /// One ring pair in flight between shards (rebalance / teardown).
 pub(crate) struct RingEntry {
     pub key: RingKey,
-    pub rx: PktRing,
+    pub rx: RxRing,
     pub tx: PktRing,
-    pub fids: VecDeque<u64>,
 }
 
 enum Op {
     Deliver(Vec<DeliverJob>),
     Recv {
         key: RingKey,
-        trace: bool,
     },
     Send {
         key: RingKey,
@@ -245,10 +237,10 @@ enum Op {
 pub(crate) struct CrashSalvage {
     /// Deliver replies the shard finished before the panic hit.
     pub partial: Vec<DeliverReply>,
-    /// Ring pairs (with tracked frame ids) pulled out of the dead shard.
+    /// Ring pairs pulled out of the dead shard.
     pub rings: Vec<RingEntry>,
     /// Final counter/event report. The rings are drained *before* this
-    /// is built, so `report.queued_fids == 0` — ring occupancy rides the
+    /// is built, so `report.rx_resident == 0` — ring occupancy rides the
     /// reinstalled entries and is reported by the replacement shard,
     /// never counted twice.
     pub report: ShardReport,
@@ -268,8 +260,7 @@ enum Reply {
 
 /// The state one worker thread owns outright.
 struct Shard {
-    rings: HashMap<RingKey, (PktRing, PktRing)>,
-    ring_frame_ids: FastMap<RingKey, VecDeque<u64>>,
+    rings: HashMap<RingKey, (RxRing, PktRing)>,
     llc: Llc,
     mem: MemCosts,
     stats: ShardStats,
@@ -284,7 +275,6 @@ impl Shard {
     fn new(llc: LlcConfig, mem: MemCosts) -> Shard {
         Shard {
             rings: HashMap::new(),
-            ring_frame_ids: FastMap::default(),
             llc: Llc::new(llc),
             mem,
             stats: ShardStats::default(),
@@ -304,79 +294,53 @@ impl Shard {
         };
         // The packet handle itself is the ring descriptor: a refused
         // produce drops it (refcount release), never copies it.
-        let produced = if job.cold {
-            rx_ring.produce_dma_bypass_with(job.pkt, job.len, &mut self.llc, &self.mem)
-        } else {
-            rx_ring.produce_dma_with(job.pkt, job.len, &mut self.llc, &self.mem)
+        let desc = RxDesc {
+            pkt: job.pkt,
+            fid: job.fid,
         };
-        match produced {
+        let produced = if job.cold {
+            rx_ring.produce_dma_bypass_with(desc, job.len, &mut self.llc, &self.mem)
+        } else {
+            rx_ring.produce_dma_with(desc, job.len, &mut self.llc, &self.mem)
+        };
+        let (verdict, outcome) = match produced {
             Ok(cost) => {
                 self.stats.fast_delivered += 1;
                 self.busy += cost;
-                if job.trace {
-                    self.ring_frame_ids
-                        .entry(job.key)
-                        .or_default()
-                        .push_back(job.fid);
-                    self.events.push(TraceEvent {
-                        frame_id: job.fid,
-                        at: job.ready_at,
-                        stage: Stage::RingEnqueue,
-                        verdict: TraceVerdict::Pass,
-                        tuple: job.tuple,
-                        len: job.len as u32,
-                        owner: job.owner,
-                        generation: job.generation,
-                    });
-                }
-                DeliverReply {
-                    idx: job.idx,
-                    outcome: ShardOutcome::Fast(cost),
-                }
+                (TraceVerdict::Pass, ShardOutcome::Fast(cost))
             }
             Err(_) => {
                 self.stats.ring_drops += 1;
-                if job.trace {
-                    self.events.push(TraceEvent {
-                        frame_id: job.fid,
-                        at: job.ready_at,
-                        stage: Stage::RingEnqueue,
-                        verdict: TraceVerdict::Drop(DropCause::RingFull),
-                        tuple: job.tuple,
-                        len: job.len as u32,
-                        owner: job.owner,
-                        generation: job.generation,
-                    });
-                }
-                DeliverReply {
-                    idx: job.idx,
-                    outcome: ShardOutcome::RingFull,
-                }
+                (
+                    TraceVerdict::Drop(DropCause::RingFull),
+                    ShardOutcome::RingFull,
+                )
             }
+        };
+        if job.trace {
+            self.events.push(TraceEvent {
+                frame_id: job.fid,
+                at: job.ready_at,
+                stage: Stage::RingEnqueue,
+                verdict,
+                tuple: job.tuple,
+                len: job.len as u32,
+                owner: Some(job.owner),
+                generation: job.generation,
+            });
+        }
+        DeliverReply {
+            idx: job.idx,
+            outcome,
         }
     }
 
-    fn recv(&mut self, key: RingKey, trace: bool) -> RecvReply {
+    fn recv(&mut self, key: RingKey) -> RecvReply {
         let Some((rx_ring, _)) = self.rings.get_mut(&key) else {
             return RecvReply::Missing;
         };
         match rx_ring.consume_cpu_desc(&mut self.llc, &self.mem) {
-            Some((pkt, len, cost)) => {
-                let fid = if trace {
-                    self.ring_frame_ids
-                        .get_mut(&key)
-                        .and_then(|q| q.pop_front())
-                        .unwrap_or(0)
-                } else {
-                    0
-                };
-                RecvReply::Data {
-                    pkt,
-                    len,
-                    cost,
-                    fid,
-                }
-            }
+            Some((desc, len, cost)) => RecvReply::Data { desc, len, cost },
             None => RecvReply::Empty,
         }
     }
@@ -402,12 +366,7 @@ impl Shard {
         keys.into_iter()
             .map(|key| {
                 let (rx, tx) = self.rings.remove(&key).expect("key came from the map");
-                RingEntry {
-                    key,
-                    rx,
-                    tx,
-                    fids: self.ring_frame_ids.remove(&key).unwrap_or_default(),
-                }
+                RingEntry { key, rx, tx }
             })
             .collect()
     }
@@ -420,12 +379,12 @@ impl Shard {
             events: std::mem::take(&mut self.events),
             busy: std::mem::replace(&mut self.busy, Dur::ZERO),
             llc,
-            queued_fids: self.ring_frame_ids.values().map(|q| q.len() as u64).sum(),
+            rx_resident: self.rings.values().map(|(rx, _)| rx.len() as u64).sum(),
             arena_resident: self
                 .rings
                 .values()
                 .map(|(rx, tx)| {
-                    (rx.iter_descs().filter(|p| p.is_arena()).count()
+                    (rx.iter_descs().filter(|d| d.pkt.is_arena()).count()
                         + tx.iter_descs().filter(|p| p.is_arena()).count())
                         as u64
                 })
@@ -442,25 +401,20 @@ impl Shard {
                 }
                 Reply::Delivered(std::mem::take(&mut self.partial))
             }
-            Op::Recv { key, trace } => Reply::Recv(self.recv(key, trace)),
+            Op::Recv { key } => Reply::Recv(self.recv(key)),
             Op::Send { key, pkt, len } => Reply::Send(self.send(key, pkt, len)),
             Op::InstallRing(e) => {
-                if !e.fids.is_empty() {
-                    self.ring_frame_ids.insert(e.key, e.fids);
-                }
                 self.rings.insert(e.key, (e.rx, e.tx));
                 Reply::Done
             }
             Op::CloseRing { key } => {
                 self.rings.remove(&key);
-                self.ring_frame_ids.remove(&key);
                 Reply::Done
             }
             Op::DrainRings => Reply::Rings(self.drain_rings()),
             Op::Quiesce => Reply::Quiesce(Box::new(self.report())),
             Op::ClearTrace => {
                 self.events.clear();
-                self.ring_frame_ids.clear();
                 Reply::Done
             }
             Op::Panic(msg) => panic!("{msg}"),
@@ -479,7 +433,7 @@ impl Shard {
                 Ok(reply) => reply,
                 Err(e) => {
                     // The op panicked. Salvage everything the host needs
-                    // — rings FIRST so the final report's queued_fids is
+                    // — rings FIRST so the final report's rx_resident is
                     // zero (occupancy travels with the ring entries) —
                     // then exit so the thread stays cleanly joinable.
                     let payload = panic_message(e.as_ref());
@@ -700,19 +654,12 @@ impl WorkerPool {
         self.shard_of.get(&key).copied()
     }
 
-    /// Installs a ring pair (with its tracked frame ids) into `shard`.
-    pub(crate) fn install(
-        &mut self,
-        shard: usize,
-        key: RingKey,
-        rx: PktRing,
-        tx: PktRing,
-        fids: VecDeque<u64>,
-    ) {
+    /// Installs a ring pair into `shard`.
+    pub(crate) fn install(&mut self, shard: usize, key: RingKey, rx: RxRing, tx: PktRing) {
         self.shard_of.insert(key, shard);
         self.workers[shard]
             .ops
-            .send(Op::InstallRing(Box::new(RingEntry { key, rx, tx, fids })))
+            .send(Op::InstallRing(Box::new(RingEntry { key, rx, tx })))
             .expect("worker thread alive");
         match self.recv_supervised(shard) {
             Ok(Reply::Done) | Err(_) => {}
@@ -793,10 +740,10 @@ impl WorkerPool {
         replies
     }
 
-    pub(crate) fn recv(&mut self, shard: usize, key: RingKey, trace: bool) -> RecvReply {
+    pub(crate) fn recv(&mut self, shard: usize, key: RingKey) -> RecvReply {
         self.workers[shard]
             .ops
-            .send(Op::Recv { key, trace })
+            .send(Op::Recv { key })
             .expect("worker thread alive");
         match self.recv_supervised(shard) {
             Ok(Reply::Recv(r)) => r,
@@ -806,7 +753,7 @@ impl WorkerPool {
                 // (and their contents) survived the crash.
                 self.workers[shard]
                     .ops
-                    .send(Op::Recv { key, trace })
+                    .send(Op::Recv { key })
                     .expect("worker thread alive");
                 match self.recv_supervised(shard) {
                     Ok(Reply::Recv(r)) => r,
@@ -878,7 +825,7 @@ impl WorkerPool {
         }
         // Fold in reports salvaged from crashed shards since the last
         // quiesce: their events predate the live report's, so prepend;
-        // counters and busy time sum. queued_fids needs no folding — the
+        // counters and busy time sum. rx_resident needs no folding — the
         // salvage drained the rings before reporting (so its own count
         // is zero) and the replacement shard that inherited them reports
         // the occupancy.
@@ -943,7 +890,7 @@ impl WorkerPool {
     pub(crate) fn rebalance(&mut self, assign: &HashMap<RingKey, usize>) {
         for e in self.drain_all() {
             let shard = assign.get(&e.key).copied().unwrap_or(0) % self.workers.len();
-            self.install(shard, e.key, e.rx, e.tx, e.fids);
+            self.install(shard, e.key, e.rx, e.tx);
         }
     }
 

@@ -12,7 +12,7 @@ use pkt::{FrameMeta, IpProto, Packet};
 use qdisc::classify::ClassMatch;
 use qdisc::{Fifo, QPkt, Qdisc, QdiscStats};
 use sim::{Dur, Time};
-use telemetry::{DropCause, Owner, Stage, Telemetry, TraceEvent, TraceVerdict};
+use telemetry::{DropCause, FrameInfo, Owner, Stage, Telemetry, TraceVerdict};
 
 use crate::hooks::{Chain, HookVerdict};
 use crate::process::{Pid, ProcessTable};
@@ -39,26 +39,20 @@ impl Default for StackCosts {
     }
 }
 
-/// Builds a netstack lifecycle event (free function so hot paths can
-/// defer construction behind [`Telemetry::emit`]'s enabled gate).
-fn stack_ev(
+/// The fields a netstack lifecycle event shares with the rest of its
+/// frame's (every emission site's closure; only runs when the hub keeps
+/// the event).
+fn stack_frame(
     fid: u64,
-    at: Time,
-    stage: Stage,
-    verdict: TraceVerdict,
     tuple: Option<pkt::FiveTuple>,
     len: u32,
-    owner: Option<(u32, u32, &str)>,
-) -> TraceEvent {
-    TraceEvent {
+    owner: Option<Owner>,
+) -> FrameInfo {
+    FrameInfo {
         frame_id: fid,
-        at,
-        stage,
-        verdict,
         tuple,
         len,
-        owner: owner.map(|(uid, pid, comm)| Owner::new(uid, pid, comm)),
-        generation: 0,
+        owner,
     }
 }
 
@@ -184,7 +178,7 @@ impl NetStack {
             SocketEntry {
                 pid,
                 uid: p.cred.uid.0,
-                comm: p.comm.clone(),
+                comm: p.comm,
                 rx_queue: VecDeque::new(),
                 rx_bytes: 0,
                 tx_bytes: 0,
@@ -212,17 +206,12 @@ impl NetStack {
                 self.rx_packets += 1;
                 let fid = self.tel.adopt_frame_id(0);
                 let len = packet.len() as u32;
-                self.tel.emit(|| {
-                    stack_ev(
-                        fid,
-                        now,
-                        Stage::NetstackDrop,
-                        TraceVerdict::Drop(DropCause::Malformed),
-                        None,
-                        len,
-                        None,
-                    )
-                });
+                self.tel.emit_stage(
+                    Stage::NetstackDrop,
+                    TraceVerdict::Drop(DropCause::Malformed),
+                    now,
+                    || stack_frame(fid, None, len, None),
+                );
                 (
                     RxOutcome::NoSocket,
                     self.costs.softirq + self.costs.protocol,
@@ -246,54 +235,40 @@ impl NetStack {
         let Some(tuple) = meta.tuple else {
             // Non-TCP/UDP (e.g. ARP) is handled by the kernel itself, not
             // delivered to sockets.
-            self.tel.emit(|| {
-                stack_ev(
-                    fid,
-                    now,
-                    Stage::NetstackDrop,
-                    TraceVerdict::Drop(DropCause::NoSocket),
-                    None,
-                    len,
-                    None,
-                )
-            });
+            self.tel.emit_stage(
+                Stage::NetstackDrop,
+                TraceVerdict::Drop(DropCause::NoSocket),
+                now,
+                || stack_frame(fid, None, len, None),
+            );
             return (RxOutcome::NoSocket, cost);
         };
         let key = (tuple.proto, tuple.dst_port);
         // Socket demux first: the INPUT owner match needs the receiving
         // socket's identity.
         let (uid, pid, comm) = match self.sockets.get(&key) {
-            Some(s) => (s.uid, s.pid, s.comm.clone()),
+            Some(s) => (s.uid, s.pid, s.comm),
             None => {
-                self.tel.emit(|| {
-                    stack_ev(
-                        fid,
-                        now,
-                        Stage::NetstackDrop,
-                        TraceVerdict::Drop(DropCause::NoSocket),
-                        Some(tuple),
-                        len,
-                        None,
-                    )
-                });
+                self.tel.emit_stage(
+                    Stage::NetstackDrop,
+                    TraceVerdict::Drop(DropCause::NoSocket),
+                    now,
+                    || stack_frame(fid, Some(tuple), len, None),
+                );
                 return (RxOutcome::NoSocket, cost);
             }
         };
+        let owner = Some(Owner::new(uid, pid.0, comm));
         let m = ClassMatch::from_meta(meta, uid, pid.0);
         let (verdict, hook_cost) = self.input.evaluate(&m, Some(&comm));
         cost += hook_cost;
         if verdict == HookVerdict::Drop {
-            self.tel.emit(|| {
-                stack_ev(
-                    fid,
-                    now,
-                    Stage::NetstackDrop,
-                    TraceVerdict::Drop(DropCause::NetfilterDrop),
-                    Some(tuple),
-                    len,
-                    Some((uid, pid.0, &comm)),
-                )
-            });
+            self.tel.emit_stage(
+                Stage::NetstackDrop,
+                TraceVerdict::Drop(DropCause::NetfilterDrop),
+                now,
+                || stack_frame(fid, Some(tuple), len, owner),
+            );
             return (RxOutcome::Filtered, cost);
         }
         let entry = self.sockets.get_mut(&key).expect("checked above");
@@ -303,17 +278,10 @@ impl NetStack {
         if wake {
             entry.blocking_reader = false;
         }
-        self.tel.emit(|| {
-            stack_ev(
-                fid,
-                now,
-                Stage::NetstackDeliver,
-                TraceVerdict::Pass,
-                Some(tuple),
-                len,
-                Some((uid, pid.0, &comm)),
-            )
-        });
+        self.tel
+            .emit_stage(Stage::NetstackDeliver, TraceVerdict::Pass, now, || {
+                stack_frame(fid, Some(tuple), len, owner)
+            });
         (RxOutcome::Delivered { pid, wake }, cost)
     }
 
@@ -358,7 +326,7 @@ impl NetStack {
         let meta = FrameMeta::of(packet).ok();
         let tuple = meta.and_then(|m| m.tuple);
         let (uid, comm) = match procs.get(pid) {
-            Some(p) => (p.cred.uid.0, p.comm.clone()),
+            Some(p) => (p.cred.uid.0, p.comm),
             None => (u32::MAX, telemetry::Comm::default()),
         };
         let m = match &meta {
@@ -371,22 +339,18 @@ impl NetStack {
                 dscp: 0,
             },
         };
+        let owner = Some(Owner::new(uid, pid.0, comm));
         let (verdict, hook_cost) = self.output.evaluate(&m, Some(&comm));
         cost += hook_cost;
         let fid = self.tel.adopt_frame_id(meta.map_or(0, |m| m.frame_id));
         let len = packet.len() as u32;
         if verdict == HookVerdict::Drop {
-            self.tel.emit(|| {
-                stack_ev(
-                    fid,
-                    now,
-                    Stage::NetstackTxDrop,
-                    TraceVerdict::Drop(DropCause::NetfilterDrop),
-                    tuple,
-                    len,
-                    Some((uid, pid.0, &comm)),
-                )
-            });
+            self.tel.emit_stage(
+                Stage::NetstackTxDrop,
+                TraceVerdict::Drop(DropCause::NetfilterDrop),
+                now,
+                || stack_frame(fid, tuple, len, owner),
+            );
             return (false, cost);
         }
         if let Some(t) = tuple {
@@ -400,31 +364,19 @@ impl NetStack {
         match self.egress.enqueue(qpkt, now) {
             Ok(()) => {
                 self.tx_frames.insert(id, packet.clone());
-                self.tel.emit(|| {
-                    stack_ev(
-                        fid,
-                        now,
-                        Stage::NetstackTx,
-                        TraceVerdict::Pass,
-                        tuple,
-                        len,
-                        Some((uid, pid.0, &comm)),
-                    )
-                });
+                self.tel
+                    .emit_stage(Stage::NetstackTx, TraceVerdict::Pass, now, || {
+                        stack_frame(fid, tuple, len, owner)
+                    });
                 (true, cost)
             }
             Err(e) => {
-                self.tel.emit(|| {
-                    stack_ev(
-                        fid,
-                        now,
-                        Stage::NetstackTxDrop,
-                        TraceVerdict::Drop(e.cause()),
-                        tuple,
-                        len,
-                        Some((uid, pid.0, &comm)),
-                    )
-                });
+                self.tel.emit_stage(
+                    Stage::NetstackTxDrop,
+                    TraceVerdict::Drop(e.cause()),
+                    now,
+                    || stack_frame(fid, tuple, len, owner),
+                );
                 (false, cost)
             }
         }

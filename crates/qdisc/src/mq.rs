@@ -53,20 +53,38 @@ impl MultiQueue {
         self.queues[0].num_classes()
     }
 
-    /// Replaces every queue's scheduler with fresh WFQ state using
-    /// `weights` — the multi-queue analogue of swapping in a new [`Wfq`].
-    /// Queued packets are discarded, exactly like the single-queue swap.
+    /// Rebuilds the bank as `num_queues` fresh WFQ schedulers using
+    /// `weights` — the multi-queue analogue of swapping in a new [`Wfq`] —
+    /// and carries the backlog across the swap: a live reconfiguration
+    /// must not lose frames it had already accepted. Each queued packet
+    /// re-enters queue `old_queue % num_queues` in its old order (class
+    /// order, FIFO within a class) and is tagged afresh under the new
+    /// weights; a packet whose class no longer exists falls to class 0,
+    /// like any unclassified packet.
+    ///
+    /// Returns the packets that could not be carried (the receiving class
+    /// was full), counted as drops; the caller owes each an account.
     ///
     /// # Panics
     ///
-    /// Panics on the same conditions as [`Wfq::new`].
-    pub fn reconfigure(&mut self, weights: &[f64]) {
-        let n = self.queues.len();
-        self.queues = (0..n)
-            .map(|_| Wfq::new(weights, self.per_class_limit))
-            .collect();
-        self.weights = weights.to_vec();
-        self.next_rr = 0;
+    /// Panics on the same conditions as [`MultiQueue::new`].
+    pub fn reconfigure(&mut self, num_queues: usize, weights: &[f64], now: Time) -> Vec<QPkt> {
+        let next = MultiQueue::new(num_queues, weights, self.per_class_limit);
+        let old = std::mem::replace(self, next);
+        let mut refused = Vec::new();
+        for (q, mut wfq) in old.queues.into_iter().enumerate() {
+            // `purge` books the packets as drops of the scheduler being
+            // discarded; what counts from here on is the new bank's stats.
+            for mut pkt in wfq.purge() {
+                if pkt.class as usize >= weights.len() {
+                    pkt.class = 0;
+                }
+                if self.enqueue_on(q % num_queues, pkt, now).is_err() {
+                    refused.push(pkt);
+                }
+            }
+        }
+        refused
     }
 
     /// Returns the configured per-class weights.
@@ -230,14 +248,33 @@ mod tests {
 
     #[test]
     fn reconfigure_replaces_all_queues() {
-        let mut mq = MultiQueue::new(2, &[1.0], 8);
+        let mut mq = MultiQueue::new(2, &[1.0, 1.0], 8);
         mq.enqueue_on(1, pkt(1, 100, 0), Time::ZERO).unwrap();
-        mq.reconfigure(&[1.0, 3.0]);
-        assert_eq!(mq.len(), 0, "swap discards queued state");
+        mq.enqueue_on(1, pkt(2, 100, 1), Time::ZERO).unwrap();
+        mq.enqueue_on(0, pkt(3, 100, 1), Time::ZERO).unwrap();
+        assert!(mq.reconfigure(2, &[1.0, 3.0], Time::ZERO).is_empty());
         assert_eq!(mq.num_classes(), 2);
         assert_eq!(mq.weights(), &[1.0, 3.0]);
-        mq.enqueue_on(1, pkt(2, 100, 1), Time::ZERO).unwrap();
-        assert_eq!(mq.dequeue(Time::ZERO).unwrap().id, 2);
+        assert_eq!((mq.queue_len(0), mq.queue_len(1)), (1, 2));
+        // The new weights decide the order: class 1 (weight 3) first.
+        let order: Vec<u64> = std::iter::from_fn(|| mq.dequeue(Time::ZERO).map(|p| p.id)).collect();
+        assert_eq!(order, vec![3, 2, 1]);
+    }
+
+    #[test]
+    fn reconfigure_folds_vanished_classes_and_queues() {
+        let mut mq = MultiQueue::new(2, &[1.0, 1.0], 2);
+        mq.enqueue_on(0, pkt(1, 100, 0), Time::ZERO).unwrap();
+        mq.enqueue_on(0, pkt(2, 100, 1), Time::ZERO).unwrap();
+        mq.enqueue_on(1, pkt(3, 100, 1), Time::ZERO).unwrap();
+        // One queue, one class, two slots: three packets contend for
+        // class 0 of queue 0 and the last to arrive is refused.
+        let refused = mq.reconfigure(1, &[1.0], Time::ZERO);
+        assert_eq!(refused.iter().map(|p| p.id).collect::<Vec<_>>(), vec![3]);
+        assert_eq!(mq.num_queues(), 1);
+        assert_eq!(mq.len(), 2);
+        assert_eq!(mq.stats().dropped, 1);
+        assert_eq!(mq.dequeue(Time::ZERO).unwrap().class, 0);
     }
 
     #[test]

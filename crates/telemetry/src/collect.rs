@@ -15,7 +15,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::event::{RecoveryEvent, Stage, TraceEvent, TraceFilter};
+use crate::event::{RecoveryEvent, Stage, TraceEvent, TraceFilter, TraceVerdict};
 use crate::file::FileError;
 
 /// One pluggable lens on the event stream.
@@ -25,6 +25,15 @@ pub trait Collector {
 
     /// Whether this collector wants `event` recorded.
     fn wants(&self, event: &TraceEvent) -> bool;
+
+    /// Whether this collector could want an event at `stage` with
+    /// `verdict` — asked at the emit site, before the event is built.
+    /// `false` is a promise that [`Collector::wants`] refuses every such
+    /// event, and lets the hub skip building it; the default keeps every
+    /// stage and leaves the decision to `wants`.
+    fn wants_stage(&self, _stage: Stage, _verdict: TraceVerdict) -> bool {
+        true
+    }
 
     /// Whether this collector wants the failure-domain transition
     /// `event` recorded. Defaults to no — most collectors are per-frame.
@@ -55,7 +64,11 @@ impl Collector for DropCollector {
     }
 
     fn wants(&self, event: &TraceEvent) -> bool {
-        event.verdict.drop_cause().is_some()
+        self.wants_stage(event.stage, event.verdict)
+    }
+
+    fn wants_stage(&self, _stage: Stage, verdict: TraceVerdict) -> bool {
+        verdict.drop_cause().is_some()
     }
 }
 
@@ -68,7 +81,11 @@ impl Collector for FlowTierCollector {
     }
 
     fn wants(&self, event: &TraceEvent) -> bool {
-        matches!(event.stage, Stage::FlowPromoted | Stage::FlowDemoted)
+        self.wants_stage(event.stage, event.verdict)
+    }
+
+    fn wants_stage(&self, stage: Stage, _verdict: TraceVerdict) -> bool {
+        matches!(stage, Stage::FlowPromoted | Stage::FlowDemoted)
     }
 }
 
@@ -81,6 +98,10 @@ impl Collector for RecoveryCollector {
     }
 
     fn wants(&self, _event: &TraceEvent) -> bool {
+        false
+    }
+
+    fn wants_stage(&self, _stage: Stage, _verdict: TraceVerdict) -> bool {
         false
     }
 
@@ -98,6 +119,14 @@ impl CollectorSet {
     /// Whether any collector in the set wants `event`.
     pub fn wants(&self, event: &TraceEvent) -> bool {
         self.collectors.iter().any(|c| c.wants(event))
+    }
+
+    /// Whether any collector in the set could want an event at `stage`
+    /// with `verdict` (see [`Collector::wants_stage`]).
+    pub fn wants_stage(&self, stage: Stage, verdict: TraceVerdict) -> bool {
+        self.collectors
+            .iter()
+            .any(|c| c.wants_stage(stage, verdict))
     }
 
     /// Whether any collector in the set wants the recovery event.
@@ -339,6 +368,10 @@ mod tests {
         assert!(set.wants(&ev(Stage::RxDrop, TraceVerdict::Drop(DropCause::Filter))));
         assert!(set.wants(&ev(Stage::FlowPromoted, TraceVerdict::Pass)));
         assert!(!set.wants(&ev(Stage::RxIngress, TraceVerdict::Pass)));
+        // The emit-site check agrees with the per-event one.
+        assert!(set.wants_stage(Stage::RxDrop, TraceVerdict::Drop(DropCause::Filter)));
+        assert!(set.wants_stage(Stage::FlowPromoted, TraceVerdict::Pass));
+        assert!(!set.wants_stage(Stage::RxIngress, TraceVerdict::Pass));
         assert!(!set.wants_recovery(&RecoveryEvent {
             at: Time(1),
             kind: RecoveryKind::NicCrash,

@@ -7,7 +7,9 @@
 //! every drop is typed ([`DropCause`]) so "no silent drops" is checkable
 //! as a property, not a convention.
 
+use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Mutex;
 
 use pkt::FiveTuple;
 use sim::Time;
@@ -102,9 +104,11 @@ impl Stage {
         Stage::TxDepart,
     ];
 
-    /// Dense ledger index of this stage.
+    /// Dense ledger index of this stage: its position in [`Stage::ALL`],
+    /// which lists the variants in declaration order.
+    #[inline]
     pub fn index(self) -> usize {
-        Stage::ALL.iter().position(|s| *s == self).unwrap()
+        self as usize
     }
 
     /// Stable lower-snake name (metric keys, JSON output).
@@ -196,9 +200,11 @@ impl DropCause {
         DropCause::DeviceDead,
     ];
 
-    /// Dense ledger index of this cause.
+    /// Dense ledger index of this cause: its position in
+    /// [`DropCause::ALL`], which lists the variants in declaration order.
+    #[inline]
     pub fn index(self) -> usize {
-        DropCause::ALL.iter().position(|c| *c == self).unwrap()
+        self as usize
     }
 
     /// Stable lower-snake name (metric keys, JSON output).
@@ -267,9 +273,11 @@ impl RecoveryKind {
         RecoveryKind::CommitAborted,
     ];
 
-    /// Dense ledger index of this kind.
+    /// Dense ledger index of this kind: its position in
+    /// [`RecoveryKind::ALL`], which lists the variants in declaration order.
+    #[inline]
     pub fn index(self) -> usize {
-        RecoveryKind::ALL.iter().position(|k| *k == self).unwrap()
+        self as usize
     }
 
     /// Stable lower-snake name (metric keys, JSON output).
@@ -356,29 +364,46 @@ impl fmt::Display for TraceVerdict {
     }
 }
 
-/// A process command name, stored refcounted so per-event attribution
-/// never allocates on the hot path: the flow table / process table holds
-/// one `Comm` per flow/process, and every trace event carrying it clones
-/// a pointer, not the string. Compares and derefs like `&str`.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Comm(std::sync::Arc<str>);
+/// A process command name, interned for the life of the process so per-
+/// event attribution is a plain copy: no refcount, no allocation, and the
+/// value is `Send`, so worker shards hand events across threads as they
+/// are. Compares and derefs like `&str`.
+///
+/// Interned names are never freed. Their number is bounded by the distinct
+/// names the process ever sees: one per spawned command, plus the names
+/// read back from trace files (each at most 64 KiB, and all of them
+/// together no larger than the files themselves).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct Comm(&'static str);
 
 impl Comm {
+    /// The kernel's own attribution (ARP replies, slow-path responses).
+    pub const KERNEL: Comm = Comm("kernel");
+
     /// Interns a command name.
     pub fn new(comm: &str) -> Comm {
-        Comm(std::sync::Arc::from(comm))
+        static NAMES: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
+        let mut names = NAMES
+            .lock()
+            .expect("the interner lock is only held across a set lookup and insert");
+        if let Some(&name) = names.get(comm) {
+            return Comm(name);
+        }
+        let name: &'static str = Box::leak(comm.into());
+        names.insert(name);
+        Comm(name)
     }
 
-    /// The command name as a string slice.
-    pub fn as_str(&self) -> &str {
-        &self.0
+    /// The command name as a string slice (interned, hence `'static`).
+    pub fn as_str(self) -> &'static str {
+        self.0
     }
 }
 
 impl std::ops::Deref for Comm {
     type Target = str;
     fn deref(&self) -> &str {
-        &self.0
+        self.0
     }
 }
 
@@ -396,19 +421,13 @@ impl From<&String> for Comm {
 
 impl From<String> for Comm {
     fn from(s: String) -> Comm {
-        Comm(std::sync::Arc::from(s))
+        Comm::new(&s)
     }
 }
 
 impl From<&Comm> for Comm {
     fn from(c: &Comm) -> Comm {
-        c.clone()
-    }
-}
-
-impl Default for Comm {
-    fn default() -> Comm {
-        Comm::new("")
+        *c
     }
 }
 
@@ -451,9 +470,9 @@ impl fmt::Display for Comm {
 /// Process attribution joined at the kernel boundary: the paper's
 /// *process view*. The NIC's flow-table entry records uid/pid/comm when
 /// the kernel installs it, so dataplane events can carry ownership
-/// without consulting the kernel per packet. Cloning an `Owner` bumps
-/// the [`Comm`] refcount — no allocation per event.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// without consulting the kernel per packet. Plain data: copying an
+/// `Owner` touches no refcount and no heap.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Owner {
     /// Owning user id (0 for kernel-originated traffic).
     pub uid: u32,
@@ -465,7 +484,8 @@ pub struct Owner {
 
 impl Owner {
     /// Builds an owner record. Pass an existing [`Comm`] (or `&Comm`) to
-    /// share it without allocating; `&str` interns a fresh one.
+    /// copy it; `&str` goes through the interner (a lock and a lookup), so
+    /// hot paths resolve their `Comm` once and keep it.
     pub fn new(uid: u32, pid: u32, comm: impl Into<Comm>) -> Owner {
         Owner {
             uid,
@@ -503,6 +523,92 @@ pub struct TraceEvent {
     /// by the hub at emit time (producers leave it 0), so every event is
     /// attributable to the exact control-plane epoch that shaped it.
     pub generation: u64,
+}
+
+/// The part of a [`TraceEvent`] that every stage event of one frame
+/// shares. A multi-stage emission ([`crate::Telemetry::emit_stages`])
+/// builds it once and the hub stores it once, however many stages the
+/// frame crossed in that call.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct FrameInfo {
+    /// The frame's dataplane-unique id.
+    pub frame_id: u64,
+    /// The frame's 5-tuple, when parsed.
+    pub tuple: Option<FiveTuple>,
+    /// Frame length in bytes (0 when unknown).
+    pub len: u32,
+    /// Owning process, when attribution is known.
+    pub owner: Option<Owner>,
+}
+
+impl FrameInfo {
+    /// The full event for this frame crossing `rec`'s stage under policy
+    /// generation `generation`.
+    pub fn event(&self, rec: &StageRec, generation: u64) -> TraceEvent {
+        TraceEvent {
+            frame_id: self.frame_id,
+            at: rec.at,
+            stage: rec.stage,
+            verdict: rec.verdict,
+            tuple: self.tuple,
+            len: self.len,
+            owner: if rec.unowned { None } else { self.owner },
+            generation,
+        }
+    }
+}
+
+/// The part of a [`TraceEvent`] that is particular to one stage: which
+/// stage, what it decided, and when.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct StageRec {
+    /// The stage crossed.
+    pub stage: Stage,
+    /// What the stage decided.
+    pub verdict: TraceVerdict,
+    /// Virtual time the stage completed.
+    pub at: Time,
+    /// The stage does not know whose frame it handled (a ring slot names
+    /// the frame, not the process): its event carries no owner, whatever
+    /// the [`FrameInfo`] it shares with the frame's other stages says.
+    pub unowned: bool,
+}
+
+impl StageRec {
+    /// One stage crossing.
+    pub fn new(stage: Stage, verdict: TraceVerdict, at: Time) -> StageRec {
+        StageRec {
+            stage,
+            verdict,
+            at,
+            unowned: false,
+        }
+    }
+
+    /// The same crossing, recorded without the frame's owner.
+    pub fn unowned(self) -> StageRec {
+        StageRec {
+            unowned: true,
+            ..self
+        }
+    }
+}
+
+impl TraceEvent {
+    /// The per-frame half of this event.
+    pub fn frame(&self) -> FrameInfo {
+        FrameInfo {
+            frame_id: self.frame_id,
+            tuple: self.tuple,
+            len: self.len,
+            owner: self.owner,
+        }
+    }
+
+    /// The per-stage half of this event.
+    pub fn stage_rec(&self) -> StageRec {
+        StageRec::new(self.stage, self.verdict, self.at)
+    }
 }
 
 impl fmt::Display for TraceEvent {
@@ -614,15 +720,20 @@ impl TraceFilter {
         self
     }
 
+    /// The part of [`TraceFilter::matches`] that needs only the stage and
+    /// verdict, so an emit site can ask it before the event is built.
+    pub fn admits_stage(&self, stage: Stage, verdict: TraceVerdict) -> bool {
+        self.stage.is_none_or(|want| want == stage)
+            && (!self.drops_only || verdict.drop_cause().is_some())
+    }
+
     /// Returns `true` when `event` satisfies every populated field.
     pub fn matches(&self, event: &TraceEvent) -> bool {
+        if !self.admits_stage(event.stage, event.verdict) {
+            return false;
+        }
         if let Some(id) = self.frame_id {
             if event.frame_id != id {
-                return false;
-            }
-        }
-        if let Some(stage) = self.stage {
-            if event.stage != stage {
                 return false;
             }
         }
@@ -630,9 +741,6 @@ impl TraceFilter {
             if event.generation != generation {
                 return false;
             }
-        }
-        if self.drops_only && event.verdict.drop_cause().is_none() {
-            return false;
         }
         if self.uid.is_some() || self.pid.is_some() || self.comm.is_some() {
             let Some(o) = &event.owner else { return false };
@@ -693,15 +801,50 @@ mod tests {
 
     #[test]
     fn stage_index_is_dense_and_stable() {
+        // `index()` is the discriminant cast, the ledgers (and the trace
+        // file) are laid out in `ALL` order: a variant added out of place,
+        // or with an explicit discriminant, must fail here.
         for (i, s) in Stage::ALL.iter().enumerate() {
+            assert_eq!(*s as usize, i);
             assert_eq!(s.index(), i);
         }
         for (i, c) in DropCause::ALL.iter().enumerate() {
+            assert_eq!(*c as usize, i);
             assert_eq!(c.index(), i);
         }
         for (i, k) in RecoveryKind::ALL.iter().enumerate() {
+            assert_eq!(*k as usize, i);
             assert_eq!(k.index(), i);
         }
+    }
+
+    #[test]
+    fn comm_is_interned_plain_data() {
+        fn assert_send_copy<T: Send + Copy>() {}
+        assert_send_copy::<Comm>();
+        assert_send_copy::<Owner>();
+        assert_send_copy::<FrameInfo>();
+        let a = Comm::new("memcached");
+        let b = Comm::from(String::from("memcached"));
+        assert_eq!(a, b);
+        assert!(std::ptr::eq(a.as_str(), b.as_str()), "one copy per name");
+        assert_eq!(Comm::KERNEL, Comm::new("kernel"));
+        assert_eq!(Comm::default(), "");
+        assert!(a != Comm::new("nginx"));
+    }
+
+    #[test]
+    fn unowned_stage_drops_only_the_owner() {
+        let e = event(Stage::AppDeliver, TraceVerdict::Pass);
+        let frame = e.frame();
+        assert_eq!(frame.event(&e.stage_rec(), e.generation), e);
+        let rec = StageRec::new(Stage::RingDequeue, TraceVerdict::Pass, e.at).unowned();
+        let anon = frame.event(&rec, e.generation);
+        assert_eq!(anon.owner, None);
+        assert_eq!(
+            (anon.frame_id, anon.tuple, anon.len),
+            (e.frame_id, e.tuple, e.len)
+        );
     }
 
     #[test]

@@ -2,40 +2,66 @@
 //!
 //! One [`Telemetry`] handle is cloned into every component of a simulated
 //! host (NIC, netstack, NAT, host glue). It is an `Rc` over interior-
-//! mutable state — the whole workspace is single-threaded and
+//! mutable state — the dataplane that emits is single-threaded and
 //! deterministic, so no locking is needed and event order is exactly
-//! simulation order.
+//! simulation order. (Worker shards do not share the hub: they buffer
+//! plain `Send` [`TraceEvent`]s and the host [`Telemetry::absorb`]s them.)
 //!
-//! Overhead discipline (the "effectively free when disabled" guarantee):
+//! Overhead discipline:
 //!
-//! * [`Telemetry::emit`] takes a *closure*. When tracing is off the only
-//!   work done is one `Cell<bool>` load — the event (and any `String`
-//!   attribution inside it) is never constructed.
-//! * [`Telemetry::record_hist`] is likewise gated on the same flag before
-//!   touching the `RefCell`.
+//! * **Disabled** — every emission entry point loads one `Cell<bool>` and
+//!   returns. No closure runs, nothing is built, the `RefCell` is not
+//!   touched; a hub that was never enabled has not even allocated its
+//!   event ring.
+//! * **Enabled** — emission is *stage-first*: the caller names the stages
+//!   a frame crossed ([`StageRec`]: stage, verdict, time) and supplies the
+//!   fields those stages share ([`FrameInfo`]: frame id, tuple, length,
+//!   owner) through a closure. One call takes one hub borrow, counts each
+//!   stage in the ledger, and — only if something will keep the events —
+//!   runs the closure once. [`Telemetry::emit_stages`] also takes the
+//!   call's histogram samples, so a frame's whole NIC-side record costs a
+//!   single borrow. [`Telemetry::emit`] (a closure returning a finished
+//!   [`TraceEvent`]) and [`Telemetry::absorb`] forward to the same record
+//!   path.
+//! * **Collecting** — while a file sink is attached, the profile's filter
+//!   and collectors are asked about `(stage, verdict)` *before* the
+//!   closure runs: under `drop-forensics` a delivered frame is counted in
+//!   the ledger and otherwise costs nothing.
 //! * Frame-id allocation is a bare `Cell<u64>` increment and runs even
 //!   when disabled, so ids are stable across enable/disable and replay
 //!   remains deterministic.
 //!
 //! Two data structures live behind the handle:
 //!
-//! * the **event buffer** — a bounded ring of [`TraceEvent`]s (oldest
-//!   evicted first, with an eviction counter so truncation is visible);
+//! * the **event ring** — bounded at `capacity` events, oldest evicted
+//!   first, with an eviction counter so truncation is visible. It holds
+//!   plain fixed-size data in two parallel queues: one 64-byte frame
+//!   record per emission call (the [`FrameInfo`] and the policy
+//!   generation) and one 16-byte cell per stage event, the last cell of
+//!   a call marked so eviction knows when to release the record. Nothing
+//!   in either queue is read back on the hot path except the cell being
+//!   evicted. [`TraceEvent`]s exist only where somebody reads
+//!   them: [`Telemetry::events`], [`Telemetry::query`],
+//!   [`Telemetry::lifecycle`] and the file sink;
 //! * the **ledger** — per-[`Stage`] and per-[`DropCause`] totals that
-//!   never evict. Audits cross-check the ledger (not the buffer) against
-//!   dataplane counters, so conservation checking survives buffer wrap.
+//!   never evict. Audits cross-check the ledger (not the ring) against
+//!   dataplane counters, so conservation checking survives ring wrap and
+//!   narrow collection profiles alike.
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::rc::Rc;
 
 use sim::stats::Histogram;
-use sim::Dur;
+use sim::{Dur, Time};
 
 use std::path::Path;
 
 use crate::collect::{CollectError, CollectorRegistry, CollectorSet, Profile};
-use crate::event::{DropCause, RecoveryEvent, RecoveryKind, Stage, TraceEvent, TraceFilter};
+use crate::event::{
+    DropCause, FrameInfo, RecoveryEvent, RecoveryKind, Stage, StageRec, TraceEvent, TraceFilter,
+    TraceVerdict,
+};
 use crate::file::{EventFileWriter, FileError, SinkStats};
 use crate::metrics::Registry;
 
@@ -61,8 +87,16 @@ struct Sink {
 }
 
 impl Sink {
+    /// Whether an event at this stage could reach the file — decided
+    /// from the stage and verdict alone, before the event is built.
+    fn admits(&self, rec: &StageRec) -> bool {
+        self.error.is_none()
+            && self.filter.admits_stage(rec.stage, rec.verdict)
+            && self.collectors.wants_stage(rec.stage, rec.verdict)
+    }
+
     fn offer(&mut self, event: &TraceEvent) {
-        if self.error.is_some() || !self.filter.matches(event) || !self.collectors.wants(event) {
+        if !self.filter.matches(event) || !self.collectors.wants(event) {
             return;
         }
         if let Err(e) = self.writer.append_event(event) {
@@ -80,8 +114,78 @@ impl Sink {
     }
 }
 
+/// One emission call's shared fields as the ring stores them: written
+/// once, however many stage cells follow.
+#[derive(Clone, Copy)]
+struct FrameRec {
+    frame: FrameInfo,
+    generation: u64,
+}
+
+/// A [`StageRec`] in 16 bytes: the verdict is split into a kind and its
+/// argument (class id or drop-cause index).
+#[derive(Clone, Copy)]
+struct StageCell {
+    at: Time,
+    arg: u32,
+    stage: Stage,
+    kind: u8,
+    /// Whether this is the last cell of its emission call: the next cell
+    /// belongs to the next frame record, and evicting this one releases
+    /// the record.
+    last: bool,
+    unowned: bool,
+}
+
+impl StageCell {
+    fn pack(rec: &StageRec, last: bool) -> StageCell {
+        let (kind, arg) = match rec.verdict {
+            TraceVerdict::Pass => (0, 0),
+            TraceVerdict::Hit => (1, 0),
+            TraceVerdict::Miss => (2, 0),
+            TraceVerdict::SlowPath => (3, 0),
+            TraceVerdict::Class(c) => (4, c),
+            TraceVerdict::Drop(cause) => (5, cause as u32),
+        };
+        StageCell {
+            at: rec.at,
+            arg,
+            stage: rec.stage,
+            kind,
+            last,
+            unowned: rec.unowned,
+        }
+    }
+
+    fn unpack(&self) -> StageRec {
+        let verdict = match self.kind {
+            0 => TraceVerdict::Pass,
+            1 => TraceVerdict::Hit,
+            2 => TraceVerdict::Miss,
+            3 => TraceVerdict::SlowPath,
+            4 => TraceVerdict::Class(self.arg),
+            _ => TraceVerdict::Drop(DropCause::ALL[self.arg as usize]),
+        };
+        StageRec {
+            stage: self.stage,
+            verdict,
+            at: self.at,
+            unowned: self.unowned,
+        }
+    }
+}
+
+// The ring's documented layout (DESIGN.md §11): one cache line per
+// emission call, four stage cells per cache line.
+const _: () = assert!(std::mem::size_of::<FrameRec>() == 64);
+const _: () = assert!(std::mem::size_of::<StageCell>() == 16);
+
 struct Hub {
-    events: VecDeque<TraceEvent>,
+    /// Frame records, oldest first. The oldest owns the cells at the
+    /// front of `cells` up to and including the first one marked `last`,
+    /// the next record the run after that, and so on.
+    frames: VecDeque<FrameRec>,
+    cells: VecDeque<StageCell>,
     capacity: usize,
     evicted: u64,
     stage_counts: [u64; Stage::COUNT],
@@ -99,10 +203,33 @@ struct Hub {
 }
 
 impl Hub {
-    fn push(&mut self, event: TraceEvent) {
-        self.stage_counts[event.stage.index()] += 1;
-        if let Some(cause) = event.verdict.drop_cause() {
-            self.drop_counts[cause.index()] += 1;
+    /// Reserves the event ring, once: a hub that is never enabled never
+    /// pays for it. The cell queue gets its full `capacity` and never
+    /// grows. The record queue needs one slot per *call*, which is
+    /// `capacity` only if every call carries a single stage; a queue
+    /// cycles through all the memory it owns, so reserving for that worst
+    /// case would drag four times the cache lines through a traced run
+    /// that a typical one (two to three stages per call) needs. It starts
+    /// at a quarter and doubles on demand — at most twice in the hub's
+    /// life, both while the ring first fills, and never past `capacity`.
+    fn reserve_ring(&mut self) {
+        if self.cells.capacity() == 0 {
+            self.cells.reserve_exact(self.capacity);
+            self.frames.reserve_exact(self.capacity.div_ceil(4));
+        }
+    }
+
+    /// The one record path: counts every stage in the ledger, then keeps
+    /// the events wherever they are wanted — the file sink while a
+    /// collection runs, the ring otherwise. `frame` runs at most once,
+    /// and not at all when nothing keeps the events.
+    #[inline]
+    fn record(&mut self, generation: u64, stages: &[StageRec], frame: impl FnOnce() -> FrameInfo) {
+        for rec in stages {
+            self.stage_counts[rec.stage.index()] += 1;
+            if let Some(cause) = rec.verdict.drop_cause() {
+                self.drop_counts[cause.index()] += 1;
+            }
         }
         // While a collection is running, the durable file *is* the query
         // surface — buffering every event a second time in the in-memory
@@ -110,14 +237,52 @@ impl Hub {
         // (post-hoc forensics work from the file). The ledger above still
         // counts everything, so conservation audits are unaffected.
         if let Some(sink) = self.sink.as_mut() {
-            sink.offer(&event);
+            if stages.iter().any(|rec| sink.admits(rec)) {
+                let frame = frame();
+                for rec in stages {
+                    if sink.admits(rec) {
+                        sink.offer(&frame.event(rec, generation));
+                    }
+                }
+            }
             return;
         }
-        if self.events.len() == self.capacity {
-            self.events.pop_front();
-            self.evicted += 1;
+        // A call with more stages than the ring holds keeps its last
+        // `capacity` (the leading ones would have been overwritten by the
+        // rest anyway).
+        let overflow = (self.cells.len() + stages.len()).saturating_sub(self.capacity);
+        let old = overflow.min(self.cells.len());
+        // Oldest out: a frame record goes with its last cell.
+        for _ in 0..old {
+            if self.cells.pop_front().is_some_and(|cell| cell.last) {
+                self.frames.pop_front();
+            }
         }
-        self.events.push_back(event);
+        self.evicted += overflow as u64;
+        let Some((last, rest)) = stages[overflow - old..].split_last() else {
+            return;
+        };
+        self.frames.push_back(FrameRec {
+            frame: frame(),
+            generation,
+        });
+        for rec in rest {
+            self.cells.push_back(StageCell::pack(rec, false));
+        }
+        self.cells.push_back(StageCell::pack(last, true));
+    }
+
+    /// Materialises the buffered events, oldest first.
+    fn events(&self) -> impl Iterator<Item = TraceEvent> + '_ {
+        let mut frames = self.frames.iter();
+        let mut current = frames.next();
+        self.cells.iter().map(move |cell| {
+            let f = current.expect("every buffered cell belongs to a frame record");
+            if cell.last {
+                current = frames.next();
+            }
+            f.frame.event(&cell.unpack(), f.generation)
+        })
     }
 
     fn spill_sink(&mut self) -> Result<(), FileError> {
@@ -157,16 +322,18 @@ impl Telemetry {
         Telemetry::with_capacity(DEFAULT_CAPACITY)
     }
 
-    /// Creates a disabled hub bounding the event buffer at `capacity`.
+    /// Creates a disabled hub bounding the event buffer at `capacity`
+    /// events. The buffer itself is reserved when the hub is first
+    /// enabled, so components that build a private hub only to have a
+    /// shared one attached never pay for it.
     pub fn with_capacity(capacity: usize) -> Telemetry {
         Telemetry {
             enabled: Rc::new(Cell::new(false)),
             next_frame_id: Rc::new(Cell::new(1)),
             generation: Rc::new(Cell::new(0)),
             hub: Rc::new(RefCell::new(Hub {
-                // Preallocated: growing to capacity mid-run would memcpy
-                // the ring repeatedly inside the traced hot path.
-                events: VecDeque::with_capacity(capacity.max(1)),
+                frames: VecDeque::new(),
+                cells: VecDeque::new(),
                 capacity: capacity.max(1),
                 evicted: 0,
                 stage_counts: [0; Stage::COUNT],
@@ -185,10 +352,14 @@ impl Telemetry {
         self.enabled.get()
     }
 
-    /// Turns recording on or off. Turning it on does not clear existing
-    /// state; callers that need a clean ledger (audit baselines) call
+    /// Turns recording on or off. Turning it on reserves the event ring
+    /// if this is the first time, and does not clear existing state;
+    /// callers that need a clean ledger (audit baselines) call
     /// [`Telemetry::clear`] first.
     pub fn set_enabled(&self, on: bool) {
+        if on {
+            self.hub.borrow_mut().reserve_ring();
+        }
         self.enabled.set(on);
     }
 
@@ -226,16 +397,56 @@ impl Telemetry {
         self.generation.get()
     }
 
+    /// Records that one frame crossed `stages`, in that order, and the
+    /// virtual-time samples in `hists` — all under one hub borrow, if
+    /// tracing is enabled; otherwise the cost is one flag load. `frame`
+    /// supplies the fields the stages share and runs at most once: not at
+    /// all when disabled, nor when a running collection's profile keeps
+    /// none of these stages (the ledger counts them regardless). The hub
+    /// stamps the current policy generation.
+    #[inline]
+    pub fn emit_stages(
+        &self,
+        stages: &[StageRec],
+        hists: &[(HistId, Dur)],
+        frame: impl FnOnce() -> FrameInfo,
+    ) {
+        if self.enabled.get() {
+            let mut hub = self.hub.borrow_mut();
+            hub.record(self.generation.get(), stages, frame);
+            for &(id, d) in hists {
+                hub.hists[id.0].1.record_dur(d);
+            }
+        }
+    }
+
+    /// [`Telemetry::emit_stages`] for a single stage crossing.
+    #[inline]
+    pub fn emit_stage(
+        &self,
+        stage: Stage,
+        verdict: TraceVerdict,
+        at: Time,
+        frame: impl FnOnce() -> FrameInfo,
+    ) {
+        self.emit_stages(&[StageRec::new(stage, verdict, at)], &[], frame);
+    }
+
     /// Records the event built by `build` — if tracing is enabled. When
     /// disabled, `build` is never called; the cost is one flag load. The
     /// hub stamps the current policy generation over whatever the builder
-    /// left in `generation` (producers write 0).
+    /// left in `generation` (producers write 0). For callers that hold a
+    /// finished event; sites that know their stage up front use
+    /// [`Telemetry::emit_stage`], which can skip the build as well.
     #[inline]
     pub fn emit(&self, build: impl FnOnce() -> TraceEvent) {
         if self.enabled.get() {
-            let mut event = build();
-            event.generation = self.generation.get();
-            self.hub.borrow_mut().push(event);
+            let event = build();
+            self.hub
+                .borrow_mut()
+                .record(self.generation.get(), &[event.stage_rec()], || {
+                    event.frame()
+                });
         }
     }
 
@@ -251,7 +462,7 @@ impl Telemetry {
         if self.enabled.get() {
             let mut hub = self.hub.borrow_mut();
             for event in events {
-                hub.push(event);
+                hub.record(event.generation, &[event.stage_rec()], || event.frame());
             }
         }
     }
@@ -265,15 +476,6 @@ impl Telemetry {
         }
         hub.hists.push((name.to_string(), Histogram::new()));
         HistId(hub.hists.len() - 1)
-    }
-
-    /// Records a virtual-time sample into a pre-registered histogram —
-    /// if tracing is enabled.
-    #[inline]
-    pub fn record_hist(&self, id: HistId, d: Dur) {
-        if self.enabled.get() {
-            self.hub.borrow_mut().hists[id.0].1.record_dur(d);
-        }
     }
 
     /// Records a failure-domain transition (crash, reset, shard restart,
@@ -327,7 +529,7 @@ impl Telemetry {
 
     /// Number of events currently buffered.
     pub fn len(&self) -> usize {
-        self.hub.borrow().events.len()
+        self.hub.borrow().cells.len()
     }
 
     /// Returns `true` when no events are buffered.
@@ -337,17 +539,15 @@ impl Telemetry {
 
     /// Snapshot of all buffered events, oldest first.
     pub fn events(&self) -> Vec<TraceEvent> {
-        self.hub.borrow().events.iter().cloned().collect()
+        self.hub.borrow().events().collect()
     }
 
     /// Buffered events matching `filter`, oldest first.
     pub fn query(&self, filter: &TraceFilter) -> Vec<TraceEvent> {
         self.hub
             .borrow()
-            .events
-            .iter()
+            .events()
             .filter(|e| filter.matches(e))
-            .cloned()
             .collect()
     }
 
@@ -361,7 +561,8 @@ impl Telemetry {
     /// reset — ids stay unique for the life of the hub.
     pub fn clear(&self) {
         let mut hub = self.hub.borrow_mut();
-        hub.events.clear();
+        hub.frames.clear();
+        hub.cells.clear();
         hub.evicted = 0;
         hub.stage_counts = [0; Stage::COUNT];
         hub.drop_counts = [0; DropCause::COUNT];
@@ -395,7 +596,7 @@ impl Telemetry {
             }
         }
         reg.set_counter("trace.buffer.evicted", hub.evicted);
-        reg.set_counter("trace.buffer.len", hub.events.len() as u64);
+        reg.set_counter("trace.buffer.len", hub.cells.len() as u64);
         for (name, h) in hub.hists.iter() {
             reg.merge_hist(name, h);
         }
@@ -466,8 +667,7 @@ impl Telemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::TraceVerdict;
-    use sim::Time;
+    use crate::event::Owner;
 
     fn ev(id: u64, stage: Stage, verdict: TraceVerdict) -> TraceEvent {
         TraceEvent {
@@ -550,9 +750,10 @@ mod tests {
         let h = tel.register_hist("lat.nic.parse");
         let again = tel.register_hist("lat.nic.parse");
         assert_eq!(h, again);
-        tel.record_hist(h, Dur::from_ns(50)); // disabled: dropped
+        let sample = |d| tel.emit_stages(&[], &[(h, d)], || unreachable!("no stage to describe"));
+        sample(Dur::from_ns(50)); // disabled: dropped
         tel.set_enabled(true);
-        tel.record_hist(h, Dur::from_ns(30));
+        sample(Dur::from_ns(30));
         let mut reg = Registry::new();
         tel.fill_registry(&mut reg);
         let snap = reg.snapshot();
@@ -671,6 +872,268 @@ mod tests {
         assert_eq!(ledger.drop_counts[DropCause::Malformed.index()], 1);
         assert!(series.fin.is_some());
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn ring_is_reserved_on_first_enable_and_stays_bounded() {
+        let tel = Telemetry::new();
+        tel.emit(|| ev(1, Stage::RxIngress, TraceVerdict::Pass));
+        tel.record_recovery(Time::from_ns(1), RecoveryKind::NicCrash, "x");
+        let reserved = |tel: &Telemetry| {
+            let hub = tel.hub.borrow();
+            (hub.cells.capacity(), hub.frames.capacity())
+        };
+        assert_eq!(
+            reserved(&tel),
+            (0, 0),
+            "a hub nobody enables reserves nothing"
+        );
+        tel.set_enabled(true);
+        let (cells, frames) = reserved(&tel);
+        assert!(cells >= DEFAULT_CAPACITY);
+        assert!((DEFAULT_CAPACITY / 4..DEFAULT_CAPACITY).contains(&frames));
+        // Four stages per call, several wraps: nothing grows.
+        let group = [StageRec::new(Stage::RxIngress, TraceVerdict::Pass, Time::ZERO); 4];
+        for _ in 0..DEFAULT_CAPACITY {
+            tel.emit_stages(&group, &[], || {
+                ev(1, Stage::RxIngress, TraceVerdict::Pass).frame()
+            });
+        }
+        assert_eq!(reserved(&tel), (cells, frames));
+        // One stage per call is the worst case for the record queue: it
+        // grows to hold one record per buffered event, and stops there.
+        for i in 0..3 * DEFAULT_CAPACITY as u64 {
+            tel.emit(|| ev(i, Stage::RxIngress, TraceVerdict::Pass));
+        }
+        tel.set_enabled(false);
+        tel.set_enabled(true);
+        let (cells_now, frames_now) = reserved(&tel);
+        assert_eq!(cells_now, cells);
+        assert!((DEFAULT_CAPACITY..2 * DEFAULT_CAPACITY).contains(&frames_now));
+        assert_eq!(tel.len(), DEFAULT_CAPACITY);
+    }
+
+    #[test]
+    fn multi_stage_emit_builds_the_frame_once() {
+        let tel = Telemetry::new();
+        let h = tel.register_hist("lat.x");
+        let stages = [
+            StageRec::new(Stage::RxIngress, TraceVerdict::Pass, Time::from_ns(1)),
+            StageRec::new(Stage::RingDequeue, TraceVerdict::Pass, Time::from_ns(2)).unowned(),
+            StageRec::new(
+                Stage::RxDrop,
+                TraceVerdict::Drop(DropCause::Filter),
+                Time::from_ns(3),
+            ),
+        ];
+        let built = Cell::new(0);
+        let frame = || {
+            built.set(built.get() + 1);
+            FrameInfo {
+                frame_id: 9,
+                tuple: None,
+                len: 64,
+                owner: Some(Owner::new(1000, 42, "memcached")),
+            }
+        };
+        tel.emit_stages(&stages, &[(h, Dur::from_ns(5))], frame);
+        assert_eq!(built.get(), 0, "disabled: nothing runs");
+        tel.set_enabled(true);
+        tel.set_generation(2);
+        tel.emit_stages(&stages, &[(h, Dur::from_ns(5))], frame);
+        assert_eq!(built.get(), 1);
+        let events = tel.events();
+        assert_eq!(events.len(), 3);
+        for (e, rec) in events.iter().zip(&stages) {
+            assert_eq!(*e, frame().event(rec, 2));
+        }
+        assert_eq!(events[1].owner, None);
+        assert_eq!(tel.drop_count(DropCause::Filter), 1);
+        let mut reg = Registry::new();
+        tel.fill_registry(&mut reg);
+        assert_eq!(reg.snapshot().hist("lat.x").expect("registered").count, 1);
+    }
+
+    #[test]
+    fn profile_stage_mask_is_checked_before_the_frame_is_built() {
+        use crate::collect::{CollectorRegistry, Profile};
+        use crate::file::EventSeries;
+        let path =
+            std::env::temp_dir().join(format!("norman-hub-mask-{}.nrmtrace", std::process::id()));
+        let tel = Telemetry::new();
+        tel.set_enabled(true);
+        tel.start_sink(
+            &path,
+            &Profile::drop_forensics(),
+            &CollectorRegistry::builtin(),
+        )
+        .unwrap();
+        let built = Cell::new(0);
+        let frame = |id: u64| {
+            let built = &built;
+            move || {
+                built.set(built.get() + 1);
+                FrameInfo {
+                    frame_id: id,
+                    tuple: None,
+                    len: 64,
+                    owner: None,
+                }
+            }
+        };
+        let at = Time::from_ns(1);
+        // A delivered frame: every stage passes, drop-forensics keeps none.
+        let delivered = [
+            StageRec::new(Stage::RxIngress, TraceVerdict::Pass, at),
+            StageRec::new(Stage::RxFlowLookup, TraceVerdict::Hit, at),
+            StageRec::new(Stage::RxDeliver, TraceVerdict::Pass, at),
+        ];
+        for id in 0..100 {
+            tel.emit_stages(&delivered, &[], frame(id));
+            tel.emit_stage(Stage::AppDeliver, TraceVerdict::Pass, at, frame(id));
+        }
+        assert_eq!(built.get(), 0, "no event constructed for delivered frames");
+        // A dropped frame is built once, and only its drop is written.
+        tel.emit_stages(
+            &[
+                StageRec::new(Stage::RxIngress, TraceVerdict::Pass, at),
+                StageRec::new(Stage::RxDrop, TraceVerdict::Drop(DropCause::Filter), at),
+            ],
+            &[],
+            frame(100),
+        );
+        assert_eq!(built.get(), 1);
+        // The ledger never looked at the mask.
+        assert_eq!(tel.stage_count(Stage::RxIngress), 101);
+        assert_eq!(tel.stage_count(Stage::RxDeliver), 100);
+        assert_eq!(tel.stage_count(Stage::AppDeliver), 100);
+        assert_eq!(tel.drop_count(DropCause::Filter), 1);
+        let stats = tel.finish_sink().unwrap().expect("sink was attached");
+        assert_eq!(stats.events, 1);
+        let series = EventSeries::load(&path).unwrap();
+        assert_eq!(series.events[0].event.stage, Stage::RxDrop);
+        assert_eq!(series.events[0].event.frame_id, 100);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Seeded random event sequences through a small ring, checked after
+    /// every step against the obvious model: a `Vec` of everything ever
+    /// recorded, of which the ring shows the last `capacity`.
+    #[test]
+    fn ring_matches_a_plain_vec_model_across_wraps() {
+        use pkt::{FiveTuple, IpProto};
+        use sim::DetRng;
+        use std::net::Ipv4Addr;
+
+        fn arb_rec(r: &mut DetRng) -> StageRec {
+            let verdict = match r.range_u64(0, 6) {
+                0 => TraceVerdict::Pass,
+                1 => TraceVerdict::Hit,
+                2 => TraceVerdict::Miss,
+                3 => TraceVerdict::SlowPath,
+                4 => TraceVerdict::Class(r.next_u64() as u32),
+                _ => TraceVerdict::Drop(*r.pick(&DropCause::ALL)),
+            };
+            let rec = StageRec::new(*r.pick(&Stage::ALL), verdict, Time(r.next_u64()));
+            if r.chance(0.2) {
+                rec.unowned()
+            } else {
+                rec
+            }
+        }
+        fn arb_frame(r: &mut DetRng) -> FrameInfo {
+            FrameInfo {
+                frame_id: r.range_u64(0, 6),
+                tuple: r.chance(0.7).then(|| FiveTuple {
+                    src_ip: Ipv4Addr::from(r.next_u64() as u32),
+                    dst_ip: Ipv4Addr::from(r.next_u64() as u32),
+                    src_port: r.next_u64() as u16,
+                    dst_port: r.range_u64(7000, 7003) as u16,
+                    proto: IpProto(r.next_u64() as u8),
+                }),
+                len: r.next_u64() as u32,
+                owner: r.chance(0.7).then(|| {
+                    Owner::new(
+                        r.range_u64(1000, 1003) as u32,
+                        r.next_u64() as u32,
+                        *r.pick(&["svc", "memcached", ""]),
+                    )
+                }),
+            }
+        }
+
+        for (seed, capacity) in [(1, 1), (2, 5), (3, 7), (4, 64)] {
+            let mut r = DetRng::seed_from_u64(0x7E1E_0000 + seed);
+            let tel = Telemetry::with_capacity(capacity);
+            tel.set_enabled(true);
+            let mut model: Vec<TraceEvent> = Vec::new();
+            for step in 0..40 * capacity.max(8) {
+                match r.range_u64(0, 10) {
+                    0 => tel.set_generation(r.range_u64(0, 4)),
+                    1 | 2 => {
+                        // A finished event; the hub stamps the generation
+                        // over whatever the producer left there.
+                        let e = arb_frame(&mut r).event(&arb_rec(&mut r), r.next_u64());
+                        tel.emit(|| e.clone());
+                        model.push(TraceEvent {
+                            generation: tel.generation(),
+                            ..e
+                        });
+                    }
+                    3 => {
+                        // A shard's batch, generations pre-stamped.
+                        let batch: Vec<TraceEvent> = (0..r.range_usize(0, 5))
+                            .map(|_| arb_frame(&mut r).event(&arb_rec(&mut r), r.range_u64(0, 4)))
+                            .collect();
+                        tel.absorb(batch.clone());
+                        model.extend(batch);
+                    }
+                    _ => {
+                        // Zero to nine stages: more than the small rings hold.
+                        let frame = arb_frame(&mut r);
+                        let recs: Vec<StageRec> =
+                            (0..r.range_usize(0, 10)).map(|_| arb_rec(&mut r)).collect();
+                        tel.emit_stages(&recs, &[], || frame);
+                        model.extend(recs.iter().map(|rec| frame.event(rec, tel.generation())));
+                    }
+                }
+                let kept = &model[model.len().saturating_sub(capacity)..];
+                let ctx = format!("seed {seed} capacity {capacity} step {step}");
+                assert_eq!(tel.len(), kept.len(), "{ctx}");
+                assert_eq!(tel.evicted(), (model.len() - kept.len()) as u64, "{ctx}");
+                assert_eq!(tel.events(), kept, "{ctx}");
+                for stage in [Stage::RxIngress, Stage::TxDepart, *r.pick(&Stage::ALL)] {
+                    let n = model.iter().filter(|e| e.stage == stage).count();
+                    assert_eq!(tel.stage_count(stage), n as u64, "{ctx} {stage}");
+                }
+                let cause = *r.pick(&DropCause::ALL);
+                let n = model
+                    .iter()
+                    .filter(|e| e.verdict == TraceVerdict::Drop(cause))
+                    .count();
+                assert_eq!(tel.drop_count(cause), n as u64, "{ctx} {cause}");
+                let fid = r.range_u64(0, 6);
+                let life: Vec<_> = kept.iter().filter(|e| e.frame_id == fid).cloned().collect();
+                assert_eq!(tel.lifecycle(fid), life, "{ctx}");
+                let filter = match r.range_u64(0, 4) {
+                    0 => TraceFilter::any().drops(),
+                    1 => TraceFilter::any().with_uid(1001).with_generation(2),
+                    2 => TraceFilter::any().with_port(7001),
+                    _ => TraceFilter::any()
+                        .with_comm("svc")
+                        .with_stage(*r.pick(&Stage::ALL)),
+                };
+                let want: Vec<_> = kept.iter().filter(|e| filter.matches(e)).cloned().collect();
+                assert_eq!(tel.query(&filter), want, "{ctx}");
+            }
+            assert!(
+                model.len() > 10 * capacity,
+                "several wraps: {}",
+                model.len()
+            );
+            let drops = model.iter().filter(|e| e.verdict.drop_cause().is_some());
+            assert_eq!(tel.total_drops(), drops.count() as u64);
+        }
     }
 
     #[test]

@@ -13,13 +13,22 @@
 //!   `pkt::FrameMeta`) and each pipeline stage (ingress, parse, filter,
 //!   NAT, flow lookup, ring, notification, netstack, qdisc, departure)
 //!   records what happened to it, with uid/pid/comm attribution joined at
-//!   the kernel boundary. [`TraceFilter`] gives tcpdump/BPF-ish querying
-//!   by 5-tuple, owner, stage and verdict.
+//!   the kernel boundary. An event has two halves — what the frame's
+//!   stages share ([`FrameInfo`]) and what is particular to one stage
+//!   ([`StageRec`]) — and producers hand the hub the halves, not the
+//!   event. Attribution is plain data: [`Comm`] is an interned
+//!   `&'static str`, so an [`Owner`] is `Copy` and `Send` and costs no
+//!   refcount. [`TraceFilter`] gives tcpdump/BPF-ish querying by 5-tuple,
+//!   owner, stage and verdict.
 //! * [`hub`] — the [`Telemetry`] handle every component shares. A single
-//!   `Cell<bool>` gate makes the disabled path effectively free: `emit`
-//!   takes a closure, so no event is even constructed unless tracing is
-//!   on. The hub also keeps an aggregate *ledger* (per-stage and per-drop
-//!   cause totals) that never evicts, which `SmartNic::audit` /
+//!   `Cell<bool>` gate makes the disabled path effectively free: emission
+//!   takes a closure, so nothing is built unless tracing is on, and a hub
+//!   nobody enables never reserves its ring. Enabled, emission is
+//!   stage-first ([`Telemetry::emit_stages`]): one call, one borrow, the
+//!   shared fields written once into a 64-byte record and each stage
+//!   into a 16-byte cell; [`TraceEvent`]s are materialised only for
+//!   readers. The hub also keeps an aggregate *ledger* (per-stage and
+//!   per-drop cause totals) that never evicts, which `SmartNic::audit` /
 //!   `Host::audit` cross-check against the dataplane's own counters:
 //!   every ingress event must terminate in exactly one of
 //!   delivered/forwarded/dropped.
@@ -35,7 +44,8 @@
 //! * [`collect`] — pluggable named [`Collector`]s (lifecycle, drops,
 //!   flow-tier churn, recovery) in a [`CollectorRegistry`], bundled into
 //!   named [`Profile`]s (filter + collector set + output stages) such as
-//!   `drop-forensics`.
+//!   `drop-forensics`. The hub asks the profile about `(stage, verdict)`
+//!   at the emit site, so an event nobody collects is never built.
 //! * [`mod@file`] — the durable event-series format: versioned header,
 //!   length-prefixed checksummed records, writer-assigned sequence
 //!   numbers for stable sorts, streamed reads/writes with bounded
@@ -59,8 +69,8 @@ pub mod tracking;
 
 pub use collect::{CollectError, Collector, CollectorRegistry, CollectorSet, Profile};
 pub use event::{
-    Comm, DropCause, Owner, RecoveryEvent, RecoveryKind, Stage, TraceEvent, TraceFilter,
-    TraceVerdict,
+    Comm, DropCause, FrameInfo, Owner, RecoveryEvent, RecoveryKind, Stage, StageRec, TraceEvent,
+    TraceFilter, TraceVerdict,
 };
 pub use file::{
     sort_file, EventFileReader, EventFileWriter, EventSeries, FileError, Header, LedgerSnapshot,

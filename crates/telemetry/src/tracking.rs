@@ -201,7 +201,7 @@ impl FlowTracker {
             site.count += 1;
             site.last = site.last.max(e.at);
             if site.owner.is_none() {
-                site.owner = e.owner.clone();
+                site.owner = e.owner;
             }
         }
         let is_new = !self.flows.contains_key(&tuple);
@@ -230,7 +230,7 @@ impl FlowTracker {
             flow.drops += 1;
         }
         if flow.owner.is_none() {
-            flow.owner = e.owner.clone();
+            flow.owner = e.owner;
         }
         flow.first_generation = flow.first_generation.min(e.generation);
         flow.last_generation = flow.last_generation.max(e.generation);
@@ -350,7 +350,7 @@ impl FlowTracker {
         let mut owners: HashMap<(u32, u32, crate::Comm), u64> = HashMap::new();
         for site in self.sites.values() {
             if let Some(o) = &site.owner {
-                *owners.entry((o.uid, o.pid, o.comm.clone())).or_default() += site.count;
+                *owners.entry((o.uid, o.pid, o.comm)).or_default() += site.count;
             }
         }
         let mut owners: Vec<OwnerDrops> = owners

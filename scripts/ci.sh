@@ -136,6 +136,14 @@ run_bench_smoke() {
   echo "==> compiled-overlay engine bench (smoke)"
   BENCH_SMOKE=1 cargo run --release -p bench --bin exp_pr10_bench
 
+  # normanbench (BENCHMARK.json) is a package of its own outside the
+  # workspace. Its tests push all four workloads through smoke mode,
+  # twice and on a second seed, and each run fails itself unless the
+  # audit is clean, TX is conserved and the traced pass's simulated
+  # metrics equal the untraced pass's.
+  echo "==> normanbench smoke (all four workloads, traced == untraced vns)"
+  cargo test --manifest-path benchmark/Cargo.toml
+
   echo "==> bench regression guard"
   python3 scripts/check_bench.py
 }

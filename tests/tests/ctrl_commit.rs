@@ -13,6 +13,7 @@ use oskernel::Uid;
 use pkt::{IpProto, Mac, Packet, PacketBuilder};
 use sim::fault::OpFaultInjector;
 use sim::{Dur, Time};
+use telemetry::Stage;
 
 fn wire_udp(host_ip: Ipv4Addr, src_port: u16, dst_port: u16, len: usize) -> Packet {
     PacketBuilder::new()
@@ -220,8 +221,11 @@ fn degenerate_scheduler_weights_are_rejected_in_phase_one() {
         assert_eq!(h.policy_generation(), 0);
     }
     // The NIC-level guard also refuses direct degenerate configuration.
-    assert!(h.nic.configure_scheduler(&[1.0, f64::NAN]).is_err());
-    assert!(h.nic.configure_scheduler(&[]).is_err());
+    assert!(h
+        .nic
+        .configure_scheduler(&[1.0, f64::NAN], Time::ZERO)
+        .is_err());
+    assert!(h.nic.configure_scheduler(&[], Time::ZERO).is_err());
     assert!(h.audit().is_empty(), "audit: {:?}", h.audit());
 }
 
@@ -519,5 +523,70 @@ fn compiled_installs_survive_rollback_and_reconcile() {
     ] {
         assert_eq!(h.nic.program_compiled(slot), Some(true), "{slot:?}");
     }
+    assert!(h.audit().is_empty(), "audit: {:?}", h.audit());
+}
+
+#[test]
+fn shaping_commit_carries_a_standing_tx_backlog() {
+    // The paper's live-reconfiguration path (§4): a shaping commit lands
+    // while frames wait in the NIC scheduler. They must ride across the
+    // scheduler swap, or leave as typed drops — the rebuilt queues used
+    // to start empty, with every queued frame's pending record stranded.
+    let mut h = Host::new(HostConfig::default());
+    h.start_trace();
+    let uids = [1001, 1002, 1003, 1004];
+    let weights = |w: [f64; 4]| ShapingPolicy::new(uids.iter().map(|&u| Uid(u)).zip(w).collect());
+    h.update_policy(Time::ZERO, |p| {
+        p.shaping = Some(weights([4.0, 2.0, 1.0, 1.0]))
+    })
+    .unwrap();
+    let conns: Vec<_> = uids
+        .iter()
+        .enumerate()
+        .map(|(i, &uid)| {
+            let pid = h.spawn(Uid(uid), "tenant", "svc");
+            let port = 7000 + i as u16;
+            h.connect(
+                pid,
+                IpProto::UDP,
+                port,
+                Ipv4Addr::new(10, 0, 0, 2),
+                9000,
+                false,
+            )
+            .unwrap()
+        })
+        .collect();
+    let mut now = Time::from_us(1);
+    for i in 0..32 {
+        let pkt = PacketBuilder::new()
+            .ether(h.cfg.mac, Mac::local(9))
+            .ipv4(h.cfg.ip, Ipv4Addr::new(10, 0, 0, 2))
+            .udp(7000 + (i % 4) as u16, 9000, &[0u8; 200])
+            .build();
+        assert!(h.app_send(conns[i % 4], &pkt, now).queued);
+    }
+    assert_eq!(h.nic.tx_backlog(), 32);
+
+    now += Dur::from_us(1);
+    h.update_policy(now, |p| p.shaping = Some(weights([1.0, 4.0, 2.0, 1.0])))
+        .unwrap();
+    assert!(h.audit().is_empty(), "audit: {:?}", h.audit());
+    let carried = h.nic.tx_backlog() as u64;
+    let tel = h.telemetry().clone();
+    assert_eq!(carried + tel.stage_count(Stage::TxDrop), 32);
+
+    // Drain: the link serialises, so departures need the clock to move.
+    let mut departed = 0;
+    for _ in 0..64 {
+        now += Dur::from_us(1);
+        departed += h.pump_tx(now).len() as u64;
+    }
+    assert_eq!(h.nic.tx_backlog(), 0);
+    assert_eq!(departed, carried);
+    // TX conservation: every frame sent either departed or was dropped
+    // with a typed cause.
+    assert_eq!(tel.stage_count(Stage::TxOffer), 32);
+    assert_eq!(departed + tel.total_drops(), 32);
     assert!(h.audit().is_empty(), "audit: {:?}", h.audit());
 }

@@ -615,3 +615,146 @@ fn rss_commit_reshards_ring_ownership_without_stranding_flows() {
     let violations = h.audit();
     assert!(violations.is_empty(), "audit: {violations:?}");
 }
+
+/// Every frame whose admission was traced must be dequeued and delivered
+/// under the id it was admitted with, and with its own length — checked
+/// against distinct frame lengths so a mixed-up id cannot pass.
+fn assert_frame_ids_follow_frames(h: &Host, traced_lens: &[usize]) {
+    let events = h.telemetry().events();
+    let at = |stage: Stage| events.iter().filter(move |e| e.stage == stage);
+    let ingress: Vec<_> = at(Stage::RxIngress).collect();
+    assert_eq!(
+        ingress.iter().map(|e| e.len as usize).collect::<Vec<_>>(),
+        traced_lens
+    );
+    for admitted in ingress {
+        assert_ne!(admitted.frame_id, 0);
+        for stage in [Stage::RingEnqueue, Stage::RingDequeue, Stage::AppDeliver] {
+            let same_id: Vec<_> = at(stage)
+                .filter(|e| e.frame_id == admitted.frame_id)
+                .collect();
+            assert_eq!(same_id.len(), 1, "{stage} events for {admitted}");
+            assert_eq!(same_id[0].len, admitted.len, "{stage} of {admitted}");
+        }
+    }
+}
+
+#[test]
+fn frame_ids_ride_the_ring_when_tracing_starts_on_resident_frames() {
+    let mut h = Host::new(HostConfig {
+        ring_slots: 8,
+        ..HostConfig::default()
+    });
+    h.stop_trace(); // whatever NORMAN_TELEMETRY says, start untraced
+    let bob = h.spawn(Uid(1001), "bob", "server");
+    let conn = h
+        .connect(
+            bob,
+            IpProto::UDP,
+            7000,
+            Ipv4Addr::new(10, 0, 0, 2),
+            9000,
+            false,
+        )
+        .unwrap();
+    let mut now = Time::ZERO;
+    let mut deliver = |h: &mut Host, len: usize| {
+        now += Dur::from_us(1);
+        let report = h.deliver_from_wire(&wire_udp(h.cfg.ip, 9000, 7000, len), now);
+        assert!(
+            matches!(report.outcome, DeliveryOutcome::FastPath(_)),
+            "{:?}",
+            report.outcome
+        );
+    };
+    // Three frames land in the ring before anyone is watching.
+    for len in [100, 101, 102] {
+        deliver(&mut h, len);
+    }
+    h.start_trace();
+    let traced = [200, 201, 202];
+    for len in traced {
+        deliver(&mut h, len);
+    }
+    assert!(h.audit().is_empty(), "audit: {:?}", h.audit());
+    for _ in 0..6 {
+        assert!(h.app_recv(conn, Time::from_us(10), false).len.is_some());
+    }
+    let traced_wire: Vec<usize> = traced
+        .iter()
+        .map(|&l| wire_udp(h.cfg.ip, 9000, 7000, l).len())
+        .collect();
+    assert_frame_ids_follow_frames(&h, &traced_wire);
+    // The resident frames were dequeued under their own ids too: six
+    // dequeues, six distinct nonzero ids, none borrowed from a neighbour.
+    let mut ids: Vec<u64> = h
+        .telemetry()
+        .events()
+        .iter()
+        .filter(|e| e.stage == Stage::RingDequeue)
+        .map(|e| e.frame_id)
+        .collect();
+    ids.sort_unstable();
+    ids.dedup();
+    assert_eq!(ids.len(), 6);
+    assert!(!ids.contains(&0));
+    assert!(h.audit().is_empty(), "audit: {:?}", h.audit());
+}
+
+#[test]
+fn frame_ids_ride_the_ring_across_worker_start_and_stop() {
+    let cfg = HostConfig {
+        nic: nicsim::NicConfig {
+            num_queues: 4,
+            ..nicsim::NicConfig::default()
+        },
+        ring_slots: 8,
+        ..HostConfig::default()
+    };
+    let mut h = Host::new(cfg);
+    let bob = h.spawn(Uid(1001), "bob", "server");
+    let ports = ports_covering_queues(h.cfg.ip, 4, 1);
+    let conns: Vec<_> = ports
+        .iter()
+        .map(|&port| {
+            h.connect(
+                bob,
+                IpProto::UDP,
+                port,
+                Ipv4Addr::new(10, 0, 0, 2),
+                9000,
+                false,
+            )
+            .unwrap()
+        })
+        .collect();
+    h.start_trace();
+    // One burst per phase, each frame a different length: resident on the
+    // host when the workers start, resident in the shards when they stop.
+    let mut traced_wire = Vec::new();
+    let mut burst = |h: &mut Host, base: usize, at: Time| {
+        let frames: Vec<Packet> = ports
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| wire_udp(h.cfg.ip, 9000, p, base + i))
+            .collect();
+        traced_wire.extend(frames.iter().map(Packet::len));
+        let (reports, _) = h.pump(&frames, at);
+        assert!(reports
+            .iter()
+            .all(|r| matches!(r.outcome, DeliveryOutcome::FastPath(_))));
+    };
+    burst(&mut h, 100, Time::from_us(1));
+    h.run_workers(4).unwrap();
+    burst(&mut h, 200, Time::from_us(2));
+    assert!(h.audit().is_empty(), "audit: {:?}", h.audit());
+    h.stop_workers();
+    burst(&mut h, 300, Time::from_us(3));
+    for _ in 0..3 {
+        for &conn in &conns {
+            assert!(h.app_recv(conn, Time::from_us(10), false).len.is_some());
+        }
+    }
+    assert_frame_ids_follow_frames(&h, &traced_wire);
+    assert!(h.audit().is_empty(), "audit: {:?}", h.audit());
+}
