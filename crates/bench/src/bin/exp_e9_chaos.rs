@@ -33,10 +33,9 @@
 //!      byte-identical results (tracing on does not perturb replay).
 //!
 //! A final sharded segment reruns the kitchen-sink wire against a
-//! 4-queue host with one worker per RSS queue ([`Host::run_workers`]):
-//! the audits — which now cross shard boundaries through the quiesce
-//! barrier — must stay just as clean, and the segment must replay
-//! byte-identically despite real worker threads.
+//! 4-queue host with one shard per RSS queue ([`Host::run_workers`]):
+//! the audits — which now cross shard boundaries — must stay just as
+//! clean, and the segment must replay byte-identically.
 
 use std::net::Ipv4Addr;
 
@@ -417,7 +416,8 @@ fn run_chaos_recovery() -> Row {
 /// queue under the kitchen-sink wire, plus steering churn (the
 /// indirection table rotates through faulted two-phase commits). Audits
 /// run on the same cadence as the scalar sweep and must stay clean —
-/// the quiesce barrier makes each checkpoint a cross-shard snapshot.
+/// counters and events are live, so each checkpoint is a cross-shard
+/// snapshot.
 fn run_chaos_sharded() -> Row {
     const QUEUES: usize = 4;
     let cfg = HostConfig {
@@ -512,9 +512,9 @@ fn run_chaos_sharded() -> Row {
                 Err(e) => panic!("unexpected control-plane error: {e}"),
             }
         }
-        // Worker chaos: panic a shard (round-robin) every 2500 frames;
-        // the supervisor must salvage its rings and restart it without
-        // losing a frame or dirtying a single cross-shard audit.
+        // Shard chaos: panic a shard (round-robin) every 2500 frames;
+        // the supervisor must restart it without losing a resident
+        // frame or dirtying a single cross-shard audit.
         if i % 2500 == 2499 {
             let shard = ((i / 2500) % QUEUES as u64) as usize;
             host.inject_worker_panic(shard, "e9 chaos: shard panic", t)
@@ -557,18 +557,14 @@ fn run_chaos_sharded() -> Row {
     if let Some(v) = first_violation.or_else(|| final_violations.into_iter().next()) {
         eprintln!("AUDIT VIOLATION [sharded N=4]: {v}");
     }
-    host.quiesce();
-    // Every worker core did real work under chaos.
+    // Every shard's core did real work under chaos.
     assert_eq!(host.sched.num_cores_charged(), QUEUES);
-    // Cross-shard conservation: slot references crossed the shard
-    // channels as indices; after draining every ring (through the
-    // worker hand-off) the pool must be whole again — across panics,
-    // salvages, and steering churn.
+    // Cross-shard conservation: after draining every ring the pool must
+    // be whole again — across panics, restarts, and steering churn.
     let end = Time::ZERO + PKT_GAP * (FRAMES + 1);
     for &c in &conns {
         while host.app_recv(c, end, false).len.is_some() {}
     }
-    host.quiesce();
     assert_eq!(
         host.arena().live(),
         0,
@@ -789,7 +785,7 @@ fn main() {
         storm.goodput_pct
     );
 
-    // (4c) The sharded segment: four worker threads under the same
+    // (4c) The sharded segment: four shards under the same
     // chaos, and the cross-shard audits stay just as clean.
     assert_eq!(
         sharded.audit_violations, 0,
@@ -814,7 +810,7 @@ fn main() {
     );
 
     // (5) Determinism: the same seed replays byte-identically — including
-    // the sharded segment, despite real worker threads.
+    // the sharded segment.
     let replay = run_sweep();
     let a = serde_json::to_string(&rows).unwrap();
     let b = serde_json::to_string(&replay).unwrap();

@@ -1,12 +1,16 @@
 //! PR5 — multi-queue RSS scaling baseline.
 //!
 //! The tentpole question: does sharding the dataplane across N RSS
-//! queues with one worker per queue actually buy aggregate throughput?
+//! queues with one shard per queue actually buy aggregate throughput?
 //! Virtual time makes the answer exact: every fast-path delivery charges
-//! its CPU cost to the worker core that owns the ring, so the *makespan*
-//! of a run is the busiest core's meter — the bottleneck core a real
-//! multicore host would wait on. Aggregate goodput is delivered bytes
-//! over that makespan.
+//! its CPU cost to the core of the shard that owns the ring, so the
+//! *makespan* of a run is the busiest core's meter — the bottleneck core
+//! a real multicore host would wait on. Aggregate goodput is delivered
+//! bytes over that makespan. Cores are modelled by accounting, not by
+//! host threads, so sharding must not cost wall clock either: each
+//! width's `wall_ms` is recorded next to the unsharded run's
+//! (`parity.pump_wall_ms`) and `scripts/check_bench.py` holds it within
+//! 3x in full mode.
 //!
 //! Two results, written to `BENCH_PR5.json` at the repo root (plus the
 //! usual `results/` mirror):
@@ -16,9 +20,9 @@
 //!    are chosen so the NIC's uniform indirection table spreads them
 //!    evenly at each width. Acceptance bar: >= 2.5x aggregate goodput at
 //!    4 workers vs 1.
-//! 2. **Single-queue parity** — the 1-worker run versus the same script
-//!    on the classic in-line `pump` path: identical delivery counts and
-//!    host counters, so multi-queue mode costs nothing when disabled.
+//! 2. **Single-queue parity** — the 1-shard run versus the same script
+//!    on an unsharded host: identical delivery counts and host counters,
+//!    so multi-queue mode costs nothing when disabled.
 //!
 //! `BENCH_SMOKE=1` shrinks the run for CI (the bars still apply: the
 //! speedup comes from load balance, not run length).
@@ -37,8 +41,12 @@ const FLOWS: usize = 8;
 const PAYLOAD: usize = 1458;
 const GAP: Dur = Dur::from_us(1);
 
+fn smoke() -> bool {
+    std::env::var_os("BENCH_SMOKE").is_some()
+}
+
 fn bursts() -> u64 {
-    if std::env::var_os("BENCH_SMOKE").is_some() {
+    if smoke() {
         250
     } else {
         5_000
@@ -60,6 +68,9 @@ struct ScalePoint {
 
 #[derive(Serialize)]
 struct Parity {
+    /// Wall clock of the unsharded run, the yardstick for every width's
+    /// `wall_ms`.
+    pump_wall_ms: f64,
     pump_delivered: u64,
     worker_delivered: u64,
     pump_stats: String,
@@ -72,6 +83,7 @@ struct Output {
     schema: &'static str,
     flows: usize,
     frame_len: usize,
+    smoke: bool,
     bursts: u64,
     scaling: Vec<ScalePoint>,
     parity: Parity,
@@ -167,7 +179,6 @@ fn scale_point(workers: usize, base_goodput: Option<f64>) -> ScalePoint {
     let start = Instant::now();
     let (delivered, bytes) = run_load(&mut h, &conns, &frames);
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    h.quiesce();
     assert!(h.audit().is_empty(), "audit: {:?}", h.audit());
     assert_eq!(delivered, bursts() * FLOWS as u64, "lossless by design");
 
@@ -191,7 +202,7 @@ fn scale_point(workers: usize, base_goodput: Option<f64>) -> ScalePoint {
 }
 
 fn main() {
-    println!("PR5: multi-queue RSS scaling — per-core workers vs the single-queue dataplane\n");
+    println!("PR5: multi-queue RSS scaling — per-core shards vs the single-queue dataplane\n");
 
     // --- 1. scaling curve --------------------------------------------------
     let p1 = scale_point(1, None);
@@ -200,15 +211,17 @@ fn main() {
 
     // --- 2. single-queue parity -------------------------------------------
     let (mut pump_host, conns, frames) = mk_host(1);
+    let start = Instant::now();
     let (pump_delivered, pump_bytes) = run_load(&mut pump_host, &conns, &frames);
+    let pump_wall_ms = start.elapsed().as_secs_f64() * 1e3;
     let pump_stats = format!("{:?}", pump_host.stats());
     let (mut worker_host, conns, frames) = mk_host(1);
     worker_host.run_workers(1).unwrap();
     let (worker_delivered, worker_bytes) = run_load(&mut worker_host, &conns, &frames);
-    worker_host.quiesce();
     let worker_stats = format!("{:?}", worker_host.stats());
     assert_eq!(pump_bytes, worker_bytes, "parity: delivered bytes");
     let parity = Parity {
+        pump_wall_ms,
         pump_delivered,
         worker_delivered,
         identical: pump_delivered == worker_delivered && pump_stats == worker_stats,
@@ -220,6 +233,7 @@ fn main() {
         schema: "norman-bench-pr5-v1",
         flows: FLOWS,
         frame_len: frames[0].bytes().len(),
+        smoke: smoke(),
         bursts: bursts(),
         scaling,
         parity,

@@ -13,8 +13,8 @@
 //!    and to the first post-recovery fast-path delivery. Acceptance:
 //!    the restored bundle is fingerprint-identical to the committed one
 //!    and every audit is clean.
-//! 2. **Shard panic survival** — worker panics under load; the
-//!    supervisor salvages rings and restarts the shard. Acceptance:
+//! 2. **Shard panic survival** — shard panics under load; the
+//!    supervisor restarts the shard, its rings untouched. Acceptance:
 //!    every offered frame is delivered or rerouted (zero conservation
 //!    violations), restarts are counted, audits stay clean.
 //! 3. **Degraded-mode goodput** — sustained ring overload engages the

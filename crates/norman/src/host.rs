@@ -10,14 +10,14 @@
 //!   `app_recv`, `pump_tx`. Data never crosses the kernel on these paths;
 //!   costs come from the ring/LLC model and the NIC pipeline.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::net::Ipv4Addr;
 
 use memsim::{DescRing, Llc, LlcConfig, LlcPartitionPlan, LlcStats, MemCosts, MmioBus};
 use nicsim::pipeline::{DropReason, TxDeparture};
 use nicsim::{
-    ConnId, NatTable, NicConfig, NicError, Notification, NotifyKind, RxDisposition, SmartNic,
-    SnifferFilter, TxDisposition,
+    ConnId, NatTable, NicConfig, NicError, Notification, NotifyKind, RssTable, RxDisposition,
+    SmartNic, SnifferFilter, TxDisposition,
 };
 use oskernel::{
     ArpCache, CgroupId, CgroupTree, Cred, NetStack, Pid, ProcessTable, RxOutcome, Scheduler, Uid,
@@ -32,7 +32,7 @@ use telemetry::{
 
 use crate::ctrl::{ControlPlane, CtrlError, PolicyStore, StagedCommit};
 use crate::policy::{PortReservation, ShapingPolicy};
-use crate::workers::{DeliverJob, RecvReply, SendReply, ShardOutcome, WorkerError, WorkerPool};
+use crate::workers::{supervised, Shard, WorkerError};
 
 /// Host configuration.
 #[derive(Clone, Debug)]
@@ -135,7 +135,7 @@ pub(crate) type PktRing = DescRing<Packet>;
 
 /// An RX ring descriptor: the frame handle plus the lifecycle id the NIC
 /// tagged the frame with, so whoever consumes the slot can name the frame
-/// it held — whenever tracing started, and whichever thread owns the ring.
+/// it held, whenever tracing started.
 pub(crate) struct RxDesc {
     pub pkt: Packet,
     pub fid: u64,
@@ -143,17 +143,6 @@ pub(crate) struct RxDesc {
 
 /// The RX direction of a ring pair.
 pub(crate) type RxRing = DescRing<RxDesc>;
-
-impl RingKey {
-    /// A total order so worker shards can drain their rings
-    /// deterministically regardless of hash-map iteration order.
-    pub(crate) fn order(&self) -> (u8, u64) {
-        match self {
-            RingKey::Conn(c) => (0, c.0),
-            RingKey::Proc(p) => (1, u64::from(p.0)),
-        }
-    }
-}
 
 /// One open connection.
 #[derive(Clone, Debug)]
@@ -169,6 +158,11 @@ pub struct Connection {
     /// Whether notifications (blocking I/O) are enabled.
     pub notify: bool,
     ring_key: RingKey,
+    /// The shard whose cache and core this connection's ring traffic is
+    /// charged to: the RSS queue its flow steers to under the committed
+    /// indirection table (always 0 on an unsharded host). Resolved at
+    /// setup and after every policy commit — never per frame.
+    shard: usize,
     /// The process binding trace events carry, resolved once when the
     /// connection is set up (a process's `comm` is fixed at spawn, and the
     /// NIC's flow entry binds the same uid) — never per frame.
@@ -261,10 +255,10 @@ pub struct HostStats {
     /// Frames demoted to the software slow path by overload degradation
     /// (low-priority flows while the degrade detector is engaged).
     pub degraded_slowpath: u64,
-    /// Frames rerouted through the slow path because their owning worker
-    /// shard crashed mid-batch — accounted, never silently dropped.
+    /// Frames rerouted through the slow path because their owning shard
+    /// panicked mid-delivery — accounted, never silently dropped.
     pub worker_rerouted: u64,
-    /// Worker shards restarted by the supervisor after a panic.
+    /// Shards restarted by the supervisor after a panic.
     pub worker_restarts: u64,
 }
 
@@ -278,10 +272,13 @@ pub struct Host {
     pub cgroups: CgroupTree,
     /// Scheduler and CPU meters.
     pub sched: Scheduler,
-    /// Last-level cache (with DDIO way-cap). Single-queue traffic goes
-    /// through this cache; in multi-queue mode each worker shard owns a
-    /// way-disjoint partition of it instead (see [`Host::run_workers`]).
-    llc: Llc,
+    /// The dataplane shards, never empty. An unsharded host has one,
+    /// whose cache is the whole last-level cache (with DDIO way-cap);
+    /// [`Host::run_workers`] replaces it with one way-disjoint partition
+    /// per RSS queue.
+    shards: Vec<Shard>,
+    /// Set while [`Host::run_workers`] has the LLC partitioned.
+    sharded: Option<Sharded>,
     /// MMIO accounting.
     pub mmio: MmioBus,
     /// The SmartNIC.
@@ -298,9 +295,6 @@ pub struct Host {
     /// The pooled frame arena: one slab of `arena_slots x ring_slot_bytes`
     /// backing every arena-built or wire-adopted frame on this host.
     arena: BufArena,
-    /// Arena-backed descriptors resident in worker-shard rings, as summed
-    /// at the most recent quiesce barrier (audit ledger input).
-    shard_arena_resident: u64,
     /// The unified control plane: the only writer of dataplane policy.
     ctrl: ControlPlane,
     /// The kernel-owned NAT table, created and populated solely by
@@ -319,10 +313,6 @@ pub struct Host {
     /// Frames resident in RX rings at that same moment: the occupancy
     /// ledger only sees enqueues made since, but dequeues of these too.
     tel_baseline_resident: u64,
-    /// The per-queue worker fleet, when multi-queue mode is active
-    /// ([`Host::run_workers`]). While set, every ring pair lives inside
-    /// a worker shard and the maps above hold only non-sharded state.
-    workers: Option<WorkerPool>,
     /// Overload-degradation detector state (engaged flag + the current
     /// pressure window), driven by the committed
     /// [`DegradationPolicy`](crate::ctrl::DegradationPolicy).
@@ -332,10 +322,22 @@ pub struct Host {
     /// lets [`Host::maybe_reconcile`] rebuild the flow table exactly
     /// once per NIC reset, before the control plane reinstalls policy.
     resets_restored: u64,
-    /// Cumulative LLC traffic per worker shard, merged at every quiesce
-    /// barrier — the `llc.shard.<n>.*` metrics. Survives worker
-    /// stop/start cycles.
+    /// LLC traffic per shard index through the partitions of earlier
+    /// [`Host::run_workers`] epochs, banked by [`Host::stop_workers`] so
+    /// the `llc.shard.<n>.*` metrics stay cumulative across cycles.
     shard_llc: Vec<LlcStats>,
+}
+
+/// What [`Host::run_workers`] sets aside while the LLC is partitioned.
+struct Sharded {
+    /// The whole-cache model, parked so that after
+    /// [`Host::stop_workers`] the host is exactly as before.
+    whole_llc: Llc,
+    /// The way-disjoint carve-up the shards' caches were built from:
+    /// shard `i` owns partition `i` outright, with a per-partition DDIO
+    /// mask floored at one way, so one shard's ring working set cannot
+    /// evict another's and every shard can absorb inbound DMA.
+    plan: LlcPartitionPlan,
 }
 
 /// Watermark-detector state for overload degradation. The window counts
@@ -373,7 +375,8 @@ impl Host {
             procs: ProcessTable::new(),
             cgroups: CgroupTree::new(),
             sched: Scheduler::with_defaults(),
-            llc: Llc::new(cfg.llc.clone()),
+            shards: vec![Shard::new(Llc::new(cfg.llc.clone()))],
+            sharded: None,
             mmio: MmioBus::new(),
             nic,
             stack,
@@ -384,7 +387,6 @@ impl Host {
             rings: FastMap::default(),
             tx_retry: VecDeque::new(),
             arena: BufArena::new(cfg.arena_slots, cfg.ring_slot_bytes),
-            shard_arena_resident: 0,
             ctrl: ControlPlane::new(tel.clone()),
             nat: None,
             next_ring_index: 0,
@@ -394,7 +396,6 @@ impl Host {
             tel,
             tel_baseline: HostStats::default(),
             tel_baseline_resident: 0,
-            workers: None,
             degrade: DegradeState::default(),
             resets_restored: 0,
             shard_llc: Vec::new(),
@@ -403,24 +404,23 @@ impl Host {
     }
 
     // ------------------------------------------------------------------
-    // Multi-queue workers
+    // Multi-queue shards
     // ------------------------------------------------------------------
 
-    /// Starts multi-queue mode: one worker thread per NIC RSS queue,
-    /// each owning the ring pairs of every connection whose flow hash
-    /// steers to its queue. `n` must equal the NIC's configured queue
-    /// count so ownership is 1:1.
+    /// Starts multi-queue mode: one dataplane shard per NIC RSS queue,
+    /// each with its own core meter and a way-disjoint partition of the
+    /// LLC. `n` must equal the NIC's configured queue count so ownership
+    /// is 1:1.
     ///
-    /// Existing rings migrate into their owning shards; new connections
-    /// are placed by the live RSS indirection table. Shard-local
-    /// counters, CPU time, and trace events merge back into the host at
-    /// the [`Host::quiesce`] barrier, which policy commits, reconciles,
-    /// and audits all take automatically.
+    /// Every connection — existing and future — is charged to the shard
+    /// its flow steers to under the live RSS indirection table; rings
+    /// themselves are host memory and never move. The whole-cache model
+    /// is parked until [`Host::stop_workers`].
     ///
-    /// With `n == 1` the worker path is byte-identical to the
-    /// single-queue [`Host::pump`] path on a fresh host.
+    /// With `n == 1` the host is byte-identical to an unsharded one: it
+    /// is the same delivery code over the same cache geometry.
     pub fn run_workers(&mut self, n: usize) -> Result<(), WorkerError> {
-        if self.workers.is_some() {
+        if self.sharded.is_some() {
             return Err(WorkerError::AlreadyRunning);
         }
         if self.cfg.shared_rings {
@@ -430,115 +430,76 @@ impl Host {
         if n == 0 || n != queues {
             return Err(WorkerError::QueueMismatch { workers: n, queues });
         }
-        // Shared-nothing LLC: carve the host cache into way-disjoint
-        // per-shard partitions, each with its own DDIO mask (floored at
-        // one way per shard), so one shard's ring working set cannot
-        // evict another's and no shard's DMA is forced to DRAM.
         let plan = LlcPartitionPlan::split(self.cfg.llc.clone(), n);
         if self.shard_llc.len() < n {
             self.shard_llc.resize_with(n, LlcStats::default);
         }
-        let mut pool = WorkerPool::new(n, plan, self.cfg.mem.clone());
-        let mut placements: Vec<(RingKey, usize)> = self
-            .conns
-            .values()
-            .map(|c| (c.ring_key, self.shard_for_tuple(&c.tuple, n)))
+        let partitions = plan
+            .shards()
+            .iter()
+            .map(|geometry| Shard::new(Llc::new(geometry.clone())))
             .collect();
-        placements.sort_unstable_by_key(|(k, _)| k.order());
-        for (key, shard) in placements {
-            if let Some((rx, tx)) = self.rings.remove(&key) {
-                pool.install(shard, key, rx, tx);
-            }
-        }
-        self.workers = Some(pool);
+        let whole_llc = std::mem::replace(&mut self.shards, partitions)
+            .pop()
+            .expect("an unsharded host has exactly one shard")
+            .llc;
+        self.sharded = Some(Sharded { whole_llc, plan });
+        self.reindex_connections();
         Ok(())
     }
 
-    /// Stops multi-queue mode: quiesces every shard, folds the rings
-    /// back into the host, and joins the worker threads. The host then
-    /// behaves exactly as before [`Host::run_workers`].
+    /// Stops multi-queue mode: the partitions are dropped (their LLC
+    /// counters banked into [`Host::shard_llc_stats`]) and the parked
+    /// whole-cache model comes back. The host then behaves exactly as
+    /// before [`Host::run_workers`]. A no-op on an unsharded host.
     pub fn stop_workers(&mut self) {
-        self.quiesce();
-        let Some(mut pool) = self.workers.take() else {
+        let Some(Sharded { whole_llc, .. }) = self.sharded.take() else {
             return;
         };
-        for e in pool.drain_all() {
-            self.rings.insert(e.key, (e.rx, e.tx));
+        for (banked, shard) in self.shard_llc.iter_mut().zip(&self.shards) {
+            banked.absorb(&shard.llc_stats());
         }
-        pool.stop();
+        self.shards = vec![Shard::new(whole_llc)];
+        self.reindex_connections();
     }
 
-    /// Whether multi-queue worker mode is active.
+    /// Whether multi-queue mode is active.
     pub fn workers_active(&self) -> bool {
-        self.workers.is_some()
+        self.sharded.is_some()
     }
 
-    /// How many worker shards are running (0 in single-queue mode).
+    /// How many shards multi-queue mode is running (0 when unsharded).
     pub fn num_workers(&self) -> usize {
-        self.workers.as_ref().map_or(0, |p| p.num_workers())
+        self.sharded.as_ref().map_or(0, |_| self.shards.len())
     }
 
-    /// The quiesce barrier: every worker drains its delivery counters,
-    /// busy time, and buffered trace events back into the host — stats
-    /// merge into [`Host::stats`], busy time lands on the per-core CPU
-    /// meters, and events are absorbed into the telemetry hub with
-    /// their original generation stamps. Returns the number of frames
-    /// still resident in shard RX rings (the audit's occupancy ledger).
-    ///
-    /// Policy commits, bitstream reconciles, audits, and trace restarts
-    /// all quiesce first, so a generation swap is atomic across shards.
-    /// A no-op (returning 0) in single-queue mode.
-    pub fn quiesce(&mut self) -> u64 {
-        let Some(pool) = self.workers.as_mut() else {
-            return 0;
-        };
-        let mut queued = 0;
-        let mut shard_arena = 0;
-        for (core, rep) in pool.quiesce().into_iter().enumerate() {
-            self.stats.fast_delivered += rep.stats.fast_delivered;
-            self.stats.ring_drops += rep.stats.ring_drops;
-            self.stats.ring_missing += rep.stats.ring_missing;
-            self.sched.charge_core_busy(core, rep.busy);
-            self.shard_llc[core].absorb(&rep.llc);
-            self.tel.absorb(rep.events);
-            queued += rep.rx_resident;
-            shard_arena += rep.arena_resident;
-        }
-        self.shard_arena_resident = shard_arena;
-        self.absorb_worker_crashes(Time::ZERO);
-        queued
+    /// The supervisor's half of a shard panic: restarts shard `shard`
+    /// (cold cache, restart counted), charges the backoff penalty to its
+    /// core, and records `ShardPanic`/`ShardRestart` recovery events at
+    /// the time of the operation that panicked.
+    fn restart_shard(&mut self, shard: usize, payload: &str, now: Time) {
+        let penalty = self.shards[shard].restart();
+        self.stats.worker_restarts += 1;
+        self.sched.charge_core_busy(shard, penalty);
+        self.tel.record_recovery(
+            now,
+            RecoveryKind::ShardPanic,
+            format!("shard {shard}: {payload}"),
+        );
+        self.tel.record_recovery(
+            now,
+            RecoveryKind::ShardRestart,
+            format!(
+                "shard {shard} restart #{} (backoff {penalty})",
+                self.shards[shard].restarts
+            ),
+        );
     }
 
-    /// Folds supervisor crash records into host accounting: restart
-    /// counters, the backoff CPU penalty on the crashed shard's core,
-    /// and `ShardPanic`/`ShardRestart` recovery events.
-    fn absorb_worker_crashes(&mut self, now: Time) {
-        let Some(pool) = self.workers.as_mut() else {
-            return;
-        };
-        for crash in pool.take_crashes() {
-            self.stats.worker_restarts += 1;
-            self.sched.charge_core_busy(crash.shard, crash.penalty);
-            self.tel.record_recovery(
-                now,
-                RecoveryKind::ShardPanic,
-                format!("shard {}: {}", crash.shard, crash.payload),
-            );
-            self.tel.record_recovery(
-                now,
-                RecoveryKind::ShardRestart,
-                format!(
-                    "shard {} restart #{} (backoff {})",
-                    crash.shard, crash.restarts, crash.penalty
-                ),
-            );
-        }
-    }
-
-    /// Injects a panic into worker shard `shard` (chaos testing). The
-    /// supervisor catches it synchronously: the shard's rings and
-    /// counters are salvaged, a replacement shard is serving by the time
-    /// this returns, and the crash is fully accounted. Always returns
+    /// Injects a panic into shard `shard` (chaos testing). It unwinds
+    /// into the same supervised boundary a delivery runs under, so by
+    /// the time this returns the shard has been restarted and the crash
+    /// is fully accounted; its rings are untouched. Always returns
     /// [`WorkerError::ShardPanicked`] describing the crash it caused
     /// (or [`WorkerError::NotRunning`] outside multi-queue mode).
     pub fn inject_worker_panic(
@@ -547,46 +508,42 @@ impl Host {
         msg: &str,
         now: Time,
     ) -> Result<(), WorkerError> {
-        let Some(pool) = self.workers.as_mut() else {
+        if self.sharded.is_none() {
             return Err(WorkerError::NotRunning);
-        };
-        pool.inject_panic(shard, msg);
-        self.absorb_worker_crashes(now);
-        Err(WorkerError::ShardPanicked {
-            shard,
-            payload: msg.to_string(),
-        })
+        }
+        // `resume_unwind` skips the panic hook: an injected fault is not
+        // worth a backtrace on stderr.
+        let payload = supervised(|| std::panic::resume_unwind(Box::new(msg.to_string())))
+            .expect_err("the injected panic always unwinds");
+        self.restart_shard(shard, &payload, now);
+        Err(WorkerError::ShardPanicked { shard, payload })
     }
 
-    /// Total worker-shard restarts performed by the supervisor.
+    /// Total shard restarts the supervisor has performed since
+    /// [`Host::run_workers`].
     pub fn worker_restarts(&self) -> u64 {
-        self.workers.as_ref().map_or(0, |p| p.total_restarts())
+        self.shards.iter().map(|s| s.restarts).sum()
     }
 
-    /// Which shard owns a connection with this RX tuple under the live
-    /// RSS indirection table (modulo the worker count, so a policy that
-    /// shrinks the queue set cannot strand a ring without an owner).
-    fn shard_for_tuple(&self, tuple: &FiveTuple, n: usize) -> usize {
-        usize::from(self.nic.rss().queue_for(pkt::meta::flow_hash_of(tuple))) % n
+    /// Which of `n` shards a connection with this RX tuple belongs to
+    /// under `rss` (modulo the shard count, so a policy that shrinks the
+    /// queue set cannot leave a connection without a shard).
+    fn shard_for_tuple(rss: &RssTable, tuple: &FiveTuple, n: usize) -> usize {
+        if n == 1 {
+            return 0;
+        }
+        usize::from(rss.queue_for(pkt::meta::flow_hash_of(tuple))) % n
     }
 
-    /// Re-shards ring ownership after a policy transaction may have
-    /// changed the RSS steering. Runs under the quiesce barrier the
-    /// caller already took; a commit that left the table unchanged
-    /// reshuffles rings between shards without losing any state.
-    fn rebalance_workers(&mut self) {
-        let Some(pool) = self.workers.take() else {
-            return;
-        };
-        let n = pool.num_workers();
-        let assign: HashMap<RingKey, usize> = self
-            .conns
-            .values()
-            .map(|c| (c.ring_key, self.shard_for_tuple(&c.tuple, n)))
-            .collect();
-        let mut pool = pool;
-        pool.rebalance(&assign);
-        self.workers = Some(pool);
+    /// Re-resolves every connection's shard after the shard count or the
+    /// RSS steering may have changed. No ring moves: the index only says
+    /// which cache and core the connection's ring traffic is charged to.
+    fn reindex_connections(&mut self) {
+        let n = self.shards.len();
+        let rss = self.nic.rss();
+        for c in self.conns.values_mut() {
+            c.shard = Self::shard_for_tuple(rss, &c.tuple, n);
+        }
     }
 
     /// Returns host counters.
@@ -594,22 +551,36 @@ impl Host {
         self.stats
     }
 
-    /// The host-side LLC (single-queue traffic; worker shards own
-    /// private partitions instead).
+    /// The whole-cache LLC model: the one shard's cache on an unsharded
+    /// host, parked (and untouched) while [`Host::run_workers`] has the
+    /// cache partitioned.
     pub fn llc(&self) -> &Llc {
-        &self.llc
+        match &self.sharded {
+            Some(sharded) => &sharded.whole_llc,
+            None => &self.shards[0].llc,
+        }
     }
 
-    /// Mutable access to the host-side LLC (benchmarks model application
-    /// compute phases by sweeping working sets through it).
+    /// Mutable access to the whole-cache LLC model (benchmarks model
+    /// application compute phases by sweeping working sets through it).
     pub fn llc_mut(&mut self) -> &mut Llc {
-        &mut self.llc
+        match &mut self.sharded {
+            Some(sharded) => &mut sharded.whole_llc,
+            None => &mut self.shards[0].llc,
+        }
     }
 
-    /// Cumulative LLC traffic of worker shard `i`, as merged at quiesce
-    /// barriers.
+    /// Cumulative LLC traffic through shard `i`'s partitions, live and
+    /// across [`Host::stop_workers`]/[`Host::run_workers`] cycles. Only
+    /// multi-queue mode counts here; unsharded traffic is [`Host::llc`]'s.
     pub fn shard_llc_stats(&self, i: usize) -> LlcStats {
-        self.shard_llc.get(i).copied().unwrap_or_default()
+        let mut stats = self.shard_llc.get(i).copied().unwrap_or_default();
+        if self.sharded.is_some() {
+            if let Some(shard) = self.shards.get(i) {
+                stats.absorb(&shard.llc_stats());
+            }
+        }
+        stats
     }
 
     /// Returns the shared telemetry handle (the hub every layer emits
@@ -622,19 +593,14 @@ impl Host {
     /// event buffer, rebaselines every layer's counters, and enables the
     /// hub. The `ktrace` analogue of `tcpdump -i any` + `strace` in one.
     pub fn start_trace(&mut self) {
-        let shard_resident = self.quiesce();
         self.tel.clear();
-        if let Some(pool) = self.workers.as_mut() {
-            pool.clear_trace();
-        }
         self.tel.set_enabled(true);
         self.nic.mark_telemetry_baseline();
         self.tel_baseline = self.stats;
-        self.tel_baseline_resident = self.rx_resident() + shard_resident;
+        self.tel_baseline_resident = self.rx_resident();
     }
 
-    /// Frames sitting in host-owned RX rings (worker shards report
-    /// theirs at the quiesce barrier).
+    /// Frames sitting in RX rings.
     fn rx_resident(&self) -> u64 {
         self.rings.values().map(|(rx, _)| rx.len() as u64).sum()
     }
@@ -667,23 +633,19 @@ impl Host {
         Ok(())
     }
 
-    /// A collection spill point: takes the quiesce barrier (so worker
-    /// shard events buffered since the last barrier reach the hub and
-    /// therefore the file), writes a ledger snapshot when the profile
-    /// asked for one, and flushes the file. Bounds collection memory to
-    /// the inter-spill event volume. No-op when no collection is active.
+    /// A collection spill point: writes a ledger snapshot when the
+    /// profile asked for one, and flushes the file. Bounds collection
+    /// memory to the inter-spill event volume. No-op when no collection
+    /// is active.
     pub fn spill_trace(&mut self) -> Result<(), FileError> {
-        self.quiesce();
         self.tel.spill_sink()
     }
 
-    /// Stops a collection: merges outstanding worker events, writes the
-    /// final ledger snapshot and fin record, detaches the sink, and
-    /// disables tracing. Returns writer statistics (`None` when no
-    /// collection was active). The in-memory buffer remains queryable,
-    /// exactly like [`Host::stop_trace`].
+    /// Stops a collection: writes the final ledger snapshot and fin
+    /// record, detaches the sink, and disables tracing. Returns writer
+    /// statistics (`None` when no collection was active). The in-memory
+    /// buffer remains queryable, exactly like [`Host::stop_trace`].
     pub fn stop_collect(&mut self) -> Result<Option<SinkStats>, FileError> {
-        self.quiesce();
         let stats = self.tel.finish_sink();
         self.stop_trace();
         stats
@@ -694,25 +656,19 @@ impl Host {
     /// invariant (empty = consistent). The trace ledger gives the audit
     /// a second, structurally different account of the same dataplane,
     /// so a bug has to corrupt both in the same way to hide.
-    ///
-    /// In multi-queue mode the audit first takes the quiesce barrier, so
-    /// shard-local counters and events are merged before any ledger is
-    /// compared — a frame resident in shard *k*'s rings counts toward
-    /// occupancy exactly like one in a host-owned ring.
     pub fn audit(&mut self) -> Vec<String> {
-        let shard_queued = self.quiesce();
         let mut violations = self.nic.audit();
         // Third ledger: NIC-resident policy state vs the kernel store.
         violations.extend(self.ctrl.audit(&self.nic, self.nat.as_ref()));
         // Way conservation: the per-shard partitions must tile the donor
         // cache exactly (no way lost, none double-owned).
-        if let Some(pool) = self.workers.as_ref() {
-            violations.extend(pool.plan().audit());
+        if let Some(sharded) = &self.sharded {
+            violations.extend(sharded.plan.audit());
         }
         // Arena conservation: every live slot must be reachable from some
-        // resident handle — host rings, shard rings (summed at the quiesce
-        // barrier above), kernel socket queues, or the TX retry buffer. A
-        // live count above residency means a leaked (unreachable) slot.
+        // resident handle — rings, kernel socket queues, or the TX retry
+        // buffer. A live count above residency means a leaked
+        // (unreachable) slot.
         // Residency can legitimately exceed liveness: many descriptors may
         // share one slot (taps, redeliveries), and heap-backed frames also
         // occupy descriptors.
@@ -723,7 +679,6 @@ impl Host {
             .flat_map(|(rx, tx)| rx.iter_descs().map(|d| &d.pkt).chain(tx.iter_descs()))
             .filter(|p| p.is_arena())
             .count() as u64
-            + self.shard_arena_resident
             + self.stack.arena_resident() as u64
             + self.tx_retry.iter().filter(|(_, p)| p.is_arena()).count() as u64;
         if live > resident {
@@ -763,7 +718,7 @@ impl Host {
             "ring occupancy",
             (self.tel_baseline_resident + ring_enq_pass)
                 .saturating_sub(self.tel.stage_count(Stage::RingDequeue)),
-            self.rx_resident() + shard_queued,
+            self.rx_resident(),
         );
         violations
     }
@@ -802,11 +757,12 @@ impl Host {
         reg.set_gauge("host.kernel_cpu_us", self.kernel_cpu.as_us_f64());
         reg.set_counter("host.arena_live", self.arena.live() as u64);
         reg.set_counter("host.arena_slots", self.arena.slots() as u64);
-        let llc = self.llc.stats();
+        let llc = self.llc().stats();
         reg.set_counter("llc.ddio_evictions", llc.ddio_evictions);
         reg.set_counter("llc.dma_hits", llc.dma_hits);
         reg.set_counter("llc.dma_misses", llc.dma_misses);
-        for (i, s) in self.shard_llc.iter().enumerate() {
+        for i in 0..self.shard_llc.len() {
+            let s = self.shard_llc_stats(i);
             reg.set_counter(&format!("llc.shard.{i}.ddio_evictions"), s.ddio_evictions);
             reg.set_counter(&format!("llc.shard.{i}.dma_hits"), s.dma_hits);
             reg.set_counter(&format!("llc.shard.{i}.dma_misses"), s.dma_misses);
@@ -877,7 +833,6 @@ impl Host {
         now: Time,
         mutate: impl FnOnce(&mut PolicyStore),
     ) -> Result<u64, CtrlError> {
-        self.quiesce();
         let ops_before = self.ctrl.stats().apply_ops;
         let Host {
             ref mut ctrl,
@@ -887,7 +842,7 @@ impl Host {
         } = *self;
         let result = ctrl.update(nic, nat, now, mutate);
         self.charge_policy_ops(ops_before);
-        self.rebalance_workers();
+        self.reindex_connections();
         result
     }
 
@@ -907,7 +862,6 @@ impl Host {
         staged: StagedCommit,
         now: Time,
     ) -> Result<u64, CtrlError> {
-        self.quiesce();
         let ops_before = self.ctrl.stats().apply_ops;
         let Host {
             ref mut ctrl,
@@ -917,7 +871,7 @@ impl Host {
         } = *self;
         let result = ctrl.commit_staged(nic, nat, staged, now);
         self.charge_policy_ops(ops_before);
-        self.rebalance_workers();
+        self.reindex_connections();
         result
     }
 
@@ -987,7 +941,6 @@ impl Host {
     /// on the first dataplane entry after the thaw. Returns when the
     /// device is back up.
     pub fn reset_nic(&mut self, now: Time) -> Time {
-        self.quiesce();
         self.kernel_cpu += self.stack.costs().syscalls.control_call();
         self.nic.reset(now)
     }
@@ -1011,14 +964,12 @@ impl Host {
     /// [`ControlPlane::reconcile`].
     fn maybe_reconcile(&mut self, now: Time) {
         if self.nic.is_dead() {
-            self.quiesce();
             self.kernel_cpu += self.stack.costs().syscalls.control_call();
             self.nic.reset(now);
         }
         if !self.ctrl.needs_reconcile(&self.nic) || self.nic.is_frozen(now) {
             return;
         }
-        self.quiesce();
         if self.nic.stats().resets != self.resets_restored {
             self.restore_flow_state(now);
             self.resets_restored = self.nic.stats().resets;
@@ -1033,7 +984,7 @@ impl Host {
         ctrl.reconcile(nic, nat, now)
             .expect("reconcile runs fault-free and reinstalls onto an empty NIC");
         self.charge_policy_ops(ops_before);
-        self.rebalance_workers();
+        self.reindex_connections();
     }
 
     /// Rebuilds the kernel-owned NIC flow state a crash wiped: every
@@ -1183,21 +1134,7 @@ impl Host {
         };
         let slots = self.cfg.ring_slots;
         let slot_bytes = self.cfg.ring_slot_bytes;
-        if self.workers.is_some() {
-            // Multi-queue mode: the ring pair is born inside the shard
-            // whose RSS queue the connection's flows steer to.
-            let pool = self.workers.as_ref().expect("checked above");
-            if pool.owner_of(ring_key).is_none() {
-                let n = pool.num_workers();
-                let shard = self.shard_for_tuple(&tuple, n);
-                let rx = RxRing::new(self.alloc_ring_addr(), slots, slot_bytes);
-                let tx = PktRing::new(self.alloc_ring_addr(), slots, slot_bytes);
-                self.workers
-                    .as_mut()
-                    .expect("checked above")
-                    .install(shard, ring_key, rx, tx);
-            }
-        } else if !self.rings.contains_key(&ring_key) {
+        if !self.rings.contains_key(&ring_key) {
             let rx = RxRing::new(self.alloc_ring_addr(), slots, slot_bytes);
             let tx = PktRing::new(self.alloc_ring_addr(), slots, slot_bytes);
             self.rings.insert(ring_key, (rx, tx));
@@ -1211,6 +1148,7 @@ impl Host {
                 tuple,
                 notify,
                 ring_key,
+                shard: Self::shard_for_tuple(self.nic.rss(), &tuple, self.shards.len()),
                 owner: Owner::new(uid.0, pid.0, comm),
             },
         );
@@ -1286,11 +1224,7 @@ impl Host {
         };
         let _ = self.nic.close_connection(id);
         if let RingKey::Conn(_) = conn.ring_key {
-            if let Some(pool) = self.workers.as_mut() {
-                pool.close(conn.ring_key);
-            } else {
-                self.rings.remove(&conn.ring_key);
-            }
+            self.rings.remove(&conn.ring_key);
         }
         true
     }
@@ -1424,13 +1358,7 @@ impl Host {
     pub fn deliver_frame(&mut self, packet: Packet, now: Time) -> DeliveryReport {
         self.maybe_reconcile(now);
         let rx = self.nic.rx(&packet, now);
-        if self.workers.is_some() {
-            return self
-                .finish_batch_workers(std::slice::from_ref(&packet), vec![rx], now)
-                .pop()
-                .expect("one frame in, one report out");
-        }
-        self.finish_delivery(packet, rx, now)
+        self.finish_delivery(&mut Some(packet), rx, now)
     }
 
     /// Delivers a burst of frames arriving together at `now` through the
@@ -1445,133 +1373,31 @@ impl Host {
     ) -> (Vec<DeliveryReport>, Vec<TxDeparture>) {
         self.maybe_reconcile(now);
         let rxs = self.nic.rx_batch(packets, now);
-        let deliveries = if self.workers.is_some() {
-            self.finish_batch_workers(packets, rxs, now)
-        } else {
-            packets
-                .iter()
-                .zip(rxs)
-                .map(|(p, rx)| self.finish_delivery(p.clone(), rx, now))
-                .collect()
-        };
+        let deliveries = packets
+            .iter()
+            .zip(rxs)
+            .map(|(p, rx)| self.finish_delivery(&mut Some(p.clone()), rx, now))
+            .collect();
         let departures = self.pump_tx(now);
         (deliveries, departures)
-    }
-
-    /// The multi-queue half of ingress: fast-path frames fan out to the
-    /// worker owning their RSS queue (all shards run concurrently), while
-    /// listener, slow-path, ARP, and drop verdicts stay on this thread.
-    /// Replies reassemble in arrival order and wakeups are applied in
-    /// arrival order, so the result is deterministic and — for one
-    /// worker — byte-identical to [`Host::finish_delivery`] per frame.
-    fn finish_batch_workers(
-        &mut self,
-        packets: &[Packet],
-        rxs: Vec<nicsim::RxResult>,
-        now: Time,
-    ) -> Vec<DeliveryReport> {
-        let n = self.num_workers();
-        let trace = self.tel.is_enabled();
-        let generation = self.tel.generation();
-        let mut batches: Vec<Vec<DeliverJob>> = vec![Vec::new(); n];
-        let mut reports: Vec<DeliveryReport> = Vec::with_capacity(packets.len());
-        // conn + pending wake for each worker-dispatched index.
-        let mut pending: HashMap<usize, (ConnId, Option<Pid>, Time)> = HashMap::new();
-        for (idx, (packet, rx)) in packets.iter().zip(rxs).enumerate() {
-            let fast_conn = match rx.disposition {
-                RxDisposition::Deliver { conn, .. }
-                    if !self.listeners.contains_key(&conn)
-                        && self.conns.get(&conn).is_some_and(|c| !self.demote_now(c)) =>
-                {
-                    Some(conn)
-                }
-                _ => None,
-            };
-            let Some(conn) = fast_conn else {
-                // Listener, stale-connection, slow-path, ARP, demoted,
-                // and drop verdicts never touch a shard; handle them
-                // inline.
-                reports.push(self.finish_delivery(packet.clone(), rx, now));
-                continue;
-            };
-            let c = &self.conns[&conn];
-            let shard = usize::from(rx.meta.map_or(0, |m| m.queue)) % n;
-            batches[shard].push(DeliverJob {
-                idx,
-                key: c.ring_key,
-                len: packet.len(),
-                pkt: packet.clone(),
-                fid: rx.meta.map_or(0, |m| m.frame_id),
-                tuple: rx.meta.and_then(|m| m.tuple),
-                owner: c.owner,
-                ready_at: rx.ready_at,
-                cold: rx.cold,
-                trace,
-                generation,
-            });
-            let wake = if rx.interrupt { Some(c.pid) } else { None };
-            pending.insert(idx, (conn, wake, rx.ready_at));
-            reports.push(DeliveryReport {
-                outcome: DeliveryOutcome::Dropped, // overwritten by the reply
-                mem_cost: Dur::ZERO,
-                nic_latency: rx.latency,
-                kernel_cpu: Dur::ZERO,
-                woke: None,
-            });
-        }
-        let pool = self.workers.as_mut().expect("worker mode active");
-        let mut replies = pool.deliver(batches);
-        // Worker order is arbitrary across shards; arrival order is the
-        // contract.
-        replies.sort_unstable_by_key(|r| r.idx);
-        for reply in replies {
-            let (conn, wake, ready_at) = pending[&reply.idx];
-            let report = &mut reports[reply.idx];
-            match reply.outcome {
-                ShardOutcome::Fast(cost) => {
-                    report.outcome = DeliveryOutcome::FastPath(conn);
-                    report.mem_cost = cost;
-                    self.note_ring_pressure(false, ready_at);
-                    if let Some(pid) = wake {
-                        if self.sched.wake(pid, ready_at, &mut self.procs).is_some() {
-                            report.woke = Some(pid);
-                        }
-                    }
-                }
-                ShardOutcome::RingFull => {
-                    report.outcome = DeliveryOutcome::RingFull(conn);
-                    self.note_ring_pressure(true, ready_at);
-                }
-                ShardOutcome::RingMissing => {
-                    report.outcome = DeliveryOutcome::SlowPath;
-                }
-                ShardOutcome::Crashed => {
-                    // The owning shard died before answering: reroute the
-                    // frame through the software slow path so it is
-                    // delivered and accounted rather than silently lost.
-                    let (_, cost) = self.stack_rx(&packets[reply.idx], None, now);
-                    self.kernel_cpu += cost;
-                    report.kernel_cpu = cost;
-                    report.outcome = DeliveryOutcome::SlowPath;
-                    self.stats.slowpath += 1;
-                    self.stats.worker_rerouted += 1;
-                }
-            }
-        }
-        self.absorb_worker_crashes(now);
-        reports
     }
 
     /// The host-side half of ingress: routes one NIC verdict to rings,
     /// the slow path, or drop accounting, reusing the parse-once
     /// descriptor the NIC handed back (`rx.meta`) — the host never
     /// re-parses frame bytes.
+    ///
+    /// `frame` comes in `Some` and is taken only by the ring produce, so
+    /// whatever stops a delivery short of that still has the frame to
+    /// hand to the slow path — and the fast path moves the caller's
+    /// handle into the ring without an intermediate copy.
     fn finish_delivery(
         &mut self,
-        packet: Packet,
+        frame: &mut Option<Packet>,
         rx: nicsim::RxResult,
         now: Time,
     ) -> DeliveryReport {
+        let packet = frame.as_ref().expect("the caller passes the frame");
         let mut report = DeliveryReport {
             outcome: DeliveryOutcome::Dropped,
             mem_cost: Dur::ZERO,
@@ -1590,7 +1416,7 @@ impl Host {
                             .or_default()
                             .push_back(tuple);
                     }
-                    let (_, cost) = self.stack_rx(&packet, rx.meta.as_ref(), now);
+                    let (_, cost) = self.stack_rx(packet, rx.meta.as_ref(), now);
                     self.kernel_cpu += cost;
                     report.kernel_cpu = cost;
                     report.outcome = DeliveryOutcome::SlowPath;
@@ -1606,30 +1432,20 @@ impl Host {
                 let pid = c.pid;
                 let key = c.ring_key;
                 let owner = c.owner;
-                let demote = self.demote_now(c);
-                if demote {
+                let shard = c.shard;
+                if self.demote_now(c) {
                     // Degraded mode: this low-priority flow yields the
                     // fast path so high-priority traffic keeps the
                     // rings. The frame is handled by the kernel stack —
                     // slower, but delivered and accounted.
-                    let (outcome, cost) = self.stack_rx(&packet, rx.meta.as_ref(), now);
+                    self.punt_to_stack(packet, rx.meta.as_ref(), now, &mut report);
                     self.stack.note_degraded_rx();
-                    self.kernel_cpu += cost;
-                    report.kernel_cpu = cost;
-                    report.outcome = DeliveryOutcome::SlowPath;
-                    self.stats.slowpath += 1;
                     self.stats.degraded_slowpath += 1;
                     // Demoted deliveries count as unpressured window
                     // entries so a drained system can promote back.
                     self.note_ring_pressure(false, now);
-                    if let RxOutcome::Delivered { pid, wake: true } = outcome {
-                        if self.sched.wake(pid, now + cost, &mut self.procs).is_some() {
-                            report.woke = Some(pid);
-                        }
-                    }
                     return report;
                 }
-                let mem = self.cfg.mem.clone();
                 let Some((rx_ring, _)) = self.rings.get_mut(&key) else {
                     // The connection record outlived its rings (torn-down
                     // state mid-race). Punt to the slow path instead of
@@ -1638,24 +1454,39 @@ impl Host {
                     report.outcome = DeliveryOutcome::SlowPath;
                     return report;
                 };
-                // Cold-tier flows DMA with DDIO bypass: a demoted flow's
-                // ring traffic must not evict the DDIO lines hot flows
-                // depend on (the §5 cliff mechanism).
                 // The descriptor *is* the frame handle: producing into the
-                // ring bumps the frame's refcount instead of copying bytes.
+                // ring moves the handle instead of copying bytes.
                 let plen = packet.len();
                 let fid = rx.meta.as_ref().map_or(0, |m| m.frame_id);
-                let desc = RxDesc { pkt: packet, fid };
-                let produced = if rx.cold {
-                    rx_ring.produce_dma_bypass_with(desc, plen, &mut self.llc, &mem)
-                } else {
-                    rx_ring.produce_dma_with(desc, plen, &mut self.llc, &mem)
+                let produced = match self.shards[shard].rx_produce(
+                    rx_ring,
+                    frame,
+                    fid,
+                    plen,
+                    rx.cold,
+                    &self.cfg.mem,
+                ) {
+                    Ok(produced) => produced,
+                    Err(payload) => {
+                        // The shard died with the frame in flight: restart
+                        // it and reroute the frame through the software
+                        // slow path, so it is delivered and accounted
+                        // rather than silently lost.
+                        self.restart_shard(shard, &payload, now);
+                        let packet = frame
+                            .as_ref()
+                            .expect("a shard that panics has not produced yet");
+                        self.punt_to_stack(packet, rx.meta.as_ref(), now, &mut report);
+                        self.stats.worker_rerouted += 1;
+                        return report;
+                    }
                 };
                 let verdict = match produced {
                     Ok(cost) => {
                         report.mem_cost = cost;
                         report.outcome = DeliveryOutcome::FastPath(conn);
                         self.stats.fast_delivered += 1;
+                        self.sched.charge_core_busy(shard, cost);
                         self.note_ring_pressure(false, now);
                         TraceVerdict::Pass
                     }
@@ -1667,14 +1498,18 @@ impl Host {
                     }
                 };
                 // Meta fields are only read for the trace event, so the
-                // (wide) meta copy stays inside the closure.
-                self.tel
-                    .emit_stage(Stage::RingEnqueue, verdict, rx.ready_at, || FrameInfo {
-                        frame_id: fid,
-                        tuple: rx.meta.as_ref().and_then(|m| m.tuple),
-                        len: plen as u32,
-                        owner: Some(owner),
-                    });
+                // (wide) meta copy stays inside the closure. The hub checks
+                // the flag again; checking it here keeps the closure's
+                // captures off the untraced path (~1 % of `rx_fast`).
+                if self.tel.is_enabled() {
+                    self.tel
+                        .emit_stage(Stage::RingEnqueue, verdict, rx.ready_at, || FrameInfo {
+                            frame_id: fid,
+                            tuple: rx.meta.as_ref().and_then(|m| m.tuple),
+                            len: plen as u32,
+                            owner: Some(owner),
+                        });
+                }
                 if produced.is_err() {
                     return report;
                 }
@@ -1695,21 +1530,12 @@ impl Host {
                     report.kernel_cpu = cost;
                     report.outcome = DeliveryOutcome::SlowPath;
                     self.stats.slowpath += 1;
-                    if let Some(reply) = self.arp.handle_meta(&packet, &meta, now) {
+                    if let Some(reply) = self.arp.handle_meta(packet, &meta, now) {
                         let _ = self.nic.tx_enqueue_kernel(&reply, now);
                     }
                     return report;
                 }
-                let (outcome, cost) = self.stack_rx(&packet, rx.meta.as_ref(), now);
-                self.kernel_cpu += cost;
-                report.kernel_cpu = cost;
-                report.outcome = DeliveryOutcome::SlowPath;
-                self.stats.slowpath += 1;
-                if let RxOutcome::Delivered { pid, wake: true } = outcome {
-                    if self.sched.wake(pid, now + cost, &mut self.procs).is_some() {
-                        report.woke = Some(pid);
-                    }
-                }
+                self.punt_to_stack(packet, rx.meta.as_ref(), now, &mut report);
             }
             RxDisposition::Drop { reason } => {
                 if reason == DropReason::Malformed {
@@ -1720,6 +1546,28 @@ impl Host {
             }
         }
         report
+    }
+
+    /// Hands a frame the fast path is not carrying to the kernel stack
+    /// and accounts it as a slow-path delivery, waking the socket's owner
+    /// if the stack asks for it.
+    fn punt_to_stack(
+        &mut self,
+        packet: &Packet,
+        meta: Option<&pkt::FrameMeta>,
+        now: Time,
+        report: &mut DeliveryReport,
+    ) {
+        let (outcome, cost) = self.stack_rx(packet, meta, now);
+        self.kernel_cpu += cost;
+        report.kernel_cpu = cost;
+        report.outcome = DeliveryOutcome::SlowPath;
+        self.stats.slowpath += 1;
+        if let RxOutcome::Delivered { pid, wake: true } = outcome {
+            if self.sched.wake(pid, now + cost, &mut self.procs).is_some() {
+                report.woke = Some(pid);
+            }
+        }
     }
 
     /// The application receives from a connection's RX ring.
@@ -1740,10 +1588,7 @@ impl Host {
         let notify = conn.notify;
         let key = conn.ring_key;
         let owner = conn.owner;
-        if self.workers.is_some() {
-            return self.app_recv_workers(pid, owner, notify, key, now, blocking);
-        }
-        let mem = self.cfg.mem.clone();
+        let shard = conn.shard;
         let Some((rx_ring, _)) = self.rings.get_mut(&key) else {
             // Rings already torn down: nothing to receive.
             self.stats.ring_missing += 1;
@@ -1754,7 +1599,7 @@ impl Host {
                 blocked: false,
             };
         };
-        match rx_ring.consume_cpu_desc(&mut self.llc, &mem) {
+        match rx_ring.consume_cpu_desc(&mut self.shards[shard].llc, &self.cfg.mem) {
             Some((RxDesc { pkt, fid }, len, cost)) => {
                 let cpu = cost + self.doorbell_cost();
                 self.sched.charge_busy(pid, cpu);
@@ -1768,7 +1613,7 @@ impl Host {
             }
             None => {
                 // Check the head pointer: one cache read.
-                let cpu = mem.llc_hit;
+                let cpu = self.cfg.mem.llc_hit;
                 let mut blocked = false;
                 if blocking && notify {
                     self.nic.arm_interrupt(pid.0);
@@ -1788,6 +1633,9 @@ impl Host {
 
     /// The two events of a receive: the slot leaves the ring (the ring
     /// knows the frame, not the process) and the frame reaches its owner.
+    /// Out of line: the record path it inlines is large, and inside
+    /// `app_recv` it costs the traced receive ~1.5 % (`rx_traced`).
+    #[inline(never)]
     fn trace_recv(&self, fid: u64, len: usize, owner: Owner, now: Time) {
         self.tel.emit_stages(
             &[
@@ -1802,82 +1650,6 @@ impl Host {
                 owner: Some(owner),
             },
         );
-    }
-
-    /// [`Host::app_recv`] with the ring in a worker shard: the dequeue
-    /// (and its LLC traffic) happens on the owning worker; doorbells,
-    /// scheduling, and trace emission stay here. Costs and events match
-    /// the single-queue path exactly.
-    fn app_recv_workers(
-        &mut self,
-        pid: Pid,
-        owner: Owner,
-        notify: bool,
-        key: RingKey,
-        now: Time,
-        blocking: bool,
-    ) -> RecvResult {
-        let shard = self
-            .workers
-            .as_ref()
-            .expect("worker mode active")
-            .owner_of(key);
-        let Some(shard) = shard else {
-            self.stats.ring_missing += 1;
-            return RecvResult {
-                len: None,
-                pkt: None,
-                cpu: Dur::ZERO,
-                blocked: false,
-            };
-        };
-        let reply = self
-            .workers
-            .as_mut()
-            .expect("worker mode active")
-            .recv(shard, key);
-        match reply {
-            RecvReply::Data {
-                desc: RxDesc { pkt, fid },
-                len,
-                cost,
-            } => {
-                let cpu = cost + self.doorbell_cost();
-                self.sched.charge_busy(pid, cpu);
-                self.trace_recv(fid, len, owner, now);
-                RecvResult {
-                    len: Some(len),
-                    pkt: Some(pkt),
-                    cpu,
-                    blocked: false,
-                }
-            }
-            RecvReply::Empty => {
-                let cpu = self.cfg.mem.llc_hit;
-                let mut blocked = false;
-                if blocking && notify {
-                    self.nic.arm_interrupt(pid.0);
-                    blocked = self.sched.block(pid, now, &mut self.procs);
-                } else {
-                    self.sched.charge_polling(pid, cpu);
-                }
-                RecvResult {
-                    len: None,
-                    pkt: None,
-                    cpu,
-                    blocked,
-                }
-            }
-            RecvReply::Missing => {
-                self.stats.ring_missing += 1;
-                RecvResult {
-                    len: None,
-                    pkt: None,
-                    cpu: Dur::ZERO,
-                    blocked: false,
-                }
-            }
-        }
     }
 
     /// POSIX-compatibility receive: like [`Host::app_recv`] but models
@@ -1911,10 +1683,7 @@ impl Host {
         };
         let pid = conn.pid;
         let key = conn.ring_key;
-        if self.workers.is_some() {
-            return self.app_send_workers(id, pid, key, packet, now);
-        }
-        let mem = self.cfg.mem.clone();
+        let shard = conn.shard;
         let Some((_, tx_ring)) = self.rings.get_mut(&key) else {
             self.stats.ring_missing += 1;
             return SendResult {
@@ -1923,22 +1692,17 @@ impl Host {
                 cpu: Dur::ZERO,
             };
         };
-        let produce =
-            match tx_ring.produce_cpu_with(packet.clone(), packet.len(), &mut self.llc, &mem) {
-                Ok(cost) => cost,
-                Err(_) => {
-                    return SendResult {
-                        queued: false,
-                        deferred: false,
-                        cpu: mem.llc_hit,
-                    }
-                }
+        let (llc, mem) = (&mut self.shards[shard].llc, &self.cfg.mem);
+        let Ok(produce) = tx_ring.produce_cpu_with(packet.clone(), packet.len(), llc, mem) else {
+            return SendResult {
+                queued: false,
+                deferred: false,
+                cpu: mem.llc_hit,
             };
-        let doorbell = self.doorbell_cost();
+        };
         // NIC side: DMA-read the frame out of the ring.
-        if let Some((_, tx_ring)) = self.rings.get_mut(&key) {
-            let _ = tx_ring.consume_dma(&mut self.llc, &mem);
-        }
+        let _ = tx_ring.consume_dma(llc, mem);
+        let doorbell = self.doorbell_cost();
         let (queued, deferred) = self.offer_tx(id, packet, now);
         let cpu = produce + doorbell;
         self.sched.charge_busy(pid, cpu);
@@ -1974,66 +1738,6 @@ impl Host {
             }
             Ok(TxDisposition::Drop { .. }) => (false, false),
             Err(_) => (false, false),
-        }
-    }
-
-    /// [`Host::app_send`] with the ring in a worker shard: the payload
-    /// store and NIC DMA-read (and their LLC traffic) happen on the
-    /// owning worker; doorbells, TX scheduling, and retry buffering stay
-    /// here. Costs match the single-queue path exactly.
-    fn app_send_workers(
-        &mut self,
-        id: ConnId,
-        pid: Pid,
-        key: RingKey,
-        packet: &Packet,
-        now: Time,
-    ) -> SendResult {
-        let owner = self
-            .workers
-            .as_ref()
-            .expect("worker mode active")
-            .owner_of(key);
-        let Some(shard) = owner else {
-            self.stats.ring_missing += 1;
-            return SendResult {
-                queued: false,
-                deferred: false,
-                cpu: Dur::ZERO,
-            };
-        };
-        let reply = self.workers.as_mut().expect("worker mode active").send(
-            shard,
-            key,
-            packet.clone(),
-            packet.len(),
-        );
-        let produce = match reply {
-            SendReply::Produced(cost) => cost,
-            SendReply::Full => {
-                return SendResult {
-                    queued: false,
-                    deferred: false,
-                    cpu: self.cfg.mem.llc_hit,
-                }
-            }
-            SendReply::Missing => {
-                self.stats.ring_missing += 1;
-                return SendResult {
-                    queued: false,
-                    deferred: false,
-                    cpu: Dur::ZERO,
-                };
-            }
-        };
-        let doorbell = self.doorbell_cost();
-        let (queued, deferred) = self.offer_tx(id, packet, now);
-        let cpu = produce + doorbell;
-        self.sched.charge_busy(pid, cpu);
-        SendResult {
-            queued,
-            deferred,
-            cpu,
         }
     }
 
@@ -2495,6 +2199,71 @@ mod tests {
         assert_eq!(h.telemetry().recovery_count(RecoveryKind::ShardPanic), 1);
         assert_eq!(h.telemetry().recovery_count(RecoveryKind::ShardRestart), 1);
         h.stop_workers();
+    }
+
+    #[test]
+    fn shard_panic_mid_delivery_reroutes_the_frame_and_keeps_the_rings() {
+        let mut h = Host::new(HostConfig {
+            ring_slots: 8,
+            ..HostConfig::default()
+        });
+        let bob = h.spawn(Uid(1001), "bob", "server");
+        let conns: Vec<ConnId> = (0..4)
+            .map(|i| open_conn(&mut h, bob, 7000 + i, false))
+            .collect();
+        h.run_workers(1).unwrap();
+        h.start_trace();
+        let burst: Vec<Packet> = (0..4)
+            .map(|i| wire_udp(h.cfg.ip, 9000, 7000 + i, 100))
+            .collect();
+        // One frame resident in every ring before the fault.
+        h.pump(&burst, Time::ZERO);
+
+        let busy = |h: &Host| h.sched.core_meter(0).busy;
+        let before = busy(&h);
+        h.shards[0].fault = Some("fault during produce".into());
+        let now = Time::from_us(7);
+        let (reports, _) = h.pump(&burst, now);
+        assert_eq!(reports[0].outcome, DeliveryOutcome::SlowPath);
+        assert!(reports[0].kernel_cpu > Dur::ZERO);
+        for (r, &conn) in reports.iter().zip(&conns).skip(1) {
+            assert_eq!(r.outcome, DeliveryOutcome::FastPath(conn));
+        }
+        assert_eq!(h.stats().worker_rerouted, 1);
+        assert_eq!(h.stats().worker_restarts, 1);
+        assert_eq!(h.worker_restarts(), 1);
+        let events = h.telemetry().recovery_events();
+        let kinds: Vec<_> = events.iter().map(|e| (e.kind, e.at)).collect();
+        assert_eq!(
+            kinds,
+            [
+                (RecoveryKind::ShardPanic, now),
+                (RecoveryKind::ShardRestart, now)
+            ]
+        );
+        // The core paid the three deliveries plus the first backoff.
+        let delivered: Dur = reports.iter().fold(Dur::ZERO, |d, r| d + r.mem_cost);
+        let first_backoff = busy(&h) - before - delivered;
+        assert_eq!(first_backoff, Dur::from_us(50));
+
+        // A second fault on the same shard doubles the backoff.
+        let before = busy(&h);
+        h.shards[0].fault = Some("fault during produce".into());
+        let r = h.deliver_from_wire(&burst[0], Time::from_us(9));
+        assert_eq!(r.outcome, DeliveryOutcome::SlowPath);
+        assert_eq!(busy(&h) - before, first_backoff * 2);
+        assert_eq!(h.stats().worker_rerouted, 2);
+
+        // Nothing that was in a ring was lost: one frame from before the
+        // fault everywhere, one more where the delivery went through.
+        for (i, &conn) in conns.iter().enumerate() {
+            let want = if i == 0 { 1 } else { 2 };
+            for _ in 0..want {
+                assert!(h.app_recv(conn, Time::from_us(20), false).len.is_some());
+            }
+            assert!(h.app_recv(conn, Time::from_us(20), false).len.is_none());
+        }
+        assert!(h.audit().is_empty(), "{:?}", h.audit());
     }
 
     #[test]

@@ -21,9 +21,9 @@
 //! * [`policy`] — the administrator-facing policy types (port
 //!   reservations, shaping policies) and how they lower onto the NIC.
 //! * [`workers`] — the multi-queue sharding layer: [`Host::run_workers`]
-//!   pins one worker thread per RSS queue, each owning its connections'
-//!   ring pairs and telemetry shard, merged at a quiesce barrier so
-//!   policy commits stay atomic across shards.
+//!   gives each RSS queue a shard — a core meter and a way-disjoint LLC
+//!   partition the host charges that queue's deliveries to, in-thread —
+//!   with a supervised boundary that restarts a shard that panics.
 //! * [`tools`] — `ksniff` (tcpdump), `kfilter` (iptables), `kqdisc`
 //!   (tc), `knetstat` (netstat), and [`tools::trace`] (`ktrace`, the
 //!   per-packet lifecycle introspector the paper argues interposition
@@ -55,4 +55,4 @@ pub use policy::{PortReservation, ShapingPolicy};
 pub use telemetry::{
     DropCause, Owner, Profile, SinkStats, Snapshot, Stage, TraceEvent, TraceFilter, TraceVerdict,
 };
-pub use workers::{ShardReport, ShardStats, WorkerError};
+pub use workers::WorkerError;

@@ -94,12 +94,19 @@ impl Scheduler {
     }
 
     /// Charges useful kernel-worker work to `core` (growing the per-core
-    /// meter bank on first touch).
+    /// meter bank on first touch). The host calls it once per fast-path
+    /// delivery, so the charge is inline and the growth is not.
+    #[inline]
     pub fn charge_core_busy(&mut self, core: usize, d: Dur) {
         if core >= self.core_meters.len() {
-            self.core_meters.resize(core + 1, CpuMeter::default());
+            self.grow_core_meters(core + 1);
         }
         self.core_meters[core].busy += d;
+    }
+
+    #[cold]
+    fn grow_core_meters(&mut self, cores: usize) {
+        self.core_meters.resize(cores, CpuMeter::default());
     }
 
     /// Returns the CPU meter for `core` (zeroed if never charged).

@@ -244,7 +244,7 @@ pub enum RecoveryKind {
     NicReset,
     /// The control plane reinstalled the committed bundle after a wipe.
     ReconcileDone,
-    /// A worker shard panicked; its state was salvaged.
+    /// A dataplane shard panicked (its rings are untouched).
     ShardPanic,
     /// A panicked shard was restarted (with bounded backoff).
     ShardRestart,
@@ -365,9 +365,8 @@ impl fmt::Display for TraceVerdict {
 }
 
 /// A process command name, interned for the life of the process so per-
-/// event attribution is a plain copy: no refcount, no allocation, and the
-/// value is `Send`, so worker shards hand events across threads as they
-/// are. Compares and derefs like `&str`.
+/// event attribution is a plain copy: no refcount, no allocation.
+/// Compares and derefs like `&str`.
 ///
 /// Interned names are never freed. Their number is bounded by the distinct
 /// names the process ever sees: one per spawned command, plus the names

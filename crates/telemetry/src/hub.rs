@@ -4,8 +4,7 @@
 //! host (NIC, netstack, NAT, host glue). It is an `Rc` over interior-
 //! mutable state — the dataplane that emits is single-threaded and
 //! deterministic, so no locking is needed and event order is exactly
-//! simulation order. (Worker shards do not share the hub: they buffer
-//! plain `Send` [`TraceEvent`]s and the host [`Telemetry::absorb`]s them.)
+//! simulation order.
 //!
 //! Overhead discipline:
 //!
@@ -21,8 +20,7 @@
 //!   runs the closure once. [`Telemetry::emit_stages`] also takes the
 //!   call's histogram samples, so a frame's whole NIC-side record costs a
 //!   single borrow. [`Telemetry::emit`] (a closure returning a finished
-//!   [`TraceEvent`]) and [`Telemetry::absorb`] forward to the same record
-//!   path.
+//!   [`TraceEvent`]) forwards to the same record path.
 //! * **Collecting** — while a file sink is attached, the profile's filter
 //!   and collectors are asked about `(stage, verdict)` *before* the
 //!   closure runs: under `drop-forensics` a delivered frame is counted in
@@ -450,23 +448,6 @@ impl Telemetry {
         }
     }
 
-    /// Absorbs events recorded elsewhere — worker shards buffer their
-    /// lifecycle events in plain (`Send`) `Vec`s and hand them to the
-    /// host's hub at the quiesce barrier. Unlike [`Telemetry::emit`], the
-    /// generation each event already carries is preserved: the shard
-    /// stamped the epoch that was in force when the event happened, which
-    /// may predate a commit that landed before the merge. Events still
-    /// feed the ledger and the bounded buffer exactly as if emitted here,
-    /// and absorption is gated on the enabled flag like any emission.
-    pub fn absorb(&self, events: impl IntoIterator<Item = TraceEvent>) {
-        if self.enabled.get() {
-            let mut hub = self.hub.borrow_mut();
-            for event in events {
-                hub.record(event.generation, &[event.stage_rec()], || event.frame());
-            }
-        }
-    }
-
     /// Registers (or finds) the latency histogram `name`, returning a
     /// dense handle for hot-path recording.
     pub fn register_hist(&self, name: &str) -> HistId {
@@ -777,40 +758,6 @@ mod tests {
     }
 
     #[test]
-    fn absorb_preserves_shard_generations() {
-        let tel = Telemetry::new();
-        tel.set_enabled(true);
-        tel.set_generation(7);
-        // A shard recorded these under generation 3, before the host
-        // committed generation 7; the merge must not restamp them.
-        let shard_events = vec![
-            TraceEvent {
-                generation: 3,
-                ..ev(1, Stage::RxDeliver, TraceVerdict::Pass)
-            },
-            TraceEvent {
-                generation: 3,
-                ..ev(2, Stage::RxDrop, TraceVerdict::Drop(DropCause::Malformed))
-            },
-        ];
-        tel.absorb(shard_events);
-        let events = tel.events();
-        assert_eq!(events.len(), 2);
-        assert!(events.iter().all(|e| e.generation == 3));
-        // Ledger counted them like any emission.
-        assert_eq!(tel.stage_count(Stage::RxDeliver), 1);
-        assert_eq!(tel.drop_count(DropCause::Malformed), 1);
-    }
-
-    #[test]
-    fn absorb_gated_when_disabled() {
-        let tel = Telemetry::new();
-        tel.absorb(vec![ev(1, Stage::RxIngress, TraceVerdict::Pass)]);
-        assert!(tel.is_empty());
-        assert_eq!(tel.stage_count(Stage::RxIngress), 0);
-    }
-
-    #[test]
     fn recovery_events_recorded_even_when_disabled() {
         let tel = Telemetry::new();
         assert!(!tel.is_enabled());
@@ -1079,14 +1026,6 @@ mod tests {
                             generation: tel.generation(),
                             ..e
                         });
-                    }
-                    3 => {
-                        // A shard's batch, generations pre-stamped.
-                        let batch: Vec<TraceEvent> = (0..r.range_usize(0, 5))
-                            .map(|_| arb_frame(&mut r).event(&arb_rec(&mut r), r.range_u64(0, 4)))
-                            .collect();
-                        tel.absorb(batch.clone());
-                        model.extend(batch);
                     }
                     _ => {
                         // Zero to nine stages: more than the small rings hold.

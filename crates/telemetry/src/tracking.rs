@@ -338,12 +338,14 @@ impl FlowTracker {
                     a.tuple.src_port,
                     a.stage.index(),
                     a.cause.index(),
+                    a.tuple,
                 )
                     .cmp(&(
                         b.tuple.src_ip,
                         b.tuple.src_port,
                         b.stage.index(),
                         b.cause.index(),
+                        b.tuple,
                     ))
             })
         });

@@ -5,13 +5,17 @@ Compares freshly generated bench artifacts against the committed
 baselines in scripts/bench_baselines/ and fails on regression:
 
 * BENCH_PR5.json (multi-queue scaling, virtual-time — deterministic):
-  per-worker-count aggregate goodput must not regress by more than
-  --tolerance (default 10%), the 4-worker speedup must stay over the
-  2.5x acceptance bar, and single-queue parity must hold. Virtual-time
-  numbers only move when dataplane code changes, so a tight tolerance
-  is safe. Comparison requires the same run length (bursts); a length
-  mismatch is reported and skipped rather than failed, so a local full
-  run does not trip over the smoke baseline CI uses.
+  the 4-shard speedup must stay over the 2.5x acceptance bar and
+  single-queue parity must hold. A full (non-smoke) run additionally
+  fails if any width's wall clock exceeds 3x the unsharded run's
+  (`parity.pump_wall_ms`) — shards are accounting, not threads, and must
+  not cost host time. Against the baseline, each width's `makespan_ns`
+  and `per_core_busy_ns` must match *exactly*: virtual time is
+  deterministic, so any difference is a dataplane change that has to be
+  looked at and the baseline regenerated on purpose. Comparison requires
+  the same run length (bursts); a length mismatch is reported and
+  skipped rather than failed, so a local full run does not trip over
+  the smoke baseline CI uses.
 
 * BENCH_PR6.json (fail-operational recovery, virtual-time —
   deterministic): worst-case NIC crash-to-traffic recovery must not
@@ -31,9 +35,12 @@ baselines in scripts/bench_baselines/ and fails on regression:
   requires the same run mode (smoke), like the PR6 check.
 
 * BENCH_PR8.json (trace-pipeline overhead + offline drop forensics):
-  the collect-mode overhead versus tracing-off must stay under the 5%
-  acceptance bar (measured as best-of-reps paired process-CPU ratios,
-  so the bar is enforced even on noisy runners), drop conservation
+  collection must cost under 1000 ns of CPU per recorded event
+  (`collect_ns_per_event`: best-of-reps paired process-CPU difference
+  between collect and tracing-off, over the events in the file, so the
+  bar is enforced even on noisy runners; the ratio `overhead_pct` is
+  printed but not gated — it scales with the sweep's drop rate and with
+  whatever the dataplane under it costs), drop conservation
   between the file's ledger and its recorded events must hold, the
   offline report must account for every ring drop, every audit must be
   clean, and the file must contain events. These are acceptance bars,
@@ -90,38 +97,14 @@ def load(path):
         return None
 
 
-def check_pr5(fresh, base, tol, failures):
+def check_pr5(fresh, base, failures):
     if fresh is None:
         failures.append("BENCH_PR5.json missing — run exp_pr5_bench first")
         return
     if base is None:
         failures.append("baseline BENCH_PR5.json missing")
         return
-    if fresh.get("bursts") != base.get("bursts"):
-        print(
-            f"  pr5: run length differs (fresh bursts={fresh.get('bursts')}, "
-            f"baseline bursts={base.get('bursts')}) — skipping numeric comparison"
-        )
-        return
-    base_points = {p["workers"]: p for p in base.get("scaling", [])}
-    for point in fresh.get("scaling", []):
-        workers = point["workers"]
-        ref = base_points.get(workers)
-        if ref is None:
-            print(f"  pr5: no baseline for {workers} workers — skipping")
-            continue
-        got, want = point["goodput_gbps"], ref["goodput_gbps"]
-        floor = want * (1.0 - tol)
-        status = "ok" if got >= floor else "REGRESSION"
-        print(
-            f"  pr5: {workers} workers — goodput {got:.2f} Gbps "
-            f"(baseline {want:.2f}, floor {floor:.2f}) {status}"
-        )
-        if got < floor:
-            failures.append(
-                f"pr5 scaling: {workers}-worker goodput {got:.2f} Gbps "
-                f"regressed >{tol:.0%} vs baseline {want:.2f}"
-            )
+    # Acceptance bars hold regardless of baseline or run length.
     four = next((p for p in fresh.get("scaling", []) if p["workers"] == 4), None)
     if four is None:
         failures.append("pr5 scaling: 4-worker point missing")
@@ -132,6 +115,47 @@ def check_pr5(fresh, base, tol, failures):
         )
     if not fresh.get("parity", {}).get("identical", False):
         failures.append("pr5 parity: single-queue worker mode diverged from pump")
+    pump_wall = fresh.get("parity", {}).get("pump_wall_ms")
+    if pump_wall is None:
+        failures.append("pr5 parity: pump_wall_ms missing")
+    elif not fresh.get("smoke", False):
+        # Smoke runs last a few ms a width: too short to time.
+        for point in fresh.get("scaling", []):
+            ratio = point["wall_ms"] / pump_wall
+            status = "ok" if ratio <= 3.0 else "TOO SLOW"
+            print(
+                f"  pr5: {point['workers']} workers — wall {point['wall_ms']:.1f} ms, "
+                f"{ratio:.2f}x the unsharded {pump_wall:.1f} ms (bar 3x) {status}"
+            )
+            if ratio > 3.0:
+                failures.append(
+                    f"pr5 wall clock: {point['workers']}-worker run took {ratio:.1f}x "
+                    "the unsharded run (bar 3x)"
+                )
+    if fresh.get("bursts") != base.get("bursts"):
+        print(
+            f"  pr5: run length differs (fresh bursts={fresh.get('bursts')}, "
+            f"baseline bursts={base.get('bursts')}) — skipping baseline comparison"
+        )
+        return
+    base_points = {p["workers"]: p for p in base.get("scaling", [])}
+    for point in fresh.get("scaling", []):
+        workers = point["workers"]
+        ref = base_points.get(workers)
+        if ref is None:
+            print(f"  pr5: no baseline for {workers} workers — skipping")
+            continue
+        for key in ("makespan_ns", "per_core_busy_ns"):
+            if point[key] != ref[key]:
+                failures.append(
+                    f"pr5 scaling: {workers}-worker {key} {point[key]} != baseline "
+                    f"{ref[key]} (virtual time is deterministic: exact match required)"
+                )
+        print(
+            f"  pr5: {workers} workers — makespan {point['makespan_ns']:.0f} vns, "
+            f"goodput {point['goodput_gbps']:.2f} Gbps (baseline makespan "
+            f"{ref['makespan_ns']:.0f} vns)"
+        )
 
 
 def check_pr6(fresh, base, tol, failures):
@@ -252,12 +276,13 @@ def check_pr8(fresh, base, failures):
         return
     # Every pr8 gate is an acceptance bar (enforced in any run mode);
     # the experiment binary itself asserts the cross-checks in detail.
-    overhead = fresh.get("overhead_pct")
-    if overhead is None:
-        failures.append("pr8: overhead_pct missing")
-    elif overhead >= 5.0:
+    per_event = fresh.get("collect_ns_per_event")
+    if per_event is None:
+        failures.append("pr8: collect_ns_per_event missing")
+    elif per_event >= 1000.0:
         failures.append(
-            f"pr8: collect overhead {overhead:+.2f}% at or above the 5% acceptance bar"
+            f"pr8: collection costs {per_event:.0f} ns of CPU per recorded event, "
+            "at or above the 1000 ns acceptance bar"
         )
     if not fresh.get("conservation_ok", False):
         failures.append("pr8: drop conservation violated (file ledger != recorded events)")
@@ -271,7 +296,8 @@ def check_pr8(fresh, base, failures):
     if fresh.get("events_in_file", 0) <= 0:
         failures.append("pr8: collection recorded no events")
     print(
-        f"  pr8: collect overhead {overhead:+.2f}% (bar <5%); "
+        f"  pr8: collect {per_event:.0f} ns/recorded event (bar <1000), "
+        f"{fresh.get('overhead_pct'):+.2f}% over tracing-off (not gated); "
         f"{fresh.get('events_in_file')} events in file, "
         f"{fresh.get('report_total_drops')} drops reconstructed "
         f"across {fresh.get('drop_sites')} sites, conservation "
@@ -419,7 +445,7 @@ def main():
     failures = []
     print("check_bench: BENCH_PR5.json vs baseline")
     check_pr5(load(REPO / "BENCH_PR5.json"), load(baselines / "BENCH_PR5.json"),
-              args.tolerance, failures)
+              failures)
     print("check_bench: BENCH_PR6.json vs baseline")
     check_pr6(load(REPO / "BENCH_PR6.json"), load(baselines / "BENCH_PR6.json"),
               args.tolerance, failures)

@@ -198,7 +198,7 @@ fn shard_panic_under_load_keeps_every_frame_accounted() {
 
     assert_eq!(host.worker_restarts(), 2);
     assert_eq!(host.stats().worker_restarts, 2);
-    // All 12 frames are in rings (restarts salvaged them); drain them.
+    // All 12 frames are in rings (restarts never touch them); drain them.
     let mut received = 0;
     for &c in &conns {
         while host.app_recv(c, Time::from_us(10), false).len.is_some() {

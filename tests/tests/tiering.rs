@@ -142,7 +142,6 @@ fn tiering_worker_mode_matches_inline_counter_for_counter() {
                 log.push_str(&format!("recv {i} {:?} {:?}\n", r.len, r.cpu));
             }
         }
-        host.quiesce();
         if workers {
             host.stop_workers();
         }
