@@ -32,7 +32,7 @@ use telemetry::{
 
 use crate::ctrl::{ControlPlane, CtrlError, PolicyStore, StagedCommit};
 use crate::policy::{PortReservation, ShapingPolicy};
-use crate::workers::{supervised, Shard, WorkerError};
+use crate::workers::{Shard, WorkerError};
 
 /// Host configuration.
 #[derive(Clone, Debug)]
@@ -322,9 +322,9 @@ pub struct Host {
     /// lets [`Host::maybe_reconcile`] rebuild the flow table exactly
     /// once per NIC reset, before the control plane reinstalls policy.
     resets_restored: u64,
-    /// LLC traffic per shard index through the partitions of earlier
-    /// [`Host::run_workers`] epochs, banked by [`Host::stop_workers`] so
-    /// the `llc.shard.<n>.*` metrics stay cumulative across cycles.
+    /// LLC traffic per shard index through partitions that no longer
+    /// exist — banked by [`Host::stop_workers`] and by a shard restart —
+    /// so the `llc.shard.<n>.*` metrics stay cumulative across both.
     shard_llc: Vec<LlcStats>,
 }
 
@@ -457,7 +457,7 @@ impl Host {
             return;
         };
         for (banked, shard) in self.shard_llc.iter_mut().zip(&self.shards) {
-            banked.absorb(&shard.llc_stats());
+            banked.absorb(&shard.llc.stats());
         }
         self.shards = vec![Shard::new(whole_llc)];
         self.reindex_connections();
@@ -476,8 +476,13 @@ impl Host {
     /// The supervisor's half of a shard panic: restarts shard `shard`
     /// (cold cache, restart counted), charges the backoff penalty to its
     /// core, and records `ShardPanic`/`ShardRestart` recovery events at
-    /// the time of the operation that panicked.
+    /// the time of the operation that panicked. The discarded partition's
+    /// LLC counters are banked like [`Host::stop_workers`] banks them; an
+    /// unsharded host's whole-cache counters start over with its cache.
     fn restart_shard(&mut self, shard: usize, payload: &str, now: Time) {
+        if self.sharded.is_some() {
+            self.shard_llc[shard].absorb(&self.shards[shard].llc.stats());
+        }
         let penalty = self.shards[shard].restart();
         self.stats.worker_restarts += 1;
         self.sched.charge_core_busy(shard, penalty);
@@ -496,10 +501,10 @@ impl Host {
         );
     }
 
-    /// Injects a panic into shard `shard` (chaos testing). It unwinds
-    /// into the same supervised boundary a delivery runs under, so by
-    /// the time this returns the shard has been restarted and the crash
-    /// is fully accounted; its rings are untouched. Always returns
+    /// Injects a panic into shard `shard` (chaos testing): the supervisor
+    /// treats it as a crash between operations, so by the time this
+    /// returns the shard has been restarted and the crash is fully
+    /// accounted; its rings are untouched. Always returns
     /// [`WorkerError::ShardPanicked`] describing the crash it caused
     /// (or [`WorkerError::NotRunning`] outside multi-queue mode).
     pub fn inject_worker_panic(
@@ -511,12 +516,11 @@ impl Host {
         if self.sharded.is_none() {
             return Err(WorkerError::NotRunning);
         }
-        // `resume_unwind` skips the panic hook: an injected fault is not
-        // worth a backtrace on stderr.
-        let payload = supervised(|| std::panic::resume_unwind(Box::new(msg.to_string())))
-            .expect_err("the injected panic always unwinds");
-        self.restart_shard(shard, &payload, now);
-        Err(WorkerError::ShardPanicked { shard, payload })
+        self.restart_shard(shard, msg, now);
+        Err(WorkerError::ShardPanicked {
+            shard,
+            payload: msg.to_string(),
+        })
     }
 
     /// Total shard restarts the supervisor has performed since
@@ -577,7 +581,7 @@ impl Host {
         let mut stats = self.shard_llc.get(i).copied().unwrap_or_default();
         if self.sharded.is_some() {
             if let Some(shard) = self.shards.get(i) {
-                stats.absorb(&shard.llc_stats());
+                stats.absorb(&shard.llc.stats());
             }
         }
         stats

@@ -23,10 +23,10 @@
 //! has a frame in flight — the RX ring produce, `Shard::rx_produce` —
 //! runs under a supervised call boundary (`supervised`); a panic there
 //! restarts that shard (`Shard::restart`) and the host reroutes the
-//! frame through the software slow path. Rings and their contents are never touched by a
-//! restart.
+//! frame through the software slow path. Rings and their contents are
+//! never touched by a restart.
 
-use memsim::{Llc, LlcStats, MemCosts, RingError};
+use memsim::{Llc, MemCosts, RingError};
 use pkt::Packet;
 use sim::Dur;
 
@@ -90,8 +90,6 @@ pub(crate) struct Shard {
     pub llc: Llc,
     /// Supervised restarts of this shard (drives the backoff doubling).
     pub restarts: u64,
-    /// LLC traffic through the caches earlier restarts discarded.
-    discarded: LlcStats,
     /// Fault injection for the supervision test: the next RX produce on
     /// this shard panics with this message.
     #[cfg(test)]
@@ -103,7 +101,6 @@ impl Shard {
         Shard {
             llc,
             restarts: 0,
-            discarded: LlcStats::default(),
             #[cfg(test)]
             fault: None,
         }
@@ -151,22 +148,13 @@ impl Shard {
     }
 
     /// Restarts the shard after a caught panic: its cache comes back
-    /// cold, the restart is counted, and the backoff penalty to charge
-    /// to its core is returned — doubling from 50 µs, capped after six
-    /// doublings.
+    /// cold (counters and all — the host banks them first), the restart
+    /// is counted, and the backoff penalty to charge to its core is
+    /// returned — doubling from 50 µs, capped after six doublings.
     pub(crate) fn restart(&mut self) -> Dur {
-        self.discarded.absorb(&self.llc.stats());
         self.llc = Llc::new(self.llc.config().clone());
         self.restarts += 1;
         Dur::from_us(50 << (self.restarts - 1).min(6))
-    }
-
-    /// LLC traffic through this shard since it was created, restarts
-    /// included.
-    pub(crate) fn llc_stats(&self) -> LlcStats {
-        let mut stats = self.discarded;
-        stats.absorb(&self.llc.stats());
-        stats
     }
 }
 
@@ -174,7 +162,7 @@ impl Shard {
 /// panic inside it into the stringified payload, for the host to restart
 /// the shard and account the crash. Rings are not behind the boundary's
 /// state — they are host memory and survive whatever the shard does.
-pub(crate) fn supervised<T>(op: impl FnOnce() -> T) -> Result<T, String> {
+fn supervised<T>(op: impl FnOnce() -> T) -> Result<T, String> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(op)).map_err(|e| {
         if let Some(s) = e.downcast_ref::<&str>() {
             (*s).to_string()

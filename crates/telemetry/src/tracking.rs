@@ -544,6 +544,26 @@ mod tests {
     }
 
     #[test]
+    fn equal_count_sites_report_in_one_order() {
+        // Sixteen flows from one source address and port, told apart
+        // only by destination port, one drop each: the report's order
+        // must not depend on the site map's iteration order.
+        let mut tr = FlowTracker::new(TrackerConfig::default());
+        for port in (0..16u16).rev() {
+            let mut t = tuple(1);
+            t.dst_port = 5000 + port;
+            tr.observe(&ev(
+                t,
+                u64::from(port),
+                Stage::RingEnqueue,
+                TraceVerdict::Drop(DropCause::RingFull),
+            ));
+        }
+        let ports: Vec<u16> = tr.report().sites.iter().map(|s| s.tuple.dst_port).collect();
+        assert_eq!(ports, (5000..5016).collect::<Vec<u16>>());
+    }
+
+    #[test]
     fn long_lived_flows_survive_gc() {
         let cfg = TrackerConfig {
             max_flows: 32,

@@ -35,12 +35,9 @@ baselines in scripts/bench_baselines/ and fails on regression:
   requires the same run mode (smoke), like the PR6 check.
 
 * BENCH_PR8.json (trace-pipeline overhead + offline drop forensics):
-  collection must cost under 1000 ns of CPU per recorded event
-  (`collect_ns_per_event`: best-of-reps paired process-CPU difference
-  between collect and tracing-off, over the events in the file, so the
-  bar is enforced even on noisy runners; the ratio `overhead_pct` is
-  printed but not gated — it scales with the sweep's drop rate and with
-  whatever the dataplane under it costs), drop conservation
+  the collect-mode overhead versus tracing-off must stay under the 5%
+  acceptance bar (measured as best-of-reps paired process-CPU ratios,
+  so the bar is enforced even on noisy runners), drop conservation
   between the file's ledger and its recorded events must hold, the
   offline report must account for every ring drop, every audit must be
   clean, and the file must contain events. These are acceptance bars,
@@ -276,13 +273,12 @@ def check_pr8(fresh, base, failures):
         return
     # Every pr8 gate is an acceptance bar (enforced in any run mode);
     # the experiment binary itself asserts the cross-checks in detail.
-    per_event = fresh.get("collect_ns_per_event")
-    if per_event is None:
-        failures.append("pr8: collect_ns_per_event missing")
-    elif per_event >= 1000.0:
+    overhead = fresh.get("overhead_pct")
+    if overhead is None:
+        failures.append("pr8: overhead_pct missing")
+    elif overhead >= 5.0:
         failures.append(
-            f"pr8: collection costs {per_event:.0f} ns of CPU per recorded event, "
-            "at or above the 1000 ns acceptance bar"
+            f"pr8: collect overhead {overhead:+.2f}% at or above the 5% acceptance bar"
         )
     if not fresh.get("conservation_ok", False):
         failures.append("pr8: drop conservation violated (file ledger != recorded events)")
@@ -296,8 +292,7 @@ def check_pr8(fresh, base, failures):
     if fresh.get("events_in_file", 0) <= 0:
         failures.append("pr8: collection recorded no events")
     print(
-        f"  pr8: collect {per_event:.0f} ns/recorded event (bar <1000), "
-        f"{fresh.get('overhead_pct'):+.2f}% over tracing-off (not gated); "
+        f"  pr8: collect overhead {overhead:+.2f}% (bar <5%); "
         f"{fresh.get('events_in_file')} events in file, "
         f"{fresh.get('report_total_drops')} drops reconstructed "
         f"across {fresh.get('drop_sites')} sites, conservation "
