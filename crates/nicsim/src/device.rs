@@ -21,7 +21,7 @@ use telemetry::{
 };
 
 use crate::flowtable::{
-    ConnEntry, ConnId, FlowCacheConfig, FlowTable, FlowTier, LookupHit, RetierReport,
+    ConnEntry, ConnId, FlowCacheConfig, FlowTable, FlowTier, LookupHit, Resolved, RetierReport,
 };
 use crate::notify::{Notification, NotifyKind, NotifyQueue};
 use crate::pipeline::{
@@ -298,6 +298,18 @@ pub struct SmartNic {
     /// trace last restarted); audit cross-checks compare the ledger
     /// against deltas from here.
     tel_baseline: NicStats,
+    rx_scratch: RxScratch,
+}
+
+/// [`SmartNic::rx_batch`]'s per-burst working buffers, cleared and
+/// refilled by every burst.
+#[derive(Default)]
+struct RxScratch {
+    metas: Vec<Result<FrameMeta, pkt::PktError>>,
+    /// `(flow hash, tuple)` of each steerable frame, in arrival order.
+    queries: Vec<(u32, FiveTuple)>,
+    /// Where each query steers.
+    conns: Vec<Option<Resolved>>,
 }
 
 impl SmartNic {
@@ -339,6 +351,7 @@ impl SmartNic {
             tel,
             tel_hists,
             tel_baseline: NicStats::default(),
+            rx_scratch: RxScratch::default(),
             cfg,
         }
     }
@@ -1807,30 +1820,32 @@ impl SmartNic {
                 .collect();
         }
 
+        // The burst's working buffers are the NIC's, kept for their
+        // capacity: only the returned results are allocated per burst.
+        let mut scratch = std::mem::take(&mut self.rx_scratch);
+
         // Stage 1: a side-effect-free parser sweep (build-time descriptors
         // short-circuit it entirely). Drop accounting stays in stage 3 so
         // pipeline occupancy and sniffer captures advance in arrival
         // order, exactly as the sequential path would.
-        let metas: Vec<Result<FrameMeta, pkt::PktError>> =
-            packets.iter().map(FrameMeta::of).collect();
+        scratch.metas.clear();
+        scratch.metas.extend(packets.iter().map(FrameMeta::of));
 
         // Stage 2: one batched, *pure* flow-table resolution over the
         // frames that survived parsing and carry a steerable tuple. Tier
         // movements never change steering, so resolution order is free;
         // the stateful half (counters, recency, promotion) is applied
         // per-frame in stage 3, in arrival order.
-        let mut queries: Vec<(u32, FiveTuple)> = Vec::with_capacity(packets.len());
-        let mut query_of: Vec<Option<usize>> = Vec::with_capacity(packets.len());
-        for m in &metas {
-            match m {
-                Ok(meta) if meta.l4_checksum_ok && meta.tuple.is_some() => {
-                    query_of.push(Some(queries.len()));
-                    queries.push((meta.flow_hash, meta.tuple.unwrap()));
-                }
-                _ => query_of.push(None),
-            }
-        }
-        let conns = self.flows.resolve_batch(&queries);
+        let steerable = |m: &Result<FrameMeta, pkt::PktError>| match m {
+            Ok(meta) if meta.l4_checksum_ok => meta.tuple.map(|t| (meta.flow_hash, t)),
+            _ => None,
+        };
+        scratch.queries.clear();
+        scratch
+            .queries
+            .extend(scratch.metas.iter().filter_map(steerable));
+        self.flows
+            .resolve_batch(&scratch.queries, &mut scratch.conns);
 
         // Stage 3: finish each frame in arrival order, preserving
         // per-stage timing, capture, and notification semantics. The
@@ -1839,31 +1854,35 @@ impl SmartNic {
         // every later frame (the stage-2 steering results for them die
         // with the flow table they were probed from, and a dead-dropped
         // frame never touches lookup state — it vanished at the wire).
-        metas
-            .into_iter()
-            .zip(query_of)
+        let mut conns = scratch.conns.iter();
+        let results = scratch
+            .metas
+            .iter()
             .zip(packets)
-            .map(|((m, q), packet)| {
+            .map(|(m, packet)| {
+                // Stage 2 resolved the steerable frames in this order.
+                let query = steerable(m).map(|_| *conns.next().expect("one result per query"));
                 if self.tick_crash(now) {
                     return self.rx_dead_drop(packet, now);
                 }
                 match m {
                     Ok(meta) if !meta.l4_checksum_ok => {
                         self.stats.rx_bad_checksum += 1;
-                        self.rx_malformed_drop(packet, Ok(&meta), now)
+                        self.rx_malformed_drop(packet, Ok(meta), now)
                     }
                     Ok(meta) => {
-                        let hit =
-                            q.and_then(|qi| self.flows.touch_lookup(conns[qi], &mut self.sram));
-                        self.rx_finish(packet, meta, hit, now)
+                        let hit = query.and_then(|r| self.flows.touch_lookup(r, &mut self.sram));
+                        self.rx_finish(packet, *meta, hit, now)
                     }
                     Err(e) => {
                         self.stats.rx_malformed += 1;
-                        self.rx_malformed_drop(packet, Err(&e), now)
+                        self.rx_malformed_drop(packet, Err(e), now)
                     }
                 }
             })
-            .collect()
+            .collect();
+        self.rx_scratch = scratch;
+        results
     }
 
     /// Records a TX frame refused at the door: offered and dropped for

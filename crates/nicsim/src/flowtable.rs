@@ -20,8 +20,6 @@
 //! exhaustion is an insert failure, exactly the pre-hierarchy behavior
 //! (§5's resource-exhaustion concern).
 
-use std::collections::BTreeSet;
-
 use sim::FastMap;
 
 use pkt::{FiveTuple, IpProto};
@@ -177,6 +175,9 @@ pub struct ConnEntry {
     pub comm: telemetry::Comm,
     /// Whether the connection requested notifications (blocking I/O).
     pub notify: bool,
+    /// Whether this is a listener entry (proto + local port, no remote
+    /// endpoint) rather than an exact-match connection.
+    pub listener: bool,
     /// Which tier the entry currently occupies (listeners are always
     /// hot: they are tiny and catch first packets).
     pub tier: FlowTier,
@@ -250,10 +251,6 @@ pub struct RetierReport {
     pub demoted: Vec<(ConnId, FiveTuple)>,
 }
 
-/// Victim-ordering key: `(rank, last_use, id)` ascending, so the minimum
-/// element is the lowest-ranked, least-recently-used hot entry.
-type VictimKey = (u8, u64, u64);
-
 /// Packs a [`FiveTuple`] into one 128-bit exact-match key: two hasher
 /// rounds instead of the derive's field-by-field (and per-octet) walk.
 /// The packing is injective, so key equality is tuple equality. Public
@@ -268,24 +265,136 @@ pub fn exact_key(t: &FiveTuple) -> u128 {
         | u128::from(t.proto.0)
 }
 
+/// Eviction ranks run 0 (never hot) to 3 (pinned); each queue keeps one
+/// recency list per rank.
+const RANKS: usize = 4;
+
+/// The "no neighbour" link of a recency list.
+const NIL: u32 = u32::MAX;
+
+/// Where a tuple steers, as [`FlowTable::resolve`] found it: the entry's
+/// slab slot, so [`FlowTable::touch_lookup`] reaches it by index instead
+/// of a second hash probe. Good until the table next gains or loses an
+/// entry; the id is carried so a handle that outlived its entry is caught
+/// rather than served from whatever reused the slot.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Resolved {
+    slot: u32,
+    id: ConnId,
+}
+
+impl Resolved {
+    /// The connection the tuple steers to.
+    pub fn id(self) -> ConnId {
+        self.id
+    }
+}
+
+/// One slab cell: an entry and its links in the recency list it is on
+/// (hot exact entries only; everything else keeps both links [`NIL`]).
+struct Slot {
+    entry: ConnEntry,
+    prev: u32,
+    next: u32,
+}
+
+/// One (queue, rank) recency list, threaded through the slab by slot
+/// index: head = least recently used, tail = most.
+#[derive(Clone, Copy)]
+struct RecencyList {
+    head: u32,
+    tail: u32,
+    len: usize,
+}
+
+impl RecencyList {
+    const EMPTY: RecencyList = RecencyList {
+        head: NIL,
+        tail: NIL,
+        len: 0,
+    };
+}
+
+/// A queue's hot slice in victim order. `last_use` is a strictly
+/// increasing tick handed to exactly one entry at a time, and an entry
+/// goes to the tail of its list whenever it takes a new tick, so each
+/// list is in ascending `last_use` order and the lists read in rank order
+/// are the queue's hot entries in ascending `(rank, last_use, id)` order:
+/// the victim is the head of the lowest non-empty rank.
+type QueueLists = [RecencyList; RANKS];
+
+fn hot_len(lists: &QueueLists) -> usize {
+    lists.iter().map(|l| l.len).sum()
+}
+
+/// The entry at `slot`, which an index or a list says is occupied.
+fn entry_at(slab: &[Option<Slot>], slot: u32) -> &ConnEntry {
+    &slab[slot as usize]
+        .as_ref()
+        .expect("a linked or indexed slot holds an entry")
+        .entry
+}
+
+fn live(slab: &mut [Option<Slot>], slot: u32) -> &mut Slot {
+    slab[slot as usize]
+        .as_mut()
+        .expect("a linked or indexed slot holds an entry")
+}
+
+/// Appends `slot` (not on any list) as `list`'s most recent entry.
+fn push_back(slab: &mut [Option<Slot>], list: &mut RecencyList, slot: u32) {
+    let s = live(slab, slot);
+    s.prev = list.tail;
+    s.next = NIL;
+    match list.tail {
+        NIL => list.head = slot,
+        tail => live(slab, tail).next = slot,
+    }
+    list.tail = slot;
+    list.len += 1;
+}
+
+/// Takes `slot` off `list`, which it must be on.
+fn unlink(slab: &mut [Option<Slot>], list: &mut RecencyList, slot: u32) {
+    let s = live(slab, slot);
+    let (prev, next) = (s.prev, s.next);
+    (s.prev, s.next) = (NIL, NIL);
+    match prev {
+        NIL => list.head = next,
+        prev => live(slab, prev).next = next,
+    }
+    match next {
+        NIL => list.tail = prev,
+        next => live(slab, next).prev = prev,
+    }
+    list.len -= 1;
+}
+
 /// The flow table.
 pub struct FlowTable {
     /// Exact-match index, keyed by the packed tuple ([`exact_key`]).
-    exact: FastMap<u128, ConnId>,
-    listeners: FastMap<(IpProto, u16), ConnId>,
-    entries: FastMap<ConnId, ConnEntry>,
+    exact: FastMap<u128, Resolved>,
+    listeners: FastMap<(IpProto, u16), Resolved>,
+    /// Connection id → slab slot, for the callers that hold an id.
+    by_id: FastMap<ConnId, u32>,
+    /// Entry storage; vacated cells are reused through `free`.
+    slab: Vec<Option<Slot>>,
+    free: Vec<u32>,
     /// Active cache policy; `None` = untiered boot behavior.
     cache: Option<FlowCacheConfig>,
     /// RSS queue count the hot tier is sliced across.
     num_queues: usize,
     /// Per-queue victim order over hot exact entries.
-    hot: Vec<BTreeSet<VictimKey>>,
-    /// Cold exact-entry count (the hot count is the victim sets' total).
+    hot: Vec<QueueLists>,
+    /// Cold exact-entry count (the hot count is the lists' total).
     cold: usize,
     next_id: u64,
     /// Logical recency clock, ticked per insert and per exact hit.
     tick: u64,
     stats: FlowStats,
+    /// Probe order of the burst being resolved (scratch, kept for its
+    /// capacity).
+    batch_order: Vec<usize>,
 }
 
 impl Default for FlowTable {
@@ -300,14 +409,17 @@ impl FlowTable {
         FlowTable {
             exact: FastMap::default(),
             listeners: FastMap::default(),
-            entries: FastMap::default(),
+            by_id: FastMap::default(),
+            slab: Vec::new(),
+            free: Vec::new(),
             cache: None,
             num_queues: 1,
-            hot: vec![BTreeSet::new()],
+            hot: vec![[RecencyList::EMPTY; RANKS]],
             cold: 0,
             next_id: 0,
             tick: 0,
             stats: FlowStats::default(),
+            batch_order: Vec::new(),
         }
     }
 
@@ -324,7 +436,7 @@ impl FlowTable {
 
     /// Returns the number of hot-tier exact-match entries.
     pub fn num_hot(&self) -> usize {
-        self.hot.iter().map(BTreeSet::len).sum()
+        self.hot.iter().map(hot_len).sum()
     }
 
     /// Returns the number of cold-tier exact-match entries.
@@ -334,7 +446,7 @@ impl FlowTable {
 
     /// Returns the number of hot entries owned by RSS queue `q`.
     pub fn num_hot_on_queue(&self, q: usize) -> usize {
-        self.hot.get(q).map_or(0, BTreeSet::len)
+        self.hot.get(q).map_or(0, hot_len)
     }
 
     /// Returns the number of listener entries.
@@ -344,7 +456,7 @@ impl FlowTable {
 
     /// Returns the total number of entry records (exact + listeners).
     pub fn num_entries(&self) -> usize {
-        self.entries.len()
+        self.by_id.len()
     }
 
     /// Returns `true` if no connections are installed.
@@ -369,7 +481,7 @@ impl FlowTable {
 
     /// Returns the tier of connection `id`, if it exists.
     pub fn tier_of(&self, id: ConnId) -> Option<FlowTier> {
-        self.entries.get(&id).map(|e| e.tier)
+        self.entry(id).map(|e| e.tier)
     }
 
     fn rank_for(&self, local_port: u16) -> u8 {
@@ -386,10 +498,6 @@ impl FlowTable {
         }
     }
 
-    fn victim_key(e: &ConnEntry) -> VictimKey {
-        (e.rank, e.last_use, e.id.0)
-    }
-
     /// Charges the SRAM for one hot exact entry (slot + ring context),
     /// atomically: on failure nothing is held.
     fn charge_hot(sram: &mut Sram) -> Result<(), SramError> {
@@ -404,6 +512,33 @@ impl FlowTable {
     fn release_hot(sram: &mut Sram) {
         sram.release(SramCategory::FlowTable, ENTRY_BYTES);
         sram.release(SramCategory::RingContext, RING_CONTEXT_BYTES);
+    }
+
+    /// Stores `entry` in a free slab cell, off every list, and indexes it
+    /// by id.
+    fn store(&mut self, entry: ConnEntry) -> Resolved {
+        let id = entry.id;
+        let cell = Some(Slot {
+            entry,
+            prev: NIL,
+            next: NIL,
+        });
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = cell;
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.slab.len())
+                    .ok()
+                    .filter(|&slot| slot != NIL)
+                    .expect("fewer than 2^32 - 1 flow entries");
+                self.slab.push(cell);
+                slot
+            }
+        };
+        self.by_id.insert(id, slot);
+        Resolved { slot, id }
     }
 
     /// Installs an exact-match connection on RSS queue `queue`.
@@ -430,21 +565,6 @@ impl FlowTable {
         Ok((id, tier))
     }
 
-    /// Deprecated pre-tiering installer: single-queue, legacy signature.
-    #[deprecated(note = "use FlowTable::insert, which routes through the tiered cache")]
-    pub fn install(
-        &mut self,
-        tuple: FiveTuple,
-        uid: u32,
-        pid: u32,
-        comm: &str,
-        notify: bool,
-        sram: &mut Sram,
-    ) -> Result<ConnId, SramError> {
-        self.insert(tuple, uid, pid, comm, notify, 0, sram)
-            .map(|(id, _)| id)
-    }
-
     /// Reinstalls an exact-match connection under a *caller-chosen* id —
     /// the crash-recovery path, where the kernel re-populates a wiped
     /// table from its own connection records and the original ids must
@@ -468,7 +588,7 @@ impl FlowTable {
         sram: &mut Sram,
     ) -> FlowTier {
         assert!(
-            !self.entries.contains_key(&id) && !self.exact.contains_key(&exact_key(&tuple)),
+            !self.by_id.contains_key(&id) && !self.exact.contains_key(&exact_key(&tuple)),
             "restore must target a free id and tuple"
         );
         let tier = self
@@ -496,7 +616,7 @@ impl FlowTable {
     ) -> Result<FlowTier, SramError> {
         let q = usize::from(queue).min(self.num_queues - 1);
         let rank = self.rank_for(tuple.dst_port);
-        let hot_eligible = rank > 0 && self.hot[q].len() < self.queue_capacity(q);
+        let hot_eligible = rank > 0 && hot_len(&self.hot[q]) < self.queue_capacity(q);
         let tier = if hot_eligible {
             match Self::charge_hot(sram) {
                 Ok(()) => FlowTier::Hot,
@@ -507,26 +627,27 @@ impl FlowTable {
             FlowTier::Cold
         };
         self.tick += 1;
-        let entry = ConnEntry {
+        let at = self.store(ConnEntry {
             id,
             tuple,
             uid,
             pid,
             comm: telemetry::Comm::new(comm),
             notify,
+            listener: false,
             tier,
             queue: q as u16,
             rank,
             last_use: self.tick,
-        };
+        });
         match tier {
+            // The newest tick in the table: the list's most recent entry.
             FlowTier::Hot => {
-                self.hot[q].insert(Self::victim_key(&entry));
+                push_back(&mut self.slab, &mut self.hot[q][usize::from(rank)], at.slot)
             }
             FlowTier::Cold => self.cold += 1,
         }
-        self.exact.insert(exact_key(&tuple), id);
-        self.entries.insert(id, entry);
+        self.exact.insert(exact_key(&tuple), at);
         Ok(tier)
     }
 
@@ -544,7 +665,7 @@ impl FlowTable {
         sram: &mut Sram,
     ) -> Result<(), SramError> {
         assert!(
-            !self.entries.contains_key(&id) && !self.listeners.contains_key(&(proto, port)),
+            !self.by_id.contains_key(&id) && !self.listeners.contains_key(&(proto, port)),
             "restore must target a free id and listener key"
         );
         sram.alloc(SramCategory::FlowTable, LISTENER_BYTES)?;
@@ -579,52 +700,53 @@ impl FlowTable {
         pid: u32,
         comm: &str,
     ) {
-        self.listeners.insert((proto, port), id);
-        self.entries.insert(
+        let at = self.store(ConnEntry {
             id,
-            ConnEntry {
-                id,
-                // Listener entries have no remote endpoint; use a zeroed
-                // tuple with only the local port meaningful.
-                tuple: FiveTuple {
-                    src_ip: std::net::Ipv4Addr::UNSPECIFIED,
-                    dst_ip: std::net::Ipv4Addr::UNSPECIFIED,
-                    src_port: 0,
-                    dst_port: port,
-                    proto,
-                },
-                uid,
-                pid,
-                comm: telemetry::Comm::new(comm),
-                notify: false,
-                tier: FlowTier::Hot,
-                queue: 0,
-                rank: u8::MAX,
-                last_use: 0,
+            // Listener entries have no remote endpoint; use a zeroed
+            // tuple with only the local port meaningful.
+            tuple: FiveTuple {
+                src_ip: std::net::Ipv4Addr::UNSPECIFIED,
+                dst_ip: std::net::Ipv4Addr::UNSPECIFIED,
+                src_port: 0,
+                dst_port: port,
+                proto,
             },
-        );
+            uid,
+            pid,
+            comm: telemetry::Comm::new(comm),
+            notify: false,
+            listener: true,
+            tier: FlowTier::Hot,
+            queue: 0,
+            rank: u8::MAX,
+            last_use: 0,
+        });
+        self.listeners.insert((proto, port), at);
     }
 
     /// Removes a connection, returning its SRAM (per its tier).
     pub fn remove(&mut self, id: ConnId, sram: &mut Sram) -> bool {
-        let Some(entry) = self.entries.remove(&id) else {
+        let Some(slot) = self.by_id.remove(&id) else {
             return false;
         };
-        if self.exact.remove(&exact_key(&entry.tuple)).is_some() {
-            match entry.tier {
+        let e = &live(&mut self.slab, slot).entry;
+        let (listener, tier, tuple) = (e.listener, e.tier, e.tuple);
+        let (q, rank) = (usize::from(e.queue), usize::from(e.rank));
+        if listener {
+            self.listeners.remove(&(tuple.proto, tuple.dst_port));
+            sram.release(SramCategory::FlowTable, LISTENER_BYTES);
+        } else {
+            self.exact.remove(&exact_key(&tuple));
+            match tier {
                 FlowTier::Hot => {
-                    self.hot[usize::from(entry.queue)].remove(&Self::victim_key(&entry));
+                    unlink(&mut self.slab, &mut self.hot[q][rank], slot);
                     Self::release_hot(sram);
                 }
                 FlowTier::Cold => self.cold -= 1,
             }
-        } else if self
-            .listeners
-            .remove(&(entry.tuple.proto, entry.tuple.dst_port))
-            .is_some()
-        {
-            sram.release(SramCategory::FlowTable, LISTENER_BYTES);
         }
+        self.slab[slot as usize] = None;
+        self.free.push(slot);
         true
     }
 
@@ -633,147 +755,124 @@ impl FlowTable {
     /// recency, no promotion — pair with [`FlowTable::touch_lookup`],
     /// which applies those side effects in arrival order (the split that
     /// keeps batched lookups byte-identical to sequential ones).
-    pub fn resolve(&self, tuple: &FiveTuple) -> Option<ConnId> {
+    pub fn resolve(&self, tuple: &FiveTuple) -> Option<Resolved> {
         self.exact
             .get(&exact_key(tuple))
             .or_else(|| self.listeners.get(&(tuple.proto, tuple.dst_port)))
             .copied()
     }
 
-    /// Batched [`FlowTable::resolve`]: probes in flow-hash order — the
-    /// way hardware bank-sorts a burst to maximize SRAM locality — and
-    /// returns results in the caller's original order, coalescing
-    /// same-flow runs into one probe. Pure: tier movements never change
-    /// which connection a tuple steers to, so resolution order is free.
-    pub fn resolve_batch(&self, queries: &[(u32, FiveTuple)]) -> Vec<Option<ConnId>> {
-        let mut order: Vec<usize> = (0..queries.len()).collect();
+    /// Batched [`FlowTable::resolve`] into `out` (cleared first, one
+    /// result per query, in the caller's order): probes in flow-hash
+    /// order — the way hardware bank-sorts a burst to maximize SRAM
+    /// locality — coalescing same-flow runs into one probe. Pure but for
+    /// the table's own scratch: tier movements never change which
+    /// connection a tuple steers to, so resolution order is free.
+    pub fn resolve_batch(&mut self, queries: &[(u32, FiveTuple)], out: &mut Vec<Option<Resolved>>) {
+        let mut order = std::mem::take(&mut self.batch_order);
+        order.clear();
+        order.extend(0..queries.len());
         order.sort_by_key(|&i| queries[i].0);
-        let mut results = vec![None; queries.len()];
-        let mut prev: Option<(usize, Option<ConnId>)> = None;
-        for i in order {
-            results[i] = match prev {
-                Some((p, hit)) if queries[p].1 == queries[i].1 => hit,
+        out.clear();
+        out.resize(queries.len(), None);
+        let mut prev: Option<usize> = None;
+        for &i in &order {
+            out[i] = match prev {
+                Some(p) if queries[p].1 == queries[i].1 => out[p],
                 _ => self.resolve(&queries[i].1),
             };
-            prev = Some((i, results[i]));
+            prev = Some(i);
         }
-        results
+        self.batch_order = order;
     }
 
     /// Applies the stateful half of one lookup: counters, recency, and —
     /// under a tiered policy — promotion of cold hits into the hot tier
     /// (possibly demoting a victim). Returns what the caller needs for
     /// latency accounting and lifecycle events.
-    pub fn touch_lookup(&mut self, resolved: Option<ConnId>, sram: &mut Sram) -> Option<LookupHit> {
+    pub fn touch_lookup(
+        &mut self,
+        resolved: Option<Resolved>,
+        sram: &mut Sram,
+    ) -> Option<LookupHit> {
         self.stats.lookups += 1;
-        let Some(id) = resolved else {
+        let Some(Resolved { slot, id }) = resolved else {
             self.stats.misses += 1;
             return None;
         };
-        // One probe serves both the listener check and the recency
-        // update: `entries`, `listeners`, `stats`, and `tick` are
-        // disjoint fields, so the mutable entry borrow can stay live
-        // across them.
-        let entry = self.entries.get_mut(&id).expect("resolved id has an entry");
+        let e = &mut live(&mut self.slab, slot).entry;
+        assert_eq!(e.id, id, "resolved handle outlived its entry");
+        let mut hit = LookupHit {
+            id,
+            tier: e.tier,
+            promoted: false,
+            demoted: None,
+            notify: e.notify,
+            uid: e.uid,
+            pid: e.pid,
+            comm: e.comm,
+        };
         // Listener hit: always hot, no recency bookkeeping (and no tick
         // consumed — listener hits must not perturb flow recency stamps).
-        if self
-            .listeners
-            .get(&(entry.tuple.proto, entry.tuple.dst_port))
-            == Some(&id)
-        {
+        if e.listener {
             self.stats.hot_hits += 1;
-            return Some(LookupHit {
-                id,
-                tier: FlowTier::Hot,
-                promoted: false,
-                demoted: None,
-                notify: entry.notify,
-                uid: entry.uid,
-                pid: entry.pid,
-                comm: entry.comm,
-            });
+            return Some(hit);
         }
         self.tick += 1;
-        let tick = self.tick;
-        let q = usize::from(entry.queue);
-        match entry.tier {
+        e.last_use = self.tick;
+        let (q, rank) = (usize::from(e.queue), e.rank);
+        match hit.tier {
             FlowTier::Hot => {
                 self.stats.hot_hits += 1;
-                let old = Self::victim_key(entry);
-                entry.last_use = tick;
-                let new = Self::victim_key(entry);
-                let (notify, uid, pid, comm) = (entry.notify, entry.uid, entry.pid, entry.comm);
-                let set = &mut self.hot[q];
-                set.remove(&old);
-                set.insert(new);
-                Some(LookupHit {
-                    id,
-                    tier: FlowTier::Hot,
-                    promoted: false,
-                    demoted: None,
-                    notify,
-                    uid,
-                    pid,
-                    comm,
-                })
+                let list = &mut self.hot[q][usize::from(rank)];
+                if list.tail != slot {
+                    unlink(&mut self.slab, list, slot);
+                    push_back(&mut self.slab, list, slot);
+                }
             }
             FlowTier::Cold => {
                 self.stats.cold_hits += 1;
-                entry.last_use = tick;
-                let rank = entry.rank;
-                let (notify, uid, pid, comm) = (entry.notify, entry.uid, entry.pid, entry.comm);
-                let (promoted, demoted) = if self.cache.is_some() && rank > 0 {
-                    self.try_promote(id, q, sram)
-                } else {
-                    (false, None)
-                };
-                Some(LookupHit {
-                    id,
-                    tier: FlowTier::Cold,
-                    promoted,
-                    demoted,
-                    notify,
-                    uid,
-                    pid,
-                    comm,
-                })
+                if self.cache.is_some() && rank > 0 {
+                    (hit.promoted, hit.demoted) = self.try_promote(slot, q, rank, sram);
+                }
             }
         }
+        Some(hit)
     }
 
-    /// Attempts to promote cold entry `id` (already recency-stamped) into
-    /// queue `q`'s hot slice, demoting a victim if the policy allows.
+    /// Attempts to promote the cold entry at `slot` (already
+    /// recency-stamped) into queue `q`'s hot slice, demoting a victim if
+    /// the policy allows.
     fn try_promote(
         &mut self,
-        id: ConnId,
+        slot: u32,
         q: usize,
+        rank: u8,
         sram: &mut Sram,
     ) -> (bool, Option<(ConnId, FiveTuple)>) {
         let cap = self.queue_capacity(q);
-        let candidate_rank = self.entries[&id].rank;
+        let lists = &mut self.hot[q];
         let mut demoted = None;
-        if self.hot[q].len() >= cap {
+        if hot_len(lists) >= cap {
             // Full: the lowest-ranked, least-recent hot entry is the only
             // candidate victim, and it must not outrank the newcomer.
-            let Some(&victim_key) = self.hot[q].first() else {
+            let Some(vrank) = lists.iter().position(|l| l.len > 0) else {
                 // Zero-capacity slice: nothing can ever go hot here.
                 self.stats.promotion_refusals += 1;
                 return (false, None);
             };
-            let (vrank, _, vid) = victim_key;
-            if vrank > candidate_rank {
+            if vrank > usize::from(rank) {
                 self.stats.promotion_refusals += 1;
                 return (false, None);
             }
-            self.hot[q].remove(&victim_key);
-            let victim = self.entries.get_mut(&ConnId(vid)).expect("victim exists");
+            let vslot = lists[vrank].head;
+            unlink(&mut self.slab, &mut lists[vrank], vslot);
+            let victim = &mut live(&mut self.slab, vslot).entry;
             victim.tier = FlowTier::Cold;
-            let vtuple = victim.tuple;
+            demoted = Some((victim.id, victim.tuple));
             Self::release_hot(sram);
             self.cold += 1;
             self.stats.evictions += 1;
-            demoted = Some((ConnId(vid), vtuple));
         }
         if Self::charge_hot(sram).is_err() {
             // SRAM exhausted by other categories; stay cold. (If a victim
@@ -782,9 +881,9 @@ impl FlowTable {
             self.stats.promotion_refusals += 1;
             return (false, demoted);
         }
-        let entry = self.entries.get_mut(&id).expect("candidate exists");
-        entry.tier = FlowTier::Hot;
-        self.hot[q].insert(Self::victim_key(entry));
+        live(&mut self.slab, slot).entry.tier = FlowTier::Hot;
+        // Stamped with the newest tick by the hit that got us here.
+        push_back(&mut self.slab, &mut lists[usize::from(rank)], slot);
         self.cold -= 1;
         self.stats.promotions += 1;
         (true, demoted)
@@ -806,7 +905,9 @@ impl FlowTable {
         queries: &[(u32, FiveTuple)],
         sram: &mut Sram,
     ) -> Vec<Option<LookupHit>> {
-        self.resolve_batch(queries)
+        let mut resolved = Vec::new();
+        self.resolve_batch(queries, &mut resolved);
+        resolved
             .into_iter()
             .map(|r| self.touch_lookup(r, sram))
             .collect()
@@ -829,90 +930,124 @@ impl FlowTable {
         assert!(num_queues > 0, "need at least one queue slice");
         self.cache = cache;
         self.num_queues = num_queues;
-        let mut ids: Vec<ConnId> = self.exact.values().copied().collect();
-        ids.sort();
-        for &id in &ids {
-            let rank = self
-                .cache
-                .as_ref()
-                .map_or(1, |c| c.rank_of(self.entries[&id].tuple.dst_port));
-            let entry = self.entries.get_mut(&id).expect("exact id has an entry");
+        // Every exact entry's slot, in id order.
+        let mut slots: Vec<u32> = self.exact.values().map(|at| at.slot).collect();
+        slots.sort_by_key(|&s| entry_at(&self.slab, s).id);
+        for &s in &slots {
+            let rank = self.rank_for(entry_at(&self.slab, s).tuple.dst_port);
+            let entry = &mut live(&mut self.slab, s).entry;
             entry.queue = queue_of(&entry.tuple).min(num_queues as u16 - 1);
             entry.rank = rank;
         }
         // Desired hot set per queue: best (rank, recency) first.
-        let mut by_queue: Vec<Vec<ConnId>> = vec![Vec::new(); num_queues];
-        for &id in &ids {
-            let e = &self.entries[&id];
+        let mut by_queue: Vec<Vec<u32>> = vec![Vec::new(); num_queues];
+        for &s in &slots {
+            let e = entry_at(&self.slab, s);
             if e.rank > 0 {
-                by_queue[usize::from(e.queue)].push(id);
+                by_queue[usize::from(e.queue)].push(s);
             }
         }
-        let mut desired_set: std::collections::HashSet<ConnId> = std::collections::HashSet::new();
+        let mut desired = vec![false; self.slab.len()];
         for (q, group) in by_queue.iter_mut().enumerate() {
-            group.sort_by_key(|id| {
-                let e = &self.entries[id];
+            group.sort_by_key(|&s| {
+                let e = entry_at(&self.slab, s);
                 (
                     std::cmp::Reverse(e.rank),
                     std::cmp::Reverse(e.last_use),
-                    e.id.0,
+                    e.id,
                 )
             });
             let cap = self.queue_capacity(q).min(group.len());
-            desired_set.extend(&group[..cap]);
+            for &s in &group[..cap] {
+                desired[s as usize] = true;
+            }
         }
         let mut report = RetierReport::default();
         // Demotions first, freeing SRAM for the promotions.
-        for &id in &ids {
-            let e = self.entries.get_mut(&id).expect("exact id has an entry");
-            if e.tier == FlowTier::Hot && !desired_set.contains(&id) {
+        for &s in &slots {
+            let e = &mut live(&mut self.slab, s).entry;
+            if e.tier == FlowTier::Hot && !desired[s as usize] {
                 e.tier = FlowTier::Cold;
-                let tuple = e.tuple;
+                report.demoted.push((e.id, e.tuple));
                 Self::release_hot(sram);
                 self.cold += 1;
                 self.stats.evictions += 1;
-                report.demoted.push((id, tuple));
             }
         }
-        for &id in &ids {
-            if self.entries[&id].tier == FlowTier::Cold && desired_set.contains(&id) {
+        for &s in &slots {
+            let e = &mut live(&mut self.slab, s).entry;
+            if e.tier == FlowTier::Cold && desired[s as usize] {
                 // SRAM shared with programs/NAT may refuse; refused
                 // entries stay cold (deterministically: id order).
                 if Self::charge_hot(sram).is_ok() {
-                    let e = self.entries.get_mut(&id).expect("exact id has an entry");
                     e.tier = FlowTier::Hot;
+                    report.promoted.push((e.id, e.tuple));
                     self.cold -= 1;
                     self.stats.promotions += 1;
-                    report.promoted.push((id, e.tuple));
                 } else {
                     self.stats.promotion_refusals += 1;
                 }
             }
         }
-        // Rebuild the per-queue victim order from the entries' new state.
-        self.hot = vec![BTreeSet::new(); num_queues];
-        for &id in &ids {
-            let e = &self.entries[&id];
-            if e.tier == FlowTier::Hot {
-                self.hot[usize::from(e.queue)].insert(Self::victim_key(e));
-            }
+        // Rebuild the per-queue victim order from the entries' new state:
+        // appended in ascending `last_use`, every list comes out sorted.
+        self.hot = vec![[RecencyList::EMPTY; RANKS]; num_queues];
+        slots.retain(|&s| entry_at(&self.slab, s).tier == FlowTier::Hot);
+        slots.sort_by_key(|&s| entry_at(&self.slab, s).last_use);
+        for s in slots {
+            let e = entry_at(&self.slab, s);
+            let (q, rank) = (usize::from(e.queue), usize::from(e.rank));
+            push_back(&mut self.slab, &mut self.hot[q][rank], s);
         }
         report
     }
 
-    /// Internal-consistency audit: the victim sets, tier tags, and cold
-    /// counter must describe the same partition of the exact entries.
+    /// Internal-consistency audit: the indexes, the recency lists, the
+    /// tier tags and the cold counter must describe the same partition of
+    /// the entries, and every list must be in victim order.
     pub fn audit_tiers(&self) -> Vec<String> {
         let mut violations = Vec::new();
-        let hot_tagged = self
-            .exact
-            .values()
-            .filter(|id| self.entries[id].tier == FlowTier::Hot)
-            .count();
-        let cold_tagged = self.exact.len() - hot_tagged;
+        let cell = |slot: u32| self.slab.get(slot as usize).and_then(Option::as_ref);
+        // Indexes → slab: no dangling slot, no entry filed under a key or
+        // id that is not its own.
+        for (id, &slot) in &self.by_id {
+            if cell(slot).map(|s| s.entry.id) != Some(*id) {
+                violations.push(format!("flow index: {id} maps to slot {slot}, not its own"));
+            }
+        }
+        // The entry an index value names, if the slot still holds it.
+        let own = |at: &Resolved| cell(at.slot).map(|s| &s.entry).filter(|e| e.id == at.id);
+        let misfiled = |at: &Resolved| {
+            format!(
+                "flow index: {} is filed under a key its slot {} does not hold",
+                at.id, at.slot
+            )
+        };
+        let (mut hot_tagged, mut cold_tagged) = (0, 0);
+        for (key, at) in &self.exact {
+            match own(at).filter(|e| !e.listener && exact_key(&e.tuple) == *key) {
+                Some(e) if e.tier == FlowTier::Hot => hot_tagged += 1,
+                Some(_) => cold_tagged += 1,
+                None => violations.push(misfiled(at)),
+            }
+        }
+        for (key, at) in &self.listeners {
+            if !own(at).is_some_and(|e| e.listener && (e.tuple.proto, e.tuple.dst_port) == *key) {
+                violations.push(misfiled(at));
+            }
+        }
+        let occupied = self.slab.iter().flatten().count();
+        if occupied != self.by_id.len() || occupied + self.free.len() != self.slab.len() {
+            violations.push(format!(
+                "flow slab: {occupied} occupied + {} free of {} cells, {} ids indexed",
+                self.free.len(),
+                self.slab.len(),
+                self.by_id.len()
+            ));
+        }
         if hot_tagged != self.num_hot() {
             violations.push(format!(
-                "flow tiers: {hot_tagged} hot-tagged entries != {} victim-set members",
+                "flow tiers: {hot_tagged} hot-tagged entries != {} recency-list members",
                 self.num_hot()
             ));
         }
@@ -922,21 +1057,60 @@ impl FlowTable {
                 self.cold
             ));
         }
-        for (q, set) in self.hot.iter().enumerate() {
-            for &(_, _, id) in set {
-                match self.entries.get(&ConnId(id)) {
-                    None => violations.push(format!("victim set q{q} names dead conn#{id}")),
-                    Some(e) if e.tier != FlowTier::Hot || usize::from(e.queue) != q => {
-                        violations.push(format!("victim set q{q} disagrees with conn#{id}'s entry"))
+        if self.hot.len() != self.num_queues {
+            violations.push(format!(
+                "flow tiers: {} queue slices for {} queues",
+                self.hot.len(),
+                self.num_queues
+            ));
+        }
+        for (q, lists) in self.hot.iter().enumerate() {
+            for (rank, list) in lists.iter().enumerate() {
+                let name = format!("recency list q{q} rank {rank}");
+                if rank == 0 && list.len > 0 {
+                    violations.push(format!("{name}: rank 0 is never hot"));
+                }
+                // Walk at most one step past the recorded length, so a
+                // cycle reads as a wrong length instead of hanging.
+                let (mut walked, mut prev, mut at) = (0usize, NIL, list.head);
+                let mut last_use = 0;
+                while at != NIL && walked <= list.len {
+                    let Some(s) = cell(at) else {
+                        violations.push(format!("{name}: dangling slot {at}"));
+                        break;
+                    };
+                    let e = &s.entry;
+                    if e.listener || e.tier != FlowTier::Hot || usize::from(e.queue) != q {
+                        violations.push(format!("{name} disagrees with {}'s tier or queue", e.id));
                     }
-                    Some(_) => {}
+                    if usize::from(e.rank) != rank {
+                        violations.push(format!("{name} holds {} of rank {}", e.id, e.rank));
+                    }
+                    if e.last_use <= last_use {
+                        violations.push(format!(
+                            "{name}: {} (last use {}) follows last use {last_use}",
+                            e.id, e.last_use
+                        ));
+                    }
+                    if s.prev != prev {
+                        violations.push(format!("{name}: {}'s back link is wrong", e.id));
+                    }
+                    last_use = e.last_use;
+                    (prev, at) = (at, s.next);
+                    walked += 1;
+                }
+                if walked != list.len || (at == NIL && prev != list.tail) {
+                    violations.push(format!(
+                        "{name}: walked {walked} entries to slot {prev}, list says {} ending at {}",
+                        list.len, list.tail
+                    ));
                 }
             }
             if let Some(c) = &self.cache {
-                if set.len() > self.queue_capacity(q) {
+                if hot_len(lists) > self.queue_capacity(q) {
                     violations.push(format!(
                         "queue {q} holds {} hot entries over its {} slice of {}",
-                        set.len(),
+                        hot_len(lists),
                         self.queue_capacity(q),
                         c.hot_capacity
                     ));
@@ -948,14 +1122,18 @@ impl FlowTable {
 
     /// Returns the entry for a connection id.
     pub fn entry(&self, id: ConnId) -> Option<&ConnEntry> {
-        self.entries.get(&id)
+        self.by_id.get(&id).map(|&slot| entry_at(&self.slab, slot))
     }
 
     /// Iterates over all entries (for `knetstat`).
     pub fn entries(&self) -> impl Iterator<Item = &ConnEntry> {
-        self.entries.values()
+        self.slab.iter().flatten().map(|s| &s.entry)
     }
 }
+
+#[cfg(test)]
+#[path = "flowtable_model.rs"]
+mod model;
 
 #[cfg(test)]
 mod tests {

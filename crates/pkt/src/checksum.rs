@@ -2,17 +2,31 @@
 
 use std::net::Ipv4Addr;
 
-/// Sums `data` as big-endian 16-bit words into a 32-bit accumulator,
-/// padding an odd trailing byte with zero.
-fn sum_words(mut acc: u32, data: &[u8]) -> u32 {
-    let mut chunks = data.chunks_exact(2);
-    for c in &mut chunks {
-        acc += u32::from(u16::from_be_bytes([c[0], c[1]]));
+/// Adds `data`, read as big-endian 16-bit words with an odd trailing
+/// byte padded with zero, to `acc` in ones'-complement arithmetic.
+///
+/// The sum is taken eight bytes per step: 2^16 ≡ 1 (mod 0xFFFF), so a
+/// big-endian word of any width is congruent to the sum of its 16-bit
+/// parts, and the halves of each `u64` are added to a 64-bit accumulator
+/// that cannot overflow below 2^34 bytes of input. The one fold at the
+/// end keeps the two facts [`finish`] depends on: the residue mod
+/// 0xFFFF, and whether the sum is zero.
+fn sum_words(acc: u32, data: &[u8]) -> u32 {
+    let mut sum = u64::from(acc);
+    let mut wide = data.chunks_exact(8);
+    for c in &mut wide {
+        let w = u64::from_be_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]);
+        sum += (w >> 32) + (w & 0xFFFF_FFFF);
     }
-    if let [last] = chunks.remainder() {
-        acc += u32::from(u16::from_be_bytes([*last, 0]));
+    let mut words = wide.remainder().chunks_exact(2);
+    for c in &mut words {
+        sum += u64::from(u16::from_be_bytes([c[0], c[1]]));
     }
-    acc
+    if let [last] = words.remainder() {
+        sum += u64::from(u16::from_be_bytes([*last, 0]));
+    }
+    let folded = (sum & 0xFFFF) + ((sum >> 16) & 0xFFFF) + ((sum >> 32) & 0xFFFF) + (sum >> 48);
+    folded as u32
 }
 
 /// Folds the carries and complements, producing the final checksum.
@@ -75,6 +89,73 @@ mod tests {
         // The worked example from RFC 1071 §3.
         let data = [0x00u8, 0x01, 0xf2, 0x03, 0xf4, 0xf5, 0xf6, 0xf7];
         assert_eq!(internet_checksum(&data), !0xddf2);
+    }
+
+    /// RFC 1071's definition, one 16-bit word per step.
+    fn sum_words_reference(mut acc: u32, data: &[u8]) -> u32 {
+        let mut chunks = data.chunks_exact(2);
+        for c in &mut chunks {
+            acc += u32::from(u16::from_be_bytes([c[0], c[1]]));
+        }
+        if let [last] = chunks.remainder() {
+            acc += u32::from(u16::from_be_bytes([*last, 0]));
+        }
+        acc
+    }
+
+    #[test]
+    fn wide_sum_matches_word_reference_at_every_length() {
+        let mut rng = sim::DetRng::seed_from_u64(1071);
+        let mut data = vec![0u8; 1514];
+        for chunk in data.chunks_mut(8) {
+            let word = rng.next_u64().to_be_bytes();
+            chunk.copy_from_slice(&word[..chunk.len()]);
+        }
+        // All-ones words are the carry-heavy case; zeros the one where
+        // "is the sum zero" matters.
+        let ones = vec![0xFFu8; 1514];
+        let zeros = vec![0u8; 1514];
+        for len in 0..=1514 {
+            for buf in [&data, &ones, &zeros] {
+                for acc in [0u32, 17 + 1514, 0xFFFF, 0x0003_FFFC] {
+                    assert_eq!(
+                        finish(sum_words(acc, &buf[..len])),
+                        finish(sum_words_reference(acc, &buf[..len])),
+                        "len {len} acc {acc:#x}"
+                    );
+                }
+            }
+            let (src, dst) = (Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2));
+            let by_words = {
+                let mut acc = sum_words_reference(0, &src.octets());
+                acc = sum_words_reference(acc, &dst.octets());
+                acc += 17 + len as u32;
+                match finish(sum_words_reference(acc, &data[..len])) {
+                    0 => 0xFFFF,
+                    sum => sum,
+                }
+            };
+            assert_eq!(pseudo_header_checksum(src, dst, 17, &data[..len]), by_words);
+        }
+    }
+
+    #[test]
+    fn verify_and_incremental_update_round_trip_at_every_even_length() {
+        let mut rng = sim::DetRng::seed_from_u64(1624);
+        for len in (4..=1514).step_by(2) {
+            let mut data: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+            data[0..2].copy_from_slice(&[0, 0]); // checksum slot
+            let sum = internet_checksum(&data);
+            data[0..2].copy_from_slice(&sum.to_be_bytes());
+            assert!(verify(&data), "len {len}");
+            // Rewrite the last word; RFC 1624 must agree with a re-sum.
+            let old_word = u16::from_be_bytes([data[len - 2], data[len - 1]]);
+            let new_word = rng.next_u64() as u16;
+            data[len - 2..].copy_from_slice(&new_word.to_be_bytes());
+            let updated = incremental_update(sum, old_word, new_word);
+            data[0..2].copy_from_slice(&updated.to_be_bytes());
+            assert!(verify(&data), "len {len} after rewrite");
+        }
     }
 
     #[test]

@@ -102,11 +102,30 @@ pub const MS_RSS_KEY: [u8; 40] = [
     0x6a, 0x42, 0xb7, 0x3b, 0xbe, 0xac, 0x01, 0xfa,
 ];
 
+/// Bytes of Toeplitz input for the TCP/UDP 4-tuple (two addresses, two
+/// ports).
+const INPUT_LEN: usize = 12;
+
 /// A Toeplitz hasher for receive-side scaling.
-#[derive(Clone, Debug)]
+///
+/// Toeplitz is linear over GF(2), so the hash of an input is the XOR of
+/// the hashes of its bytes taken one at a time (each at its own
+/// position). `new` precomputes those per-byte hashes — one 256-entry
+/// table per input byte, ~12 KB — and hashing is twelve loads and XORs.
+#[derive(Clone)]
 pub struct RssHasher {
-    key: [u8; 40],
+    /// `tables[i][v]`: the hash of an input that is `v` at byte `i` and
+    /// zero elsewhere.
+    tables: [[u32; 256]; INPUT_LEN],
     queues: u32,
+}
+
+impl fmt::Debug for RssHasher {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("RssHasher")
+            .field("queues", &self.queues)
+            .finish_non_exhaustive()
+    }
 }
 
 impl RssHasher {
@@ -118,7 +137,24 @@ impl RssHasher {
     /// Panics if `queues` is zero.
     pub fn new(key: [u8; 40], queues: u32) -> RssHasher {
         assert!(queues > 0, "need at least one RSS queue");
-        RssHasher { key, queues }
+        // `windows[p]`: the 32 key bits starting at bit `p` — what input
+        // bit `p`, when set, contributes to the hash.
+        let windows: [u32; INPUT_LEN * 8] = std::array::from_fn(|p| {
+            let mut wide = [0u8; 8];
+            wide.copy_from_slice(&key[p / 8..p / 8 + 8]);
+            ((u64::from_be_bytes(wide) << (p % 8)) >> 32) as u32
+        });
+        let mut tables = [[0u32; 256]; INPUT_LEN];
+        for (i, table) in tables.iter_mut().enumerate() {
+            for v in 1..256usize {
+                // `v` is `rest` plus its lowest set bit; bit 7 is the
+                // byte's first bit on the wire.
+                let rest = v & (v - 1);
+                let bit = v.trailing_zeros() as usize;
+                table[v] = table[rest] ^ windows[i * 8 + 7 - bit];
+            }
+        }
+        RssHasher { tables, queues }
     }
 
     /// Creates a hasher with the Microsoft verification key.
@@ -126,34 +162,15 @@ impl RssHasher {
         RssHasher::new(MS_RSS_KEY, queues)
     }
 
-    fn toeplitz(&self, input: &[u8]) -> u32 {
-        let mut result = 0u32;
-        // The sliding 32-bit window over the key, advanced one bit per
-        // input bit.
-        let mut window = u32::from_be_bytes([self.key[0], self.key[1], self.key[2], self.key[3]]);
-        let mut next_key_bit = 32; // absolute bit index into the key
-        for &byte in input {
-            for bit in (0..8).rev() {
-                if byte >> bit & 1 == 1 {
-                    result ^= window;
-                }
-                // Shift the window left by one, pulling in the next key
-                // bit (keys longer than the input always suffice for
-                // 5-tuple inputs with a 40-byte key).
-                let kb = if next_key_bit < self.key.len() * 8 {
-                    (self.key[next_key_bit / 8] >> (7 - next_key_bit % 8)) & 1
-                } else {
-                    0
-                };
-                window = (window << 1) | u32::from(kb);
-                next_key_bit += 1;
-            }
-        }
-        result
+    fn toeplitz(&self, input: &[u8; INPUT_LEN]) -> u32 {
+        self.tables
+            .iter()
+            .zip(input)
+            .fold(0, |h, (table, &b)| h ^ table[usize::from(b)])
     }
 
-    fn hash_input(ft: &FiveTuple) -> [u8; 12] {
-        let mut input = [0u8; 12];
+    fn hash_input(ft: &FiveTuple) -> [u8; INPUT_LEN] {
+        let mut input = [0u8; INPUT_LEN];
         input[0..4].copy_from_slice(&ft.src_ip.octets());
         input[4..8].copy_from_slice(&ft.dst_ip.octets());
         input[8..10].copy_from_slice(&ft.src_port.to_be_bytes());
@@ -176,7 +193,7 @@ impl RssHasher {
     pub fn hash_delta(&self, old_hash: u32, old: &FiveTuple, new: &FiveTuple) -> u32 {
         let a = Self::hash_input(old);
         let b = Self::hash_input(new);
-        let mut delta = [0u8; 12];
+        let mut delta = [0u8; INPUT_LEN];
         for (d, (x, y)) in delta.iter_mut().zip(a.iter().zip(b.iter())) {
             *d = x ^ y;
         }
@@ -233,6 +250,77 @@ mod tests {
         for ((src, sp), (dst, dp), expect) in cases {
             let ft = FiveTuple::tcp(addr(src), sp, addr(dst), dp);
             assert_eq!(h.hash(&ft), expect, "vector {src}:{sp} > {dst}:{dp}");
+        }
+    }
+
+    /// The Microsoft specification's algorithm as written: a 32-bit
+    /// window slides over the key one bit per input bit, and every set
+    /// input bit XORs the window in. The oracle the tables answer to.
+    fn toeplitz_bit_serial(key: &[u8; 40], input: &[u8]) -> u32 {
+        let mut result = 0u32;
+        let mut window = u32::from_be_bytes([key[0], key[1], key[2], key[3]]);
+        let mut next_key_bit = 32; // absolute bit index into the key
+        for &byte in input {
+            for bit in (0..8).rev() {
+                if byte >> bit & 1 == 1 {
+                    result ^= window;
+                }
+                let kb = if next_key_bit < key.len() * 8 {
+                    (key[next_key_bit / 8] >> (7 - next_key_bit % 8)) & 1
+                } else {
+                    0
+                };
+                window = (window << 1) | u32::from(kb);
+                next_key_bit += 1;
+            }
+        }
+        result
+    }
+
+    fn tuple_from(r: u64, s: u64) -> FiveTuple {
+        FiveTuple::udp(
+            Ipv4Addr::from((r >> 32) as u32),
+            r as u16,
+            Ipv4Addr::from((s >> 32) as u32),
+            s as u16,
+        )
+    }
+
+    #[test]
+    fn tables_match_bit_serial_oracle_on_random_keys() {
+        let mut rng = sim::DetRng::seed_from_u64(0x7065_6c69_747a);
+        for round in 0..64 {
+            let mut key = MS_RSS_KEY;
+            if round > 0 {
+                for chunk in key.chunks_mut(8) {
+                    chunk.copy_from_slice(&rng.next_u64().to_be_bytes());
+                }
+            }
+            let h = RssHasher::new(key, 1);
+            for _ in 0..256 {
+                let (a, b) = (
+                    tuple_from(rng.next_u64(), rng.next_u64()),
+                    tuple_from(rng.next_u64(), rng.next_u64()),
+                );
+                let (ia, ib) = (RssHasher::hash_input(&a), RssHasher::hash_input(&b));
+                assert_eq!(h.hash(&a), toeplitz_bit_serial(&key, &ia), "{a}");
+                assert_eq!(h.hash_delta(h.hash(&a), &a, &b), h.hash(&b), "{a} -> {b}");
+                let mut xor = [0u8; INPUT_LEN];
+                for (x, (p, q)) in xor.iter_mut().zip(ia.iter().zip(&ib)) {
+                    *x = p ^ q;
+                }
+                assert_eq!(h.toeplitz(&xor), h.hash(&a) ^ h.hash(&b), "linearity");
+            }
+            // Each input bit alone: the window the oracle slides to it.
+            for bit in 0..INPUT_LEN * 8 {
+                let mut input = [0u8; INPUT_LEN];
+                input[bit / 8] = 0x80 >> (bit % 8);
+                assert_eq!(
+                    h.toeplitz(&input),
+                    toeplitz_bit_serial(&key, &input),
+                    "bit {bit}"
+                );
+            }
         }
     }
 

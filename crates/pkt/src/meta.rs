@@ -56,6 +56,20 @@ pub fn flow_hash_of(tuple: &FiveTuple) -> u32 {
     shared_hasher().hash(tuple)
 }
 
+#[cfg(debug_assertions)]
+thread_local! {
+    static DERIVES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// How many times this thread has run [`FrameMeta::derive`] — the one
+/// place wire bytes are parsed into a descriptor. Debug builds only:
+/// "each frame is parsed once, at the NIC" is a count tests assert, and
+/// release builds carry neither the counter nor the bump.
+#[cfg(debug_assertions)]
+pub fn derive_count() -> u64 {
+    DERIVES.with(std::cell::Cell::get)
+}
+
 /// A parse-once frame descriptor carried alongside the wire bytes.
 ///
 /// `Copy` on purpose: the descriptor is 64-ish bytes of plain data, cheap
@@ -133,6 +147,8 @@ impl FrameMeta {
     /// [`FrameMeta::l4_checksum_ok`] cleared and the caller decides
     /// (the NIC counts it separately from malformed frames).
     pub fn derive(frame: &[u8]) -> Result<FrameMeta> {
+        #[cfg(debug_assertions)]
+        DERIVES.with(|n| n.set(n.get() + 1));
         let parsed = Parsed::from_frame(frame)?;
         Ok(FrameMeta::from_parsed(&parsed, frame))
     }

@@ -6,15 +6,16 @@
 #   scripts/ci.sh --job lint      # one job: lint | build-test |
 #                                 #   telemetry-test | recovery-test |
 #                                 #   trace-pipeline | overlay-diff |
-#                                 #   miri | bench-smoke | all
+#                                 #   miri | normanbench-smoke |
+#                                 #   bench-smoke | all
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 job="all"
 if [[ "${1:-}" == "--job" ]]; then
-  job="${2:?usage: ci.sh [--job lint|build-test|telemetry-test|recovery-test|trace-pipeline|overlay-diff|miri|bench-smoke|all]}"
+  job="${2:?usage: ci.sh [--job lint|build-test|telemetry-test|recovery-test|trace-pipeline|overlay-diff|miri|normanbench-smoke|bench-smoke|all]}"
 elif [[ -n "${1:-}" ]]; then
-  echo "usage: ci.sh [--job lint|build-test|telemetry-test|recovery-test|trace-pipeline|overlay-diff|miri|bench-smoke|all]" >&2
+  echo "usage: ci.sh [--job lint|build-test|telemetry-test|recovery-test|trace-pipeline|overlay-diff|miri|normanbench-smoke|bench-smoke|all]" >&2
   exit 2
 fi
 
@@ -108,6 +109,17 @@ run_miri() {
   fi
 }
 
+run_normanbench_smoke() {
+  # normanbench (BENCHMARK.json) is a package of its own outside the
+  # workspace. Its tests push all four workloads through smoke mode,
+  # twice and on a second seed, and each run fails itself unless the
+  # audit is clean, TX is conserved and the traced pass's simulated
+  # metrics equal the untraced pass's. Its own job, so a dataplane
+  # change is gated on it whatever the wall-clock guard below says.
+  echo "==> normanbench smoke (all four workloads, traced == untraced vns)"
+  cargo test --manifest-path benchmark/Cargo.toml
+}
+
 run_bench_smoke() {
   echo "==> bench smoke (1 iteration per bench)"
   BENCH_SMOKE=1 cargo bench --bench substrates
@@ -136,14 +148,6 @@ run_bench_smoke() {
   echo "==> compiled-overlay engine bench (smoke)"
   BENCH_SMOKE=1 cargo run --release -p bench --bin exp_pr10_bench
 
-  # normanbench (BENCHMARK.json) is a package of its own outside the
-  # workspace. Its tests push all four workloads through smoke mode,
-  # twice and on a second seed, and each run fails itself unless the
-  # audit is clean, TX is conserved and the traced pass's simulated
-  # metrics equal the untraced pass's.
-  echo "==> normanbench smoke (all four workloads, traced == untraced vns)"
-  cargo test --manifest-path benchmark/Cargo.toml
-
   echo "==> bench regression guard"
   python3 scripts/check_bench.py
 }
@@ -156,6 +160,7 @@ case "$job" in
   trace-pipeline) run_trace_pipeline ;;
   overlay-diff) run_overlay_diff ;;
   miri) run_miri ;;
+  normanbench-smoke) run_normanbench_smoke ;;
   bench-smoke) run_bench_smoke ;;
   all)
     run_lint
@@ -165,10 +170,11 @@ case "$job" in
     run_trace_pipeline
     run_overlay_diff
     run_miri
+    run_normanbench_smoke
     run_bench_smoke
     ;;
   *)
-    echo "unknown job: $job (want lint, build-test, telemetry-test, recovery-test, trace-pipeline, overlay-diff, miri, bench-smoke, or all)" >&2
+    echo "unknown job: $job (want lint, build-test, telemetry-test, recovery-test, trace-pipeline, overlay-diff, miri, normanbench-smoke, bench-smoke, or all)" >&2
     exit 2
     ;;
 esac
