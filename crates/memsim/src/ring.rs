@@ -66,18 +66,15 @@ pub struct DescRing<T> {
     enqueued: u64,
     dequeued: u64,
     full_drops: u64,
-    /// Per-slot LLC residency memos (descriptor line, payload lines):
-    /// ring slots sit at fixed addresses and are touched in strict
-    /// rotation, the exact pattern [`RangeMemo`] accelerates. Shared by
-    /// the producer and consumer of each slot.
-    desc_memos: Vec<RangeMemo>,
+    /// Per-slot LLC residency memos: ring slots sit at fixed addresses
+    /// and are touched in strict rotation, the exact pattern
+    /// [`RangeMemo`] accelerates. Shared by the producer and consumer of
+    /// each slot.
     data_memos: Vec<RangeMemo>,
-    /// When the base address is descriptor-aligned every 16-byte
-    /// descriptor fits in one cache line, and the per-slot memo
-    /// collapses to one flat way-slot index (`u32::MAX` = unknown) —
-    /// see [`Llc::access_line_memo`]. Unaligned rings (never built in
-    /// practice) keep the general `desc_memos` path.
-    desc_single_line: bool,
+    /// The descriptor's memo: the base address is descriptor-aligned, so
+    /// every 16-byte descriptor sits in one cache line and its memo is
+    /// one flat way-slot index (`u32::MAX` = unknown) — see
+    /// [`Llc::access_line_memo`].
     desc_slots: Vec<u32>,
 }
 
@@ -94,10 +91,16 @@ impl<T> DescRing<T> {
     ///
     /// # Panics
     ///
-    /// Panics if `slots` or `slot_bytes` is zero.
+    /// Panics if `slots` or `slot_bytes` is zero, or if `base_addr` is
+    /// not a multiple of [`DescRing::DESC_BYTES`] (a descriptor must not
+    /// straddle a cache line).
     pub fn new(base_addr: u64, slots: usize, slot_bytes: usize) -> DescRing<T> {
         assert!(slots > 0, "ring needs at least one slot");
         assert!(slot_bytes > 0, "slots need nonzero capacity");
+        assert!(
+            base_addr.is_multiple_of(Self::DESC_BYTES),
+            "ring base {base_addr:#x} is not descriptor-aligned"
+        );
         DescRing {
             base_addr,
             slots,
@@ -109,9 +112,7 @@ impl<T> DescRing<T> {
             enqueued: 0,
             dequeued: 0,
             full_drops: 0,
-            desc_memos: vec![RangeMemo::default(); slots],
             data_memos: vec![RangeMemo::default(); slots],
-            desc_single_line: base_addr.is_multiple_of(Self::DESC_BYTES),
             desc_slots: vec![u32::MAX; slots],
         }
     }
@@ -218,22 +219,12 @@ impl<T> DescRing<T> {
             return Err(RingError::Full);
         }
         let slot = self.slot_of(self.head);
-        let mut cost = if self.desc_single_line {
-            llc.access_line_memo(
-                self.desc_addr(slot),
-                kind,
-                costs,
-                &mut self.desc_slots[slot],
-            )
-        } else {
-            llc.access_range_memo(
-                self.desc_addr(slot),
-                Self::DESC_BYTES,
-                kind,
-                costs,
-                &mut self.desc_memos[slot],
-            )
-        };
+        let mut cost = llc.access_line_memo(
+            self.desc_addr(slot),
+            kind,
+            costs,
+            &mut self.desc_slots[slot],
+        );
         cost += llc.access_range_memo(
             self.slot_addr(slot),
             len.max(1) as u64,
@@ -285,22 +276,12 @@ impl<T> DescRing<T> {
         }
         let slot = self.slot_of(self.tail);
         let len = self.lens[slot];
-        let mut cost = if self.desc_single_line {
-            llc.access_line_memo(
-                self.desc_addr(slot),
-                kind,
-                costs,
-                &mut self.desc_slots[slot],
-            )
-        } else {
-            llc.access_range_memo(
-                self.desc_addr(slot),
-                Self::DESC_BYTES,
-                kind,
-                costs,
-                &mut self.desc_memos[slot],
-            )
-        };
+        let mut cost = llc.access_line_memo(
+            self.desc_addr(slot),
+            kind,
+            costs,
+            &mut self.desc_slots[slot],
+        );
         cost += llc.access_range_memo(
             self.slot_addr(slot),
             len.max(1) as u64,
@@ -404,6 +385,12 @@ mod tests {
             ring.produce_dma(65, &mut c, &costs),
             Err(RingError::Oversize { len: 65, slot: 64 })
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "not descriptor-aligned")]
+    fn unaligned_base_is_refused() {
+        let _ = HostRing::new(8, 2, 64);
     }
 
     #[test]

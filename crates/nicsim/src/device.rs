@@ -21,7 +21,7 @@ use telemetry::{
 };
 
 use crate::flowtable::{
-    ConnEntry, ConnId, FlowCacheConfig, FlowTable, FlowTier, LookupHit, Resolved, RetierReport,
+    ConnEntry, ConnId, FlowCacheConfig, FlowTable, FlowTier, LookupHit, RetierReport,
 };
 use crate::notify::{Notification, NotifyKind, NotifyQueue};
 use crate::pipeline::{
@@ -86,6 +86,9 @@ pub enum NicError {
     },
     /// Unknown connection.
     NoSuchConn(ConnId),
+    /// The tuple (or listener key) is already installed, as this
+    /// connection: a second entry would orphan it in the flow table.
+    AlreadyInstalled(ConnId),
     /// The TX scheduler refused the packet.
     TxQueueFull,
     /// No accounting slot free.
@@ -124,6 +127,7 @@ impl std::fmt::Display for NicError {
                 write!(f, "dataplane reprogramming until {until}")
             }
             NicError::NoSuchConn(id) => write!(f, "no such connection {id}"),
+            NicError::AlreadyInstalled(id) => write!(f, "already installed as {id}"),
             NicError::TxQueueFull => write!(f, "TX scheduler queue full"),
             NicError::AccountingSlotsFull => write!(f, "all accounting slots in use"),
             NicError::NoSuchMap => write!(f, "no such program map"),
@@ -298,18 +302,6 @@ pub struct SmartNic {
     /// trace last restarted); audit cross-checks compare the ledger
     /// against deltas from here.
     tel_baseline: NicStats,
-    rx_scratch: RxScratch,
-}
-
-/// [`SmartNic::rx_batch`]'s per-burst working buffers, cleared and
-/// refilled by every burst.
-#[derive(Default)]
-struct RxScratch {
-    metas: Vec<Result<FrameMeta, pkt::PktError>>,
-    /// `(flow hash, tuple)` of each steerable frame, in arrival order.
-    queries: Vec<(u32, FiveTuple)>,
-    /// Where each query steers.
-    conns: Vec<Option<Resolved>>,
 }
 
 impl SmartNic {
@@ -351,7 +343,6 @@ impl SmartNic {
             tel,
             tel_hists,
             tel_baseline: NicStats::default(),
-            rx_scratch: RxScratch::default(),
             cfg,
         }
     }
@@ -824,7 +815,8 @@ impl SmartNic {
     /// active cache policy) + app-region doorbell registers for `pid`.
     /// Hot entries charge their slot and ring context atomically inside
     /// the flow table; cold entries live in host memory and charge
-    /// nothing.
+    /// nothing. A tuple that is already installed is refused
+    /// ([`NicError::AlreadyInstalled`]) with nothing charged or indexed.
     pub fn open_connection(
         &mut self,
         tuple: FiveTuple,
@@ -834,6 +826,9 @@ impl SmartNic {
         notify: bool,
     ) -> Result<ConnId, NicError> {
         self.check_dead()?;
+        if let Some(holder) = self.flows.exact_holder(&tuple) {
+            return Err(NicError::AlreadyInstalled(holder));
+        }
         // The entry's home queue follows RSS steering of its RX tuple, so
         // hot-slice ownership is shard-local from birth.
         let queue = self.rss.queue_for(pkt::meta::flow_hash_of(&tuple));
@@ -852,7 +847,8 @@ impl SmartNic {
         Ok(id)
     }
 
-    /// Opens a listener on `(proto, port)`.
+    /// Opens a listener on `(proto, port)`; a key that already has one is
+    /// refused like a duplicate [`SmartNic::open_connection`].
     pub fn open_listener(
         &mut self,
         proto: IpProto,
@@ -862,6 +858,9 @@ impl SmartNic {
         comm: &str,
     ) -> Result<ConnId, NicError> {
         self.check_dead()?;
+        if let Some(holder) = self.flows.listener_holder(proto, port) {
+            return Err(NicError::AlreadyInstalled(holder));
+        }
         Ok(self
             .flows
             .insert_listener(proto, port, uid, pid, comm, &mut self.sram)?)
@@ -1553,7 +1552,9 @@ impl SmartNic {
         }
     }
 
-    /// Processes one ingress frame arriving from the wire at `now`.
+    /// Processes one ingress frame arriving from the wire at `now`: the
+    /// one ingress routine — crash tick, freeze window, parse, flow
+    /// lookup, then overlay, timing and disposition (`rx_finish`).
     pub fn rx(&mut self, packet: &Packet, now: Time) -> RxResult {
         self.stats.rx_frames += 1;
         if self.tick_crash(now) {
@@ -1566,17 +1567,15 @@ impl SmartNic {
             Ok(m) => m,
             Err(dropped) => return dropped,
         };
-        let hit = meta.tuple.and_then(|t| {
-            let resolved = self.flows.resolve(&t);
-            self.flows.touch_lookup(resolved, &mut self.sram)
-        });
+        let hit = meta
+            .tuple
+            .and_then(|t| self.flows.lookup(&t, &mut self.sram));
         self.rx_finish(packet, meta, hit, now)
     }
 
     /// The post-lookup half of ingress: overlay stages, timing, tap,
-    /// disposition, and notification. Shared by [`SmartNic::rx`] and
-    /// [`SmartNic::rx_batch`]; `hit` is the flow-table steering decision
-    /// with its tier movements already applied.
+    /// disposition, and notification. `hit` is the flow-table steering
+    /// decision with its tier movements already applied.
     fn rx_finish(
         &mut self,
         packet: &Packet,
@@ -1799,90 +1798,10 @@ impl SmartNic {
         self.tel.emit_stages(rest, hists, frame);
     }
 
-    /// Processes a burst of ingress frames arriving together at `now`,
-    /// amortizing per-frame dispatch: one frozen-window check, one parser
-    /// sweep, one hash-sorted flow-table probe
-    /// ([`FlowTable::lookup_batch`]), then per-frame completion in arrival
-    /// order.
-    ///
-    /// The results — dispositions, timing, stats, sniffer captures, and
-    /// notifications — are identical to calling [`SmartNic::rx`] once per
-    /// frame in order; the batch only restructures the work.
+    /// Processes a burst of ingress frames arriving together at `now`: a
+    /// burst is [`SmartNic::rx`] once per frame, in order.
     pub fn rx_batch(&mut self, packets: &[Packet], now: Time) -> Vec<RxResult> {
-        self.stats.rx_frames += packets.len() as u64;
-        if self.dead {
-            return packets.iter().map(|p| self.rx_dead_drop(p, now)).collect();
-        }
-        if now < self.frozen_until {
-            return packets
-                .iter()
-                .map(|p| self.rx_frozen_drop(p, now))
-                .collect();
-        }
-
-        // The burst's working buffers are the NIC's, kept for their
-        // capacity: only the returned results are allocated per burst.
-        let mut scratch = std::mem::take(&mut self.rx_scratch);
-
-        // Stage 1: a side-effect-free parser sweep (build-time descriptors
-        // short-circuit it entirely). Drop accounting stays in stage 3 so
-        // pipeline occupancy and sniffer captures advance in arrival
-        // order, exactly as the sequential path would.
-        scratch.metas.clear();
-        scratch.metas.extend(packets.iter().map(FrameMeta::of));
-
-        // Stage 2: one batched, *pure* flow-table resolution over the
-        // frames that survived parsing and carry a steerable tuple. Tier
-        // movements never change steering, so resolution order is free;
-        // the stateful half (counters, recency, promotion) is applied
-        // per-frame in stage 3, in arrival order.
-        let steerable = |m: &Result<FrameMeta, pkt::PktError>| match m {
-            Ok(meta) if meta.l4_checksum_ok => meta.tuple.map(|t| (meta.flow_hash, t)),
-            _ => None,
-        };
-        scratch.queries.clear();
-        scratch
-            .queries
-            .extend(scratch.metas.iter().filter_map(steerable));
-        self.flows
-            .resolve_batch(&scratch.queries, &mut scratch.conns);
-
-        // Stage 3: finish each frame in arrival order, preserving
-        // per-stage timing, capture, and notification semantics. The
-        // crash schedule ticks here, once per frame exactly as the
-        // sequential path would: a crash mid-batch dead-drops this and
-        // every later frame (the stage-2 steering results for them die
-        // with the flow table they were probed from, and a dead-dropped
-        // frame never touches lookup state — it vanished at the wire).
-        let mut conns = scratch.conns.iter();
-        let results = scratch
-            .metas
-            .iter()
-            .zip(packets)
-            .map(|(m, packet)| {
-                // Stage 2 resolved the steerable frames in this order.
-                let query = steerable(m).map(|_| *conns.next().expect("one result per query"));
-                if self.tick_crash(now) {
-                    return self.rx_dead_drop(packet, now);
-                }
-                match m {
-                    Ok(meta) if !meta.l4_checksum_ok => {
-                        self.stats.rx_bad_checksum += 1;
-                        self.rx_malformed_drop(packet, Ok(meta), now)
-                    }
-                    Ok(meta) => {
-                        let hit = query.and_then(|r| self.flows.touch_lookup(r, &mut self.sram));
-                        self.rx_finish(packet, *meta, hit, now)
-                    }
-                    Err(e) => {
-                        self.stats.rx_malformed += 1;
-                        self.rx_malformed_drop(packet, Err(e), now)
-                    }
-                }
-            })
-            .collect();
-        self.rx_scratch = scratch;
-        results
+        packets.iter().map(|p| self.rx(p, now)).collect()
     }
 
     /// Records a TX frame refused at the door: offered and dropped for
@@ -2799,6 +2718,39 @@ mod tests {
         assert_eq!(a.stats().crashes, 1);
         assert_eq!(b.stats().crashes, 1);
         assert_eq!(a.crash_injector_stats(), b.crash_injector_stats());
+    }
+
+    #[test]
+    fn crash_schedule_ticks_inside_a_reprogramming_window() {
+        // Every dataplane entry ticks the crash schedule before it looks
+        // at the freeze, one frame at a time or as a burst: five frames
+        // into a reprogramming window with a crash due at op 3.
+        let frames: Vec<Packet> = (0..5).map(|_| udp_to(9999)).collect();
+        let at = Time::from_us(1);
+        let armed = || {
+            let mut nic = nic();
+            nic.set_crash_injector(CrashInjector::at_op(3));
+            nic.reprogram_bitstream(Time::ZERO);
+            assert!(at < nic.frozen_until());
+            nic
+        };
+        let (mut a, mut b) = (armed(), armed());
+        let seq: Vec<_> = frames.iter().map(|p| a.rx(p, at).disposition).collect();
+        let batch: Vec<_> = b
+            .rx_batch(&frames, at)
+            .into_iter()
+            .map(|r| r.disposition)
+            .collect();
+        let frozen = RxDisposition::Drop {
+            reason: DropReason::Reprogramming,
+        };
+        let dead = RxDisposition::Drop {
+            reason: DropReason::DeviceDead,
+        };
+        assert_eq!(seq, [frozen, frozen, dead, dead, dead]);
+        assert_eq!(batch, seq);
+        assert_eq!(a.crash_injector_stats(), (3, 1));
+        assert_eq!(b.crash_injector_stats(), (3, 1));
     }
 
     #[test]

@@ -272,22 +272,13 @@ const RANKS: usize = 4;
 /// The "no neighbour" link of a recency list.
 const NIL: u32 = u32::MAX;
 
-/// Where a tuple steers, as [`FlowTable::resolve`] found it: the entry's
-/// slab slot, so [`FlowTable::touch_lookup`] reaches it by index instead
-/// of a second hash probe. Good until the table next gains or loses an
-/// entry; the id is carried so a handle that outlived its entry is caught
-/// rather than served from whatever reused the slot.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct Resolved {
+/// What the `exact` and `listeners` indexes hold for a key: the entry's
+/// slab slot, so a lookup reaches it by index after its one hash probe,
+/// and the id filed there, which the audit checks the slot against.
+#[derive(Clone, Copy)]
+struct Resolved {
     slot: u32,
     id: ConnId,
-}
-
-impl Resolved {
-    /// The connection the tuple steers to.
-    pub fn id(self) -> ConnId {
-        self.id
-    }
 }
 
 /// One slab cell: an entry and its links in the recency list it is on
@@ -392,9 +383,6 @@ pub struct FlowTable {
     /// Logical recency clock, ticked per insert and per exact hit.
     tick: u64,
     stats: FlowStats,
-    /// Probe order of the burst being resolved (scratch, kept for its
-    /// capacity).
-    batch_order: Vec<usize>,
 }
 
 impl Default for FlowTable {
@@ -419,7 +407,6 @@ impl FlowTable {
             next_id: 0,
             tick: 0,
             stats: FlowStats::default(),
-            batch_order: Vec::new(),
         }
     }
 
@@ -548,6 +535,12 @@ impl FlowTable {
     /// legacy §5 failure). Tiered, the entry goes hot only if its queue
     /// slice and the SRAM both have room — overflowing to the cold tier
     /// otherwise, never failing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tuple` is already installed: a second entry under one
+    /// key would orphan the first. The NIC's control entry points refuse
+    /// such a request with a typed error before it gets here.
     #[allow(clippy::too_many_arguments)]
     pub fn insert(
         &mut self,
@@ -647,7 +640,8 @@ impl FlowTable {
             }
             FlowTier::Cold => self.cold += 1,
         }
-        self.exact.insert(exact_key(&tuple), at);
+        let displaced = self.exact.insert(exact_key(&tuple), at);
+        assert!(displaced.is_none(), "{tuple} installed twice");
         Ok(tier)
     }
 
@@ -675,6 +669,11 @@ impl FlowTable {
     }
 
     /// Installs a listener for `(proto, local_port)`, charging SRAM.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `(proto, port)` already has a listener (see
+    /// [`FlowTable::insert`]).
     pub fn insert_listener(
         &mut self,
         proto: IpProto,
@@ -721,7 +720,11 @@ impl FlowTable {
             rank: u8::MAX,
             last_use: 0,
         });
-        self.listeners.insert((proto, port), at);
+        let displaced = self.listeners.insert((proto, port), at);
+        assert!(
+            displaced.is_none(),
+            "{proto}/{port} listener installed twice"
+        );
     }
 
     /// Removes a connection, returning its SRAM (per its tier).
@@ -750,58 +753,35 @@ impl FlowTable {
         true
     }
 
-    /// Pure steering resolution for an RX-direction tuple: exact match
-    /// first, then a listener on the destination port. No counters, no
-    /// recency, no promotion — pair with [`FlowTable::touch_lookup`],
-    /// which applies those side effects in arrival order (the split that
-    /// keeps batched lookups byte-identical to sequential ones).
-    pub fn resolve(&self, tuple: &FiveTuple) -> Option<Resolved> {
-        self.exact
+    /// The connection installed under exactly `tuple`, if any. No side
+    /// effects: this is the control path's in-use check, not a lookup.
+    pub(crate) fn exact_holder(&self, tuple: &FiveTuple) -> Option<ConnId> {
+        self.exact.get(&exact_key(tuple)).map(|at| at.id)
+    }
+
+    /// The listener installed on `(proto, port)`, if any (as
+    /// [`FlowTable::exact_holder`]).
+    pub(crate) fn listener_holder(&self, proto: IpProto, port: u16) -> Option<ConnId> {
+        self.listeners.get(&(proto, port)).map(|at| at.id)
+    }
+
+    /// Looks up the connection an RX-direction tuple steers to — exact
+    /// match first, then a listener on the destination port — and applies
+    /// the lookup's side effects: counters, recency, and — under a tiered
+    /// policy — promotion of a cold hit into the hot tier (possibly
+    /// demoting a victim). One hash probe, then indexed loads. Returns
+    /// what the caller needs for latency accounting and lifecycle events.
+    pub fn lookup(&mut self, tuple: &FiveTuple, sram: &mut Sram) -> Option<LookupHit> {
+        self.stats.lookups += 1;
+        let Some(&Resolved { slot, id }) = self
+            .exact
             .get(&exact_key(tuple))
             .or_else(|| self.listeners.get(&(tuple.proto, tuple.dst_port)))
-            .copied()
-    }
-
-    /// Batched [`FlowTable::resolve`] into `out` (cleared first, one
-    /// result per query, in the caller's order): probes in flow-hash
-    /// order — the way hardware bank-sorts a burst to maximize SRAM
-    /// locality — coalescing same-flow runs into one probe. Pure but for
-    /// the table's own scratch: tier movements never change which
-    /// connection a tuple steers to, so resolution order is free.
-    pub fn resolve_batch(&mut self, queries: &[(u32, FiveTuple)], out: &mut Vec<Option<Resolved>>) {
-        let mut order = std::mem::take(&mut self.batch_order);
-        order.clear();
-        order.extend(0..queries.len());
-        order.sort_by_key(|&i| queries[i].0);
-        out.clear();
-        out.resize(queries.len(), None);
-        let mut prev: Option<usize> = None;
-        for &i in &order {
-            out[i] = match prev {
-                Some(p) if queries[p].1 == queries[i].1 => out[p],
-                _ => self.resolve(&queries[i].1),
-            };
-            prev = Some(i);
-        }
-        self.batch_order = order;
-    }
-
-    /// Applies the stateful half of one lookup: counters, recency, and —
-    /// under a tiered policy — promotion of cold hits into the hot tier
-    /// (possibly demoting a victim). Returns what the caller needs for
-    /// latency accounting and lifecycle events.
-    pub fn touch_lookup(
-        &mut self,
-        resolved: Option<Resolved>,
-        sram: &mut Sram,
-    ) -> Option<LookupHit> {
-        self.stats.lookups += 1;
-        let Some(Resolved { slot, id }) = resolved else {
+        else {
             self.stats.misses += 1;
             return None;
         };
         let e = &mut live(&mut self.slab, slot).entry;
-        assert_eq!(e.id, id, "resolved handle outlived its entry");
         let mut hit = LookupHit {
             id,
             tier: e.tier,
@@ -887,30 +867,6 @@ impl FlowTable {
         self.cold -= 1;
         self.stats.promotions += 1;
         (true, demoted)
-    }
-
-    /// Looks up the connection for an RX-direction tuple, with full side
-    /// effects (counters, recency, promotion).
-    pub fn lookup(&mut self, tuple: &FiveTuple, sram: &mut Sram) -> Option<LookupHit> {
-        let resolved = self.resolve(tuple);
-        self.touch_lookup(resolved, sram)
-    }
-
-    /// Batched lookup: hash-sorted resolution, then side effects applied
-    /// in the caller's arrival order — the outcome (results, counters,
-    /// tier movements) is identical to issuing [`FlowTable::lookup`] once
-    /// per query in arrival order.
-    pub fn lookup_batch(
-        &mut self,
-        queries: &[(u32, FiveTuple)],
-        sram: &mut Sram,
-    ) -> Vec<Option<LookupHit>> {
-        let mut resolved = Vec::new();
-        self.resolve_batch(queries, &mut resolved);
-        resolved
-            .into_iter()
-            .map(|r| self.touch_lookup(r, sram))
-            .collect()
     }
 
     /// Installs (or clears) the cache policy and re-tiers every exact
@@ -1185,28 +1141,6 @@ mod tests {
     }
 
     #[test]
-    fn lookup_batch_matches_sequential() {
-        let mut sram = Sram::new(1 << 20);
-        let mut ft = FlowTable::new();
-        let (a, _) = insert(&mut ft, &mut sram, 1000, 53);
-        let (b, _) = insert(&mut ft, &mut sram, 2000, 80);
-        // Hashes chosen so sorted probe order differs from arrival order.
-        let queries = vec![
-            (9u32, tuple(2000, 80)),
-            (1u32, tuple(1000, 53)),
-            (5u32, tuple(7, 7)),
-        ];
-        let batch: Vec<_> = ft
-            .lookup_batch(&queries, &mut sram)
-            .into_iter()
-            .map(|h| h.map(|h| h.id))
-            .collect();
-        assert_eq!(batch, vec![Some(b), Some(a), None]);
-        let (lookups, misses) = ft.counters();
-        assert_eq!((lookups, misses), (3, 1));
-    }
-
-    #[test]
     fn entries_carry_process_attribution() {
         let mut sram = Sram::new(1 << 20);
         let mut ft = FlowTable::new();
@@ -1347,41 +1281,6 @@ mod tests {
         }
         assert_eq!(ft.tier_of(web), Some(FlowTier::Cold));
         assert_eq!(ft.tier_of(ssh), Some(FlowTier::Hot));
-    }
-
-    #[test]
-    fn tiered_batch_with_promotions_matches_sequential() {
-        type Observed = (Vec<Option<(ConnId, FlowTier, bool)>>, FlowStats, u64);
-        let run = |batched: bool| -> Observed {
-            let mut sram = Sram::new(1 << 20);
-            let mut ft = FlowTable::new();
-            ft.configure_cache(Some(FlowCacheConfig::lru(2)), 1, |_| 0, &mut sram);
-            for sp in 1..=4 {
-                insert(&mut ft, &mut sram, sp, 80);
-            }
-            // Repeated cold hits interleaved with hot ones: promotions and
-            // demotions must land identically either way.
-            let queries: Vec<(u32, FiveTuple)> = [3u16, 1, 3, 4, 2, 4, 9]
-                .iter()
-                .map(|&sp| (u32::from(sp) * 7 % 5, tuple(sp, 80)))
-                .collect();
-            let hits: Vec<Option<LookupHit>> = if batched {
-                ft.lookup_batch(&queries, &mut sram)
-            } else {
-                queries
-                    .iter()
-                    .map(|(_, t)| ft.lookup(t, &mut sram))
-                    .collect()
-            };
-            (
-                hits.into_iter()
-                    .map(|h| h.map(|h| (h.id, h.tier, h.promoted)))
-                    .collect(),
-                ft.stats(),
-                sram.used(),
-            )
-        };
-        assert_eq!(run(false), run(true));
     }
 
     #[test]

@@ -99,7 +99,8 @@ pub enum ConnectError {
         /// The requesting user.
         uid: Uid,
     },
-    /// The NIC could not allocate resources (SRAM exhaustion — §5).
+    /// The NIC refused: SRAM exhaustion (§5), a tuple or listener key
+    /// that is already installed, a dead device. Carries the NIC's text.
     NicResources(String),
 }
 
@@ -110,7 +111,7 @@ impl std::fmt::Display for ConnectError {
             ConnectError::PolicyDenied { port, uid } => {
                 write!(f, "port {port} is reserved; denied for {uid}")
             }
-            ConnectError::NicResources(e) => write!(f, "NIC resource exhaustion: {e}"),
+            ConnectError::NicResources(e) => write!(f, "NIC refused: {e}"),
         }
     }
 }
@@ -245,6 +246,10 @@ pub struct HostStats {
     pub ring_missing: u64,
     /// Connections refused for NIC resources.
     pub conns_refused: u64,
+    /// First packets whose client was not queued for `accept()` because
+    /// the listener's backlog was full (the frame still reached the
+    /// kernel stack).
+    pub accept_backlog_refused: u64,
     /// TX frames buffered for retry during a reprogram outage.
     pub tx_deferred: u64,
     /// Deferred TX frames successfully re-offered after recovery.
@@ -261,6 +266,11 @@ pub struct HostStats {
     /// Shards restarted by the supervisor after a panic.
     pub worker_restarts: u64,
 }
+
+/// Clients one listener holds for `accept()` at a time (Linux's
+/// historical `SOMAXCONN`): a flood of first packets from distinct
+/// tuples costs the host this much memory per listening port, no more.
+const ACCEPT_BACKLOG: usize = 128;
 
 /// The Norman host.
 pub struct Host {
@@ -748,6 +758,10 @@ impl Host {
         reg.set_counter("host.malformed_dropped", self.stats.malformed_dropped);
         reg.set_counter("host.ring_missing", self.stats.ring_missing);
         reg.set_counter("host.conns_refused", self.stats.conns_refused);
+        reg.set_counter(
+            "host.accept_backlog_refused",
+            self.stats.accept_backlog_refused,
+        );
         reg.set_counter("host.tx_deferred", self.stats.tx_deferred);
         reg.set_counter("host.tx_retry_flushed", self.stats.tx_retry_flushed);
         reg.set_counter("host.tx_retry_dropped", self.stats.tx_retry_dropped);
@@ -1365,11 +1379,11 @@ impl Host {
         self.finish_delivery(&mut Some(packet), rx, now)
     }
 
-    /// Delivers a burst of frames arriving together at `now` through the
-    /// NIC's batched ingress ([`SmartNic::rx_batch`]), then drains TX.
-    /// One doorbell sweep amortizes per-frame dispatch; outcomes are
-    /// identical to calling [`Host::deliver_from_wire`] per frame in
-    /// order followed by [`Host::pump_tx`].
+    /// Delivers a burst of frames arriving together at `now`, then drains
+    /// TX. What a burst means at the host: one reconcile check, one
+    /// arrival instant, the NIC ingests every frame before the host
+    /// reacts to any, and TX is drained once after the last. Per frame
+    /// the work is [`Host::deliver_from_wire`]'s.
     pub fn pump(
         &mut self,
         packets: &[Packet],
@@ -1413,12 +1427,18 @@ impl Host {
             RxDisposition::Deliver { conn, .. } => {
                 if self.listeners.contains_key(&conn) {
                     // First packet of an inbound connection: queue it for
-                    // accept() and hand the payload to the kernel stack.
+                    // accept() and hand the payload to the kernel stack. A
+                    // retransmitted first packet finds its client already
+                    // waiting, and a full backlog turns new clients away.
                     if let Some(tuple) = rx.meta.and_then(|m| m.tuple) {
-                        self.pending_accepts
-                            .entry(conn)
-                            .or_default()
-                            .push_back(tuple);
+                        let backlog = self.pending_accepts.entry(conn).or_default();
+                        if !backlog.contains(&tuple) {
+                            if backlog.len() < ACCEPT_BACKLOG {
+                                backlog.push_back(tuple);
+                            } else {
+                                self.stats.accept_backlog_refused += 1;
+                            }
+                        }
                     }
                     let (_, cost) = self.stack_rx(packet, rx.meta.as_ref(), now);
                     self.kernel_cpu += cost;
@@ -1527,8 +1547,7 @@ impl Host {
             RxDisposition::SlowPath { .. } => {
                 // ARP is handled by the kernel itself: update the cache
                 // and answer who-has requests for our address.
-                if rx.meta.map(|m| m.is_arp()).unwrap_or(false) {
-                    let meta = rx.meta.expect("checked above");
+                if let Some(meta) = rx.meta.filter(|m| m.is_arp()) {
                     let cost = Dur::from_ns(400); // cache update + reply build
                     self.kernel_cpu += cost;
                     report.kernel_cpu = cost;

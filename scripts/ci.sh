@@ -118,6 +118,13 @@ run_normanbench_smoke() {
   # change is gated on it whatever the wall-clock guard below says.
   echo "==> normanbench smoke (all four workloads, traced == untraced vns)"
   cargo test --manifest-path benchmark/Cargo.toml
+
+  # Virtual time is bit-identical across refactors, as a gate: the five
+  # sim_* values of four workloads x two seeds at smoke length must equal
+  # scripts/normanbench_smoke_vns.json exactly (no tolerance; a model
+  # change regenerates the table with --write and says so).
+  echo "==> normanbench smoke vns == committed table (40 values, exact)"
+  python3 scripts/check_smoke_vns.py
 }
 
 run_bench_smoke() {

@@ -90,6 +90,94 @@ fn many_clients_accepted_in_arrival_order() {
     }
 }
 
+/// A client retransmits its first packet before the server accepts: one
+/// client is waiting, not two, and accepting it leaves nothing behind
+/// that a second `accept()` could install over the first connection.
+#[test]
+fn retransmitted_first_packet_queues_one_client() {
+    let mut host = Host::new(HostConfig::default());
+    let bob = host.spawn(Uid(1001), "bob", "server");
+    let listener = host.listen(bob, IpProto::UDP, 5000).unwrap();
+    let first = client_frame(&host, 40_001, 5000, b"hello");
+    for i in 0..2 {
+        let rep = host.deliver_from_wire(&first, Time::from_us(i));
+        assert_eq!(rep.outcome, DeliveryOutcome::SlowPath);
+    }
+    assert_eq!(host.pending_accept_count(listener), 1);
+
+    let conn = host.accept(listener, false).expect("pending connection");
+    assert!(host.accept(listener, false).is_none());
+    assert_eq!(host.nic.flows.num_exact(), 1);
+    assert!(host.audit().is_empty(), "{:?}", host.audit());
+
+    let data = client_frame(&host, 40_001, 5000, b"data");
+    let rep = host.deliver_from_wire(&data, Time::from_us(2));
+    assert_eq!(rep.outcome, DeliveryOutcome::FastPath(conn));
+    assert_eq!(
+        host.app_recv(conn, Time::from_us(3), false).len,
+        Some(data.len())
+    );
+    assert!(host.close(conn));
+    assert!(host.audit().is_empty(), "{:?}", host.audit());
+}
+
+/// The flow table holds one entry per tuple: a second `connect` on an
+/// installed tuple is refused, charges nothing and leaves the first
+/// connection steering.
+#[test]
+fn double_connect_on_one_tuple_is_refused() {
+    let mut host = Host::new(HostConfig::default());
+    let bob = host.spawn(Uid(1001), "bob", "server");
+    let remote = Ipv4Addr::new(10, 0, 0, 2);
+    let conn = host
+        .connect(bob, IpProto::UDP, 5000, remote, 40_001, false)
+        .unwrap();
+    let sram = host.nic.sram.used();
+    let err = host
+        .connect(bob, IpProto::UDP, 5000, remote, 40_001, false)
+        .unwrap_err();
+    assert!(err.to_string().contains("already installed"), "{err}");
+    assert_eq!(host.nic.sram.used(), sram);
+    assert_eq!(host.nic.flows.num_exact(), 1);
+    assert!(host.audit().is_empty(), "{:?}", host.audit());
+
+    // A second listener on the port is refused the same way.
+    host.listen(bob, IpProto::UDP, 6000).unwrap();
+    assert!(host.listen(bob, IpProto::UDP, 6000).is_err());
+    assert_eq!(host.nic.flows.num_listeners(), 1);
+    assert!(host.audit().is_empty(), "{:?}", host.audit());
+
+    let data = client_frame(&host, 40_001, 5000, b"data");
+    let rep = host.deliver_from_wire(&data, Time::ZERO);
+    assert_eq!(rep.outcome, DeliveryOutcome::FastPath(conn));
+}
+
+/// A flood of first packets from distinct clients fills a listener's
+/// backlog and stops there: the first client past it is counted and not
+/// queued, and its frame still reaches the kernel stack.
+#[test]
+fn accept_backlog_is_bounded_and_counted() {
+    let mut host = Host::new(HostConfig::default());
+    let bob = host.spawn(Uid(1001), "bob", "server");
+    let listener = host.listen(bob, IpProto::UDP, 6000).unwrap();
+    let mut clients = 0u16;
+    while host.stats().accept_backlog_refused == 0 {
+        assert!(clients < 10_000, "the backlog never filled");
+        clients += 1;
+        let pkt = client_frame(&host, 10_000 + clients, 6000, b"syn");
+        let rep = host.deliver_from_wire(&pkt, Time::from_us(u64::from(clients)));
+        assert_eq!(rep.outcome, DeliveryOutcome::SlowPath);
+    }
+    // Backlog + 1 clients: every one but the last is waiting.
+    assert_eq!(host.stats().accept_backlog_refused, 1);
+    assert_eq!(
+        host.pending_accept_count(listener),
+        usize::from(clients) - 1
+    );
+    assert_eq!(host.stats().slowpath, u64::from(clients));
+    assert!(host.audit().is_empty(), "{:?}", host.audit());
+}
+
 /// Two hosts wired back to back: a full request/response across both
 /// dataplanes, with the "wire" delivering each host's departures to the
 /// other.
