@@ -94,12 +94,10 @@ fn main() {
     // --- (a) MMIO data update: insert a firewall rule ---------------------
     {
         let (mut host, conn, frame) = setup();
+        let filter = builtins::port_owner_filter();
+        let artifact = overlay::compile(&filter).unwrap();
         host.nic
-            .load_program(
-                ProgramSlot::IngressFilter,
-                builtins::port_owner_filter(),
-                Time::ZERO,
-            )
+            .load_program(ProgramSlot::IngressFilter, filter, artifact, Time::ZERO)
             .unwrap();
         let t0 = Time::from_ms(1);
         // The update itself: one map fill via MMIO.
@@ -121,9 +119,11 @@ fn main() {
     {
         let (mut host, conn, frame) = setup();
         let t0 = Time::from_ms(1);
+        let classifier = builtins::uid_classifier();
+        let artifact = overlay::compile(&classifier).unwrap();
         let cost = host
             .nic
-            .load_program(ProgramSlot::Classifier, builtins::uid_classifier(), t0)
+            .load_program(ProgramSlot::Classifier, classifier, artifact, t0)
             .unwrap();
         let (_, lost) = offered_between(&mut host, t0, t0 + Dur::from_ms(1), conn, &frame);
         rows.push(Row {

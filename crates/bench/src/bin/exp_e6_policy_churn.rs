@@ -39,21 +39,29 @@ const BEHAVIOURAL_FRACTION: f64 = 0.33;
 
 const LINE_MPPS: f64 = 8.2; // 1500B frames at 100 Gbps
 
+/// A behavioural update on the overlay NIC: the kernel compiles the new
+/// program and swaps it in. Returns the control time the swap took.
+fn swap(nic: &mut SmartNic, slot: ProgramSlot, program: overlay::Program, now: Time) -> Dur {
+    let artifact = overlay::compile(&program).expect("builtins compile");
+    nic.load_program(slot, program, artifact, now)
+        .expect("swap")
+}
+
 fn run_kopi(seed: u64) -> Row {
     let mut rng = DetRng::seed_from_u64(seed);
     let mut nic = SmartNic::new(NicConfig::default());
-    nic.load_program(
+    swap(
+        &mut nic,
         ProgramSlot::IngressFilter,
         builtins::port_owner_filter(),
         Time::ZERO,
-    )
-    .unwrap();
-    nic.load_program(
+    );
+    swap(
+        &mut nic,
         ProgramSlot::Classifier,
         builtins::uid_classifier(),
         Time::ZERO,
-    )
-    .unwrap();
+    );
 
     let mut control = Dur::ZERO;
     let mut behavioural = 0u32;
@@ -75,7 +83,7 @@ fn run_kopi(seed: u64) -> Row {
             } else {
                 (ProgramSlot::IngressFilter, builtins::port_owner_filter())
             };
-            control += nic.load_program(slot, prog, now).expect("swap");
+            control += swap(&mut nic, slot, prog, now);
         } else {
             // Parameter change: one MMIO map fill.
             let slot = if is_sched {

@@ -4,8 +4,7 @@
 //! only writer of dataplane policy, the kernel can also *rebuild* that
 //! policy when the device or a worker loses it. This bench measures the
 //! whole failure model end-to-end in virtual time and writes
-//! `BENCH_PR6.json` at the repo root (plus the usual `results/`
-//! mirror):
+//! `results/exp_pr6_recovery.json`:
 //!
 //! 1. **NIC crash recovery** — a deterministic op-schedule crash at
 //!    every position inside an rx batch; for each position, the virtual
@@ -24,12 +23,8 @@
 //!    delivered via the stack, not dropped.
 //! 4. **Crash-storm determinism** — a seeded random crash storm replays
 //!    to a byte-identical metrics document with zero audit violations.
-//!
-//! `BENCH_SMOKE=1` shrinks the run for CI; every acceptance bar still
-//! applies.
 
 use std::net::Ipv4Addr;
-use std::time::Instant;
 
 use nicsim::device::ProgramSlot;
 use norman::host::DeliveryOutcome;
@@ -40,10 +35,6 @@ use serde::Serialize;
 use sim::fault::CrashInjector;
 use sim::{Dur, Time};
 use telemetry::RecoveryKind;
-
-fn smoke() -> bool {
-    std::env::var_os("BENCH_SMOKE").is_some()
-}
 
 #[derive(Serialize)]
 struct RecoveryPoint {
@@ -95,13 +86,11 @@ struct StormRun {
 #[derive(Serialize)]
 struct Output {
     schema: &'static str,
-    smoke: bool,
     recovery: Vec<RecoveryPoint>,
     max_recovery_ms: f64,
     shard_panics: ShardPanicRun,
     degraded: DegradedRun,
     storm: StormRun,
-    wall_ms: f64,
 }
 
 fn frame_to(host: &Host, src_port: u16, dst_port: u16, len: usize) -> Packet {
@@ -217,7 +206,7 @@ fn recovery_point(crash_at: u64) -> RecoveryPoint {
 
 /// Panics shards round-robin under load; every frame must come out.
 fn shard_panic_run() -> ShardPanicRun {
-    let pumps: u64 = if smoke() { 3 } else { 12 };
+    let pumps: u64 = 12;
     let mut cfg = HostConfig::default();
     cfg.nic.num_queues = 2;
     cfg.ring_slots = 16;
@@ -294,7 +283,7 @@ fn shard_panic_run() -> ShardPanicRun {
 /// detector must demote the low-priority flow and protect the high-
 /// priority one.
 fn degraded_run() -> DegradedRun {
-    let rounds: u64 = if smoke() { 40 } else { 400 };
+    let rounds: u64 = 400;
     let cfg = HostConfig {
         ring_slots: 4,
         ..HostConfig::default()
@@ -373,7 +362,7 @@ fn degraded_run() -> DegradedRun {
 /// A seeded crash storm with worker panics folded in; both runs must
 /// produce the identical metrics document and clean audits.
 fn storm_run() -> StormRun {
-    let pumps: u64 = if smoke() { 200 } else { 1_000 };
+    let pumps: u64 = 1_000;
     fn run(pumps: u64) -> (String, u64, u64, u64, usize) {
         let cfg = HostConfig {
             ring_slots: 4,
@@ -442,8 +431,6 @@ fn storm_run() -> StormRun {
 }
 
 fn main() {
-    let wall = Instant::now();
-
     let recovery: Vec<RecoveryPoint> = (1..=8u64).map(recovery_point).collect();
     let max_recovery_ms = recovery.iter().map(|p| p.recovery_ms).fold(0.0, f64::max);
     let shard_panics = shard_panic_run();
@@ -536,17 +523,11 @@ fn main() {
 
     let out = Output {
         schema: "norman-bench-pr6-v1",
-        smoke: smoke(),
         recovery,
         max_recovery_ms,
         shard_panics,
         degraded,
         storm,
-        wall_ms: wall.elapsed().as_secs_f64() * 1_000.0,
     };
-    let json = serde_json::to_string_pretty(&out).expect("serialize");
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_PR6.json");
-    std::fs::write(&root, &json).expect("write BENCH_PR6.json");
-    println!("[recovery baseline written to {}]", root.display());
     bench::write_json("exp_pr6_recovery", &out);
 }

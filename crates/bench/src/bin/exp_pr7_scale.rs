@@ -25,11 +25,12 @@
 //! high-priority goodput still holds >= 90% of the policy's own 1k
 //! figure. Acceptance: priority-aware (and pinned) hold the bar at the
 //! top of the sweep — the cliff moves from ~1k to past 1M — while
-//! untiered and LRU collapse. Writes `BENCH_PR7.json` at the repo root
-//! plus the usual `results/` mirror.
+//! untiered and LRU collapse. The full sweep takes minutes, so this is
+//! the one experiment with a smoke mode: a full run writes
+//! `results/exp_pr7_scale.json`, a smoke run
+//! `results/exp_pr7_scale.smoke.json`, and both are committed.
 
 use std::net::Ipv4Addr;
-use std::time::Instant;
 
 use memsim::LlcConfig;
 use nicsim::FlowCacheConfig;
@@ -119,7 +120,6 @@ struct Output {
     counts: Vec<usize>,
     rows: Vec<Row>,
     cliffs: Vec<Cliff>,
-    wall_ms: f64,
 }
 
 fn run(conns: usize, policy: Option<FlowCacheConfig>, policy_name: &'static str) -> Row {
@@ -265,7 +265,6 @@ fn run(conns: usize, policy: Option<FlowCacheConfig>, policy_name: &'static str)
 }
 
 fn main() {
-    let wall = Instant::now();
     let cap = hot_capacity();
     let counts: Vec<usize> = if smoke() {
         vec![1_000, 4_000, 16_000]
@@ -402,11 +401,13 @@ fn main() {
         counts,
         rows,
         cliffs,
-        wall_ms: wall.elapsed().as_secs_f64() * 1_000.0,
     };
-    let json = serde_json::to_string_pretty(&out).expect("serialize");
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_PR7.json");
-    std::fs::write(&root, &json).expect("write BENCH_PR7.json");
-    println!("[scaling baseline written to {}]", root.display());
-    bench::write_json("exp_pr7_scale", &out);
+    bench::write_json(
+        if smoke() {
+            "exp_pr7_scale.smoke"
+        } else {
+            "exp_pr7_scale"
+        },
+        &out,
+    );
 }

@@ -413,6 +413,5 @@ fn main() {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_PR8.json");
     std::fs::write(&root, &json).expect("write BENCH_PR8.json");
     println!("wrote {}", root.display());
-    bench::write_json("exp_pr8_trace", &out);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -414,7 +414,19 @@ impl SmartNic {
     // Control plane (kernel-only; callers enforce privilege via regs)
     // ------------------------------------------------------------------
 
-    fn charge_program(&mut self, program: &Program) -> Result<(), NicError> {
+    /// Admits a program and its artifact: the pair must belong together
+    /// and the program must verify before any SRAM is charged for it.
+    fn charge_program(
+        &mut self,
+        program: &Program,
+        artifact: &CompiledProgram,
+    ) -> Result<(), NicError> {
+        if artifact.fingerprint() != program.fingerprint() {
+            return Err(NicError::ArtifactMismatch {
+                want: program.fingerprint(),
+                got: artifact.fingerprint(),
+            });
+        }
         verify(program).map_err(NicError::Verify)?;
         let insn_bytes = program.total_insns() as u64 * 8;
         let map_bytes = program.sram_bytes() - insn_bytes;
@@ -433,39 +445,13 @@ impl SmartNic {
         self.sram.release(SramCategory::Maps, map_bytes);
     }
 
-    /// Loads (or hot-swaps) a program into `slot`, returning the control
-    /// time consumed. The dataplane keeps running — this is the overlay's
-    /// whole point (§4.4).
-    pub fn load_program(
-        &mut self,
-        slot: ProgramSlot,
-        program: Program,
-        now: Time,
-    ) -> Result<Dur, NicError> {
-        self.tick_crash(now);
-        self.check_dead()?;
-        self.check_frozen(now)?;
-        self.charge_program(&program)?;
-        let vm = Vm::new(program);
-        let old = match slot {
-            ProgramSlot::IngressFilter => self.ingress_filter.replace(vm),
-            ProgramSlot::EgressFilter => self.egress_filter.replace(vm),
-            ProgramSlot::Classifier => self.classifier.replace(vm),
-        };
-        if let Some(old) = old {
-            self.release_program(&old);
-        }
-        self.stats.program_swaps += 1;
-        Ok(self.cfg.overlay_swap_cost)
-    }
-
     /// Loads (or hot-swaps) a program into `slot` together with its
-    /// AOT-compiled artifact, so every packet takes the native-closure
-    /// path instead of the interpreter. The artifact must carry the
-    /// program's own fingerprint — a stale or mismatched artifact is
-    /// refused before anything is swapped, keeping the audit ledger
-    /// coherent.
-    pub fn load_program_compiled(
+    /// AOT-compiled artifact, returning the control time consumed. The
+    /// dataplane keeps running — this is the overlay's whole point
+    /// (§4.4). The artifact must carry the program's own fingerprint — a
+    /// stale or mismatched artifact is refused before anything is
+    /// swapped, keeping the audit ledger coherent.
+    pub fn load_program(
         &mut self,
         slot: ProgramSlot,
         program: Program,
@@ -475,13 +461,7 @@ impl SmartNic {
         self.tick_crash(now);
         self.check_dead()?;
         self.check_frozen(now)?;
-        if artifact.fingerprint() != program.fingerprint() {
-            return Err(NicError::ArtifactMismatch {
-                want: program.fingerprint(),
-                got: artifact.fingerprint(),
-            });
-        }
-        self.charge_program(&program)?;
+        self.charge_program(&program, &artifact)?;
         let vm = Vm::with_compiled(program, artifact);
         let old = match slot {
             ProgramSlot::IngressFilter => self.ingress_filter.replace(vm),
@@ -508,23 +488,9 @@ impl SmartNic {
     }
 
     /// Adds a passive accounting program (runs on every packet, verdict
-    /// ignored). Returns its slot index.
-    pub fn add_accounting(&mut self, program: Program, now: Time) -> Result<usize, NicError> {
-        self.tick_crash(now);
-        self.check_dead()?;
-        self.check_frozen(now)?;
-        if self.accounting.len() >= MAX_ACCOUNTING_SLOTS {
-            return Err(NicError::AccountingSlotsFull);
-        }
-        self.charge_program(&program)?;
-        self.accounting.push(Vm::new(program));
-        self.stats.program_swaps += 1;
-        Ok(self.accounting.len() - 1)
-    }
-
-    /// Adds a passive accounting program with its AOT-compiled artifact
-    /// (see [`SmartNic::load_program_compiled`]). Returns its slot index.
-    pub fn add_accounting_compiled(
+    /// ignored) with its AOT-compiled artifact (see
+    /// [`SmartNic::load_program`]). Returns its slot index.
+    pub fn add_accounting(
         &mut self,
         program: Program,
         artifact: std::sync::Arc<CompiledProgram>,
@@ -536,13 +502,7 @@ impl SmartNic {
         if self.accounting.len() >= MAX_ACCOUNTING_SLOTS {
             return Err(NicError::AccountingSlotsFull);
         }
-        if artifact.fingerprint() != program.fingerprint() {
-            return Err(NicError::ArtifactMismatch {
-                want: program.fingerprint(),
-                got: artifact.fingerprint(),
-            });
-        }
-        self.charge_program(&program)?;
+        self.charge_program(&program, &artifact)?;
         self.accounting.push(Vm::with_compiled(program, artifact));
         self.stats.program_swaps += 1;
         Ok(self.accounting.len() - 1)
@@ -606,12 +566,6 @@ impl SmartNic {
     /// Returns whether `slot` currently holds a program.
     pub fn program_loaded(&self, slot: ProgramSlot) -> bool {
         self.slot_vm(slot).is_some()
-    }
-
-    /// Returns whether the program in `slot` runs compiled (`Some(false)`
-    /// = interpreter fallback, `None` = empty slot).
-    pub fn program_compiled(&self, slot: ProgramSlot) -> Option<bool> {
-        self.slot_vm(slot).map(Vm::is_compiled)
     }
 
     /// Reads one slot of a per-flow scratch record from the program in
@@ -2119,6 +2073,18 @@ mod tests {
         SmartNic::new(NicConfig::default())
     }
 
+    /// Compiles `program` and loads it, as the control plane's phase 1
+    /// and phase 2 do.
+    fn load(
+        nic: &mut SmartNic,
+        slot: ProgramSlot,
+        program: Program,
+        now: Time,
+    ) -> Result<Dur, NicError> {
+        let artifact = overlay::compile(&program).expect("compiles");
+        nic.load_program(slot, program, artifact, now)
+    }
+
     #[test]
     fn unmatched_rx_goes_to_slowpath() {
         let mut nic = nic();
@@ -2155,7 +2121,8 @@ mod tests {
         let mut nic = nic();
         nic.open_connection(rx_tuple(5432), 1002, 43, "mysql", false)
             .unwrap();
-        nic.load_program(
+        load(
+            &mut nic,
             ProgramSlot::IngressFilter,
             builtins::port_owner_filter(),
             Time::ZERO,
@@ -2216,8 +2183,13 @@ mod tests {
     #[test]
     fn bitstream_reprogram_wipes_programs() {
         let mut nic = nic();
-        nic.load_program(ProgramSlot::IngressFilter, builtins::drop_all(), Time::ZERO)
-            .unwrap();
+        load(
+            &mut nic,
+            ProgramSlot::IngressFilter,
+            builtins::drop_all(),
+            Time::ZERO,
+        )
+        .unwrap();
         nic.reprogram_bitstream(Time::ZERO);
         // Program SRAM fully released.
         assert_eq!(nic.sram.used_by(SramCategory::Program), 0);
@@ -2228,13 +2200,13 @@ mod tests {
         let mut nic = nic();
         nic.open_connection(rx_tuple(80), 0, 1, "www", false)
             .unwrap();
-        let cost = nic
-            .load_program(
-                ProgramSlot::IngressFilter,
-                builtins::allow_all(),
-                Time::ZERO,
-            )
-            .unwrap();
+        let cost = load(
+            &mut nic,
+            ProgramSlot::IngressFilter,
+            builtins::allow_all(),
+            Time::ZERO,
+        )
+        .unwrap();
         assert!(cost < Dur::from_ms(1));
         // Dataplane continues working immediately.
         let r = nic.rx(&udp_to(80), Time::ZERO);
@@ -2245,7 +2217,8 @@ mod tests {
     #[test]
     fn program_swap_frees_old_sram() {
         let mut nic = nic();
-        nic.load_program(
+        load(
+            &mut nic,
             ProgramSlot::IngressFilter,
             builtins::port_owner_filter(),
             Time::ZERO,
@@ -2253,7 +2226,8 @@ mod tests {
         .unwrap();
         let used_first =
             nic.sram.used_by(SramCategory::Program) + nic.sram.used_by(SramCategory::Maps);
-        nic.load_program(
+        load(
+            &mut nic,
             ProgramSlot::IngressFilter,
             builtins::port_owner_filter(),
             Time::ZERO,
@@ -2262,6 +2236,48 @@ mod tests {
         let used_second =
             nic.sram.used_by(SramCategory::Program) + nic.sram.used_by(SramCategory::Maps);
         assert_eq!(used_first, used_second);
+    }
+
+    #[test]
+    fn mismatched_artifact_is_refused_before_anything_is_charged() {
+        let mut nic = nic();
+        load(
+            &mut nic,
+            ProgramSlot::IngressFilter,
+            builtins::port_owner_filter(),
+            Time::ZERO,
+        )
+        .unwrap();
+        let resident = nic.program_fingerprint(ProgramSlot::IngressFilter);
+        let sram = nic.sram.used();
+        let swaps = nic.stats().program_swaps;
+
+        let program = builtins::byte_accounting();
+        let stale = overlay::compile(&builtins::allow_all()).unwrap();
+        let err = nic.load_program(
+            ProgramSlot::IngressFilter,
+            program.clone(),
+            stale.clone(),
+            Time::ZERO,
+        );
+        assert!(
+            matches!(err, Err(NicError::ArtifactMismatch { want, got })
+                if want == program.fingerprint() && got == stale.fingerprint()),
+            "{err:?}"
+        );
+        let err = nic.add_accounting(program, stale, Time::ZERO);
+        assert!(
+            matches!(err, Err(NicError::ArtifactMismatch { .. })),
+            "{err:?}"
+        );
+
+        assert_eq!(nic.sram.used(), sram);
+        assert_eq!(
+            nic.program_fingerprint(ProgramSlot::IngressFilter),
+            resident
+        );
+        assert_eq!(nic.num_accounting(), 0);
+        assert_eq!(nic.stats().program_swaps, swaps);
     }
 
     #[test]
@@ -2288,7 +2304,8 @@ mod tests {
             .open_connection(rx_tuple(5000), 1001, 7, "app", false)
             .unwrap();
         nic.configure_scheduler(&[1.0, 3.0], Time::ZERO).unwrap();
-        nic.load_program(
+        load(
+            &mut nic,
             ProgramSlot::Classifier,
             builtins::uid_classifier(),
             Time::ZERO,
@@ -2343,7 +2360,8 @@ mod tests {
         let id = nic
             .open_connection(rx_tuple(6000), 1002, 8, "thief", false)
             .unwrap();
-        nic.load_program(
+        load(
+            &mut nic,
             ProgramSlot::EgressFilter,
             builtins::port_owner_filter(),
             Time::ZERO,
@@ -2391,9 +2409,9 @@ mod tests {
         let id = nic
             .open_connection(rx_tuple(5000), 42, 7, "app", false)
             .unwrap();
-        let slot = nic
-            .add_accounting(builtins::byte_accounting(), Time::ZERO)
-            .unwrap();
+        let acct = builtins::byte_accounting();
+        let artifact = overlay::compile(&acct).unwrap();
+        let slot = nic.add_accounting(acct, artifact, Time::ZERO).unwrap();
         nic.rx(&udp_to(5000), Time::ZERO);
         nic.tx_enqueue(id, &udp_to(9000), Time::ZERO).unwrap();
         let bytes = nic.read_accounting_map(slot, 0, 42).unwrap();
@@ -2421,7 +2439,8 @@ mod tests {
         // later.
         let mut nic = nic();
         nic.open_connection(rx_tuple(80), 0, 1, "a", false).unwrap();
-        nic.load_program(
+        load(
+            &mut nic,
             ProgramSlot::IngressFilter,
             builtins::token_bucket(),
             Time::ZERO,
@@ -2592,7 +2611,8 @@ mod tests {
         let id = nic
             .open_connection(rx_tuple(5432), 1001, 42, "postgres", false)
             .unwrap();
-        nic.load_program(
+        load(
+            &mut nic,
             ProgramSlot::IngressFilter,
             builtins::allow_all(),
             Time::ZERO,
@@ -2637,7 +2657,8 @@ mod tests {
             Err(NicError::Dead)
         ));
         assert!(matches!(
-            nic.load_program(
+            load(
+                &mut nic,
                 ProgramSlot::IngressFilter,
                 builtins::allow_all(),
                 Time::from_ns(200)

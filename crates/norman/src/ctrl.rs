@@ -13,8 +13,7 @@
 //! * **Phase 1 — verify & stage.** The bundle is compiled and every
 //!   overlay program is run through the verifier; scheduler weights are
 //!   validated. Each verified program is then ahead-of-time compiled to
-//!   a native [`CompiledProgram`] artifact (unless
-//!   [`PolicyStore::interpret_overlay`] asks for the interpreter); a
+//!   a native [`CompiledProgram`] artifact, the only form the NIC runs; a
 //!   program that verifies but fails to compile aborts phase 1 with
 //!   [`CtrlError::CompileRejected`] and bumps `ctrl.compile_rejected` —
 //!   the prior bundle stays installed, fingerprint untouched. Nothing
@@ -152,13 +151,6 @@ pub struct PolicyStore {
     /// `None` leaves the NIC untiered: every connection charges SRAM, the
     /// boot-time §5 behavior.
     pub flow_cache: Option<FlowCacheConfig>,
-    /// Force the interpreted overlay engine instead of ahead-of-time
-    /// compiled artifacts. Default `false` = every verified program is
-    /// compiled at phase-1 and the NIC executes native closures; `true`
-    /// keeps the single-stepping interpreter, which serves as the
-    /// differential-testing oracle and the fallback when a program
-    /// cannot be compiled.
-    pub interpret_overlay: bool,
 }
 
 /// Everything phase 2 installs, in apply order. Compiled from a
@@ -166,16 +158,16 @@ pub struct PolicyStore {
 #[derive(Clone, Debug)]
 pub struct PolicyBundle {
     /// Programs per overlay slot, each with its ahead-of-time compiled
-    /// artifact (`None` = install interpreted). The artifact is stamped
-    /// with the source program's fingerprint, so audit and
-    /// crash-restore reconcile byte-for-byte regardless of engine.
-    programs: Vec<(ProgramSlot, Program, Option<Arc<CompiledProgram>>)>,
+    /// artifact. The artifact is stamped with the source program's
+    /// fingerprint, and rollback and reconcile reinstall it as is — only
+    /// phase 1 ever compiles.
+    programs: Vec<(ProgramSlot, Program, Arc<CompiledProgram>)>,
     /// `(slot, map, key, value)` MMIO data writes after load.
     map_fills: Vec<(ProgramSlot, usize, usize, u64)>,
     /// Scheduler weights (always at least one class).
     sched_weights: Vec<f64>,
     /// Passive accounting programs with their compiled artifacts.
-    accounting: Vec<(Program, Option<Arc<CompiledProgram>>)>,
+    accounting: Vec<(Program, Arc<CompiledProgram>)>,
     /// Capture-tap filter.
     sniffer: Option<SnifferFilter>,
     /// NAT masquerade address + static forwards.
@@ -329,25 +321,19 @@ impl PolicyBundle {
         // Verify every program the bundle would install (the load path
         // verifies again; this keeps phase 1 side-effect-free while
         // still refusing bad bundles before anything is staged), then
-        // ahead-of-time compile each one to a native artifact unless the
-        // store pins the interpreter. An AOT failure after a clean
-        // verify is a `CompileRejected`: the commit never reaches phase
-        // 2, so the resident bundle (and its fingerprints) survive.
-        let aot =
-            |program: &Program, kind: &str| -> Result<Option<Arc<CompiledProgram>>, CtrlError> {
-                overlay::verify(program).map_err(|e| {
-                    CtrlError::Compile(format!("{kind} '{}' rejected: {e}", program.name))
-                })?;
-                if store.interpret_overlay {
-                    return Ok(None);
-                }
-                overlay::compile(program)
-                    .map(Some)
-                    .map_err(|e| CtrlError::CompileRejected {
-                        program: program.name.clone(),
-                        reason: e.to_string(),
-                    })
-            };
+        // ahead-of-time compile each one to a native artifact. An AOT
+        // failure after a clean verify is a `CompileRejected`: the commit
+        // never reaches phase 2, so the resident bundle (and its
+        // fingerprints) survive.
+        let aot = |program: &Program, kind: &str| -> Result<Arc<CompiledProgram>, CtrlError> {
+            overlay::verify(program).map_err(|e| {
+                CtrlError::Compile(format!("{kind} '{}' rejected: {e}", program.name))
+            })?;
+            overlay::compile(program).map_err(|e| CtrlError::CompileRejected {
+                program: program.name.clone(),
+                reason: e.to_string(),
+            })
+        };
         let programs = programs
             .into_iter()
             .map(|(slot, program)| {
@@ -383,13 +369,6 @@ impl PolicyBundle {
             .find(|(s, _, _)| *s == slot)
             .map(|(_, p, _)| p)
     }
-
-    fn artifact_for(&self, slot: ProgramSlot) -> Option<&Arc<CompiledProgram>> {
-        self.programs
-            .iter()
-            .find(|(s, _, _)| *s == slot)
-            .and_then(|(_, _, a)| a.as_ref())
-    }
 }
 
 /// A bundle that passed phase 1 and is waiting for phase 2. Plain
@@ -416,9 +395,7 @@ pub enum CtrlError {
     /// Phase 1 verified a program but could not ahead-of-time compile
     /// it to a native artifact. The commit aborts before phase 2: the
     /// prior bundle stays installed with its fingerprints intact, and
-    /// `ctrl.compile_rejected` counts the refusal. Callers wanting the
-    /// program anyway can retry with
-    /// [`PolicyStore::interpret_overlay`] set.
+    /// `ctrl.compile_rejected` counts the refusal.
     CompileRejected {
         /// Name of the program the AOT compiler refused.
         program: String,
@@ -900,14 +877,8 @@ impl ControlPlane {
                 &mut budget,
                 "load_program",
             )?;
-            match artifact {
-                Some(artifact) => nic
-                    .load_program_compiled(*slot, program.clone(), Arc::clone(artifact), now)
-                    .map_err(|e| format!("load_program: {e}"))?,
-                None => nic
-                    .load_program(*slot, program.clone(), now)
-                    .map_err(|e| format!("load_program: {e}"))?,
-            };
+            nic.load_program(*slot, program.clone(), Arc::clone(artifact), now)
+                .map_err(|e| format!("load_program: {e}"))?;
         }
         for &(slot, map, key, value) in &bundle.map_fills {
             op(&mut self.stats, &mut self.faults, &mut budget, "fill_map")?;
@@ -1007,14 +978,8 @@ impl ControlPlane {
                 &mut budget,
                 "add_accounting",
             )?;
-            match artifact {
-                Some(artifact) => nic
-                    .add_accounting_compiled(program.clone(), Arc::clone(artifact), now)
-                    .map_err(|e| format!("add_accounting: {e}"))?,
-                None => nic
-                    .add_accounting(program.clone(), now)
-                    .map_err(|e| format!("add_accounting: {e}"))?,
-            };
+            nic.add_accounting(program.clone(), Arc::clone(artifact), now)
+                .map_err(|e| format!("add_accounting: {e}"))?;
         }
 
         op(&mut self.stats, &mut self.faults, &mut budget, "sniffer")?;
@@ -1115,19 +1080,6 @@ impl ControlPlane {
                             "{slot:?}: resident program fingerprint {got:#x} != store '{}'",
                             want.name
                         ));
-                    }
-                    // The execution engine must match the bundle too: a
-                    // compiled artifact that silently fell back to the
-                    // interpreter (or vice versa) is a policy divergence
-                    // even though the fingerprints agree.
-                    let want_compiled = bundle.artifact_for(slot).is_some();
-                    if let Some(got_compiled) = nic.program_compiled(slot) {
-                        if got_compiled != want_compiled {
-                            violations.push(format!(
-                                "{slot:?}: resident engine compiled={got_compiled} \
-                                 != bundle compiled={want_compiled}"
-                            ));
-                        }
                     }
                 }
                 (Some(want), None) => violations.push(format!(

@@ -3,9 +3,9 @@
 //! [`Host`] owns every component of Figure 1 and exposes two faces:
 //!
 //! * **Control plane** (kernel): `spawn`, `connect`, `close`,
-//!   `reserve_port`, `install_shaping`, sniffer control. These are the
-//!   only paths that configure the NIC, and they consult the process
-//!   table — policies are expressed over users and processes, not queues.
+//!   `update_policy`. These are the only paths that configure the NIC,
+//!   and they consult the process table — policies are expressed over
+//!   users and processes, not queues.
 //! * **Dataplane** (library + NIC): `deliver_from_wire`, `app_send`,
 //!   `app_recv`, `pump_tx`. Data never crosses the kernel on these paths;
 //!   costs come from the ring/LLC model and the NIC pipeline.
@@ -17,7 +17,7 @@ use memsim::{DescRing, Llc, LlcConfig, LlcPartitionPlan, LlcStats, MemCosts, Mmi
 use nicsim::pipeline::{DropReason, TxDeparture};
 use nicsim::{
     ConnId, NatTable, NicConfig, NicError, Notification, NotifyKind, RssTable, RxDisposition,
-    SmartNic, SnifferFilter, TxDisposition,
+    SmartNic, TxDisposition,
 };
 use oskernel::{
     ArpCache, CgroupId, CgroupTree, Cred, NetStack, Pid, ProcessTable, RxOutcome, Scheduler, Uid,
@@ -31,7 +31,7 @@ use telemetry::{
 };
 
 use crate::ctrl::{ControlPlane, CtrlError, PolicyStore, StagedCommit};
-use crate::policy::{PortReservation, ShapingPolicy};
+use crate::policy::PortReservation;
 use crate::workers::{Shard, WorkerError};
 
 /// Host configuration.
@@ -1059,39 +1059,6 @@ impl Host {
         &self.ctrl.store().reservations
     }
 
-    /// Installs a port reservation: recorded in the control plane (so
-    /// `connect` refuses violators up front) *and* lowered onto the NIC's
-    /// ingress and egress filters (so even a buggy or malicious bypass
-    /// user cannot violate it in the dataplane).
-    #[deprecated(note = "transition shim: use Host::update_policy")]
-    pub fn reserve_port(&mut self, r: PortReservation, now: Time) -> Result<(), ConnectError> {
-        self.update_policy(now, |p| p.reservations.push(r))
-            .map(|_| ())
-            .map_err(|e| ConnectError::NicResources(e.to_string()))
-    }
-
-    /// Installs a per-user WFQ shaping policy: compiles the classifier to
-    /// an overlay program, loads it, fills its maps, and configures the
-    /// NIC scheduler weights.
-    #[deprecated(note = "transition shim: use Host::update_policy")]
-    pub fn install_shaping(
-        &mut self,
-        policy: ShapingPolicy,
-        now: Time,
-    ) -> Result<(), ConnectError> {
-        self.update_policy(now, |p| p.shaping = Some(policy))
-            .map(|_| ())
-            .map_err(|e| ConnectError::NicResources(e.to_string()))
-    }
-
-    /// Enables the NIC capture tap (privileged; `ksniff`).
-    #[deprecated(note = "transition shim: use Host::update_policy")]
-    pub fn enable_sniffer(&mut self, filter: SnifferFilter, now: Time) -> Result<(), ConnectError> {
-        self.update_policy(now, |p| p.sniffer = Some(filter))
-            .map(|_| ())
-            .map_err(|e| ConnectError::NicResources(e.to_string()))
-    }
-
     /// Opens a connection for `pid` on `local_port` to
     /// `(remote_ip, remote_port)`.
     ///
@@ -1840,6 +1807,7 @@ impl Host {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::ShapingPolicy;
     use pkt::PacketBuilder;
 
     fn host() -> Host {

@@ -268,8 +268,8 @@ mod tests {
 
     #[test]
     fn all_builtins_compile() {
-        // Every canned policy must take the compiled path, not the
-        // interpreter fallback.
+        // The NIC runs compiled artifacts only, so every canned policy
+        // must compile.
         for p in all() {
             assert!(crate::compile::compile(&p).is_ok(), "{} fails", p.name);
         }

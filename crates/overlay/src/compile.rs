@@ -24,8 +24,7 @@
 //! smaller than the interpreter's program store (see
 //! [`MAX_COMPILED_INSNS`]) — so the control plane treats
 //! [`CompileError`] as a phase-1 commit failure and keeps the prior
-//! bundle installed, falling back to interpretation only where policy
-//! explicitly allows it.
+//! bundle installed: the NIC runs compiled artifacts only.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;

@@ -255,7 +255,10 @@ pub struct Vm {
 }
 
 impl Vm {
-    /// Instantiates a VM for `program`, allocating its maps (zeroed).
+    /// Instantiates an interpreting VM for `program`, allocating its maps
+    /// (zeroed). With [`Vm::run_interp`] this is the differential oracle
+    /// the compiled engine is tested against; the dataplane builds its
+    /// VMs with [`Vm::with_compiled`].
     ///
     /// The program should have passed [`crate::verify::verify`]; the VM
     /// does not re-verify but enforces all safety bounds dynamically.

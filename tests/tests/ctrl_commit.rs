@@ -6,6 +6,7 @@
 
 use std::net::Ipv4Addr;
 
+use nicsim::device::ProgramSlot;
 use nicsim::{SnifferFilter, POLICY_GENERATION_REG};
 use norman::host::DeliveryOutcome;
 use norman::{CtrlError, Host, HostConfig, NatRule, PortReservation, ShapingPolicy};
@@ -83,12 +84,13 @@ fn mid_commit_fault_rolls_back_to_prior_generation() {
 
     // Fail the 3rd apply operation of the next commit.
     h.set_policy_fault_injector(OpFaultInjector::fail_nth(3));
-    let err = h
-        .update_policy(Time::from_us(5), |p| {
-            p.reservations.push(PortReservation::new(7777, Uid(1002)));
-            p.shaping = Some(ShapingPolicy::new(vec![(Uid(1002), 9.0)]));
-        })
-        .unwrap_err();
+    let mutation = |p: &mut norman::PolicyStore| {
+        p.reservations.push(PortReservation::new(7777, Uid(1002)));
+        p.shaping = Some(ShapingPolicy::new(vec![(Uid(1002), 9.0)]));
+    };
+    let before = h.kernel_cpu;
+    let err = h.update_policy(Time::from_us(5), mutation).unwrap_err();
+    let rolled_back = h.kernel_cpu - before;
     assert!(matches!(err, CtrlError::CommitFailed { .. }), "got {err}");
 
     // Generation did not advance; the store still holds generation 1's
@@ -105,13 +107,19 @@ fn mid_commit_fault_rolls_back_to_prior_generation() {
     assert_eq!(report.outcome, DeliveryOutcome::Dropped);
 
     // With the fault consumed, the same transaction now commits.
-    let g = h
-        .update_policy(Time::from_us(7), |p| {
-            p.reservations.push(PortReservation::new(7777, Uid(1002)));
-        })
-        .unwrap();
+    let before = h.kernel_cpu;
+    let g = h.update_policy(Time::from_us(7), mutation).unwrap();
+    let clean = h.kernel_cpu - before;
     assert_eq!(g, 2);
     assert!(h.audit().is_empty(), "audit: {:?}", h.audit());
+
+    // A rollback re-applies the prior bundle on top of the partial
+    // apply: dearer than the clean commit, but a bounded number of
+    // applies, not pathological (EXPERIMENTS M3).
+    assert!(
+        clean < rolled_back && rolled_back < clean * 3,
+        "rollback charged {rolled_back:?} of kernel CPU, the clean commit {clean:?}"
+    );
 }
 
 #[test]
@@ -328,26 +336,14 @@ fn telemetry_events_carry_the_live_generation() {
     assert!(h.audit().is_empty(), "audit: {:?}", h.audit());
 }
 
-#[test]
-fn deprecated_shims_still_route_through_the_control_plane() {
-    // The transition shims must be thin wrappers over update_policy:
-    // each call is a full two-phase commit with its own generation.
-    let mut h = Host::new(HostConfig::default());
-    #[allow(deprecated)]
-    {
-        h.reserve_port(PortReservation::new(5432, Uid(1001)), Time::ZERO)
-            .unwrap();
-        h.install_shaping(ShapingPolicy::new(vec![(Uid(1001), 2.0)]), Time::from_us(1))
-            .unwrap();
-        h.enable_sniffer(SnifferFilter::all(), Time::from_us(2))
-            .unwrap();
-    }
-    assert_eq!(h.policy_generation(), 3);
-    assert_eq!(h.ctrl().stats().commits, 3);
-    assert_eq!(h.reservations().len(), 1);
-    assert!(h.policy().shaping.is_some());
-    assert!(h.nic.sniffer.is_enabled());
-    assert!(h.audit().is_empty(), "audit: {:?}", h.audit());
+/// The fingerprint of the program resident in each overlay slot.
+fn resident_fingerprints(h: &Host) -> [Option<u64>; 3] {
+    [
+        ProgramSlot::IngressFilter,
+        ProgramSlot::EgressFilter,
+        ProgramSlot::Classifier,
+    ]
+    .map(|slot| h.nic.program_fingerprint(slot))
 }
 
 /// A program that sails through the verifier but exceeds the AOT
@@ -375,14 +371,7 @@ fn verifies_but_wont_compile() -> overlay::Program {
 fn aot_compile_failure_aborts_phase_one_and_keeps_prior_bundle() {
     let mut h = Host::new(HostConfig::default());
     full_policy(&mut h, Time::ZERO);
-    let fp_before: Vec<_> = [
-        nicsim::device::ProgramSlot::IngressFilter,
-        nicsim::device::ProgramSlot::EgressFilter,
-        nicsim::device::ProgramSlot::Classifier,
-    ]
-    .iter()
-    .map(|&s| h.nic.program_fingerprint(s))
-    .collect();
+    let fp_before = resident_fingerprints(&h);
 
     let err = h
         .update_policy(Time::from_us(1), |p| {
@@ -398,15 +387,7 @@ fn aot_compile_failure_aborts_phase_one_and_keeps_prior_bundle() {
     // untouched, the audit ledger still closes, and the refusal is
     // counted in both the stats block and the metrics registry.
     assert_eq!(h.policy_generation(), 1);
-    let fp_after: Vec<_> = [
-        nicsim::device::ProgramSlot::IngressFilter,
-        nicsim::device::ProgramSlot::EgressFilter,
-        nicsim::device::ProgramSlot::Classifier,
-    ]
-    .iter()
-    .map(|&s| h.nic.program_fingerprint(s))
-    .collect();
-    assert_eq!(fp_before, fp_after);
+    assert_eq!(resident_fingerprints(&h), fp_before);
     assert!(h.policy().accounting.is_empty());
     assert!(h.audit().is_empty(), "audit: {:?}", h.audit());
     assert_eq!(h.ctrl().stats().compile_rejected, 1);
@@ -414,45 +395,6 @@ fn aot_compile_failure_aborts_phase_one_and_keeps_prior_bundle() {
         h.metrics_snapshot().counter("ctrl.compile_rejected"),
         Some(1)
     );
-}
-
-#[test]
-fn interpreter_fallback_accepts_uncompilable_programs() {
-    // The same program the AOT compiler refuses is installable with the
-    // interpreter pinned — the documented fallback for unverifiable
-    // artifacts — and the audit ledger agrees about the engine choice.
-    let mut h = Host::new(HostConfig::default());
-    full_policy(&mut h, Time::ZERO);
-    let g = h
-        .update_policy(Time::from_us(1), |p| {
-            p.interpret_overlay = true;
-            p.accounting.push(verifies_but_wont_compile());
-        })
-        .unwrap();
-    assert_eq!(g, 2);
-    assert_eq!(h.nic.num_accounting(), 1);
-    for slot in [
-        nicsim::device::ProgramSlot::IngressFilter,
-        nicsim::device::ProgramSlot::EgressFilter,
-    ] {
-        assert_eq!(h.nic.program_compiled(slot), Some(false));
-    }
-    assert!(h.audit().is_empty(), "audit: {:?}", h.audit());
-
-    // Flipping back to compiled mode drops the uncompilable program or
-    // fails phase 1 — here we drop it and confirm slots recompile.
-    h.update_policy(Time::from_us(2), |p| {
-        p.interpret_overlay = false;
-        p.accounting.clear();
-    })
-    .unwrap();
-    for slot in [
-        nicsim::device::ProgramSlot::IngressFilter,
-        nicsim::device::ProgramSlot::EgressFilter,
-    ] {
-        assert_eq!(h.nic.program_compiled(slot), Some(true));
-    }
-    assert!(h.audit().is_empty(), "audit: {:?}", h.audit());
 }
 
 #[test]
@@ -504,11 +446,14 @@ fn aot_compile_failure_with_armed_fault_injector_touches_nothing() {
 
 #[test]
 fn compiled_installs_survive_rollback_and_reconcile() {
-    // Rollback reinstalls the *prior* bundle's compiled artifacts, and
-    // reconcile-after-reprogram re-lowers the store with compilation on
-    // — the engine choice is as durable as the fingerprints.
+    // Rollback and reconcile-after-reprogram both reinstall the installed
+    // bundle's own programs with the artifacts phase 1 compiled for them:
+    // the resident fingerprints come back exactly and the ledger closes.
     let mut h = Host::new(HostConfig::default());
     full_policy(&mut h, Time::ZERO);
+    let committed = resident_fingerprints(&h);
+    assert!(committed.iter().all(Option::is_some));
+
     h.set_policy_fault_injector(OpFaultInjector::fail_nth(4));
     let err = h
         .update_policy(Time::from_us(1), |p| {
@@ -516,13 +461,15 @@ fn compiled_installs_survive_rollback_and_reconcile() {
         })
         .unwrap_err();
     assert!(matches!(err, CtrlError::CommitFailed { .. }), "got {err}");
-    for slot in [
-        nicsim::device::ProgramSlot::IngressFilter,
-        nicsim::device::ProgramSlot::EgressFilter,
-        nicsim::device::ProgramSlot::Classifier,
-    ] {
-        assert_eq!(h.nic.program_compiled(slot), Some(true), "{slot:?}");
-    }
+    assert_eq!(resident_fingerprints(&h), committed);
+    assert!(h.audit().is_empty(), "audit: {:?}", h.audit());
+
+    let back_at = h.reprogram_nic(Time::from_us(10));
+    assert_eq!(resident_fingerprints(&h), [None; 3]);
+    let frame = wire_udp(h.cfg.ip, 9000, 5432, 100);
+    h.deliver_from_wire(&frame, back_at + Dur::from_us(1));
+    assert_eq!(h.ctrl().stats().reconciles, 1);
+    assert_eq!(resident_fingerprints(&h), committed);
     assert!(h.audit().is_empty(), "audit: {:?}", h.audit());
 }
 

@@ -127,8 +127,9 @@ fn hostile_program_cannot_wedge_the_dataplane() {
         ret pass
     ";
     let prog = overlay::assemble("faulty", src).unwrap();
+    let artifact = overlay::compile(&prog).unwrap();
     host.nic
-        .load_program(ProgramSlot::IngressFilter, prog, Time::ZERO)
+        .load_program(ProgramSlot::IngressFilter, prog, artifact, Time::ZERO)
         .unwrap();
     let frame = peer_frame(&host, 9000, 7000, 64);
     for i in 0..10 {

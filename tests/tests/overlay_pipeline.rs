@@ -3,7 +3,7 @@
 //! fault containment.
 
 use nicsim::device::ProgramSlot;
-use nicsim::{NicConfig, RxDisposition, SmartNic};
+use nicsim::{NicConfig, NicError, RxDisposition, SmartNic};
 use overlay::{assemble, verify, Program};
 use pkt::{Mac, PacketBuilder};
 use sim::Time;
@@ -23,6 +23,18 @@ fn rx_tuple(dst_port: u16) -> pkt::FiveTuple {
         "10.0.0.1".parse().unwrap(),
         dst_port,
     )
+}
+
+/// Compiles `program` and loads it, as the control plane's phase 1 and
+/// phase 2 do.
+fn load(
+    nic: &mut SmartNic,
+    slot: ProgramSlot,
+    program: Program,
+    now: Time,
+) -> Result<sim::Dur, NicError> {
+    let artifact = overlay::compile(&program).expect("compiles");
+    nic.load_program(slot, program, artifact, now)
 }
 
 #[test]
@@ -47,8 +59,7 @@ fn custom_assembled_filter_runs_on_the_nic() {
         .unwrap();
     nic.open_connection(rx_tuple(8080), 0, 1, "other", false)
         .unwrap();
-    nic.load_program(ProgramSlot::IngressFilter, prog, Time::ZERO)
-        .unwrap();
+    load(&mut nic, ProgramSlot::IngressFilter, prog, Time::ZERO).unwrap();
 
     // Small frame to 8080: passes.
     assert!(matches!(
@@ -106,9 +117,9 @@ fn verifier_blocks_unsafe_programs_at_load_time() {
     ];
     let mut nic = SmartNic::new(NicConfig::default());
     for (prog, why) in bad_programs {
-        let err = nic.load_program(ProgramSlot::IngressFilter, prog, Time::ZERO);
+        let err = load(&mut nic, ProgramSlot::IngressFilter, prog, Time::ZERO);
         assert!(
-            matches!(err, Err(nicsim::NicError::Verify(_))),
+            matches!(err, Err(NicError::Verify(_))),
             "{why} must be rejected"
         );
     }
@@ -131,8 +142,7 @@ fn runtime_faults_fail_closed_not_crash() {
     let mut nic = SmartNic::new(NicConfig::default());
     nic.open_connection(rx_tuple(8080), 0, 1, "app", false)
         .unwrap();
-    nic.load_program(ProgramSlot::IngressFilter, prog, Time::ZERO)
-        .unwrap();
+    load(&mut nic, ProgramSlot::IngressFilter, prog, Time::ZERO).unwrap();
     let r = nic.rx(&udp_to(8080, 64), Time::ZERO);
     assert!(
         matches!(r.disposition, RxDisposition::Drop { .. }),
@@ -163,8 +173,7 @@ fn slowpath_verdict_routes_to_kernel() {
         .unwrap();
     nic.open_connection(rx_tuple(80), 0, 1, "web", false)
         .unwrap();
-    nic.load_program(ProgramSlot::IngressFilter, prog, Time::ZERO)
-        .unwrap();
+    load(&mut nic, ProgramSlot::IngressFilter, prog, Time::ZERO).unwrap();
     assert!(matches!(
         nic.rx(&udp_to(9999, 64), Time::ZERO).disposition,
         RxDisposition::SlowPath { .. }
@@ -180,9 +189,9 @@ fn accounting_maps_readable_from_control_plane() {
     let mut nic = SmartNic::new(NicConfig::default());
     nic.open_connection(rx_tuple(80), 42, 7, "app", false)
         .unwrap();
-    let slot = nic
-        .add_accounting(overlay::builtins::byte_accounting(), Time::ZERO)
-        .unwrap();
+    let acct = overlay::builtins::byte_accounting();
+    let artifact = overlay::compile(&acct).unwrap();
+    let slot = nic.add_accounting(acct, artifact, Time::ZERO).unwrap();
     let frame = udp_to(80, 958); // 1000-byte frame
     for _ in 0..10 {
         nic.rx(&frame, Time::ZERO);
