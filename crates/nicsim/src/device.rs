@@ -292,9 +292,6 @@ pub struct SmartNic {
     /// crash-eligible control op.
     crash_faults: CrashInjector,
     next_pkt_id: u64,
-    /// Scheduler packet id → (originating connection, telemetry frame
-    /// id), so departures can be attributed and traced.
-    tx_pending: HashMap<u64, (ConnId, u64)>,
     stats: NicStats,
     tel: Telemetry,
     tel_hists: NicHists,
@@ -338,7 +335,6 @@ impl SmartNic {
             dead: false,
             crash_faults: CrashInjector::never(),
             next_pkt_id: 0,
-            tx_pending: HashMap::new(),
             stats: NicStats::default(),
             tel,
             tel_hists,
@@ -644,11 +640,11 @@ impl SmartNic {
 
     /// Swaps in a fresh TX scheduler bank. Frames already accepted ride
     /// across the swap — a live reconfiguration is not a drop point — and
-    /// the few the new bank cannot hold leave as typed, attributed drops
-    /// with their pending records released, never silently.
+    /// the few the new bank cannot hold leave as typed, attributed drops,
+    /// never silently.
     fn rebuild_scheduler(&mut self, num_queues: usize, weights: &[f64], now: Time) {
         for pkt in self.scheduler.reconfigure(num_queues, weights, now) {
-            let fid = self.tx_pending.remove(&pkt.id).map_or(0, |(_, fid)| fid);
+            let [_, fid] = pkt.tag;
             self.stats.tx_reconfig_dropped += 1;
             self.tel.emit_stage(
                 Stage::TxDrop,
@@ -979,16 +975,10 @@ impl SmartNic {
             return;
         }
         self.dead = true;
-        // Purge the TX scheduler first, while tx_pending can still
-        // attribute each lost frame.
         let purged = self.scheduler.purge();
         let n_purged = purged.len();
         for pkt in purged {
-            let fid = self
-                .tx_pending
-                .remove(&pkt.id)
-                .map(|(_, fid)| fid)
-                .unwrap_or(0);
+            let [_, fid] = pkt.tag;
             self.stats.tx_crash_purged += 1;
             self.tel.emit_stage(
                 Stage::TxDrop,
@@ -997,7 +987,6 @@ impl SmartNic {
                 || frame_info(fid, None, pkt.len, None),
             );
         }
-        self.tx_pending.clear();
         // Wipe volatile state back to power-on contents.
         self.sram = Sram::new(self.cfg.sram_bytes);
         self.flows = FlowTable::new();
@@ -1195,16 +1184,6 @@ impl SmartNic {
             violations.push(format!(
                 "SRAM category sum {by_category} != used total {}",
                 self.sram.used()
-            ));
-        }
-
-        // Every scheduled frame has a pending-connection record and vice
-        // versa.
-        if self.scheduler.len() != self.tx_pending.len() {
-            violations.push(format!(
-                "TX scheduler holds {} frames but {} pending-conn records",
-                self.scheduler.len(),
-                self.tx_pending.len()
             ));
         }
 
@@ -1878,10 +1857,11 @@ impl SmartNic {
             .ok()
             .map(|m| usize::from(self.rss.queue_for(m.flow_hash)))
             .unwrap_or(0);
-        let qpkt = QPkt::new(pkt_id, packet.len() as u32, now).with_class(class);
+        let qpkt = QPkt::new(pkt_id, packet.len() as u32, now)
+            .with_class(class)
+            .with_tag([conn.0, fid]);
         match self.scheduler.enqueue_on(txq, qpkt, now) {
             Ok(()) => {
-                self.tx_pending.insert(pkt_id, (conn, fid));
                 emit(Stage::TxQueue, TraceVerdict::Class(class));
                 Ok(TxDisposition::Queued { class })
             }
@@ -1965,11 +1945,11 @@ impl SmartNic {
         }
         let pkt_id = self.next_pkt_id;
         self.next_pkt_id += 1;
-        // Kernel frames (ARP, slow-path responses) always use queue 0.
-        let qpkt = QPkt::new(pkt_id, packet.len() as u32, now);
+        // Kernel frames (ARP, slow-path responses) always use queue 0
+        // and depart under the no-connection id.
+        let qpkt = QPkt::new(pkt_id, packet.len() as u32, now).with_tag([u64::MAX, fid]);
         match self.scheduler.enqueue_on(0, qpkt, now) {
             Ok(()) => {
-                self.tx_pending.insert(pkt_id, (ConnId(u64::MAX), fid));
                 emit(&self.tel, Stage::TxQueue, TraceVerdict::Class(0));
                 Ok(TxDisposition::Queued { class: 0 })
             }
@@ -1991,10 +1971,7 @@ impl SmartNic {
             return None;
         }
         let pkt = self.scheduler.dequeue(now)?;
-        let (conn, fid) = self
-            .tx_pending
-            .remove(&pkt.id)
-            .unwrap_or((ConnId(u64::MAX), 0));
+        let [conn, fid] = pkt.tag;
         let arrives_at = self.link.transmit(now, u64::from(pkt.len));
         self.stats.tx_sent += 1;
         self.tel
@@ -2003,7 +1980,7 @@ impl SmartNic {
             });
         Some(TxDeparture {
             pkt_id: pkt.id,
-            conn,
+            conn: ConnId(conn),
             len: pkt.len,
             arrives_at,
         })
@@ -2562,29 +2539,92 @@ mod tests {
         assert!(nic.audit().is_empty(), "{:?}", nic.audit());
     }
 
+    /// Frame ids of the traced events at `stage`, in emission order.
+    fn traced_fids(nic: &SmartNic, stage: Stage) -> Vec<u64> {
+        let at_stage = telemetry::TraceFilter::any().with_stage(stage);
+        let events = nic.telemetry().query(&at_stage);
+        events.iter().map(|e| e.frame_id).collect()
+    }
+
     #[test]
     fn scheduler_rebuilds_carry_queued_frames() {
         let cfg = NicConfig {
             num_queues: 4,
+            tx_queue_limit: 3,
             ..NicConfig::default()
         };
         let mut nic = SmartNic::new(cfg);
-        let id = nic
+        nic.telemetry().set_enabled(true);
+        let a = nic
             .open_connection(rx_tuple(5000), 0, 1, "a", false)
             .unwrap();
-        for _ in 0..3 {
-            nic.tx_enqueue(id, &udp_to(9000), Time::ZERO).unwrap();
+        let b = nic
+            .open_connection(rx_tuple(5001), 1001, 2, "b", false)
+            .unwrap();
+        nic.configure_scheduler(&[1.0, 3.0], Time::ZERO).unwrap();
+        load(
+            &mut nic,
+            ProgramSlot::Classifier,
+            builtins::uid_classifier(),
+            Time::ZERO,
+        )
+        .unwrap();
+        nic.fill_map(ProgramSlot::Classifier, 0, (1001 & 255) as usize, 2)
+            .unwrap(); // b's uid -> class 1
+        let senders = [a, b, a, b];
+        for conn in senders {
+            nic.tx_enqueue(conn, &udp_to(9000), Time::ZERO).unwrap();
         }
+        let offered = traced_fids(&nic, Stage::TxOffer);
+        assert_eq!(offered.len(), senders.len());
         // A weight swap and a queue-count change each rebuild the bank;
         // neither may strand the frames it already accepted.
-        nic.configure_scheduler(&[1.0, 3.0], Time::ZERO).unwrap();
-        assert_eq!(nic.tx_backlog(), 3);
+        nic.configure_scheduler(&[2.0, 1.0], Time::ZERO).unwrap();
+        assert_eq!(nic.tx_backlog(), 4);
         assert!(nic.audit().is_empty(), "{:?}", nic.audit());
         let one_queue = vec![0u16; crate::rss::RSS_TABLE_SIZE];
         nic.configure_rss(1, &one_queue, Time::ZERO).unwrap();
-        assert_eq!(nic.tx_backlog(), 3);
+        assert_eq!(nic.tx_backlog(), 4);
         assert!(nic.audit().is_empty(), "{:?}", nic.audit());
-        assert_eq!(nic.tx_poll(Time::ZERO).map(|d| d.conn), Some(id));
+        // Folding class 1 into class 0 leaves room for three: the last
+        // frame carried over (b's second) is refused, under its own id.
+        nic.configure_scheduler(&[1.0], Time::ZERO).unwrap();
+        assert_eq!(nic.tx_backlog(), 3);
+        assert_eq!(nic.stats().tx_reconfig_dropped, 1);
+        assert_eq!(traced_fids(&nic, Stage::TxDrop), [offered[3]]);
+        assert!(nic.audit().is_empty(), "{:?}", nic.audit());
+        // Every frame that rode across departs under its sender.
+        let mut t = Time::ZERO;
+        while let Some(at) = nic.tx_next_ready(t) {
+            t = at;
+            let dep = nic.tx_poll(t).expect("ready means a departure");
+            let fid = *traced_fids(&nic, Stage::TxDepart).last().unwrap();
+            let nth = offered.iter().position(|&f| f == fid).unwrap();
+            assert_eq!(dep.conn, senders[nth]);
+        }
+        assert_eq!(nic.stats().tx_sent, 3);
+    }
+
+    #[test]
+    fn crash_purge_attributes_each_lost_frame() {
+        let mut nic = nic();
+        nic.telemetry().set_enabled(true);
+        let a = nic
+            .open_connection(rx_tuple(5000), 0, 1, "a", false)
+            .unwrap();
+        let b = nic
+            .open_connection(rx_tuple(5001), 1001, 2, "b", false)
+            .unwrap();
+        for conn in [a, b, b, a] {
+            nic.tx_enqueue(conn, &udp_to(9000), Time::ZERO).unwrap();
+        }
+        let offered = traced_fids(&nic, Stage::TxOffer);
+        assert_eq!(offered.len(), 4);
+        nic.crash(Time::from_ns(100));
+        assert_eq!(nic.stats().tx_crash_purged, 4);
+        assert_eq!(nic.telemetry().drop_count(DropCause::DeviceDead), 4);
+        // One class, one queue: purge order is arrival order.
+        assert_eq!(traced_fids(&nic, Stage::TxDrop), offered);
     }
 
     #[test]

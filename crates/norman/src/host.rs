@@ -100,8 +100,8 @@ pub enum ConnectError {
         uid: Uid,
     },
     /// The NIC refused: SRAM exhaustion (§5), a tuple or listener key
-    /// that is already installed, a dead device. Carries the NIC's text.
-    NicResources(String),
+    /// that is already installed, a dead device.
+    NicResources(NicError),
 }
 
 impl std::fmt::Display for ConnectError {
@@ -118,12 +118,6 @@ impl std::fmt::Display for ConnectError {
 
 impl std::error::Error for ConnectError {}
 
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub(crate) enum RingKey {
-    Conn(ConnId),
-    Proc(Pid),
-}
-
 /// See [`sim::FastMap`]: hot-path maps keyed by simulation-internal
 /// values (iteration order never relied on; exposure paths sort).
 pub(crate) use sim::FastMap;
@@ -137,6 +131,7 @@ pub(crate) type PktRing = DescRing<Packet>;
 /// An RX ring descriptor: the frame handle plus the lifecycle id the NIC
 /// tagged the frame with, so whoever consumes the slot can name the frame
 /// it held, whenever tracing started.
+#[derive(Debug)]
 pub(crate) struct RxDesc {
     pub pkt: Packet,
     pub fid: u64,
@@ -145,8 +140,15 @@ pub(crate) struct RxDesc {
 /// The RX direction of a ring pair.
 pub(crate) type RxRing = DescRing<RxDesc>;
 
+/// The pinned rings §4.3 gives a connection: one per direction.
+#[derive(Debug)]
+struct RingPair {
+    rx: RxRing,
+    tx: PktRing,
+}
+
 /// One open connection.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Connection {
     /// NIC connection id.
     pub id: ConnId,
@@ -158,7 +160,10 @@ pub struct Connection {
     pub tuple: FiveTuple,
     /// Whether notifications (blocking I/O) are enabled.
     pub notify: bool,
-    ring_key: RingKey,
+    /// The connection's own ring pair. `None` only under
+    /// [`HostConfig::shared_rings`], where the pair is its process's
+    /// (`Host::proc_rings`).
+    rings: Option<RingPair>,
     /// The shard whose cache and core this connection's ring traffic is
     /// charged to: the RSS queue its flow steers to under the committed
     /// indirection table (always 0 on an unsharded host). Resolved at
@@ -168,6 +173,45 @@ pub struct Connection {
     /// connection is set up (a process's `comm` is fixed at spawn, and the
     /// NIC's flow entry binds the same uid) — never per frame.
     owner: Owner,
+}
+
+impl Connection {
+    /// The pair this connection's frames move through: its own, or under
+    /// `shared_rings` its process's — which exists for as long as the
+    /// process has a connection (`Host::connect` / `Host::close`).
+    fn ring_pair<'a>(&'a mut self, proc_rings: &'a mut FastMap<Pid, RingPair>) -> &'a mut RingPair {
+        match &mut self.rings {
+            Some(own) => own,
+            None => proc_rings
+                .get_mut(&self.pid)
+                .expect("a process with a shared-ring connection has its pair"),
+        }
+    }
+}
+
+/// What the kernel holds under one NIC flow-table id.
+// Connections outnumber listeners by orders of magnitude and are looked
+// up per frame: the record stays inline rather than behind a `Box`.
+#[allow(clippy::large_enum_variant)]
+enum Endpoint {
+    /// An open connection.
+    Conn(Connection),
+    /// A listening port and the clients waiting on it for `accept()`.
+    Listener {
+        pid: Pid,
+        proto: IpProto,
+        port: u16,
+        backlog: VecDeque<FiveTuple>,
+    },
+}
+
+impl Endpoint {
+    fn conn(&self) -> Option<&Connection> {
+        match self {
+            Endpoint::Conn(c) => Some(c),
+            Endpoint::Listener { .. } => None,
+        }
+    }
 }
 
 /// What happened to a wire-delivered frame.
@@ -241,9 +285,6 @@ pub struct HostStats {
     /// checksum verification) — corrupted-on-the-wire traffic that must
     /// never reach the flow table.
     pub malformed_dropped: u64,
-    /// Frames delivered for a connection whose rings the host no longer
-    /// has (stale NIC flow entry); punted to the slow path.
-    pub ring_missing: u64,
     /// Connections refused for NIC resources.
     pub conns_refused: u64,
     /// First packets whose client was not queued for `accept()` because
@@ -297,10 +338,12 @@ pub struct Host {
     pub stack: NetStack,
     /// The kernel ARP cache (ARP is a slow-path protocol under KOPI).
     pub arp: ArpCache,
-    conns: FastMap<ConnId, Connection>,
-    listeners: FastMap<ConnId, (Pid, IpProto, u16)>,
-    pending_accepts: FastMap<ConnId, std::collections::VecDeque<FiveTuple>>,
-    rings: FastMap<RingKey, (RxRing, PktRing)>,
+    /// Everything the kernel has installed in the NIC flow table, under
+    /// the id the NIC gave it.
+    endpoints: FastMap<ConnId, Endpoint>,
+    /// The per-process ring pairs of the `shared_rings` ablation; empty
+    /// otherwise.
+    proc_rings: FastMap<Pid, RingPair>,
     tx_retry: VecDeque<(ConnId, Packet)>,
     /// The pooled frame arena: one slab of `arena_slots x ring_slot_bytes`
     /// backing every arena-built or wire-adopted frame on this host.
@@ -391,10 +434,8 @@ impl Host {
             nic,
             stack,
             arp: ArpCache::new(cfg.ip, cfg.mac),
-            conns: FastMap::default(),
-            listeners: FastMap::default(),
-            pending_accepts: FastMap::default(),
-            rings: FastMap::default(),
+            endpoints: FastMap::default(),
+            proc_rings: FastMap::default(),
             tx_retry: VecDeque::new(),
             arena: BufArena::new(cfg.arena_slots, cfg.ring_slot_bytes),
             ctrl: ControlPlane::new(tel.clone()),
@@ -555,8 +596,10 @@ impl Host {
     fn reindex_connections(&mut self) {
         let n = self.shards.len();
         let rss = self.nic.rss();
-        for c in self.conns.values_mut() {
-            c.shard = Self::shard_for_tuple(rss, &c.tuple, n);
+        for ep in self.endpoints.values_mut() {
+            if let Endpoint::Conn(c) = ep {
+                c.shard = Self::shard_for_tuple(rss, &c.tuple, n);
+            }
         }
     }
 
@@ -614,9 +657,15 @@ impl Host {
         self.tel_baseline_resident = self.rx_resident();
     }
 
+    /// Every ring pair on the host, whoever owns it.
+    fn ring_pairs(&self) -> impl Iterator<Item = &RingPair> {
+        let own = self.connections().filter_map(|c| c.rings.as_ref());
+        own.chain(self.proc_rings.values())
+    }
+
     /// Frames sitting in RX rings.
     fn rx_resident(&self) -> u64 {
-        self.rings.values().map(|(rx, _)| rx.len() as u64).sum()
+        self.ring_pairs().map(|r| r.rx.len() as u64).sum()
     }
 
     /// Stops tracing; the captured events remain queryable.
@@ -688,9 +737,8 @@ impl Host {
         // occupy descriptors.
         let live = self.arena.live() as u64;
         let resident = self
-            .rings
-            .values()
-            .flat_map(|(rx, tx)| rx.iter_descs().map(|d| &d.pkt).chain(tx.iter_descs()))
+            .ring_pairs()
+            .flat_map(|r| r.rx.iter_descs().map(|d| &d.pkt).chain(r.tx.iter_descs()))
             .filter(|p| p.is_arena())
             .count() as u64
             + self.stack.arena_resident() as u64
@@ -756,7 +804,6 @@ impl Host {
         reg.set_counter("host.slowpath", self.stats.slowpath);
         reg.set_counter("host.nic_dropped", self.stats.nic_dropped);
         reg.set_counter("host.malformed_dropped", self.stats.malformed_dropped);
-        reg.set_counter("host.ring_missing", self.stats.ring_missing);
         reg.set_counter("host.conns_refused", self.stats.conns_refused);
         reg.set_counter(
             "host.accept_backlog_refused",
@@ -769,7 +816,7 @@ impl Host {
         reg.set_counter("host.worker_rerouted", self.stats.worker_rerouted);
         reg.set_counter("host.worker_restarts", self.stats.worker_restarts);
         reg.set_counter("host.degraded", u64::from(self.degrade.engaged));
-        reg.set_counter("host.connections", self.conns.len() as u64);
+        reg.set_counter("host.connections", self.num_connections() as u64);
         reg.set_counter("host.tx_retry_len", self.tx_retry.len() as u64);
         reg.set_counter("host.workers", self.num_workers() as u64);
         reg.set_gauge("host.kernel_cpu_us", self.kernel_cpu.as_us_f64());
@@ -816,12 +863,17 @@ impl Host {
 
     /// Returns an open connection.
     pub fn connection(&self, id: ConnId) -> Option<&Connection> {
-        self.conns.get(&id)
+        self.endpoints.get(&id).and_then(Endpoint::conn)
+    }
+
+    /// The open connections, in table order.
+    fn connections(&self) -> impl Iterator<Item = &Connection> {
+        self.endpoints.values().filter_map(Endpoint::conn)
     }
 
     /// Returns the number of open connections.
     pub fn num_connections(&self) -> usize {
-        self.conns.len()
+        self.connections().count()
     }
 
     // ------------------------------------------------------------------
@@ -1006,11 +1058,11 @@ impl Host {
     }
 
     /// Rebuilds the kernel-owned NIC flow state a crash wiped: every
-    /// open connection and listener is reinstalled (sorted by id, so
-    /// recovery is deterministic and ids are preserved), and the NAT
-    /// table re-charges its SRAM footprint. Must run before the control
-    /// plane reconciles — policy steps release NAT SRAM they believe is
-    /// charged.
+    /// open connection, then every listener, is reinstalled (each in id
+    /// order, so recovery is deterministic and ids are preserved), and
+    /// the NAT table re-charges its SRAM footprint. Must run before the
+    /// control plane reconciles — policy steps release NAT SRAM they
+    /// believe is charged.
     ///
     /// The committed flow-cache policy is reinstalled *first*, so both
     /// tiers rebuild deterministically under it: restored entries land
@@ -1022,30 +1074,29 @@ impl Host {
         if let Some(fc) = self.ctrl.flow_cache().cloned() {
             let _ = self.nic.configure_flow_cache(Some(fc), now);
         }
-        let mut conns: Vec<Connection> = self.conns.values().cloned().collect();
-        conns.sort_unstable_by_key(|c| c.id.0);
-        for c in &conns {
-            let comm = self.procs.get(c.pid).map(|p| p.comm).unwrap_or_default();
-            self.nic
-                .restore_connection(c.id, c.tuple, c.uid.0, c.pid.0, &comm, c.notify)
-                .expect("restore onto a freshly reset NIC cannot exhaust SRAM");
-            self.kernel_cpu += self.mmio.write(&self.cfg.mem.clone());
-        }
-        let mut listeners: Vec<(ConnId, Pid, IpProto, u16)> = self
-            .listeners
-            .iter()
-            .map(|(&id, &(pid, proto, port))| (id, pid, proto, port))
-            .collect();
-        listeners.sort_unstable_by_key(|&(id, ..)| id.0);
-        for (id, pid, proto, port) in listeners {
-            let (uid, comm) = self
-                .procs
-                .get(pid)
-                .map(|p| (p.cred.uid.0, p.comm))
-                .unwrap_or_default();
-            self.nic
-                .restore_listener(id, proto, port, uid, pid.0, &comm)
-                .expect("restore onto a freshly reset NIC cannot exhaust SRAM");
+        let mut endpoints: Vec<(&ConnId, &Endpoint)> = self.endpoints.iter().collect();
+        // Connections before listeners, each kind in id order.
+        endpoints.sort_unstable_by_key(|&(id, ep)| (ep.conn().is_none(), id.0));
+        for (&id, ep) in endpoints {
+            match ep {
+                Endpoint::Conn(c) => {
+                    let comm = self.procs.get(c.pid).map(|p| p.comm).unwrap_or_default();
+                    self.nic
+                        .restore_connection(id, c.tuple, c.uid.0, c.pid.0, &comm, c.notify)
+                }
+                Endpoint::Listener {
+                    pid, proto, port, ..
+                } => {
+                    let (uid, comm) = self
+                        .procs
+                        .get(*pid)
+                        .map(|p| (p.cred.uid.0, p.comm))
+                        .unwrap_or_default();
+                    self.nic
+                        .restore_listener(id, *proto, *port, uid, pid.0, &comm)
+                }
+            }
+            .expect("restore onto a freshly reset NIC cannot exhaust SRAM");
             self.kernel_cpu += self.mmio.write(&self.cfg.mem.clone());
         }
         if let Some(nat) = &self.nat {
@@ -1109,33 +1160,30 @@ impl Host {
             Ok(id) => id,
             Err(e) => {
                 self.stats.conns_refused += 1;
-                return Err(ConnectError::NicResources(e.to_string()));
+                return Err(ConnectError::NicResources(e));
             }
         };
-        let ring_key = if self.cfg.shared_rings {
-            RingKey::Proc(pid)
+        let rings = if self.cfg.shared_rings {
+            if !self.proc_rings.contains_key(&pid) {
+                let pair = self.alloc_ring_pair();
+                self.proc_rings.insert(pid, pair);
+            }
+            None
         } else {
-            RingKey::Conn(id)
+            Some(self.alloc_ring_pair())
         };
-        let slots = self.cfg.ring_slots;
-        let slot_bytes = self.cfg.ring_slot_bytes;
-        if !self.rings.contains_key(&ring_key) {
-            let rx = RxRing::new(self.alloc_ring_addr(), slots, slot_bytes);
-            let tx = PktRing::new(self.alloc_ring_addr(), slots, slot_bytes);
-            self.rings.insert(ring_key, (rx, tx));
-        }
-        self.conns.insert(
+        self.endpoints.insert(
             id,
-            Connection {
+            Endpoint::Conn(Connection {
                 id,
                 pid,
                 uid,
                 tuple,
                 notify,
-                ring_key,
+                rings,
                 shard: Self::shard_for_tuple(self.nic.rss(), &tuple, self.shards.len()),
                 owner: Owner::new(uid.0, pid.0, comm),
-            },
+            }),
         );
         // Connection setup costs kernel time (syscall + NIC programming).
         self.kernel_cpu += self.stack.costs().syscalls.control_call() + Dur::from_us(2);
@@ -1169,8 +1217,16 @@ impl Host {
         let id = self
             .nic
             .open_listener(proto, port, uid.0, pid.0, &comm)
-            .map_err(|e| ConnectError::NicResources(e.to_string()))?;
-        self.listeners.insert(id, (pid, proto, port));
+            .map_err(ConnectError::NicResources)?;
+        self.endpoints.insert(
+            id,
+            Endpoint::Listener {
+                pid,
+                proto,
+                port,
+                backlog: VecDeque::new(),
+            },
+        );
         self.kernel_cpu += self.stack.costs().syscalls.control_call();
         Ok(id)
     }
@@ -1178,40 +1234,68 @@ impl Host {
     /// Accepts a pending inbound connection on `listener`: allocates the
     /// ring pair, installs the exact-match flow entry, and returns the
     /// new connection — the second half of `accept(2)`. Returns `None`
-    /// when nothing is pending.
+    /// when nothing is pending, or when the connection is refused: a
+    /// client the NIC has no room for right now keeps its place at the
+    /// head of the backlog, one that can never be connected (policy, or
+    /// its tuple is already installed) is dropped from it.
     pub fn accept(&mut self, listener: ConnId, notify: bool) -> Option<ConnId> {
-        let tuple = self.pending_accepts.get_mut(&listener)?.pop_front()?;
-        let &(pid, ..) = self.listeners.get(&listener)?;
-        self.connect(
+        let (pid, tuple) = match self.endpoints.get_mut(&listener)? {
+            Endpoint::Listener { pid, backlog, .. } => (*pid, backlog.pop_front()?),
+            Endpoint::Conn(_) => return None,
+        };
+        let result = self.connect(
             pid,
             tuple.proto,
             tuple.dst_port,
             tuple.src_ip,
             tuple.src_port,
             notify,
-        )
-        .ok()
+        );
+        let transient = matches!(&result, Err(ConnectError::NicResources(e))
+            if !matches!(e, NicError::AlreadyInstalled(_)));
+        if transient {
+            if let Some(Endpoint::Listener { backlog, .. }) = self.endpoints.get_mut(&listener) {
+                backlog.push_front(tuple);
+            }
+        }
+        result.ok()
     }
 
     /// Returns how many inbound connections wait on `listener`.
     pub fn pending_accept_count(&self, listener: ConnId) -> usize {
-        self.pending_accepts
-            .get(&listener)
-            .map(|q| q.len())
-            .unwrap_or(0)
+        match self.endpoints.get(&listener) {
+            Some(Endpoint::Listener { backlog, .. }) => backlog.len(),
+            _ => 0,
+        }
     }
 
-    /// Closes a connection, releasing NIC state and (for per-connection
-    /// rings) the pinned rings.
+    /// Closes a connection or a listener, releasing its NIC state and
+    /// what the kernel held for it: the pinned rings (under
+    /// `shared_rings`, with the process's last connection), or the port
+    /// and the clients still waiting on it.
     pub fn close(&mut self, id: ConnId) -> bool {
-        let Some(conn) = self.conns.remove(&id) else {
+        let Some(closed) = self.endpoints.remove(&id) else {
             return false;
         };
         let _ = self.nic.close_connection(id);
-        if let RingKey::Conn(_) = conn.ring_key {
-            self.rings.remove(&conn.ring_key);
+        if let Endpoint::Conn(Connection {
+            pid, rings: None, ..
+        }) = closed
+        {
+            if !self.connections().any(|c| c.pid == pid) {
+                self.proc_rings.remove(&pid);
+            }
         }
         true
+    }
+
+    /// Allocates and pins one ring pair, RX first.
+    fn alloc_ring_pair(&mut self) -> RingPair {
+        let (slots, slot_bytes) = (self.cfg.ring_slots, self.cfg.ring_slot_bytes);
+        RingPair {
+            rx: RxRing::new(self.alloc_ring_addr(), slots, slot_bytes),
+            tx: PktRing::new(self.alloc_ring_addr(), slots, slot_bytes),
+        }
     }
 
     /// Picks a pinned physical placement for the next ring.
@@ -1290,17 +1374,6 @@ impl Host {
         }
     }
 
-    /// Whether this connection's traffic is demoted to the slow path
-    /// right now: the detector is engaged and the committed policy lists
-    /// the connection's local port as low-priority.
-    fn demote_now(&self, conn: &Connection) -> bool {
-        self.degrade.engaged
-            && self
-                .ctrl
-                .degradation()
-                .is_some_and(|p| p.low_prio_ports.contains(&conn.tuple.dst_port))
-    }
-
     // ------------------------------------------------------------------
     // Dataplane
     // ------------------------------------------------------------------
@@ -1312,20 +1385,6 @@ impl Host {
             self.mmio.write(&self.cfg.mem.clone())
         } else {
             Dur::ZERO
-        }
-    }
-
-    /// Hands a frame to the software stack, reusing the NIC descriptor
-    /// when the parser stage produced one.
-    fn stack_rx(
-        &mut self,
-        packet: &Packet,
-        meta: Option<&pkt::FrameMeta>,
-        now: Time,
-    ) -> (RxOutcome, Dur) {
-        match meta {
-            Some(m) => self.stack.rx_with_meta(packet, m, now),
-            None => self.stack.rx(packet, now),
         }
     }
 
@@ -1392,39 +1451,41 @@ impl Host {
         };
         match rx.disposition {
             RxDisposition::Deliver { conn, .. } => {
-                if self.listeners.contains_key(&conn) {
-                    // First packet of an inbound connection: queue it for
-                    // accept() and hand the payload to the kernel stack. A
-                    // retransmitted first packet finds its client already
-                    // waiting, and a full backlog turns new clients away.
-                    if let Some(tuple) = rx.meta.and_then(|m| m.tuple) {
-                        let backlog = self.pending_accepts.entry(conn).or_default();
-                        if !backlog.contains(&tuple) {
-                            if backlog.len() < ACCEPT_BACKLOG {
-                                backlog.push_back(tuple);
-                            } else {
-                                self.stats.accept_backlog_refused += 1;
+                let c = match self.endpoints.get_mut(&conn) {
+                    Some(Endpoint::Conn(c)) => c,
+                    other => {
+                        // No ring for it, so the frame is the kernel
+                        // stack's. On a listener it is the first packet of
+                        // an inbound connection and its client queues for
+                        // accept(): a retransmitted first packet finds the
+                        // client already waiting, a full backlog turns new
+                        // ones away. Otherwise it matched a flow entry the
+                        // kernel did not install.
+                        let tuple = rx.meta.and_then(|m| m.tuple);
+                        if let (Some(Endpoint::Listener { backlog, .. }), Some(tuple)) =
+                            (other, tuple)
+                        {
+                            if !backlog.contains(&tuple) {
+                                if backlog.len() < ACCEPT_BACKLOG {
+                                    backlog.push_back(tuple);
+                                } else {
+                                    self.stats.accept_backlog_refused += 1;
+                                }
                             }
                         }
+                        self.punt_to_stack(packet, rx.meta.as_ref(), now, &mut report);
+                        return report;
                     }
-                    let (_, cost) = self.stack_rx(packet, rx.meta.as_ref(), now);
-                    self.kernel_cpu += cost;
-                    report.kernel_cpu = cost;
-                    report.outcome = DeliveryOutcome::SlowPath;
-                    self.stats.slowpath += 1;
-                    return report;
-                }
-                let Some(c) = self.conns.get(&conn) else {
-                    // NIC knows a connection the host forgot: treat as
-                    // slow path (stale flow entry).
-                    report.outcome = DeliveryOutcome::SlowPath;
-                    return report;
                 };
-                let pid = c.pid;
-                let key = c.ring_key;
-                let owner = c.owner;
-                let shard = c.shard;
-                if self.demote_now(c) {
+                let (pid, owner, shard) = (c.pid, c.owner, c.shard);
+                // Demoted right now: the detector is engaged and the
+                // committed policy lists this local port as low-priority.
+                let demoted = self.degrade.engaged
+                    && self
+                        .ctrl
+                        .degradation()
+                        .is_some_and(|p| p.low_prio_ports.contains(&c.tuple.dst_port));
+                if demoted {
                     // Degraded mode: this low-priority flow yields the
                     // fast path so high-priority traffic keeps the
                     // rings. The frame is handled by the kernel stack —
@@ -1437,20 +1498,12 @@ impl Host {
                     self.note_ring_pressure(false, now);
                     return report;
                 }
-                let Some((rx_ring, _)) = self.rings.get_mut(&key) else {
-                    // The connection record outlived its rings (torn-down
-                    // state mid-race). Punt to the slow path instead of
-                    // panicking on the hot path.
-                    self.stats.ring_missing += 1;
-                    report.outcome = DeliveryOutcome::SlowPath;
-                    return report;
-                };
                 // The descriptor *is* the frame handle: producing into the
                 // ring moves the handle instead of copying bytes.
                 let plen = packet.len();
                 let fid = rx.meta.as_ref().map_or(0, |m| m.frame_id);
                 let produced = match self.shards[shard].rx_produce(
-                    rx_ring,
+                    &mut c.ring_pair(&mut self.proc_rings).rx,
                     frame,
                     fid,
                     plen,
@@ -1539,8 +1592,9 @@ impl Host {
     }
 
     /// Hands a frame the fast path is not carrying to the kernel stack
-    /// and accounts it as a slow-path delivery, waking the socket's owner
-    /// if the stack asks for it.
+    /// (with the NIC's descriptor when the parser stage produced one) and
+    /// accounts it as a slow-path delivery, waking the socket's owner if
+    /// the stack asks for it.
     fn punt_to_stack(
         &mut self,
         packet: &Packet,
@@ -1548,7 +1602,10 @@ impl Host {
         now: Time,
         report: &mut DeliveryReport,
     ) {
-        let (outcome, cost) = self.stack_rx(packet, meta, now);
+        let (outcome, cost) = match meta {
+            Some(m) => self.stack.rx_with_meta(packet, m, now),
+            None => self.stack.rx(packet, now),
+        };
         self.kernel_cpu += cost;
         report.kernel_cpu = cost;
         report.outcome = DeliveryOutcome::SlowPath;
@@ -1566,7 +1623,7 @@ impl Host {
     /// application can directly send and receive data by merely accessing
     /// memory").
     pub fn app_recv(&mut self, id: ConnId, now: Time, blocking: bool) -> RecvResult {
-        let Some(conn) = self.conns.get(&id) else {
+        let Some(Endpoint::Conn(conn)) = self.endpoints.get_mut(&id) else {
             return RecvResult {
                 len: None,
                 pkt: None,
@@ -1574,21 +1631,8 @@ impl Host {
                 blocked: false,
             };
         };
-        let pid = conn.pid;
-        let notify = conn.notify;
-        let key = conn.ring_key;
-        let owner = conn.owner;
-        let shard = conn.shard;
-        let Some((rx_ring, _)) = self.rings.get_mut(&key) else {
-            // Rings already torn down: nothing to receive.
-            self.stats.ring_missing += 1;
-            return RecvResult {
-                len: None,
-                pkt: None,
-                cpu: Dur::ZERO,
-                blocked: false,
-            };
-        };
+        let (pid, notify, owner, shard) = (conn.pid, conn.notify, conn.owner, conn.shard);
+        let rx_ring = &mut conn.ring_pair(&mut self.proc_rings).rx;
         match rx_ring.consume_cpu_desc(&mut self.shards[shard].llc, &self.cfg.mem) {
             Some((RxDesc { pkt, fid }, len, cost)) => {
                 let cpu = cost + self.doorbell_cost();
@@ -1653,7 +1697,7 @@ impl Host {
         if let Some(len) = r.len {
             let copy = self.cfg.mem.copy(len);
             r.cpu += copy;
-            if let Some(conn) = self.conns.get(&id) {
+            if let Some(conn) = self.connection(id) {
                 self.sched.charge_busy(conn.pid, copy);
             }
         }
@@ -1664,24 +1708,15 @@ impl Host {
     /// the TX ring (CPU stores), ring the doorbell (MMIO), NIC DMA-reads
     /// and runs egress policy, then schedules.
     pub fn app_send(&mut self, id: ConnId, packet: &Packet, now: Time) -> SendResult {
-        let Some(conn) = self.conns.get(&id) else {
+        let Some(Endpoint::Conn(conn)) = self.endpoints.get_mut(&id) else {
             return SendResult {
                 queued: false,
                 deferred: false,
                 cpu: Dur::ZERO,
             };
         };
-        let pid = conn.pid;
-        let key = conn.ring_key;
-        let shard = conn.shard;
-        let Some((_, tx_ring)) = self.rings.get_mut(&key) else {
-            self.stats.ring_missing += 1;
-            return SendResult {
-                queued: false,
-                deferred: false,
-                cpu: Dur::ZERO,
-            };
-        };
+        let (pid, shard) = (conn.pid, conn.shard);
+        let tx_ring = &mut conn.ring_pair(&mut self.proc_rings).tx;
         let (llc, mem) = (&mut self.shards[shard].llc, &self.cfg.mem);
         let Ok(produce) = tx_ring.produce_cpu_with(packet.clone(), packet.len(), llc, mem) else {
             return SendResult {
@@ -1864,6 +1899,19 @@ mod tests {
     }
 
     #[test]
+    fn frame_for_an_entry_the_kernel_did_not_install_is_accounted() {
+        let mut h = host();
+        let tuple = FiveTuple::udp(Ipv4Addr::new(10, 0, 0, 2), 9000, h.cfg.ip, 7000);
+        h.nic.open_connection(tuple, 0, 1, "rogue", false).unwrap();
+        let pkt = wire_udp(h.cfg.ip, 9000, 7000, 64);
+        let report = h.deliver_from_wire(&pkt, Time::ZERO);
+        assert_eq!(report.outcome, DeliveryOutcome::SlowPath);
+        assert!(report.kernel_cpu > Dur::ZERO);
+        assert_eq!(h.stats().slowpath, 1);
+        assert_eq!(h.stack.counters().0, 1);
+    }
+
+    #[test]
     fn ring_overflow_drops() {
         let mut h = host();
         let bob = h.spawn(Uid(1001), "bob", "server");
@@ -2019,7 +2067,19 @@ mod tests {
         h.deliver_from_wire(&p2, Time::ZERO);
         let r = h.app_recv(c2, Time::ZERO, false);
         assert_eq!(r.len, Some(p1.len()));
-        let _ = c1;
+        // The pair is the process's: it outlives one connection and goes
+        // with the last.
+        assert!(h.close(c1));
+        assert_eq!(h.app_recv(c2, Time::ZERO, false).len, Some(p2.len()));
+        let pooled = h.adopt_frame(p2.bytes());
+        let report = h.deliver_frame(pooled, Time::ZERO);
+        assert_eq!(report.outcome, DeliveryOutcome::FastPath(c2));
+        assert_eq!(h.arena().live(), 1);
+        assert_eq!(h.app_recv(c2, Time::ZERO, false).len, Some(p2.len()));
+        assert!(h.close(c2));
+        assert!(h.proc_rings.is_empty());
+        assert!(h.audit().is_empty(), "{:?}", h.audit());
+        assert_eq!(h.arena().live(), 0);
     }
 
     #[test]

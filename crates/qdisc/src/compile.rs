@@ -116,39 +116,6 @@ pub fn compile_uid_wfq(users: &[(u32, f64)], default_weight: f64) -> OverlaySche
     }
 }
 
-/// Compiles a DSCP-based priority configuration: `bands[i]` lists the
-/// DSCP values assigned to class `i`. Unlisted DSCPs go to the last
-/// (lowest-priority) class.
-///
-/// # Panics
-///
-/// Panics if `bands` is empty.
-pub fn compile_dscp_prio(bands: &[Vec<u8>]) -> OverlaySchedulerSetup {
-    assert!(!bands.is_empty(), "need at least one band");
-    let program = builtins::dscp_classifier();
-    let mut map_fills = Vec::new();
-    for (class, dscps) in bands.iter().enumerate() {
-        for &d in dscps {
-            map_fills.push((0, d as usize, class as u64 + 1));
-        }
-    }
-    // Default class for unlisted DSCPs: the last band. The builtin sends
-    // unmapped entries to class 0, so remap "no entry" by filling every
-    // remaining DSCP with the last class.
-    let last = bands.len() as u64;
-    let listed: std::collections::HashSet<usize> = map_fills.iter().map(|&(_, k, _)| k).collect();
-    for d in 0..256usize {
-        if !listed.contains(&d) {
-            map_fills.push((0, d, last));
-        }
-    }
-    OverlaySchedulerSetup {
-        program,
-        map_fills,
-        class_weights: vec![1.0; bands.len()],
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,26 +146,6 @@ mod tests {
         assert_eq!(v(1001, &mut vm), Verdict::Class(1));
         assert_eq!(v(1002, &mut vm), Verdict::Class(2));
         assert_eq!(v(4242, &mut vm), Verdict::Class(0)); // default
-    }
-
-    #[test]
-    fn dscp_prio_maps_all_codepoints() {
-        let setup = compile_dscp_prio(&[vec![0xB8], vec![0x28, 0x30]]);
-        let mut vm = load(&setup);
-        let v = |dscp: u8, vm: &mut Vm| {
-            vm.run(&PktCtx {
-                dscp,
-                ..PktCtx::default()
-            })
-            .unwrap()
-            .verdict
-        };
-        assert_eq!(v(0xB8, &mut vm), Verdict::Class(0));
-        assert_eq!(v(0x28, &mut vm), Verdict::Class(1));
-        assert_eq!(v(0x30, &mut vm), Verdict::Class(1));
-        // Unlisted codepoints collapse to the last (lowest-priority) band.
-        assert_eq!(v(0x00, &mut vm), Verdict::Class(1));
-        assert_eq!(v(0x7F, &mut vm), Verdict::Class(1));
     }
 
     #[test]

@@ -11,36 +11,29 @@
 //!   assigns classes and these engines execute the per-class scheduling —
 //!   the KOPI arrangement.
 //!
-//! Implemented disciplines: FIFO tail-drop ([`Fifo`]), strict priority
-//! ([`Prio`]), token-bucket shaping ([`Tbf`]), deficit round-robin
-//! ([`Drr`]), weighted fair queueing ([`Wfq`], start-time fair queueing
-//! variant), a two-level hierarchical token bucket ([`Htb`]), RED with
-//! ECN marking ([`Red`]), CoDel ([`Codel`]), and a per-hardware-queue
-//! bank of WFQ schedulers for multi-queue NICs ([`MultiQueue`]).
+//! Implemented disciplines: FIFO tail-drop ([`Fifo`]), token-bucket
+//! shaping ([`Tbf`]), deficit round-robin ([`Drr`]), weighted fair
+//! queueing ([`Wfq`], start-time fair queueing variant), RED with ECN
+//! marking ([`Red`]), and a per-hardware-queue bank of WFQ schedulers
+//! for multi-queue NICs ([`MultiQueue`]).
 //! [`classify`] provides software classification rules (the kernel-side
 //! mirror of overlay classifiers) and [`compile`] lowers qdisc
 //! configurations to overlay programs for the NIC.
 
 pub mod classify;
-pub mod codel;
 pub mod compile;
 pub mod drr;
 pub mod fifo;
-pub mod htb;
 pub mod mq;
-pub mod prio;
 pub mod red;
 pub mod tbf;
 pub mod types;
 pub mod wfq;
 
 pub use classify::{ClassMatch, Classifier, ClassifierRule};
-pub use codel::{Codel, CodelConfig};
 pub use drr::Drr;
 pub use fifo::Fifo;
-pub use htb::{Htb, HtbClass};
 pub use mq::MultiQueue;
-pub use prio::Prio;
 pub use red::{Red, RedConfig, RedDecision};
 pub use tbf::Tbf;
 pub use types::{EnqueueError, QPkt, Qdisc, QdiscStats};

@@ -15,22 +15,32 @@ pub struct QPkt {
     pub class: u32,
     /// Arrival instant at the qdisc.
     pub arrival: Time,
+    /// Two words the enqueuer attaches and reads back off the packet it
+    /// is handed at dequeue, purge or reconfigure (the NIC: originating
+    /// connection and trace id). Opaque: no discipline reads it.
+    pub tag: [u64; 2],
 }
 
 impl QPkt {
-    /// Creates a class-0 packet.
+    /// Creates a class-0 packet with a zero tag.
     pub fn new(id: u64, len: u32, arrival: Time) -> QPkt {
         QPkt {
             id,
             len,
             class: 0,
             arrival,
+            tag: [0; 2],
         }
     }
 
     /// Returns a copy assigned to `class`.
     pub fn with_class(self, class: u32) -> QPkt {
         QPkt { class, ..self }
+    }
+
+    /// Returns a copy carrying `tag`.
+    pub fn with_tag(self, tag: [u64; 2]) -> QPkt {
+        QPkt { tag, ..self }
     }
 }
 
@@ -133,9 +143,12 @@ mod tests {
 
     #[test]
     fn qpkt_with_class() {
-        let p = QPkt::new(1, 100, Time::ZERO).with_class(3);
+        let p = QPkt::new(1, 100, Time::ZERO);
+        assert_eq!(p.tag, [0; 2]);
+        let p = p.with_class(3).with_tag([7, 9]);
         assert_eq!(p.class, 3);
         assert_eq!(p.len, 100);
+        assert_eq!(p.tag, [7, 9]);
     }
 
     #[test]

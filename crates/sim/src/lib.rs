@@ -1,4 +1,4 @@
-//! Discrete-event simulation substrate for the Norman KOPI reproduction.
+//! Simulation substrate for the Norman KOPI reproduction.
 //!
 //! This crate provides the foundation every other crate in the workspace
 //! builds on:
@@ -7,26 +7,22 @@
 //!   ([`Dur`]). Picoseconds are required because a 64-byte frame on a
 //!   100 Gbps link serializes in 5.12 ns; nanosecond resolution would
 //!   accumulate large rounding errors across millions of packets.
-//! * [`engine`] — a deterministic discrete-event queue with stable FIFO
-//!   ordering for simultaneous events.
 //! * [`rng`] — a seeded, deterministic random number generator with the
-//!   distributions the workload generators need (uniform, exponential,
-//!   Zipf, Pareto).
-//! * [`stats`] — streaming summaries, log-bucketed latency histograms,
-//!   time series, and rate meters used by the experiment harnesses.
+//!   distributions the workload generators need (uniform, exponential).
+//! * [`stats`] — streaming summaries and log-bucketed latency histograms
+//!   used by the experiment harnesses.
+//! * [`fault`] — seeded fault schedules: lossy, corrupting, reordering
+//!   links and op-count crash injectors.
 //! * [`link`] — serialization/propagation delay modelling for a fixed-rate
 //!   network link.
+//! * [`hash`] — the fast deterministic hasher behind hot-path maps.
 //!
-//! Tracing note: the free-form `sim::trace::Tracer` this crate once
-//! carried is gone. Typed per-packet lifecycle tracing lives in the
-//! `telemetry` crate (`telemetry::Telemetry`, `telemetry::TraceEvent`),
-//! which adds the stage/drop-cause vocabulary, uid/pid attribution, and
-//! the durable trace pipeline the legacy recorder lacked.
+//! There is no event queue: every layer is call-driven, and whoever
+//! drives it passes the instant (`now`) each call happens at.
 //!
 //! All simulation state is single-threaded and deterministic: running the
 //! same experiment twice with the same seed produces byte-identical output.
 
-pub mod engine;
 pub mod fault;
 pub mod hash;
 pub mod link;
@@ -34,7 +30,6 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use engine::{EventQueue, ScheduledId};
 pub use fault::{
     CrashInjector, FaultInjector, FaultSchedule, FaultStats, FaultyLink, LossModel,
     OpFaultInjector, Verdict, WireDelivery,
@@ -42,5 +37,5 @@ pub use fault::{
 pub use hash::{FastMap, FxHasher};
 pub use link::Link;
 pub use rng::DetRng;
-pub use stats::{Counter, Histogram, RateMeter, Summary, TimeSeries};
+pub use stats::{Histogram, Summary};
 pub use time::{Dur, Time};

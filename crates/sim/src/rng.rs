@@ -36,13 +36,6 @@ impl DetRng {
         }
     }
 
-    /// Derives an independent child generator; `salt` distinguishes
-    /// children derived from the same parent state.
-    pub fn fork(&mut self, salt: u64) -> DetRng {
-        let seed = self.next_u64() ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        DetRng::seed_from_u64(seed)
-    }
-
     /// Returns the next raw 64-bit value.
     pub fn next_u64(&mut self) -> u64 {
         let s = &mut self.s;
@@ -117,78 +110,6 @@ impl DetRng {
         // Inverse-CDF sampling; `1 - f64()` avoids ln(0).
         -mean * (1.0 - self.f64()).ln()
     }
-
-    /// Samples a bounded Pareto distribution (shape `alpha`, scale `xm`),
-    /// truncated at `cap`.
-    ///
-    /// Used for heavy-tailed flow sizes. Degenerate parameters clamp to
-    /// `xm`.
-    pub fn pareto(&mut self, xm: f64, alpha: f64, cap: f64) -> f64 {
-        if xm <= 0.0 || alpha <= 0.0 {
-            return xm.max(0.0);
-        }
-        let u = 1.0 - self.f64();
-        (xm / u.powf(1.0 / alpha)).min(cap)
-    }
-
-    /// Samples an index in `[0, n)` from a Zipf distribution with exponent
-    /// `s`, by inverse-CDF over precomputed weights in [`ZipfTable`].
-    ///
-    /// Prefer building a [`ZipfTable`] once when sampling repeatedly.
-    pub fn zipf(&mut self, table: &ZipfTable) -> usize {
-        table.sample(self)
-    }
-}
-
-/// Precomputed cumulative weights for Zipf sampling.
-#[derive(Clone, Debug)]
-pub struct ZipfTable {
-    cdf: Vec<f64>,
-}
-
-impl ZipfTable {
-    /// Builds a table for `n` ranks with exponent `s`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    pub fn new(n: usize, s: f64) -> ZipfTable {
-        assert!(n > 0, "Zipf table needs at least one rank");
-        let mut cdf = Vec::with_capacity(n);
-        let mut acc = 0.0;
-        for k in 1..=n {
-            acc += 1.0 / (k as f64).powf(s);
-            cdf.push(acc);
-        }
-        let total = acc;
-        for v in &mut cdf {
-            *v /= total;
-        }
-        ZipfTable { cdf }
-    }
-
-    /// Returns the number of ranks.
-    pub fn len(&self) -> usize {
-        self.cdf.len()
-    }
-
-    /// Returns `true` if the table has no ranks (never true by
-    /// construction).
-    pub fn is_empty(&self) -> bool {
-        self.cdf.is_empty()
-    }
-
-    /// Samples a rank index in `[0, n)`.
-    pub fn sample(&self, rng: &mut DetRng) -> usize {
-        let u = rng.f64();
-        match self
-            .cdf
-            .binary_search_by(|p| p.partial_cmp(&u).expect("no NaN"))
-        {
-            Ok(i) => i,
-            Err(i) => i.min(self.cdf.len() - 1),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -210,17 +131,6 @@ mod tests {
         let mut b = DetRng::seed_from_u64(2);
         let same = (0..32).filter(|_| a.next_u64() == b.next_u64()).count();
         assert!(same < 2);
-    }
-
-    #[test]
-    fn fork_is_deterministic_and_independent() {
-        let mut parent1 = DetRng::seed_from_u64(7);
-        let mut parent2 = DetRng::seed_from_u64(7);
-        let mut c1 = parent1.fork(3);
-        let mut c2 = parent2.fork(3);
-        assert_eq!(c1.next_u64(), c2.next_u64());
-        let mut c3 = parent1.fork(4);
-        assert_ne!(c1.next_u64(), c3.next_u64());
     }
 
     #[test]
@@ -266,27 +176,6 @@ mod tests {
         let mut rng = DetRng::seed_from_u64(1);
         assert_eq!(rng.exponential(0.0), 0.0);
         assert_eq!(rng.exponential(-5.0), 0.0);
-    }
-
-    #[test]
-    fn pareto_respects_bounds() {
-        let mut rng = DetRng::seed_from_u64(13);
-        for _ in 0..1000 {
-            let v = rng.pareto(64.0, 1.2, 1_000_000.0);
-            assert!((64.0..=1_000_000.0).contains(&v));
-        }
-    }
-
-    #[test]
-    fn zipf_rank_zero_dominates() {
-        let mut rng = DetRng::seed_from_u64(17);
-        let table = ZipfTable::new(100, 1.0);
-        let mut counts = vec![0usize; 100];
-        for _ in 0..10_000 {
-            counts[table.sample(&mut rng)] += 1;
-        }
-        assert!(counts[0] > counts[10]);
-        assert!(counts[0] > counts[99] * 5);
     }
 
     #[test]

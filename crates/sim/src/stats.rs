@@ -3,13 +3,10 @@
 //! * [`Summary`] — count/mean/variance/min/max via Welford's algorithm.
 //! * [`Histogram`] — log-bucketed latency histogram with percentile
 //!   queries, HdrHistogram-style (bounded relative error per bucket).
-//! * [`Counter`] — a named monotonic counter.
-//! * [`RateMeter`] — windowed throughput measurement over virtual time.
-//! * [`TimeSeries`] — (time, value) samples for figure output.
 
 use std::fmt;
 
-use crate::time::{Dur, Time};
+use crate::time::Dur;
 
 /// Streaming count/mean/stddev/min/max over `f64` samples.
 #[derive(Clone, Debug, Default)]
@@ -275,158 +272,6 @@ impl Histogram {
     }
 }
 
-/// A named monotonic counter.
-#[derive(Clone, Debug, Default)]
-pub struct Counter {
-    value: u64,
-}
-
-impl Counter {
-    /// Creates a zeroed counter.
-    pub fn new() -> Counter {
-        Counter::default()
-    }
-
-    /// Adds one.
-    pub fn inc(&mut self) {
-        self.value += 1;
-    }
-
-    /// Adds `n`.
-    pub fn add(&mut self, n: u64) {
-        self.value += n;
-    }
-
-    /// Returns the current value.
-    pub fn get(&self) -> u64 {
-        self.value
-    }
-}
-
-/// Throughput measurement over virtual time.
-///
-/// Records (bytes, packets) and reports rates over the observed span.
-#[derive(Clone, Debug, Default)]
-pub struct RateMeter {
-    bytes: u64,
-    packets: u64,
-    first: Option<Time>,
-    last: Time,
-}
-
-impl RateMeter {
-    /// Creates an empty meter.
-    pub fn new() -> RateMeter {
-        RateMeter::default()
-    }
-
-    /// Records one packet of `bytes` at instant `at`.
-    pub fn record(&mut self, at: Time, bytes: u64) {
-        self.bytes += bytes;
-        self.packets += 1;
-        if self.first.is_none() {
-            self.first = Some(at);
-        }
-        self.last = self.last.max(at);
-    }
-
-    /// Returns total bytes recorded.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-
-    /// Returns total packets recorded.
-    pub fn packets(&self) -> u64 {
-        self.packets
-    }
-
-    /// Returns the observed span from first to last record.
-    pub fn span(&self) -> Dur {
-        match self.first {
-            Some(first) => self.last - first,
-            None => Dur::ZERO,
-        }
-    }
-
-    /// Returns goodput in gigabits per second over `span`, measuring from
-    /// the first record to `end`.
-    ///
-    /// Returns `0.0` if nothing was recorded or the span is zero.
-    pub fn gbps_until(&self, end: Time) -> f64 {
-        let Some(first) = self.first else {
-            return 0.0;
-        };
-        let span = end - first;
-        if span.is_zero() {
-            return 0.0;
-        }
-        (self.bytes * 8) as f64 / span.as_secs_f64() / 1e9
-    }
-
-    /// Returns goodput in gigabits per second over the observed span.
-    pub fn gbps(&self) -> f64 {
-        self.gbps_until(self.last)
-    }
-
-    /// Returns packet rate in millions of packets per second over the
-    /// observed span.
-    pub fn mpps(&self) -> f64 {
-        let span = self.span();
-        if span.is_zero() {
-            return 0.0;
-        }
-        self.packets as f64 / span.as_secs_f64() / 1e6
-    }
-}
-
-/// A sequence of (time, value) samples for figure output.
-#[derive(Clone, Debug, Default)]
-pub struct TimeSeries {
-    samples: Vec<(Time, f64)>,
-}
-
-impl TimeSeries {
-    /// Creates an empty series.
-    pub fn new() -> TimeSeries {
-        TimeSeries::default()
-    }
-
-    /// Appends a sample. Samples should be pushed in time order.
-    pub fn push(&mut self, at: Time, value: f64) {
-        self.samples.push((at, value));
-    }
-
-    /// Returns the samples.
-    pub fn samples(&self) -> &[(Time, f64)] {
-        &self.samples
-    }
-
-    /// Returns the number of samples.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Returns `true` when empty.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Returns the mean of values in the half-open window `[from, to)`.
-    pub fn window_mean(&self, from: Time, to: Time) -> f64 {
-        let vals: Vec<f64> = self
-            .samples
-            .iter()
-            .filter(|(t, _)| *t >= from && *t < to)
-            .map(|(_, v)| *v)
-            .collect();
-        if vals.is_empty() {
-            0.0
-        } else {
-            vals.iter().sum::<f64>() / vals.len() as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -523,47 +368,5 @@ mod tests {
         let h = Histogram::new();
         assert_eq!(h.quantile(0.5), 0);
         assert_eq!(h.mean(), 0.0);
-    }
-
-    #[test]
-    fn rate_meter_computes_gbps() {
-        let mut m = RateMeter::new();
-        // 1250 bytes every 100 ns for 1 us = 12500 bytes over 900 ns span
-        // measured to the explicit end time of 1 us.
-        for i in 0..10 {
-            m.record(Time::from_ns(i * 100), 1250);
-        }
-        let gbps = m.gbps_until(Time::from_ns(1_000));
-        // 12_500 bytes * 8 bits over 1 us = 100 Gbps.
-        assert!((gbps - 100.0).abs() < 1e-6, "gbps {gbps}");
-        assert_eq!(m.packets(), 10);
-        assert_eq!(m.bytes(), 12_500);
-    }
-
-    #[test]
-    fn rate_meter_empty_is_zero() {
-        let m = RateMeter::new();
-        assert_eq!(m.gbps(), 0.0);
-        assert_eq!(m.mpps(), 0.0);
-        assert_eq!(m.span(), Dur::ZERO);
-    }
-
-    #[test]
-    fn time_series_window_mean() {
-        let mut ts = TimeSeries::new();
-        for i in 0..10 {
-            ts.push(Time::from_ns(i), i as f64);
-        }
-        let mean = ts.window_mean(Time::from_ns(2), Time::from_ns(5));
-        assert!((mean - 3.0).abs() < 1e-9);
-        assert_eq!(ts.window_mean(Time::from_ns(100), Time::from_ns(200)), 0.0);
-    }
-
-    #[test]
-    fn counter_accumulates() {
-        let mut c = Counter::new();
-        c.inc();
-        c.add(41);
-        assert_eq!(c.get(), 42);
     }
 }

@@ -1,4 +1,4 @@
-//! Traffic arrival and size generators.
+//! Traffic arrival generators.
 
 use sim::{DetRng, Dur, Time};
 
@@ -67,74 +67,6 @@ impl CbrArrivals {
     }
 }
 
-/// An on/off (bursty, "game-like") source: alternating exponentially
-/// distributed on-periods (CBR packets) and off-periods (silence).
-#[derive(Clone, Debug)]
-pub struct OnOffSource {
-    rng: DetRng,
-    packet_gap: Dur,
-    mean_on_ns: f64,
-    mean_off_ns: f64,
-    burst_until: Time,
-    next: Time,
-}
-
-impl OnOffSource {
-    /// Creates a source sending a packet every `packet_gap` during bursts
-    /// of mean length `mean_on`, separated by silences of mean `mean_off`.
-    pub fn new(packet_gap: Dur, mean_on: Dur, mean_off: Dur, rng: DetRng) -> OnOffSource {
-        OnOffSource {
-            rng,
-            packet_gap,
-            mean_on_ns: mean_on.as_ns_f64(),
-            mean_off_ns: mean_off.as_ns_f64(),
-            burst_until: Time::ZERO,
-            next: Time::ZERO,
-        }
-    }
-
-    /// Returns the next packet instant.
-    pub fn next_arrival(&mut self) -> Time {
-        if self.next >= self.burst_until {
-            // Start a new burst after an off period.
-            let off = self.rng.exponential(self.mean_off_ns);
-            let on = self.rng.exponential(self.mean_on_ns);
-            self.next += Dur::from_ns_f64(off);
-            self.burst_until = self.next + Dur::from_ns_f64(on);
-        }
-        let t = self.next;
-        self.next += self.packet_gap;
-        t
-    }
-}
-
-/// The classic IMIX packet-size mix (7:4:1 of 64/576/1500-byte frames).
-#[derive(Clone, Debug)]
-pub struct Imix {
-    rng: DetRng,
-}
-
-impl Imix {
-    /// Creates an IMIX sampler.
-    pub fn new(rng: DetRng) -> Imix {
-        Imix { rng }
-    }
-
-    /// Samples a frame size in bytes.
-    pub fn sample(&mut self) -> usize {
-        match self.rng.range_u64(0, 12) {
-            0..=6 => 64,
-            7..=10 => 576,
-            _ => 1500,
-        }
-    }
-
-    /// The expected mean size of the mix.
-    pub fn mean() -> f64 {
-        (7.0 * 64.0 + 4.0 * 576.0 + 1500.0) / 12.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,41 +108,5 @@ mod tests {
         // 1500B at 100 Gbps = 120 ns per frame (payload bits only).
         let mut c = CbrArrivals::at_rate(100.0, 1500);
         assert_eq!(c.next_arrival(), Time::from_ns(120));
-    }
-
-    #[test]
-    fn onoff_has_bursts_and_gaps() {
-        let mut src = OnOffSource::new(
-            Dur::from_us(1),
-            Dur::from_ms(1),
-            Dur::from_ms(5),
-            DetRng::seed_from_u64(3),
-        );
-        let times: Vec<Time> = (0..10_000).map(|_| src.next_arrival()).collect();
-        // Gaps bimodal: mostly 1us (in-burst), some much larger.
-        let big_gaps = times
-            .windows(2)
-            .filter(|w| w[1] - w[0] > Dur::from_ms(1))
-            .count();
-        assert!(big_gaps > 3, "expected several off periods, got {big_gaps}");
-        // Still monotone.
-        assert!(times.windows(2).all(|w| w[1] >= w[0]));
-    }
-
-    #[test]
-    fn imix_mean_and_support() {
-        let mut imix = Imix::new(DetRng::seed_from_u64(4));
-        let n = 50_000;
-        let mut sum = 0usize;
-        for _ in 0..n {
-            let s = imix.sample();
-            assert!([64, 576, 1500].contains(&s));
-            sum += s;
-        }
-        let mean = sum as f64 / n as f64;
-        assert!(
-            (mean - Imix::mean()).abs() / Imix::mean() < 0.05,
-            "mean {mean}"
-        );
     }
 }

@@ -2,12 +2,12 @@
 //!
 //! Real applications (Postgres, MySQL, SSH game sessions) are replaced by
 //! synthetic traffic with the properties the paper's scenarios depend on:
-//! per-process flow ownership, heavy-tailed sizes, bursty "game" traffic,
-//! and one misbehaving ARP flooder. See DESIGN.md §2 for the substitution
+//! per-process flow ownership, Poisson or constant-rate arrivals, and one
+//! misbehaving ARP flooder. See DESIGN.md §2 for the substitution
 //! rationale.
 
 pub mod generators;
 pub mod scenarios;
 
-pub use generators::{CbrArrivals, Imix, OnOffSource, PoissonArrivals};
+pub use generators::{CbrArrivals, PoissonArrivals};
 pub use scenarios::{AliceTestbed, TenantApp, BOB, CHARLIE};

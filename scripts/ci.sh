@@ -4,18 +4,19 @@
 #
 #   scripts/ci.sh                 # every job, sequentially
 #   scripts/ci.sh --job lint      # one job: lint | build-test |
-#                                 #   telemetry-test | recovery-test |
-#                                 #   trace-pipeline | overlay-diff |
-#                                 #   miri | normanbench-smoke |
-#                                 #   results | bench-smoke | all
+#                                 #   release-test | telemetry-test |
+#                                 #   recovery-test | trace-pipeline |
+#                                 #   overlay-diff | miri |
+#                                 #   normanbench-smoke | results |
+#                                 #   bench-smoke | all
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 job="all"
 if [[ "${1:-}" == "--job" ]]; then
-  job="${2:?usage: ci.sh [--job lint|build-test|telemetry-test|recovery-test|trace-pipeline|overlay-diff|miri|normanbench-smoke|results|bench-smoke|all]}"
+  job="${2:?usage: ci.sh [--job lint|build-test|release-test|telemetry-test|recovery-test|trace-pipeline|overlay-diff|miri|normanbench-smoke|results|bench-smoke|all]}"
 elif [[ -n "${1:-}" ]]; then
-  echo "usage: ci.sh [--job lint|build-test|telemetry-test|recovery-test|trace-pipeline|overlay-diff|miri|normanbench-smoke|results|bench-smoke|all]" >&2
+  echo "usage: ci.sh [--job lint|build-test|release-test|telemetry-test|recovery-test|trace-pipeline|overlay-diff|miri|normanbench-smoke|results|bench-smoke|all]" >&2
   exit 2
 fi
 
@@ -43,6 +44,15 @@ run_build_test() {
 
   echo "==> cargo test -q"
   cargo test -q
+}
+
+run_release_test() {
+  # normanbench times a release build and tier-1 tests a debug one. The
+  # dataplane crates' suites again under the profile the benchmark runs:
+  # overflow checks and debug_assert! are compiled out there, and
+  # anything debug-only must be gated (parse_once.rs is).
+  echo "==> cargo test --release -q (dataplane crates + integration)"
+  cargo test --release -q -p memsim -p qdisc -p nicsim -p norman -p integration
 }
 
 run_telemetry_test() {
@@ -163,6 +173,7 @@ run_bench_smoke() {
 case "$job" in
   lint) run_lint ;;
   build-test) run_build_test ;;
+  release-test) run_release_test ;;
   telemetry-test) run_telemetry_test ;;
   recovery-test) run_recovery_test ;;
   trace-pipeline) run_trace_pipeline ;;
@@ -174,6 +185,7 @@ case "$job" in
   all)
     run_lint
     run_build_test
+    run_release_test
     run_telemetry_test
     run_recovery_test
     run_trace_pipeline
@@ -184,7 +196,7 @@ case "$job" in
     run_bench_smoke
     ;;
   *)
-    echo "unknown job: $job (want lint, build-test, telemetry-test, recovery-test, trace-pipeline, overlay-diff, miri, normanbench-smoke, results, bench-smoke, or all)" >&2
+    echo "unknown job: $job (want lint, build-test, release-test, telemetry-test, recovery-test, trace-pipeline, overlay-diff, miri, normanbench-smoke, results, bench-smoke, or all)" >&2
     exit 2
     ;;
 esac

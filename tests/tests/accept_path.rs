@@ -178,6 +178,77 @@ fn accept_backlog_is_bounded_and_counted() {
     assert!(host.audit().is_empty(), "{:?}", host.audit());
 }
 
+/// Closing a listener gives back everything `listen` took: the NIC
+/// entry and its SRAM, the clients still waiting, and the port.
+#[test]
+fn closing_a_listener_releases_what_it_held() {
+    let mut host = Host::new(HostConfig::default());
+    let bob = host.spawn(Uid(1001), "bob", "server");
+    let sram_before = host.nic.sram.used();
+    let listener = host.listen(bob, IpProto::UDP, 6000).unwrap();
+    for i in 0..2u16 {
+        let pkt = client_frame(&host, 50_000 + i, 6000, b"syn");
+        host.deliver_from_wire(&pkt, Time::from_us(u64::from(i)));
+    }
+    assert_eq!(host.pending_accept_count(listener), 2);
+
+    assert!(host.close(listener));
+    assert!(!host.close(listener));
+    assert_eq!(host.pending_accept_count(listener), 0);
+    assert!(host.accept(listener, false).is_none());
+    assert_eq!(host.nic.sram.used(), sram_before);
+    assert_eq!(host.nic.flows.num_listeners(), 0);
+    assert!(host.audit().is_empty(), "{:?}", host.audit());
+    host.listen(bob, IpProto::UDP, 6000)
+        .expect("the port is free again");
+}
+
+/// A refused `accept()` loses only a client that can never connect. With
+/// the NIC out of SRAM the client keeps its place at the head of the
+/// backlog and the same `accept()` succeeds once room is freed; a client
+/// whose tuple the process has meanwhile connected itself is dropped, so
+/// it cannot wedge the ones behind it.
+#[test]
+fn refused_accept_keeps_the_client_waiting() {
+    let mut cfg = HostConfig::default();
+    cfg.nic.sram_bytes = 4096;
+    let mut host = Host::new(cfg);
+    let bob = host.spawn(Uid(1001), "bob", "server");
+    let listener = host.listen(bob, IpProto::UDP, 6000).unwrap();
+    for i in 0..2u16 {
+        let pkt = client_frame(&host, 40_001 + i, 6000, b"hello");
+        host.deliver_from_wire(&pkt, Time::from_us(u64::from(i)));
+    }
+    assert_eq!(host.pending_accept_count(listener), 2);
+    let remote = Ipv4Addr::new(10, 0, 0, 2);
+    host.connect(bob, IpProto::UDP, 6000, remote, 40_001, false)
+        .unwrap();
+    let mut hogs = Vec::new();
+    while let Ok(conn) = host.connect(
+        bob,
+        IpProto::UDP,
+        7000,
+        remote,
+        9000 + hogs.len() as u16,
+        false,
+    ) {
+        hogs.push(conn);
+    }
+    assert!(!hogs.is_empty());
+
+    // Already installed: permanent. No room: transient.
+    assert!(host.accept(listener, false).is_none());
+    assert_eq!(host.pending_accept_count(listener), 1);
+    assert!(host.accept(listener, false).is_none());
+    assert_eq!(host.pending_accept_count(listener), 1);
+
+    assert!(host.close(hogs[0]));
+    let conn = host.accept(listener, false).expect("room was freed");
+    assert_eq!(host.connection(conn).unwrap().tuple.src_port, 40_002);
+    assert_eq!(host.pending_accept_count(listener), 0);
+    assert!(host.audit().is_empty(), "{:?}", host.audit());
+}
+
 /// Two hosts wired back to back: a full request/response across both
 /// dataplanes, with the "wire" delivering each host's departures to the
 /// other.
