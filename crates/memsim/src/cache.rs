@@ -390,6 +390,19 @@ impl Llc {
         self.stats = LlcStats::default();
     }
 
+    /// Every way of every set as `(tag, last_use)`, `None` where invalid
+    /// — the whole residency and recency state, for the model to compare.
+    #[cfg(test)]
+    fn dump(&self) -> Vec<Vec<Option<(u64, u64)>>> {
+        let way = |set: usize, w: usize| {
+            let l = self.lines[set * self.ways + w];
+            (self.valid[set] >> w & 1 == 1).then_some((l.tag, l.last_use))
+        };
+        (0..self.sets as usize)
+            .map(|set| (0..self.ways).map(|w| way(set, w)).collect())
+            .collect()
+    }
+
     /// Line address of `addr`: the division is a shift for power-of-two
     /// line sizes. The line address doubles as the tag — simpler than
     /// stripping set bits and correct under hashed indexing.
@@ -741,6 +754,10 @@ pub struct RangeMemo {
     /// Last-known way slot per line of the range.
     slots: Vec<u32>,
 }
+
+#[cfg(test)]
+#[path = "llc_model.rs"]
+mod model;
 
 #[cfg(test)]
 mod tests {
