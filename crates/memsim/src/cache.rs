@@ -297,8 +297,9 @@ struct LineSlot {
 
 impl LineSlot {
     /// An empty slot. `u64::MAX` is unreachable as a tag for any line
-    /// size above one byte (and the validity bitmask, not the sentinel,
-    /// remains the authority in the scan and victim paths).
+    /// size above one byte, which [`Llc::new`] insists on (and the
+    /// validity bitmask, not the sentinel, remains the authority in the
+    /// scan and victim paths).
     const EMPTY: LineSlot = LineSlot {
         tag: u64::MAX,
         last_use: 0,
@@ -307,14 +308,17 @@ impl LineSlot {
 
 /// The last-level cache model.
 ///
-/// Line state is kept struct-of-arrays — contiguous `tags`, a per-set
-/// validity bitmask, and a separate recency array — so the hit scan reads
-/// one dense cache line of tags instead of striding through larger
-/// structs. A per-set MRU way hint short-circuits the scan entirely for
-/// the (dominant) re-touch case. Neither changes any modeled outcome:
-/// valid tags within a set are unique, so the hinted hit is the same hit
-/// the scan would find, and victim selection reproduces the original
-/// first-invalid-then-LRU order exactly.
+/// One `LineSlot` (tag + recency stamp, 16 bytes) per way, set-major in
+/// one array, beside a validity bitmask and a most-recently-touched way
+/// hint per set. The hint short-circuits the way scan for the dominant
+/// re-touch case and the bitmask drives the scan and the victim choice;
+/// neither changes a modeled outcome: valid tags within a set are
+/// unique, so the hinted hit is the hit the scan would find, and the
+/// victim is the lowest invalid way the access class may allocate into,
+/// else the least recently used of those ways. Callers that touch fixed
+/// lines over and over (rings) hold a way-slot index per line and go
+/// through [`Llc::access_lines_memo`], which says what such an entry may
+/// and may not skip.
 pub struct Llc {
     cfg: LlcConfig,
     sets: u64,
@@ -336,6 +340,9 @@ pub struct Llc {
     set_mask: Option<u64>,
     clock: u64,
     stats: LlcStats,
+    /// Calls of `Llc::access_line`, i.e. set hashes + way scans.
+    #[cfg(debug_assertions)]
+    set_scans: u64,
 }
 
 impl Llc {
@@ -343,16 +350,27 @@ impl Llc {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry is degenerate (zero sets or ways,
-    /// `ddio_ways > ways`, or associativity above the 64 ways the per-set
-    /// validity bitmask can represent).
+    /// Panics if the geometry is degenerate (zero sets or ways, lines
+    /// under two bytes, `ddio_ways > ways`, or associativity above the
+    /// 64 ways the per-set validity bitmask can represent) or has
+    /// `u32::MAX` way slots or more: a way-slot index is a `u32`, and
+    /// `u32::MAX` is the residency entry for "unknown"
+    /// ([`Llc::access_lines_memo`]).
     pub fn new(cfg: LlcConfig) -> Llc {
         assert!(cfg.ways > 0, "cache needs at least one way");
         assert!(cfg.ways <= 64, "associativity above 64 is unsupported");
         assert!(cfg.ddio_ways <= cfg.ways, "DDIO ways exceed associativity");
+        // With one-byte lines `u64::MAX`, the tag of an empty way, would
+        // be a line address.
+        assert!(cfg.line_bytes > 1, "lines need at least two bytes");
         let sets = cfg.sets();
         assert!(sets > 0, "cache smaller than one set");
-        let slots = (sets * u64::from(cfg.ways)) as usize;
+        let slots = sets * u64::from(cfg.ways);
+        assert!(
+            slots < u64::from(u32::MAX),
+            "{slots} way slots do not fit a u32 way-slot index"
+        );
+        let slots = slots as usize;
         let lines = vec![LineSlot::EMPTY; slots];
         advise_huge_pages(
             lines.as_ptr() as *const u8,
@@ -372,6 +390,8 @@ impl Llc {
             clock: 0,
             cfg,
             stats: LlcStats::default(),
+            #[cfg(debug_assertions)]
+            set_scans: 0,
         }
     }
 
@@ -383,6 +403,15 @@ impl Llc {
     /// Returns accumulated statistics.
     pub fn stats(&self) -> LlcStats {
         self.stats
+    }
+
+    /// How many times a set was hashed and its ways scanned — once per
+    /// line access that no residency entry proved
+    /// ([`Llc::access_lines_memo`]). Debug builds only, like
+    /// `pkt::meta::derive_count`.
+    #[cfg(debug_assertions)]
+    pub fn set_scans(&self) -> u64 {
+        self.set_scans
     }
 
     /// Resets statistics (the cache contents are retained).
@@ -406,7 +435,7 @@ impl Llc {
     /// Line address of `addr`: the division is a shift for power-of-two
     /// line sizes. The line address doubles as the tag — simpler than
     /// stripping set bits and correct under hashed indexing.
-    fn line_of(&self, addr: u64) -> u64 {
+    pub(crate) fn line_of(&self, addr: u64) -> u64 {
         match self.line_shift {
             Some(s) => addr >> s,
             None => addr / self.cfg.line_bytes,
@@ -431,6 +460,16 @@ impl Llc {
         }
     }
 
+    /// The hit counter `kind` is counted under.
+    fn hits_mut(&mut self, kind: AccessKind) -> &mut u64 {
+        match kind {
+            AccessKind::CpuRead | AccessKind::CpuWrite | AccessKind::DmaRead => {
+                &mut self.stats.cpu_hits
+            }
+            AccessKind::DmaWrite | AccessKind::DmaWriteBypass => &mut self.stats.dma_hits,
+        }
+    }
+
     /// Touches the single cache line containing `addr`.
     pub fn access(&mut self, addr: u64, kind: AccessKind) -> AccessOutcome {
         self.access_line(self.line_of(addr), kind).0
@@ -442,6 +481,10 @@ impl Llc {
     /// no-allocate DMA miss).
     fn access_line(&mut self, tag: u64, kind: AccessKind) -> (AccessOutcome, Option<u32>) {
         self.clock += 1;
+        #[cfg(debug_assertions)]
+        {
+            self.set_scans += 1;
+        }
         let set = self.set_of(tag) as usize;
         let base = set * self.ways;
         let vmask = self.valid[set];
@@ -468,12 +511,7 @@ impl Llc {
         if let Some(w) = hit_way {
             self.lines[base + w].last_use = self.clock;
             self.mru[set] = w as u8;
-            match kind {
-                AccessKind::CpuRead | AccessKind::CpuWrite | AccessKind::DmaRead => {
-                    self.stats.cpu_hits += 1
-                }
-                AccessKind::DmaWrite | AccessKind::DmaWriteBypass => self.stats.dma_hits += 1,
-            }
+            *self.hits_mut(kind) += 1;
             return (AccessOutcome::Hit, Some((base + w) as u32));
         }
 
@@ -528,6 +566,24 @@ impl Llc {
         (AccessOutcome::Miss, Some((base + victim) as u32))
     }
 
+    /// The latency of one line access: the one `(kind, outcome) → cost`
+    /// table.
+    fn line_cost(&self, kind: AccessKind, outcome: AccessOutcome, costs: &MemCosts) -> Dur {
+        use AccessKind::{DmaWrite, DmaWriteBypass};
+        use AccessOutcome::{Hit, Miss};
+        match (kind, outcome) {
+            (DmaWrite | DmaWriteBypass, Hit) => costs.ddio_hit,
+            // No DDIO: the write goes to DRAM.
+            (DmaWrite, Miss) if self.cfg.ddio_ways == 0 => costs.dma_dram,
+            // Write-allocate into the DDIO ways: no fetch.
+            (DmaWrite, Miss) => costs.ddio_alloc,
+            // Bypassing writes always pay the DRAM path on a miss.
+            (DmaWriteBypass, Miss) => costs.dma_dram,
+            (_, Hit) => costs.llc_hit,
+            (_, Miss) => costs.dram,
+        }
+    }
+
     /// Touches every line in `[addr, addr + len)` and returns the summed
     /// latency under `costs`.
     pub fn access_range(&mut self, addr: u64, len: u64, kind: AccessKind, costs: &MemCosts) -> Dur {
@@ -539,220 +595,90 @@ impl Llc {
         let mut total = Dur::ZERO;
         for line in first..=last {
             let (outcome, _) = self.access_line(line, kind);
-            total += match (kind, outcome) {
-                (AccessKind::DmaWrite | AccessKind::DmaWriteBypass, AccessOutcome::Hit) => {
-                    costs.ddio_hit
-                }
-                (AccessKind::DmaWrite, AccessOutcome::Miss) => {
-                    if self.cfg.ddio_ways == 0 {
-                        // No DDIO: the write goes to DRAM.
-                        costs.dma_dram
-                    } else {
-                        // Write-allocate into the DDIO ways: no fetch.
-                        costs.ddio_alloc
-                    }
-                }
-                // Bypassing writes always pay the DRAM path on a miss.
-                (AccessKind::DmaWriteBypass, AccessOutcome::Miss) => costs.dma_dram,
-                (_, AccessOutcome::Hit) => costs.llc_hit,
-                (_, AccessOutcome::Miss) => costs.dram,
-            };
+            total += self.line_cost(kind, outcome, costs);
         }
         total
     }
 
-    /// [`Llc::access_range`] with a caller-held residency memo for ranges
-    /// touched repeatedly at fixed addresses (ring slots).
+    /// Touches the `ways.len()` consecutive lines starting at line address
+    /// `first_line`, like [`Llc::access_range`] over the same lines, with
+    /// a caller-held residency entry per line: `ways[k]` is the way slot
+    /// line `first_line + k` occupied when the caller last touched it
+    /// (`u32::MAX` = unknown). For lines touched repeatedly at fixed
+    /// addresses (ring slots).
     ///
-    /// The memo caches the way slot each line of the range last occupied.
-    /// On re-access, a line whose memoized slot still holds its tag is
-    /// *proven* resident — tags are full line addresses, a set never
-    /// holds duplicate tags, and valid bits are never cleared — so the
-    /// model can apply the exact hit bookkeeping (clock tick, recency
-    /// stamp, MRU hint, stats, hit cost) without re-hashing the set or
-    /// scanning ways. Any line that fails the check falls back to
-    /// `Llc::access_line` and re-records its slot, so state evolution,
-    /// stats, and returned costs are bit-identical to the plain walk —
-    /// the memo only removes redundant lookup work, never modeled work.
-    ///
-    /// Sharing one memo across producers and consumers of the same range
-    /// is sound: residency is independent of [`AccessKind`], which only
-    /// selects the stats counter and the per-line cost here. A memo used
-    /// against a different `Llc` instance simply misses its checks and
-    /// rebuilds (slot indices are bounds-checked).
-    pub fn access_range_memo(
+    /// An entry whose way slot is in bounds and still holds the line's tag
+    /// *proves* the line resident — tags are full line addresses, a set
+    /// never holds one tag twice, and an empty way holds a tag no line
+    /// has. For a proven line the walk may skip the set hash, the way
+    /// scan and the refresh of the set's MRU hint (the hint only
+    /// accelerates `Llc::access_line`'s scan and is verified by tag
+    /// compare before use). It may not skip anything the model observes:
+    /// the LRU clock ticks once per line, the line's recency stamp is
+    /// that tick, and the hit is counted and charged — clock, counter and
+    /// cost batched after the walk, to the same values. Any other entry —
+    /// never set, stale because the line was evicted or came back into
+    /// another way, or recorded against a different `Llc` — fails the
+    /// check, goes through `Llc::access_line` and is recorded again.
+    /// One table serves every producer and consumer of its lines:
+    /// residency does not depend on [`AccessKind`], which only selects
+    /// the counter and the cost. `llc_model.rs` holds this walk to the
+    /// plain one and to a naive cache, op by op.
+    pub fn access_lines_memo(
         &mut self,
-        addr: u64,
-        len: u64,
+        first_line: u64,
         kind: AccessKind,
         costs: &MemCosts,
-        memo: &mut RangeMemo,
+        ways: &mut [u32],
     ) -> Dur {
-        if len == 0 {
-            return Dur::ZERO;
-        }
-        let first = self.line_of(addr);
-        let last = self.line_of(addr + len - 1);
-        let n = (last - first + 1) as usize;
-        if memo.first != first || memo.slots.len() != n {
-            memo.first = first;
-            memo.slots.clear();
-            memo.slots.resize(n, u32::MAX);
-        }
-        let hit_cost = match kind {
-            AccessKind::DmaWrite | AccessKind::DmaWriteBypass => costs.ddio_hit,
-            _ => costs.llc_hit,
-        };
-        // Single-line ranges (ring descriptors) skip the walk machinery:
-        // one proven-resident check, the same clock/stamp/stat updates.
-        if n == 1 {
-            let ms = memo.slots[0];
-            if let Some(l) = self.lines.get_mut(ms as usize) {
-                if l.tag == first {
-                    self.clock += 1;
-                    l.last_use = self.clock;
-                    match kind {
-                        AccessKind::CpuRead | AccessKind::CpuWrite | AccessKind::DmaRead => {
-                            self.stats.cpu_hits += 1
-                        }
-                        AccessKind::DmaWrite | AccessKind::DmaWriteBypass => {
-                            self.stats.dma_hits += 1
-                        }
-                    }
-                    return hit_cost;
-                }
-            }
-        }
-        let mut total = Dur::ZERO;
-        // Every line access — hit or miss — advances the LRU clock by
-        // exactly one ([`Llc::access_line`] increments at its top), so
-        // line `k` of the walk always lands on stamp `clock_base + k + 1`.
-        // Hoisting the clock out of the hit path turns a per-line
-        // read-modify-write of `self.clock` into register arithmetic; the
-        // resulting stamps are identical to the incremental walk's.
+        // Line `k` of the walk, hit or miss, lands on stamp
+        // `clock_base + k + 1`.
         let clock_base = self.clock;
-        let mut fast_hits: u64 = 0;
-        for (k, ms) in memo.slots.iter_mut().enumerate() {
-            let tag = first + k as u64;
-            // A matching tag at the memoized slot proves residency: empty
-            // slots hold [`LineSlot::EMPTY`] (never a reachable tag), so
-            // no separate validity load is needed here. The MRU hint is
-            // deliberately *not* refreshed on this path: the hint is a
-            // scan accelerator inside [`Llc::access_line`], verified by
-            // tag compare before use, so a stale hint changes no outcome,
-            // no stat, and no eviction — only how fast the model's own
-            // scan finds the line. Skipping it keeps the hot walk to one
-            // store per line.
-            if tag != u64::MAX {
-                if let Some(l) = self.lines.get_mut(*ms as usize) {
-                    if l.tag == tag {
-                        // Proven hit: the same observable updates the slow
-                        // path performs, with the clock stamp computed from
-                        // the hoisted base and the stats/cost increments
-                        // batched after the loop.
-                        l.last_use = clock_base + k as u64 + 1;
-                        fast_hits += 1;
-                        continue;
-                    }
+        let mut missed_cost = Dur::ZERO;
+        let mut missed: u64 = 0;
+        let mut k = 0;
+        loop {
+            // The run of proven hits makes no call, so its state stays
+            // in registers: one load, one compare and one store per line.
+            let lines = self.lines.as_mut_slice();
+            while let Some(&way) = ways.get(k) {
+                let tag = first_line + k as u64;
+                match lines.get_mut(way as usize) {
+                    Some(l) if l.tag == tag => l.last_use = clock_base + k as u64 + 1,
+                    _ => break,
                 }
+                k += 1;
             }
-            self.clock = clock_base + k as u64;
-            let (outcome, slot) = self.access_line(tag, kind);
-            *ms = slot.unwrap_or(u32::MAX);
-            total += match (kind, outcome) {
-                (AccessKind::DmaWrite | AccessKind::DmaWriteBypass, AccessOutcome::Hit) => {
-                    costs.ddio_hit
-                }
-                (AccessKind::DmaWrite, AccessOutcome::Miss) => {
-                    if self.cfg.ddio_ways == 0 {
-                        costs.dma_dram
-                    } else {
-                        costs.ddio_alloc
-                    }
-                }
-                (AccessKind::DmaWriteBypass, AccessOutcome::Miss) => costs.dma_dram,
-                (_, AccessOutcome::Hit) => costs.llc_hit,
-                (_, AccessOutcome::Miss) => costs.dram,
-            };
+            let Some(way) = ways.get_mut(k) else { break };
+            let tag = first_line + k as u64;
+            missed_cost += self.access_unproven(tag, clock_base + k as u64, kind, costs, way);
+            missed += 1;
+            k += 1;
         }
-        self.clock = clock_base + n as u64;
-        if fast_hits > 0 {
-            match kind {
-                AccessKind::CpuRead | AccessKind::CpuWrite | AccessKind::DmaRead => {
-                    self.stats.cpu_hits += fast_hits
-                }
-                AccessKind::DmaWrite | AccessKind::DmaWriteBypass => {
-                    self.stats.dma_hits += fast_hits
-                }
-            }
-            total += hit_cost * fast_hits;
-        }
-        total
+        self.clock = clock_base + k as u64;
+        let proven = k as u64 - missed;
+        *self.hits_mut(kind) += proven;
+        missed_cost + self.line_cost(kind, AccessOutcome::Hit, costs) * proven
     }
 
-    /// Single-line form of [`Llc::access_range_memo`] for fixed-address
-    /// ranges that fit in one cache line (ring descriptors): the memo is
-    /// one caller-held flat way-slot index instead of a [`RangeMemo`],
-    /// removing the memo struct's pointer chase from the per-descriptor
-    /// walk. State evolution, stats, and the returned cost are identical
-    /// to [`Llc::access_range`] over the same line.
-    pub fn access_line_memo(
+    /// The out-of-line half of [`Llc::access_lines_memo`]: a full
+    /// [`Llc::access_line`] at LRU clock `clock`, recording where the
+    /// line now lives.
+    #[cold]
+    #[inline(never)]
+    fn access_unproven(
         &mut self,
-        addr: u64,
+        tag: u64,
+        clock: u64,
         kind: AccessKind,
         costs: &MemCosts,
-        slot: &mut u32,
+        way: &mut u32,
     ) -> Dur {
-        let tag = self.line_of(addr);
-        // A matching tag at the memoized slot proves residency (see
-        // [`Llc::access_range_memo`] for the argument).
-        if let Some(l) = self.lines.get_mut(*slot as usize) {
-            if l.tag == tag {
-                self.clock += 1;
-                l.last_use = self.clock;
-                return match kind {
-                    AccessKind::DmaWrite | AccessKind::DmaWriteBypass => {
-                        self.stats.dma_hits += 1;
-                        costs.ddio_hit
-                    }
-                    _ => {
-                        self.stats.cpu_hits += 1;
-                        costs.llc_hit
-                    }
-                };
-            }
-        }
-        let (outcome, s) = self.access_line(tag, kind);
-        *slot = s.unwrap_or(u32::MAX);
-        match (kind, outcome) {
-            (AccessKind::DmaWrite | AccessKind::DmaWriteBypass, AccessOutcome::Hit) => {
-                costs.ddio_hit
-            }
-            (AccessKind::DmaWrite, AccessOutcome::Miss) => {
-                if self.cfg.ddio_ways == 0 {
-                    costs.dma_dram
-                } else {
-                    costs.ddio_alloc
-                }
-            }
-            (AccessKind::DmaWriteBypass, AccessOutcome::Miss) => costs.dma_dram,
-            (_, AccessOutcome::Hit) => costs.llc_hit,
-            (_, AccessOutcome::Miss) => costs.dram,
-        }
+        self.clock = clock;
+        let (outcome, slot) = self.access_line(tag, kind);
+        *way = slot.unwrap_or(u32::MAX);
+        self.line_cost(kind, outcome, costs)
     }
-}
-
-/// A caller-held residency memo for [`Llc::access_range_memo`]: the flat
-/// way-slot index each line of one fixed address range occupied after its
-/// last access (`u32::MAX` = not resident). Purely an acceleration
-/// structure — stale or mismatched entries are detected (tag comparison)
-/// and repaired, never trusted.
-#[derive(Clone, Debug, Default)]
-pub struct RangeMemo {
-    /// First line address of the memoized range.
-    first: u64,
-    /// Last-known way slot per line of the range.
-    slots: Vec<u32>,
 }
 
 #[cfg(test)]
@@ -933,6 +859,19 @@ mod tests {
             size_bytes: 1 << 20,
             ways: 4,
             ddio_ways: 5,
+            line_bytes: 64,
+            hash_sets: true,
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "do not fit a u32 way-slot index")]
+    fn more_way_slots_than_a_u32_indexes_rejected() {
+        // 2^32 one-way sets; refused before anything is allocated.
+        let _ = Llc::new(LlcConfig {
+            size_bytes: 64 << 32,
+            ways: 1,
+            ddio_ways: 1,
             line_bytes: 64,
             hash_sets: true,
         });

@@ -27,7 +27,7 @@ pub mod costs;
 pub mod mmio;
 pub mod ring;
 
-pub use cache::{AccessKind, AccessOutcome, Llc, LlcConfig, LlcPartitionPlan, LlcStats, RangeMemo};
+pub use cache::{AccessKind, AccessOutcome, Llc, LlcConfig, LlcPartitionPlan, LlcStats};
 pub use costs::MemCosts;
 pub use mmio::MmioBus;
 pub use ring::{DescRing, HostRing, RingError};

@@ -10,7 +10,7 @@
 
 use sim::Dur;
 
-use crate::cache::{AccessKind, Llc, RangeMemo};
+use crate::cache::{AccessKind, Llc};
 use crate::costs::MemCosts;
 
 /// Errors from ring operations.
@@ -59,23 +59,24 @@ pub struct DescRing<T> {
     head: u64,
     /// Consumer index (free-running).
     tail: u64,
-    /// Length of the payload in each occupied slot.
-    lens: Vec<usize>,
-    /// The descriptor riding in each occupied slot.
-    descs: Vec<Option<T>>,
+    /// Per slot: the payload's length and, while occupied, the
+    /// descriptor riding in it.
+    recs: Vec<(u32, Option<T>)>,
     enqueued: u64,
     dequeued: u64,
     full_drops: u64,
-    /// Per-slot LLC residency memos: ring slots sit at fixed addresses
-    /// and are touched in strict rotation, the exact pattern
-    /// [`RangeMemo`] accelerates. Shared by the producer and consumer of
-    /// each slot.
-    data_memos: Vec<RangeMemo>,
-    /// The descriptor's memo: the base address is descriptor-aligned, so
-    /// every 16-byte descriptor sits in one cache line and its memo is
-    /// one flat way-slot index (`u32::MAX` = unknown) — see
-    /// [`Llc::access_line_memo`].
-    desc_slots: Vec<u32>,
+    /// Where this ring's lines were last seen in the LLC: `stride`
+    /// way-slot entries per slot for [`Llc::access_lines_memo`], entry 0
+    /// the descriptor's line (the base address is descriptor-aligned, so
+    /// a 16-byte descriptor sits in one line) and entries 1.. the
+    /// payload's lines from the slot's address up. An entry belongs to a
+    /// line, not to a frame: a shorter payload walks a prefix of the
+    /// slot's entries and leaves the rest as they were for the next long
+    /// one. Shared by the slot's producer and consumer.
+    ways: Vec<u32>,
+    /// Entries per slot: one more than the most lines a payload carried
+    /// by this ring has spanned (see [`DescRing::grow`]).
+    stride: usize,
 }
 
 /// A ring that models memory cost only, with no descriptor payload.
@@ -91,12 +92,17 @@ impl<T> DescRing<T> {
     ///
     /// # Panics
     ///
-    /// Panics if `slots` or `slot_bytes` is zero, or if `base_addr` is
-    /// not a multiple of [`DescRing::DESC_BYTES`] (a descriptor must not
-    /// straddle a cache line).
+    /// Panics if `slots` or `slot_bytes` is zero, if `slot_bytes` exceeds
+    /// `u32::MAX` (a slot's payload length is stored as a `u32`), or if
+    /// `base_addr` is not a multiple of [`DescRing::DESC_BYTES`] (a
+    /// descriptor must not straddle a cache line).
     pub fn new(base_addr: u64, slots: usize, slot_bytes: usize) -> DescRing<T> {
         assert!(slots > 0, "ring needs at least one slot");
         assert!(slot_bytes > 0, "slots need nonzero capacity");
+        assert!(
+            slot_bytes <= u32::MAX as usize,
+            "a {slot_bytes}-byte slot's length does not fit a u32"
+        );
         assert!(
             base_addr.is_multiple_of(Self::DESC_BYTES),
             "ring base {base_addr:#x} is not descriptor-aligned"
@@ -107,13 +113,12 @@ impl<T> DescRing<T> {
             slot_bytes,
             head: 0,
             tail: 0,
-            lens: vec![0; slots],
-            descs: (0..slots).map(|_| None).collect(),
+            recs: (0..slots).map(|_| (0, None)).collect(),
             enqueued: 0,
             dequeued: 0,
             full_drops: 0,
-            data_memos: vec![RangeMemo::default(); slots],
-            desc_slots: vec![u32::MAX; slots],
+            ways: vec![u32::MAX; slots * 2],
+            stride: 2,
         }
     }
 
@@ -157,6 +162,44 @@ impl<T> DescRing<T> {
 
     fn slot_addr(&self, slot: usize) -> u64 {
         self.base_addr + self.slots as u64 * Self::DESC_BYTES + slot as u64 * self.slot_bytes as u64
+    }
+
+    /// Walks the descriptor line and the lines of a `len`-byte payload
+    /// of `slot` through the LLC, returning the memory cost. An empty
+    /// payload still touches the slot's first line.
+    fn touch(
+        &mut self,
+        slot: usize,
+        len: usize,
+        kind: AccessKind,
+        llc: &mut Llc,
+        costs: &MemCosts,
+    ) -> Dur {
+        let desc_line = llc.line_of(self.desc_addr(slot));
+        let data_addr = self.slot_addr(slot);
+        let data_line = llc.line_of(data_addr);
+        let lines = (llc.line_of(data_addr + len.max(1) as u64 - 1) - data_line) as usize + 1;
+        if lines >= self.stride {
+            self.grow(lines + 1);
+        }
+        let entries = &mut self.ways[slot * self.stride..][..lines + 1];
+        let (desc, data) = entries.split_at_mut(1);
+        llc.access_lines_memo(desc_line, kind, costs, desc)
+            + llc.access_lines_memo(data_line, kind, costs, data)
+    }
+
+    /// Re-lays the residency table out with `stride` entries per slot,
+    /// keeping what each slot already knows. A ring of short frames never
+    /// pays for the entries a full slot would need; one that meets a
+    /// longer frame pays one copy per new longest length.
+    fn grow(&mut self, stride: usize) {
+        let mut ways = vec![u32::MAX; self.slots * stride];
+        let rows = ways.chunks_exact_mut(stride);
+        for (row, old) in rows.zip(self.ways.chunks_exact(self.stride)) {
+            row[..self.stride].copy_from_slice(old);
+        }
+        self.ways = ways;
+        self.stride = stride;
     }
 
     /// Produces a descriptor for a payload of `len` bytes into the ring
@@ -219,21 +262,9 @@ impl<T> DescRing<T> {
             return Err(RingError::Full);
         }
         let slot = self.slot_of(self.head);
-        let mut cost = llc.access_line_memo(
-            self.desc_addr(slot),
-            kind,
-            costs,
-            &mut self.desc_slots[slot],
-        );
-        cost += llc.access_range_memo(
-            self.slot_addr(slot),
-            len.max(1) as u64,
-            kind,
-            costs,
-            &mut self.data_memos[slot],
-        );
-        self.lens[slot] = len;
-        self.descs[slot] = Some(desc);
+        let cost = self.touch(slot, len, kind, llc, costs);
+        // `len <= slot_bytes`, which `new` bounded by `u32::MAX`.
+        self.recs[slot] = (len as u32, Some(desc));
         self.head += 1;
         self.enqueued += 1;
         Ok(cost)
@@ -275,21 +306,10 @@ impl<T> DescRing<T> {
             return None;
         }
         let slot = self.slot_of(self.tail);
-        let len = self.lens[slot];
-        let mut cost = llc.access_line_memo(
-            self.desc_addr(slot),
-            kind,
-            costs,
-            &mut self.desc_slots[slot],
-        );
-        cost += llc.access_range_memo(
-            self.slot_addr(slot),
-            len.max(1) as u64,
-            kind,
-            costs,
-            &mut self.data_memos[slot],
-        );
-        let desc = self.descs[slot]
+        let len = self.recs[slot].0 as usize;
+        let cost = self.touch(slot, len, kind, llc, costs);
+        let desc = self.recs[slot]
+            .1
             .take()
             .expect("occupied slot without a descriptor");
         self.tail += 1;
@@ -300,8 +320,7 @@ impl<T> DescRing<T> {
     /// Iterates over the descriptors of the occupied slots, oldest
     /// first (audit/ledger walks; no modeled cost).
     pub fn iter_descs(&self) -> impl Iterator<Item = &T> {
-        (self.tail..self.head)
-            .filter_map(move |idx| self.descs[(idx % self.slots as u64) as usize].as_ref())
+        (self.tail..self.head).filter_map(move |idx| self.recs[self.slot_of(idx)].1.as_ref())
     }
 }
 
@@ -391,6 +410,42 @@ mod tests {
     #[should_panic(expected = "not descriptor-aligned")]
     fn unaligned_base_is_refused() {
         let _ = HostRing::new(8, 2, 64);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    #[should_panic(expected = "does not fit a u32")]
+    fn slot_longer_than_a_u32_is_refused() {
+        let _ = HostRing::new(0, 1, u32::MAX as usize + 1);
+    }
+
+    /// Once a slot's lines are resident and the ring knows where, no
+    /// frame length makes the model hash a set or scan its ways again: a
+    /// residency entry belongs to a line, not to the last frame's shape.
+    #[test]
+    #[cfg(debug_assertions)]
+    fn mixed_lengths_walk_no_set_once_warm() {
+        let costs = MemCosts::default();
+        let mut c = llc();
+        let mut ring = HostRing::new(1 << 12, 2, 2048);
+        for _ in 0..2 {
+            ring.produce_cpu(1500, &mut c, &costs).unwrap();
+            ring.consume_dma(&mut c, &costs).unwrap();
+        }
+        let warm = c.set_scans();
+        let lens = [64, 256, 1024, 1500].into_iter().cycle().take(1000);
+        for len in lens.clone() {
+            ring.produce_cpu(len, &mut c, &costs).unwrap();
+            ring.consume_dma(&mut c, &costs).unwrap();
+        }
+        assert_eq!(c.set_scans(), warm, "a CPU producer rescanned a set");
+        // A bypassing DMA write allocates nothing, but the lines are
+        // resident and proven, so it has nothing to look up either.
+        for len in lens {
+            ring.produce_dma_bypass(len, &mut c, &costs).unwrap();
+            ring.consume_cpu(&mut c, &costs).unwrap();
+        }
+        assert_eq!(c.set_scans(), warm, "a bypassing producer rescanned a set");
     }
 
     #[test]

@@ -306,6 +306,9 @@ pub struct HostStats {
     pub worker_rerouted: u64,
     /// Shards restarted by the supervisor after a panic.
     pub worker_restarts: u64,
+    /// Delivered frames still unread in an RX ring when `Host::close`
+    /// released it.
+    pub discarded_at_close: u64,
 }
 
 /// Clients one listener holds for `accept()` at a time (Linux's
@@ -775,11 +778,16 @@ impl Host {
             d(self.stats.ring_drops, self.tel_baseline.ring_drops),
         );
         // Frames already resident when tracing started were never counted
-        // as enqueues, but their dequeues are.
+        // as enqueues, but their dequeues are. A frame a `close` discarded
+        // left its ring without one.
+        let discarded = d(
+            self.stats.discarded_at_close,
+            self.tel_baseline.discarded_at_close,
+        );
         check(
             "ring occupancy",
             (self.tel_baseline_resident + ring_enq_pass)
-                .saturating_sub(self.tel.stage_count(Stage::RingDequeue)),
+                .saturating_sub(self.tel.stage_count(Stage::RingDequeue) + discarded),
             self.rx_resident(),
         );
         violations
@@ -815,6 +823,7 @@ impl Host {
         reg.set_counter("host.degraded_slowpath", self.stats.degraded_slowpath);
         reg.set_counter("host.worker_rerouted", self.stats.worker_rerouted);
         reg.set_counter("host.worker_restarts", self.stats.worker_restarts);
+        reg.set_counter("host.discarded_at_close", self.stats.discarded_at_close);
         reg.set_counter("host.degraded", u64::from(self.degrade.engaged));
         reg.set_counter("host.connections", self.num_connections() as u64);
         reg.set_counter("host.tx_retry_len", self.tx_retry.len() as u64);
@@ -1278,12 +1287,15 @@ impl Host {
             return false;
         };
         let _ = self.nic.close_connection(id);
-        if let Endpoint::Conn(Connection {
-            pid, rings: None, ..
-        }) = closed
-        {
-            if !self.connections().any(|c| c.pid == pid) {
-                self.proc_rings.remove(&pid);
+        if let Endpoint::Conn(conn) = closed {
+            let released = match conn.rings {
+                Some(own) => Some(own),
+                None if self.connections().any(|c| c.pid == conn.pid) => None,
+                None => self.proc_rings.remove(&conn.pid),
+            };
+            // The pair goes with whatever the application never read.
+            if let Some(pair) = released {
+                self.stats.discarded_at_close += pair.rx.len() as u64;
             }
         }
         true
@@ -2080,6 +2092,57 @@ mod tests {
         assert!(h.proc_rings.is_empty());
         assert!(h.audit().is_empty(), "{:?}", h.audit());
         assert_eq!(h.arena().live(), 0);
+    }
+
+    /// `close` with frames unread: the rings go, the frames are counted,
+    /// and the traced occupancy ledger balances. `before_trace` of the
+    /// three frames are delivered before `start_trace`.
+    fn close_with_unread_frames(shared_rings: bool, before_trace: usize) {
+        let mut h = Host::new(HostConfig {
+            shared_rings,
+            ring_slots: 4,
+            ..HostConfig::default()
+        });
+        let bob = h.spawn(Uid(1001), "bob", "server");
+        let kept = open_conn(&mut h, bob, 7000, false);
+        let closed = open_conn(&mut h, bob, 7001, false);
+        let frame = wire_udp(h.cfg.ip, 9000, 7001, 200);
+        for i in 0..3 {
+            if i == before_trace {
+                h.start_trace();
+            }
+            let pooled = h.adopt_frame(frame.bytes());
+            let report = h.deliver_frame(pooled, Time::ZERO);
+            assert_eq!(report.outcome, DeliveryOutcome::FastPath(closed));
+        }
+        assert_eq!(h.arena().live(), 3);
+        assert!(h.close(closed));
+        if h.cfg.shared_rings {
+            // The pair is still `kept`'s: nothing is discarded yet.
+            assert_eq!(h.stats().discarded_at_close, 0);
+            assert!(h.audit().is_empty(), "{:?}", h.audit());
+            assert!(h.close(kept));
+        }
+        assert_eq!(h.stats().discarded_at_close, 3);
+        assert!(h.audit().is_empty(), "{:?}", h.audit());
+        assert_eq!(h.arena().live(), 0);
+        let snap = h.metrics_snapshot();
+        assert_eq!(snap.counter("host.discarded_at_close"), Some(3));
+    }
+
+    #[test]
+    fn close_accounts_the_frames_it_discards() {
+        close_with_unread_frames(false, 0);
+    }
+
+    #[test]
+    fn close_accounts_frames_resident_before_tracing_started() {
+        close_with_unread_frames(false, 2);
+    }
+
+    #[test]
+    fn close_of_a_shared_pair_accounts_with_the_last_connection() {
+        close_with_unread_frames(true, 0);
     }
 
     #[test]

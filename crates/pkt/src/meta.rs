@@ -349,6 +349,42 @@ mod tests {
             .build()
     }
 
+    /// What `FrameMeta::derive` costs by frame length and by how many
+    /// distinct frames it cycles through — the two things that separate
+    /// normanbench's `pkt.parse` row on `rx_scale` (256 B, 2,112 frames)
+    /// from `rx_fast` (64 B, 64 frames). Prints; asserts nothing. Run it
+    /// with `cargo test --release -p pkt -- --ignored --nocapture derive_cost`.
+    #[test]
+    #[ignore = "a measurement, not a check"]
+    fn derive_cost_by_frame_length_and_pool_size() {
+        use std::hint::black_box;
+        use std::time::Instant;
+        for (frame_len, pool_len) in [(64, 64), (256, 64), (64, 2112), (256, 2112), (1500, 64)] {
+            let pool: Vec<Packet> = (0..pool_len)
+                .map(|i| {
+                    PacketBuilder::new()
+                        .ether(Mac::local(1), Mac::local(2))
+                        .ipv4(addr("10.0.0.1"), addr("10.0.0.2"))
+                        .udp(5432, 9000 + i as u16, &vec![i as u8; frame_len - 42])
+                        .build()
+                })
+                .collect();
+            let rounds = 2_000_000;
+            let mut best = f64::MAX;
+            for _ in 0..5 {
+                let start = Instant::now();
+                for i in 0..rounds {
+                    // 1,021 is prime and coprime to both pool sizes: every
+                    // frame, in an order no prefetcher follows.
+                    let frame = &pool[i * 1021 % pool_len];
+                    black_box(FrameMeta::derive(black_box(frame.bytes())).unwrap());
+                }
+                best = best.min(start.elapsed().as_nanos() as f64 / rounds as f64);
+            }
+            println!("derive: {frame_len:>5} B x {pool_len:>5} frames  {best:6.1} ns");
+        }
+    }
+
     #[test]
     fn derive_matches_parse() {
         let pkt = udp_pkt();
