@@ -522,6 +522,208 @@ mod tests {
         assert_eq!(arena.live(), 0, "every slot returned after the storm");
     }
 
+    /// The arena as specified: a slot is free (`None`) or holds the bytes
+    /// its occupant can see and a handle count; freed slots stack LIFO.
+    struct Model {
+        slots: Vec<Option<(Vec<u8>, u32)>>,
+        free: Vec<u32>,
+        /// Whether a slot has been recycled at least once (debug builds
+        /// poison it then; a never-used slot reads as zeroes).
+        recycled: Vec<bool>,
+        stats: ArenaStats,
+    }
+
+    impl Model {
+        fn alloc(&mut self) -> Option<u32> {
+            let Some(slot) = self.free.pop() else {
+                self.stats.exhausted += 1;
+                return None;
+            };
+            self.stats.live += 1;
+            self.stats.high_water = self.stats.high_water.max(self.stats.live);
+            self.stats.allocs += 1;
+            Some(slot)
+        }
+
+        fn release(&mut self, slot: u32) {
+            let (_, refs) = self.slots[slot as usize].as_mut().expect("live slot");
+            *refs -= 1;
+            if *refs == 0 {
+                self.slots[slot as usize] = None;
+                self.recycled[slot as usize] = true;
+                self.free.push(slot);
+                self.stats.live -= 1;
+            }
+        }
+    }
+
+    fn random_bytes(rng: &mut sim::DetRng, len: usize) -> Vec<u8> {
+        // Never 0xDD, the debug poison byte, so poison is recognisable.
+        (0..len).map(|_| (rng.next_u64() % 0xDD) as u8).collect()
+    }
+
+    /// Drives one arena and the model through `ops` seeded operations and
+    /// compares everything observable after each.
+    fn run_against_model(slots: usize, slot_bytes: usize, seed: u64, ops: usize) {
+        let mut rng = sim::DetRng::seed_from_u64(seed);
+        let arena = BufArena::new(slots, slot_bytes);
+        let mut model = Model {
+            slots: vec![None; slots],
+            free: (0..slots as u32).rev().collect(),
+            recycled: vec![false; slots],
+            stats: ArenaStats::default(),
+        };
+        // A writer with the shadow of the whole slot as it has written it.
+        let mut writers: Vec<(SlotWriter, Vec<u8>)> = Vec::new();
+        let mut frames: Vec<FrameRef> = Vec::new();
+        let max_handles = 3 * slots + 2;
+        let (mut granted, mut refused) = (0u32, 0u32);
+
+        for op in 0..ops {
+            let ctx = format!("seed {seed} slots {slots} op {op}");
+            match rng.range_usize(0, 11) {
+                // alloc
+                0 | 1 => {
+                    let want = model.alloc();
+                    let got = arena.alloc();
+                    assert_eq!(got.as_ref().map(|w| w.slot), want, "{ctx}: slot chosen");
+                    if let Some(mut w) = got {
+                        let shadow = w.bytes_mut().to_vec();
+                        assert_eq!(shadow.len(), slot_bytes, "{ctx}");
+                        #[cfg(debug_assertions)]
+                        {
+                            let fill = if model.recycled[w.slot as usize] {
+                                POISON
+                            } else {
+                                0
+                            };
+                            assert!(shadow.iter().all(|&b| b == fill), "{ctx}: poison on reuse");
+                        }
+                        model.slots[w.slot as usize] = Some((shadow.clone(), 1));
+                        writers.push((w, shadow));
+                    }
+                }
+                // write into a building slot
+                2 if !writers.is_empty() => {
+                    let i = rng.range_usize(0, writers.len());
+                    let at = rng.range_usize(0, slot_bytes);
+                    let len = rng.range_usize(0, slot_bytes - at + 1);
+                    let bytes = random_bytes(&mut rng, len);
+                    let (w, shadow) = &mut writers[i];
+                    w.bytes_mut()[at..at + len].copy_from_slice(&bytes);
+                    shadow[at..at + len].copy_from_slice(&bytes);
+                }
+                // freeze
+                3 | 4 if !writers.is_empty() => {
+                    let i = rng.range_usize(0, writers.len());
+                    let (w, mut shadow) = writers.swap_remove(i);
+                    let len = rng.range_usize(0, slot_bytes + 1);
+                    let slot = w.slot;
+                    shadow.truncate(len);
+                    model.slots[slot as usize] = Some((shadow, 1));
+                    frames.push(w.freeze(len));
+                }
+                // abandoned writer
+                5 if !writers.is_empty() => {
+                    let i = rng.range_usize(0, writers.len());
+                    let (w, _) = writers.swap_remove(i);
+                    model.release(w.slot);
+                    drop(w);
+                }
+                // adopt, sometimes oversize
+                6 => {
+                    let len = rng.range_usize(0, slot_bytes + 3);
+                    let bytes = random_bytes(&mut rng, len);
+                    let got = arena.adopt(&bytes);
+                    if len > slot_bytes {
+                        assert!(got.is_none(), "{ctx}: oversize adopt");
+                    } else {
+                        let want = model.alloc();
+                        assert_eq!(got.as_ref().map(|f| f.slot), want, "{ctx}: slot chosen");
+                        if let Some(f) = got {
+                            model.slots[f.slot as usize] = Some((bytes, 1));
+                            frames.push(f);
+                        }
+                    }
+                }
+                // clone
+                7 if !frames.is_empty() && frames.len() + writers.len() < max_handles => {
+                    let f = rng.pick(&frames).clone();
+                    model.slots[f.slot as usize].as_mut().expect("live").1 += 1;
+                    frames.push(f);
+                }
+                // mutate through a handle: allowed iff it is the only one
+                8 if !frames.is_empty() => {
+                    let i = rng.range_usize(0, frames.len());
+                    let f = &mut frames[i];
+                    let slot = f.slot as usize;
+                    let sole = model.slots[slot].as_ref().expect("live").1 == 1;
+                    match f.bytes_mut() {
+                        Some(bytes) => {
+                            assert!(sole, "{ctx}: bytes_mut on a shared frame");
+                            granted += 1;
+                            let new = random_bytes(&mut rng, bytes.len());
+                            bytes.copy_from_slice(&new);
+                            model.slots[slot].as_mut().expect("live").0 = new;
+                        }
+                        None => {
+                            assert!(!sole, "{ctx}: bytes_mut refused a sole handle");
+                            refused += 1;
+                        }
+                    }
+                }
+                // drop a handle
+                _ if !frames.is_empty() => {
+                    let i = rng.range_usize(0, frames.len());
+                    let f = frames.swap_remove(i);
+                    model.release(f.slot);
+                    drop(f);
+                }
+                _ => {}
+            }
+
+            assert_eq!(arena.stats(), model.stats, "{ctx}");
+            assert_eq!(arena.live(), model.stats.live, "{ctx}");
+            for f in &frames {
+                let (bytes, refs) = model.slots[f.slot as usize].as_ref().expect("live");
+                assert_eq!(f.bytes(), &bytes[..], "{ctx}: bytes of slot {}", f.slot);
+                assert_eq!(f.len(), bytes.len(), "{ctx}");
+                assert_eq!(f.refcount(), *refs, "{ctx}: refcount of slot {}", f.slot);
+            }
+            for (w, shadow) in &mut writers {
+                let slot = w.slot;
+                assert_eq!(w.bytes_mut(), &shadow[..], "{ctx}: building slot {slot}");
+            }
+        }
+
+        // The stream reached the corners it exists for.
+        assert!(
+            cfg!(miri) || (granted > 0 && refused > 0),
+            "{granted} {refused}"
+        );
+        assert!(cfg!(miri) || slots > 2 || model.stats.exhausted > 0);
+        drop(writers);
+        drop(frames);
+        assert_eq!(arena.live(), 0, "seed {seed}: every slot returned");
+        let all: Vec<SlotWriter> = (0..slots).map_while(|_| arena.alloc()).collect();
+        assert_eq!(
+            all.len(),
+            slots,
+            "seed {seed}: every slot allocatable again"
+        );
+    }
+
+    #[test]
+    fn arena_agrees_with_a_plain_model_under_seeded_ops() {
+        // 60,000 ops; small cases stay on under miri for whoever has it.
+        let ops = if cfg!(miri) { 300 } else { 10_000 };
+        for seed in [20210531u64, 19700101] {
+            run_against_model(1, 16, seed, ops);
+            run_against_model(2, 8, seed ^ 2, ops);
+            run_against_model(64, 48, seed ^ 64, ops);
+        }
+    }
+
     #[test]
     fn high_water_tracks_peak() {
         let arena = BufArena::new(8, 16);
