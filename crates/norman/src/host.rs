@@ -736,16 +736,18 @@ impl Host {
         // buffer. A live count above residency means a leaked
         // (unreachable) slot.
         // Residency can legitimately exceed liveness: many descriptors may
-        // share one slot (taps, redeliveries), and heap-backed frames also
-        // occupy descriptors.
+        // share one slot (taps, redeliveries). Heap-backed frames and
+        // frames built in some other arena pin none of this host's slots
+        // and are not counted.
         let live = self.arena.live() as u64;
+        let ours = |p: &&Packet| p.arena_frame().is_some_and(|f| self.arena.owns(f));
         let resident = self
             .ring_pairs()
             .flat_map(|r| r.rx.iter_descs().map(|d| &d.pkt).chain(r.tx.iter_descs()))
-            .filter(|p| p.is_arena())
+            .filter(ours)
             .count() as u64
-            + self.stack.arena_resident() as u64
-            + self.tx_retry.iter().filter(|(_, p)| p.is_arena()).count() as u64;
+            + self.stack.arena_resident(&self.arena) as u64
+            + self.tx_retry.iter().map(|(_, p)| p).filter(ours).count() as u64;
         if live > resident {
             violations.push(format!(
                 "arena occupancy: {live} live slots > {resident} resident handles (leak)"
@@ -2487,6 +2489,30 @@ mod tests {
             assert!(h.audit().is_empty(), "seed {seed}: {:?}", h.audit());
             assert_eq!(h.arena().live(), 0, "seed {seed} leaked arena slots");
         }
+    }
+
+    /// The occupancy ledger counts this host's slots only: a frame built
+    /// in some other arena (normanbench's replay does that) rests in a
+    /// ring without standing in for a leaked slot of the host's own.
+    #[test]
+    fn audit_arena_ledger_ignores_frames_of_another_arena() {
+        let mut h = Host::new(HostConfig::default());
+        let bob = h.spawn(Uid(1001), "bob", "server");
+        let conn = open_conn(&mut h, bob, 7000, false);
+        let other = BufArena::new(4, 2048);
+        let wire = wire_udp(h.cfg.ip, 9000, 7000, 64);
+        let foreign = Packet::from_arena(other.adopt(wire.bytes()).expect("slot"));
+        let report = h.deliver_frame(foreign, Time::ZERO);
+        assert_eq!(report.outcome, DeliveryOutcome::FastPath(conn));
+        assert_eq!((other.live(), h.arena().live()), (1, 0));
+        assert!(h.audit().is_empty(), "{:?}", h.audit());
+
+        std::mem::forget(h.arena().adopt(b"leaked").expect("slot"));
+        let violations = h.audit();
+        assert!(
+            violations.iter().any(|v| v.starts_with("arena occupancy")),
+            "one live slot, no resident handle of this arena: {violations:?}"
+        );
     }
 
     /// Representation property: an identical seeded delivery sequence

@@ -8,7 +8,7 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use pkt::{FrameMeta, IpProto, Packet};
+use pkt::{BufArena, FrameMeta, IpProto, Packet};
 use qdisc::classify::ClassMatch;
 use qdisc::{Fifo, QPkt, Qdisc, QdiscStats};
 use sim::{Dur, Time};
@@ -404,16 +404,17 @@ impl NetStack {
     }
 
     /// Number of queued packets (socket receive queues plus frames parked
-    /// in the egress qdisc) whose bytes live in a buffer arena — the
-    /// netstack's contribution to the host's arena-occupancy ledger.
-    /// Since [`Packet`] clones are refcount bumps, every packet counted
-    /// here pins exactly one arena slot reference.
-    pub fn arena_resident(&self) -> usize {
+    /// in the egress qdisc) whose bytes live in `arena` — the netstack's
+    /// contribution to the host's arena-occupancy ledger. Since
+    /// [`Packet`] clones are refcount bumps, every packet counted here
+    /// pins exactly one slot reference of that arena.
+    pub fn arena_resident(&self, arena: &BufArena) -> usize {
+        let ours = |p: &&Packet| p.arena_frame().is_some_and(|f| arena.owns(f));
         self.sockets
             .values()
-            .map(|s| s.rx_queue.iter().filter(|p| p.is_arena()).count())
+            .map(|s| s.rx_queue.iter().filter(ours).count())
             .sum::<usize>()
-            + self.tx_frames.values().filter(|p| p.is_arena()).count()
+            + self.tx_frames.values().filter(ours).count()
     }
 
     /// Records that a frame reached this stack because the host demoted
