@@ -451,7 +451,7 @@ impl SmartNic {
         &mut self,
         slot: ProgramSlot,
         program: Program,
-        artifact: std::sync::Arc<CompiledProgram>,
+        artifact: std::rc::Rc<CompiledProgram>,
         now: Time,
     ) -> Result<Dur, NicError> {
         self.tick_crash(now);
@@ -489,7 +489,7 @@ impl SmartNic {
     pub fn add_accounting(
         &mut self,
         program: Program,
-        artifact: std::sync::Arc<CompiledProgram>,
+        artifact: std::rc::Rc<CompiledProgram>,
         now: Time,
     ) -> Result<usize, NicError> {
         self.tick_crash(now);

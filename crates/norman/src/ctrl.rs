@@ -43,7 +43,7 @@
 //!   structurally independent account of the dataplane.
 
 use std::net::Ipv4Addr;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use nicsim::device::ProgramSlot;
 use nicsim::rss::{RssTable, MAX_QUEUES, RSS_TABLE_SIZE};
@@ -161,13 +161,13 @@ pub struct PolicyBundle {
     /// artifact. The artifact is stamped with the source program's
     /// fingerprint, and rollback and reconcile reinstall it as is — only
     /// phase 1 ever compiles.
-    programs: Vec<(ProgramSlot, Program, Arc<CompiledProgram>)>,
+    programs: Vec<(ProgramSlot, Program, Rc<CompiledProgram>)>,
     /// `(slot, map, key, value)` MMIO data writes after load.
     map_fills: Vec<(ProgramSlot, usize, usize, u64)>,
     /// Scheduler weights (always at least one class).
     sched_weights: Vec<f64>,
     /// Passive accounting programs with their compiled artifacts.
-    accounting: Vec<(Program, Arc<CompiledProgram>)>,
+    accounting: Vec<(Program, Rc<CompiledProgram>)>,
     /// Capture-tap filter.
     sniffer: Option<SnifferFilter>,
     /// NAT masquerade address + static forwards.
@@ -325,7 +325,7 @@ impl PolicyBundle {
         // failure after a clean verify is a `CompileRejected`: the commit
         // never reaches phase 2, so the resident bundle (and its
         // fingerprints) survive.
-        let aot = |program: &Program, kind: &str| -> Result<Arc<CompiledProgram>, CtrlError> {
+        let aot = |program: &Program, kind: &str| -> Result<Rc<CompiledProgram>, CtrlError> {
             overlay::verify(program).map_err(|e| {
                 CtrlError::Compile(format!("{kind} '{}' rejected: {e}", program.name))
             })?;
@@ -877,7 +877,7 @@ impl ControlPlane {
                 &mut budget,
                 "load_program",
             )?;
-            nic.load_program(*slot, program.clone(), Arc::clone(artifact), now)
+            nic.load_program(*slot, program.clone(), Rc::clone(artifact), now)
                 .map_err(|e| format!("load_program: {e}"))?;
         }
         for &(slot, map, key, value) in &bundle.map_fills {
@@ -978,7 +978,7 @@ impl ControlPlane {
                 &mut budget,
                 "add_accounting",
             )?;
-            nic.add_accounting(program.clone(), Arc::clone(artifact), now)
+            nic.add_accounting(program.clone(), Rc::clone(artifact), now)
                 .map_err(|e| format!("add_accounting: {e}"))?;
         }
 

@@ -67,7 +67,7 @@ impl Rule {
 
 /// One rule predicate in compiled form: a specialized closure over the
 /// packet metadata and (optionally) the owning command name.
-type Pred = Box<dyn Fn(&ClassMatch, Option<&str>) -> bool + Send + Sync>;
+type Pred = Box<dyn Fn(&ClassMatch, Option<&str>) -> bool>;
 
 /// A rule lowered to exactly the predicates it constrains. All must
 /// hold for the rule to fire.

@@ -27,7 +27,7 @@
 //! bundle installed: the NIC runs compiled artifacts only.
 
 use std::collections::BTreeSet;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use crate::isa::{AluOp, CmpOp, CtxField, Insn, Operand, Reg, Verdict, NUM_REGS};
 use crate::program::Program;
@@ -120,7 +120,7 @@ impl Val {
 
 /// One emitted unit of work. Steps mutate [`VmState`] exactly as the
 /// interpreter would at the same program point.
-type Step = Box<dyn Fn(&mut VmState, &PktCtx) -> Result<(), VmError> + Send + Sync>;
+type Step = Box<dyn Fn(&mut VmState, &PktCtx) -> Result<(), VmError>>;
 
 /// One fused straight-line micro-operation: the simple, non-faulting
 /// register/context/mark moves that dominate real programs. Runs of
@@ -409,7 +409,7 @@ impl ConstTracker {
 /// The input should have passed [`crate::verify::verify`]; malformed
 /// input is rejected with a [`CompileError`] rather than panicking, but
 /// the parity contract only holds for verified programs.
-pub fn compile(program: &Program) -> Result<Arc<CompiledProgram>, CompileError> {
+pub fn compile(program: &Program) -> Result<Rc<CompiledProgram>, CompileError> {
     let total = program.total_insns();
     if total > MAX_COMPILED_INSNS {
         return Err(CompileError::TooLarge {
@@ -504,7 +504,7 @@ pub fn compile(program: &Program) -> Result<Arc<CompiledProgram>, CompileError> 
         }
     }
 
-    Ok(Arc::new(CompiledProgram {
+    Ok(Rc::new(CompiledProgram {
         name: program.name.clone(),
         fingerprint: program.fingerprint(),
         blocks,

@@ -247,7 +247,7 @@ pub(crate) struct VmState {
 pub struct Vm {
     program: Program,
     pub(crate) state: VmState,
-    compiled: Option<std::sync::Arc<crate::compile::CompiledProgram>>,
+    compiled: Option<std::rc::Rc<crate::compile::CompiledProgram>>,
     /// Packets processed.
     pub executions: u64,
     /// Runtime faults observed.
@@ -294,7 +294,7 @@ impl Vm {
     /// `program.fingerprint()`.
     pub fn with_compiled(
         program: Program,
-        compiled: std::sync::Arc<crate::compile::CompiledProgram>,
+        compiled: std::rc::Rc<crate::compile::CompiledProgram>,
     ) -> Vm {
         assert_eq!(
             compiled.fingerprint(),

@@ -24,27 +24,28 @@
 //! # The unsafe core and its invariants
 //!
 //! All `unsafe` in the buffer path lives in this module, guarded by
-//! three invariants (these are exactly what the miri CI job checks —
-//! see `scripts/ci.sh --job miri`):
+//! three invariants (what the miri CI job interprets — see
+//! `scripts/ci.sh --job miri` — and what the seeded model in this file's
+//! tests checks from outside). The arena is single-threaded: its
+//! handles hold an `Rc`, so `BufArena`, [`SlotWriter`], [`FrameRef`]
+//! and everything that carries one are `!Send + !Sync`, and the
+//! counters below are plain `Cell`s.
 //!
-//! 1. **Writer uniqueness.** A slot index moves out of the free list
-//!    (under its mutex) into exactly one [`SlotWriter`]. While that
-//!    writer exists nothing else — no `FrameRef`, no other writer —
-//!    can name the slot, so its `&mut [u8]` is the only reference to
-//!    those bytes.
+//! 1. **Writer uniqueness.** A slot index is popped off the free list
+//!    into exactly one [`SlotWriter`]. While that writer exists nothing
+//!    else — no `FrameRef`, no other writer — can name the slot, so its
+//!    `&mut [u8]` is the only reference to those bytes.
 //! 2. **Frozen slots are read-only while shared.** After
 //!    [`SlotWriter::freeze`] the bytes are only reachable as `&[u8]`
 //!    through `FrameRef`s. `FrameRef::bytes_mut` hands back `&mut`
 //!    only when the caller holds the *sole* handle (refcount 1, by
-//!    `&mut self`), mirroring `Arc::get_mut`.
+//!    `&mut self`), mirroring `Rc::get_mut`.
 //! 3. **Recycling requires refcount zero.** A slot returns to the
-//!    free list only on the 1→0 refcount transition (release
-//!    decrement + acquire fence, the `Arc` drop protocol), so a freed
-//!    slot can never alias a live frame.
+//!    free list only on the 1→0 refcount transition, so a freed slot
+//!    can never alias a live frame.
 
-use std::cell::UnsafeCell;
-use std::sync::atomic::{fence, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::cell::{Cell, RefCell, UnsafeCell};
+use std::rc::Rc;
 
 /// Byte written over a slot when its last reference drops, in debug
 /// builds only — a stale `&[u8]` into a recycled slot reads as this
@@ -75,31 +76,22 @@ struct ArenaInner {
     mem: Box<[UnsafeCell<u8>]>,
     /// Per-slot reference counts. 0 = free, 1 = sole writer or sole
     /// handle, n = shared n ways.
-    refs: Box<[AtomicU32]>,
+    refs: Box<[Cell<u32>]>,
     /// LIFO free list: deterministic recycling order for replay.
-    free: Mutex<Vec<u32>>,
-    live: AtomicUsize,
-    high_water: AtomicUsize,
-    allocs: AtomicU64,
-    exhausted: AtomicU64,
+    free: RefCell<Vec<u32>>,
+    live: Cell<usize>,
+    high_water: Cell<usize>,
+    allocs: Cell<u64>,
+    exhausted: Cell<u64>,
 }
-
-// SAFETY: the slab is `UnsafeCell<u8>` (not Sync by default), but every
-// mutation happens under writer uniqueness (invariant 1) or sole-handle
-// mutation (invariant 2), and slot hand-off between threads goes
-// through the free-list mutex and the acquire/release refcount
-// protocol (invariant 3). Those are exactly the conditions under which
-// `Arc<[u8]>`-style shared ownership is sound across threads.
-unsafe impl Send for ArenaInner {}
-unsafe impl Sync for ArenaInner {}
 
 impl ArenaInner {
     /// Raw pointer to the first byte of `slot`.
     #[inline]
     fn slot_ptr(&self, slot: u32) -> *mut u8 {
         debug_assert!((slot as usize) < self.refs.len());
-        // In-bounds by construction: slot < slots and the slab holds
-        // slots * slot_bytes cells.
+        // SAFETY: in-bounds by construction — slot < slots and the slab
+        // holds slots * slot_bytes cells.
         unsafe { self.mem.as_ptr().add(slot as usize * self.slot_bytes) as *mut u8 }
     }
 
@@ -109,23 +101,40 @@ impl ArenaInner {
     fn recycle(&self, slot: u32) {
         #[cfg(debug_assertions)]
         // SAFETY: refcount is zero and the slot is not yet back on the
-        // free list — this thread is the only one that can name it.
+        // free list — no handle or writer names it, so no reference to
+        // its bytes exists.
         unsafe {
             std::ptr::write_bytes(self.slot_ptr(slot), POISON, self.slot_bytes);
         }
-        self.live.fetch_sub(1, Ordering::Relaxed);
-        self.free.lock().expect("arena free list").push(slot);
+        self.live.set(self.live.get() - 1);
+        self.free.borrow_mut().push(slot);
     }
 }
 
 /// A pool of fixed-size frame buffers with refcounted slot handles.
 ///
-/// Cloning the arena clones the *handle* (`Arc`); all clones share one
+/// Cloning the arena clones the *handle* (`Rc`); all clones share one
 /// slab. See the module docs for the slot lifecycle and the invariants
 /// the unsafe core maintains.
+///
+/// Nothing that holds a slot can leave its thread — the compiler's
+/// proof that the plain counters are enough, pinned per type:
+///
+/// ```compile_fail
+/// fn assert_send<T: Send>() {}
+/// assert_send::<pkt::BufArena>();
+/// ```
+/// ```compile_fail
+/// fn assert_send<T: Send>() {}
+/// assert_send::<pkt::FrameRef>();
+/// ```
+/// ```compile_fail
+/// fn assert_send<T: Send>() {}
+/// assert_send::<pkt::Packet>();
+/// ```
 #[derive(Clone)]
 pub struct BufArena {
-    inner: Arc<ArenaInner>,
+    inner: Rc<ArenaInner>,
 }
 
 impl std::fmt::Debug for BufArena {
@@ -156,22 +165,22 @@ impl BufArena {
             .collect::<Vec<_>>()
             .into_boxed_slice();
         let refs = (0..slots)
-            .map(|_| AtomicU32::new(0))
+            .map(|_| Cell::new(0))
             .collect::<Vec<_>>()
             .into_boxed_slice();
         // LIFO pop order: slot 0 first, like a just-filled NIC free
         // ring.
         let free: Vec<u32> = (0..slots as u32).rev().collect();
         BufArena {
-            inner: Arc::new(ArenaInner {
+            inner: Rc::new(ArenaInner {
                 slot_bytes,
                 mem,
                 refs,
-                free: Mutex::new(free),
-                live: AtomicUsize::new(0),
-                high_water: AtomicUsize::new(0),
-                allocs: AtomicU64::new(0),
-                exhausted: AtomicU64::new(0),
+                free: RefCell::new(free),
+                live: Cell::new(0),
+                high_water: Cell::new(0),
+                allocs: Cell::new(0),
+                exhausted: Cell::new(0),
             }),
         }
     }
@@ -188,43 +197,41 @@ impl BufArena {
 
     /// Slots currently allocated (the occupancy gauge audits check).
     pub fn live(&self) -> usize {
-        self.inner.live.load(Ordering::Relaxed)
+        self.inner.live.get()
     }
 
     /// Lifetime counters.
     pub fn stats(&self) -> ArenaStats {
         ArenaStats {
             live: self.live(),
-            high_water: self.inner.high_water.load(Ordering::Relaxed),
-            allocs: self.inner.allocs.load(Ordering::Relaxed),
-            exhausted: self.inner.exhausted.load(Ordering::Relaxed),
+            high_water: self.inner.high_water.get(),
+            allocs: self.inner.allocs.get(),
+            exhausted: self.inner.exhausted.get(),
         }
     }
 
     /// Whether `frame` lives in this arena (same slab).
     pub fn owns(&self, frame: &FrameRef) -> bool {
-        Arc::ptr_eq(&self.inner, &frame.inner)
+        Rc::ptr_eq(&self.inner, &frame.inner)
     }
 
     /// Takes a free slot for exclusive in-place construction. `None`
     /// when the pool is exhausted — callers fall back to a heap frame
     /// and the refusal is counted (see [`ArenaStats::exhausted`]).
     pub fn alloc(&self) -> Option<SlotWriter> {
-        let slot = {
-            let mut free = self.inner.free.lock().expect("arena free list");
-            free.pop()
-        };
-        let Some(slot) = slot else {
-            self.inner.exhausted.fetch_add(1, Ordering::Relaxed);
+        let inner = &*self.inner;
+        let Some(slot) = inner.free.borrow_mut().pop() else {
+            inner.exhausted.set(inner.exhausted.get() + 1);
             return None;
         };
-        let prev = self.inner.refs[slot as usize].swap(1, Ordering::Acquire);
+        let prev = inner.refs[slot as usize].replace(1);
         debug_assert_eq!(prev, 0, "free-listed slot had a live refcount");
-        let live = self.inner.live.fetch_add(1, Ordering::Relaxed) + 1;
-        self.inner.high_water.fetch_max(live, Ordering::Relaxed);
-        self.inner.allocs.fetch_add(1, Ordering::Relaxed);
+        let live = inner.live.get() + 1;
+        inner.live.set(live);
+        inner.high_water.set(inner.high_water.get().max(live));
+        inner.allocs.set(inner.allocs.get() + 1);
         Some(SlotWriter {
-            inner: Arc::clone(&self.inner),
+            inner: Rc::clone(&self.inner),
             slot,
         })
     }
@@ -246,7 +253,7 @@ impl BufArena {
 /// [`SlotWriter::freeze`] to share it, or drop to return the slot
 /// unused.
 pub struct SlotWriter {
-    inner: Arc<ArenaInner>,
+    inner: Rc<ArenaInner>,
     slot: u32,
 }
 
@@ -272,8 +279,10 @@ impl SlotWriter {
     /// Panics if `len` exceeds the slot size.
     pub fn freeze(self, len: usize) -> FrameRef {
         assert!(len <= self.inner.slot_bytes, "frame longer than a slot");
-        // Hand the refcount (already 1) from writer to handle; forget
-        // self so Drop does not release it.
+        // Hand the refcount (already 1) from writer to handle.
+        // SAFETY: `self` is forgotten right below, so the `Rc` read out
+        // of it is the only owner of that strong count and the writer's
+        // `Drop` (which would release the slot) never runs.
         let inner = unsafe { std::ptr::read(&self.inner) };
         let slot = self.slot;
         std::mem::forget(self);
@@ -288,9 +297,8 @@ impl SlotWriter {
 impl Drop for SlotWriter {
     fn drop(&mut self) {
         // Abandoned build: release the writer's refcount and recycle.
-        let prev = self.inner.refs[self.slot as usize].fetch_sub(1, Ordering::Release);
+        let prev = self.inner.refs[self.slot as usize].replace(0);
         debug_assert_eq!(prev, 1, "writer refcount must be exactly 1");
-        fence(Ordering::Acquire);
         self.inner.recycle(self.slot);
     }
 }
@@ -305,7 +313,7 @@ impl std::fmt::Debug for SlotWriter {
 /// the software form of a NIC buffer descriptor. Clone bumps the
 /// slot's refcount; dropping the last handle recycles the slot.
 pub struct FrameRef {
-    inner: Arc<ArenaInner>,
+    inner: Rc<ArenaInner>,
     slot: u32,
     len: u32,
 }
@@ -338,30 +346,29 @@ impl FrameRef {
     /// Mutable access iff this is the sole handle (refcount 1) — the
     /// in-place NAT rewrite path. `None` when the frame is shared.
     pub fn bytes_mut(&mut self) -> Option<&mut [u8]> {
-        if self.inner.refs[self.slot as usize].load(Ordering::Acquire) != 1 {
+        if self.inner.refs[self.slot as usize].get() != 1 {
             return None;
         }
         // SAFETY: refcount is 1 and `&mut self` pins it — no other
         // handle exists to clone from, so this access is exclusive
-        // (the `Arc::get_mut` argument).
+        // (the `Rc::get_mut` argument).
         Some(unsafe {
             std::slice::from_raw_parts_mut(self.inner.slot_ptr(self.slot), self.len as usize)
         })
     }
 
-    /// Current refcount (diagnostics and tests only; racy by nature).
+    /// Current refcount (diagnostics and tests only).
     pub fn refcount(&self) -> u32 {
-        self.inner.refs[self.slot as usize].load(Ordering::Relaxed)
+        self.inner.refs[self.slot as usize].get()
     }
 }
 
 impl Clone for FrameRef {
     fn clone(&self) -> FrameRef {
-        // Relaxed is enough for an increment from a live handle (the
-        // `Arc::clone` argument: the handle itself orders the slot).
-        self.inner.refs[self.slot as usize].fetch_add(1, Ordering::Relaxed);
+        let refs = &self.inner.refs[self.slot as usize];
+        refs.set(refs.get() + 1);
         FrameRef {
-            inner: Arc::clone(&self.inner),
+            inner: Rc::clone(&self.inner),
             slot: self.slot,
             len: self.len,
         }
@@ -370,12 +377,11 @@ impl Clone for FrameRef {
 
 impl Drop for FrameRef {
     fn drop(&mut self) {
-        if self.inner.refs[self.slot as usize].fetch_sub(1, Ordering::Release) != 1 {
-            return;
+        let refs = &self.inner.refs[self.slot as usize];
+        refs.set(refs.get() - 1);
+        if refs.get() == 0 {
+            self.inner.recycle(self.slot);
         }
-        // 1→0: acquire everything prior holders wrote, then recycle.
-        fence(Ordering::Acquire);
-        self.inner.recycle(self.slot);
     }
 }
 
@@ -501,25 +507,6 @@ mod tests {
         assert!(f.bytes_mut().is_none(), "shared frame must be immutable");
         drop(g);
         assert!(f.bytes_mut().is_some());
-    }
-
-    #[test]
-    fn cross_thread_share_and_free() {
-        // Frames cross threads as handles; the last dropper (either
-        // side) recycles. Run enough rounds to give a race a chance.
-        let arena = BufArena::new(16, 64);
-        for round in 0..50u32 {
-            let frames: Vec<FrameRef> = (0..8)
-                .map(|i| arena.adopt(&[(round as u8).wrapping_add(i); 64]).unwrap())
-                .collect();
-            let movers: Vec<FrameRef> = frames.iter().map(FrameRef::clone).collect();
-            let h =
-                std::thread::spawn(move || movers.iter().map(|f| f.bytes()[0] as u64).sum::<u64>());
-            let local: u64 = frames.iter().map(|f| f.bytes()[0] as u64).sum();
-            assert_eq!(h.join().unwrap(), local);
-            drop(frames);
-        }
-        assert_eq!(arena.live(), 0, "every slot returned after the storm");
     }
 
     /// The arena as specified: a slot is free (`None`) or holds the bytes

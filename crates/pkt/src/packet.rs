@@ -1,7 +1,7 @@
 //! Owned packet buffers and the fully parsed view.
 
 use std::fmt;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use crate::arena::FrameRef;
 use crate::arp::ArpPacket;
@@ -18,7 +18,7 @@ use crate::{PktError, Result};
 /// the bytes live and who recycles them.
 #[derive(Clone)]
 enum Buf {
-    Heap(Arc<[u8]>),
+    Heap(Rc<[u8]>),
     Arena(FrameRef),
 }
 
@@ -56,7 +56,7 @@ impl Eq for Packet {}
 
 impl Packet {
     /// Wraps raw wire bytes.
-    pub fn from_bytes(data: impl Into<Arc<[u8]>>) -> Packet {
+    pub fn from_bytes(data: impl Into<Rc<[u8]>>) -> Packet {
         Packet {
             data: Buf::Heap(data.into()),
             meta: None,
@@ -86,12 +86,12 @@ impl Packet {
     }
 
     /// Mutable access to the wire bytes when this handle is the sole
-    /// owner of its buffer (heap `Arc` or arena slot, refcount 1) —
+    /// owner of its buffer (heap `Rc` or arena slot, refcount 1) —
     /// the in-place NAT rewrite path. `None` when the frame is shared;
     /// callers then fall back to copy-on-write.
     pub fn bytes_mut_unique(&mut self) -> Option<&mut [u8]> {
         match &mut self.data {
-            Buf::Heap(arc) => Arc::get_mut(arc),
+            Buf::Heap(rc) => Rc::get_mut(rc),
             Buf::Arena(f) => f.bytes_mut(),
         }
     }
