@@ -37,7 +37,7 @@ impl Table {
     }
 
     /// Renders the table.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
         for row in &self.rows {
             for (i, cell) in row.iter().enumerate() {
@@ -70,7 +70,7 @@ impl Table {
 }
 
 /// Returns the `results/` directory, creating it if needed.
-pub fn results_dir() -> PathBuf {
+pub(crate) fn results_dir() -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
         .join("results");
@@ -92,7 +92,7 @@ pub fn pct(x: f64) -> String {
 }
 
 /// Formats gigabits per second.
-pub fn gbps(x: f64) -> String {
+pub(crate) fn gbps(x: f64) -> String {
     format!("{x:.1}")
 }
 

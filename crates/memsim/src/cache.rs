@@ -41,20 +41,20 @@ pub enum AccessOutcome {
 #[derive(Clone, Debug)]
 pub struct LlcConfig {
     /// Total capacity in bytes.
-    pub size_bytes: u64,
+    pub(crate) size_bytes: u64,
     /// Associativity.
-    pub ways: u32,
+    pub(crate) ways: u32,
     /// Ways DMA writes may allocate into (the DDIO share). Zero disables
     /// DDIO entirely: every DMA write goes to DRAM.
-    pub ddio_ways: u32,
+    pub(crate) ddio_ways: u32,
     /// Line size in bytes.
-    pub line_bytes: u64,
+    pub(crate) line_bytes: u64,
     /// Hash line addresses into sets (modern sliced LLCs with complex
     /// addressing) instead of simple modulo indexing. Hashing avoids the
     /// artificial page-color conflicts modulo indexing fabricates for
     /// page-aligned buffers; turn it off only for tests that need to
     /// construct set collisions deterministically.
-    pub hash_sets: bool,
+    pub(crate) hash_sets: bool,
 }
 
 impl LlcConfig {
@@ -81,7 +81,7 @@ impl LlcConfig {
     }
 
     /// Returns the number of sets.
-    pub fn sets(&self) -> u64 {
+    pub(crate) fn sets(&self) -> u64 {
         self.size_bytes / self.line_bytes / u64::from(self.ways)
     }
 
@@ -109,7 +109,7 @@ pub struct LlcStats {
 
 impl LlcStats {
     /// CPU hit rate in `[0, 1]`, or 1.0 with no accesses.
-    pub fn cpu_hit_rate(&self) -> f64 {
+    pub(crate) fn cpu_hit_rate(&self) -> f64 {
         let total = self.cpu_hits + self.cpu_misses;
         if total == 0 {
             1.0
@@ -183,7 +183,7 @@ impl LlcPartitionPlan {
     }
 
     /// The donor cache geometry.
-    pub fn total(&self) -> &LlcConfig {
+    pub(crate) fn total(&self) -> &LlcConfig {
         &self.total
     }
 
@@ -193,17 +193,17 @@ impl LlcPartitionPlan {
     }
 
     /// The partition of shard `i`.
-    pub fn shard(&self, i: usize) -> &LlcConfig {
+    pub(crate) fn shard(&self, i: usize) -> &LlcConfig {
         &self.shards[i]
     }
 
     /// Number of shards.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.shards.len()
     }
 
     /// Whether the plan is empty (it never is; kept for clippy symmetry).
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.shards.is_empty()
     }
 
@@ -410,12 +410,12 @@ impl Llc {
     /// ([`Llc::access_lines_memo`]). Debug builds only, like
     /// `pkt::meta::derive_count`.
     #[cfg(debug_assertions)]
-    pub fn set_scans(&self) -> u64 {
+    pub(crate) fn set_scans(&self) -> u64 {
         self.set_scans
     }
 
     /// Resets statistics (the cache contents are retained).
-    pub fn reset_stats(&mut self) {
+    pub(crate) fn reset_stats(&mut self) {
         self.stats = LlcStats::default();
     }
 
@@ -624,7 +624,7 @@ impl Llc {
     /// residency does not depend on [`AccessKind`], which only selects
     /// the counter and the cost. `llc_model.rs` holds this walk to the
     /// plain one and to a naive cache, op by op.
-    pub fn access_lines_memo(
+    pub(crate) fn access_lines_memo(
         &mut self,
         first_line: u64,
         kind: AccessKind,

@@ -12,30 +12,30 @@ pub struct MemCosts {
     /// CPU load/store that hits in the LLC.
     pub llc_hit: Dur,
     /// CPU load/store that misses to DRAM.
-    pub dram: Dur,
+    pub(crate) dram: Dur,
     /// NIC DMA write that hits in the LLC (DDIO write update).
-    pub ddio_hit: Dur,
+    pub(crate) ddio_hit: Dur,
     /// NIC DMA write that misses and *allocates* into the DDIO ways
     /// (write allocate). Cheap — a full-line write needs no DRAM fetch;
     /// the victim's writeback is asynchronous. The real penalty of DDIO
     /// thrashing lands on the consumer's read misses.
-    pub ddio_alloc: Dur,
+    pub(crate) ddio_alloc: Dur,
     /// NIC DMA write that bypasses to DRAM (DDIO disabled).
-    pub dma_dram: Dur,
+    pub(crate) dma_dram: Dur,
     /// Cross-core cache-to-cache transfer (coherence), charged when a
     /// dedicated interposition core touches data produced on another core.
     pub cross_core: Dur,
     /// Posted MMIO register write (doorbell).
     pub mmio_write: Dur,
     /// Uncached MMIO register read.
-    pub mmio_read: Dur,
+    pub(crate) mmio_read: Dur,
     /// Software copy cost per byte (~20 GB/s effective single-core
     /// memcpy including both cache reads and writes).
-    pub copy_per_byte: Dur,
+    pub(crate) copy_per_byte: Dur,
     /// Walking the host-memory flow table for a cold-tier connection:
     /// several dependent DRAM reads (hash bucket, entry, ring context)
     /// the NIC issues over PCIe when the on-SRAM hot tier misses.
-    pub host_flow_walk: Dur,
+    pub(crate) host_flow_walk: Dur,
 }
 
 impl Default for MemCosts {

@@ -22,12 +22,24 @@
 //! * [`mmio`] — cost accounting for MMIO register reads/writes (doorbells
 //!   and head/tail pointers in the Norman design).
 
-pub mod cache;
-pub mod costs;
-pub mod mmio;
-pub mod ring;
+pub(crate) mod cache;
+pub(crate) mod costs;
+pub(crate) mod mmio;
+pub(crate) mod ring;
 
-pub use cache::{AccessKind, AccessOutcome, Llc, LlcConfig, LlcPartitionPlan, LlcStats};
+pub use cache::AccessKind;
+
+pub use cache::AccessOutcome;
+
+pub use cache::Llc;
+
+pub use cache::LlcConfig;
+
+pub use cache::LlcPartitionPlan;
+
+pub use cache::LlcStats;
 pub use costs::MemCosts;
 pub use mmio::MmioBus;
-pub use ring::{DescRing, HostRing, RingError};
+pub use ring::DescRing;
+pub use ring::HostRing;
+pub use ring::RingError;

@@ -31,14 +31,14 @@ impl MmioBus {
     }
 
     /// Charges one uncached register read and returns its cost.
-    pub fn read(&mut self, costs: &MemCosts) -> Dur {
+    pub(crate) fn read(&mut self, costs: &MemCosts) -> Dur {
         self.reads += 1;
         self.time_spent += costs.mmio_read;
         costs.mmio_read
     }
 
     /// Returns the number of reads issued.
-    pub fn reads(&self) -> u64 {
+    pub(crate) fn reads(&self) -> u64 {
         self.reads
     }
 

@@ -125,7 +125,7 @@ impl<T> DescRing<T> {
     /// Returns the total pinned footprint in bytes (descriptors +
     /// payload slots), i.e. the working set this ring contributes to the
     /// DDIO share.
-    pub fn footprint_bytes(&self) -> u64 {
+    pub(crate) fn footprint_bytes(&self) -> u64 {
         self.slots as u64 * (Self::DESC_BYTES + self.slot_bytes as u64)
     }
 
@@ -135,7 +135,7 @@ impl<T> DescRing<T> {
     }
 
     /// Returns `true` if no slots are occupied.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.head == self.tail
     }
 
@@ -145,7 +145,7 @@ impl<T> DescRing<T> {
     }
 
     /// Returns (enqueued, dequeued, drops-due-to-full) counters.
-    pub fn counters(&self) -> (u64, u64, u64) {
+    pub(crate) fn counters(&self) -> (u64, u64, u64) {
         (self.enqueued, self.dequeued, self.full_drops)
     }
 
@@ -337,7 +337,7 @@ impl<T: Default> DescRing<T> {
     }
 
     /// [`DescRing::produce_dma_bypass_with`] with a default descriptor.
-    pub fn produce_dma_bypass(
+    pub(crate) fn produce_dma_bypass(
         &mut self,
         len: usize,
         llc: &mut Llc,

@@ -22,13 +22,13 @@ use crate::flowtable::ConnId;
 #[derive(Clone, Copy, Debug)]
 pub struct CcParams {
     /// Segment size in bytes (additive-increase step).
-    pub mss: u32,
+    pub(crate) mss: u32,
     /// Initial window in bytes.
-    pub init_cwnd: u32,
+    pub(crate) init_cwnd: u32,
     /// Maximum window in bytes.
-    pub max_cwnd: u32,
+    pub(crate) max_cwnd: u32,
     /// DCTCP gain for the alpha EWMA (reference value 1/16).
-    pub g: f64,
+    pub(crate) g: f64,
 }
 
 impl Default for CcParams {
@@ -48,9 +48,9 @@ pub struct FlowCc {
     /// Congestion window in bytes.
     pub cwnd: f64,
     /// DCTCP marked-fraction estimate.
-    pub alpha: f64,
+    pub(crate) alpha: f64,
     /// Bytes in flight.
-    pub inflight: u64,
+    pub(crate) inflight: u64,
     acked_in_window: u64,
     marked_in_window: u64,
     window_target: u64,
@@ -94,7 +94,7 @@ impl CongestionControl {
     }
 
     /// Removes a flow.
-    pub fn close(&mut self, conn: ConnId) {
+    pub(crate) fn close(&mut self, conn: ConnId) {
         self.flows.remove(&conn);
     }
 
@@ -104,7 +104,7 @@ impl CongestionControl {
     }
 
     /// Returns (ECN backoffs, loss backoffs).
-    pub fn counters(&self) -> (u64, u64) {
+    pub(crate) fn counters(&self) -> (u64, u64) {
         (self.backoffs, self.losses)
     }
 

@@ -32,10 +32,10 @@ use crate::rss::{RssError, RssTable, RSS_NUM_QUEUES_REG};
 use crate::sniff::{Direction, Sniffer, SnifferFilter};
 use crate::sram::{Sram, SramCategory, SramError};
 
-pub use crate::flowtable::RING_CONTEXT_BYTES;
+pub(crate) use crate::flowtable::RING_CONTEXT_BYTES;
 
 /// Maximum accounting programs loadable at once.
-pub const MAX_ACCOUNTING_SLOTS: usize = 4;
+pub(crate) const MAX_ACCOUNTING_SLOTS: usize = 4;
 
 /// A programmable slot on the dataplane.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -59,7 +59,7 @@ pub enum ProgramSlot {
 /// device back at boot configuration, and the control plane's reconcile
 /// path reinstalls the committed policy bundle.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum DeviceState {
+pub(crate) enum DeviceState {
     /// Operating normally (possibly frozen for a reprogram/reset window).
     Alive,
     /// Crashed: volatile state gone, everything gated until reset.
@@ -167,9 +167,9 @@ impl From<RssError> for NicError {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NicStats {
     /// Ingress frames offered.
-    pub rx_frames: u64,
+    pub(crate) rx_frames: u64,
     /// Ingress frames delivered to rings.
-    pub rx_delivered: u64,
+    pub(crate) rx_delivered: u64,
     /// Ingress frames punted to software.
     pub rx_slowpath: u64,
     /// Ingress frames dropped by filters.
@@ -181,35 +181,35 @@ pub struct NicStats {
     /// verification (payload corruption caught at the parser stage).
     pub rx_bad_checksum: u64,
     /// Frames dropped while reprogramming.
-    pub dropped_reprogramming: u64,
+    pub(crate) dropped_reprogramming: u64,
     /// Egress frames offered.
-    pub tx_frames: u64,
+    pub(crate) tx_frames: u64,
     /// Egress frames dropped by filters.
     pub tx_filtered: u64,
     /// Egress frames transmitted.
-    pub tx_sent: u64,
+    pub(crate) tx_sent: u64,
     /// Overlay program swaps performed.
     pub program_swaps: u64,
     /// Bitstream reprograms performed.
     pub bitstream_reprograms: u64,
     /// Device crashes (volatile state wiped).
-    pub crashes: u64,
+    pub(crate) crashes: u64,
     /// Kernel-driven resets after a crash.
     pub resets: u64,
     /// Frames offered (RX or TX) while the device was dead.
-    pub dropped_dead: u64,
+    pub(crate) dropped_dead: u64,
     /// Frames lost from the TX scheduler when the device crashed (they
     /// were already counted queued; the crash purges them as drops).
-    pub tx_crash_purged: u64,
+    pub(crate) tx_crash_purged: u64,
     /// Frames a scheduler reconfiguration could not carry into the new
     /// queues (already counted queued; dropped with cause `qdisc_full`).
-    pub tx_reconfig_dropped: u64,
+    pub(crate) tx_reconfig_dropped: u64,
 }
 
 impl NicStats {
     /// Registers every counter into `reg` under `nic.*` keys — the
     /// unified-registry view of this struct.
-    pub fn fill_registry(&self, reg: &mut Registry) {
+    pub(crate) fn fill_registry(&self, reg: &mut Registry) {
         reg.set_counter("nic.rx.frames", self.rx_frames);
         reg.set_counter("nic.rx.delivered", self.rx_delivered);
         reg.set_counter("nic.rx.slowpath", self.rx_slowpath);
@@ -353,7 +353,7 @@ impl SmartNic {
     }
 
     /// Returns the telemetry hub handle.
-    pub fn telemetry(&self) -> &Telemetry {
+    pub(crate) fn telemetry(&self) -> &Telemetry {
         &self.tel
     }
 
@@ -402,7 +402,7 @@ impl SmartNic {
     }
 
     /// Returns the line rate link model.
-    pub fn link(&self) -> &Link {
+    pub(crate) fn link(&self) -> &Link {
         &self.link
     }
 
@@ -567,7 +567,7 @@ impl SmartNic {
     /// Reads one slot of a per-flow scratch record from the program in
     /// `slot` (`ktrace` forensics: per-flow overlay state by packed flow
     /// key).
-    pub fn read_flow_slot(
+    pub(crate) fn read_flow_slot(
         &self,
         slot: ProgramSlot,
         map: usize,
@@ -580,7 +580,7 @@ impl SmartNic {
     /// All named overlay counters across every loaded program —
     /// `(program name, counter name, value)` triples in slot order, the
     /// `ktrace`/metrics export surface.
-    pub fn overlay_counters(&self) -> Vec<(String, String, u64)> {
+    pub(crate) fn overlay_counters(&self) -> Vec<(String, String, u64)> {
         let mut out = Vec::new();
         let slots = [
             self.ingress_filter.as_ref(),
@@ -883,7 +883,7 @@ impl SmartNic {
     }
 
     /// Returns `pid`'s notification queue, if it exists.
-    pub fn notify_queue(&self, pid: u32) -> Option<&NotifyQueue> {
+    pub(crate) fn notify_queue(&self, pid: u32) -> Option<&NotifyQueue> {
         self.notify_queues.get(&pid)
     }
 
@@ -926,7 +926,7 @@ impl SmartNic {
     }
 
     /// Current device state.
-    pub fn state(&self) -> DeviceState {
+    pub(crate) fn state(&self) -> DeviceState {
         if self.dead {
             DeviceState::Dead
         } else {

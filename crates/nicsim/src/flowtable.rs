@@ -41,12 +41,12 @@ impl std::fmt::Display for ConnId {
 pub const ENTRY_BYTES: u64 = 128;
 
 /// SRAM cost of one listener entry.
-pub const LISTENER_BYTES: u64 = 32;
+pub(crate) const LISTENER_BYTES: u64 = 32;
 
 /// SRAM charged per *hot* connection for its on-NIC DMA ring context
 /// (descriptor state cached on-board). Cold connections keep their ring
 /// context in host memory: no SRAM charge, dearer lookups.
-pub const RING_CONTEXT_BYTES: u64 = 512;
+pub(crate) const RING_CONTEXT_BYTES: u64 = 512;
 
 /// Which tier a connection's steering state lives in.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -162,7 +162,7 @@ impl FlowCacheConfig {
 #[derive(Clone, Debug)]
 pub struct ConnEntry {
     /// The connection id.
-    pub id: ConnId,
+    pub(crate) id: ConnId,
     /// Exact-match key (remote -> local direction as seen on RX).
     pub tuple: FiveTuple,
     /// Owning user.
@@ -174,25 +174,25 @@ pub struct ConnEntry {
     /// so lookups and trace events copy it like any other field.
     pub comm: telemetry::Comm,
     /// Whether the connection requested notifications (blocking I/O).
-    pub notify: bool,
+    pub(crate) notify: bool,
     /// Whether this is a listener entry (proto + local port, no remote
     /// endpoint) rather than an exact-match connection.
-    pub listener: bool,
+    pub(crate) listener: bool,
     /// Which tier the entry currently occupies (listeners are always
     /// hot: they are tiny and catch first packets).
-    pub tier: FlowTier,
+    pub(crate) tier: FlowTier,
     /// The RSS queue that owns this entry's hot-tier slice.
-    pub queue: u16,
+    pub(crate) queue: u16,
     /// Eviction rank under the active cache policy (recomputed on every
     /// policy commit).
-    pub rank: u8,
+    pub(crate) rank: u8,
     /// Logical clock of the last lookup hit (promotion recency).
-    pub last_use: u64,
+    pub(crate) last_use: u64,
 }
 
 impl ConnEntry {
     /// The process binding, as trace events and taps attribute it.
-    pub fn owner(&self) -> telemetry::Owner {
+    pub(crate) fn owner(&self) -> telemetry::Owner {
         telemetry::Owner::new(self.uid, self.pid, self.comm)
     }
 }
@@ -206,20 +206,20 @@ pub struct LookupHit {
     /// host-walk cost even if this very lookup promoted it.
     pub tier: FlowTier,
     /// Whether this lookup promoted the entry into the hot tier.
-    pub promoted: bool,
+    pub(crate) promoted: bool,
     /// The victim this promotion demoted to make room, if any.
-    pub demoted: Option<(ConnId, FiveTuple)>,
+    pub(crate) demoted: Option<(ConnId, FiveTuple)>,
     /// Whether the connection requested notifications — copied out of
     /// the entry at probe time so the RX completion path can steer
     /// without a second table probe.
-    pub notify: bool,
+    pub(crate) notify: bool,
     /// Owning user (copied at probe time, as above).
-    pub uid: u32,
+    pub(crate) uid: u32,
     /// Owning process (copied at probe time, as above).
-    pub pid: u32,
+    pub(crate) pid: u32,
     /// Owning command name (copied at probe time, as above — observers
     /// attribute the frame without a second probe for the entry).
-    pub comm: telemetry::Comm,
+    pub(crate) comm: telemetry::Comm,
 }
 
 /// Tier/churn counters (registry keys `flowtable.*`).
@@ -228,7 +228,7 @@ pub struct FlowStats {
     /// Total lookups.
     pub lookups: u64,
     /// Lookups that matched nothing.
-    pub misses: u64,
+    pub(crate) misses: u64,
     /// Hits served from the hot tier (listeners included).
     pub hot_hits: u64,
     /// Hits served from the cold tier (host-walk latency).
@@ -244,11 +244,11 @@ pub struct FlowStats {
 
 /// What a policy re-tier moved, in deterministic (id-sorted) order.
 #[derive(Clone, Debug, Default)]
-pub struct RetierReport {
+pub(crate) struct RetierReport {
     /// Entries promoted cold→hot.
-    pub promoted: Vec<(ConnId, FiveTuple)>,
+    pub(crate) promoted: Vec<(ConnId, FiveTuple)>,
     /// Entries demoted hot→cold.
-    pub demoted: Vec<(ConnId, FiveTuple)>,
+    pub(crate) demoted: Vec<(ConnId, FiveTuple)>,
 }
 
 /// Packs a [`FiveTuple`] into one 128-bit exact-match key: two hasher
@@ -411,7 +411,7 @@ impl FlowTable {
     }
 
     /// Returns the number of exact-match entries (both tiers).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.exact.len()
     }
 
@@ -432,7 +432,7 @@ impl FlowTable {
     }
 
     /// Returns the number of hot entries owned by RSS queue `q`.
-    pub fn num_hot_on_queue(&self, q: usize) -> usize {
+    pub(crate) fn num_hot_on_queue(&self, q: usize) -> usize {
         self.hot.get(q).map_or(0, hot_len)
     }
 
@@ -447,7 +447,7 @@ impl FlowTable {
     }
 
     /// Returns `true` if no connections are installed.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.exact.is_empty() && self.listeners.is_empty()
     }
 
@@ -462,7 +462,7 @@ impl FlowTable {
     }
 
     /// Returns the active cache policy (`None` = untiered).
-    pub fn cache_config(&self) -> Option<&FlowCacheConfig> {
+    pub(crate) fn cache_config(&self) -> Option<&FlowCacheConfig> {
         self.cache.as_ref()
     }
 
@@ -569,7 +569,7 @@ impl FlowTable {
     /// crash. Panics if the id or tuple is already taken. `next_id` is
     /// bumped past `id` so later fresh inserts never collide.
     #[allow(clippy::too_many_arguments)]
-    pub fn restore(
+    pub(crate) fn restore(
         &mut self,
         id: ConnId,
         tuple: FiveTuple,
@@ -648,7 +648,7 @@ impl FlowTable {
     /// Reinstalls a listener under a caller-chosen id (crash recovery;
     /// see [`FlowTable::restore`]). Listeners are always hot.
     #[allow(clippy::too_many_arguments)]
-    pub fn restore_listener(
+    pub(crate) fn restore_listener(
         &mut self,
         id: ConnId,
         proto: IpProto,
@@ -674,7 +674,7 @@ impl FlowTable {
     ///
     /// Panics if `(proto, port)` already has a listener (see
     /// [`FlowTable::insert`]).
-    pub fn insert_listener(
+    pub(crate) fn insert_listener(
         &mut self,
         proto: IpProto,
         port: u16,
@@ -876,7 +876,7 @@ impl FlowTable {
     /// maps each entry's RX tuple to its owning RSS queue (the same
     /// steering the dataplane uses), so hot-tier ownership follows the
     /// shards. Returns what moved, id-sorted, for lifecycle events.
-    pub fn configure_cache<F: Fn(&FiveTuple) -> u16>(
+    pub(crate) fn configure_cache<F: Fn(&FiveTuple) -> u16>(
         &mut self,
         cache: Option<FlowCacheConfig>,
         num_queues: usize,
@@ -961,7 +961,7 @@ impl FlowTable {
     /// Internal-consistency audit: the indexes, the recency lists, the
     /// tier tags and the cold counter must describe the same partition of
     /// the entries, and every list must be in victim order.
-    pub fn audit_tiers(&self) -> Vec<String> {
+    pub(crate) fn audit_tiers(&self) -> Vec<String> {
         let mut violations = Vec::new();
         let cell = |slot: u32| self.slab.get(slot as usize).and_then(Option::as_ref);
         // Indexes → slab: no dangling slot, no entry filed under a key or
@@ -1077,7 +1077,7 @@ impl FlowTable {
     }
 
     /// Returns the entry for a connection id.
-    pub fn entry(&self, id: ConnId) -> Option<&ConnEntry> {
+    pub(crate) fn entry(&self, id: ConnId) -> Option<&ConnEntry> {
         self.by_id.get(&id).map(|&slot| entry_at(&self.slab, slot))
     }
 

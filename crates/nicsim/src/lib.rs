@@ -33,27 +33,55 @@
 //!   up to four overlay program slots (ingress filter, egress filter,
 //!   classifier, accounting) and a WFQ/DRR transmit scheduler.
 
-pub mod cc;
+pub(crate) mod cc;
 pub mod device;
 pub mod flowtable;
-pub mod nat;
-pub mod notify;
+pub(crate) mod nat;
+pub(crate) mod notify;
 pub mod pipeline;
-pub mod regs;
+pub(crate) mod regs;
 pub mod rss;
 pub mod sniff;
-pub mod sram;
+pub(crate) mod sram;
 
-pub use cc::{CcParams, CongestionControl, FlowCc};
-pub use device::{DeviceState, NicError, SmartNic, POLICY_GENERATION_REG};
-pub use flowtable::{
-    ConnEntry, ConnId, FlowCacheConfig, FlowCacheMode, FlowStats, FlowTable, FlowTier, LookupHit,
-    RetierReport,
-};
-pub use nat::{NatError, NatTable};
-pub use notify::{Notification, NotifyKind, NotifyQueue};
-pub use pipeline::{NicConfig, RxDisposition, RxResult, TxDisposition};
-pub use regs::{RegFile, RegRegion};
-pub use rss::{RssError, RssTable, MAX_QUEUES, RSS_NUM_QUEUES_REG, RSS_TABLE_SIZE};
-pub use sniff::{CaptureEntry, Direction, Sniffer, SnifferFilter};
-pub use sram::{Sram, SramCategory, SramError};
+pub use cc::CcParams;
+
+pub use cc::CongestionControl;
+
+pub(crate) use cc::FlowCc;
+pub(crate) use device::DeviceState;
+pub use device::NicError;
+pub use device::SmartNic;
+pub use device::POLICY_GENERATION_REG;
+pub(crate) use flowtable::ConnEntry;
+pub use flowtable::ConnId;
+pub use flowtable::FlowCacheConfig;
+pub(crate) use flowtable::FlowCacheMode;
+pub use flowtable::FlowStats;
+pub use flowtable::FlowTable;
+pub use flowtable::FlowTier;
+pub(crate) use flowtable::LookupHit;
+pub(crate) use flowtable::RetierReport;
+pub(crate) use nat::NatError;
+pub use nat::NatTable;
+pub use notify::Notification;
+pub use notify::NotifyKind;
+pub(crate) use notify::NotifyQueue;
+pub use pipeline::NicConfig;
+pub use pipeline::RxDisposition;
+pub use pipeline::RxResult;
+pub use pipeline::TxDisposition;
+pub(crate) use regs::RegFile;
+pub(crate) use regs::RegRegion;
+pub(crate) use rss::RssError;
+pub use rss::RssTable;
+pub use rss::MAX_QUEUES;
+pub(crate) use rss::RSS_NUM_QUEUES_REG;
+pub use rss::RSS_TABLE_SIZE;
+pub(crate) use sniff::CaptureEntry;
+pub use sniff::Direction;
+pub(crate) use sniff::Sniffer;
+pub use sniff::SnifferFilter;
+pub use sram::Sram;
+pub use sram::SramCategory;
+pub(crate) use sram::SramError;

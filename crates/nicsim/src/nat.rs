@@ -18,7 +18,7 @@ use telemetry::{FrameInfo, Stage, Telemetry, TraceVerdict};
 use crate::sram::{Sram, SramCategory, SramError};
 
 /// SRAM bytes per translation entry (two hash slots + timestamps).
-pub const NAT_ENTRY_BYTES: u64 = 64;
+pub(crate) const NAT_ENTRY_BYTES: u64 = 64;
 
 /// First external port the allocator hands out.
 const PORT_LO: u16 = 32_768;
@@ -136,7 +136,7 @@ impl NatTable {
     }
 
     /// Returns `true` when no mappings exist.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.inbound.is_empty()
     }
 
@@ -270,7 +270,7 @@ impl NatTable {
 
     /// Expires the mapping for an internal endpoint, returning SRAM.
     /// Static rules are control-plane state and never expire this way.
-    pub fn expire(&mut self, internal: (Ipv4Addr, u16, IpProto), sram: &mut Sram) -> bool {
+    pub(crate) fn expire(&mut self, internal: (Ipv4Addr, u16, IpProto), sram: &mut Sram) -> bool {
         let Some(&ext_port) = self.outbound.get(&internal) else {
             return false;
         };
@@ -311,7 +311,7 @@ impl NatTable {
 
     /// Removes a static rule, returning its SRAM. `false` when no such
     /// rule exists.
-    pub fn remove_static(&mut self, proto: IpProto, ext_port: u16, sram: &mut Sram) -> bool {
+    pub(crate) fn remove_static(&mut self, proto: IpProto, ext_port: u16, sram: &mut Sram) -> bool {
         let Some(internal) = self.statics.remove(&(proto, ext_port)) else {
             return false;
         };
@@ -355,7 +355,7 @@ impl NatTable {
 
     /// Non-mutating inbound lookup for audits: what the dataplane would
     /// rewrite `(proto, ext_port)` to, without counting a miss.
-    pub fn lookup_inbound(&self, proto: IpProto, ext_port: u16) -> Option<(Ipv4Addr, u16)> {
+    pub(crate) fn lookup_inbound(&self, proto: IpProto, ext_port: u16) -> Option<(Ipv4Addr, u16)> {
         self.inbound.get(&(proto, ext_port)).copied()
     }
 }

@@ -33,12 +33,12 @@ pub struct Notification {
     /// The event kind.
     pub kind: NotifyKind,
     /// When the NIC posted it.
-    pub at: Time,
+    pub(crate) at: Time,
 }
 
 /// A bounded per-process notification queue with duplicate coalescing.
 #[derive(Clone, Debug)]
-pub struct NotifyQueue {
+pub(crate) struct NotifyQueue {
     entries: VecDeque<Notification>,
     capacity: usize,
     /// Whether the kernel asked for an interrupt on next post (armed for
@@ -56,7 +56,7 @@ impl NotifyQueue {
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> NotifyQueue {
+    pub(crate) fn new(capacity: usize) -> NotifyQueue {
         assert!(capacity > 0, "notification queue needs capacity");
         NotifyQueue {
             entries: VecDeque::new(),
@@ -71,12 +71,12 @@ impl NotifyQueue {
 
     /// Arms interrupt delivery: the next successful post reports
     /// `fired = true` and disarms.
-    pub fn arm_interrupt(&mut self) {
+    pub(crate) fn arm_interrupt(&mut self) {
         self.interrupts_armed = true;
     }
 
     /// Returns whether interrupts are currently armed.
-    pub fn interrupts_armed(&self) -> bool {
+    pub(crate) fn interrupts_armed(&self) -> bool {
         self.interrupts_armed
     }
 
@@ -86,7 +86,7 @@ impl NotifyQueue {
     /// hasn't consumed the previous entry learns nothing from a second
     /// identical one, and coalescing keeps a hot connection from flooding
     /// the queue.
-    pub fn post(&mut self, n: Notification) -> bool {
+    pub(crate) fn post(&mut self, n: Notification) -> bool {
         self.posted += 1;
         let dup = self
             .entries
@@ -111,22 +111,22 @@ impl NotifyQueue {
     }
 
     /// Consumes the oldest notification.
-    pub fn pop(&mut self) -> Option<Notification> {
+    pub(crate) fn pop(&mut self) -> Option<Notification> {
         self.entries.pop_front()
     }
 
     /// Returns the number of pending notifications.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
     }
 
     /// Returns `true` when no notifications are pending.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
 
     /// Returns (posted, coalesced, overflows, interrupts_fired).
-    pub fn counters(&self) -> (u64, u64, u64, u64) {
+    pub(crate) fn counters(&self) -> (u64, u64, u64, u64) {
         (
             self.posted,
             self.coalesced,

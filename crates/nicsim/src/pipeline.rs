@@ -134,7 +134,7 @@ pub enum DropReason {
 impl DropReason {
     /// Maps this NIC-local reason onto the stack-wide telemetry
     /// vocabulary, so trace consumers see one drop taxonomy.
-    pub fn cause(self) -> telemetry::DropCause {
+    pub(crate) fn cause(self) -> telemetry::DropCause {
         match self {
             DropReason::Filter => telemetry::DropCause::Filter,
             DropReason::Reprogramming => telemetry::DropCause::Reprogramming,

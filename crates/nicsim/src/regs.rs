@@ -15,7 +15,7 @@ use std::fmt;
 
 /// Which region a register lives in.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum RegRegion {
+pub(crate) enum RegRegion {
     /// Application-accessible (if granted).
     App,
     /// Kernel-only.
@@ -76,7 +76,7 @@ pub struct RegFile {
 
 impl RegFile {
     /// Creates an empty register file.
-    pub fn new() -> RegFile {
+    pub(crate) fn new() -> RegFile {
         RegFile::default()
     }
 
@@ -100,7 +100,7 @@ impl RegFile {
     /// Panics if `addr` already holds a kernel register: an app grant
     /// silently replacing kernel configuration state is an MMIO layout
     /// bug, never a legal grant.
-    pub fn define_app(&mut self, addr: u64, pid: u32) {
+    pub(crate) fn define_app(&mut self, addr: u64, pid: u32) {
         assert!(
             !self
                 .regs
@@ -119,7 +119,7 @@ impl RegFile {
     }
 
     /// Removes a register (connection teardown).
-    pub fn remove(&mut self, addr: u64) {
+    pub(crate) fn remove(&mut self, addr: u64) {
         self.regs.remove(&addr);
     }
 
@@ -160,7 +160,7 @@ impl RegFile {
     }
 
     /// Reads a register. `pid = None` denotes a privileged access.
-    pub fn read(&mut self, addr: u64, pid: Option<u32>) -> Result<u64, RegError> {
+    pub(crate) fn read(&mut self, addr: u64, pid: Option<u32>) -> Result<u64, RegError> {
         self.check(addr, pid)?;
         Ok(self.regs[&addr].value)
     }

@@ -24,7 +24,7 @@ pub const MAX_QUEUES: usize = 64;
 /// at RSS configuration time so audits can cross-check device state
 /// against the kernel's policy store (like
 /// [`crate::device::POLICY_GENERATION_REG`] for the policy epoch).
-pub const RSS_NUM_QUEUES_REG: u64 = 0x20_0008;
+pub(crate) const RSS_NUM_QUEUES_REG: u64 = 0x20_0008;
 
 /// Why an RSS configuration was refused.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -103,7 +103,7 @@ impl RssTable {
     /// Validates and installs a full RSS configuration. On error the
     /// previous configuration is untouched (the table is swapped whole,
     /// never entry-by-entry).
-    pub fn configure(&mut self, num_queues: usize, indirection: &[u16]) -> Result<(), RssError> {
+    pub(crate) fn configure(&mut self, num_queues: usize, indirection: &[u16]) -> Result<(), RssError> {
         let table = RssTable::validated(num_queues, indirection)?;
         *self = table;
         Ok(())
@@ -133,7 +133,7 @@ impl RssTable {
     }
 
     /// Number of active RX/TX queue pairs.
-    pub fn num_queues(&self) -> usize {
+    pub(crate) fn num_queues(&self) -> usize {
         usize::from(self.num_queues)
     }
 

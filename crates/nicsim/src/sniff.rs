@@ -136,7 +136,7 @@ pub struct Sniffer {
 impl Sniffer {
     /// Creates a disabled sniffer with a capture buffer of `capacity`
     /// entries.
-    pub fn new(capacity: usize) -> Sniffer {
+    pub(crate) fn new(capacity: usize) -> Sniffer {
         Sniffer {
             filter: None,
             capacity,
@@ -148,12 +148,12 @@ impl Sniffer {
 
     /// Enables capture with `filter` (kernel-only operation; enforced by
     /// the caller via the register file).
-    pub fn enable(&mut self, filter: SnifferFilter) {
+    pub(crate) fn enable(&mut self, filter: SnifferFilter) {
         self.filter = Some(filter);
     }
 
     /// Disables capture.
-    pub fn disable(&mut self) {
+    pub(crate) fn disable(&mut self) {
         self.filter = None;
     }
 
@@ -166,7 +166,7 @@ impl Sniffer {
     /// parser stage already computed — the tap never re-parses.
     ///
     /// `attribution` is the flow-table binding, when one exists.
-    pub fn tap(
+    pub(crate) fn tap(
         &mut self,
         at: Time,
         direction: Direction,
@@ -189,7 +189,7 @@ impl Sniffer {
     }
 
     /// Offers a frame the parser stage rejected (no descriptor exists).
-    pub fn tap_unparsed(
+    pub(crate) fn tap_unparsed(
         &mut self,
         at: Time,
         direction: Direction,
@@ -259,7 +259,7 @@ impl Sniffer {
     }
 
     /// Returns (captured, dropped-due-to-full-buffer).
-    pub fn counters(&self) -> (u64, u64) {
+    pub(crate) fn counters(&self) -> (u64, u64) {
         (self.captured, self.dropped)
     }
 }

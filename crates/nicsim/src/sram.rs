@@ -28,7 +28,7 @@ pub enum SramCategory {
 
 impl SramCategory {
     /// All categories, for reporting.
-    pub const ALL: [SramCategory; 6] = [
+    pub(crate) const ALL: [SramCategory; 6] = [
         SramCategory::FlowTable,
         SramCategory::RingContext,
         SramCategory::Program,
@@ -56,11 +56,11 @@ impl fmt::Display for SramCategory {
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct SramError {
     /// Bytes requested.
-    pub requested: u64,
+    pub(crate) requested: u64,
     /// Bytes free at the time of the request.
-    pub free: u64,
+    pub(crate) free: u64,
     /// The requesting category.
-    pub category: SramCategory,
+    pub(crate) category: SramCategory,
 }
 
 impl fmt::Display for SramError {
@@ -112,7 +112,7 @@ impl Sram {
     }
 
     /// Returns total capacity in bytes.
-    pub fn capacity(&self) -> u64 {
+    pub(crate) fn capacity(&self) -> u64 {
         self.capacity
     }
 
@@ -122,7 +122,7 @@ impl Sram {
     }
 
     /// Returns bytes free.
-    pub fn free(&self) -> u64 {
+    pub(crate) fn free(&self) -> u64 {
         self.capacity - self.used
     }
 
@@ -132,12 +132,12 @@ impl Sram {
     }
 
     /// Returns the number of failed allocations (exhaustion events).
-    pub fn failures(&self) -> u64 {
+    pub(crate) fn failures(&self) -> u64 {
         self.failures
     }
 
     /// Allocates `bytes` for `category`.
-    pub fn alloc(&mut self, category: SramCategory, bytes: u64) -> Result<(), SramError> {
+    pub(crate) fn alloc(&mut self, category: SramCategory, bytes: u64) -> Result<(), SramError> {
         if bytes > self.free() {
             self.failures += 1;
             return Err(SramError {
@@ -157,7 +157,7 @@ impl Sram {
     ///
     /// Panics if more is freed than the category holds (an accounting bug,
     /// never a data-dependent condition).
-    pub fn release(&mut self, category: SramCategory, bytes: u64) {
+    pub(crate) fn release(&mut self, category: SramCategory, bytes: u64) {
         let idx = cat_index(category);
         assert!(
             self.by_category[idx] >= bytes,
@@ -169,7 +169,7 @@ impl Sram {
     }
 
     /// Returns a (category, bytes) usage report.
-    pub fn report(&self) -> Vec<(SramCategory, u64)> {
+    pub(crate) fn report(&self) -> Vec<(SramCategory, u64)> {
         SramCategory::ALL
             .iter()
             .map(|&c| (c, self.used_by(c)))

@@ -127,11 +127,11 @@ pub struct Architecture {
     sidecar_ring: HostRing,
     stack: StackCosts,
     /// Active filter rules (kernel hooks or NIC programs).
-    pub filter_rules: u64,
+    pub(crate) filter_rules: u64,
     /// Overlay cycles per packet on NIC-resident paths.
-    pub overlay_cycles: u64,
+    pub(crate) overlay_cycles: u64,
     /// Overlay cycle time.
-    pub overlay_cycle: Dur,
+    pub(crate) overlay_cycle: Dur,
     doorbell_batch: u64,
     ring_ops: u64,
 }
@@ -156,7 +156,7 @@ impl Architecture {
     }
 
     /// Returns the kind.
-    pub fn kind(&self) -> DatapathKind {
+    pub(crate) fn kind(&self) -> DatapathKind {
         self.kind
     }
 

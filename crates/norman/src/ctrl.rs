@@ -156,7 +156,7 @@ pub struct PolicyStore {
 /// Everything phase 2 installs, in apply order. Compiled from a
 /// [`PolicyStore`] by [`PolicyBundle::compile`]; immutable afterwards.
 #[derive(Clone, Debug)]
-pub struct PolicyBundle {
+pub(crate) struct PolicyBundle {
     /// Programs per overlay slot, each with its ahead-of-time compiled
     /// artifact. The artifact is stamped with the source program's
     /// fingerprint, and rollback and reconcile reinstall it as is — only
@@ -187,7 +187,7 @@ pub struct PolicyBundle {
 impl PolicyBundle {
     /// The boot-time bundle: pass-through overlay, single-class
     /// scheduler, no taps, no NAT.
-    pub fn empty() -> PolicyBundle {
+    pub(crate) fn empty() -> PolicyBundle {
         PolicyBundle {
             programs: Vec::new(),
             map_fills: Vec::new(),
@@ -204,7 +204,7 @@ impl PolicyBundle {
     /// Phase 1: lowers the store to an installable bundle, running every
     /// program through the overlay verifier and validating scheduler
     /// weights. Pure — no NIC state is touched.
-    pub fn compile(store: &PolicyStore) -> Result<PolicyBundle, CtrlError> {
+    pub(crate) fn compile(store: &PolicyStore) -> Result<PolicyBundle, CtrlError> {
         let mut programs = Vec::new();
         let mut map_fills = Vec::new();
 
@@ -466,7 +466,7 @@ impl std::error::Error for CtrlError {}
 
 /// What a history entry records.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CommitAction {
+pub(crate) enum CommitAction {
     /// A bundle was committed under a new generation.
     Committed,
     /// A commit failed mid-apply and the prior bundle was restored.
@@ -491,15 +491,15 @@ impl std::fmt::Display for CommitAction {
 
 /// One line of commit history.
 #[derive(Clone, Debug)]
-pub struct CommitRecord {
+pub(crate) struct CommitRecord {
     /// The generation in force *after* the action.
-    pub generation: u64,
+    pub(crate) generation: u64,
     /// Virtual time of the action.
-    pub at: Time,
+    pub(crate) at: Time,
     /// What happened.
-    pub action: CommitAction,
+    pub(crate) action: CommitAction,
     /// Human detail (failing step, program counts).
-    pub detail: String,
+    pub(crate) detail: String,
 }
 
 /// Control-plane counters.
@@ -514,7 +514,7 @@ pub struct CtrlStats {
     /// Individual apply operations executed (including rollbacks).
     pub apply_ops: u64,
     /// Commits abandoned because the device died mid-transaction.
-    pub aborts: u64,
+    pub(crate) aborts: u64,
     /// Commits the watchdog cancelled for exceeding their op deadline.
     pub watchdog_aborts: u64,
     /// Phase-1 refusals where a program verified but the ahead-of-time
@@ -581,12 +581,12 @@ impl ControlPlane {
     }
 
     /// The authoritative policy store.
-    pub fn store(&self) -> &PolicyStore {
+    pub(crate) fn store(&self) -> &PolicyStore {
         &self.store
     }
 
     /// The installed policy generation (0 = boot, nothing committed).
-    pub fn generation(&self) -> u64 {
+    pub(crate) fn generation(&self) -> u64 {
         self.generation
     }
 
@@ -596,7 +596,7 @@ impl ControlPlane {
     }
 
     /// Commit history, oldest first (bounded).
-    pub fn history(&self) -> &[CommitRecord] {
+    pub(crate) fn history(&self) -> &[CommitRecord] {
         &self.history
     }
 
@@ -604,7 +604,7 @@ impl ControlPlane {
     /// injector is consulted once per operation during commits — never
     /// during rollback or reconcile — so chaos schedules replay
     /// deterministically.
-    pub fn set_fault_injector(&mut self, faults: OpFaultInjector) {
+    pub(crate) fn set_fault_injector(&mut self, faults: OpFaultInjector) {
         self.faults = faults;
     }
 
@@ -612,19 +612,19 @@ impl ControlPlane {
     /// transaction that issues more than `ops` apply operations is
     /// presumed stalled, cancelled, and rolled back — so a wedged or
     /// dying device can never hold the control plane mid-commit forever.
-    pub fn set_commit_watchdog(&mut self, ops: Option<u64>) {
+    pub(crate) fn set_commit_watchdog(&mut self, ops: Option<u64>) {
         self.watchdog_ops = ops;
     }
 
     /// The flow-cache policy of the *installed* (committed) bundle, if
     /// any — what the NIC's tiering machinery currently enforces.
-    pub fn flow_cache(&self) -> Option<&FlowCacheConfig> {
+    pub(crate) fn flow_cache(&self) -> Option<&FlowCacheConfig> {
         self.installed.flow_cache.as_ref()
     }
 
     /// The degradation policy of the *installed* (committed) bundle, if
     /// any — what the host's overload detector enforces.
-    pub fn degradation(&self) -> Option<&DegradationPolicy> {
+    pub(crate) fn degradation(&self) -> Option<&DegradationPolicy> {
         self.installed.degradation.as_ref()
     }
 
@@ -634,7 +634,7 @@ impl ControlPlane {
     /// NIC, and the generation are untouched; the only mutation is the
     /// `ctrl.compile_rejected` counter when the AOT compiler refuses a
     /// verified program.
-    pub fn stage(
+    pub(crate) fn stage(
         &mut self,
         mutate: impl FnOnce(&mut PolicyStore),
     ) -> Result<StagedCommit, CtrlError> {
@@ -652,7 +652,7 @@ impl ControlPlane {
     /// generation. On a mid-commit failure the prior bundle is fully
     /// reinstalled (rollback), the generation does not advance, and the
     /// store keeps its previous contents.
-    pub fn commit_staged(
+    pub(crate) fn commit_staged(
         &mut self,
         nic: &mut SmartNic,
         nat: &mut Option<NatTable>,
@@ -764,7 +764,7 @@ impl ControlPlane {
     /// while the device is dead (the kernel must reset it first) or
     /// still frozen, or when nothing was wiped. Returns whether a
     /// reconcile ran.
-    pub fn reconcile(
+    pub(crate) fn reconcile(
         &mut self,
         nic: &mut SmartNic,
         nat: &mut Option<NatTable>,
@@ -1044,7 +1044,7 @@ impl ControlPlane {
     /// control plane has not yet run), NIC-resident checks are skipped —
     /// the divergence is real, known, and about to be repaired; only
     /// the generation stamps are still required to agree.
-    pub fn audit(&self, nic: &SmartNic, nat: Option<&NatTable>) -> Vec<String> {
+    pub(crate) fn audit(&self, nic: &SmartNic, nat: Option<&NatTable>) -> Vec<String> {
         let mut violations = Vec::new();
 
         match nic.regs.peek(POLICY_GENERATION_REG) {
@@ -1197,7 +1197,7 @@ impl ControlPlane {
     }
 
     /// Registers control-plane counters under `ctrl.*`.
-    pub fn fill_registry(&self, reg: &mut Registry) {
+    pub(crate) fn fill_registry(&self, reg: &mut Registry) {
         reg.set_counter("ctrl.generation", self.generation);
         reg.set_counter("ctrl.commits", self.stats.commits);
         reg.set_counter("ctrl.rollbacks", self.stats.rollbacks);

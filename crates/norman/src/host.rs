@@ -133,8 +133,8 @@ pub(crate) type PktRing = DescRing<Packet>;
 /// it held, whenever tracing started.
 #[derive(Debug)]
 pub(crate) struct RxDesc {
-    pub pkt: Packet,
-    pub fid: u64,
+    pub(crate) pkt: Packet,
+    pub(crate) fid: u64,
 }
 
 /// The RX direction of a ring pair.
@@ -151,15 +151,15 @@ struct RingPair {
 #[derive(Debug)]
 pub struct Connection {
     /// NIC connection id.
-    pub id: ConnId,
+    pub(crate) id: ConnId,
     /// Owning process.
-    pub pid: Pid,
+    pub(crate) pid: Pid,
     /// Owning user.
-    pub uid: Uid,
+    pub(crate) uid: Uid,
     /// RX-direction five-tuple (remote → local).
     pub tuple: FiveTuple,
     /// Whether notifications (blocking I/O) are enabled.
-    pub notify: bool,
+    pub(crate) notify: bool,
     /// The connection's own ring pair. `None` only under
     /// [`HostConfig::shared_rings`], where the pair is its process's
     /// (`Host::proc_rings`).
@@ -286,7 +286,7 @@ pub struct HostStats {
     /// never reach the flow table.
     pub malformed_dropped: u64,
     /// Connections refused for NIC resources.
-    pub conns_refused: u64,
+    pub(crate) conns_refused: u64,
     /// First packets whose client was not queued for `accept()` because
     /// the listener's backlog was full (the frame still reached the
     /// kernel stack).
@@ -297,7 +297,7 @@ pub struct HostStats {
     pub tx_retry_flushed: u64,
     /// Deferred TX frames lost: retry buffer full (backpressure) or the
     /// connection vanished before recovery.
-    pub tx_retry_dropped: u64,
+    pub(crate) tx_retry_dropped: u64,
     /// Frames demoted to the software slow path by overload degradation
     /// (low-priority flows while the degrade detector is engaged).
     pub degraded_slowpath: u64,
@@ -308,7 +308,7 @@ pub struct HostStats {
     pub worker_restarts: u64,
     /// Delivered frames still unread in an RX ring when `Host::close`
     /// released it.
-    pub discarded_at_close: u64,
+    pub(crate) discarded_at_close: u64,
 }
 
 /// Clients one listener holds for `accept()` at a time (Linux's
@@ -323,7 +323,7 @@ pub struct Host {
     /// Process table.
     pub procs: ProcessTable,
     /// Cgroup hierarchy.
-    pub cgroups: CgroupTree,
+    pub(crate) cgroups: CgroupTree,
     /// Scheduler and CPU meters.
     pub sched: Scheduler,
     /// The dataplane shards, never empty. An unsharded host has one,
@@ -683,7 +683,7 @@ impl Host {
     /// the hub's fixed ring and one file buffer; call
     /// [`Host::spill_trace`] periodically to checkpoint the ledger and
     /// push bytes to the OS.
-    pub fn start_collect(
+    pub(crate) fn start_collect(
         &mut self,
         profile: &Profile,
         path: &std::path::Path,
@@ -711,7 +711,7 @@ impl Host {
     /// record, detaches the sink, and disables tracing. Returns writer
     /// statistics (`None` when no collection was active). The in-memory
     /// buffer remains queryable, exactly like [`Host::stop_trace`].
-    pub fn stop_collect(&mut self) -> Result<Option<SinkStats>, FileError> {
+    pub(crate) fn stop_collect(&mut self) -> Result<Option<SinkStats>, FileError> {
         let stats = self.tel.finish_sink();
         self.stop_trace();
         stats
@@ -897,7 +897,7 @@ impl Host {
     }
 
     /// Spawns a process inside a cgroup.
-    pub fn spawn_in_cgroup(&mut self, uid: Uid, user: &str, comm: &str, cg: CgroupId) -> Pid {
+    pub(crate) fn spawn_in_cgroup(&mut self, uid: Uid, user: &str, comm: &str, cg: CgroupId) -> Pid {
         self.procs.spawn(Cred::new(uid, user), comm, cg)
     }
 
@@ -1021,7 +1021,7 @@ impl Host {
     /// back (frozen for the reset cost). Policy and flow state reinstall
     /// on the first dataplane entry after the thaw. Returns when the
     /// device is back up.
-    pub fn reset_nic(&mut self, now: Time) -> Time {
+    pub(crate) fn reset_nic(&mut self, now: Time) -> Time {
         self.kernel_cpu += self.stack.costs().syscalls.control_call();
         self.nic.reset(now)
     }
@@ -1117,7 +1117,7 @@ impl Host {
     }
 
     /// Returns the active reservations.
-    pub fn reservations(&self) -> &[PortReservation] {
+    pub(crate) fn reservations(&self) -> &[PortReservation] {
         &self.ctrl.store().reservations
     }
 
@@ -1706,7 +1706,7 @@ impl Host {
     /// both POSIX APIs — so that applications can be easily portable …
     /// as well as more efficient abstractions that prevent unnecessary
     /// copies". The copy costs `copy_per_byte x len` extra CPU.
-    pub fn app_recv_posix(&mut self, id: ConnId, now: Time, blocking: bool) -> RecvResult {
+    pub(crate) fn app_recv_posix(&mut self, id: ConnId, now: Time, blocking: bool) -> RecvResult {
         let mut r = self.app_recv(id, now, blocking);
         if let Some(len) = r.len {
             let copy = self.cfg.mem.copy(len);
@@ -1842,7 +1842,7 @@ impl Host {
     }
 
     /// Convenience: did `pid` get an RX notification for `conn`?
-    pub fn has_rx_notification(&mut self, pid: Pid, conn: ConnId) -> bool {
+    pub(crate) fn has_rx_notification(&mut self, pid: Pid, conn: ConnId) -> bool {
         let mut found = false;
         while let Some(n) = self.nic.pop_notification(pid.0) {
             if n.conn == conn && n.kind == NotifyKind::RxReady {

@@ -37,22 +37,41 @@
 //!   sidecar (IX/Snap), hypervisor SmartNIC switch (AccelNet), and KOPI.
 
 pub mod arch;
-pub mod ctrl;
+pub(crate) mod ctrl;
 pub mod host;
-pub mod lib_api;
+pub(crate) mod lib_api;
 pub mod policy;
 pub mod tools;
 pub mod workers;
 
-pub use arch::{Architecture, Capabilities, DatapathKind};
-pub use ctrl::{
-    ControlPlane, CtrlError, DegradationPolicy, NatRule, PolicyBundle, PolicyStore, RssPolicy,
-    StagedCommit,
-};
-pub use host::{ConnectError, Connection, DeliveryReport, Host, HostConfig};
+pub(crate) use arch::Architecture;
+
+pub(crate) use arch::Capabilities;
+
+pub(crate) use arch::DatapathKind;
+pub use ctrl::ControlPlane;
+pub use ctrl::CtrlError;
+pub use ctrl::DegradationPolicy;
+pub use ctrl::NatRule;
+pub(crate) use ctrl::PolicyBundle;
+pub use ctrl::PolicyStore;
+pub use ctrl::RssPolicy;
+pub(crate) use ctrl::StagedCommit;
+pub(crate) use host::ConnectError;
+pub(crate) use host::Connection;
+pub use host::DeliveryReport;
+pub use host::Host;
+pub use host::HostConfig;
 pub use lib_api::NormanSocket;
-pub use policy::{PortReservation, ShapingPolicy};
-pub use telemetry::{
-    DropCause, Owner, Profile, SinkStats, Snapshot, Stage, TraceEvent, TraceFilter, TraceVerdict,
-};
+pub use policy::PortReservation;
+pub use policy::ShapingPolicy;
+pub use telemetry::DropCause;
+pub(crate) use telemetry::Owner;
+pub(crate) use telemetry::Profile;
+pub(crate) use telemetry::SinkStats;
+pub(crate) use telemetry::Snapshot;
+pub use telemetry::Stage;
+pub use telemetry::TraceEvent;
+pub use telemetry::TraceFilter;
+pub use telemetry::TraceVerdict;
 pub use workers::WorkerError;

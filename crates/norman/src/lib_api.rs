@@ -63,7 +63,7 @@ impl NormanSocket {
     }
 
     /// Returns the owning pid.
-    pub fn pid(&self) -> Pid {
+    pub(crate) fn pid(&self) -> Pid {
         self.pid
     }
 
@@ -100,7 +100,7 @@ impl NormanSocket {
 
     /// POSIX-style receive: the payload is copied into the caller's
     /// buffer (portable, but pays `copy_per_byte x len`).
-    pub fn recv_posix(&self, host: &mut Host, now: Time, blocking: bool) -> RecvResult {
+    pub(crate) fn recv_posix(&self, host: &mut Host, now: Time, blocking: bool) -> RecvResult {
         host.app_recv_posix(self.conn, now, blocking)
     }
 

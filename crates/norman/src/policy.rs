@@ -13,7 +13,7 @@ pub struct PortReservation {
     /// The owning user.
     pub uid: Uid,
     /// Optional command-name restriction.
-    pub comm: Option<String>,
+    pub(crate) comm: Option<String>,
 }
 
 impl PortReservation {
@@ -27,13 +27,13 @@ impl PortReservation {
     }
 
     /// Restricts the reservation to one command name.
-    pub fn for_comm(mut self, comm: &str) -> PortReservation {
+    pub(crate) fn for_comm(mut self, comm: &str) -> PortReservation {
         self.comm = Some(comm.to_string());
         self
     }
 
     /// Returns `true` if `(uid, comm)` may use the port.
-    pub fn permits(&self, uid: Uid, comm: &str) -> bool {
+    pub(crate) fn permits(&self, uid: Uid, comm: &str) -> bool {
         if uid != self.uid {
             return false;
         }

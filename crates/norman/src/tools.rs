@@ -83,7 +83,7 @@ pub mod ksniff {
     }
 
     /// Stops capturing.
-    pub fn stop(host: &mut Host, cred: &Cred, now: Time) -> Result<(), ToolError> {
+    pub(crate) fn stop(host: &mut Host, cred: &Cred, now: Time) -> Result<(), ToolError> {
         require_root(cred, "ksniff")?;
         host.update_policy(now, |p| p.sniffer = None)
             .map(|_| ())
@@ -134,7 +134,7 @@ pub mod kfilter {
     }
 
     /// Lists active reservations.
-    pub fn list(host: &Host, cred: &Cred) -> Result<Vec<PortReservation>, ToolError> {
+    pub(crate) fn list(host: &Host, cred: &Cred) -> Result<Vec<PortReservation>, ToolError> {
         require_root(cred, "kfilter")?;
         Ok(host.reservations().to_vec())
     }
@@ -167,13 +167,13 @@ pub mod kqdisc {
 /// `npolicy` — the unified policy front-end over the [`crate::ctrl`]
 /// control plane: apply whole-store transactions, read the live
 /// generation, and inspect commit/rollback/reconcile history.
-pub mod npolicy {
+pub(crate) mod npolicy {
     use super::*;
     use crate::ctrl::{CommitRecord, PolicyStore};
 
     /// Applies one policy transaction (two-phase commit). Returns the
     /// new generation.
-    pub fn apply(
+    pub(crate) fn apply(
         host: &mut Host,
         cred: &Cred,
         now: Time,
@@ -185,29 +185,29 @@ pub mod npolicy {
 
     /// A point-in-time view of the control plane.
     #[derive(Clone, Debug)]
-    pub struct Status {
+    pub(crate) struct Status {
         /// The live policy generation.
-        pub generation: u64,
+        pub(crate) generation: u64,
         /// Successful commits.
-        pub commits: u64,
+        pub(crate) commits: u64,
         /// Mid-commit failures recovered by rollback.
-        pub rollbacks: u64,
+        pub(crate) rollbacks: u64,
         /// Bundle reinstalls after bitstream reprograms.
-        pub reconciles: u64,
+        pub(crate) reconciles: u64,
         /// Active port reservations.
-        pub reservations: usize,
+        pub(crate) reservations: usize,
         /// Whether shaping policy is in force.
-        pub shaping: bool,
+        pub(crate) shaping: bool,
         /// Whether the capture tap is on.
-        pub sniffer: bool,
+        pub(crate) sniffer: bool,
         /// Static NAT forwards in force.
-        pub nat_rules: usize,
+        pub(crate) nat_rules: usize,
         /// Commit history, oldest first (bounded).
-        pub history: Vec<CommitRecord>,
+        pub(crate) history: Vec<CommitRecord>,
     }
 
     /// Reads control-plane status.
-    pub fn status(host: &Host, cred: &Cred) -> Result<Status, ToolError> {
+    pub(crate) fn status(host: &Host, cred: &Cred) -> Result<Status, ToolError> {
         require_root(cred, "npolicy")?;
         let store = host.policy();
         let stats = host.ctrl().stats();
@@ -225,7 +225,7 @@ pub mod npolicy {
     }
 
     /// Renders status as a human-readable report.
-    pub fn render(s: &Status) -> String {
+    pub(crate) fn render(s: &Status) -> String {
         let mut out = format!(
             "generation {}  (commits {}, rollbacks {}, reconciles {})\n\
              reservations {}  shaping {}  sniffer {}  nat-rules {}\n",
@@ -261,15 +261,15 @@ pub mod knetstat {
     #[derive(Clone, Debug)]
     pub struct ConnRow {
         /// Transport protocol.
-        pub proto: IpProto,
+        pub(crate) proto: IpProto,
         /// Local port.
-        pub local_port: u16,
+        pub(crate) local_port: u16,
         /// Remote endpoint as text ("-" for listeners).
-        pub remote: String,
+        pub(crate) remote: String,
         /// Owning uid.
         pub uid: u32,
         /// Owning pid.
-        pub pid: u32,
+        pub(crate) pid: u32,
         /// Owning command.
         pub comm: String,
         /// `"nic"` for fast-path connections, `"kernel"` for slow-path
@@ -313,7 +313,7 @@ pub mod knetstat {
 
     /// Lists the kernel ARP cache (`arp -a` / `ip neigh`): the first
     /// thing Alice inspects in the §2 debugging scenario.
-    pub fn arp_cache(
+    pub(crate) fn arp_cache(
         host: &Host,
         cred: &Cred,
     ) -> Result<Vec<(std::net::Ipv4Addr, oskernel::ArpEntry)>, ToolError> {
@@ -363,14 +363,14 @@ pub mod trace {
     }
 
     /// Starts (or restarts) lifecycle tracing.
-    pub fn start(host: &mut Host, cred: &Cred) -> Result<(), ToolError> {
+    pub(crate) fn start(host: &mut Host, cred: &Cred) -> Result<(), ToolError> {
         require_root(cred, "ktrace")?;
         host.start_trace();
         Ok(())
     }
 
     /// Stops tracing; captured events stay queryable.
-    pub fn stop(host: &mut Host, cred: &Cred) -> Result<(), ToolError> {
+    pub(crate) fn stop(host: &mut Host, cred: &Cred) -> Result<(), ToolError> {
         require_root(cred, "ktrace")?;
         host.stop_trace();
         Ok(())
@@ -398,7 +398,7 @@ pub mod trace {
     }
 
     /// Returns the unified cross-layer metrics snapshot.
-    pub fn metrics(host: &Host, cred: &Cred) -> Result<Snapshot, ToolError> {
+    pub(crate) fn metrics(host: &Host, cred: &Cred) -> Result<Snapshot, ToolError> {
         require_root(cred, "ktrace")?;
         Ok(host.metrics_snapshot())
     }
@@ -465,7 +465,7 @@ pub mod trace {
 
     /// [`report`] with explicit tracker sizing (live-flow cap, idle GC
     /// horizon) for traces with huge flow churn.
-    pub fn report_with(path: &Path, cfg: TrackerConfig) -> Result<Forensics, ToolError> {
+    pub(crate) fn report_with(path: &Path, cfg: TrackerConfig) -> Result<Forensics, ToolError> {
         let mut reader = EventFileReader::open(path).map_err(pipeline)?;
         let header = reader.header.clone();
         let (tracker, ledger) = FlowTracker::from_reader(&mut reader, cfg).map_err(pipeline)?;

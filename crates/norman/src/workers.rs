@@ -87,13 +87,13 @@ impl std::error::Error for WorkerError {}
 pub(crate) struct Shard {
     /// The cache this shard's ring traffic goes through: the whole LLC
     /// on a one-shard host, a way-disjoint partition of it otherwise.
-    pub llc: Llc,
+    pub(crate) llc: Llc,
     /// Supervised restarts of this shard (drives the backoff doubling).
-    pub restarts: u64,
+    pub(crate) restarts: u64,
     /// Fault injection for the supervision test: the next RX produce on
     /// this shard panics with this message.
     #[cfg(test)]
-    pub fault: Option<String>,
+    pub(crate) fault: Option<String>,
 }
 
 impl Shard {

@@ -19,7 +19,7 @@ pub struct ArpEntry {
     /// The resolved hardware address.
     pub mac: Mac,
     /// When it was learned/refreshed.
-    pub updated: Time,
+    pub(crate) updated: Time,
 }
 
 /// The kernel ARP cache + responder for one interface.
@@ -44,7 +44,7 @@ impl ArpCache {
     }
 
     /// Returns the entry for `ip`.
-    pub fn lookup(&self, ip: Ipv4Addr) -> Option<&ArpEntry> {
+    pub(crate) fn lookup(&self, ip: Ipv4Addr) -> Option<&ArpEntry> {
         self.entries.get(&ip)
     }
 
@@ -58,7 +58,7 @@ impl ArpCache {
     }
 
     /// Returns (requests answered, replies learned).
-    pub fn counters(&self) -> (u64, u64) {
+    pub(crate) fn counters(&self) -> (u64, u64) {
         (self.requests_answered, self.replies_learned)
     }
 
@@ -104,7 +104,7 @@ impl ArpCache {
     }
 
     /// Builds a who-has request the kernel would send to resolve `ip`.
-    pub fn request_for(&self, ip: Ipv4Addr) -> Packet {
+    pub(crate) fn request_for(&self, ip: Ipv4Addr) -> Packet {
         PacketBuilder::arp_request(self.my_mac, self.my_ip, ip)
     }
 }

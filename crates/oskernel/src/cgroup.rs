@@ -8,7 +8,7 @@ use std::collections::HashMap;
 
 /// A cgroup identifier.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
-pub struct CgroupId(pub u32);
+pub struct CgroupId(pub(crate) u32);
 
 impl CgroupId {
     /// The root cgroup every process starts in.
@@ -17,15 +17,15 @@ impl CgroupId {
 
 /// One cgroup.
 #[derive(Clone, Debug)]
-pub struct Cgroup {
+pub(crate) struct Cgroup {
     /// Identifier.
-    pub id: CgroupId,
+    pub(crate) id: CgroupId,
     /// Path-like name ("/", "/game").
-    pub name: String,
+    pub(crate) name: String,
     /// Parent (None for the root).
-    pub parent: Option<CgroupId>,
+    pub(crate) parent: Option<CgroupId>,
     /// Network class id (`net_cls.classid`); inherited when `None`.
-    pub net_class: Option<u32>,
+    pub(crate) net_class: Option<u32>,
 }
 
 /// The cgroup hierarchy.
@@ -61,7 +61,7 @@ impl CgroupTree {
     /// # Panics
     ///
     /// Panics if `parent` does not exist.
-    pub fn create(&mut self, parent: CgroupId, name: &str) -> CgroupId {
+    pub(crate) fn create(&mut self, parent: CgroupId, name: &str) -> CgroupId {
         assert!(self.groups.contains_key(&parent), "no such parent cgroup");
         let id = CgroupId(self.next_id);
         self.next_id += 1;
@@ -80,7 +80,7 @@ impl CgroupTree {
     /// Sets a cgroup's network class id (the `tc` handle).
     ///
     /// Returns `false` if the cgroup does not exist.
-    pub fn set_net_class(&mut self, id: CgroupId, class: u32) -> bool {
+    pub(crate) fn set_net_class(&mut self, id: CgroupId, class: u32) -> bool {
         match self.groups.get_mut(&id) {
             Some(g) => {
                 g.net_class = Some(class);
@@ -92,7 +92,7 @@ impl CgroupTree {
 
     /// Returns the effective network class of `id`, walking up the
     /// hierarchy for inherited values.
-    pub fn net_class(&self, id: CgroupId) -> u32 {
+    pub(crate) fn net_class(&self, id: CgroupId) -> u32 {
         let mut cur = Some(id);
         while let Some(cid) = cur {
             let Some(g) = self.groups.get(&cid) else {
@@ -107,18 +107,18 @@ impl CgroupTree {
     }
 
     /// Returns a cgroup by id.
-    pub fn get(&self, id: CgroupId) -> Option<&Cgroup> {
+    pub(crate) fn get(&self, id: CgroupId) -> Option<&Cgroup> {
         self.groups.get(&id)
     }
 
     /// Returns the number of cgroups.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.groups.len()
     }
 
     /// Returns `true` if only the root exists — never true in practice
     /// since the root always exists.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.groups.is_empty()
     }
 }

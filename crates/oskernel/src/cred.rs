@@ -8,10 +8,10 @@ pub struct Uid(pub u32);
 
 impl Uid {
     /// The superuser.
-    pub const ROOT: Uid = Uid(0);
+    pub(crate) const ROOT: Uid = Uid(0);
 
     /// Returns `true` for root.
-    pub fn is_root(self) -> bool {
+    pub(crate) fn is_root(self) -> bool {
         self == Uid::ROOT
     }
 }
@@ -28,7 +28,7 @@ pub struct Cred {
     /// The owning user.
     pub uid: Uid,
     /// The user's login name (for tool output).
-    pub user: String,
+    pub(crate) user: String,
 }
 
 impl Cred {

@@ -37,9 +37,9 @@ pub struct Rule {
     /// ignored).
     pub matcher: ClassifierRule,
     /// Optional command-name owner match (`-m owner --cmd-owner`).
-    pub comm: Option<String>,
+    pub(crate) comm: Option<String>,
     /// Verdict on match.
-    pub verdict: HookVerdict,
+    pub(crate) verdict: HookVerdict,
 }
 
 impl Rule {
@@ -133,7 +133,7 @@ impl CompiledRule {
 /// An ordered chain with a default policy.
 pub struct Chain {
     /// Chain name ("INPUT", "OUTPUT").
-    pub name: String,
+    pub(crate) name: String,
     rules: Vec<Rule>,
     default: HookVerdict,
     /// Per-rule evaluation cost.
@@ -177,7 +177,7 @@ impl std::fmt::Debug for Chain {
 impl Chain {
     /// Creates a chain with the given default policy and a 25 ns per-rule
     /// cost (cache-resident linear scan).
-    pub fn new(name: &str, default: HookVerdict) -> Chain {
+    pub(crate) fn new(name: &str, default: HookVerdict) -> Chain {
         Chain {
             name: name.to_string(),
             rules: Vec::new(),
@@ -202,22 +202,22 @@ impl Chain {
     }
 
     /// Returns whether the chain currently holds a lowered rule list.
-    pub fn is_compiled(&self) -> bool {
+    pub(crate) fn is_compiled(&self) -> bool {
         self.compiled.is_some()
     }
 
     /// Returns the number of rules.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.rules.len()
     }
 
     /// Returns `true` when the chain has no rules.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.rules.is_empty()
     }
 
     /// Returns (packets evaluated, packets dropped).
-    pub fn counters(&self) -> (u64, u64) {
+    pub(crate) fn counters(&self) -> (u64, u64) {
         (self.evaluated, self.drops)
     }
 
@@ -227,7 +227,7 @@ impl Chain {
     /// accounting is identical to the interpreted scan: the lowering
     /// specializes *what* each rule tests, not the iptables linear-walk
     /// cost model.
-    pub fn evaluate(&mut self, m: &ClassMatch, comm: Option<&str>) -> (HookVerdict, Dur) {
+    pub(crate) fn evaluate(&mut self, m: &ClassMatch, comm: Option<&str>) -> (HookVerdict, Dur) {
         if self.compiled.is_none() {
             self.compiled = Some(self.rules.iter().map(CompiledRule::lower).collect());
         }
@@ -253,7 +253,7 @@ impl Chain {
     /// The original interpreted linear scan, kept as the differential
     /// oracle for [`Chain::evaluate`]: identical verdicts, costs, and
     /// counter updates, straight off the un-lowered [`Rule`] list.
-    pub fn evaluate_interp(&mut self, m: &ClassMatch, comm: Option<&str>) -> (HookVerdict, Dur) {
+    pub(crate) fn evaluate_interp(&mut self, m: &ClassMatch, comm: Option<&str>) -> (HookVerdict, Dur) {
         self.evaluated += 1;
         for (i, rule) in self.rules.iter().enumerate() {
             if rule.matches(m, comm) {

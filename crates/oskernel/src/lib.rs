@@ -29,20 +29,33 @@
 //! * [`netstack`] — socket demux + hook evaluation + qdisc egress, with
 //!   per-packet cost accounting.
 
-pub mod arp;
-pub mod cgroup;
-pub mod cred;
-pub mod hooks;
-pub mod netstack;
-pub mod process;
-pub mod sched;
-pub mod syscall;
+pub(crate) mod arp;
+pub(crate) mod cgroup;
+pub(crate) mod cred;
+pub(crate) mod hooks;
+pub(crate) mod netstack;
+pub(crate) mod process;
+pub(crate) mod sched;
+pub(crate) mod syscall;
 
-pub use arp::{ArpCache, ArpEntry};
-pub use cgroup::{Cgroup, CgroupId, CgroupTree};
-pub use cred::{Cred, Uid};
-pub use hooks::{Chain, HookVerdict, Rule};
-pub use netstack::{NetStack, RxOutcome, StackCosts};
-pub use process::{Pid, ProcState, Process, ProcessTable};
-pub use sched::{CpuMeter, Scheduler};
-pub use syscall::SyscallCosts;
+pub use arp::ArpCache;
+
+pub use arp::ArpEntry;
+pub(crate) use cgroup::Cgroup;
+pub use cgroup::CgroupId;
+pub use cgroup::CgroupTree;
+pub use cred::Cred;
+pub use cred::Uid;
+pub(crate) use hooks::Chain;
+pub use hooks::HookVerdict;
+pub use hooks::Rule;
+pub use netstack::NetStack;
+pub use netstack::RxOutcome;
+pub use netstack::StackCosts;
+pub use process::Pid;
+pub use process::ProcState;
+pub(crate) use process::Process;
+pub use process::ProcessTable;
+pub(crate) use sched::CpuMeter;
+pub use sched::Scheduler;
+pub(crate) use syscall::SyscallCosts;

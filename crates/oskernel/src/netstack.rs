@@ -98,18 +98,18 @@ pub struct SocketStat {
     /// Owning command.
     pub comm: String,
     /// Bytes received.
-    pub rx_bytes: u64,
+    pub(crate) rx_bytes: u64,
     /// Bytes sent.
-    pub tx_bytes: u64,
+    pub(crate) tx_bytes: u64,
     /// Packets waiting in the receive queue.
-    pub rx_queued: usize,
+    pub(crate) rx_queued: usize,
 }
 
 /// The software stack.
 pub struct NetStack {
     costs: StackCosts,
     /// The INPUT netfilter chain.
-    pub input: Chain,
+    pub(crate) input: Chain,
     /// The OUTPUT netfilter chain.
     pub output: Chain,
     egress: Box<dyn Qdisc>,
@@ -130,7 +130,7 @@ impl NetStack {
     }
 
     /// Creates a stack with explicit costs.
-    pub fn with_costs(costs: StackCosts) -> NetStack {
+    pub(crate) fn with_costs(costs: StackCosts) -> NetStack {
         NetStack {
             costs,
             input: Chain::new("INPUT", HookVerdict::Accept),
@@ -189,7 +189,7 @@ impl NetStack {
     }
 
     /// Unbinds a socket.
-    pub fn unbind(&mut self, proto: IpProto, port: u16) -> bool {
+    pub(crate) fn unbind(&mut self, proto: IpProto, port: u16) -> bool {
         self.sockets.remove(&(proto, port)).is_some()
     }
 
@@ -383,18 +383,18 @@ impl NetStack {
     }
 
     /// Pulls the next frame the egress qdisc releases at `now`.
-    pub fn tx_poll(&mut self, now: Time) -> Option<Packet> {
+    pub(crate) fn tx_poll(&mut self, now: Time) -> Option<Packet> {
         let qpkt = self.egress.dequeue(now)?;
         self.tx_frames.remove(&qpkt.id)
     }
 
     /// When the egress qdisc will next release a frame.
-    pub fn tx_next_ready(&self, now: Time) -> Option<Time> {
+    pub(crate) fn tx_next_ready(&self, now: Time) -> Option<Time> {
         self.egress.next_ready(now)
     }
 
     /// Returns the egress backlog in packets.
-    pub fn tx_backlog(&self) -> usize {
+    pub(crate) fn tx_backlog(&self) -> usize {
         self.egress.len()
     }
 
@@ -432,7 +432,7 @@ impl NetStack {
     }
 
     /// Returns the egress qdisc's accumulated counters.
-    pub fn egress_stats(&self) -> QdiscStats {
+    pub(crate) fn egress_stats(&self) -> QdiscStats {
         self.egress.stats()
     }
 

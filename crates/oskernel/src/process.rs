@@ -36,14 +36,14 @@ pub enum ProcState {
 #[derive(Clone, Debug)]
 pub struct Process {
     /// The process id.
-    pub pid: Pid,
+    pub(crate) pid: Pid,
     /// Owner credentials.
     pub cred: Cred,
     /// Command name (`comm`), the `cmd-owner` match target. Refcounted
     /// so per-packet owner attribution clones a pointer, not the string.
     pub comm: telemetry::Comm,
     /// Containing cgroup.
-    pub cgroup: CgroupId,
+    pub(crate) cgroup: CgroupId,
     /// Run state.
     pub state: ProcState,
 }
@@ -82,7 +82,7 @@ impl ProcessTable {
     }
 
     /// Terminates a process.
-    pub fn exit(&mut self, pid: Pid) -> bool {
+    pub(crate) fn exit(&mut self, pid: Pid) -> bool {
         match self.procs.get_mut(&pid) {
             Some(p) => {
                 p.state = ProcState::Exited;
@@ -103,41 +103,41 @@ impl ProcessTable {
     }
 
     /// Returns the uid owning `pid`, if it exists.
-    pub fn uid_of(&self, pid: Pid) -> Option<Uid> {
+    pub(crate) fn uid_of(&self, pid: Pid) -> Option<Uid> {
         self.get(pid).map(|p| p.cred.uid)
     }
 
     /// Returns the command name of `pid`.
-    pub fn comm_of(&self, pid: Pid) -> Option<&str> {
+    pub(crate) fn comm_of(&self, pid: Pid) -> Option<&str> {
         self.get(pid).map(|p| p.comm.as_str())
     }
 
     /// Iterates over live (non-exited) processes.
-    pub fn live(&self) -> impl Iterator<Item = &Process> {
+    pub(crate) fn live(&self) -> impl Iterator<Item = &Process> {
         self.procs.values().filter(|p| p.state != ProcState::Exited)
     }
 
     /// Returns all processes owned by `uid`.
-    pub fn by_uid(&self, uid: Uid) -> Vec<&Process> {
+    pub(crate) fn by_uid(&self, uid: Uid) -> Vec<&Process> {
         let mut v: Vec<&Process> = self.live().filter(|p| p.cred.uid == uid).collect();
         v.sort_by_key(|p| p.pid);
         v
     }
 
     /// Finds live processes by command name.
-    pub fn by_comm(&self, comm: &str) -> Vec<&Process> {
+    pub(crate) fn by_comm(&self, comm: &str) -> Vec<&Process> {
         let mut v: Vec<&Process> = self.live().filter(|p| p.comm == comm).collect();
         v.sort_by_key(|p| p.pid);
         v
     }
 
     /// Returns the number of processes ever spawned (including exited).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.procs.len()
     }
 
     /// Returns `true` when the table is empty.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.procs.is_empty()
     }
 }

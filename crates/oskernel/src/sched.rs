@@ -42,7 +42,7 @@ impl CpuMeter {
 /// The scheduler: blocking state plus CPU meters.
 pub struct Scheduler {
     /// Cost of one context switch (block or wake transition).
-    pub ctx_switch: Dur,
+    pub(crate) ctx_switch: Dur,
     meters: FastMap<Pid, CpuMeter>,
     /// Per-core kernel-worker meters (multi-queue mode pins one dataplane
     /// worker per core; this records where each core's cycles went,
@@ -57,7 +57,7 @@ impl Scheduler {
     /// Creates a scheduler with the given context-switch cost (a few
     /// microseconds on contemporary Linux once cache effects are
     /// included).
-    pub fn new(ctx_switch: Dur) -> Scheduler {
+    pub(crate) fn new(ctx_switch: Dur) -> Scheduler {
         Scheduler {
             ctx_switch,
             meters: FastMap::default(),
@@ -152,7 +152,7 @@ impl Scheduler {
     }
 
     /// Returns how long `pid` has been blocked at `now`, if blocked.
-    pub fn blocked_for(&self, pid: Pid, now: Time) -> Option<Dur> {
+    pub(crate) fn blocked_for(&self, pid: Pid, now: Time) -> Option<Dur> {
         self.blocked_since.get(&pid).map(|&since| now - since)
     }
 }

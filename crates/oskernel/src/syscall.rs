@@ -14,11 +14,11 @@ use sim::Dur;
 pub struct SyscallCosts {
     /// Mode switch in and out (KPTI-era, including TLB/branch-predictor
     /// effects).
-    pub entry_exit: Dur,
+    pub(crate) entry_exit: Dur,
     /// Copy between user and kernel space, per byte.
-    pub copy_per_byte: Dur,
+    pub(crate) copy_per_byte: Dur,
     /// Fixed socket-layer bookkeeping per send/recv call.
-    pub socket_overhead: Dur,
+    pub(crate) socket_overhead: Dur,
 }
 
 impl Default for SyscallCosts {

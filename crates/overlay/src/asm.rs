@@ -34,9 +34,9 @@ use crate::program::{FlowMapSpec, MapSpec, Program, TailBody};
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AsmError {
     /// 1-based line number.
-    pub line: usize,
+    pub(crate) line: usize,
     /// Description.
-    pub message: String,
+    pub(crate) message: String,
 }
 
 impl fmt::Display for AsmError {
@@ -504,7 +504,7 @@ pub fn assemble(name: &str, src: &str) -> Result<Program, AsmError> {
 /// `assemble(&p.name, &disassemble(&p))` reproduces `p` exactly (the
 /// round-trip property the test suite enforces). Jump targets become
 /// synthetic `L{pc}` labels.
-pub fn disassemble(program: &Program) -> String {
+pub(crate) fn disassemble(program: &Program) -> String {
     use fmt::Write as _;
     let mut out = String::new();
     for m in &program.maps {

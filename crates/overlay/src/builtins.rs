@@ -57,7 +57,7 @@ pub fn port_owner_filter() -> Program {
 }
 
 /// Index of the `rules` map in [`port_owner_filter`].
-pub const PORT_FILTER_RULES_MAP: usize = 0;
+pub(crate) const PORT_FILTER_RULES_MAP: usize = 0;
 
 /// A per-user token-bucket rate limiter (the `tc`-style shaping
 /// primitive).
@@ -104,13 +104,13 @@ pub fn token_bucket() -> Program {
 }
 
 /// Map indices in [`token_bucket`].
-pub mod token_bucket_maps {
+pub(crate) mod token_bucket_maps {
     /// Parameters: `[0]` rate (bytes/us), `[1]` burst (bytes).
-    pub const PARAMS: usize = 0;
+    pub(crate) const PARAMS: usize = 0;
     /// Token state per `uid & 255`.
-    pub const TOKENS: usize = 1;
+    pub(crate) const TOKENS: usize = 1;
     /// Last-update microsecond per `uid & 255`.
-    pub const LAST_US: usize = 2;
+    pub(crate) const LAST_US: usize = 2;
 }
 
 /// Classifies packets into scheduler classes by owning user — the input
@@ -200,7 +200,7 @@ pub fn byte_accounting() -> Program {
 /// Flows past the byte threshold in map `params[0]` (0 = unlimited)
 /// tail-call into `elephant`, which marks the packet and sends it to the
 /// slow path for policy attention.
-pub fn flow_meter() -> Program {
+pub(crate) fn flow_meter() -> Program {
     must(
         "flow_meter",
         "
@@ -232,10 +232,10 @@ pub fn flow_meter() -> Program {
 }
 
 /// Index of the `params` map in [`flow_meter`] (`[0]` = byte threshold).
-pub const FLOW_METER_PARAMS_MAP: usize = 0;
+pub(crate) const FLOW_METER_PARAMS_MAP: usize = 0;
 
 /// Index of the `meter` flow map in [`flow_meter`].
-pub const FLOW_METER_FLOWMAP: usize = 0;
+pub(crate) const FLOW_METER_FLOWMAP: usize = 0;
 
 /// Every builtin, for exhaustive tooling (round-trip tests, differential
 /// fuzzing, `knetstat` listings).

@@ -289,7 +289,7 @@ impl std::fmt::Debug for CompiledProgram {
 
 impl CompiledProgram {
     /// The source program's name.
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         &self.name
     }
 
@@ -300,7 +300,7 @@ impl CompiledProgram {
     }
 
     /// Number of basic blocks in the artifact.
-    pub fn block_count(&self) -> usize {
+    pub(crate) fn block_count(&self) -> usize {
         self.blocks.len()
     }
 

@@ -7,7 +7,7 @@ use std::fmt;
 pub struct Reg(pub u8);
 
 /// Number of general-purpose registers.
-pub const NUM_REGS: u8 = 16;
+pub(crate) const NUM_REGS: u8 = 16;
 
 impl Reg {
     /// Creates a register, checking the index.
@@ -15,7 +15,7 @@ impl Reg {
     /// # Panics
     ///
     /// Panics if `n >= 16`.
-    pub fn new(n: u8) -> Reg {
+    pub(crate) fn new(n: u8) -> Reg {
         assert!(n < NUM_REGS, "register r{n} out of range");
         Reg(n)
     }
@@ -128,7 +128,7 @@ impl AluOp {
     /// interpreter and the compiled path both call this, so they cannot
     /// disagree on arithmetic.
     #[inline(always)]
-    pub fn eval(self, a: u64, b: u64) -> u64 {
+    pub(crate) fn eval(self, a: u64, b: u64) -> u64 {
         match self {
             AluOp::Add => a.wrapping_add(b),
             AluOp::Sub => a.wrapping_sub(b),
@@ -165,7 +165,7 @@ pub enum CmpOp {
 
 impl CmpOp {
     /// Evaluates the comparison.
-    pub fn eval(self, lhs: u64, rhs: u64) -> bool {
+    pub(crate) fn eval(self, lhs: u64, rhs: u64) -> bool {
         match self {
             CmpOp::Eq => lhs == rhs,
             CmpOp::Ne => lhs != rhs,
@@ -196,7 +196,7 @@ impl fmt::Display for Operand {
 }
 
 /// A map identifier (index into the program's declared maps).
-pub type MapId = usize;
+pub(crate) type MapId = usize;
 
 /// One overlay instruction.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -360,7 +360,7 @@ pub enum Verdict {
 
 impl Verdict {
     /// Encodes the verdict as a u64 (`code | arg << 8`) for `retr`.
-    pub fn encode(self) -> u64 {
+    pub(crate) fn encode(self) -> u64 {
         match self {
             Verdict::Pass => 0,
             Verdict::Drop => 1,
@@ -372,7 +372,7 @@ impl Verdict {
 
     /// Decodes a u64 produced by [`Verdict::encode`]. Unknown codes decode
     /// to [`Verdict::Drop`] (fail closed).
-    pub fn decode(v: u64) -> Verdict {
+    pub(crate) fn decode(v: u64) -> Verdict {
         let arg = (v >> 8) as u32;
         match v & 0xFF {
             0 => Verdict::Pass,

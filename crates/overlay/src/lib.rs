@@ -25,17 +25,36 @@
 //! always terminate within `len(program)` cycles, the kernel control
 //! plane can hot-swap policies without risking a wedged dataplane.
 
-pub mod asm;
+pub(crate) mod asm;
 pub mod builtins;
-pub mod compile;
-pub mod isa;
-pub mod program;
-pub mod verify;
-pub mod vm;
+pub(crate) mod compile;
+pub(crate) mod isa;
+pub(crate) mod program;
+pub(crate) mod verify;
+pub(crate) mod vm;
 
-pub use asm::{assemble, disassemble, AsmError};
-pub use compile::{compile, CompileError, CompiledProgram, MAX_COMPILED_INSNS};
-pub use isa::{AluOp, CmpOp, CtxField, Insn, Operand, Reg, Verdict};
-pub use program::{FlowMapSpec, MapSpec, Program, TailBody};
-pub use verify::{verify, VerifyError};
-pub use vm::{PktCtx, Vm, VmError};
+pub use asm::assemble;
+
+pub(crate) use asm::disassemble;
+
+pub(crate) use asm::AsmError;
+pub use compile::compile;
+pub(crate) use compile::CompileError;
+pub use compile::CompiledProgram;
+pub use compile::MAX_COMPILED_INSNS;
+pub use isa::AluOp;
+pub use isa::CmpOp;
+pub use isa::CtxField;
+pub use isa::Insn;
+pub use isa::Operand;
+pub use isa::Reg;
+pub use isa::Verdict;
+pub use program::FlowMapSpec;
+pub use program::MapSpec;
+pub use program::Program;
+pub(crate) use program::TailBody;
+pub use verify::verify;
+pub use verify::VerifyError;
+pub use vm::PktCtx;
+pub use vm::Vm;
+pub(crate) use vm::VmError;

@@ -3,31 +3,31 @@
 use crate::isa::Insn;
 
 /// Maximum instructions per program (the overlay's program store).
-pub const MAX_INSNS: usize = 4096;
+pub(crate) const MAX_INSNS: usize = 4096;
 
 /// Maximum total map entries per program (overlay SRAM budget).
-pub const MAX_MAP_ENTRIES: usize = 1 << 20;
+pub(crate) const MAX_MAP_ENTRIES: usize = 1 << 20;
 
 /// Maximum flow records a single flow map may declare (bounded state:
 /// the overlay pre-provisions every record slot at load time).
-pub const MAX_FLOW_MAP_FLOWS: usize = 1 << 16;
+pub(crate) const MAX_FLOW_MAP_FLOWS: usize = 1 << 16;
 
 /// Maximum `u64` slots per flow record.
-pub const MAX_FLOW_MAP_SLOTS: usize = 16;
+pub(crate) const MAX_FLOW_MAP_SLOTS: usize = 16;
 
 /// Maximum named counters per program.
-pub const MAX_COUNTERS: usize = 64;
+pub(crate) const MAX_COUNTERS: usize = 64;
 
 /// Maximum tail bodies per program.
-pub const MAX_TAILS: usize = 8;
+pub(crate) const MAX_TAILS: usize = 8;
 
 /// A declared state map: a fixed-size array of `u64`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MapSpec {
     /// Human-readable name (used by the assembler and tools).
-    pub name: String,
+    pub(crate) name: String,
     /// Number of entries.
-    pub size: usize,
+    pub(crate) size: usize,
 }
 
 impl MapSpec {
@@ -40,7 +40,7 @@ impl MapSpec {
     }
 
     /// SRAM footprint of this map in bytes.
-    pub fn bytes(&self) -> u64 {
+    pub(crate) fn bytes(&self) -> u64 {
         self.size as u64 * 8
     }
 }
@@ -52,11 +52,11 @@ impl MapSpec {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FlowMapSpec {
     /// Human-readable name (used by the assembler and tools).
-    pub name: String,
+    pub(crate) name: String,
     /// `u64` slots per flow record.
-    pub slots: usize,
+    pub(crate) slots: usize,
     /// Maximum concurrent flows with a record.
-    pub max_flows: usize,
+    pub(crate) max_flows: usize,
 }
 
 impl FlowMapSpec {
@@ -71,7 +71,7 @@ impl FlowMapSpec {
 
     /// SRAM footprint in bytes: every record slot plus the 16-byte flow
     /// key, pre-provisioned for the declared flow capacity.
-    pub fn bytes(&self) -> u64 {
+    pub(crate) fn bytes(&self) -> u64 {
         (self.slots as u64 * 8 + 16) * self.max_flows as u64
     }
 }
@@ -80,11 +80,11 @@ impl FlowMapSpec {
 /// body (or an earlier tail) can transfer into via `tailcall`. Tails
 /// share the program's map/flow-map/counter namespace.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TailBody {
+pub(crate) struct TailBody {
     /// Human-readable name (assembler section label).
-    pub name: String,
+    pub(crate) name: String,
     /// Instruction stream.
-    pub insns: Vec<Insn>,
+    pub(crate) insns: Vec<Insn>,
 }
 
 /// A complete overlay program: instructions plus declared maps.
@@ -95,13 +95,13 @@ pub struct Program {
     /// Instruction stream.
     pub insns: Vec<Insn>,
     /// Declared maps, addressed by index.
-    pub maps: Vec<MapSpec>,
+    pub(crate) maps: Vec<MapSpec>,
     /// Declared per-flow scratch maps, addressed by index.
-    pub flow_maps: Vec<FlowMapSpec>,
+    pub(crate) flow_maps: Vec<FlowMapSpec>,
     /// Declared saturating counters, addressed by index.
-    pub counters: Vec<String>,
+    pub(crate) counters: Vec<String>,
     /// Tail bodies, addressed by index.
-    pub tails: Vec<TailBody>,
+    pub(crate) tails: Vec<TailBody>,
 }
 
 impl Program {
@@ -139,13 +139,13 @@ impl Program {
     }
 
     /// Returns the number of instructions in the main body.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.insns.len()
     }
 
     /// Returns `true` for an empty program (always rejected by the
     /// verifier).
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.insns.is_empty()
     }
 

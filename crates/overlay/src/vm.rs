@@ -164,13 +164,13 @@ pub struct Execution {
     /// Cycles consumed.
     pub cycles: u64,
     /// The packet mark after execution (programs may set it).
-    pub mark: u64,
+    pub(crate) mark: u64,
 }
 
 impl Execution {
     /// Returns the wall-clock time of this execution at cycle time
     /// `cycle`.
-    pub fn time(&self, cycle: Dur) -> Dur {
+    pub(crate) fn time(&self, cycle: Dur) -> Dur {
         cycle.saturating_mul(self.cycles)
     }
 }
@@ -309,7 +309,7 @@ impl Vm {
 
     /// Whether this VM dispatches to a compiled artifact (`false` = pure
     /// interpreter).
-    pub fn is_compiled(&self) -> bool {
+    pub(crate) fn is_compiled(&self) -> bool {
         self.compiled.is_some()
     }
 
@@ -364,7 +364,7 @@ impl Vm {
     }
 
     /// Reads a named saturating counter by declaration index.
-    pub fn counter_get(&self, counter: usize) -> Option<u64> {
+    pub(crate) fn counter_get(&self, counter: usize) -> Option<u64> {
         self.state.counters.get(counter).copied()
     }
 

@@ -51,17 +51,17 @@ use std::rc::Rc;
 /// builds only — a stale `&[u8]` into a recycled slot reads as this
 /// pattern instead of plausible frame bytes.
 #[cfg(debug_assertions)]
-pub const POISON: u8 = 0xDD;
+pub(crate) const POISON: u8 = 0xDD;
 
 /// Counters the arena maintains; see [`BufArena::stats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ArenaStats {
     /// Slots currently allocated (building or shared).
-    pub live: usize,
+    pub(crate) live: usize,
     /// Highest simultaneous `live` ever observed.
     pub high_water: usize,
     /// Successful slot allocations over the arena's lifetime.
-    pub allocs: u64,
+    pub(crate) allocs: u64,
     /// Allocation attempts refused because the pool was empty (the
     /// caller fell back to a heap frame).
     pub exhausted: u64,
@@ -191,7 +191,7 @@ impl BufArena {
     }
 
     /// Usable bytes per slot.
-    pub fn slot_bytes(&self) -> usize {
+    pub(crate) fn slot_bytes(&self) -> usize {
         self.inner.slot_bytes
     }
 
@@ -262,7 +262,7 @@ impl SlotWriter {
     /// occupant left (poison, in debug builds) — callers write before
     /// they freeze.
     #[inline]
-    pub fn bytes_mut(&mut self) -> &mut [u8] {
+    pub(crate) fn bytes_mut(&mut self) -> &mut [u8] {
         // SAFETY: writer uniqueness (invariant 1) — this writer is the
         // only reference to the slot, and `&mut self` makes this call
         // exclusive even against re-entrancy.
@@ -321,7 +321,7 @@ pub struct FrameRef {
 impl FrameRef {
     /// The frame bytes (never copied; always the slot memory).
     #[inline]
-    pub fn bytes(&self) -> &[u8] {
+    pub(crate) fn bytes(&self) -> &[u8] {
         // SAFETY: the slot is SHARED (refcount ≥ 1 — we hold one), so
         // by invariant 2 no `&mut` exists: shared reads are sound.
         unsafe { std::slice::from_raw_parts(self.inner.slot_ptr(self.slot), self.len as usize) }
@@ -329,23 +329,23 @@ impl FrameRef {
 
     /// Frame length in bytes.
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len as usize
     }
 
     /// Whether the frame is empty.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len == 0
     }
 
     /// The slot index (the descriptor payload rings carry).
-    pub fn slot(&self) -> u32 {
+    pub(crate) fn slot(&self) -> u32 {
         self.slot
     }
 
     /// Mutable access iff this is the sole handle (refcount 1) — the
     /// in-place NAT rewrite path. `None` when the frame is shared.
-    pub fn bytes_mut(&mut self) -> Option<&mut [u8]> {
+    pub(crate) fn bytes_mut(&mut self) -> Option<&mut [u8]> {
         if self.inner.refs[self.slot as usize].get() != 1 {
             return None;
         }
@@ -358,7 +358,7 @@ impl FrameRef {
     }
 
     /// Current refcount (diagnostics and tests only).
-    pub fn refcount(&self) -> u32 {
+    pub(crate) fn refcount(&self) -> u32 {
         self.inner.refs[self.slot as usize].get()
     }
 }

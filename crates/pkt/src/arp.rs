@@ -67,10 +67,10 @@ pub struct ArpPacket {
 
 impl ArpPacket {
     /// Wire size for Ethernet/IPv4 ARP.
-    pub const LEN: usize = 28;
+    pub(crate) const LEN: usize = 28;
 
     /// Builds a who-has request from `sender` for `target_ip`.
-    pub fn request(sender_mac: Mac, sender_ip: Ipv4Addr, target_ip: Ipv4Addr) -> ArpPacket {
+    pub(crate) fn request(sender_mac: Mac, sender_ip: Ipv4Addr, target_ip: Ipv4Addr) -> ArpPacket {
         ArpPacket {
             op: ArpOp::Request,
             sender_mac,
@@ -81,7 +81,7 @@ impl ArpPacket {
     }
 
     /// Builds an is-at reply answering `request`.
-    pub fn reply_to(request: &ArpPacket, my_mac: Mac) -> ArpPacket {
+    pub(crate) fn reply_to(request: &ArpPacket, my_mac: Mac) -> ArpPacket {
         ArpPacket {
             op: ArpOp::Reply,
             sender_mac: my_mac,
@@ -122,7 +122,7 @@ impl ArpPacket {
     /// # Panics
     ///
     /// Panics if `out` is shorter than [`Self::LEN`].
-    pub fn write_to(&self, out: &mut [u8]) {
+    pub(crate) fn write_to(&self, out: &mut [u8]) {
         out[0..2].copy_from_slice(&1u16.to_be_bytes()); // Ethernet
         out[2..4].copy_from_slice(&0x0800u16.to_be_bytes()); // IPv4
         out[4] = 6;

@@ -110,13 +110,13 @@ impl<'p> PacketBuilder<'p> {
     }
 
     /// Overrides the IPv4 TTL.
-    pub fn ttl(mut self, ttl: u8) -> Self {
+    pub(crate) fn ttl(mut self, ttl: u8) -> Self {
         self.ttl = ttl;
         self
     }
 
     /// Sets the DSCP/ECN byte (QoS marking).
-    pub fn dscp(mut self, dscp: u8) -> Self {
+    pub(crate) fn dscp(mut self, dscp: u8) -> Self {
         self.dscp = dscp;
         self
     }
@@ -162,7 +162,7 @@ impl<'p> PacketBuilder<'p> {
     }
 
     /// Attaches a TCP segment carrying `len` zero bytes.
-    pub fn tcp_zeroes(
+    pub(crate) fn tcp_zeroes(
         self,
         src_port: u16,
         dst_port: u16,

@@ -55,7 +55,7 @@ pub fn verify(data: &[u8]) -> bool {
 ///
 /// This is how NAT hardware rewrites headers without re-summing the
 /// packet: O(1) per changed word.
-pub fn incremental_update(checksum: u16, old_word: u16, new_word: u16) -> u16 {
+pub(crate) fn incremental_update(checksum: u16, old_word: u16, new_word: u16) -> u16 {
     let mut acc = u32::from(!checksum) + u32::from(!old_word) + u32::from(new_word);
     acc = (acc & 0xFFFF) + (acc >> 16);
     acc = (acc & 0xFFFF) + (acc >> 16);
@@ -64,7 +64,7 @@ pub fn incremental_update(checksum: u16, old_word: u16, new_word: u16) -> u16 {
 
 /// Computes the TCP/UDP checksum over the IPv4 pseudo-header plus the
 /// transport `segment` (header + payload, with its checksum field zeroed).
-pub fn pseudo_header_checksum(src: Ipv4Addr, dst: Ipv4Addr, proto: u8, segment: &[u8]) -> u16 {
+pub(crate) fn pseudo_header_checksum(src: Ipv4Addr, dst: Ipv4Addr, proto: u8, segment: &[u8]) -> u16 {
     let mut acc = 0u32;
     acc = sum_words(acc, &src.octets());
     acc = sum_words(acc, &dst.octets());

@@ -7,13 +7,13 @@ use crate::{PktError, Result};
 
 /// A 48-bit MAC address.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
-pub struct Mac(pub [u8; 6]);
+pub struct Mac(pub(crate) [u8; 6]);
 
 impl Mac {
     /// The all-ones broadcast address.
-    pub const BROADCAST: Mac = Mac([0xFF; 6]);
+    pub(crate) const BROADCAST: Mac = Mac([0xFF; 6]);
     /// The all-zeroes address (unset).
-    pub const ZERO: Mac = Mac([0; 6]);
+    pub(crate) const ZERO: Mac = Mac([0; 6]);
 
     /// Builds a locally administered unicast MAC from a small integer,
     /// convenient for synthesizing per-host/per-app addresses in tests.
@@ -24,12 +24,12 @@ impl Mac {
     }
 
     /// Returns `true` for the broadcast address.
-    pub fn is_broadcast(self) -> bool {
+    pub(crate) fn is_broadcast(self) -> bool {
         self == Mac::BROADCAST
     }
 
     /// Returns `true` if the multicast bit is set (includes broadcast).
-    pub fn is_multicast(self) -> bool {
+    pub(crate) fn is_multicast(self) -> bool {
         self.0[0] & 1 == 1
     }
 }
@@ -72,15 +72,15 @@ impl FromStr for Mac {
 
 /// An EtherType value.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct EtherType(pub u16);
+pub(crate) struct EtherType(pub(crate) u16);
 
 impl EtherType {
     /// IPv4 (0x0800).
-    pub const IPV4: EtherType = EtherType(0x0800);
+    pub(crate) const IPV4: EtherType = EtherType(0x0800);
     /// ARP (0x0806).
-    pub const ARP: EtherType = EtherType(0x0806);
+    pub(crate) const ARP: EtherType = EtherType(0x0806);
     /// IPv6 (0x86DD) — recognized but not parsed by this stack.
-    pub const IPV6: EtherType = EtherType(0x86DD);
+    pub(crate) const IPV6: EtherType = EtherType(0x86DD);
 }
 
 impl fmt::Display for EtherType {
@@ -100,17 +100,17 @@ pub struct EthernetHeader {
     /// Destination MAC.
     pub dst: Mac,
     /// Source MAC.
-    pub src: Mac,
+    pub(crate) src: Mac,
     /// Payload EtherType.
-    pub ethertype: EtherType,
+    pub(crate) ethertype: EtherType,
 }
 
 impl EthernetHeader {
     /// Wire size of the header in bytes.
-    pub const LEN: usize = 14;
+    pub(crate) const LEN: usize = 14;
 
     /// Parses a header from the front of `bytes`.
-    pub fn parse(bytes: &[u8]) -> Result<EthernetHeader> {
+    pub(crate) fn parse(bytes: &[u8]) -> Result<EthernetHeader> {
         if bytes.len() < Self::LEN {
             return Err(PktError::Truncated {
                 need: Self::LEN,
@@ -133,7 +133,7 @@ impl EthernetHeader {
     /// # Panics
     ///
     /// Panics if `out` is shorter than [`Self::LEN`].
-    pub fn write_to(&self, out: &mut [u8]) {
+    pub(crate) fn write_to(&self, out: &mut [u8]) {
         out[0..6].copy_from_slice(&self.dst.0);
         out[6..12].copy_from_slice(&self.src.0);
         out[12..14].copy_from_slice(&self.ethertype.0.to_be_bytes());

@@ -73,7 +73,7 @@ impl FiveTuple {
 
     /// Returns the tuple with source and destination swapped (the
     /// direction a reply takes).
-    pub fn reversed(self) -> FiveTuple {
+    pub(crate) fn reversed(self) -> FiveTuple {
         FiveTuple {
             src_ip: self.dst_ip,
             dst_ip: self.src_ip,
@@ -96,7 +96,7 @@ impl fmt::Display for FiveTuple {
 
 /// The default RSS secret key from the Microsoft RSS specification; also
 /// the key used by most NIC drivers' verification suites.
-pub const MS_RSS_KEY: [u8; 40] = [
+pub(crate) const MS_RSS_KEY: [u8; 40] = [
     0x6d, 0x5a, 0x56, 0xda, 0x25, 0x5b, 0x0e, 0xc2, 0x41, 0x67, 0x25, 0x3d, 0x43, 0xa3, 0x8f, 0xb0,
     0xd0, 0xca, 0x2b, 0xcb, 0xae, 0x7b, 0x30, 0xb4, 0x77, 0xcb, 0x2d, 0xa3, 0x80, 0x30, 0xf2, 0x0c,
     0x6a, 0x42, 0xb7, 0x3b, 0xbe, 0xac, 0x01, 0xfa,
@@ -135,7 +135,7 @@ impl RssHasher {
     /// # Panics
     ///
     /// Panics if `queues` is zero.
-    pub fn new(key: [u8; 40], queues: u32) -> RssHasher {
+    pub(crate) fn new(key: [u8; 40], queues: u32) -> RssHasher {
         assert!(queues > 0, "need at least one RSS queue");
         // `windows[p]`: the 32 key bits starting at bit `p` — what input
         // bit `p`, when set, contributes to the hash.
@@ -180,7 +180,7 @@ impl RssHasher {
 
     /// Computes the 32-bit RSS hash of a five-tuple (src ip, dst ip,
     /// src port, dst port), the standard TCP/UDP 4-tuple input.
-    pub fn hash(&self, ft: &FiveTuple) -> u32 {
+    pub(crate) fn hash(&self, ft: &FiveTuple) -> u32 {
         self.toeplitz(&Self::hash_input(ft))
     }
 
@@ -190,7 +190,7 @@ impl RssHasher {
     /// rewritten tuple's hash is the old hash xored with the hash of the
     /// changed bits. NAT uses this to keep descriptors current without
     /// re-hashing the full input.
-    pub fn hash_delta(&self, old_hash: u32, old: &FiveTuple, new: &FiveTuple) -> u32 {
+    pub(crate) fn hash_delta(&self, old_hash: u32, old: &FiveTuple, new: &FiveTuple) -> u32 {
         let a = Self::hash_input(old);
         let b = Self::hash_input(new);
         let mut delta = [0u8; INPUT_LEN];
@@ -206,7 +206,7 @@ impl RssHasher {
     }
 
     /// Returns the configured queue count.
-    pub fn queues(&self) -> u32 {
+    pub(crate) fn queues(&self) -> u32 {
         self.queues
     }
 }

@@ -12,7 +12,7 @@ pub struct IpProto(pub u8);
 
 impl IpProto {
     /// ICMP (1).
-    pub const ICMP: IpProto = IpProto(1);
+    pub(crate) const ICMP: IpProto = IpProto(1);
     /// TCP (6).
     pub const TCP: IpProto = IpProto(6);
     /// UDP (17).
@@ -34,17 +34,17 @@ impl fmt::Display for IpProto {
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Ipv4Header {
     /// Differentiated services code point (6 bits) + ECN (2 bits).
-    pub dscp_ecn: u8,
+    pub(crate) dscp_ecn: u8,
     /// Total datagram length including this header.
-    pub total_len: u16,
+    pub(crate) total_len: u16,
     /// Identification field.
-    pub id: u16,
+    pub(crate) id: u16,
     /// Flags (3 bits) and fragment offset (13 bits), packed.
-    pub flags_frag: u16,
+    pub(crate) flags_frag: u16,
     /// Time to live.
-    pub ttl: u8,
+    pub(crate) ttl: u8,
     /// Payload protocol.
-    pub proto: IpProto,
+    pub(crate) proto: IpProto,
     /// Source address.
     pub src: Ipv4Addr,
     /// Destination address.
@@ -53,13 +53,13 @@ pub struct Ipv4Header {
 
 impl Ipv4Header {
     /// Wire size of an optionless header.
-    pub const LEN: usize = 20;
+    pub(crate) const LEN: usize = 20;
 
     /// The "don't fragment" flag in [`Ipv4Header::flags_frag`].
-    pub const DONT_FRAGMENT: u16 = 0x4000;
+    pub(crate) const DONT_FRAGMENT: u16 = 0x4000;
 
     /// Creates a header with common defaults (TTL 64, DF set).
-    pub fn new(src: Ipv4Addr, dst: Ipv4Addr, proto: IpProto, payload_len: usize) -> Ipv4Header {
+    pub(crate) fn new(src: Ipv4Addr, dst: Ipv4Addr, proto: IpProto, payload_len: usize) -> Ipv4Header {
         Ipv4Header {
             dscp_ecn: 0,
             total_len: (Self::LEN + payload_len) as u16,
@@ -73,7 +73,7 @@ impl Ipv4Header {
     }
 
     /// Parses and checksum-verifies a header from the front of `bytes`.
-    pub fn parse(bytes: &[u8]) -> Result<Ipv4Header> {
+    pub(crate) fn parse(bytes: &[u8]) -> Result<Ipv4Header> {
         if bytes.len() < Self::LEN {
             return Err(PktError::Truncated {
                 need: Self::LEN,
@@ -114,7 +114,7 @@ impl Ipv4Header {
     /// # Panics
     ///
     /// Panics if `out` is shorter than [`Self::LEN`].
-    pub fn write_to(&self, out: &mut [u8]) {
+    pub(crate) fn write_to(&self, out: &mut [u8]) {
         out[0] = 0x45; // version 4, IHL 5
         out[1] = self.dscp_ecn;
         out[2..4].copy_from_slice(&self.total_len.to_be_bytes());
@@ -130,7 +130,7 @@ impl Ipv4Header {
     }
 
     /// Returns the payload length declared by the header.
-    pub fn payload_len(&self) -> usize {
+    pub(crate) fn payload_len(&self) -> usize {
         self.total_len as usize - Self::LEN
     }
 }

@@ -21,28 +21,44 @@
 //! * [`arena`] — the pooled frame arena ([`BufArena`]/[`FrameRef`]): slab
 //!   slots, refcounted descriptors, and the miri-audited unsafe core.
 
-pub mod arena;
-pub mod arp;
-pub mod builder;
+pub(crate) mod arena;
+pub(crate) mod arp;
+pub(crate) mod builder;
 pub mod checksum;
-pub mod ether;
-pub mod flow;
-pub mod ipv4;
+pub(crate) mod ether;
+pub(crate) mod flow;
+pub(crate) mod ipv4;
 pub mod meta;
 pub mod mutate;
-pub mod packet;
-pub mod tcp;
-pub mod udp;
+pub(crate) mod packet;
+pub(crate) mod tcp;
+pub(crate) mod udp;
 
-pub use arena::{ArenaStats, BufArena, FrameRef, SlotWriter};
-pub use arp::{ArpOp, ArpPacket};
+pub use arena::ArenaStats;
+
+pub use arena::BufArena;
+
+pub(crate) use arena::FrameRef;
+
+pub(crate) use arena::SlotWriter;
+pub use arp::ArpOp;
+pub use arp::ArpPacket;
 pub use builder::PacketBuilder;
-pub use ether::{EtherType, EthernetHeader, Mac};
-pub use flow::{FiveTuple, RssHasher};
-pub use ipv4::{IpProto, Ipv4Header};
-pub use meta::{Frame, FrameMeta, PacketClass};
-pub use packet::{Packet, Parsed, Payload};
-pub use tcp::{TcpFlags, TcpHeader};
+pub(crate) use ether::EtherType;
+pub(crate) use ether::EthernetHeader;
+pub use ether::Mac;
+pub use flow::FiveTuple;
+pub use flow::RssHasher;
+pub use ipv4::IpProto;
+pub(crate) use ipv4::Ipv4Header;
+pub use meta::Frame;
+pub use meta::FrameMeta;
+pub(crate) use meta::PacketClass;
+pub use packet::Packet;
+pub(crate) use packet::Parsed;
+pub use packet::Payload;
+pub use tcp::TcpFlags;
+pub(crate) use tcp::TcpHeader;
 pub use udp::UdpHeader;
 
 use std::fmt;
@@ -95,4 +111,4 @@ impl fmt::Display for PktError {
 impl std::error::Error for PktError {}
 
 /// Result alias for packet parsing.
-pub type Result<T> = std::result::Result<T, PktError>;
+pub(crate) type Result<T> = std::result::Result<T, PktError>;

@@ -31,7 +31,7 @@ use crate::Result;
 
 /// The packet classes the dataplane distinguishes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum PacketClass {
+pub(crate) enum PacketClass {
     /// An ARP frame (slow path, no five-tuple).
     Arp,
     /// An IPv4/TCP segment.
@@ -86,20 +86,20 @@ pub struct FrameMeta {
     /// unchanged through rewrites; excluded from equality.
     pub frame_id: u64,
     /// Packet class (dispatch key for every stage).
-    pub class: PacketClass,
+    pub(crate) class: PacketClass,
     /// Total frame length in bytes.
-    pub frame_len: usize,
+    pub(crate) frame_len: usize,
     /// Raw EtherType value.
     pub ethertype: u16,
     /// Offset of the L3 header (always [`EthernetHeader::LEN`] here, but
     /// carried so stages never assume).
-    pub l3_off: usize,
+    pub(crate) l3_off: usize,
     /// Offset of the L4 header for TCP/UDP frames.
-    pub l4_off: Option<usize>,
+    pub(crate) l4_off: Option<usize>,
     /// Offset of the application payload (for ARP, the ARP body).
-    pub payload_off: usize,
+    pub(crate) payload_off: usize,
     /// Length of the application payload in bytes.
-    pub payload_len: usize,
+    pub(crate) payload_len: usize,
     /// The connection five-tuple for TCP/UDP frames.
     pub tuple: Option<FiveTuple>,
     /// Toeplitz RSS hash of the tuple (0 when there is no tuple).
@@ -107,7 +107,7 @@ pub struct FrameMeta {
     /// The IPv4 DSCP/ECN byte (0 for ARP).
     pub dscp_ecn: u8,
     /// L3 checksum verified (IPv4 header sum; trivially true for ARP).
-    pub l3_checksum_ok: bool,
+    pub(crate) l3_checksum_ok: bool,
     /// L4 checksum verified (TCP/UDP pseudo-header sum; trivially true
     /// for frames without one).
     pub l4_checksum_ok: bool,
@@ -154,7 +154,7 @@ impl FrameMeta {
     }
 
     /// Builds a descriptor from an already-parsed view of `frame`.
-    pub fn from_parsed(parsed: &Parsed, frame: &[u8]) -> FrameMeta {
+    pub(crate) fn from_parsed(parsed: &Parsed, frame: &[u8]) -> FrameMeta {
         let l3_off = EthernetHeader::LEN;
         let l4_ok = parsed.l4_checksum_ok(frame);
         let (class, l4_off, payload, dscp_ecn) = match &parsed.payload {
@@ -212,7 +212,7 @@ impl FrameMeta {
     }
 
     /// The transport protocol, if this is an IP frame.
-    pub fn proto(&self) -> Option<IpProto> {
+    pub(crate) fn proto(&self) -> Option<IpProto> {
         match self.class {
             PacketClass::Tcp => Some(IpProto::TCP),
             PacketClass::Udp => Some(IpProto::UDP),
@@ -231,7 +231,7 @@ impl FrameMeta {
     ///
     /// Offsets, class, lengths and checksum flags are untouched: RFC 1624
     /// fixups keep the sums valid, and NAT never moves headers.
-    pub fn rewrite_endpoints(
+    pub(crate) fn rewrite_endpoints(
         &mut self,
         new_src: Option<(Ipv4Addr, u16)>,
         new_dst: Option<(Ipv4Addr, u16)>,
@@ -303,7 +303,7 @@ impl Frame {
     }
 
     /// Pairs a packet with a descriptor already computed for its bytes.
-    pub fn from_parts(pkt: Packet, meta: FrameMeta) -> Frame {
+    pub(crate) fn from_parts(pkt: Packet, meta: FrameMeta) -> Frame {
         debug_assert_eq!(
             meta.frame_len,
             pkt.len(),
@@ -326,7 +326,7 @@ impl Frame {
     }
 
     /// Returns `true` for a zero-length buffer.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.pkt.is_empty()
     }
 }

@@ -18,9 +18,9 @@ use crate::{PktError, Result};
 const IP_OFF: usize = EthernetHeader::LEN;
 
 /// ECN codepoint bits in the IPv4 TOS byte.
-pub const ECN_ECT0: u8 = 0b10;
+pub(crate) const ECN_ECT0: u8 = 0b10;
 /// ECN congestion-experienced codepoint.
-pub const ECN_CE: u8 = 0b11;
+pub(crate) const ECN_CE: u8 = 0b11;
 
 struct Layout {
     proto: IpProto,
@@ -168,7 +168,7 @@ fn patch_endpoints(
 /// input is borrowed, so the output is always a fresh heap buffer; the
 /// NAT hot path uses [`rewrite_endpoints_owned`], which rewrites in
 /// place when it holds the only reference.
-pub fn rewrite_endpoints(
+pub(crate) fn rewrite_endpoints(
     frame: &Frame,
     new_src: Option<(Ipv4Addr, u16)>,
     new_dst: Option<(Ipv4Addr, u16)>,

@@ -73,7 +73,7 @@ impl Packet {
 
     /// Whether the bytes live in a pooled arena slot (vs. a one-off
     /// heap buffer). Audits count arena-resident packets with this.
-    pub fn is_arena(&self) -> bool {
+    pub(crate) fn is_arena(&self) -> bool {
         matches!(self.data, Buf::Arena(_))
     }
 
@@ -89,7 +89,7 @@ impl Packet {
     /// owner of its buffer (heap `Rc` or arena slot, refcount 1) —
     /// the in-place NAT rewrite path. `None` when the frame is shared;
     /// callers then fall back to copy-on-write.
-    pub fn bytes_mut_unique(&mut self) -> Option<&mut [u8]> {
+    pub(crate) fn bytes_mut_unique(&mut self) -> Option<&mut [u8]> {
         match &mut self.data {
             Buf::Heap(rc) => Rc::get_mut(rc),
             Buf::Arena(f) => f.bytes_mut(),
@@ -98,7 +98,7 @@ impl Packet {
 
     /// Replaces the attached descriptor in place (after an in-place
     /// header rewrite recomputed it).
-    pub fn set_meta(&mut self, meta: FrameMeta) {
+    pub(crate) fn set_meta(&mut self, meta: FrameMeta) {
         debug_assert_eq!(
             meta.frame_len,
             self.len(),
@@ -136,7 +136,7 @@ impl Packet {
     }
 
     /// Returns `true` for a zero-length buffer.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.bytes().is_empty()
     }
 
@@ -207,7 +207,7 @@ pub struct Parsed {
 
 impl Parsed {
     /// Parses a complete Ethernet frame.
-    pub fn from_frame(frame: &[u8]) -> Result<Parsed> {
+    pub(crate) fn from_frame(frame: &[u8]) -> Result<Parsed> {
         let ether = EthernetHeader::parse(frame)?;
         let body = &frame[EthernetHeader::LEN..];
         let payload = match ether.ethertype {
@@ -262,7 +262,7 @@ impl Parsed {
     }
 
     /// Returns `true` if this is an ARP frame.
-    pub fn is_arp(&self) -> bool {
+    pub(crate) fn is_arp(&self) -> bool {
         matches!(self.payload, Payload::Arp(_))
     }
 

@@ -8,15 +8,15 @@ use crate::{PktError, Result};
 
 /// TCP flag bits.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct TcpFlags(pub u8);
+pub struct TcpFlags(pub(crate) u8);
 
 impl TcpFlags {
     /// FIN.
-    pub const FIN: TcpFlags = TcpFlags(0x01);
+    pub(crate) const FIN: TcpFlags = TcpFlags(0x01);
     /// SYN.
-    pub const SYN: TcpFlags = TcpFlags(0x02);
+    pub(crate) const SYN: TcpFlags = TcpFlags(0x02);
     /// RST.
-    pub const RST: TcpFlags = TcpFlags(0x04);
+    pub(crate) const RST: TcpFlags = TcpFlags(0x04);
     /// PSH.
     pub const PSH: TcpFlags = TcpFlags(0x08);
     /// ACK.
@@ -62,9 +62,9 @@ impl fmt::Display for TcpFlags {
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct TcpHeader {
     /// Source port.
-    pub src_port: u16,
+    pub(crate) src_port: u16,
     /// Destination port.
-    pub dst_port: u16,
+    pub(crate) dst_port: u16,
     /// Sequence number.
     pub seq: u32,
     /// Acknowledgement number.
@@ -72,17 +72,17 @@ pub struct TcpHeader {
     /// Flag bits.
     pub flags: TcpFlags,
     /// Receive window.
-    pub window: u16,
+    pub(crate) window: u16,
     /// Checksum (0 until computed).
-    pub checksum: u16,
+    pub(crate) checksum: u16,
 }
 
 impl TcpHeader {
     /// Wire size of an optionless header.
-    pub const LEN: usize = 20;
+    pub(crate) const LEN: usize = 20;
 
     /// Creates a header with an empty window of 65535 and no flags.
-    pub fn new(src_port: u16, dst_port: u16) -> TcpHeader {
+    pub(crate) fn new(src_port: u16, dst_port: u16) -> TcpHeader {
         TcpHeader {
             src_port,
             dst_port,
@@ -95,7 +95,7 @@ impl TcpHeader {
     }
 
     /// Parses a header from the front of `bytes`.
-    pub fn parse(bytes: &[u8]) -> Result<TcpHeader> {
+    pub(crate) fn parse(bytes: &[u8]) -> Result<TcpHeader> {
         if bytes.len() < Self::LEN {
             return Err(PktError::Truncated {
                 need: Self::LEN,
@@ -123,7 +123,7 @@ impl TcpHeader {
     /// # Panics
     ///
     /// Panics if `out` is shorter than [`Self::LEN`].
-    pub fn write_to(&self, out: &mut [u8]) {
+    pub(crate) fn write_to(&self, out: &mut [u8]) {
         out[0..2].copy_from_slice(&self.src_port.to_be_bytes());
         out[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
         out[4..8].copy_from_slice(&self.seq.to_be_bytes());
@@ -141,7 +141,7 @@ impl TcpHeader {
     /// # Panics
     ///
     /// Panics if `out` is shorter than header + payload.
-    pub fn write_segment(&self, src: Ipv4Addr, dst: Ipv4Addr, payload: &[u8], out: &mut [u8]) {
+    pub(crate) fn write_segment(&self, src: Ipv4Addr, dst: Ipv4Addr, payload: &[u8], out: &mut [u8]) {
         let total = Self::LEN + payload.len();
         let mut hdr = *self;
         hdr.checksum = 0;
@@ -152,7 +152,7 @@ impl TcpHeader {
     }
 
     /// Verifies the segment checksum over the pseudo-header.
-    pub fn verify_segment(src: Ipv4Addr, dst: Ipv4Addr, segment: &[u8]) -> bool {
+    pub(crate) fn verify_segment(src: Ipv4Addr, dst: Ipv4Addr, segment: &[u8]) -> bool {
         if segment.len() < Self::LEN {
             return false;
         }

@@ -9,22 +9,22 @@ use crate::{PktError, Result};
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct UdpHeader {
     /// Source port.
-    pub src_port: u16,
+    pub(crate) src_port: u16,
     /// Destination port.
-    pub dst_port: u16,
+    pub(crate) dst_port: u16,
     /// Length of header plus payload.
-    pub len: u16,
+    pub(crate) len: u16,
     /// Checksum over the pseudo-header and segment (0 = not computed).
-    pub checksum: u16,
+    pub(crate) checksum: u16,
 }
 
 impl UdpHeader {
     /// Wire size of the header.
-    pub const LEN: usize = 8;
+    pub(crate) const LEN: usize = 8;
 
     /// Creates a header for a payload of `payload_len` bytes with the
     /// checksum left at zero (filled in by [`UdpHeader::write_segment`]).
-    pub fn new(src_port: u16, dst_port: u16, payload_len: usize) -> UdpHeader {
+    pub(crate) fn new(src_port: u16, dst_port: u16, payload_len: usize) -> UdpHeader {
         UdpHeader {
             src_port,
             dst_port,
@@ -34,7 +34,7 @@ impl UdpHeader {
     }
 
     /// Parses a header from the front of `bytes`.
-    pub fn parse(bytes: &[u8]) -> Result<UdpHeader> {
+    pub(crate) fn parse(bytes: &[u8]) -> Result<UdpHeader> {
         if bytes.len() < Self::LEN {
             return Err(PktError::Truncated {
                 need: Self::LEN,
@@ -58,7 +58,7 @@ impl UdpHeader {
     /// # Panics
     ///
     /// Panics if `out` is shorter than [`Self::LEN`].
-    pub fn write_to(&self, out: &mut [u8]) {
+    pub(crate) fn write_to(&self, out: &mut [u8]) {
         out[0..2].copy_from_slice(&self.src_port.to_be_bytes());
         out[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
         out[4..6].copy_from_slice(&self.len.to_be_bytes());
@@ -71,7 +71,7 @@ impl UdpHeader {
     /// # Panics
     ///
     /// Panics if `out` is shorter than header + payload.
-    pub fn write_segment(&self, src: Ipv4Addr, dst: Ipv4Addr, payload: &[u8], out: &mut [u8]) {
+    pub(crate) fn write_segment(&self, src: Ipv4Addr, dst: Ipv4Addr, payload: &[u8], out: &mut [u8]) {
         let total = Self::LEN + payload.len();
         let mut hdr = *self;
         hdr.checksum = 0;

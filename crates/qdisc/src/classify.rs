@@ -73,7 +73,7 @@ pub struct ClassifierRule {
     /// Match DSCP.
     pub dscp: Option<u8>,
     /// Class assigned on match.
-    pub class: u32,
+    pub(crate) class: u32,
 }
 
 impl ClassifierRule {
@@ -105,13 +105,13 @@ impl ClassifierRule {
     }
 
     /// Builder: match on protocol.
-    pub fn match_proto(mut self, proto: IpProto) -> Self {
+    pub(crate) fn match_proto(mut self, proto: IpProto) -> Self {
         self.proto = Some(proto);
         self
     }
 
     /// Builder: match on DSCP.
-    pub fn match_dscp(mut self, dscp: u8) -> Self {
+    pub(crate) fn match_dscp(mut self, dscp: u8) -> Self {
         self.dscp = Some(dscp);
         self
     }
@@ -170,14 +170,14 @@ impl ClassifierRule {
 
 /// An ordered rule list with a default class.
 #[derive(Clone, Debug)]
-pub struct Classifier {
+pub(crate) struct Classifier {
     rules: Vec<ClassifierRule>,
     default_class: u32,
 }
 
 impl Classifier {
     /// Creates a classifier with the given fallback class.
-    pub fn new(default_class: u32) -> Classifier {
+    pub(crate) fn new(default_class: u32) -> Classifier {
         Classifier {
             rules: Vec::new(),
             default_class,
@@ -185,17 +185,17 @@ impl Classifier {
     }
 
     /// Appends a rule (first match wins).
-    pub fn push(&mut self, rule: ClassifierRule) {
+    pub(crate) fn push(&mut self, rule: ClassifierRule) {
         self.rules.push(rule);
     }
 
     /// Returns the rules.
-    pub fn rules(&self) -> &[ClassifierRule] {
+    pub(crate) fn rules(&self) -> &[ClassifierRule] {
         &self.rules
     }
 
     /// Classifies a packet.
-    pub fn classify(&self, m: &ClassMatch) -> u32 {
+    pub(crate) fn classify(&self, m: &ClassMatch) -> u32 {
         self.rules
             .iter()
             .find(|r| r.matches(m))

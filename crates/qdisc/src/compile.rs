@@ -105,7 +105,7 @@ pub fn try_compile_uid_wfq(
 /// Panics if any weight is invalid or more than 255 users are given
 /// (the builtin classifier's map is keyed by `uid & 255`). Fallible
 /// callers use [`try_compile_uid_wfq`].
-pub fn compile_uid_wfq(users: &[(u32, f64)], default_weight: f64) -> OverlaySchedulerSetup {
+pub(crate) fn compile_uid_wfq(users: &[(u32, f64)], default_weight: f64) -> OverlaySchedulerSetup {
     match try_compile_uid_wfq(users, default_weight) {
         Ok(setup) => setup,
         Err(SchedCompileError::TooManyUsers(_)) => panic!("at most 255 distinct users"),

@@ -54,12 +54,12 @@ impl Drr {
     }
 
     /// Returns the number of classes.
-    pub fn num_classes(&self) -> usize {
+    pub(crate) fn num_classes(&self) -> usize {
         self.classes.len()
     }
 
     /// Returns bytes dequeued so far per class (for fairness checks).
-    pub fn class_bytes_sent(&self) -> Vec<u64> {
+    pub(crate) fn class_bytes_sent(&self) -> Vec<u64> {
         self.sent_per_class.clone()
     }
 }

@@ -32,12 +32,12 @@ impl Fifo {
     }
 
     /// Returns the configured packet limit.
-    pub fn limit(&self) -> usize {
+    pub(crate) fn limit(&self) -> usize {
         self.limit_pkts
     }
 
     /// Peeks at the head packet.
-    pub fn peek(&self) -> Option<&QPkt> {
+    pub(crate) fn peek(&self) -> Option<&QPkt> {
         self.queue.front()
     }
 }

@@ -22,19 +22,28 @@
 
 pub mod classify;
 pub mod compile;
-pub mod drr;
-pub mod fifo;
-pub mod mq;
-pub mod red;
-pub mod tbf;
-pub mod types;
-pub mod wfq;
+pub(crate) mod drr;
+pub(crate) mod fifo;
+pub(crate) mod mq;
+pub(crate) mod red;
+pub(crate) mod tbf;
+pub(crate) mod types;
+pub(crate) mod wfq;
 
-pub use classify::{ClassMatch, Classifier, ClassifierRule};
+pub(crate) use classify::ClassMatch;
+
+pub(crate) use classify::Classifier;
+
+pub(crate) use classify::ClassifierRule;
 pub use drr::Drr;
 pub use fifo::Fifo;
 pub use mq::MultiQueue;
-pub use red::{Red, RedConfig, RedDecision};
+pub use red::Red;
+pub use red::RedConfig;
+pub use red::RedDecision;
 pub use tbf::Tbf;
-pub use types::{EnqueueError, QPkt, Qdisc, QdiscStats};
+pub(crate) use types::EnqueueError;
+pub use types::QPkt;
+pub use types::Qdisc;
+pub use types::QdiscStats;
 pub use wfq::Wfq;

@@ -70,12 +70,12 @@ impl Red {
     }
 
     /// Returns (packets marked, hard drops above max threshold).
-    pub fn counters(&self) -> (u64, u64) {
+    pub(crate) fn counters(&self) -> (u64, u64) {
         (self.marked, self.hard_drops)
     }
 
     /// Returns the current averaged queue length.
-    pub fn avg_queue(&self) -> f64 {
+    pub(crate) fn avg_queue(&self) -> f64 {
         self.avg
     }
 

@@ -50,7 +50,7 @@ impl Tbf {
     }
 
     /// Returns the configured rate in bytes per second.
-    pub fn rate(&self) -> u64 {
+    pub(crate) fn rate(&self) -> u64 {
         self.rate_bytes_per_sec
     }
 }

@@ -14,7 +14,7 @@ pub struct QPkt {
     /// Scheduler class (assigned by a classifier or overlay program).
     pub class: u32,
     /// Arrival instant at the qdisc.
-    pub arrival: Time,
+    pub(crate) arrival: Time,
     /// Two words the enqueuer attaches and reads back off the packet it
     /// is handed at dequeue, purge or reconfigure (the NIC: originating
     /// connection and trace id). Opaque: no discipline reads it.
@@ -81,15 +81,15 @@ impl EnqueueError {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct QdiscStats {
     /// Packets accepted.
-    pub enqueued: u64,
+    pub(crate) enqueued: u64,
     /// Packets released.
-    pub dequeued: u64,
+    pub(crate) dequeued: u64,
     /// Packets dropped at enqueue.
-    pub dropped: u64,
+    pub(crate) dropped: u64,
     /// Bytes accepted.
-    pub bytes_enqueued: u64,
+    pub(crate) bytes_enqueued: u64,
     /// Bytes released.
-    pub bytes_dequeued: u64,
+    pub(crate) bytes_dequeued: u64,
 }
 
 impl QdiscStats {

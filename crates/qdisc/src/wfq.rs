@@ -57,12 +57,12 @@ impl Wfq {
     }
 
     /// Returns the number of classes.
-    pub fn num_classes(&self) -> usize {
+    pub(crate) fn num_classes(&self) -> usize {
         self.classes.len()
     }
 
     /// Returns bytes dequeued so far per class.
-    pub fn class_bytes_sent(&self) -> Vec<u64> {
+    pub(crate) fn class_bytes_sent(&self) -> Vec<u64> {
         self.classes.iter().map(|c| c.sent).collect()
     }
 
@@ -72,7 +72,7 @@ impl Wfq {
     /// account each loss deterministically; they are counted as drops,
     /// not dequeues, and virtual-time state is left untouched (the whole
     /// scheduler is normally rebuilt right after).
-    pub fn purge(&mut self) -> Vec<QPkt> {
+    pub(crate) fn purge(&mut self) -> Vec<QPkt> {
         let mut purged = Vec::new();
         for class in self.classes.iter_mut() {
             while let Some((pkt, _)) = class.queue.pop_front() {

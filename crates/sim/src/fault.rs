@@ -130,13 +130,13 @@ impl FaultSchedule {
     }
 
     /// Adds an outage window to an existing schedule.
-    pub fn with_outage(mut self, start: Time, end: Time) -> FaultSchedule {
+    pub(crate) fn with_outage(mut self, start: Time, end: Time) -> FaultSchedule {
         self.outages.push((start, end));
         self
     }
 
     /// Returns `true` if `at` falls inside an outage window.
-    pub fn in_outage(&self, at: Time) -> bool {
+    pub(crate) fn in_outage(&self, at: Time) -> bool {
         self.outages.iter().any(|&(s, e)| at >= s && at < e)
     }
 }
@@ -145,9 +145,9 @@ impl FaultSchedule {
 #[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
 pub struct FaultStats {
     /// Frames examined.
-    pub frames: u64,
+    pub(crate) frames: u64,
     /// Frames delivered untouched.
-    pub delivered: u64,
+    pub(crate) delivered: u64,
     /// Frames dropped by the loss process.
     pub dropped: u64,
     /// Frames dropped because they fell inside an outage window.
@@ -155,11 +155,11 @@ pub struct FaultStats {
     /// Frames bit-corrupted.
     pub corrupted: u64,
     /// Frames duplicated.
-    pub duplicated: u64,
+    pub(crate) duplicated: u64,
     /// Frames held for reordering.
-    pub reordered: u64,
+    pub(crate) reordered: u64,
     /// Frames given extra delay.
-    pub delayed: u64,
+    pub(crate) delayed: u64,
 }
 
 /// xorshift64* — small, fast, and completely self-contained; the injector
@@ -230,7 +230,7 @@ impl FaultInjector {
     }
 
     /// Returns the schedule this injector applies.
-    pub fn schedule(&self) -> &FaultSchedule {
+    pub(crate) fn schedule(&self) -> &FaultSchedule {
         &self.schedule
     }
 
@@ -305,7 +305,7 @@ impl FaultInjector {
     }
 
     /// Samples a uniform extra delay in `(0, max_extra_delay]`.
-    pub fn extra_delay(&mut self) -> Dur {
+    pub(crate) fn extra_delay(&mut self) -> Dur {
         let max = self.schedule.max_extra_delay.0;
         if max == 0 {
             return Dur::ZERO;
@@ -315,7 +315,7 @@ impl FaultInjector {
 
     /// Flips one to three bits of `frame` at injector-chosen offsets.
     /// Empty frames are left alone.
-    pub fn corrupt_bytes(&mut self, frame: &mut [u8]) {
+    pub(crate) fn corrupt_bytes(&mut self, frame: &mut [u8]) {
         if frame.is_empty() {
             return;
         }
@@ -329,7 +329,7 @@ impl FaultInjector {
 
     /// Samples how many later frames a reordered frame slips behind
     /// (`1..=reorder_window`).
-    pub fn reorder_slip(&mut self) -> u32 {
+    pub(crate) fn reorder_slip(&mut self) -> u32 {
         let w = self.schedule.reorder_window.max(1) as u64;
         (self.rng.range(w) + 1) as u32
     }
@@ -375,7 +375,7 @@ impl FaultyLink {
     }
 
     /// Returns the wrapped link.
-    pub fn link(&self) -> &Link {
+    pub(crate) fn link(&self) -> &Link {
         &self.link
     }
 
@@ -465,7 +465,7 @@ impl FaultyLink {
     }
 
     /// Returns how many frames are currently held for reordering.
-    pub fn held_frames(&self) -> usize {
+    pub(crate) fn held_frames(&self) -> usize {
         self.held.len()
     }
 }

@@ -24,18 +24,34 @@
 //! same experiment twice with the same seed produces byte-identical output.
 
 pub mod fault;
-pub mod hash;
-pub mod link;
-pub mod rng;
+pub(crate) mod hash;
+pub(crate) mod link;
+pub(crate) mod rng;
 pub mod stats;
 pub mod time;
 
-pub use fault::{
-    CrashInjector, FaultInjector, FaultSchedule, FaultStats, FaultyLink, LossModel,
-    OpFaultInjector, Verdict, WireDelivery,
-};
-pub use hash::{FastMap, FxHasher};
+pub use fault::CrashInjector;
+
+pub use fault::FaultInjector;
+
+pub use fault::FaultSchedule;
+
+pub(crate) use fault::FaultStats;
+
+pub use fault::FaultyLink;
+
+pub use fault::LossModel;
+
+pub(crate) use fault::OpFaultInjector;
+
+pub(crate) use fault::Verdict;
+
+pub(crate) use fault::WireDelivery;
+pub use hash::FastMap;
+pub(crate) use hash::FxHasher;
 pub use link::Link;
 pub use rng::DetRng;
-pub use stats::{Histogram, Summary};
-pub use time::{Dur, Time};
+pub use stats::Histogram;
+pub(crate) use stats::Summary;
+pub use time::Dur;
+pub use time::Time;

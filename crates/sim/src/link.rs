@@ -9,10 +9,10 @@ use crate::time::{Dur, Time};
 
 /// Ethernet overhead per frame on the wire: preamble (7) + SFD (1) +
 /// inter-packet gap (12) bytes.
-pub const WIRE_OVERHEAD_BYTES: u64 = 20;
+pub(crate) const WIRE_OVERHEAD_BYTES: u64 = 20;
 
 /// Minimum Ethernet frame size (without wire overhead).
-pub const MIN_FRAME_BYTES: u64 = 64;
+pub(crate) const MIN_FRAME_BYTES: u64 = 64;
 
 /// A point-to-point link with a fixed line rate.
 #[derive(Clone, Debug)]
@@ -49,7 +49,7 @@ impl Link {
     }
 
     /// Returns the configured line rate in Gbps.
-    pub fn gbps(&self) -> f64 {
+    pub(crate) fn gbps(&self) -> f64 {
         self.gbps
     }
 
@@ -80,18 +80,18 @@ impl Link {
     }
 
     /// Returns total payload bytes transmitted.
-    pub fn bytes_sent(&self) -> u64 {
+    pub(crate) fn bytes_sent(&self) -> u64 {
         self.bytes_sent
     }
 
     /// Returns total frames transmitted.
-    pub fn frames_sent(&self) -> u64 {
+    pub(crate) fn frames_sent(&self) -> u64 {
         self.frames_sent
     }
 
     /// Returns the maximum frame rate for `bytes`-sized frames, in
     /// millions of packets per second.
-    pub fn max_mpps(&self, bytes: u64) -> f64 {
+    pub(crate) fn max_mpps(&self, bytes: u64) -> f64 {
         1e3 / self.serialization(bytes).as_ns_f64()
     }
 }

@@ -10,7 +10,7 @@ use crate::time::Dur;
 
 /// Streaming count/mean/stddev/min/max over `f64` samples.
 #[derive(Clone, Debug, Default)]
-pub struct Summary {
+pub(crate) struct Summary {
     count: u64,
     mean: f64,
     m2: f64,
@@ -20,7 +20,7 @@ pub struct Summary {
 
 impl Summary {
     /// Creates an empty summary.
-    pub fn new() -> Summary {
+    pub(crate) fn new() -> Summary {
         Summary {
             count: 0,
             mean: 0.0,
@@ -31,7 +31,7 @@ impl Summary {
     }
 
     /// Records one sample.
-    pub fn record(&mut self, x: f64) {
+    pub(crate) fn record(&mut self, x: f64) {
         self.count += 1;
         let delta = x - self.mean;
         self.mean += delta / self.count as f64;
@@ -41,17 +41,17 @@ impl Summary {
     }
 
     /// Records a [`Dur`] sample in nanoseconds.
-    pub fn record_dur(&mut self, d: Dur) {
+    pub(crate) fn record_dur(&mut self, d: Dur) {
         self.record(d.as_ns_f64());
     }
 
     /// Returns the number of samples.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.count
     }
 
     /// Returns the sample mean, or `0.0` when empty.
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -61,7 +61,7 @@ impl Summary {
 
     /// Returns the population standard deviation, or `0.0` when fewer than
     /// two samples have been recorded.
-    pub fn stddev(&self) -> f64 {
+    pub(crate) fn stddev(&self) -> f64 {
         if self.count < 2 {
             0.0
         } else {
@@ -70,7 +70,7 @@ impl Summary {
     }
 
     /// Returns the smallest sample, or `0.0` when empty.
-    pub fn min(&self) -> f64 {
+    pub(crate) fn min(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -79,7 +79,7 @@ impl Summary {
     }
 
     /// Returns the largest sample, or `0.0` when empty.
-    pub fn max(&self) -> f64 {
+    pub(crate) fn max(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -88,12 +88,12 @@ impl Summary {
     }
 
     /// Returns the sum of all samples.
-    pub fn sum(&self) -> f64 {
+    pub(crate) fn sum(&self) -> f64 {
         self.mean() * self.count as f64
     }
 
     /// Merges another summary into this one.
-    pub fn merge(&mut self, other: &Summary) {
+    pub(crate) fn merge(&mut self, other: &Summary) {
         if other.count == 0 {
             return;
         }
@@ -217,7 +217,7 @@ impl Histogram {
     }
 
     /// Returns the exact minimum recorded value, or `0` when empty.
-    pub fn min(&self) -> u64 {
+    pub(crate) fn min(&self) -> u64 {
         if self.count == 0 {
             0
         } else {
@@ -249,12 +249,12 @@ impl Histogram {
     }
 
     /// Returns the median as a [`Dur`] (assuming picosecond samples).
-    pub fn median_dur(&self) -> Dur {
+    pub(crate) fn median_dur(&self) -> Dur {
         Dur(self.quantile(0.5))
     }
 
     /// Returns the p99 as a [`Dur`] (assuming picosecond samples).
-    pub fn p99_dur(&self) -> Dur {
+    pub(crate) fn p99_dur(&self) -> Dur {
         Dur(self.quantile(0.99))
     }
 

@@ -15,9 +15,9 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// Picoseconds per nanosecond.
 pub const PS_PER_NS: u64 = 1_000;
 /// Picoseconds per microsecond.
-pub const PS_PER_US: u64 = 1_000_000;
+pub(crate) const PS_PER_US: u64 = 1_000_000;
 /// Picoseconds per millisecond.
-pub const PS_PER_MS: u64 = 1_000_000_000;
+pub(crate) const PS_PER_MS: u64 = 1_000_000_000;
 /// Picoseconds per second.
 pub const PS_PER_S: u64 = 1_000_000_000_000;
 
@@ -77,12 +77,12 @@ impl Time {
     }
 
     /// Returns the later of two instants.
-    pub fn max(self, other: Time) -> Time {
+    pub(crate) fn max(self, other: Time) -> Time {
         Time(self.0.max(other.0))
     }
 
     /// Returns the earlier of two instants.
-    pub fn min(self, other: Time) -> Time {
+    pub(crate) fn min(self, other: Time) -> Time {
         Time(self.0.min(other.0))
     }
 }
@@ -91,7 +91,7 @@ impl Dur {
     /// The zero-length span.
     pub const ZERO: Dur = Dur(0);
     /// The longest representable span.
-    pub const MAX: Dur = Dur(u64::MAX);
+    pub(crate) const MAX: Dur = Dur(u64::MAX);
 
     /// Returns a span of `n` picoseconds.
     pub const fn from_ps(n: u64) -> Dur {
@@ -166,17 +166,17 @@ impl Dur {
     /// # Panics
     ///
     /// Panics if `n` is zero.
-    pub fn div_int(self, n: u64) -> Dur {
+    pub(crate) fn div_int(self, n: u64) -> Dur {
         Dur(self.0 / n)
     }
 
     /// Returns the larger of two spans.
-    pub fn max(self, other: Dur) -> Dur {
+    pub(crate) fn max(self, other: Dur) -> Dur {
         Dur(self.0.max(other.0))
     }
 
     /// Returns the smaller of two spans.
-    pub fn min(self, other: Dur) -> Dur {
+    pub(crate) fn min(self, other: Dur) -> Dur {
         Dur(self.0.min(other.0))
     }
 }

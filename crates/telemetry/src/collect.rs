@@ -19,7 +19,7 @@ use crate::event::{RecoveryEvent, Stage, TraceEvent, TraceFilter, TraceVerdict};
 use crate::file::FileError;
 
 /// One pluggable lens on the event stream.
-pub trait Collector {
+pub(crate) trait Collector {
     /// Registry name (stable, lower-kebab).
     fn name(&self) -> &'static str;
 
@@ -43,7 +43,7 @@ pub trait Collector {
 }
 
 /// Records every lifecycle event (the full per-frame story).
-pub struct LifecycleCollector;
+pub(crate) struct LifecycleCollector;
 
 impl Collector for LifecycleCollector {
     fn name(&self) -> &'static str {
@@ -56,7 +56,7 @@ impl Collector for LifecycleCollector {
 }
 
 /// Records only drop verdicts — the forensics core.
-pub struct DropCollector;
+pub(crate) struct DropCollector;
 
 impl Collector for DropCollector {
     fn name(&self) -> &'static str {
@@ -73,7 +73,7 @@ impl Collector for DropCollector {
 }
 
 /// Records hot/cold flow-tier churn (promotions and demotions).
-pub struct FlowTierCollector;
+pub(crate) struct FlowTierCollector;
 
 impl Collector for FlowTierCollector {
     fn name(&self) -> &'static str {
@@ -90,7 +90,7 @@ impl Collector for FlowTierCollector {
 }
 
 /// Records failure-domain transitions (crash, reset, restart, degrade).
-pub struct RecoveryCollector;
+pub(crate) struct RecoveryCollector;
 
 impl Collector for RecoveryCollector {
     fn name(&self) -> &'static str {
@@ -111,31 +111,31 @@ impl Collector for RecoveryCollector {
 }
 
 /// A resolved set of collectors (what a profile's names became).
-pub struct CollectorSet {
+pub(crate) struct CollectorSet {
     collectors: Vec<Box<dyn Collector>>,
 }
 
 impl CollectorSet {
     /// Whether any collector in the set wants `event`.
-    pub fn wants(&self, event: &TraceEvent) -> bool {
+    pub(crate) fn wants(&self, event: &TraceEvent) -> bool {
         self.collectors.iter().any(|c| c.wants(event))
     }
 
     /// Whether any collector in the set could want an event at `stage`
     /// with `verdict` (see [`Collector::wants_stage`]).
-    pub fn wants_stage(&self, stage: Stage, verdict: TraceVerdict) -> bool {
+    pub(crate) fn wants_stage(&self, stage: Stage, verdict: TraceVerdict) -> bool {
         self.collectors
             .iter()
             .any(|c| c.wants_stage(stage, verdict))
     }
 
     /// Whether any collector in the set wants the recovery event.
-    pub fn wants_recovery(&self, event: &RecoveryEvent) -> bool {
+    pub(crate) fn wants_recovery(&self, event: &RecoveryEvent) -> bool {
         self.collectors.iter().any(|c| c.wants_recovery(event))
     }
 
     /// Names of the collectors in the set.
-    pub fn names(&self) -> Vec<&'static str> {
+    pub(crate) fn names(&self) -> Vec<&'static str> {
         self.collectors.iter().map(|c| c.name()).collect()
     }
 }
@@ -156,7 +156,7 @@ pub struct CollectorRegistry {
 
 impl CollectorRegistry {
     /// An empty registry.
-    pub fn new() -> CollectorRegistry {
+    pub(crate) fn new() -> CollectorRegistry {
         CollectorRegistry {
             factories: BTreeMap::new(),
         }
@@ -173,17 +173,17 @@ impl CollectorRegistry {
     }
 
     /// Registers (or replaces) the factory for `name`.
-    pub fn register(&mut self, name: &str, factory: impl Fn() -> Box<dyn Collector> + 'static) {
+    pub(crate) fn register(&mut self, name: &str, factory: impl Fn() -> Box<dyn Collector> + 'static) {
         self.factories.insert(name.to_string(), Box::new(factory));
     }
 
     /// Registered collector names, sorted.
-    pub fn names(&self) -> Vec<String> {
+    pub(crate) fn names(&self) -> Vec<String> {
         self.factories.keys().cloned().collect()
     }
 
     /// Instantiates the named collectors.
-    pub fn resolve(&self, names: &[String]) -> Result<CollectorSet, CollectError> {
+    pub(crate) fn resolve(&self, names: &[String]) -> Result<CollectorSet, CollectError> {
         let mut collectors = Vec::with_capacity(names.len());
         for name in names {
             let factory = self
@@ -204,7 +204,7 @@ impl Default for CollectorRegistry {
 
 /// An output stage a profile runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum OutputStage {
+pub(crate) enum OutputStage {
     /// Stream matching events into the durable event-series file.
     Events,
     /// Write ledger snapshots at every spill, so drop conservation is
@@ -216,20 +216,20 @@ pub enum OutputStage {
 #[derive(Debug)]
 pub struct Profile {
     /// Profile name (stamped into the file header).
-    pub name: String,
+    pub(crate) name: String,
     /// One-line human description.
-    pub description: String,
+    pub(crate) description: String,
     /// Scope filter applied before any collector sees the event.
-    pub filter: TraceFilter,
+    pub(crate) filter: TraceFilter,
     /// Collector names, resolved against a [`CollectorRegistry`].
-    pub collectors: Vec<String>,
+    pub(crate) collectors: Vec<String>,
     /// Output stages to run.
-    pub outputs: Vec<OutputStage>,
+    pub(crate) outputs: Vec<OutputStage>,
 }
 
 impl Profile {
     /// Builds a custom profile recording events + ledger snapshots.
-    pub fn new(name: &str, description: &str, filter: TraceFilter, collectors: &[&str]) -> Profile {
+    pub(crate) fn new(name: &str, description: &str, filter: TraceFilter, collectors: &[&str]) -> Profile {
         Profile {
             name: name.to_string(),
             description: description.to_string(),
@@ -240,12 +240,12 @@ impl Profile {
     }
 
     /// Whether the profile writes ledger snapshots at spill points.
-    pub fn spills_ledger(&self) -> bool {
+    pub(crate) fn spills_ledger(&self) -> bool {
         self.outputs.contains(&OutputStage::Ledger)
     }
 
     /// `full-lifecycle`: every event of every frame, plus recovery.
-    pub fn full_lifecycle() -> Profile {
+    pub(crate) fn full_lifecycle() -> Profile {
         Profile::new(
             "full-lifecycle",
             "every lifecycle event of every frame, plus recovery transitions",
@@ -257,7 +257,7 @@ impl Profile {
     /// `drop-forensics`: every typed drop, flow-tier churn for context,
     /// and recovery transitions — the "which flows dropped, where, and
     /// whose" profile.
-    pub fn drop_forensics() -> Profile {
+    pub(crate) fn drop_forensics() -> Profile {
         Profile::new(
             "drop-forensics",
             "all typed drops with attribution, flow-tier churn, recovery transitions",
@@ -267,7 +267,7 @@ impl Profile {
     }
 
     /// `flow-churn`: hot/cold tier promotions and demotions only.
-    pub fn flow_churn() -> Profile {
+    pub(crate) fn flow_churn() -> Profile {
         let mut p = Profile::new(
             "flow-churn",
             "hot/cold flow-tier promotions and demotions",
@@ -279,7 +279,7 @@ impl Profile {
     }
 
     /// `recovery`: failure-domain transitions only.
-    pub fn recovery_only() -> Profile {
+    pub(crate) fn recovery_only() -> Profile {
         let mut p = Profile::new(
             "recovery",
             "failure-domain transitions (crash, reset, restart, degrade)",

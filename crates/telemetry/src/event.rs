@@ -74,10 +74,10 @@ pub enum Stage {
 
 impl Stage {
     /// Number of stages (ledger array size).
-    pub const COUNT: usize = 24;
+    pub(crate) const COUNT: usize = 24;
 
     /// All stages, in lifecycle order (ledger iteration order).
-    pub const ALL: [Stage; Stage::COUNT] = [
+    pub(crate) const ALL: [Stage; Stage::COUNT] = [
         Stage::RxIngress,
         Stage::RxParse,
         Stage::RxNat,
@@ -107,7 +107,7 @@ impl Stage {
     /// Dense ledger index of this stage: its position in [`Stage::ALL`],
     /// which lists the variants in declaration order.
     #[inline]
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self as usize
     }
 
@@ -182,7 +182,7 @@ pub enum DropCause {
 
 impl DropCause {
     /// Number of drop causes (ledger array size).
-    pub const COUNT: usize = 12;
+    pub(crate) const COUNT: usize = 12;
 
     /// All causes (ledger iteration order).
     pub const ALL: [DropCause; DropCause::COUNT] = [
@@ -259,10 +259,10 @@ pub enum RecoveryKind {
 
 impl RecoveryKind {
     /// Number of recovery kinds (ledger array size).
-    pub const COUNT: usize = 8;
+    pub(crate) const COUNT: usize = 8;
 
     /// All kinds (ledger iteration order).
-    pub const ALL: [RecoveryKind; RecoveryKind::COUNT] = [
+    pub(crate) const ALL: [RecoveryKind; RecoveryKind::COUNT] = [
         RecoveryKind::NicCrash,
         RecoveryKind::NicReset,
         RecoveryKind::ReconcileDone,
@@ -276,12 +276,12 @@ impl RecoveryKind {
     /// Dense ledger index of this kind: its position in
     /// [`RecoveryKind::ALL`], which lists the variants in declaration order.
     #[inline]
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self as usize
     }
 
     /// Stable lower-snake name (metric keys, JSON output).
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             RecoveryKind::NicCrash => "nic_crash",
             RecoveryKind::NicReset => "nic_reset",
@@ -309,7 +309,7 @@ pub struct RecoveryEvent {
     /// What happened.
     pub kind: RecoveryKind,
     /// Free-form context (shard index, abort step, watermark fraction).
-    pub detail: String,
+    pub(crate) detail: String,
 }
 
 impl fmt::Display for RecoveryEvent {
@@ -543,7 +543,7 @@ pub struct FrameInfo {
 impl FrameInfo {
     /// The full event for this frame crossing `rec`'s stage under policy
     /// generation `generation`.
-    pub fn event(&self, rec: &StageRec, generation: u64) -> TraceEvent {
+    pub(crate) fn event(&self, rec: &StageRec, generation: u64) -> TraceEvent {
         TraceEvent {
             frame_id: self.frame_id,
             at: rec.at,
@@ -562,15 +562,15 @@ impl FrameInfo {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StageRec {
     /// The stage crossed.
-    pub stage: Stage,
+    pub(crate) stage: Stage,
     /// What the stage decided.
-    pub verdict: TraceVerdict,
+    pub(crate) verdict: TraceVerdict,
     /// Virtual time the stage completed.
-    pub at: Time,
+    pub(crate) at: Time,
     /// The stage does not know whose frame it handled (a ring slot names
     /// the frame, not the process): its event carries no owner, whatever
     /// the [`FrameInfo`] it shares with the frame's other stages says.
-    pub unowned: bool,
+    pub(crate) unowned: bool,
 }
 
 impl StageRec {
@@ -595,7 +595,7 @@ impl StageRec {
 
 impl TraceEvent {
     /// The per-frame half of this event.
-    pub fn frame(&self) -> FrameInfo {
+    pub(crate) fn frame(&self) -> FrameInfo {
         FrameInfo {
             frame_id: self.frame_id,
             tuple: self.tuple,
@@ -605,7 +605,7 @@ impl TraceEvent {
     }
 
     /// The per-stage half of this event.
-    pub fn stage_rec(&self) -> StageRec {
+    pub(crate) fn stage_rec(&self) -> StageRec {
         StageRec::new(self.stage, self.verdict, self.at)
     }
 }
@@ -640,23 +640,23 @@ impl fmt::Display for TraceEvent {
 #[derive(Clone, Debug, Default)]
 pub struct TraceFilter {
     /// Match a single frame's lifecycle.
-    pub frame_id: Option<u64>,
+    pub(crate) frame_id: Option<u64>,
     /// Match events attributed to this uid.
-    pub uid: Option<u32>,
+    pub(crate) uid: Option<u32>,
     /// Match events attributed to this pid.
-    pub pid: Option<u32>,
+    pub(crate) pid: Option<u32>,
     /// Match events attributed to this command name.
-    pub comm: Option<String>,
+    pub(crate) comm: Option<String>,
     /// Match events at this stage.
-    pub stage: Option<Stage>,
+    pub(crate) stage: Option<Stage>,
     /// Match the exact 5-tuple.
-    pub tuple: Option<FiveTuple>,
+    pub(crate) tuple: Option<FiveTuple>,
     /// Match either endpoint port (src or dst) — tcpdump's `port N`.
-    pub port: Option<u16>,
+    pub(crate) port: Option<u16>,
     /// Match events stamped with this policy generation.
-    pub generation: Option<u64>,
+    pub(crate) generation: Option<u64>,
     /// Match only drop verdicts (any cause).
-    pub drops_only: bool,
+    pub(crate) drops_only: bool,
 }
 
 impl TraceFilter {
@@ -666,7 +666,7 @@ impl TraceFilter {
     }
 
     /// Restricts to one frame's lifecycle.
-    pub fn with_frame(mut self, id: u64) -> TraceFilter {
+    pub(crate) fn with_frame(mut self, id: u64) -> TraceFilter {
         self.frame_id = Some(id);
         self
     }
@@ -678,7 +678,7 @@ impl TraceFilter {
     }
 
     /// Restricts to events owned by `pid`.
-    pub fn with_pid(mut self, pid: u32) -> TraceFilter {
+    pub(crate) fn with_pid(mut self, pid: u32) -> TraceFilter {
         self.pid = Some(pid);
         self
     }
@@ -721,13 +721,13 @@ impl TraceFilter {
 
     /// The part of [`TraceFilter::matches`] that needs only the stage and
     /// verdict, so an emit site can ask it before the event is built.
-    pub fn admits_stage(&self, stage: Stage, verdict: TraceVerdict) -> bool {
+    pub(crate) fn admits_stage(&self, stage: Stage, verdict: TraceVerdict) -> bool {
         self.stage.is_none_or(|want| want == stage)
             && (!self.drops_only || verdict.drop_cause().is_some())
     }
 
     /// Returns `true` when `event` satisfies every populated field.
-    pub fn matches(&self, event: &TraceEvent) -> bool {
+    pub(crate) fn matches(&self, event: &TraceEvent) -> bool {
         if !self.admits_stage(event.stage, event.verdict) {
             return false;
         }

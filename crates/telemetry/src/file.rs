@@ -39,13 +39,13 @@ use crate::event::{
 };
 
 /// File magic: the first eight bytes of every event-series file.
-pub const MAGIC: &[u8; 8] = b"NRMTRACE";
+pub(crate) const MAGIC: &[u8; 8] = b"NRMTRACE";
 
 /// Current (and only) format version.
-pub const FORMAT_VERSION: u16 = 1;
+pub(crate) const FORMAT_VERSION: u16 = 1;
 
 /// Header flag: records are sorted by `(at, seq)` (set by [`sort_file`]).
-pub const FLAG_SORTED: u16 = 1 << 0;
+pub(crate) const FLAG_SORTED: u16 = 1 << 0;
 
 /// Largest accepted record payload; a length prefix beyond this is
 /// treated as corruption rather than an allocation request.
@@ -116,7 +116,7 @@ impl From<io::Error> for FileError {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Header {
     /// Format version.
-    pub version: u16,
+    pub(crate) version: u16,
     /// Whether the file's records are sorted by `(at, seq)`.
     pub sorted: bool,
     /// Policy generation in force when the file was opened.
@@ -139,9 +139,9 @@ pub struct SeqEvent {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SeqRecovery {
     /// Monotonic per-file sequence number (write order).
-    pub seq: u64,
+    pub(crate) seq: u64,
     /// The recorded failure-domain transition.
-    pub event: RecoveryEvent,
+    pub(crate) event: RecoveryEvent,
 }
 
 /// A point-in-time copy of the hub's never-evicting ledger, written at
@@ -150,14 +150,14 @@ pub struct SeqRecovery {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LedgerSnapshot {
     /// Monotonic per-file sequence number (write order).
-    pub seq: u64,
+    pub(crate) seq: u64,
     /// Per-stage event totals at snapshot time.
-    pub stage_counts: [u64; Stage::COUNT],
+    pub(crate) stage_counts: [u64; Stage::COUNT],
     /// Per-cause drop totals at snapshot time.
     pub drop_counts: [u64; DropCause::COUNT],
     /// Events evicted from the in-memory ring at snapshot time (the file
     /// is not affected by ring eviction; this records memory pressure).
-    pub evicted: u64,
+    pub(crate) evicted: u64,
 }
 
 /// Terminal record written by [`EventFileWriter::finish`]; its absence
@@ -165,11 +165,11 @@ pub struct LedgerSnapshot {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FinRecord {
     /// Monotonic per-file sequence number (write order).
-    pub seq: u64,
+    pub(crate) seq: u64,
     /// Total records written (including this one).
-    pub records: u64,
+    pub(crate) records: u64,
     /// Total trace events written.
-    pub events: u64,
+    pub(crate) events: u64,
 }
 
 /// One decoded record.
@@ -191,13 +191,13 @@ pub enum Record {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SinkStats {
     /// Records written (all kinds).
-    pub records: u64,
+    pub(crate) records: u64,
     /// Trace events written.
     pub events: u64,
     /// Recovery events written.
-    pub recoveries: u64,
+    pub(crate) recoveries: u64,
     /// Ledger snapshots written.
-    pub ledgers: u64,
+    pub(crate) ledgers: u64,
     /// Payload + framing bytes written (excludes the header).
     pub bytes: u64,
 }
@@ -508,7 +508,7 @@ fn decode_fin(p: &[u8], offset: u64) -> Result<FinRecord, FileError> {
 
 /// Streaming writer for an event-series file. Buffering is one
 /// `BufWriter` block regardless of trace length.
-pub struct EventFileWriter {
+pub(crate) struct EventFileWriter {
     w: BufWriter<File>,
     next_seq: u64,
     stats: SinkStats,
@@ -517,7 +517,7 @@ pub struct EventFileWriter {
 
 impl EventFileWriter {
     /// Creates (truncating) `path` and writes the header.
-    pub fn create(
+    pub(crate) fn create(
         path: &Path,
         profile: &str,
         generation: u64,
@@ -564,7 +564,7 @@ impl EventFileWriter {
     }
 
     /// Appends a lifecycle event, returning its sequence number.
-    pub fn append_event(&mut self, e: &TraceEvent) -> Result<u64, FileError> {
+    pub(crate) fn append_event(&mut self, e: &TraceEvent) -> Result<u64, FileError> {
         let seq = self.alloc_seq();
         let p = encode_event(seq, e);
         self.append_raw(REC_EVENT, &p)?;
@@ -583,7 +583,7 @@ impl EventFileWriter {
     }
 
     /// Appends a failure-domain transition.
-    pub fn append_recovery(&mut self, e: &RecoveryEvent) -> Result<u64, FileError> {
+    pub(crate) fn append_recovery(&mut self, e: &RecoveryEvent) -> Result<u64, FileError> {
         let seq = self.alloc_seq();
         let p = encode_recovery(seq, e);
         self.append_raw(REC_RECOVERY, &p)?;
@@ -600,7 +600,7 @@ impl EventFileWriter {
     }
 
     /// Appends a ledger snapshot (spill checkpoint).
-    pub fn append_ledger(
+    pub(crate) fn append_ledger(
         &mut self,
         stage_counts: &[u64; Stage::COUNT],
         drop_counts: &[u64; DropCause::COUNT],
@@ -622,18 +622,18 @@ impl EventFileWriter {
     }
 
     /// Flushes buffered bytes to the OS (a spill point).
-    pub fn flush(&mut self) -> Result<(), FileError> {
+    pub(crate) fn flush(&mut self) -> Result<(), FileError> {
         self.w.flush()?;
         Ok(())
     }
 
     /// Writer-side statistics so far.
-    pub fn stats(&self) -> SinkStats {
+    pub(crate) fn stats(&self) -> SinkStats {
         self.stats
     }
 
     /// Writes the fin record and flushes; the file is now cleanly closed.
-    pub fn finish(mut self) -> Result<SinkStats, FileError> {
+    pub(crate) fn finish(mut self) -> Result<SinkStats, FileError> {
         let seq = self.alloc_seq();
         let mut p = Vec::with_capacity(24);
         put_u64(&mut p, seq);
@@ -665,7 +665,7 @@ pub struct EventFileReader {
     offset: u64,
     done: bool,
     /// The fin record, once encountered (clean-close marker).
-    pub fin: Option<FinRecord>,
+    pub(crate) fin: Option<FinRecord>,
 }
 
 impl EventFileReader {
@@ -713,7 +713,7 @@ impl EventFileReader {
     }
 
     /// Reads the next record; `Ok(None)` at a clean end of stream.
-    pub fn next_record(&mut self) -> Result<Option<Record>, FileError> {
+    pub(crate) fn next_record(&mut self) -> Result<Option<Record>, FileError> {
         if self.done {
             return Ok(None);
         }
@@ -794,9 +794,9 @@ pub struct EventSeries {
     /// All trace events, file order.
     pub events: Vec<SeqEvent>,
     /// All recovery events, file order.
-    pub recoveries: Vec<SeqRecovery>,
+    pub(crate) recoveries: Vec<SeqRecovery>,
     /// The last ledger snapshot in the file, if any.
-    pub ledger: Option<LedgerSnapshot>,
+    pub(crate) ledger: Option<LedgerSnapshot>,
     /// The fin record, if the file was cleanly closed.
     pub fin: Option<FinRecord>,
 }
@@ -848,11 +848,11 @@ pub struct SortStats {
     /// Trace events written to the sorted file.
     pub events: u64,
     /// Recovery events carried over.
-    pub recoveries: u64,
+    pub(crate) recoveries: u64,
     /// Ledger snapshots carried over.
-    pub ledgers: u64,
+    pub(crate) ledgers: u64,
     /// Bytes written (excluding the header).
-    pub bytes: u64,
+    pub(crate) bytes: u64,
 }
 
 /// Rewrites `input` into `output` with events and recoveries ordered by

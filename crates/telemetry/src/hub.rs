@@ -324,7 +324,7 @@ impl Telemetry {
     /// events. The buffer itself is reserved when the hub is first
     /// enabled, so components that build a private hub only to have a
     /// shared one attached never pay for it.
-    pub fn with_capacity(capacity: usize) -> Telemetry {
+    pub(crate) fn with_capacity(capacity: usize) -> Telemetry {
         Telemetry {
             enabled: Rc::new(Cell::new(false)),
             next_frame_id: Rc::new(Cell::new(1)),
@@ -614,7 +614,7 @@ impl Telemetry {
     }
 
     /// Whether a collection sink is attached.
-    pub fn sink_active(&self) -> bool {
+    pub(crate) fn sink_active(&self) -> bool {
         self.hub.borrow().sink.is_some()
     }
 

@@ -60,22 +60,51 @@
 //! (5-tuples, frame meta) so every layer above — nicsim, oskernel, qdisc,
 //! norman, bench — can register into the same hub.
 
-pub mod collect;
-pub mod event;
+pub(crate) mod collect;
+pub(crate) mod event;
 pub mod file;
 pub mod hub;
-pub mod metrics;
+pub(crate) mod metrics;
 pub mod tracking;
 
-pub use collect::{CollectError, Collector, CollectorRegistry, CollectorSet, Profile};
-pub use event::{
-    Comm, DropCause, FrameInfo, Owner, RecoveryEvent, RecoveryKind, Stage, StageRec, TraceEvent,
-    TraceFilter, TraceVerdict,
-};
-pub use file::{
-    sort_file, EventFileReader, EventFileWriter, EventSeries, FileError, Header, LedgerSnapshot,
-    Record, SinkStats, SortStats,
-};
-pub use hub::{HistId, Telemetry};
-pub use metrics::{HistRow, Registry, Snapshot};
-pub use tracking::{DropSite, FlowRecord, FlowReport, FlowTracker, OwnerDrops, TrackerConfig};
+pub use collect::CollectError;
+
+pub(crate) use collect::Collector;
+
+pub use collect::CollectorRegistry;
+
+pub(crate) use collect::CollectorSet;
+
+pub use collect::Profile;
+pub use event::Comm;
+pub use event::DropCause;
+pub use event::FrameInfo;
+pub use event::Owner;
+pub(crate) use event::RecoveryEvent;
+pub use event::RecoveryKind;
+pub use event::Stage;
+pub use event::StageRec;
+pub use event::TraceEvent;
+pub use event::TraceFilter;
+pub use event::TraceVerdict;
+pub use file::sort_file;
+pub use file::EventFileReader;
+pub(crate) use file::EventFileWriter;
+pub(crate) use file::EventSeries;
+pub use file::FileError;
+pub use file::Header;
+pub(crate) use file::LedgerSnapshot;
+pub(crate) use file::Record;
+pub use file::SinkStats;
+pub use file::SortStats;
+pub use hub::HistId;
+pub use hub::Telemetry;
+pub(crate) use metrics::HistRow;
+pub use metrics::Registry;
+pub use metrics::Snapshot;
+pub(crate) use tracking::DropSite;
+pub(crate) use tracking::FlowRecord;
+pub use tracking::FlowReport;
+pub use tracking::FlowTracker;
+pub(crate) use tracking::OwnerDrops;
+pub use tracking::TrackerConfig;

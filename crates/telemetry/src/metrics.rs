@@ -37,7 +37,7 @@ impl Registry {
     }
 
     /// Adds `delta` to counter `name` (registering it at 0 if new).
-    pub fn add_counter(&mut self, name: &str, delta: u64) {
+    pub(crate) fn add_counter(&mut self, name: &str, delta: u64) {
         *self.counters.entry(name.to_string()).or_insert(0) += delta;
     }
 
@@ -47,12 +47,12 @@ impl Registry {
     }
 
     /// Merges `hist` into the histogram registered as `name`.
-    pub fn merge_hist(&mut self, name: &str, hist: &Histogram) {
+    pub(crate) fn merge_hist(&mut self, name: &str, hist: &Histogram) {
         self.hists.entry(name.to_string()).or_default().merge(hist);
     }
 
     /// Reads back counter `name`, if registered.
-    pub fn counter(&self, name: &str) -> Option<u64> {
+    pub(crate) fn counter(&self, name: &str) -> Option<u64> {
         self.counters.get(name).copied()
     }
 
@@ -73,19 +73,19 @@ impl Registry {
 /// One histogram reduced to its report row (all times in virtual-time
 /// nanoseconds).
 #[derive(Clone, Debug, PartialEq)]
-pub struct HistRow {
+pub(crate) struct HistRow {
     /// Registered name.
-    pub name: String,
+    pub(crate) name: String,
     /// Number of samples.
-    pub count: u64,
+    pub(crate) count: u64,
     /// Mean.
-    pub mean_ns: f64,
+    pub(crate) mean_ns: f64,
     /// Median.
-    pub p50_ns: f64,
+    pub(crate) p50_ns: f64,
     /// 99th percentile.
-    pub p99_ns: f64,
+    pub(crate) p99_ns: f64,
     /// Largest sample.
-    pub max_ns: f64,
+    pub(crate) max_ns: f64,
 }
 
 impl HistRow {
@@ -105,11 +105,11 @@ impl HistRow {
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Snapshot {
     /// All counters, key-sorted.
-    pub counters: Vec<(String, u64)>,
+    pub(crate) counters: Vec<(String, u64)>,
     /// All gauges, key-sorted.
-    pub gauges: Vec<(String, f64)>,
+    pub(crate) gauges: Vec<(String, f64)>,
     /// All histogram rows, key-sorted.
-    pub hists: Vec<HistRow>,
+    pub(crate) hists: Vec<HistRow>,
 }
 
 impl Snapshot {
@@ -122,12 +122,12 @@ impl Snapshot {
     }
 
     /// Looks up a gauge by name.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
+    pub(crate) fn gauge(&self, name: &str) -> Option<f64> {
         self.gauges.iter().find(|(k, _)| k == name).map(|(_, v)| *v)
     }
 
     /// Looks up a histogram row by name.
-    pub fn hist(&self, name: &str) -> Option<&HistRow> {
+    pub(crate) fn hist(&self, name: &str) -> Option<&HistRow> {
         self.hists.iter().find(|r| r.name == name)
     }
 

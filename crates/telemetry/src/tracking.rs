@@ -49,32 +49,32 @@ impl Default for TrackerConfig {
 
 /// Aggregated state of one live flow.
 #[derive(Clone, Debug)]
-pub struct FlowRecord {
+pub(crate) struct FlowRecord {
     /// The flow's 5-tuple.
-    pub tuple: FiveTuple,
+    pub(crate) tuple: FiveTuple,
     /// Virtual time of the first observed event.
-    pub first: Time,
+    pub(crate) first: Time,
     /// Virtual time of the most recent observed event.
-    pub last: Time,
+    pub(crate) last: Time,
     /// Events observed for this flow.
-    pub events: u64,
+    pub(crate) events: u64,
     /// Bytes across the flow's `rx_ingress` events.
-    pub bytes: u64,
+    pub(crate) bytes: u64,
     /// Events observed per stage — the flow's stage timeline.
-    pub stage_counts: [u32; Stage::COUNT],
+    pub(crate) stage_counts: [u32; Stage::COUNT],
     /// Drop verdicts observed.
-    pub drops: u64,
+    pub(crate) drops: u64,
     /// Owning process, once any event carried attribution.
-    pub owner: Option<Owner>,
+    pub(crate) owner: Option<Owner>,
     /// Lowest policy generation stamped on the flow's events.
-    pub first_generation: u64,
+    pub(crate) first_generation: u64,
     /// Highest policy generation stamped on the flow's events.
-    pub last_generation: u64,
+    pub(crate) last_generation: u64,
 }
 
 impl FlowRecord {
     /// Whether the flow ever crossed `stage`.
-    pub fn saw(&self, stage: Stage) -> bool {
+    pub(crate) fn saw(&self, stage: Stage) -> bool {
         self.stage_counts[stage.index()] != 0
     }
 }
@@ -94,9 +94,9 @@ pub struct DropSite {
     /// Drops recorded at this site.
     pub count: u64,
     /// Virtual time of the first drop.
-    pub first: Time,
+    pub(crate) first: Time,
     /// Virtual time of the latest drop.
-    pub last: Time,
+    pub(crate) last: Time,
 }
 
 impl fmt::Display for DropSite {
@@ -125,9 +125,9 @@ pub struct OwnerDrops {
     /// Owning uid.
     pub uid: u32,
     /// Owning pid.
-    pub pid: u32,
+    pub(crate) pid: u32,
     /// Process command name.
-    pub comm: crate::Comm,
+    pub(crate) comm: crate::Comm,
     /// Drops attributed to this process.
     pub drops: u64,
 }
@@ -151,7 +151,7 @@ pub struct FlowTracker {
 
 impl FlowTracker {
     /// Creates a tracker with `cfg` sizing.
-    pub fn new(cfg: TrackerConfig) -> FlowTracker {
+    pub(crate) fn new(cfg: TrackerConfig) -> FlowTracker {
         FlowTracker {
             cfg,
             flows: HashMap::new(),
@@ -170,7 +170,7 @@ impl FlowTracker {
     }
 
     /// Folds one event into the tracker.
-    pub fn observe(&mut self, e: &TraceEvent) {
+    pub(crate) fn observe(&mut self, e: &TraceEvent) {
         self.events += 1;
         self.last_at = self.last_at.max(e.at);
         let dropped = e.verdict.drop_cause();
@@ -292,7 +292,7 @@ impl FlowTracker {
     }
 
     /// Looks up a live flow.
-    pub fn flow(&self, tuple: &FiveTuple) -> Option<&FlowRecord> {
+    pub(crate) fn flow(&self, tuple: &FiveTuple) -> Option<&FlowRecord> {
         self.flows.get(tuple)
     }
 
@@ -314,12 +314,12 @@ impl FlowTracker {
     }
 
     /// Largest live-flow table observed (never exceeds cap + 1).
-    pub fn peak_live(&self) -> usize {
+    pub(crate) fn peak_live(&self) -> usize {
         self.peak_live
     }
 
     /// Total drops observed (tupled or not).
-    pub fn total_drops(&self) -> u64 {
+    pub(crate) fn total_drops(&self) -> u64 {
         self.drops_by_cause.iter().sum()
     }
 
@@ -394,26 +394,26 @@ impl FlowTracker {
 #[derive(Clone, Debug)]
 pub struct FlowReport {
     /// Events folded into the tracker.
-    pub events: u64,
+    pub(crate) events: u64,
     /// Distinct flows ever tracked.
     pub flows_seen: u64,
     /// Flows still live at report time.
-    pub flows_live: usize,
+    pub(crate) flows_live: usize,
     /// Flow records garbage-collected along the way.
-    pub flows_collected: u64,
+    pub(crate) flows_collected: u64,
     /// Largest live-flow table during the run.
-    pub peak_live: usize,
+    pub(crate) peak_live: usize,
     /// GC passes run.
-    pub gc_runs: u64,
+    pub(crate) gc_runs: u64,
     /// Total drops (including events with no parsed tuple).
     pub total_drops: u64,
     /// Drops whose event carried no 5-tuple (unattributable to a flow,
     /// e.g. malformed frames that failed the parser).
-    pub untupled_drops: u64,
+    pub(crate) untupled_drops: u64,
     /// Nonzero per-cause drop totals.
-    pub drops_by_cause: Vec<(DropCause, u64)>,
+    pub(crate) drops_by_cause: Vec<(DropCause, u64)>,
     /// Nonzero per-stage drop totals.
-    pub drops_by_stage: Vec<(Stage, u64)>,
+    pub(crate) drops_by_stage: Vec<(Stage, u64)>,
     /// Drop sites, most drops first.
     pub sites: Vec<DropSite>,
     /// Per-process drop totals, most drops first.

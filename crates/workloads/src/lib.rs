@@ -6,8 +6,13 @@
 //! misbehaving ARP flooder. See DESIGN.md §2 for the substitution
 //! rationale.
 
-pub mod generators;
-pub mod scenarios;
+pub(crate) mod generators;
+pub(crate) mod scenarios;
 
-pub use generators::{CbrArrivals, PoissonArrivals};
-pub use scenarios::{AliceTestbed, TenantApp, BOB, CHARLIE};
+pub use generators::CbrArrivals;
+
+pub use generators::PoissonArrivals;
+pub use scenarios::AliceTestbed;
+pub use scenarios::TenantApp;
+pub use scenarios::BOB;
+pub use scenarios::CHARLIE;

@@ -21,11 +21,11 @@ pub const CHARLIE: Uid = Uid(1002);
 #[derive(Clone, Debug)]
 pub struct TenantApp {
     /// The owning user.
-    pub uid: Uid,
+    pub(crate) uid: Uid,
     /// The process.
     pub pid: Pid,
     /// Command name.
-    pub comm: String,
+    pub(crate) comm: String,
     /// Local port.
     pub port: u16,
     /// The fast-path connection.
@@ -59,7 +59,7 @@ impl AliceTestbed {
     }
 
     /// Builds the testbed on a custom host configuration.
-    pub fn with_config(cfg: HostConfig) -> AliceTestbed {
+    pub(crate) fn with_config(cfg: HostConfig) -> AliceTestbed {
         let peer_ip = Ipv4Addr::new(10, 0, 0, 2);
         let peer_mac = Mac::local(9);
         let mut host = Host::new(cfg);
@@ -121,7 +121,7 @@ impl AliceTestbed {
     /// world the flooder generates its own ARP traffic (§2: "each
     /// application is responsible for generating their own ARP traffic"),
     /// with a source MAC nobody recognizes.
-    pub fn arp_flood_frame(&self, seq: u32) -> Packet {
+    pub(crate) fn arp_flood_frame(&self, seq: u32) -> Packet {
         PacketBuilder::arp_request(
             Mac::local(0xBAD),
             self.host.cfg.ip,
