@@ -13,7 +13,7 @@
 //! seeded [`sim::fault::OpFaultInjector`] fails individual apply
 //! operations mid-commit, so policy transactions randomly roll back.
 //! Every audit checkpoint therefore also exercises the third ledger
-//! ([`norman::ctrl`]): NIC-resident policy state must exactly match the
+//! (`norman::ctrl`): NIC-resident policy state must exactly match the
 //! kernel policy store — no partially-applied bundles, ever, including
 //! across the mid-run bitstream reprogram (where the control plane must
 //! reconcile the full bundle onto the wiped NIC).

@@ -91,11 +91,6 @@ pub fn pct(x: f64) -> String {
     format!("{:.1}%", x * 100.0)
 }
 
-/// Formats gigabits per second.
-pub(crate) fn gbps(x: f64) -> String {
-    format!("{x:.1}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,6 +116,5 @@ mod tests {
     #[test]
     fn pct_format() {
         assert_eq!(pct(0.123), "12.3%");
-        assert_eq!(gbps(98.76), "98.8");
     }
 }

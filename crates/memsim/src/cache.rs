@@ -109,6 +109,7 @@ pub struct LlcStats {
 
 impl LlcStats {
     /// CPU hit rate in `[0, 1]`, or 1.0 with no accesses.
+    #[cfg(test)]
     pub(crate) fn cpu_hit_rate(&self) -> f64 {
         let total = self.cpu_hits + self.cpu_misses;
         if total == 0 {
@@ -182,29 +183,21 @@ impl LlcPartitionPlan {
         LlcPartitionPlan { total, shards }
     }
 
-    /// The donor cache geometry.
-    pub(crate) fn total(&self) -> &LlcConfig {
-        &self.total
-    }
-
     /// The per-shard partitions, in shard order.
     pub fn shards(&self) -> &[LlcConfig] {
         &self.shards
     }
 
     /// The partition of shard `i`.
+    #[cfg(test)]
     pub(crate) fn shard(&self, i: usize) -> &LlcConfig {
         &self.shards[i]
     }
 
     /// Number of shards.
+    #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.shards.len()
-    }
-
-    /// Whether the plan is empty (it never is; kept for clippy symmetry).
-    pub(crate) fn is_empty(&self) -> bool {
-        self.shards.is_empty()
     }
 
     /// Conservation audit: the shard slices must exactly repartition the
@@ -317,7 +310,7 @@ impl LineSlot {
 /// victim is the lowest invalid way the access class may allocate into,
 /// else the least recently used of those ways. Callers that touch fixed
 /// lines over and over (rings) hold a way-slot index per line and go
-/// through [`Llc::access_lines_memo`], which says what such an entry may
+/// through `Llc::access_lines_memo`, which says what such an entry may
 /// and may not skip.
 pub struct Llc {
     cfg: LlcConfig,
@@ -355,7 +348,7 @@ impl Llc {
     /// 64 ways the per-set validity bitmask can represent) or has
     /// `u32::MAX` way slots or more: a way-slot index is a `u32`, and
     /// `u32::MAX` is the residency entry for "unknown"
-    /// ([`Llc::access_lines_memo`]).
+    /// (`Llc::access_lines_memo`).
     pub fn new(cfg: LlcConfig) -> Llc {
         assert!(cfg.ways > 0, "cache needs at least one way");
         assert!(cfg.ways <= 64, "associativity above 64 is unsupported");
@@ -409,12 +402,13 @@ impl Llc {
     /// line access that no residency entry proved
     /// ([`Llc::access_lines_memo`]). Debug builds only, like
     /// `pkt::meta::derive_count`.
-    #[cfg(debug_assertions)]
+    #[cfg(all(test, debug_assertions))]
     pub(crate) fn set_scans(&self) -> u64 {
         self.set_scans
     }
 
     /// Resets statistics (the cache contents are retained).
+    #[cfg(test)]
     pub(crate) fn reset_stats(&mut self) {
         self.stats = LlcStats::default();
     }

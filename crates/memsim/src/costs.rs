@@ -27,15 +27,9 @@ pub struct MemCosts {
     pub cross_core: Dur,
     /// Posted MMIO register write (doorbell).
     pub mmio_write: Dur,
-    /// Uncached MMIO register read.
-    pub(crate) mmio_read: Dur,
     /// Software copy cost per byte (~20 GB/s effective single-core
     /// memcpy including both cache reads and writes).
     pub(crate) copy_per_byte: Dur,
-    /// Walking the host-memory flow table for a cold-tier connection:
-    /// several dependent DRAM reads (hash bucket, entry, ring context)
-    /// the NIC issues over PCIe when the on-SRAM hot tier misses.
-    pub(crate) host_flow_walk: Dur,
 }
 
 impl Default for MemCosts {
@@ -48,9 +42,7 @@ impl Default for MemCosts {
             dma_dram: Dur::from_ns(70),
             cross_core: Dur::from_ns(60),
             mmio_write: Dur::from_ns(100),
-            mmio_read: Dur::from_ns(350),
             copy_per_byte: Dur::from_ps(50),
-            host_flow_walk: Dur::from_ns(600),
         }
     }
 }
@@ -72,13 +64,7 @@ mod tests {
         assert!(c.llc_hit < c.dram);
         assert!(c.ddio_hit <= c.ddio_alloc);
         assert!(c.ddio_alloc < c.dma_dram);
-        assert!(c.mmio_write < c.mmio_read);
         assert!(c.llc_hit < c.cross_core);
-        // A cold-flow host walk is several dependent DRAM round trips over
-        // PCIe: dearer than any single access, cheaper than an MMIO read
-        // pair.
-        assert!(c.host_flow_walk > c.dram * 3);
-        assert!(c.host_flow_walk < c.mmio_read * 2);
     }
 
     #[test]

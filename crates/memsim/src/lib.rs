@@ -19,7 +19,7 @@
 //!   walking its cache lines through the LLC.
 //! * [`costs::MemCosts`] — the latency numbers for each access outcome,
 //!   with defaults drawn from contemporary Xeon measurements.
-//! * [`mmio`] — cost accounting for MMIO register reads/writes (doorbells
+//! * `mmio` — cost accounting for MMIO register reads/writes (doorbells
 //!   and head/tail pointers in the Norman design).
 
 pub(crate) mod cache;
@@ -27,19 +27,7 @@ pub(crate) mod costs;
 pub(crate) mod mmio;
 pub(crate) mod ring;
 
-pub use cache::AccessKind;
-
-pub use cache::AccessOutcome;
-
-pub use cache::Llc;
-
-pub use cache::LlcConfig;
-
-pub use cache::LlcPartitionPlan;
-
-pub use cache::LlcStats;
+pub use cache::{AccessKind, AccessOutcome, Llc, LlcConfig, LlcPartitionPlan, LlcStats};
 pub use costs::MemCosts;
 pub use mmio::MmioBus;
-pub use ring::DescRing;
-pub use ring::HostRing;
-pub use ring::RingError;
+pub use ring::{DescRing, HostRing, RingError};

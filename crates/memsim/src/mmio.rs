@@ -1,9 +1,10 @@
 //! MMIO register access cost accounting.
 //!
 //! The Norman design exposes ring head/tail pointers and doorbells as
-//! SmartNIC MMIO registers. Posted writes are cheap; uncached reads stall
-//! the pipeline for a PCIe round trip. Register *semantics* live in the
-//! NIC model; this bus only charges time and counts operations.
+//! SmartNIC MMIO registers. The dataplane only ever posts writes
+//! (doorbells), so writes are all the bus charges. Register *semantics*
+//! live in the NIC model; this bus only charges time and counts
+//! operations.
 
 use sim::Dur;
 
@@ -12,7 +13,6 @@ use crate::costs::MemCosts;
 /// A cost- and count-tracking MMIO bus.
 #[derive(Clone, Debug, Default)]
 pub struct MmioBus {
-    reads: u64,
     writes: u64,
     time_spent: Dur,
 }
@@ -28,18 +28,6 @@ impl MmioBus {
         self.writes += 1;
         self.time_spent += costs.mmio_write;
         costs.mmio_write
-    }
-
-    /// Charges one uncached register read and returns its cost.
-    pub(crate) fn read(&mut self, costs: &MemCosts) -> Dur {
-        self.reads += 1;
-        self.time_spent += costs.mmio_read;
-        costs.mmio_read
-    }
-
-    /// Returns the number of reads issued.
-    pub(crate) fn reads(&self) -> u64 {
-        self.reads
     }
 
     /// Returns the number of writes issued.
@@ -62,18 +50,8 @@ mod tests {
         let costs = MemCosts::default();
         let mut bus = MmioBus::new();
         let w = bus.write(&costs);
-        let r = bus.read(&costs);
         assert_eq!(w, costs.mmio_write);
-        assert_eq!(r, costs.mmio_read);
         assert_eq!(bus.writes(), 1);
-        assert_eq!(bus.reads(), 1);
-        assert_eq!(bus.time_spent(), costs.mmio_write + costs.mmio_read);
-    }
-
-    #[test]
-    fn reads_cost_more_than_writes() {
-        let costs = MemCosts::default();
-        let mut bus = MmioBus::new();
-        assert!(bus.read(&costs) > bus.write(&costs));
+        assert_eq!(bus.time_spent(), costs.mmio_write);
     }
 }

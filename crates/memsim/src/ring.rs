@@ -125,6 +125,7 @@ impl<T> DescRing<T> {
     /// Returns the total pinned footprint in bytes (descriptors +
     /// payload slots), i.e. the working set this ring contributes to the
     /// DDIO share.
+    #[cfg(test)]
     pub(crate) fn footprint_bytes(&self) -> u64 {
         self.slots as u64 * (Self::DESC_BYTES + self.slot_bytes as u64)
     }
@@ -135,7 +136,7 @@ impl<T> DescRing<T> {
     }
 
     /// Returns `true` if no slots are occupied.
-    pub(crate) fn is_empty(&self) -> bool {
+    pub fn is_empty(&self) -> bool {
         self.head == self.tail
     }
 
@@ -145,6 +146,7 @@ impl<T> DescRing<T> {
     }
 
     /// Returns (enqueued, dequeued, drops-due-to-full) counters.
+    #[cfg(test)]
     pub(crate) fn counters(&self) -> (u64, u64, u64) {
         (self.enqueued, self.dequeued, self.full_drops)
     }
@@ -337,6 +339,7 @@ impl<T: Default> DescRing<T> {
     }
 
     /// [`DescRing::produce_dma_bypass_with`] with a default descriptor.
+    #[cfg(test)]
     pub(crate) fn produce_dma_bypass(
         &mut self,
         len: usize,

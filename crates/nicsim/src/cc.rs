@@ -93,17 +93,13 @@ impl CongestionControl {
         self.flows.insert(conn, FlowCc::new(&self.params));
     }
 
-    /// Removes a flow.
-    pub(crate) fn close(&mut self, conn: ConnId) {
-        self.flows.remove(&conn);
-    }
-
     /// Returns a flow's state.
     pub fn flow(&self, conn: ConnId) -> Option<&FlowCc> {
         self.flows.get(&conn)
     }
 
     /// Returns (ECN backoffs, loss backoffs).
+    #[cfg(test)]
     pub(crate) fn counters(&self) -> (u64, u64) {
         (self.backoffs, self.losses)
     }

@@ -49,23 +49,6 @@ pub enum ProgramSlot {
     Classifier,
 }
 
-/// Whether the device is operational.
-///
-/// A crashed NIC ([`DeviceState::Dead`]) has lost *all* volatile state —
-/// flow table, ring contexts, overlay programs and maps, RSS indirection,
-/// TX scheduler contents, notification queues, MMIO register file — and
-/// every dataplane and control operation fails until the kernel drives a
-/// [`SmartNic::reset`]. Recovery is the kernel's job: reset brings the
-/// device back at boot configuration, and the control plane's reconcile
-/// path reinstalls the committed policy bundle.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum DeviceState {
-    /// Operating normally (possibly frozen for a reprogram/reset window).
-    Alive,
-    /// Crashed: volatile state gone, everything gated until reset.
-    Dead,
-}
-
 /// Kernel-region MMIO register holding the installed policy generation.
 /// Written only by the control plane's commit step; apps reading or
 /// writing it fault. The audit third ledger cross-checks it against the
@@ -353,6 +336,7 @@ impl SmartNic {
     }
 
     /// Returns the telemetry hub handle.
+    #[cfg(test)]
     pub(crate) fn telemetry(&self) -> &Telemetry {
         &self.tel
     }
@@ -399,11 +383,6 @@ impl SmartNic {
     /// Returns dataplane counters.
     pub fn stats(&self) -> NicStats {
         self.stats
-    }
-
-    /// Returns the line rate link model.
-    pub(crate) fn link(&self) -> &Link {
-        &self.link
     }
 
     // ------------------------------------------------------------------
@@ -562,38 +541,6 @@ impl SmartNic {
     /// Returns whether `slot` currently holds a program.
     pub fn program_loaded(&self, slot: ProgramSlot) -> bool {
         self.slot_vm(slot).is_some()
-    }
-
-    /// Reads one slot of a per-flow scratch record from the program in
-    /// `slot` (`ktrace` forensics: per-flow overlay state by packed flow
-    /// key).
-    pub(crate) fn read_flow_slot(
-        &self,
-        slot: ProgramSlot,
-        map: usize,
-        flow_key: u128,
-        idx: usize,
-    ) -> Option<u64> {
-        self.slot_vm(slot)?.flow_get(map, flow_key, idx)
-    }
-
-    /// All named overlay counters across every loaded program —
-    /// `(program name, counter name, value)` triples in slot order, the
-    /// `ktrace`/metrics export surface.
-    pub(crate) fn overlay_counters(&self) -> Vec<(String, String, u64)> {
-        let mut out = Vec::new();
-        let slots = [
-            self.ingress_filter.as_ref(),
-            self.egress_filter.as_ref(),
-            self.classifier.as_ref(),
-        ];
-        for vm in slots.into_iter().flatten().chain(self.accounting.iter()) {
-            let program = vm.program().name.clone();
-            for (name, value) in vm.counters() {
-                out.push((program.clone(), name, value));
-            }
-        }
-        out
     }
 
     /// Content fingerprint of the program resident in `slot`, if any
@@ -833,7 +780,7 @@ impl SmartNic {
     /// grows upward, so connection ids can climb past 64k without an
     /// app-region doorbell ever aliasing a kernel register. (The old
     /// 0x10_0000 base put connection 65536's doorbells exactly on
-    /// [`POLICY_GENERATION_REG`]/[`RSS_NUM_QUEUES_REG`].)
+    /// [`POLICY_GENERATION_REG`]/`RSS_NUM_QUEUES_REG`.)
     pub fn rx_doorbell_addr(id: ConnId) -> u64 {
         0x100_0000 + id.0 * 16
     }
@@ -882,11 +829,6 @@ impl SmartNic {
         self.notify_queues.get_mut(&pid)?.pop()
     }
 
-    /// Returns `pid`'s notification queue, if it exists.
-    pub(crate) fn notify_queue(&self, pid: u32) -> Option<&NotifyQueue> {
-        self.notify_queues.get(&pid)
-    }
-
     fn check_frozen(&self, now: Time) -> Result<(), NicError> {
         if now < self.frozen_until {
             Err(NicError::Reprogramming {
@@ -925,16 +867,15 @@ impl SmartNic {
         (self.crash_faults.ops(), self.crash_faults.crashes())
     }
 
-    /// Current device state.
-    pub(crate) fn state(&self) -> DeviceState {
-        if self.dead {
-            DeviceState::Dead
-        } else {
-            DeviceState::Alive
-        }
-    }
-
     /// Returns whether the device has crashed and awaits a reset.
+    ///
+    /// A crashed NIC has lost *all* volatile state — flow table, ring
+    /// contexts, overlay programs and maps, RSS indirection, TX scheduler
+    /// contents, notification queues, MMIO register file — and every
+    /// dataplane and control operation fails until the kernel drives a
+    /// [`SmartNic::reset`]. Recovery is the kernel's job: reset brings the
+    /// device back at boot configuration, and the control plane's
+    /// reconcile path reinstalls the committed policy bundle.
     pub fn is_dead(&self) -> bool {
         self.dead
     }
@@ -1016,7 +957,7 @@ impl SmartNic {
     }
 
     /// Kernel-driven device reset: firmware reload plus self-test. The
-    /// device leaves [`DeviceState::Dead`] immediately but stays frozen
+    /// device stops being dead immediately but stays frozen
     /// (like a reprogram window) for `cfg.reset_cost`; returns when the
     /// dataplane is back. The device comes up at boot configuration — the
     /// control plane's reconcile path reinstalls the committed policy.
@@ -2668,7 +2609,7 @@ mod tests {
         assert_eq!(nic.tx_backlog(), 1);
 
         nic.crash(Time::from_ns(100));
-        assert_eq!(nic.state(), DeviceState::Dead);
+        assert!(nic.is_dead());
         assert!(nic.is_dead());
         assert_eq!(nic.stats().crashes, 1);
         assert_eq!(nic.stats().tx_crash_purged, 1);
@@ -2715,7 +2656,7 @@ mod tests {
         let mut nic = nic();
         nic.crash(Time::ZERO);
         let back = nic.reset(Time::from_ns(1000));
-        assert_eq!(nic.state(), DeviceState::Alive);
+        assert!(!nic.is_dead());
         assert_eq!(back, Time::from_ns(1000) + nic.config().reset_cost);
         assert!(nic.is_frozen(Time::from_ns(1001)));
         // During the reset window frames drop as reprogramming (the

@@ -9,7 +9,7 @@
 //! port) catch first packets of inbound connections.
 //!
 //! Flow state is hierarchical (the §5 scaling answer): a bounded **hot
-//! tier** of SRAM-resident entries ([`crate::sram`]: entry slot + DMA
+//! tier** of SRAM-resident entries (`crate::sram`: entry slot + DMA
 //! ring context, charged atomically) and an unbounded **cold tier** in
 //! host memory that costs no SRAM but pays a host-walk latency on every
 //! lookup. Promotion and eviction between the tiers are driven by a
@@ -411,6 +411,7 @@ impl FlowTable {
     }
 
     /// Returns the number of exact-match entries (both tiers).
+    #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.exact.len()
     }
@@ -432,6 +433,7 @@ impl FlowTable {
     }
 
     /// Returns the number of hot entries owned by RSS queue `q`.
+    #[cfg(test)]
     pub(crate) fn num_hot_on_queue(&self, q: usize) -> usize {
         self.hot.get(q).map_or(0, hot_len)
     }
@@ -444,11 +446,6 @@ impl FlowTable {
     /// Returns the total number of entry records (exact + listeners).
     pub fn num_entries(&self) -> usize {
         self.by_id.len()
-    }
-
-    /// Returns `true` if no connections are installed.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.exact.is_empty() && self.listeners.is_empty()
     }
 
     /// Returns (lookups, misses).

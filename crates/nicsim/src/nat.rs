@@ -136,7 +136,7 @@ impl NatTable {
     }
 
     /// Returns `true` when no mappings exist.
-    pub(crate) fn is_empty(&self) -> bool {
+    pub fn is_empty(&self) -> bool {
         self.inbound.is_empty()
     }
 
@@ -270,6 +270,7 @@ impl NatTable {
 
     /// Expires the mapping for an internal endpoint, returning SRAM.
     /// Static rules are control-plane state and never expire this way.
+    #[cfg(test)]
     pub(crate) fn expire(&mut self, internal: (Ipv4Addr, u16, IpProto), sram: &mut Sram) -> bool {
         let Some(&ext_port) = self.outbound.get(&internal) else {
             return false;
@@ -355,6 +356,7 @@ impl NatTable {
 
     /// Non-mutating inbound lookup for audits: what the dataplane would
     /// rewrite `(proto, ext_port)` to, without counting a miss.
+    #[cfg(test)]
     pub(crate) fn lookup_inbound(&self, proto: IpProto, ext_port: u16) -> Option<(Ipv4Addr, u16)> {
         self.inbound.get(&(proto, ext_port)).copied()
     }

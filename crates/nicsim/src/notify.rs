@@ -76,6 +76,7 @@ impl NotifyQueue {
     }
 
     /// Returns whether interrupts are currently armed.
+    #[cfg(test)]
     pub(crate) fn interrupts_armed(&self) -> bool {
         self.interrupts_armed
     }
@@ -116,16 +117,13 @@ impl NotifyQueue {
     }
 
     /// Returns the number of pending notifications.
+    #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.entries.len()
     }
 
-    /// Returns `true` when no notifications are pending.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Returns (posted, coalesced, overflows, interrupts_fired).
+    #[cfg(test)]
     pub(crate) fn counters(&self) -> (u64, u64, u64, u64) {
         (
             self.posted,

@@ -160,6 +160,7 @@ impl RegFile {
     }
 
     /// Reads a register. `pid = None` denotes a privileged access.
+    #[cfg(test)]
     pub(crate) fn read(&mut self, addr: u64, pid: Option<u32>) -> Result<u64, RegError> {
         self.check(addr, pid)?;
         Ok(self.regs[&addr].value)

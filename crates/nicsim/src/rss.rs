@@ -103,7 +103,12 @@ impl RssTable {
     /// Validates and installs a full RSS configuration. On error the
     /// previous configuration is untouched (the table is swapped whole,
     /// never entry-by-entry).
-    pub(crate) fn configure(&mut self, num_queues: usize, indirection: &[u16]) -> Result<(), RssError> {
+    #[cfg(test)]
+    pub(crate) fn configure(
+        &mut self,
+        num_queues: usize,
+        indirection: &[u16],
+    ) -> Result<(), RssError> {
         let table = RssTable::validated(num_queues, indirection)?;
         *self = table;
         Ok(())

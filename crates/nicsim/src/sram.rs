@@ -111,11 +111,6 @@ impl Sram {
         Sram::new(16 << 20)
     }
 
-    /// Returns total capacity in bytes.
-    pub(crate) fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
     /// Returns bytes currently allocated.
     pub fn used(&self) -> u64 {
         self.used
@@ -132,6 +127,7 @@ impl Sram {
     }
 
     /// Returns the number of failed allocations (exhaustion events).
+    #[cfg(test)]
     pub(crate) fn failures(&self) -> u64 {
         self.failures
     }
@@ -169,6 +165,7 @@ impl Sram {
     }
 
     /// Returns a (category, bytes) usage report.
+    #[cfg(test)]
     pub(crate) fn report(&self) -> Vec<(SramCategory, u64)> {
         SramCategory::ALL
             .iter()

@@ -155,11 +155,6 @@ impl Architecture {
         }
     }
 
-    /// Returns the kind.
-    pub(crate) fn kind(&self) -> DatapathKind {
-        self.kind
-    }
-
     /// Returns the capability set of this placement.
     pub fn capabilities(kind: DatapathKind) -> Capabilities {
         match kind {

@@ -466,7 +466,7 @@ impl std::error::Error for CtrlError {}
 
 /// What a history entry records.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum CommitAction {
+pub enum CommitAction {
     /// A bundle was committed under a new generation.
     Committed,
     /// A commit failed mid-apply and the prior bundle was restored.
@@ -491,15 +491,15 @@ impl std::fmt::Display for CommitAction {
 
 /// One line of commit history.
 #[derive(Clone, Debug)]
-pub(crate) struct CommitRecord {
+pub struct CommitRecord {
     /// The generation in force *after* the action.
-    pub(crate) generation: u64,
+    pub generation: u64,
     /// Virtual time of the action.
-    pub(crate) at: Time,
+    pub at: Time,
     /// What happened.
-    pub(crate) action: CommitAction,
+    pub action: CommitAction,
     /// Human detail (failing step, program counts).
-    pub(crate) detail: String,
+    pub detail: String,
 }
 
 /// Control-plane counters.

@@ -19,9 +19,7 @@ use nicsim::{
     ConnId, NatTable, NicConfig, NicError, Notification, NotifyKind, RssTable, RxDisposition,
     SmartNic, TxDisposition,
 };
-use oskernel::{
-    ArpCache, CgroupId, CgroupTree, Cred, NetStack, Pid, ProcessTable, RxOutcome, Scheduler, Uid,
-};
+use oskernel::{ArpCache, CgroupId, Cred, NetStack, Pid, ProcessTable, RxOutcome, Scheduler, Uid};
 use pkt::{BufArena, FiveTuple, IpProto, Mac, Packet};
 use sim::fault::{CrashInjector, OpFaultInjector};
 use sim::{Dur, Time};
@@ -150,8 +148,6 @@ struct RingPair {
 /// One open connection.
 #[derive(Debug)]
 pub struct Connection {
-    /// NIC connection id.
-    pub(crate) id: ConnId,
     /// Owning process.
     pub(crate) pid: Pid,
     /// Owning user.
@@ -322,8 +318,6 @@ pub struct Host {
     pub cfg: HostConfig,
     /// Process table.
     pub procs: ProcessTable,
-    /// Cgroup hierarchy.
-    pub(crate) cgroups: CgroupTree,
     /// Scheduler and CPU meters.
     pub sched: Scheduler,
     /// The dataplane shards, never empty. An unsharded host has one,
@@ -429,7 +423,6 @@ impl Host {
         stack.set_telemetry(tel.clone());
         Host {
             procs: ProcessTable::new(),
-            cgroups: CgroupTree::new(),
             sched: Scheduler::with_defaults(),
             shards: vec![Shard::new(Llc::new(cfg.llc.clone()))],
             sharded: None,
@@ -896,11 +889,6 @@ impl Host {
         self.procs.spawn(Cred::new(uid, user), comm, CgroupId::ROOT)
     }
 
-    /// Spawns a process inside a cgroup.
-    pub(crate) fn spawn_in_cgroup(&mut self, uid: Uid, user: &str, comm: &str, cg: CgroupId) -> Pid {
-        self.procs.spawn(Cred::new(uid, user), comm, cg)
-    }
-
     /// Mutates the kernel policy store inside a two-phase transaction:
     /// the mutated store is compiled and verified (phase 1), then swapped
     /// onto the NIC atomically under a new generation (phase 2). On any
@@ -1015,15 +1003,6 @@ impl Host {
     /// dataplane entry.
     pub fn crash_nic(&mut self, now: Time) {
         self.nic.crash(now);
-    }
-
-    /// Kernel-driven NIC reset: crash-if-alive, then bring the device
-    /// back (frozen for the reset cost). Policy and flow state reinstall
-    /// on the first dataplane entry after the thaw. Returns when the
-    /// device is back up.
-    pub(crate) fn reset_nic(&mut self, now: Time) -> Time {
-        self.kernel_cpu += self.stack.costs().syscalls.control_call();
-        self.nic.reset(now)
     }
 
     /// Arms the op-schedule crash injector on the NIC (chaos testing;
@@ -1186,7 +1165,6 @@ impl Host {
         self.endpoints.insert(
             id,
             Endpoint::Conn(Connection {
-                id,
                 pid,
                 uid,
                 tuple,
@@ -1706,7 +1684,7 @@ impl Host {
     /// both POSIX APIs — so that applications can be easily portable …
     /// as well as more efficient abstractions that prevent unnecessary
     /// copies". The copy costs `copy_per_byte x len` extra CPU.
-    pub(crate) fn app_recv_posix(&mut self, id: ConnId, now: Time, blocking: bool) -> RecvResult {
+    pub fn app_recv_posix(&mut self, id: ConnId, now: Time, blocking: bool) -> RecvResult {
         let mut r = self.app_recv(id, now, blocking);
         if let Some(len) = r.len {
             let copy = self.cfg.mem.copy(len);
@@ -1839,17 +1817,6 @@ impl Host {
         self.nic.arm_interrupt(pid.0);
         self.sched.block(pid, now, &mut self.procs);
         None
-    }
-
-    /// Convenience: did `pid` get an RX notification for `conn`?
-    pub(crate) fn has_rx_notification(&mut self, pid: Pid, conn: ConnId) -> bool {
-        let mut found = false;
-        while let Some(n) = self.nic.pop_notification(pid.0) {
-            if n.conn == conn && n.kind == NotifyKind::RxReady {
-                found = true;
-            }
-        }
-        found
     }
 }
 

@@ -14,7 +14,7 @@
 //! * [`host`] — [`Host`], one simulated machine: process table, cgroups,
 //!   scheduler, LLC/DDIO, the SmartNIC, the software slow path, and the
 //!   in-kernel control plane that mediates *all* NIC configuration.
-//! * [`ctrl`] — the unified control plane: one policy store, compiled
+//! * `ctrl` — the unified control plane: one policy store, compiled
 //!   into one bundle, applied with a two-phase epoch-versioned commit
 //!   (verify/stage, then atomic swap with rollback), reconciled after
 //!   bitstream reprograms, and audited against the NIC.
@@ -29,7 +29,7 @@
 //!   per-packet lifecycle introspector the paper argues interposition
 //!   makes possible): each routes through the control plane, never the
 //!   dataplane.
-//! * [`lib_api`] — the Norman library: [`lib_api::NormanSocket`], a
+//! * `lib_api` — the Norman library: [`lib_api::NormanSocket`], a
 //!   POSIX-flavoured handle whose data operations never leave userspace
 //!   plus the NIC (§4.3).
 //! * [`arch`] — the five datapath architectures compared throughout the
@@ -44,34 +44,9 @@ pub mod policy;
 pub mod tools;
 pub mod workers;
 
-pub(crate) use arch::Architecture;
-
-pub(crate) use arch::Capabilities;
-
-pub(crate) use arch::DatapathKind;
-pub use ctrl::ControlPlane;
-pub use ctrl::CtrlError;
-pub use ctrl::DegradationPolicy;
-pub use ctrl::NatRule;
-pub(crate) use ctrl::PolicyBundle;
-pub use ctrl::PolicyStore;
-pub use ctrl::RssPolicy;
-pub(crate) use ctrl::StagedCommit;
-pub(crate) use host::ConnectError;
-pub(crate) use host::Connection;
-pub use host::DeliveryReport;
-pub use host::Host;
-pub use host::HostConfig;
+pub use ctrl::{ControlPlane, CtrlError, DegradationPolicy, NatRule, PolicyStore, RssPolicy};
+pub use host::{DeliveryReport, Host, HostConfig};
 pub use lib_api::NormanSocket;
-pub use policy::PortReservation;
-pub use policy::ShapingPolicy;
-pub use telemetry::DropCause;
-pub(crate) use telemetry::Owner;
-pub(crate) use telemetry::Profile;
-pub(crate) use telemetry::SinkStats;
-pub(crate) use telemetry::Snapshot;
-pub use telemetry::Stage;
-pub use telemetry::TraceEvent;
-pub use telemetry::TraceFilter;
-pub use telemetry::TraceVerdict;
+pub use policy::{PortReservation, ShapingPolicy};
+pub use telemetry::{DropCause, Stage, TraceEvent, TraceFilter, TraceVerdict};
 pub use workers::WorkerError;

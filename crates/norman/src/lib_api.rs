@@ -19,7 +19,6 @@ use crate::host::{ConnectError, Host, RecvResult, SendResult};
 #[derive(Clone, Debug)]
 pub struct NormanSocket {
     conn: ConnId,
-    pid: Pid,
     proto: IpProto,
     local_ip: Ipv4Addr,
     local_port: u16,
@@ -46,7 +45,6 @@ impl NormanSocket {
         let conn = host.connect(pid, proto, local_port, remote_ip, remote_port, blocking)?;
         Ok(NormanSocket {
             conn,
-            pid,
             proto,
             local_ip: host.cfg.ip,
             local_port,
@@ -60,11 +58,6 @@ impl NormanSocket {
     /// Returns the NIC connection id.
     pub fn conn(&self) -> ConnId {
         self.conn
-    }
-
-    /// Returns the owning pid.
-    pub(crate) fn pid(&self) -> Pid {
-        self.pid
     }
 
     /// Builds the wire frame for a payload (what the library's zero-copy
@@ -100,7 +93,7 @@ impl NormanSocket {
 
     /// POSIX-style receive: the payload is copied into the caller's
     /// buffer (portable, but pays `copy_per_byte x len`).
-    pub(crate) fn recv_posix(&self, host: &mut Host, now: Time, blocking: bool) -> RecvResult {
+    pub fn recv_posix(&self, host: &mut Host, now: Time, blocking: bool) -> RecvResult {
         host.app_recv_posix(self.conn, now, blocking)
     }
 

@@ -27,6 +27,7 @@ impl PortReservation {
     }
 
     /// Restricts the reservation to one command name.
+    #[cfg(test)]
     pub(crate) fn for_comm(mut self, comm: &str) -> PortReservation {
         self.comm = Some(comm.to_string());
         self

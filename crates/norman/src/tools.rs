@@ -10,7 +10,7 @@
 //!
 //! Every policy-writing tool is a front-end over one transaction path:
 //! [`Host::update_policy`], the two-phase epoch-versioned commit of
-//! [`crate::ctrl`]. `npolicy` is the unified view onto that machinery —
+//! `crate::ctrl`. `npolicy` is the unified view onto that machinery —
 //! the live generation number, commit/rollback/reconcile history, and a
 //! whole-store apply.
 
@@ -83,7 +83,7 @@ pub mod ksniff {
     }
 
     /// Stops capturing.
-    pub(crate) fn stop(host: &mut Host, cred: &Cred, now: Time) -> Result<(), ToolError> {
+    pub fn stop(host: &mut Host, cred: &Cred, now: Time) -> Result<(), ToolError> {
         require_root(cred, "ksniff")?;
         host.update_policy(now, |p| p.sniffer = None)
             .map(|_| ())
@@ -134,7 +134,7 @@ pub mod kfilter {
     }
 
     /// Lists active reservations.
-    pub(crate) fn list(host: &Host, cred: &Cred) -> Result<Vec<PortReservation>, ToolError> {
+    pub fn list(host: &Host, cred: &Cred) -> Result<Vec<PortReservation>, ToolError> {
         require_root(cred, "kfilter")?;
         Ok(host.reservations().to_vec())
     }
@@ -164,16 +164,16 @@ pub mod kqdisc {
     }
 }
 
-/// `npolicy` — the unified policy front-end over the [`crate::ctrl`]
+/// `npolicy` — the unified policy front-end over the `crate::ctrl`
 /// control plane: apply whole-store transactions, read the live
 /// generation, and inspect commit/rollback/reconcile history.
-pub(crate) mod npolicy {
+pub mod npolicy {
     use super::*;
     use crate::ctrl::{CommitRecord, PolicyStore};
 
     /// Applies one policy transaction (two-phase commit). Returns the
     /// new generation.
-    pub(crate) fn apply(
+    pub fn apply(
         host: &mut Host,
         cred: &Cred,
         now: Time,
@@ -185,29 +185,29 @@ pub(crate) mod npolicy {
 
     /// A point-in-time view of the control plane.
     #[derive(Clone, Debug)]
-    pub(crate) struct Status {
+    pub struct Status {
         /// The live policy generation.
-        pub(crate) generation: u64,
+        pub generation: u64,
         /// Successful commits.
-        pub(crate) commits: u64,
+        pub commits: u64,
         /// Mid-commit failures recovered by rollback.
-        pub(crate) rollbacks: u64,
+        pub rollbacks: u64,
         /// Bundle reinstalls after bitstream reprograms.
-        pub(crate) reconciles: u64,
+        pub reconciles: u64,
         /// Active port reservations.
-        pub(crate) reservations: usize,
+        pub reservations: usize,
         /// Whether shaping policy is in force.
-        pub(crate) shaping: bool,
+        pub shaping: bool,
         /// Whether the capture tap is on.
-        pub(crate) sniffer: bool,
+        pub sniffer: bool,
         /// Static NAT forwards in force.
-        pub(crate) nat_rules: usize,
+        pub nat_rules: usize,
         /// Commit history, oldest first (bounded).
-        pub(crate) history: Vec<CommitRecord>,
+        pub history: Vec<CommitRecord>,
     }
 
     /// Reads control-plane status.
-    pub(crate) fn status(host: &Host, cred: &Cred) -> Result<Status, ToolError> {
+    pub fn status(host: &Host, cred: &Cred) -> Result<Status, ToolError> {
         require_root(cred, "npolicy")?;
         let store = host.policy();
         let stats = host.ctrl().stats();
@@ -225,7 +225,7 @@ pub(crate) mod npolicy {
     }
 
     /// Renders status as a human-readable report.
-    pub(crate) fn render(s: &Status) -> String {
+    pub fn render(s: &Status) -> String {
         let mut out = format!(
             "generation {}  (commits {}, rollbacks {}, reconciles {})\n\
              reservations {}  shaping {}  sniffer {}  nat-rules {}\n",
@@ -313,7 +313,7 @@ pub mod knetstat {
 
     /// Lists the kernel ARP cache (`arp -a` / `ip neigh`): the first
     /// thing Alice inspects in the §2 debugging scenario.
-    pub(crate) fn arp_cache(
+    pub fn arp_cache(
         host: &Host,
         cred: &Cred,
     ) -> Result<Vec<(std::net::Ipv4Addr, oskernel::ArpEntry)>, ToolError> {
@@ -363,14 +363,14 @@ pub mod trace {
     }
 
     /// Starts (or restarts) lifecycle tracing.
-    pub(crate) fn start(host: &mut Host, cred: &Cred) -> Result<(), ToolError> {
+    pub fn start(host: &mut Host, cred: &Cred) -> Result<(), ToolError> {
         require_root(cred, "ktrace")?;
         host.start_trace();
         Ok(())
     }
 
     /// Stops tracing; captured events stay queryable.
-    pub(crate) fn stop(host: &mut Host, cred: &Cred) -> Result<(), ToolError> {
+    pub fn stop(host: &mut Host, cred: &Cred) -> Result<(), ToolError> {
         require_root(cred, "ktrace")?;
         host.stop_trace();
         Ok(())
@@ -398,7 +398,7 @@ pub mod trace {
     }
 
     /// Returns the unified cross-layer metrics snapshot.
-    pub(crate) fn metrics(host: &Host, cred: &Cred) -> Result<Snapshot, ToolError> {
+    pub fn metrics(host: &Host, cred: &Cred) -> Result<Snapshot, ToolError> {
         require_root(cred, "ktrace")?;
         Ok(host.metrics_snapshot())
     }

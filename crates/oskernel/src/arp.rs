@@ -44,6 +44,7 @@ impl ArpCache {
     }
 
     /// Returns the entry for `ip`.
+    #[cfg(test)]
     pub(crate) fn lookup(&self, ip: Ipv4Addr) -> Option<&ArpEntry> {
         self.entries.get(&ip)
     }
@@ -58,6 +59,7 @@ impl ArpCache {
     }
 
     /// Returns (requests answered, replies learned).
+    #[cfg(test)]
     pub(crate) fn counters(&self) -> (u64, u64) {
         (self.requests_answered, self.replies_learned)
     }
@@ -104,6 +106,7 @@ impl ArpCache {
     }
 
     /// Builds a who-has request the kernel would send to resolve `ip`.
+    #[cfg(test)]
     pub(crate) fn request_for(&self, ip: Ipv4Addr) -> Packet {
         PacketBuilder::arp_request(self.my_mac, self.my_ip, ip)
     }

@@ -4,6 +4,7 @@
 //! (cgroup) and then use tc and qdisc to enforce a shaping policy." The
 //! `net_cls` class id a cgroup carries is what the classifier matches on.
 
+#[cfg(test)]
 use std::collections::HashMap;
 
 /// A cgroup identifier.
@@ -16,12 +17,9 @@ impl CgroupId {
 }
 
 /// One cgroup.
+#[cfg(test)]
 #[derive(Clone, Debug)]
 pub(crate) struct Cgroup {
-    /// Identifier.
-    pub(crate) id: CgroupId,
-    /// Path-like name ("/", "/game").
-    pub(crate) name: String,
     /// Parent (None for the root).
     pub(crate) parent: Option<CgroupId>,
     /// Network class id (`net_cls.classid`); inherited when `None`.
@@ -29,26 +27,27 @@ pub(crate) struct Cgroup {
 }
 
 /// The cgroup hierarchy.
-pub struct CgroupTree {
+#[cfg(test)]
+pub(crate) struct CgroupTree {
     groups: HashMap<CgroupId, Cgroup>,
     next_id: u32,
 }
 
+#[cfg(test)]
 impl Default for CgroupTree {
     fn default() -> Self {
         Self::new()
     }
 }
 
+#[cfg(test)]
 impl CgroupTree {
     /// Creates a tree containing only the root cgroup (net class 0).
-    pub fn new() -> CgroupTree {
+    pub(crate) fn new() -> CgroupTree {
         let mut groups = HashMap::new();
         groups.insert(
             CgroupId::ROOT,
             Cgroup {
-                id: CgroupId::ROOT,
-                name: "/".to_string(),
                 parent: None,
                 net_class: Some(0),
             },
@@ -61,15 +60,13 @@ impl CgroupTree {
     /// # Panics
     ///
     /// Panics if `parent` does not exist.
-    pub(crate) fn create(&mut self, parent: CgroupId, name: &str) -> CgroupId {
+    pub(crate) fn create(&mut self, parent: CgroupId) -> CgroupId {
         assert!(self.groups.contains_key(&parent), "no such parent cgroup");
         let id = CgroupId(self.next_id);
         self.next_id += 1;
         self.groups.insert(
             id,
             Cgroup {
-                id,
-                name: name.to_string(),
                 parent: Some(parent),
                 net_class: None,
             },
@@ -106,20 +103,9 @@ impl CgroupTree {
         0
     }
 
-    /// Returns a cgroup by id.
-    pub(crate) fn get(&self, id: CgroupId) -> Option<&Cgroup> {
-        self.groups.get(&id)
-    }
-
     /// Returns the number of cgroups.
     pub(crate) fn len(&self) -> usize {
         self.groups.len()
-    }
-
-    /// Returns `true` if only the root exists — never true in practice
-    /// since the root always exists.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.groups.is_empty()
     }
 }
 
@@ -137,12 +123,12 @@ mod tests {
     #[test]
     fn child_inherits_until_set() {
         let mut t = CgroupTree::new();
-        let game = t.create(CgroupId::ROOT, "/game");
+        let game = t.create(CgroupId::ROOT);
         assert_eq!(t.net_class(game), 0);
         t.set_net_class(game, 42);
         assert_eq!(t.net_class(game), 42);
         // Grandchild inherits from the game group.
-        let sub = t.create(game, "/game/session1");
+        let sub = t.create(game);
         assert_eq!(t.net_class(sub), 42);
     }
 
@@ -156,7 +142,7 @@ mod tests {
     #[should_panic(expected = "no such parent")]
     fn create_under_missing_parent_panics() {
         let mut t = CgroupTree::new();
-        t.create(CgroupId(99), "/orphan");
+        t.create(CgroupId(99));
     }
 
     #[test]

@@ -52,6 +52,7 @@ impl Rule {
         }
     }
 
+    #[cfg(test)]
     fn matches(&self, m: &ClassMatch, comm: Option<&str>) -> bool {
         if !self.matcher.matches(m) {
             return false;
@@ -202,6 +203,7 @@ impl Chain {
     }
 
     /// Returns whether the chain currently holds a lowered rule list.
+    #[cfg(test)]
     pub(crate) fn is_compiled(&self) -> bool {
         self.compiled.is_some()
     }
@@ -212,11 +214,13 @@ impl Chain {
     }
 
     /// Returns `true` when the chain has no rules.
+    #[cfg(test)]
     pub(crate) fn is_empty(&self) -> bool {
         self.rules.is_empty()
     }
 
     /// Returns (packets evaluated, packets dropped).
+    #[cfg(test)]
     pub(crate) fn counters(&self) -> (u64, u64) {
         (self.evaluated, self.drops)
     }
@@ -253,7 +257,12 @@ impl Chain {
     /// The original interpreted linear scan, kept as the differential
     /// oracle for [`Chain::evaluate`]: identical verdicts, costs, and
     /// counter updates, straight off the un-lowered [`Rule`] list.
-    pub(crate) fn evaluate_interp(&mut self, m: &ClassMatch, comm: Option<&str>) -> (HookVerdict, Dur) {
+    #[cfg(test)]
+    pub(crate) fn evaluate_interp(
+        &mut self,
+        m: &ClassMatch,
+        comm: Option<&str>,
+    ) -> (HookVerdict, Dur) {
         self.evaluated += 1;
         for (i, rule) in self.rules.iter().enumerate() {
             if rule.matches(m, comm) {
@@ -303,12 +312,12 @@ mod tests {
         let mut chain = Chain::new("INPUT", HookVerdict::Accept);
         // Rule 1: accept postgres owned by bob on 5432.
         let mut allow = Rule::new(HookVerdict::Accept);
-        allow.matcher = ClassifierRule::any(0).match_dst_port(5432).match_uid(1001);
+        allow.matcher = ClassifierRule::any().match_dst_port(5432).match_uid(1001);
         allow.comm = Some("postgres".to_string());
         chain.append(allow);
         // Rule 2: drop everything else on 5432.
         let mut deny = Rule::new(HookVerdict::Drop);
-        deny.matcher = ClassifierRule::any(0).match_dst_port(5432);
+        deny.matcher = ClassifierRule::any().match_dst_port(5432);
         chain.append(deny);
         chain
     }
@@ -371,7 +380,7 @@ mod tests {
         // packet: accept uid 1002 on 5432 ahead of nothing — it lands
         // after the deny, so instead append a broader accept for 9999.
         let mut allow = Rule::new(HookVerdict::Accept);
-        allow.matcher = ClassifierRule::any(0).match_dst_port(9999).match_uid(1002);
+        allow.matcher = ClassifierRule::any().match_dst_port(9999).match_uid(1002);
         chain.append(allow);
         assert!(!chain.is_compiled());
         let (v, _) = chain.evaluate(&match_for(9999, 1002), Some("mysqld"));
@@ -411,7 +420,7 @@ mod tests {
                     HookVerdict::Drop
                 };
                 let mut rule = Rule::new(verdict);
-                let mut m = ClassifierRule::any(0);
+                let mut m = ClassifierRule::any();
                 if rng.below(2) == 0 {
                     m = m.match_dst_port(5000 + rng.below(4) as u16);
                 }

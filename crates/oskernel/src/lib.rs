@@ -11,22 +11,22 @@
 //!
 //! Modules:
 //!
-//! * [`arp`] — the kernel ARP cache and responder (the "ARP cache"
+//! * `arp` — the kernel ARP cache and responder (the "ARP cache"
 //!   Alice inspects in §2's debugging scenario; ARP stays a slow-path
 //!   kernel protocol under KOPI).
-//! * [`cred`] — users and credentials (the `uid-owner` of the §2 port
+//! * `cred` — users and credentials (the `uid-owner` of the §2 port
 //!   partitioning policy).
-//! * [`process`] — the process table binding pids to uids, command names,
+//! * `process` — the process table binding pids to uids, command names,
 //!   and cgroups: the *process view* that on-NIC and in-kernel
 //!   interposition have but hypervisors and switches do not.
-//! * [`cgroup`] — control groups with network class ids (`net_cls`), the
+//! * `cgroup` — control groups with network class ids (`net_cls`), the
 //!   handle `tc` uses in the §2 QoS scenario.
-//! * [`sched`] — blocking and wakeup with context-switch accounting, plus
+//! * `sched` — blocking and wakeup with context-switch accounting, plus
 //!   per-process CPU meters (the §2 process-scheduling scenario's
 //!   polling-vs-blocking comparison).
-//! * [`syscall`] — syscall entry/exit and copy cost model.
-//! * [`hooks`] — netfilter-style chains with owner matching.
-//! * [`netstack`] — socket demux + hook evaluation + qdisc egress, with
+//! * `syscall` — syscall entry/exit and copy cost model.
+//! * `hooks` — netfilter-style chains with owner matching.
+//! * `netstack` — socket demux + hook evaluation + qdisc egress, with
 //!   per-packet cost accounting.
 
 pub(crate) mod arp;
@@ -38,24 +38,10 @@ pub(crate) mod process;
 pub(crate) mod sched;
 pub(crate) mod syscall;
 
-pub use arp::ArpCache;
-
-pub use arp::ArpEntry;
-pub(crate) use cgroup::Cgroup;
+pub use arp::{ArpCache, ArpEntry};
 pub use cgroup::CgroupId;
-pub use cgroup::CgroupTree;
-pub use cred::Cred;
-pub use cred::Uid;
-pub(crate) use hooks::Chain;
-pub use hooks::HookVerdict;
-pub use hooks::Rule;
-pub use netstack::NetStack;
-pub use netstack::RxOutcome;
-pub use netstack::StackCosts;
-pub use process::Pid;
-pub use process::ProcState;
-pub(crate) use process::Process;
-pub use process::ProcessTable;
-pub(crate) use sched::CpuMeter;
+pub use cred::{Cred, Uid};
+pub use hooks::{HookVerdict, Rule};
+pub use netstack::{NetStack, RxOutcome, StackCosts};
+pub use process::{Pid, ProcState, ProcessTable};
 pub use sched::Scheduler;
-pub(crate) use syscall::SyscallCosts;

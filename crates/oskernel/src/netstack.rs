@@ -10,7 +10,7 @@ use std::collections::{HashMap, VecDeque};
 
 use pkt::{BufArena, FrameMeta, IpProto, Packet};
 use qdisc::classify::ClassMatch;
-use qdisc::{Fifo, QPkt, Qdisc, QdiscStats};
+use qdisc::{Fifo, QPkt, Qdisc};
 use sim::{Dur, Time};
 use telemetry::{DropCause, FrameInfo, Owner, Stage, Telemetry, TraceVerdict};
 
@@ -98,11 +98,11 @@ pub struct SocketStat {
     /// Owning command.
     pub comm: String,
     /// Bytes received.
-    pub(crate) rx_bytes: u64,
+    pub rx_bytes: u64,
     /// Bytes sent.
-    pub(crate) tx_bytes: u64,
+    pub tx_bytes: u64,
     /// Packets waiting in the receive queue.
-    pub(crate) rx_queued: usize,
+    pub rx_queued: usize,
 }
 
 /// The software stack.
@@ -189,6 +189,7 @@ impl NetStack {
     }
 
     /// Unbinds a socket.
+    #[cfg(test)]
     pub(crate) fn unbind(&mut self, proto: IpProto, port: u16) -> bool {
         self.sockets.remove(&(proto, port)).is_some()
     }
@@ -383,17 +384,20 @@ impl NetStack {
     }
 
     /// Pulls the next frame the egress qdisc releases at `now`.
+    #[cfg(test)]
     pub(crate) fn tx_poll(&mut self, now: Time) -> Option<Packet> {
         let qpkt = self.egress.dequeue(now)?;
         self.tx_frames.remove(&qpkt.id)
     }
 
     /// When the egress qdisc will next release a frame.
+    #[cfg(test)]
     pub(crate) fn tx_next_ready(&self, now: Time) -> Option<Time> {
         self.egress.next_ready(now)
     }
 
     /// Returns the egress backlog in packets.
+    #[cfg(test)]
     pub(crate) fn tx_backlog(&self) -> usize {
         self.egress.len()
     }
@@ -429,11 +433,6 @@ impl NetStack {
     /// [`NetStack::note_degraded_rx`]).
     pub fn rx_degraded(&self) -> u64 {
         self.rx_degraded
-    }
-
-    /// Returns the egress qdisc's accumulated counters.
-    pub(crate) fn egress_stats(&self) -> QdiscStats {
-        self.egress.stats()
     }
 
     /// Registers the stack's counters into the unified registry under
@@ -536,10 +535,10 @@ mod tests {
         let (mut stack, _procs, _pid) = setup();
         // Drop anything on 5432 not owned by uid 9999 (so: everything).
         let mut allow = Rule::new(HookVerdict::Accept);
-        allow.matcher = ClassifierRule::any(0).match_dst_port(5432).match_uid(9999);
+        allow.matcher = ClassifierRule::any().match_dst_port(5432).match_uid(9999);
         stack.input.append(allow);
         let mut deny = Rule::new(HookVerdict::Drop);
-        deny.matcher = ClassifierRule::any(0).match_dst_port(5432);
+        deny.matcher = ClassifierRule::any().match_dst_port(5432);
         stack.input.append(deny);
         let (outcome, _) = stack.rx(&udp(9000, 5432, 10), Time::ZERO);
         assert_eq!(outcome, RxOutcome::Filtered);
@@ -578,11 +577,11 @@ mod tests {
         let mut stack = NetStack::new();
         // Only postgres/uid1001 may send from 5432.
         let mut allow = Rule::new(HookVerdict::Accept);
-        allow.matcher = ClassifierRule::any(0).match_src_port(5432).match_uid(1001);
+        allow.matcher = ClassifierRule::any().match_src_port(5432).match_uid(1001);
         allow.comm = Some("postgres".into());
         stack.output.append(allow);
         let mut deny = Rule::new(HookVerdict::Drop);
-        deny.matcher = ClassifierRule::any(0).match_src_port(5432);
+        deny.matcher = ClassifierRule::any().match_src_port(5432);
         stack.output.append(deny);
 
         let (sent, _) = stack.tx(thief, &udp(5432, 9000, 10), Time::ZERO, &procs);

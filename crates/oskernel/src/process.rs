@@ -9,7 +9,9 @@ use std::collections::HashMap;
 use std::fmt;
 
 use crate::cgroup::CgroupId;
-use crate::cred::{Cred, Uid};
+use crate::cred::Cred;
+#[cfg(test)]
+use crate::cred::Uid;
 
 /// A process id.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
@@ -36,14 +38,14 @@ pub enum ProcState {
 #[derive(Clone, Debug)]
 pub struct Process {
     /// The process id.
-    pub(crate) pid: Pid,
+    pub pid: Pid,
     /// Owner credentials.
     pub cred: Cred,
     /// Command name (`comm`), the `cmd-owner` match target. Refcounted
     /// so per-packet owner attribution clones a pointer, not the string.
     pub comm: telemetry::Comm,
     /// Containing cgroup.
-    pub(crate) cgroup: CgroupId,
+    pub cgroup: CgroupId,
     /// Run state.
     pub state: ProcState,
 }
@@ -82,6 +84,7 @@ impl ProcessTable {
     }
 
     /// Terminates a process.
+    #[cfg(test)]
     pub(crate) fn exit(&mut self, pid: Pid) -> bool {
         match self.procs.get_mut(&pid) {
             Some(p) => {
@@ -103,21 +106,25 @@ impl ProcessTable {
     }
 
     /// Returns the uid owning `pid`, if it exists.
+    #[cfg(test)]
     pub(crate) fn uid_of(&self, pid: Pid) -> Option<Uid> {
         self.get(pid).map(|p| p.cred.uid)
     }
 
     /// Returns the command name of `pid`.
+    #[cfg(test)]
     pub(crate) fn comm_of(&self, pid: Pid) -> Option<&str> {
         self.get(pid).map(|p| p.comm.as_str())
     }
 
     /// Iterates over live (non-exited) processes.
+    #[cfg(test)]
     pub(crate) fn live(&self) -> impl Iterator<Item = &Process> {
         self.procs.values().filter(|p| p.state != ProcState::Exited)
     }
 
     /// Returns all processes owned by `uid`.
+    #[cfg(test)]
     pub(crate) fn by_uid(&self, uid: Uid) -> Vec<&Process> {
         let mut v: Vec<&Process> = self.live().filter(|p| p.cred.uid == uid).collect();
         v.sort_by_key(|p| p.pid);
@@ -125,20 +132,11 @@ impl ProcessTable {
     }
 
     /// Finds live processes by command name.
+    #[cfg(test)]
     pub(crate) fn by_comm(&self, comm: &str) -> Vec<&Process> {
         let mut v: Vec<&Process> = self.live().filter(|p| p.comm == comm).collect();
         v.sort_by_key(|p| p.pid);
         v
-    }
-
-    /// Returns the number of processes ever spawned (including exited).
-    pub(crate) fn len(&self) -> usize {
-        self.procs.len()
-    }
-
-    /// Returns `true` when the table is empty.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.procs.is_empty()
     }
 }
 

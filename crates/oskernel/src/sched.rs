@@ -152,6 +152,7 @@ impl Scheduler {
     }
 
     /// Returns how long `pid` has been blocked at `now`, if blocked.
+    #[cfg(test)]
     pub(crate) fn blocked_for(&self, pid: Pid, now: Time) -> Option<Dur> {
         self.blocked_since.get(&pid).map(|&since| now - since)
     }

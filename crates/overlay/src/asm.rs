@@ -504,6 +504,7 @@ pub fn assemble(name: &str, src: &str) -> Result<Program, AsmError> {
 /// `assemble(&p.name, &disassemble(&p))` reproduces `p` exactly (the
 /// round-trip property the test suite enforces). Jump targets become
 /// synthetic `L{pc}` labels.
+#[cfg(test)]
 pub(crate) fn disassemble(program: &Program) -> String {
     use fmt::Write as _;
     let mut out = String::new();
@@ -524,6 +525,7 @@ pub(crate) fn disassemble(program: &Program) -> String {
     out
 }
 
+#[cfg(test)]
 fn disassemble_body(out: &mut String, insns: &[Insn], p: &Program) {
     use fmt::Write as _;
     let mut targets: std::collections::BTreeSet<usize> = std::collections::BTreeSet::new();

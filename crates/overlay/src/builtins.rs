@@ -57,6 +57,7 @@ pub fn port_owner_filter() -> Program {
 }
 
 /// Index of the `rules` map in [`port_owner_filter`].
+#[cfg(test)]
 pub(crate) const PORT_FILTER_RULES_MAP: usize = 0;
 
 /// A per-user token-bucket rate limiter (the `tc`-style shaping
@@ -106,11 +107,8 @@ pub fn token_bucket() -> Program {
 /// Map indices in [`token_bucket`].
 pub(crate) mod token_bucket_maps {
     /// Parameters: `[0]` rate (bytes/us), `[1]` burst (bytes).
+    #[cfg(test)]
     pub(crate) const PARAMS: usize = 0;
-    /// Token state per `uid & 255`.
-    pub(crate) const TOKENS: usize = 1;
-    /// Last-update microsecond per `uid & 255`.
-    pub(crate) const LAST_US: usize = 2;
 }
 
 /// Classifies packets into scheduler classes by owning user — the input
@@ -232,9 +230,11 @@ pub(crate) fn flow_meter() -> Program {
 }
 
 /// Index of the `params` map in [`flow_meter`] (`[0]` = byte threshold).
+#[cfg(test)]
 pub(crate) const FLOW_METER_PARAMS_MAP: usize = 0;
 
 /// Index of the `meter` flow map in [`flow_meter`].
+#[cfg(test)]
 pub(crate) const FLOW_METER_FLOWMAP: usize = 0;
 
 /// Every builtin, for exhaustive tooling (round-trip tests, differential

@@ -34,7 +34,7 @@ use crate::program::Program;
 use crate::vm::{Execution, PktCtx, VmError, VmState};
 
 /// Maximum total instructions (main body plus tails) the compiler
-/// accepts. Deliberately smaller than [`crate::program::MAX_INSNS`]: the
+/// accepts. Deliberately smaller than `crate::program::MAX_INSNS`: the
 /// modelled artifact store is tighter than the interpreter's program
 /// store, so "verifies but fails to compile" is a real, constructible
 /// condition the control plane must handle.
@@ -289,6 +289,7 @@ impl std::fmt::Debug for CompiledProgram {
 
 impl CompiledProgram {
     /// The source program's name.
+    #[cfg(test)]
     pub(crate) fn name(&self) -> &str {
         &self.name
     }
@@ -300,6 +301,7 @@ impl CompiledProgram {
     }
 
     /// Number of basic blocks in the artifact.
+    #[cfg(test)]
     pub(crate) fn block_count(&self) -> usize {
         self.blocks.len()
     }
@@ -407,7 +409,7 @@ impl ConstTracker {
 /// Compiles a verified program into a native-closure artifact.
 ///
 /// The input should have passed [`crate::verify::verify`]; malformed
-/// input is rejected with a [`CompileError`] rather than panicking, but
+/// input is rejected with a `CompileError` rather than panicking, but
 /// the parity contract only holds for verified programs.
 pub fn compile(program: &Program) -> Result<Rc<CompiledProgram>, CompileError> {
     let total = program.total_insns();

@@ -15,6 +15,7 @@ impl Reg {
     /// # Panics
     ///
     /// Panics if `n >= 16`.
+    #[cfg(test)]
     pub(crate) fn new(n: u8) -> Reg {
         assert!(n < NUM_REGS, "register r{n} out of range");
         Reg(n)
@@ -360,6 +361,7 @@ pub enum Verdict {
 
 impl Verdict {
     /// Encodes the verdict as a u64 (`code | arg << 8`) for `retr`.
+    #[cfg(test)]
     pub(crate) fn encode(self) -> u64 {
         match self {
             Verdict::Pass => 0,

@@ -7,17 +7,17 @@
 //! potentially non-Turing-complete processor with a domain-specific
 //! instruction set". This crate is that processor:
 //!
-//! * [`isa`] — a 16-register machine with packet-context loads, ALU ops,
+//! * `isa` — a 16-register machine with packet-context loads, ALU ops,
 //!   forward-only branches, bounded state maps, and terminal verdicts
 //!   ([`Verdict::Pass`], [`Verdict::Drop`], class assignment, queue
 //!   redirect, and the software slow-path escape hatch from §5).
-//! * [`verify`](mod@verify) — a load-time verifier in the spirit of eBPF's: programs
+//! * `verify` — a load-time verifier in the spirit of eBPF's: programs
 //!   must be bounded (forward jumps only, so execution length ≤ program
 //!   length), must initialize registers before reading them, must end
 //!   every path in a `ret`, and may only touch declared maps.
-//! * [`vm`] — the interpreter, charging one overlay cycle per instruction
+//! * `vm` — the interpreter, charging one overlay cycle per instruction
 //!   so the NIC pipeline can account for policy complexity in time.
-//! * [`asm`] — a small text assembler so policies read like policies.
+//! * `asm` — a small text assembler so policies read like policies.
 //! * [`builtins`] — the canned policies the experiments load: owner-aware
 //!   port filters, token buckets, DSCP classifiers, and an ARP tap.
 //!
@@ -34,27 +34,8 @@ pub(crate) mod verify;
 pub(crate) mod vm;
 
 pub use asm::assemble;
-
-pub(crate) use asm::disassemble;
-
-pub(crate) use asm::AsmError;
-pub use compile::compile;
-pub(crate) use compile::CompileError;
-pub use compile::CompiledProgram;
-pub use compile::MAX_COMPILED_INSNS;
-pub use isa::AluOp;
-pub use isa::CmpOp;
-pub use isa::CtxField;
-pub use isa::Insn;
-pub use isa::Operand;
-pub use isa::Reg;
-pub use isa::Verdict;
-pub use program::FlowMapSpec;
-pub use program::MapSpec;
-pub use program::Program;
-pub(crate) use program::TailBody;
-pub use verify::verify;
-pub use verify::VerifyError;
-pub use vm::PktCtx;
-pub use vm::Vm;
-pub(crate) use vm::VmError;
+pub use compile::{compile, CompiledProgram, MAX_COMPILED_INSNS};
+pub use isa::{AluOp, CmpOp, CtxField, Insn, Operand, Reg, Verdict};
+pub use program::{FlowMapSpec, MapSpec, Program};
+pub use verify::{verify, VerifyError};
+pub use vm::{PktCtx, Vm};

@@ -139,12 +139,14 @@ impl Program {
     }
 
     /// Returns the number of instructions in the main body.
+    #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.insns.len()
     }
 
     /// Returns `true` for an empty program (always rejected by the
     /// verifier).
+    #[cfg(test)]
     pub(crate) fn is_empty(&self) -> bool {
         self.insns.is_empty()
     }

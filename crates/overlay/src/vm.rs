@@ -8,14 +8,8 @@
 //! into [`VmError`]s rather than panicking — a misbehaving program must
 //! never take down the dataplane.
 
-use sim::Dur;
-
 use crate::isa::{CtxField, Insn, Operand, Reg, Verdict, NUM_REGS};
 use crate::program::Program;
-
-/// Default overlay clock: 250 MHz (4 ns per cycle), a typical soft
-/// processor rate on a mid-range FPGA.
-pub const DEFAULT_CYCLE: Dur = Dur(4_000);
 
 /// The packet context visible to programs.
 #[derive(Clone, Copy, Debug)]
@@ -167,14 +161,6 @@ pub struct Execution {
     pub(crate) mark: u64,
 }
 
-impl Execution {
-    /// Returns the wall-clock time of this execution at cycle time
-    /// `cycle`.
-    pub(crate) fn time(&self, cycle: Dur) -> Dur {
-        cycle.saturating_mul(self.cycles)
-    }
-}
-
 /// A bounded per-flow scratch map instance: up to `max_flows` records of
 /// `slots` `u64`s, keyed on the packed 128-bit flow key. A write when the
 /// map is at flow capacity (and no record exists for the key) is dropped
@@ -309,6 +295,7 @@ impl Vm {
 
     /// Whether this VM dispatches to a compiled artifact (`false` = pure
     /// interpreter).
+    #[cfg(test)]
     pub(crate) fn is_compiled(&self) -> bool {
         self.compiled.is_some()
     }
@@ -364,6 +351,7 @@ impl Vm {
     }
 
     /// Reads a named saturating counter by declaration index.
+    #[cfg(test)]
     pub(crate) fn counter_get(&self, counter: usize) -> Option<u64> {
         self.state.counters.get(counter).copied()
     }
@@ -824,7 +812,6 @@ mod tests {
         let e = run_one(insns, vec![], &ctx);
         // ldctx, jmpif (taken), ret = 3 cycles.
         assert_eq!(e.cycles, 3);
-        assert_eq!(e.time(DEFAULT_CYCLE), Dur::from_ns(12));
     }
 
     #[test]

@@ -110,12 +110,14 @@ impl<'p> PacketBuilder<'p> {
     }
 
     /// Overrides the IPv4 TTL.
+    #[cfg(test)]
     pub(crate) fn ttl(mut self, ttl: u8) -> Self {
         self.ttl = ttl;
         self
     }
 
     /// Sets the DSCP/ECN byte (QoS marking).
+    #[cfg(test)]
     pub(crate) fn dscp(mut self, dscp: u8) -> Self {
         self.dscp = dscp;
         self
@@ -158,24 +160,6 @@ impl<'p> PacketBuilder<'p> {
             seq: 0,
             ack: 0,
             payload: BuildPayload::Bytes(payload),
-        })
-    }
-
-    /// Attaches a TCP segment carrying `len` zero bytes.
-    pub(crate) fn tcp_zeroes(
-        self,
-        src_port: u16,
-        dst_port: u16,
-        flags: TcpFlags,
-        len: usize,
-    ) -> PacketBuilder<'static> {
-        self.with_l4(L4::Tcp {
-            src_port,
-            dst_port,
-            flags,
-            seq: 0,
-            ack: 0,
-            payload: BuildPayload::Zeroes(len),
         })
     }
 
@@ -557,8 +541,8 @@ mod tests {
         };
         let heap = mk().build();
         let pooled = mk().build_in(&arena);
-        assert!(pooled.is_arena());
-        assert!(!heap.is_arena());
+        assert!(pooled.arena_frame().is_some());
+        assert!(heap.arena_frame().is_none());
         assert_eq!(
             heap.bytes(),
             pooled.bytes(),
@@ -597,13 +581,16 @@ mod tests {
             .ipv4(addr("10.0.0.1"), addr("10.0.0.2"))
             .udp_zeroes(1, 2, 64)
             .build_in(&arena);
-        assert!(held.is_arena());
+        assert!(held.arena_frame().is_some());
         let spill = PacketBuilder::new()
             .ether(Mac::local(1), Mac::local(2))
             .ipv4(addr("10.0.0.1"), addr("10.0.0.2"))
             .udp_zeroes(1, 2, 64)
             .build_in(&arena);
-        assert!(!spill.is_arena(), "exhausted arena must fall back to heap");
+        assert!(
+            spill.arena_frame().is_none(),
+            "exhausted arena must fall back to heap"
+        );
         assert_eq!(held.bytes(), spill.bytes());
         assert_eq!(arena.stats().exhausted, 1);
     }
@@ -616,7 +603,7 @@ mod tests {
             .ipv4(addr("10.0.0.1"), addr("10.0.0.2"))
             .udp_zeroes(1, 2, 1458)
             .build_in(&arena);
-        assert!(!pkt.is_arena());
+        assert!(pkt.arena_frame().is_none());
         assert_eq!(arena.live(), 0);
         assert!(pkt.parse().is_ok());
     }

@@ -64,7 +64,12 @@ pub(crate) fn incremental_update(checksum: u16, old_word: u16, new_word: u16) ->
 
 /// Computes the TCP/UDP checksum over the IPv4 pseudo-header plus the
 /// transport `segment` (header + payload, with its checksum field zeroed).
-pub(crate) fn pseudo_header_checksum(src: Ipv4Addr, dst: Ipv4Addr, proto: u8, segment: &[u8]) -> u16 {
+pub(crate) fn pseudo_header_checksum(
+    src: Ipv4Addr,
+    dst: Ipv4Addr,
+    proto: u8,
+    segment: &[u8],
+) -> u16 {
     let mut acc = 0u32;
     acc = sum_words(acc, &src.octets());
     acc = sum_words(acc, &dst.octets());

@@ -24,11 +24,13 @@ impl Mac {
     }
 
     /// Returns `true` for the broadcast address.
+    #[cfg(test)]
     pub(crate) fn is_broadcast(self) -> bool {
         self == Mac::BROADCAST
     }
 
     /// Returns `true` if the multicast bit is set (includes broadcast).
+    #[cfg(test)]
     pub(crate) fn is_multicast(self) -> bool {
         self.0[0] & 1 == 1
     }

@@ -73,6 +73,7 @@ impl FiveTuple {
 
     /// Returns the tuple with source and destination swapped (the
     /// direction a reply takes).
+    #[cfg(test)]
     pub(crate) fn reversed(self) -> FiveTuple {
         FiveTuple {
             src_ip: self.dst_ip,
@@ -203,11 +204,6 @@ impl RssHasher {
     /// Maps a five-tuple to an RSS queue index.
     pub fn queue_for(&self, ft: &FiveTuple) -> u32 {
         self.hash(ft) % self.queues
-    }
-
-    /// Returns the configured queue count.
-    pub(crate) fn queues(&self) -> u32 {
-        self.queues
     }
 }
 

@@ -59,7 +59,12 @@ impl Ipv4Header {
     pub(crate) const DONT_FRAGMENT: u16 = 0x4000;
 
     /// Creates a header with common defaults (TTL 64, DF set).
-    pub(crate) fn new(src: Ipv4Addr, dst: Ipv4Addr, proto: IpProto, payload_len: usize) -> Ipv4Header {
+    pub(crate) fn new(
+        src: Ipv4Addr,
+        dst: Ipv4Addr,
+        proto: IpProto,
+        payload_len: usize,
+    ) -> Ipv4Header {
         Ipv4Header {
             dscp_ecn: 0,
             total_len: (Self::LEN + payload_len) as u16,
@@ -128,11 +133,6 @@ impl Ipv4Header {
         let sum = checksum::internet_checksum(&out[..Self::LEN]);
         out[10..12].copy_from_slice(&sum.to_be_bytes());
     }
-
-    /// Returns the payload length declared by the header.
-    pub(crate) fn payload_len(&self) -> usize {
-        self.total_len as usize - Self::LEN
-    }
 }
 
 #[cfg(test)]
@@ -154,7 +154,6 @@ mod tests {
         full.extend_from_slice(&[0u8; 8]);
         let parsed = Ipv4Header::parse(&full).unwrap();
         assert_eq!(parsed, h);
-        assert_eq!(parsed.payload_len(), 8);
     }
 
     #[test]

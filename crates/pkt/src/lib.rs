@@ -6,19 +6,19 @@
 //! pipeline, the in-kernel stack baseline, and the sniffer all operate on
 //! the same wire representation a hardware implementation would see.
 //!
-//! * [`ether`], [`arp`], [`ipv4`], [`tcp`], [`udp`] — header types with
+//! * `ether`, `arp`, `ipv4`, `tcp`, `udp` — header types with
 //!   `parse`/`write_to` round-trips.
 //! * [`checksum`] — the Internet checksum and TCP/UDP pseudo-header sums.
-//! * [`packet`] — the owned [`Packet`] buffer and the fully [`Parsed`]
+//! * `packet` — the owned [`Packet`] buffer and the fully `Parsed`
 //!   view.
-//! * [`flow`] — [`FiveTuple`] flow keys and Toeplitz RSS hashing.
-//! * [`builder`] — fluent, checksum-correct packet construction.
+//! * `flow` — [`FiveTuple`] flow keys and Toeplitz RSS hashing.
+//! * `builder` — fluent, checksum-correct packet construction.
 //! * [`mutate`] — NAT/ECN header rewriting with RFC 1624 incremental
 //!   checksum fixup.
 //! * [`meta`] — the parse-once [`FrameMeta`] descriptor every dataplane
 //!   stage consumes instead of re-parsing, and the [`Frame`] unit that
 //!   pairs it with its buffer.
-//! * [`arena`] — the pooled frame arena ([`BufArena`]/[`FrameRef`]): slab
+//! * `arena` — the pooled frame arena ([`BufArena`]/[`FrameRef`]): slab
 //!   slots, refcounted descriptors, and the miri-audited unsafe core.
 
 pub(crate) mod arena;
@@ -34,31 +34,15 @@ pub(crate) mod packet;
 pub(crate) mod tcp;
 pub(crate) mod udp;
 
-pub use arena::ArenaStats;
-
-pub use arena::BufArena;
-
-pub(crate) use arena::FrameRef;
-
-pub(crate) use arena::SlotWriter;
-pub use arp::ArpOp;
-pub use arp::ArpPacket;
+pub use arena::{ArenaStats, BufArena, FrameRef};
+pub use arp::{ArpOp, ArpPacket};
 pub use builder::PacketBuilder;
-pub(crate) use ether::EtherType;
-pub(crate) use ether::EthernetHeader;
 pub use ether::Mac;
-pub use flow::FiveTuple;
-pub use flow::RssHasher;
+pub use flow::{FiveTuple, RssHasher};
 pub use ipv4::IpProto;
-pub(crate) use ipv4::Ipv4Header;
-pub use meta::Frame;
-pub use meta::FrameMeta;
-pub(crate) use meta::PacketClass;
-pub use packet::Packet;
-pub(crate) use packet::Parsed;
-pub use packet::Payload;
+pub use meta::{Frame, FrameMeta};
+pub use packet::{Packet, Payload};
 pub use tcp::TcpFlags;
-pub(crate) use tcp::TcpHeader;
 pub use udp::UdpHeader;
 
 use std::fmt;

@@ -4,7 +4,7 @@
 //! dataplane performance. Re-parsing the same wire bytes at every pipeline
 //! stage is exactly such a touch, so — like an skb or mbuf — each frame
 //! carries a [`FrameMeta`] descriptor computed exactly once: at ingress
-//! (the NIC parser stage) or at build time ([`crate::builder`], whose
+//! (the NIC parser stage) or at build time (`crate::builder`, whose
 //! output is checksum-correct by construction). Every later stage (flow
 //! lookup, filters, NAT, classification, sniffing, the slow-path stack)
 //! reads the descriptor instead of the bytes.
@@ -12,7 +12,7 @@
 //! Mutation discipline: only NAT-style header rewrites may change a
 //! descriptor, and they do so incrementally — offsets are stable, the
 //! tuple is patched in place, and the flow hash is updated via the
-//! Toeplitz linearity identity (see [`crate::flow::RssHasher::hash_delta`])
+//! Toeplitz linearity identity (see `crate::flow::RssHasher::hash_delta`)
 //! rather than recomputed from the bytes. The audit invariant, enforced by
 //! property tests, is that a descriptor carried through any pipeline stage
 //! equals one freshly derived from the stage's output bytes.
@@ -211,15 +211,6 @@ impl FrameMeta {
         self.class == PacketClass::Arp
     }
 
-    /// The transport protocol, if this is an IP frame.
-    pub(crate) fn proto(&self) -> Option<IpProto> {
-        match self.class {
-            PacketClass::Tcp => Some(IpProto::TCP),
-            PacketClass::Udp => Some(IpProto::UDP),
-            _ => self.tuple.map(|t| t.proto),
-        }
-    }
-
     /// Byte range of the application payload within the frame.
     pub fn payload(&self) -> Range<usize> {
         self.payload_off..self.payload_off + self.payload_len
@@ -250,7 +241,7 @@ impl FrameMeta {
         self.tuple = Some(t);
     }
 
-    /// Renders the same tcpdump-style one-liner as [`Parsed`]'s `Display`,
+    /// Renders the same tcpdump-style one-liner as `Parsed`'s `Display`,
     /// reading only the few bytes the descriptor points at (TCP flags,
     /// ARP body, foreign IP protocol) instead of re-parsing the frame.
     pub fn summarize(&self, bytes: &[u8]) -> String {
@@ -326,7 +317,7 @@ impl Frame {
     }
 
     /// Returns `true` for a zero-length buffer.
-    pub(crate) fn is_empty(&self) -> bool {
+    pub fn is_empty(&self) -> bool {
         self.pkt.is_empty()
     }
 }

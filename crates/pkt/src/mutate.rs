@@ -17,11 +17,6 @@ use crate::{PktError, Result};
 
 const IP_OFF: usize = EthernetHeader::LEN;
 
-/// ECN codepoint bits in the IPv4 TOS byte.
-pub(crate) const ECN_ECT0: u8 = 0b10;
-/// ECN congestion-experienced codepoint.
-pub(crate) const ECN_CE: u8 = 0b11;
-
 struct Layout {
     proto: IpProto,
     l4_off: usize,
@@ -203,8 +198,9 @@ pub fn rewrite_endpoints_owned(
     Ok(frame)
 }
 
-/// Sets the ECN codepoint in the IPv4 TOS byte (e.g. [`ECN_CE`] when an
-/// AQM marks congestion), fixing the IP checksum incrementally.
+/// Sets the ECN codepoint in the IPv4 TOS byte (e.g. `0b11`, congestion
+/// experienced, when an AQM marks congestion), fixing the IP checksum
+/// incrementally.
 pub fn set_ecn(packet: &Packet, ecn: u8) -> Result<Packet> {
     layout(packet.bytes())?;
     let mut bytes = packet.bytes().to_vec();
@@ -233,6 +229,9 @@ pub fn ecn_of(packet: &Packet) -> Result<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The ECN congestion-experienced codepoint.
+    const ECN_CE: u8 = 0b11;
     use crate::builder::PacketBuilder;
     use crate::ether::Mac;
     use crate::flow::FiveTuple;
@@ -348,7 +347,7 @@ mod tests {
             rewrite_endpoints_owned(frame, Some((addr("203.0.113.7"), 61_000)), None).unwrap();
         // Same slot, no copy — and byte-identical to the copying path.
         assert_eq!(out.bytes().as_ptr(), before_ptr, "rewrite must be in place");
-        assert!(out.pkt.is_arena());
+        assert!(out.pkt.arena_frame().is_some());
         assert_eq!(out.bytes(), reference.bytes());
         assert_eq!(out.meta, reference.meta);
         assert_eq!(out.pkt.meta(), Some(&out.meta));

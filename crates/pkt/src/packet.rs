@@ -71,12 +71,6 @@ impl Packet {
         }
     }
 
-    /// Whether the bytes live in a pooled arena slot (vs. a one-off
-    /// heap buffer). Audits count arena-resident packets with this.
-    pub(crate) fn is_arena(&self) -> bool {
-        matches!(self.data, Buf::Arena(_))
-    }
-
     /// The arena slot handle, when arena-backed.
     pub fn arena_frame(&self) -> Option<&FrameRef> {
         match &self.data {
@@ -136,7 +130,7 @@ impl Packet {
     }
 
     /// Returns `true` for a zero-length buffer.
-    pub(crate) fn is_empty(&self) -> bool {
+    pub fn is_empty(&self) -> bool {
         self.bytes().is_empty()
     }
 
@@ -261,11 +255,6 @@ impl Parsed {
         }
     }
 
-    /// Returns `true` if this is an ARP frame.
-    pub(crate) fn is_arp(&self) -> bool {
-        matches!(self.payload, Payload::Arp(_))
-    }
-
     /// Verifies the transport checksum against `frame` (the same buffer
     /// this view was parsed from).
     ///
@@ -334,7 +323,7 @@ mod tests {
             .build();
         let parsed = pkt.parse().unwrap();
         assert_eq!(parsed.ports(), Some((1234, 5678)));
-        assert!(!parsed.is_arp());
+        assert!(!matches!(parsed.payload, Payload::Arp(_)));
         match parsed.payload {
             Payload::Udp { ref payload, .. } => {
                 assert_eq!(&pkt.bytes()[payload.clone()], b"payload");
@@ -363,7 +352,7 @@ mod tests {
             "10.0.0.1".parse().unwrap(),
         );
         let parsed = pkt.parse().unwrap();
-        assert!(parsed.is_arp());
+        assert!(matches!(parsed.payload, Payload::Arp(_)));
         assert_eq!(parsed.ports(), None);
         assert!(parsed.ip().is_none());
         assert_eq!(parsed.ether.dst, Mac::BROADCAST);

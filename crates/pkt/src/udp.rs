@@ -71,7 +71,14 @@ impl UdpHeader {
     /// # Panics
     ///
     /// Panics if `out` is shorter than header + payload.
-    pub(crate) fn write_segment(&self, src: Ipv4Addr, dst: Ipv4Addr, payload: &[u8], out: &mut [u8]) {
+    #[cfg(test)]
+    pub(crate) fn write_segment(
+        &self,
+        src: Ipv4Addr,
+        dst: Ipv4Addr,
+        payload: &[u8],
+        out: &mut [u8],
+    ) {
         let total = Self::LEN + payload.len();
         let mut hdr = *self;
         hdr.checksum = 0;

@@ -1,10 +1,10 @@
 //! Software packet classification (the kernel-side mirror of overlay
 //! classifiers).
 //!
-//! A [`Classifier`] is an ordered rule list mapping flow attributes —
-//! including the *process view* attributes (uid, pid) only an
-//! OS-integrated interposition layer has — to scheduler classes. The
-//! in-kernel stack evaluates these in software; KOPI lowers the same
+//! A [`ClassifierRule`] matches on flow attributes — including the
+//! *process view* attributes (uid, pid) only an OS-integrated
+//! interposition layer has. The in-kernel stack evaluates rules in
+//! software (`oskernel::hooks`, first match wins); KOPI lowers the same
 //! semantics to an overlay program via [`crate::compile`].
 
 use std::net::Ipv4Addr;
@@ -72,18 +72,12 @@ pub struct ClassifierRule {
     pub pid: Option<u32>,
     /// Match DSCP.
     pub dscp: Option<u8>,
-    /// Class assigned on match.
-    pub(crate) class: u32,
 }
 
 impl ClassifierRule {
-    /// Creates a rule assigning `class` with no constraints (matches
-    /// everything).
-    pub fn any(class: u32) -> ClassifierRule {
-        ClassifierRule {
-            class,
-            ..ClassifierRule::default()
-        }
+    /// Creates a rule with no constraints (matches everything).
+    pub fn any() -> ClassifierRule {
+        ClassifierRule::default()
     }
 
     /// Builder: match on uid.
@@ -105,12 +99,14 @@ impl ClassifierRule {
     }
 
     /// Builder: match on protocol.
+    #[cfg(test)]
     pub(crate) fn match_proto(mut self, proto: IpProto) -> Self {
         self.proto = Some(proto);
         self
     }
 
     /// Builder: match on DSCP.
+    #[cfg(test)]
     pub(crate) fn match_dscp(mut self, dscp: u8) -> Self {
         self.dscp = Some(dscp);
         self
@@ -168,42 +164,6 @@ impl ClassifierRule {
     }
 }
 
-/// An ordered rule list with a default class.
-#[derive(Clone, Debug)]
-pub(crate) struct Classifier {
-    rules: Vec<ClassifierRule>,
-    default_class: u32,
-}
-
-impl Classifier {
-    /// Creates a classifier with the given fallback class.
-    pub(crate) fn new(default_class: u32) -> Classifier {
-        Classifier {
-            rules: Vec::new(),
-            default_class,
-        }
-    }
-
-    /// Appends a rule (first match wins).
-    pub(crate) fn push(&mut self, rule: ClassifierRule) {
-        self.rules.push(rule);
-    }
-
-    /// Returns the rules.
-    pub(crate) fn rules(&self) -> &[ClassifierRule] {
-        &self.rules
-    }
-
-    /// Classifies a packet.
-    pub(crate) fn classify(&self, m: &ClassMatch) -> u32 {
-        self.rules
-            .iter()
-            .find(|r| r.matches(m))
-            .map(|r| r.class)
-            .unwrap_or(self.default_class)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,32 +181,17 @@ mod tests {
     }
 
     #[test]
-    fn first_match_wins() {
-        let mut c = Classifier::new(0);
-        c.push(ClassifierRule::any(1).match_uid(1001));
-        c.push(ClassifierRule::any(2).match_uid(1001)); // shadowed
-        assert_eq!(c.classify(&m(None, 1001)), 1);
-    }
-
-    #[test]
-    fn default_class_on_no_match() {
-        let mut c = Classifier::new(7);
-        c.push(ClassifierRule::any(1).match_uid(1001));
-        assert_eq!(c.classify(&m(None, 9999)), 7);
-    }
-
-    #[test]
     fn tuple_constraints_fail_on_arp() {
-        let mut c = Classifier::new(0);
-        c.push(ClassifierRule::any(1).match_dst_port(22));
         // ARP has no tuple, so a port rule cannot match it.
-        assert_eq!(c.classify(&m(None, 0)), 0);
+        assert!(!ClassifierRule::any()
+            .match_dst_port(22)
+            .matches(&m(None, 0)));
     }
 
     #[test]
     fn combined_constraints_all_required() {
         let t = FiveTuple::tcp(addr("10.0.0.1"), 5000, addr("10.0.0.2"), 22);
-        let rule = ClassifierRule::any(3)
+        let rule = ClassifierRule::any()
             .match_dst_port(22)
             .match_proto(IpProto::TCP)
             .match_uid(1001);
@@ -259,7 +204,7 @@ mod tests {
     #[test]
     fn ip_and_dscp_matching() {
         let t = FiveTuple::udp(addr("192.168.0.5"), 1, addr("10.0.0.1"), 2);
-        let mut rule = ClassifierRule::any(4).match_dscp(0xB8);
+        let mut rule = ClassifierRule::any().match_dscp(0xB8);
         rule.src_ip = Some(addr("192.168.0.5"));
         let mut mm = m(Some(t), 0);
         mm.dscp = 0xB8;
@@ -273,7 +218,7 @@ mod tests {
         // The "process view": unbound traffic (uid = MAX) never matches a
         // uid rule, mirroring why hypervisor-level interposition cannot
         // express such policies.
-        let rule = ClassifierRule::any(1).match_uid(1001);
+        let rule = ClassifierRule::any().match_uid(1001);
         assert!(!rule.matches(&ClassMatch::default()));
     }
 }

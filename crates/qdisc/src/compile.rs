@@ -58,7 +58,7 @@ impl std::fmt::Display for SchedCompileError {
 
 impl std::error::Error for SchedCompileError {}
 
-/// Non-panicking [`compile_uid_wfq`]: rejects non-finite / non-positive
+/// Non-panicking `compile_uid_wfq`: rejects non-finite / non-positive
 /// weights and over-long user lists instead of asserting, so the control
 /// plane can refuse a bad policy during the verify phase of a commit.
 pub fn try_compile_uid_wfq(
@@ -105,6 +105,7 @@ pub fn try_compile_uid_wfq(
 /// Panics if any weight is invalid or more than 255 users are given
 /// (the builtin classifier's map is keyed by `uid & 255`). Fallible
 /// callers use [`try_compile_uid_wfq`].
+#[cfg(test)]
 pub(crate) fn compile_uid_wfq(users: &[(u32, f64)], default_weight: f64) -> OverlaySchedulerSetup {
     match try_compile_uid_wfq(users, default_weight) {
         Ok(setup) => setup,

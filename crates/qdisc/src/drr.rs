@@ -53,12 +53,8 @@ impl Drr {
         }
     }
 
-    /// Returns the number of classes.
-    pub(crate) fn num_classes(&self) -> usize {
-        self.classes.len()
-    }
-
     /// Returns bytes dequeued so far per class (for fairness checks).
+    #[cfg(test)]
     pub(crate) fn class_bytes_sent(&self) -> Vec<u64> {
         self.sent_per_class.clone()
     }

@@ -31,11 +31,6 @@ impl Fifo {
         }
     }
 
-    /// Returns the configured packet limit.
-    pub(crate) fn limit(&self) -> usize {
-        self.limit_pkts
-    }
-
     /// Peeks at the head packet.
     pub(crate) fn peek(&self) -> Option<&QPkt> {
         self.queue.front()

@@ -30,20 +30,10 @@ pub(crate) mod tbf;
 pub(crate) mod types;
 pub(crate) mod wfq;
 
-pub(crate) use classify::ClassMatch;
-
-pub(crate) use classify::Classifier;
-
-pub(crate) use classify::ClassifierRule;
 pub use drr::Drr;
 pub use fifo::Fifo;
 pub use mq::MultiQueue;
-pub use red::Red;
-pub use red::RedConfig;
-pub use red::RedDecision;
+pub use red::{Red, RedConfig, RedDecision};
 pub use tbf::Tbf;
-pub(crate) use types::EnqueueError;
-pub use types::QPkt;
-pub use types::Qdisc;
-pub use types::QdiscStats;
+pub use types::{QPkt, Qdisc, QdiscStats};
 pub use wfq::Wfq;

@@ -115,7 +115,7 @@ impl MultiQueue {
     }
 
     /// Bytes dequeued so far per class, summed across queues (the
-    /// cross-queue analogue of [`Wfq::class_bytes_sent`]).
+    /// cross-queue analogue of `Wfq::class_bytes_sent`).
     pub fn class_bytes_sent(&self) -> Vec<u64> {
         let mut totals = vec![0u64; self.num_classes()];
         for q in &self.queues {
@@ -132,7 +132,7 @@ impl MultiQueue {
     }
 
     /// Drains every queued packet across all queues without serving them
-    /// (see [`Wfq::purge`]): queue order, then class order, then FIFO —
+    /// (see `Wfq::purge`): queue order, then class order, then FIFO —
     /// deterministic, so a crash loses the same frames on every replay.
     pub fn purge(&mut self) -> Vec<QPkt> {
         let mut purged = Vec::new();

@@ -70,11 +70,13 @@ impl Red {
     }
 
     /// Returns (packets marked, hard drops above max threshold).
+    #[cfg(test)]
     pub(crate) fn counters(&self) -> (u64, u64) {
         (self.marked, self.hard_drops)
     }
 
     /// Returns the current averaged queue length.
+    #[cfg(test)]
     pub(crate) fn avg_queue(&self) -> f64 {
         self.avg
     }

@@ -48,11 +48,6 @@ impl Tbf {
             self.last_update = now;
         }
     }
-
-    /// Returns the configured rate in bytes per second.
-    pub(crate) fn rate(&self) -> u64 {
-        self.rate_bytes_per_sec
-    }
 }
 
 impl Qdisc for Tbf {

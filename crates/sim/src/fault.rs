@@ -129,12 +129,6 @@ impl FaultSchedule {
         }
     }
 
-    /// Adds an outage window to an existing schedule.
-    pub(crate) fn with_outage(mut self, start: Time, end: Time) -> FaultSchedule {
-        self.outages.push((start, end));
-        self
-    }
-
     /// Returns `true` if `at` falls inside an outage window.
     pub(crate) fn in_outage(&self, at: Time) -> bool {
         self.outages.iter().any(|&(s, e)| at >= s && at < e)
@@ -227,11 +221,6 @@ impl FaultInjector {
             in_bad_state: false,
             stats: FaultStats::default(),
         }
-    }
-
-    /// Returns the schedule this injector applies.
-    pub(crate) fn schedule(&self) -> &FaultSchedule {
-        &self.schedule
     }
 
     /// Returns the counters accumulated so far.
@@ -374,11 +363,6 @@ impl FaultyLink {
         }
     }
 
-    /// Returns the wrapped link.
-    pub(crate) fn link(&self) -> &Link {
-        &self.link
-    }
-
     /// Returns the injector's counters.
     pub fn fault_stats(&self) -> FaultStats {
         self.injector.stats()
@@ -465,6 +449,7 @@ impl FaultyLink {
     }
 
     /// Returns how many frames are currently held for reordering.
+    #[cfg(test)]
     pub(crate) fn held_frames(&self) -> usize {
         self.held.len()
     }
@@ -746,7 +731,10 @@ mod tests {
 
     #[test]
     fn outage_window_drops_everything_inside() {
-        let sched = FaultSchedule::ideal().with_outage(Time::from_us(10), Time::from_us(20));
+        let sched = FaultSchedule {
+            outages: vec![(Time::from_us(10), Time::from_us(20))],
+            ..FaultSchedule::ideal()
+        };
         let mut inj = FaultInjector::new(3, sched);
         assert_eq!(inj.verdict(Time::from_us(9)), Verdict::Deliver);
         assert_eq!(inj.verdict(Time::from_us(10)), Verdict::Drop);

@@ -7,15 +7,15 @@
 //!   ([`Dur`]). Picoseconds are required because a 64-byte frame on a
 //!   100 Gbps link serializes in 5.12 ns; nanosecond resolution would
 //!   accumulate large rounding errors across millions of packets.
-//! * [`rng`] — a seeded, deterministic random number generator with the
+//! * `rng` — a seeded, deterministic random number generator with the
 //!   distributions the workload generators need (uniform, exponential).
 //! * [`stats`] — streaming summaries and log-bucketed latency histograms
 //!   used by the experiment harnesses.
 //! * [`fault`] — seeded fault schedules: lossy, corrupting, reordering
 //!   links and op-count crash injectors.
-//! * [`link`] — serialization/propagation delay modelling for a fixed-rate
+//! * `link` — serialization/propagation delay modelling for a fixed-rate
 //!   network link.
-//! * [`hash`] — the fast deterministic hasher behind hot-path maps.
+//! * `hash` — the fast deterministic hasher behind hot-path maps.
 //!
 //! There is no event queue: every layer is call-driven, and whoever
 //! drives it passes the instant (`now`) each call happens at.
@@ -30,28 +30,9 @@ pub(crate) mod rng;
 pub mod stats;
 pub mod time;
 
-pub use fault::CrashInjector;
-
-pub use fault::FaultInjector;
-
-pub use fault::FaultSchedule;
-
-pub(crate) use fault::FaultStats;
-
-pub use fault::FaultyLink;
-
-pub use fault::LossModel;
-
-pub(crate) use fault::OpFaultInjector;
-
-pub(crate) use fault::Verdict;
-
-pub(crate) use fault::WireDelivery;
+pub use fault::{CrashInjector, FaultInjector, FaultSchedule, FaultyLink, LossModel};
 pub use hash::FastMap;
-pub(crate) use hash::FxHasher;
 pub use link::Link;
 pub use rng::DetRng;
 pub use stats::Histogram;
-pub(crate) use stats::Summary;
-pub use time::Dur;
-pub use time::Time;
+pub use time::{Dur, Time};

@@ -20,8 +20,6 @@ pub struct Link {
     gbps: f64,
     propagation: Dur,
     next_free: Time,
-    bytes_sent: u64,
-    frames_sent: u64,
 }
 
 impl Link {
@@ -37,8 +35,6 @@ impl Link {
             gbps,
             propagation,
             next_free: Time::ZERO,
-            bytes_sent: 0,
-            frames_sent: 0,
         }
     }
 
@@ -46,11 +42,6 @@ impl Link {
     /// the configuration of the paper's testbed.
     pub fn hundred_gbe() -> Link {
         Link::new(100.0, Dur::from_ns(500))
-    }
-
-    /// Returns the configured line rate in Gbps.
-    pub(crate) fn gbps(&self) -> f64 {
-        self.gbps
     }
 
     /// Returns the serialization time of a frame of `bytes` (padded to the
@@ -69,30 +60,12 @@ impl Link {
         let start = at.max(self.next_free);
         let done_serializing = start + self.serialization(bytes);
         self.next_free = done_serializing;
-        self.bytes_sent += bytes;
-        self.frames_sent += 1;
         done_serializing + self.propagation
     }
 
     /// Returns the instant the wire next becomes free.
     pub fn next_free(&self) -> Time {
         self.next_free
-    }
-
-    /// Returns total payload bytes transmitted.
-    pub(crate) fn bytes_sent(&self) -> u64 {
-        self.bytes_sent
-    }
-
-    /// Returns total frames transmitted.
-    pub(crate) fn frames_sent(&self) -> u64 {
-        self.frames_sent
-    }
-
-    /// Returns the maximum frame rate for `bytes`-sized frames, in
-    /// millions of packets per second.
-    pub(crate) fn max_mpps(&self, bytes: u64) -> f64 {
-        1e3 / self.serialization(bytes).as_ns_f64()
     }
 }
 
@@ -150,18 +123,9 @@ mod tests {
     #[test]
     fn max_mpps_for_min_frames() {
         let link = Link::hundred_gbe();
-        let mpps = link.max_mpps(64);
+        let mpps = 1e3 / link.serialization(64).as_ns_f64();
         // 100 Gbps / 672 bits ≈ 148.8 Mpps, the classic line-rate figure.
         assert!((mpps - 148.8).abs() < 0.1, "mpps {mpps}");
-    }
-
-    #[test]
-    fn accounting() {
-        let mut link = Link::hundred_gbe();
-        link.transmit(Time::ZERO, 100);
-        link.transmit(Time::ZERO, 200);
-        assert_eq!(link.bytes_sent(), 300);
-        assert_eq!(link.frames_sent(), 2);
     }
 
     #[test]

@@ -1,14 +1,18 @@
 //! Streaming statistics for experiment harnesses.
 //!
-//! * [`Summary`] — count/mean/variance/min/max via Welford's algorithm.
 //! * [`Histogram`] — log-bucketed latency histogram with percentile
 //!   queries, HdrHistogram-style (bounded relative error per bucket).
+//! * `Summary` — count/mean/variance/min/max via Welford's algorithm;
+//!   nothing records into one any more, so it is compiled for its own
+//!   tests only.
 
+#[cfg(test)]
 use std::fmt;
 
 use crate::time::Dur;
 
 /// Streaming count/mean/stddev/min/max over `f64` samples.
+#[cfg(test)]
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Summary {
     count: u64,
@@ -18,6 +22,7 @@ pub(crate) struct Summary {
     max: f64,
 }
 
+#[cfg(test)]
 impl Summary {
     /// Creates an empty summary.
     pub(crate) fn new() -> Summary {
@@ -38,11 +43,6 @@ impl Summary {
         self.m2 += delta * (x - self.mean);
         self.min = self.min.min(x);
         self.max = self.max.max(x);
-    }
-
-    /// Records a [`Dur`] sample in nanoseconds.
-    pub(crate) fn record_dur(&mut self, d: Dur) {
-        self.record(d.as_ns_f64());
     }
 
     /// Returns the number of samples.
@@ -115,6 +115,7 @@ impl Summary {
     }
 }
 
+#[cfg(test)]
 impl fmt::Display for Summary {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -217,6 +218,7 @@ impl Histogram {
     }
 
     /// Returns the exact minimum recorded value, or `0` when empty.
+    #[cfg(test)]
     pub(crate) fn min(&self) -> u64 {
         if self.count == 0 {
             0
@@ -246,16 +248,6 @@ impl Histogram {
             }
         }
         self.max
-    }
-
-    /// Returns the median as a [`Dur`] (assuming picosecond samples).
-    pub(crate) fn median_dur(&self) -> Dur {
-        Dur(self.quantile(0.5))
-    }
-
-    /// Returns the p99 as a [`Dur`] (assuming picosecond samples).
-    pub(crate) fn p99_dur(&self) -> Dur {
-        Dur(self.quantile(0.99))
     }
 
     /// Merges another histogram into this one.

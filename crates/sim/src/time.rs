@@ -80,18 +80,11 @@ impl Time {
     pub(crate) fn max(self, other: Time) -> Time {
         Time(self.0.max(other.0))
     }
-
-    /// Returns the earlier of two instants.
-    pub(crate) fn min(self, other: Time) -> Time {
-        Time(self.0.min(other.0))
-    }
 }
 
 impl Dur {
     /// The zero-length span.
     pub const ZERO: Dur = Dur(0);
-    /// The longest representable span.
-    pub(crate) const MAX: Dur = Dur(u64::MAX);
 
     /// Returns a span of `n` picoseconds.
     pub const fn from_ps(n: u64) -> Dur {
@@ -168,16 +161,6 @@ impl Dur {
     /// Panics if `n` is zero.
     pub(crate) fn div_int(self, n: u64) -> Dur {
         Dur(self.0 / n)
-    }
-
-    /// Returns the larger of two spans.
-    pub(crate) fn max(self, other: Dur) -> Dur {
-        Dur(self.0.max(other.0))
-    }
-
-    /// Returns the smaller of two spans.
-    pub(crate) fn min(self, other: Dur) -> Dur {
-        Dur(self.0.min(other.0))
     }
 }
 
@@ -332,8 +315,8 @@ mod tests {
     #[test]
     fn arithmetic_saturates() {
         assert_eq!(Time::MAX + Dur::from_secs(1), Time::MAX);
-        assert_eq!(Dur::MAX + Dur::from_ns(1), Dur::MAX);
-        assert_eq!(Dur::MAX.saturating_mul(2), Dur::MAX);
+        assert_eq!(Dur(u64::MAX) + Dur::from_ns(1), Dur(u64::MAX));
+        assert_eq!(Dur(u64::MAX).saturating_mul(2), Dur(u64::MAX));
         assert_eq!(Dur::ZERO - Dur::from_ns(1), Dur::ZERO);
     }
 
@@ -353,7 +336,6 @@ mod tests {
         let b = Time::from_ns(2);
         assert!(a < b);
         assert_eq!(a.max(b), b);
-        assert_eq!(a.min(b), a);
         assert_eq!(b.saturating_since(a), Dur::from_ns(1));
         assert_eq!(a.saturating_since(b), Dur::ZERO);
     }
@@ -365,6 +347,6 @@ mod tests {
         assert_eq!(format!("{}", Dur::from_us(7)), "7.000us");
         assert_eq!(format!("{}", Dur::from_ms(2)), "2.000ms");
         assert_eq!(format!("{}", Dur::from_secs(1)), "1.000s");
-        assert_eq!(format!("{}", Dur::MAX), "inf");
+        assert_eq!(format!("{}", Dur(u64::MAX)), "inf");
     }
 }

@@ -173,11 +173,16 @@ impl CollectorRegistry {
     }
 
     /// Registers (or replaces) the factory for `name`.
-    pub(crate) fn register(&mut self, name: &str, factory: impl Fn() -> Box<dyn Collector> + 'static) {
+    pub(crate) fn register(
+        &mut self,
+        name: &str,
+        factory: impl Fn() -> Box<dyn Collector> + 'static,
+    ) {
         self.factories.insert(name.to_string(), Box::new(factory));
     }
 
     /// Registered collector names, sorted.
+    #[cfg(test)]
     pub(crate) fn names(&self) -> Vec<String> {
         self.factories.keys().cloned().collect()
     }
@@ -217,8 +222,6 @@ pub(crate) enum OutputStage {
 pub struct Profile {
     /// Profile name (stamped into the file header).
     pub(crate) name: String,
-    /// One-line human description.
-    pub(crate) description: String,
     /// Scope filter applied before any collector sees the event.
     pub(crate) filter: TraceFilter,
     /// Collector names, resolved against a [`CollectorRegistry`].
@@ -229,10 +232,9 @@ pub struct Profile {
 
 impl Profile {
     /// Builds a custom profile recording events + ledger snapshots.
-    pub(crate) fn new(name: &str, description: &str, filter: TraceFilter, collectors: &[&str]) -> Profile {
+    pub(crate) fn new(name: &str, filter: TraceFilter, collectors: &[&str]) -> Profile {
         Profile {
             name: name.to_string(),
-            description: description.to_string(),
             filter,
             collectors: collectors.iter().map(|s| s.to_string()).collect(),
             outputs: vec![OutputStage::Events, OutputStage::Ledger],
@@ -248,7 +250,6 @@ impl Profile {
     pub(crate) fn full_lifecycle() -> Profile {
         Profile::new(
             "full-lifecycle",
-            "every lifecycle event of every frame, plus recovery transitions",
             TraceFilter::any(),
             &["lifecycle", "recovery"],
         )
@@ -260,7 +261,6 @@ impl Profile {
     pub(crate) fn drop_forensics() -> Profile {
         Profile::new(
             "drop-forensics",
-            "all typed drops with attribution, flow-tier churn, recovery transitions",
             TraceFilter::any(),
             &["drops", "flow-tier", "recovery"],
         )
@@ -268,24 +268,14 @@ impl Profile {
 
     /// `flow-churn`: hot/cold tier promotions and demotions only.
     pub(crate) fn flow_churn() -> Profile {
-        let mut p = Profile::new(
-            "flow-churn",
-            "hot/cold flow-tier promotions and demotions",
-            TraceFilter::any(),
-            &["flow-tier"],
-        );
+        let mut p = Profile::new("flow-churn", TraceFilter::any(), &["flow-tier"]);
         p.outputs = vec![OutputStage::Events];
         p
     }
 
     /// `recovery`: failure-domain transitions only.
     pub(crate) fn recovery_only() -> Profile {
-        let mut p = Profile::new(
-            "recovery",
-            "failure-domain transitions (crash, reset, restart, degrade)",
-            TraceFilter::any(),
-            &["recovery"],
-        );
+        let mut p = Profile::new("recovery", TraceFilter::any(), &["recovery"]);
         p.outputs = vec![OutputStage::Events];
         p
     }

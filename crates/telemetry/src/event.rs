@@ -678,6 +678,7 @@ impl TraceFilter {
     }
 
     /// Restricts to events owned by `pid`.
+    #[cfg(test)]
     pub(crate) fn with_pid(mut self, pid: u32) -> TraceFilter {
         self.pid = Some(pid);
         self

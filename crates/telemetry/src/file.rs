@@ -1,8 +1,8 @@
 //! Durable event-series files: the trace pipeline's on-disk format.
 //!
 //! A collection run streams [`TraceEvent`]s (and the rarer
-//! [`RecoveryEvent`]s plus periodic ledger snapshots) into a single
-//! append-only file through [`EventFileWriter`]. The format is built for
+//! `RecoveryEvent`s plus periodic ledger snapshots) into a single
+//! append-only file through `EventFileWriter`. The format is built for
 //! post-hoc forensics on runs far larger than memory:
 //!
 //! * **Versioned header** — magic, format version, flags, the policy
@@ -61,7 +61,7 @@ const REC_FIN: u8 = 4;
 pub enum FileError {
     /// Underlying I/O failure.
     Io(io::Error),
-    /// The file does not start with [`MAGIC`] — not an event-series file.
+    /// The file does not start with `MAGIC` — not an event-series file.
     BadMagic,
     /// The file's format version is not one this reader understands.
     BadVersion {
@@ -135,7 +135,7 @@ pub struct SeqEvent {
     pub event: TraceEvent,
 }
 
-/// A [`RecoveryEvent`] plus its sequence number.
+/// A `RecoveryEvent` plus its sequence number.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SeqRecovery {
     /// Monotonic per-file sequence number (write order).
@@ -160,7 +160,7 @@ pub struct LedgerSnapshot {
     pub(crate) evicted: u64,
 }
 
-/// Terminal record written by [`EventFileWriter::finish`]; its absence
+/// Terminal record written by `EventFileWriter::finish`; its absence
 /// means the recorder did not close the file cleanly.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FinRecord {
@@ -187,7 +187,7 @@ pub enum Record {
     Fin(FinRecord),
 }
 
-/// Writer-side statistics, returned by [`EventFileWriter::finish`].
+/// Writer-side statistics, returned by `EventFileWriter::finish`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SinkStats {
     /// Records written (all kinds).
@@ -625,11 +625,6 @@ impl EventFileWriter {
     pub(crate) fn flush(&mut self) -> Result<(), FileError> {
         self.w.flush()?;
         Ok(())
-    }
-
-    /// Writer-side statistics so far.
-    pub(crate) fn stats(&self) -> SinkStats {
-        self.stats
     }
 
     /// Writes the fin record and flushes; the file is now cleanly closed.

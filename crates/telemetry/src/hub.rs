@@ -614,6 +614,7 @@ impl Telemetry {
     }
 
     /// Whether a collection sink is attached.
+    #[cfg(test)]
     pub(crate) fn sink_active(&self) -> bool {
         self.hub.borrow().sink.is_some()
     }

@@ -8,7 +8,7 @@
 //! extra data movement. This crate is that observation plane for the
 //! simulated stack:
 //!
-//! * [`event`] — typed stage events ([`TraceEvent`]): every frame entering
+//! * `event` — typed stage events ([`TraceEvent`]): every frame entering
 //!   the dataplane is tagged with a `frame_id` (carried in
 //!   `pkt::FrameMeta`) and each pipeline stage (ingress, parse, filter,
 //!   NAT, flow lookup, ring, notification, netstack, qdisc, departure)
@@ -32,7 +32,7 @@
 //!   `Host::audit` cross-check against the dataplane's own counters:
 //!   every ingress event must terminate in exactly one of
 //!   delivered/forwarded/dropped.
-//! * [`metrics`] — a named [`Registry`] of counters, gauges and
+//! * `metrics` — a named [`Registry`] of counters, gauges and
 //!   virtual-time latency histograms (reusing [`sim::stats::Histogram`])
 //!   replacing the per-crate ad-hoc counter structs, snapshot-able as one
 //!   structured document and exportable as JSON.
@@ -41,7 +41,7 @@
 //! turns the bounded in-memory buffer into a durable, post-hoc-queryable
 //! record:
 //!
-//! * [`collect`] — pluggable named [`Collector`]s (lifecycle, drops,
+//! * `collect` — pluggable named `Collector`s (lifecycle, drops,
 //!   flow-tier churn, recovery) in a [`CollectorRegistry`], bundled into
 //!   named [`Profile`]s (filter + collector set + output stages) such as
 //!   `drop-forensics`. The hub asks the profile about `(stage, verdict)`
@@ -49,7 +49,7 @@
 //! * [`mod@file`] — the durable event-series format: versioned header,
 //!   length-prefixed checksummed records, writer-assigned sequence
 //!   numbers for stable sorts, streamed reads/writes with bounded
-//!   buffering ([`EventFileWriter`] / [`EventFileReader`] /
+//!   buffering (`EventFileWriter` / [`EventFileReader`] /
 //!   [`sort_file`]).
 //! * [`tracking`] — [`FlowTracker`]: per-5-tuple aggregation with
 //!   garbage collection for long-lived traces; its never-evicting
@@ -67,44 +67,12 @@ pub mod hub;
 pub(crate) mod metrics;
 pub mod tracking;
 
-pub use collect::CollectError;
-
-pub(crate) use collect::Collector;
-
-pub use collect::CollectorRegistry;
-
-pub(crate) use collect::CollectorSet;
-
-pub use collect::Profile;
-pub use event::Comm;
-pub use event::DropCause;
-pub use event::FrameInfo;
-pub use event::Owner;
-pub(crate) use event::RecoveryEvent;
-pub use event::RecoveryKind;
-pub use event::Stage;
-pub use event::StageRec;
-pub use event::TraceEvent;
-pub use event::TraceFilter;
-pub use event::TraceVerdict;
-pub use file::sort_file;
-pub use file::EventFileReader;
-pub(crate) use file::EventFileWriter;
-pub(crate) use file::EventSeries;
-pub use file::FileError;
-pub use file::Header;
-pub(crate) use file::LedgerSnapshot;
-pub(crate) use file::Record;
-pub use file::SinkStats;
-pub use file::SortStats;
-pub use hub::HistId;
-pub use hub::Telemetry;
-pub(crate) use metrics::HistRow;
-pub use metrics::Registry;
-pub use metrics::Snapshot;
-pub(crate) use tracking::DropSite;
-pub(crate) use tracking::FlowRecord;
-pub use tracking::FlowReport;
-pub use tracking::FlowTracker;
-pub(crate) use tracking::OwnerDrops;
-pub use tracking::TrackerConfig;
+pub use collect::{CollectError, CollectorRegistry, Profile};
+pub use event::{
+    Comm, DropCause, FrameInfo, Owner, RecoveryKind, Stage, StageRec, TraceEvent, TraceFilter,
+    TraceVerdict,
+};
+pub use file::{sort_file, EventFileReader, FileError, Header, SinkStats, SortStats};
+pub use hub::{HistId, Telemetry};
+pub use metrics::{Registry, Snapshot};
+pub use tracking::{FlowReport, FlowTracker, TrackerConfig};

@@ -37,6 +37,7 @@ impl Registry {
     }
 
     /// Adds `delta` to counter `name` (registering it at 0 if new).
+    #[cfg(test)]
     pub(crate) fn add_counter(&mut self, name: &str, delta: u64) {
         *self.counters.entry(name.to_string()).or_insert(0) += delta;
     }
@@ -49,11 +50,6 @@ impl Registry {
     /// Merges `hist` into the histogram registered as `name`.
     pub(crate) fn merge_hist(&mut self, name: &str, hist: &Histogram) {
         self.hists.entry(name.to_string()).or_default().merge(hist);
-    }
-
-    /// Reads back counter `name`, if registered.
-    pub(crate) fn counter(&self, name: &str) -> Option<u64> {
-        self.counters.get(name).copied()
     }
 
     /// Freezes the registry into an ordered, serializable snapshot.
@@ -122,11 +118,13 @@ impl Snapshot {
     }
 
     /// Looks up a gauge by name.
+    #[cfg(test)]
     pub(crate) fn gauge(&self, name: &str) -> Option<f64> {
         self.gauges.iter().find(|(k, _)| k == name).map(|(_, v)| *v)
     }
 
     /// Looks up a histogram row by name.
+    #[cfg(test)]
     pub(crate) fn hist(&self, name: &str) -> Option<&HistRow> {
         self.hists.iter().find(|r| r.name == name)
     }

@@ -1,8 +1,8 @@
 //! Flow tracking with garbage collection: per-flow aggregation over an
 //! event stream, sized for traces much longer than memory.
 //!
-//! [`FlowTracker::observe`] folds each [`TraceEvent`] into a per-5-tuple
-//! [`FlowRecord`] (stage timeline, byte/frame counts, owner attribution)
+//! `FlowTracker::observe` folds each [`TraceEvent`] into a per-5-tuple
+//! `FlowRecord` (stage timeline, byte/frame counts, owner attribution)
 //! and — for drops — into a persistent **drop-site ledger** keyed by
 //! `(tuple, stage, cause)`. Live flow records are garbage-collected
 //! (idle-first, then oldest-first) once the table exceeds its cap, but
@@ -52,8 +52,6 @@ impl Default for TrackerConfig {
 pub(crate) struct FlowRecord {
     /// The flow's 5-tuple.
     pub(crate) tuple: FiveTuple,
-    /// Virtual time of the first observed event.
-    pub(crate) first: Time,
     /// Virtual time of the most recent observed event.
     pub(crate) last: Time,
     /// Events observed for this flow.
@@ -74,10 +72,13 @@ pub(crate) struct FlowRecord {
 
 impl FlowRecord {
     /// Whether the flow ever crossed `stage`.
+    #[cfg(test)]
     pub(crate) fn saw(&self, stage: Stage) -> bool {
         self.stage_counts[stage.index()] != 0
     }
 }
+
+impl FlowRecord {}
 
 /// One entry of the never-evicting drop-site ledger: drops of one flow
 /// at one stage for one cause, with process attribution.
@@ -93,8 +94,6 @@ pub struct DropSite {
     pub owner: Option<Owner>,
     /// Drops recorded at this site.
     pub count: u64,
-    /// Virtual time of the first drop.
-    pub(crate) first: Time,
     /// Virtual time of the latest drop.
     pub(crate) last: Time,
 }
@@ -195,7 +194,6 @@ impl FlowTracker {
                     cause,
                     owner: None,
                     count: 0,
-                    first: e.at,
                     last: e.at,
                 });
             site.count += 1;
@@ -207,7 +205,6 @@ impl FlowTracker {
         let is_new = !self.flows.contains_key(&tuple);
         let flow = self.flows.entry(tuple).or_insert_with(|| FlowRecord {
             tuple,
-            first: e.at,
             last: e.at,
             events: 0,
             bytes: 0,
@@ -292,6 +289,7 @@ impl FlowTracker {
     }
 
     /// Looks up a live flow.
+    #[cfg(test)]
     pub(crate) fn flow(&self, tuple: &FiveTuple) -> Option<&FlowRecord> {
         self.flows.get(tuple)
     }
@@ -314,6 +312,7 @@ impl FlowTracker {
     }
 
     /// Largest live-flow table observed (never exceeds cap + 1).
+    #[cfg(test)]
     pub(crate) fn peak_live(&self) -> usize {
         self.peak_live
     }
@@ -507,7 +506,7 @@ mod tests {
         assert!(f.saw(Stage::RxFlowLookup));
         assert!(!f.saw(Stage::TxOffer));
         assert_eq!(f.owner.as_ref().unwrap().uid, 1001);
-        assert_eq!((f.first, f.last), (Time(10), Time(30)));
+        assert_eq!(f.last, Time(30));
     }
 
     #[test]

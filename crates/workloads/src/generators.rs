@@ -55,6 +55,7 @@ impl CbrArrivals {
     }
 
     /// Creates arrivals that saturate `gbps` with `frame_bytes` frames.
+    #[cfg(test)]
     pub(crate) fn at_rate(gbps: f64, frame_bytes: u64) -> CbrArrivals {
         let ns_per_frame = (frame_bytes * 8) as f64 / gbps;
         CbrArrivals::new(Dur::from_ns_f64(ns_per_frame))

@@ -9,10 +9,5 @@
 pub(crate) mod generators;
 pub(crate) mod scenarios;
 
-pub use generators::CbrArrivals;
-
-pub use generators::PoissonArrivals;
-pub use scenarios::AliceTestbed;
-pub use scenarios::TenantApp;
-pub use scenarios::BOB;
-pub use scenarios::CHARLIE;
+pub use generators::{CbrArrivals, PoissonArrivals};
+pub use scenarios::{AliceTestbed, TenantApp, BOB, CHARLIE};

@@ -20,12 +20,8 @@ pub const CHARLIE: Uid = Uid(1002);
 /// One tenant application with an open connection.
 #[derive(Clone, Debug)]
 pub struct TenantApp {
-    /// The owning user.
-    pub(crate) uid: Uid,
     /// The process.
     pub pid: Pid,
-    /// Command name.
-    pub(crate) comm: String,
     /// Local port.
     pub port: u16,
     /// The fast-path connection.
@@ -69,13 +65,7 @@ impl AliceTestbed {
             let conn = host
                 .connect(pid, IpProto::UDP, port, peer_ip, 9000 + port, notify)
                 .expect("testbed connection");
-            TenantApp {
-                uid,
-                pid,
-                comm: comm.to_string(),
-                port,
-                conn,
-            }
+            TenantApp { pid, port, conn }
         };
 
         let postgres = app(&mut host, BOB, "bob", "postgres", 5432, true);
@@ -174,8 +164,6 @@ mod tests {
     #[test]
     fn testbed_builds_the_cast() {
         let tb = AliceTestbed::new();
-        assert_eq!(tb.postgres.uid, BOB);
-        assert_eq!(tb.mysql.uid, CHARLIE);
         assert_eq!(tb.host.num_connections(), 4);
         // Distinct processes.
         let pids = [

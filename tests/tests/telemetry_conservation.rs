@@ -227,7 +227,7 @@ fn tx_drops_are_typed_everywhere() {
 
     // Kernel-path sends against a dropping OUTPUT chain.
     let mut deny = Rule::new(HookVerdict::Drop);
-    deny.matcher = ClassifierRule::any(0).match_src_port(7000);
+    deny.matcher = ClassifierRule::any().match_src_port(7000);
     host.stack.output.append(deny);
     let (sent, _) = host.stack.tx(bob, &out, Time::ZERO, &host.procs);
     assert!(!sent);
