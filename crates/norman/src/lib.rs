@@ -11,7 +11,7 @@
 //!   Kernel control plane ─────────────────────┘   notification queues
 //! ```
 //!
-//! * [`host`] — [`Host`], one simulated machine: process table, cgroups,
+//! * [`host`] — [`Host`], one simulated machine: process table,
 //!   scheduler, LLC/DDIO, the SmartNIC, the software slow path, and the
 //!   in-kernel control plane that mediates *all* NIC configuration.
 //! * `ctrl` — the unified control plane: one policy store, compiled

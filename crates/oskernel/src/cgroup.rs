@@ -34,13 +34,6 @@ pub(crate) struct CgroupTree {
 }
 
 #[cfg(test)]
-impl Default for CgroupTree {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-#[cfg(test)]
 impl CgroupTree {
     /// Creates a tree containing only the root cgroup (net class 0).
     pub(crate) fn new() -> CgroupTree {

@@ -330,7 +330,8 @@ impl Vm {
 
     /// Reads one slot of one flow's record; `Some(0)` for a flow with no
     /// record, `None` for an undeclared map or out-of-range slot.
-    pub fn flow_get(&self, map: usize, key: u128, slot: usize) -> Option<u64> {
+    #[cfg(test)]
+    pub(crate) fn flow_get(&self, map: usize, key: u128, slot: usize) -> Option<u64> {
         self.state.flows.get(map)?.load(key, slot as u64)
     }
 

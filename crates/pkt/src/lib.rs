@@ -19,7 +19,7 @@
 //!   stage consumes instead of re-parsing, and the [`Frame`] unit that
 //!   pairs it with its buffer.
 //! * `arena` — the pooled frame arena ([`BufArena`]/[`FrameRef`]): slab
-//!   slots, refcounted descriptors, and the miri-audited unsafe core.
+//!   slots, refcounted descriptors, and the single-threaded unsafe core.
 
 pub(crate) mod arena;
 pub(crate) mod arp;

@@ -35,5 +35,5 @@ pub use fifo::Fifo;
 pub use mq::MultiQueue;
 pub use red::{Red, RedConfig, RedDecision};
 pub use tbf::Tbf;
-pub use types::{QPkt, Qdisc, QdiscStats};
+pub use types::{QPkt, Qdisc};
 pub use wfq::Wfq;

@@ -78,8 +78,6 @@ impl FlowRecord {
     }
 }
 
-impl FlowRecord {}
-
 /// One entry of the never-evicting drop-site ledger: drops of one flow
 /// at one stage for one cause, with process attribution.
 #[derive(Clone, Debug)]

@@ -101,7 +101,7 @@ run_overlay_diff() {
 
 run_miri() {
   # Undefined-behaviour audit of the unsafe core: the pkt buffer arena
-  # (raw slab pointers, refcounted recycling, cross-thread frees) and
+  # (raw slab pointers, refcounted recycling, the seeded slot model) and
   # the memsim ring/cache walks that consume its handles. Requires the
   # nightly toolchain with the miri component (rustup component add
   # miri --toolchain nightly); hosted CI installs it, local runs
