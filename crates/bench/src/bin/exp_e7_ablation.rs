@@ -11,13 +11,13 @@
 use std::net::Ipv4Addr;
 
 use nicsim::SnifferFilter;
-use norman::host::DeliveryOutcome;
 use norman::{Host, HostConfig, PortReservation, ShapingPolicy};
 use oskernel::Uid;
 use overlay::builtins;
 use pkt::{IpProto, Mac, PacketBuilder};
 use serde::Serialize;
-use sim::{Dur, Time};
+use sim::Time;
+use workloads::placement::{rx_cost, Flow};
 
 #[derive(Serialize)]
 struct Row {
@@ -65,20 +65,12 @@ fn run(features: &'static str) -> Row {
         .udp(9000, 7000, &[0u8; 64])
         .build();
 
-    let mut latency = Dur::ZERO;
-    let mut host_cpu = Dur::ZERO;
+    // The accounting E1 and normanbench use; arrivals 1 µs apart so
+    // pipeline occupancy does not inflate latency.
     let n = 512;
-    // Space arrivals out so pipeline occupancy does not inflate latency.
-    let mut t = Time::ZERO;
-    for _ in 0..n {
-        let rep = host.deliver_from_wire(&frame, t);
-        assert!(matches!(rep.outcome, DeliveryOutcome::FastPath(_)));
-        latency += rep.nic_latency;
-        let r = host.app_recv(conn, t, false);
-        host_cpu += r.cpu;
-        t += Dur::from_us(1);
-    }
-    let latency_ns = latency.as_ns_f64() / n as f64;
+    let cost = rx_cost(&mut host, Flow::Ring(conn), &frame, n);
+    assert_eq!(cost.delivered, n, "every frame takes the fast path");
+    let t = Time::from_us(n);
 
     // Line-rate feasibility for 64 B frames (6.72 ns on the wire): the
     // pipeline is pipelined, so the constraint is per-stage occupancy,
@@ -93,8 +85,8 @@ fn run(features: &'static str) -> Row {
 
     Row {
         features,
-        nic_latency_ns: latency_ns,
-        host_cpu_ns: host_cpu.as_ns_f64() / n as f64,
+        nic_latency_ns: cost.per_frame_ns(cost.nic_latency),
+        host_cpu_ns: cost.per_frame_ns(cost.host()),
         min_frame_line_rate_ok: min_frame_ok,
     }
 }

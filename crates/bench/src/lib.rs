@@ -4,6 +4,8 @@
 //! the same rows as JSON under `results/`, so EXPERIMENTS.md can cite
 //! machine-readable numbers.
 
+pub mod arch;
+
 use std::fmt::Write as _;
 use std::path::PathBuf;
 

@@ -100,7 +100,7 @@ impl RegFile {
     /// Panics if `addr` already holds a kernel register: an app grant
     /// silently replacing kernel configuration state is an MMIO layout
     /// bug, never a legal grant.
-    pub(crate) fn define_app(&mut self, addr: u64, pid: u32) {
+    pub fn define_app(&mut self, addr: u64, pid: u32) {
         assert!(
             !self
                 .regs

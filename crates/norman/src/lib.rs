@@ -32,11 +32,7 @@
 //! * `lib_api` — the Norman library: [`lib_api::NormanSocket`], a
 //!   POSIX-flavoured handle whose data operations never leave userspace
 //!   plus the NIC (§4.3).
-//! * [`arch`] — the five datapath architectures compared throughout the
-//!   evaluation: in-kernel stack, raw kernel bypass, dedicated-core
-//!   sidecar (IX/Snap), hypervisor SmartNIC switch (AccelNet), and KOPI.
 
-pub mod arch;
 pub(crate) mod ctrl;
 pub mod host;
 pub(crate) mod lib_api;

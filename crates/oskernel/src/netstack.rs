@@ -109,7 +109,7 @@ pub struct SocketStat {
 pub struct NetStack {
     costs: StackCosts,
     /// The INPUT netfilter chain.
-    pub(crate) input: Chain,
+    pub input: Chain,
     /// The OUTPUT netfilter chain.
     pub output: Chain,
     egress: Box<dyn Qdisc>,

@@ -9,8 +9,8 @@
 //!   accumulate large rounding errors across millions of packets.
 //! * `rng` — a seeded, deterministic random number generator with the
 //!   distributions the workload generators need (uniform, exponential).
-//! * [`stats`] — streaming summaries and log-bucketed latency histograms
-//!   used by the experiment harnesses.
+//! * [`stats`] — log-bucketed latency histograms used by the experiment
+//!   harnesses.
 //! * [`fault`] — seeded fault schedules: lossy, corrupting, reordering
 //!   links and op-count crash injectors.
 //! * `link` — serialization/propagation delay modelling for a fixed-rate

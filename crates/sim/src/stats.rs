@@ -1,134 +1,9 @@
 //! Streaming statistics for experiment harnesses.
 //!
-//! * [`Histogram`] — log-bucketed latency histogram with percentile
-//!   queries, HdrHistogram-style (bounded relative error per bucket).
-//! * `Summary` — count/mean/variance/min/max via Welford's algorithm;
-//!   nothing records into one any more, so it is compiled for its own
-//!   tests only.
-
-#[cfg(test)]
-use std::fmt;
+//! [`Histogram`] — log-bucketed latency histogram with percentile
+//! queries, HdrHistogram-style (bounded relative error per bucket).
 
 use crate::time::Dur;
-
-/// Streaming count/mean/stddev/min/max over `f64` samples.
-#[cfg(test)]
-#[derive(Clone, Debug, Default)]
-pub(crate) struct Summary {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-#[cfg(test)]
-impl Summary {
-    /// Creates an empty summary.
-    pub(crate) fn new() -> Summary {
-        Summary {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Records one sample.
-    pub(crate) fn record(&mut self, x: f64) {
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Returns the number of samples.
-    pub(crate) fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Returns the sample mean, or `0.0` when empty.
-    pub(crate) fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Returns the population standard deviation, or `0.0` when fewer than
-    /// two samples have been recorded.
-    pub(crate) fn stddev(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            (self.m2 / self.count as f64).sqrt()
-        }
-    }
-
-    /// Returns the smallest sample, or `0.0` when empty.
-    pub(crate) fn min(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-
-    /// Returns the largest sample, or `0.0` when empty.
-    pub(crate) fn max(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.max
-        }
-    }
-
-    /// Returns the sum of all samples.
-    pub(crate) fn sum(&self) -> f64 {
-        self.mean() * self.count as f64
-    }
-
-    /// Merges another summary into this one.
-    pub(crate) fn merge(&mut self, other: &Summary) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        let mean = self.mean + delta * other.count as f64 / total as f64;
-        let m2 = self.m2
-            + other.m2
-            + delta * delta * (self.count as f64 * other.count as f64) / total as f64;
-        self.count = total;
-        self.mean = mean;
-        self.m2 = m2;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
-
-#[cfg(test)]
-impl fmt::Display for Summary {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "n={} mean={:.2} sd={:.2} min={:.2} max={:.2}",
-            self.count,
-            self.mean(),
-            self.stddev(),
-            self.min(),
-            self.max()
-        )
-    }
-}
 
 /// Number of linear sub-buckets per power-of-two bucket.
 ///
@@ -267,51 +142,6 @@ impl Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn summary_basic_moments() {
-        let mut s = Summary::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.record(x);
-        }
-        assert_eq!(s.count(), 8);
-        assert!((s.mean() - 5.0).abs() < 1e-9);
-        assert!((s.stddev() - 2.0).abs() < 1e-9);
-        assert_eq!(s.min(), 2.0);
-        assert_eq!(s.max(), 9.0);
-        assert!((s.sum() - 40.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn empty_summary_is_zeroes() {
-        let s = Summary::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.stddev(), 0.0);
-        assert_eq!(s.min(), 0.0);
-        assert_eq!(s.max(), 0.0);
-    }
-
-    #[test]
-    fn summary_merge_matches_single_stream() {
-        let data: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0 + 50.0).collect();
-        let mut whole = Summary::new();
-        for &x in &data {
-            whole.record(x);
-        }
-        let mut a = Summary::new();
-        let mut b = Summary::new();
-        for (i, &x) in data.iter().enumerate() {
-            if i % 2 == 0 {
-                a.record(x);
-            } else {
-                b.record(x);
-            }
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.stddev() - whole.stddev()).abs() < 1e-9);
-    }
 
     #[test]
     fn histogram_quantiles_bounded_error() {

@@ -7,6 +7,7 @@
 //! rationale.
 
 pub(crate) mod generators;
+pub mod placement;
 pub(crate) mod scenarios;
 
 pub use generators::{CbrArrivals, PoissonArrivals};
