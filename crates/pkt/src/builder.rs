@@ -4,7 +4,7 @@ use std::net::Ipv4Addr;
 
 use crate::arena::BufArena;
 use crate::arp::ArpPacket;
-use crate::checksum;
+use crate::checksum::pseudo_header_checksum;
 use crate::ether::{EtherType, EthernetHeader, Mac};
 use crate::flow::FiveTuple;
 use crate::ipv4::{IpProto, Ipv4Header};
@@ -363,8 +363,7 @@ impl BuildPlan<'_> {
             } => {
                 UdpHeader::new(*src_port, *dst_port, payload.len()).write_to(seg);
                 payload.write_to(&mut seg[UdpHeader::LEN..]);
-                let sum =
-                    checksum::pseudo_header_checksum(self.src_ip, self.dst_ip, IpProto::UDP.0, seg);
+                let sum = pseudo_header_checksum(self.src_ip, self.dst_ip, IpProto::UDP.0, seg, 6);
                 seg[6..8].copy_from_slice(&sum.to_be_bytes());
             }
             L4::Tcp {
@@ -381,8 +380,7 @@ impl BuildPlan<'_> {
                 tcp.ack = *ack;
                 tcp.write_to(seg);
                 payload.write_to(&mut seg[TcpHeader::LEN..]);
-                let sum =
-                    checksum::pseudo_header_checksum(self.src_ip, self.dst_ip, IpProto::TCP.0, seg);
+                let sum = pseudo_header_checksum(self.src_ip, self.dst_ip, IpProto::TCP.0, seg, 16);
                 seg[16..18].copy_from_slice(&sum.to_be_bytes());
             }
         }
@@ -428,6 +426,7 @@ impl BuildPlan<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checksum;
     use crate::packet::Payload;
 
     fn addr(s: &str) -> Ipv4Addr {

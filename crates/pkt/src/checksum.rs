@@ -2,31 +2,49 @@
 
 use std::net::Ipv4Addr;
 
+/// The two 32-bit halves of an eight-byte word, added.
+fn halves(word: &[u8]) -> u64 {
+    let w = u64::from_ne_bytes(word.try_into().expect("an eight-byte chunk"));
+    (w >> 32) + (w & 0xFFFF_FFFF)
+}
+
 /// Adds `data`, read as big-endian 16-bit words with an odd trailing
 /// byte padded with zero, to `acc` in ones'-complement arithmetic.
 ///
-/// The sum is taken eight bytes per step: 2^16 ≡ 1 (mod 0xFFFF), so a
-/// big-endian word of any width is congruent to the sum of its 16-bit
-/// parts, and the halves of each `u64` are added to a 64-bit accumulator
-/// that cannot overflow below 2^34 bytes of input. The one fold at the
-/// end keeps the two facts [`finish`] depends on: the residue mod
-/// 0xFFFF, and whether the sum is zero.
+/// 2^16 ≡ 1 (mod 0xFFFF), so a word of any width is congruent to the sum
+/// of its 16-bit parts: the halves of each `u64` go into a 64-bit lane
+/// that cannot overflow below 2^34 bytes of input. Four lanes take 32
+/// bytes per step and do not wait on each other (RFC 1071 §2(C)). The
+/// words are read in native byte order, which only swaps the bytes of
+/// the folded sum (§2(B)). The fold keeps the two facts [`finish`]
+/// depends on: the residue mod 0xFFFF, and whether the sum is zero.
 fn sum_words(acc: u32, data: &[u8]) -> u32 {
-    let mut sum = u64::from(acc);
-    let mut wide = data.chunks_exact(8);
-    for c in &mut wide {
-        let w = u64::from_be_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]);
-        sum += (w >> 32) + (w & 0xFFFF_FFFF);
+    let mut lanes = [0u64; 4];
+    let mut blocks = data.chunks_exact(32);
+    for block in &mut blocks {
+        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            *lane += halves(word);
+        }
     }
-    let mut words = wide.remainder().chunks_exact(2);
-    for c in &mut words {
-        sum += u64::from(u16::from_be_bytes([c[0], c[1]]));
+    let mut words = blocks.remainder().chunks_exact(8);
+    let mut sum = lanes.iter().sum::<u64>() + (&mut words).map(halves).sum::<u64>();
+    let mut pairs = words.remainder().chunks_exact(2);
+    for c in &mut pairs {
+        sum += u64::from(u16::from_ne_bytes([c[0], c[1]]));
     }
-    if let [last] = words.remainder() {
-        sum += u64::from(u16::from_be_bytes([*last, 0]));
+    if let [last] = pairs.remainder() {
+        sum += u64::from(u16::from_ne_bytes([*last, 0]));
     }
-    let folded = (sum & 0xFFFF) + ((sum >> 16) & 0xFFFF) + ((sum >> 32) & 0xFFFF) + (sum >> 48);
-    folded as u32
+    acc + u32::from(u16::from_be_bytes(fold(sum).to_ne_bytes()))
+}
+
+/// Folds a sum to 16 bits with end-around carries, 64 → 32 → 16: each
+/// step keeps the residue mod 0xFFFF and maps nonzero to nonzero.
+fn fold(sum: u64) -> u16 {
+    let (low, carry) = (sum as u32).overflowing_add((sum >> 32) as u32);
+    let sum = low + u32::from(carry);
+    let sum = (sum >> 16) + (sum & 0xFFFF);
+    ((sum >> 16) + (sum & 0xFFFF)) as u16
 }
 
 /// Folds the carries and complements, producing the final checksum.
@@ -63,19 +81,25 @@ pub(crate) fn incremental_update(checksum: u16, old_word: u16, new_word: u16) ->
 }
 
 /// Computes the TCP/UDP checksum over the IPv4 pseudo-header plus the
-/// transport `segment` (header + payload, with its checksum field zeroed).
+/// transport `segment` (header + payload) as if its two-byte checksum
+/// field at the even offset `field` were zero, without copying: the
+/// bytes on either side of it both start at an even offset, so their
+/// words line up with the segment's. Panics if `segment` is shorter
+/// than `field + 2`.
 pub(crate) fn pseudo_header_checksum(
     src: Ipv4Addr,
     dst: Ipv4Addr,
     proto: u8,
     segment: &[u8],
+    field: usize,
 ) -> u16 {
-    let mut acc = 0u32;
-    acc = sum_words(acc, &src.octets());
-    acc = sum_words(acc, &dst.octets());
+    debug_assert!(field.is_multiple_of(2), "odd checksum offset {field}");
+    let (src, dst) = (u32::from(src), u32::from(dst));
+    let mut acc = (src >> 16) + (src & 0xFFFF) + (dst >> 16) + (dst & 0xFFFF);
     acc += u32::from(proto);
     acc += segment.len() as u32;
-    acc = sum_words(acc, segment);
+    acc = sum_words(acc, &segment[..field]);
+    acc = sum_words(acc, &segment[field + 2..]);
     let sum = finish(acc);
     // RFC 768: a computed UDP checksum of zero is transmitted as all ones.
     if sum == 0 {
@@ -88,6 +112,8 @@ pub(crate) fn pseudo_header_checksum(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tcp::TcpHeader;
+    use crate::{IpProto, UdpHeader};
 
     #[test]
     fn rfc1071_example() {
@@ -131,16 +157,176 @@ mod tests {
                 }
             }
             let (src, dst) = (Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2));
-            let by_words = {
-                let mut acc = sum_words_reference(0, &src.octets());
-                acc = sum_words_reference(acc, &dst.octets());
-                acc += 17 + len as u32;
-                match finish(sum_words_reference(acc, &data[..len])) {
-                    0 => 0xFFFF,
-                    sum => sum,
+            for field in [0, 6, 16].into_iter().filter(|f| f + 2 <= len) {
+                assert_eq!(
+                    pseudo_header_checksum(src, dst, 17, &data[..len], field),
+                    checksum_by_copy(src, dst, 17, &data[..len], field),
+                    "len {len} field {field}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fold_keeps_the_residue_and_whether_the_sum_is_zero() {
+        let mut rng = sim::DetRng::seed_from_u64(0xFFFF);
+        let edges = [
+            0,
+            1,
+            0xFFFF,
+            0x1_0000,
+            0xFFFF_FFFF,
+            0x1_0000_0000,
+            0xFFFF_FFFF_0000_0001,
+            u64::MAX - 1,
+            u64::MAX,
+        ];
+        for sum in edges.into_iter().chain((0..10_000).map(|_| rng.next_u64())) {
+            let folded = fold(sum);
+            assert_eq!(u64::from(folded) % 0xFFFF, sum % 0xFFFF, "{sum:#x}");
+            assert_eq!(folded == 0, sum == 0, "{sum:#x}");
+        }
+    }
+
+    /// The TCP/UDP checksum as the verifiers took it before they summed
+    /// in place: copy the segment, zero the field, sum word by word.
+    fn checksum_by_copy(
+        src: Ipv4Addr,
+        dst: Ipv4Addr,
+        proto: u8,
+        segment: &[u8],
+        field: usize,
+    ) -> u16 {
+        let mut copy = segment.to_vec();
+        copy[field..field + 2].fill(0);
+        let mut acc = sum_words_reference(0, &src.octets());
+        acc = sum_words_reference(acc, &dst.octets());
+        acc += u32::from(proto) + copy.len() as u32;
+        match finish(sum_words_reference(acc, &copy)) {
+            0 => 0xFFFF,
+            sum => sum,
+        }
+    }
+
+    /// A verifier's protocol, header size and checksum field offset.
+    struct Verifier {
+        proto: IpProto,
+        hdr: usize,
+        field: usize,
+        verify: fn(Ipv4Addr, Ipv4Addr, &[u8]) -> bool,
+    }
+
+    const UDP: Verifier = Verifier {
+        proto: IpProto::UDP,
+        hdr: UdpHeader::LEN,
+        field: 6,
+        verify: UdpHeader::verify_segment,
+    };
+
+    const TCP: Verifier = Verifier {
+        proto: IpProto::TCP,
+        hdr: TcpHeader::LEN,
+        field: 16,
+        verify: TcpHeader::verify_segment,
+    };
+
+    impl Verifier {
+        /// The decision as it was made before: UDP's "0 = not
+        /// computed" first, then copy-and-zero.
+        fn by_copy(&self, src: Ipv4Addr, dst: Ipv4Addr, segment: &[u8]) -> bool {
+            let sent = u16::from_be_bytes([segment[self.field], segment[self.field + 1]]);
+            (self.proto == IpProto::UDP && sent == 0)
+                || checksum_by_copy(src, dst, self.proto.0, segment, self.field) == sent
+        }
+
+        fn agrees_with_copy(&self, src: Ipv4Addr, dst: Ipv4Addr, segment: &[u8]) -> bool {
+            (self.verify)(src, dst, segment) == self.by_copy(src, dst, segment)
+        }
+
+        fn write_sent(&self, segment: &mut [u8], sent: u16) {
+            segment[self.field..self.field + 2].copy_from_slice(&sent.to_be_bytes());
+        }
+
+        /// Seeded segments of every length from the header to 1514 B:
+        /// correct, with one byte corrupted at every offset, and with the
+        /// two ones'-complement zeros (0x0000, 0xFFFF) transmitted — also
+        /// on a segment whose checksum *is* 0xFFFF (its sum is zero
+        /// before RFC 768's 0 → 0xFFFF substitution).
+        ///
+        /// Every (length, offset) pair is ~1.1M checks: release builds
+        /// (`scripts/ci.sh --job release-test`) run them all; debug builds
+        /// corrupt every 13th offset, starting at `len % 13`, so each
+        /// offset is still hit at a thirteenth of the lengths.
+        fn check_against_copy_and_zero(&self) {
+            let stride = if cfg!(debug_assertions) { 13 } else { 1 };
+            let mut rng = sim::DetRng::seed_from_u64(768 + u64::from(self.proto.0));
+            let mut buf = vec![0u8; 1514];
+            for len in self.hdr..=1514 {
+                let seg = &mut buf[..len];
+                seg.iter_mut().for_each(|b| *b = rng.next_u64() as u8);
+                let src = Ipv4Addr::from(rng.next_u64() as u32);
+                let dst = Ipv4Addr::from(rng.next_u64() as u32);
+                let sum = checksum_by_copy(src, dst, self.proto.0, seg, self.field);
+                self.write_sent(seg, sum);
+                assert!((self.verify)(src, dst, seg), "len {len}");
+                for i in (len % stride..len).step_by(stride) {
+                    let flip = (rng.next_u64() as u8).max(1);
+                    seg[i] ^= flip;
+                    assert!(self.agrees_with_copy(src, dst, seg), "len {len} byte {i}");
+                    seg[i] ^= flip;
                 }
-            };
-            assert_eq!(pseudo_header_checksum(src, dst, 17, &data[..len]), by_words);
+                for sent in [0x0000, 0xFFFF] {
+                    self.write_sent(seg, sent);
+                    assert!(
+                        self.agrees_with_copy(src, dst, seg),
+                        "len {len} sent {sent:#x}"
+                    );
+                }
+                // The source port absorbs the checksum: the sum becomes zero.
+                seg[0..2].fill(0);
+                let sum = checksum_by_copy(src, dst, self.proto.0, seg, self.field);
+                seg[0..2].copy_from_slice(&sum.to_be_bytes());
+                assert_eq!(
+                    checksum_by_copy(src, dst, self.proto.0, seg, self.field),
+                    0xFFFF
+                );
+                self.write_sent(seg, 0xFFFF);
+                assert!((self.verify)(src, dst, seg), "len {len}");
+                for sent in [0x0000, 0xFFFF] {
+                    self.write_sent(seg, sent);
+                    assert!(
+                        self.agrees_with_copy(src, dst, seg),
+                        "len {len} sent {sent:#x}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn udp_verifier_matches_copy_and_zero() {
+        UDP.check_against_copy_and_zero();
+    }
+
+    #[test]
+    fn tcp_verifier_matches_copy_and_zero() {
+        TCP.check_against_copy_and_zero();
+    }
+
+    #[test]
+    fn verifiers_reject_every_length_below_the_header() {
+        let (src, dst) = (Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2));
+        for v in [UDP, TCP] {
+            for fill in [0x00, 0xFF] {
+                let buf = vec![fill; v.hdr];
+                for len in 0..v.hdr {
+                    assert!(
+                        !(v.verify)(src, dst, &buf[..len]),
+                        "{:?} len {len}",
+                        v.proto
+                    );
+                }
+            }
         }
     }
 
@@ -195,12 +381,14 @@ mod tests {
             "10.0.0.2".parse().unwrap(),
             17,
             &seg,
+            6,
         );
         let b = pseudo_header_checksum(
             "10.0.0.1".parse().unwrap(),
             "10.0.0.3".parse().unwrap(),
             17,
             &seg,
+            6,
         );
         assert_ne!(a, b);
     }
@@ -249,7 +437,7 @@ mod tests {
         let dst: Ipv4Addr = "0.0.0.0".parse().unwrap();
         for filler in 0..=255u8 {
             let seg = [filler; 6];
-            assert_ne!(pseudo_header_checksum(src, dst, 0, &seg), 0);
+            assert_ne!(pseudo_header_checksum(src, dst, 0, &seg, 0), 0);
         }
     }
 }

@@ -150,24 +150,20 @@ impl TcpHeader {
         out: &mut [u8],
     ) {
         let total = Self::LEN + payload.len();
-        let mut hdr = *self;
-        hdr.checksum = 0;
-        hdr.write_to(out);
+        self.write_to(out);
         out[Self::LEN..total].copy_from_slice(payload);
-        let sum = checksum::pseudo_header_checksum(src, dst, crate::IpProto::TCP.0, &out[..total]);
+        let sum =
+            checksum::pseudo_header_checksum(src, dst, crate::IpProto::TCP.0, &out[..total], 16);
         out[16..18].copy_from_slice(&sum.to_be_bytes());
     }
 
-    /// Verifies the segment checksum over the pseudo-header.
+    /// Verifies the segment checksum over the pseudo-header, in place.
     pub(crate) fn verify_segment(src: Ipv4Addr, dst: Ipv4Addr, segment: &[u8]) -> bool {
         if segment.len() < Self::LEN {
             return false;
         }
-        let mut copy = segment.to_vec();
-        let sent = u16::from_be_bytes([copy[16], copy[17]]);
-        copy[16] = 0;
-        copy[17] = 0;
-        checksum::pseudo_header_checksum(src, dst, crate::IpProto::TCP.0, &copy) == sent
+        let sent = u16::from_be_bytes([segment[16], segment[17]]);
+        checksum::pseudo_header_checksum(src, dst, crate::IpProto::TCP.0, segment, 16) == sent
     }
 }
 

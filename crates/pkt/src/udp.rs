@@ -80,25 +80,23 @@ impl UdpHeader {
         out: &mut [u8],
     ) {
         let total = Self::LEN + payload.len();
-        let mut hdr = *self;
-        hdr.checksum = 0;
-        hdr.write_to(out);
+        self.write_to(out);
         out[Self::LEN..total].copy_from_slice(payload);
-        let sum = checksum::pseudo_header_checksum(src, dst, crate::IpProto::UDP.0, &out[..total]);
+        let sum =
+            checksum::pseudo_header_checksum(src, dst, crate::IpProto::UDP.0, &out[..total], 6);
         out[6..8].copy_from_slice(&sum.to_be_bytes());
     }
 
-    /// Verifies the segment checksum over the pseudo-header. A zero
-    /// checksum (sender opted out) verifies trivially per RFC 768.
+    /// Verifies the segment checksum over the pseudo-header, in place. A
+    /// zero checksum (sender opted out) verifies trivially per RFC 768; a
+    /// segment shorter than the header does not verify.
     pub fn verify_segment(src: Ipv4Addr, dst: Ipv4Addr, segment: &[u8]) -> bool {
-        if segment.len() >= Self::LEN && segment[6] == 0 && segment[7] == 0 {
-            return true;
+        if segment.len() < Self::LEN {
+            return false;
         }
-        let mut copy = segment.to_vec();
-        let sent = u16::from_be_bytes([copy[6], copy[7]]);
-        copy[6] = 0;
-        copy[7] = 0;
-        checksum::pseudo_header_checksum(src, dst, crate::IpProto::UDP.0, &copy) == sent
+        let sent = u16::from_be_bytes([segment[6], segment[7]]);
+        sent == 0
+            || checksum::pseudo_header_checksum(src, dst, crate::IpProto::UDP.0, segment, 6) == sent
     }
 }
 

@@ -50,9 +50,11 @@ run_release_test() {
   # normanbench times a release build and tier-1 tests a debug one. The
   # dataplane crates' suites again under the profile the benchmark runs:
   # overflow checks and debug_assert! are compiled out there, and
-  # anything debug-only must be gated (parse_once.rs is).
+  # anything debug-only must be gated (parse_once.rs is). pkt is here for
+  # its checksum property tests: carry- and overflow-sensitive code, and
+  # in release they corrupt every byte offset, not every 13th.
   echo "==> cargo test --release -q (dataplane crates + integration)"
-  cargo test --release -q -p memsim -p qdisc -p nicsim -p norman -p integration
+  cargo test --release -q -p pkt -p memsim -p qdisc -p nicsim -p norman -p integration
 }
 
 run_telemetry_test() {
