@@ -1947,15 +1947,13 @@ impl SmartNic {
         out
     }
 
-    /// Returns when TX should next be polled: the later of scheduler
-    /// readiness and wire availability.
+    /// Returns when TX should next be polled: once the wire is free (the
+    /// scheduler is work-conserving, so a backlog is always eligible).
     pub fn tx_next_ready(&self, now: Time) -> Option<Time> {
         if self.dead || self.scheduler.is_empty() {
             return None;
         }
-        let sched = self.scheduler.next_ready(now).unwrap_or(now);
-        let wire = self.link.next_free();
-        Some(sched.max(wire).max(now))
+        Some(self.link.next_free().max(now))
     }
 
     /// Returns the number of frames waiting in the TX scheduler.

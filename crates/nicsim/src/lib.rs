@@ -22,18 +22,15 @@
 //!   equivalent) reads: global visibility with process attribution.
 //! * `nat` — source-NAT with RFC 1624 incremental rewriting (§5 lists
 //!   NAT among the kernel functions KOPI must offload).
-//! * `cc` — DCTCP-style on-NIC congestion control (§4.2 lists
-//!   congestion control in the dataplane), reacting to ECN marks from
-//!   the RED AQM.
 //! * [`rss`] — the receive-side-scaling indirection table steering each
 //!   frame's Toeplitz hash to one of N RX/TX queue pairs, programmable
 //!   only through the kernel control plane.
 //! * [`pipeline`] — per-stage latency configuration and verdict types.
 //! * [`device`] — [`device::SmartNic`], composing all of the above with
 //!   up to four overlay program slots (ingress filter, egress filter,
-//!   classifier, accounting) and a WFQ/DRR transmit scheduler.
+//!   classifier, accounting) and a transmit scheduler: one WFQ per TX
+//!   queue (`qdisc::MultiQueue`).
 
-pub(crate) mod cc;
 pub mod device;
 pub mod flowtable;
 pub(crate) mod nat;
@@ -44,7 +41,6 @@ pub mod rss;
 pub mod sniff;
 pub(crate) mod sram;
 
-pub use cc::{CcParams, CongestionControl};
 pub use device::{NicError, SmartNic, POLICY_GENERATION_REG};
 pub use flowtable::{ConnId, FlowCacheConfig, FlowStats, FlowTable, FlowTier};
 pub use nat::NatTable;

@@ -81,7 +81,7 @@ pub struct NatTable {
     /// (proto, external port) → (internal ip, internal port).
     inbound: HashMap<(IpProto, u16), (Ipv4Addr, u16)>,
     /// Keys in `inbound` pinned by control-plane static rules (port
-    /// forwards); never expired by dataplane aging.
+    /// forwards).
     statics: HashMap<(IpProto, u16), (Ipv4Addr, u16)>,
     next_port: u16,
     translated_out: u64,
@@ -268,22 +268,6 @@ impl NatTable {
         reg.set_counter("nat.static_mappings", self.statics.len() as u64);
     }
 
-    /// Expires the mapping for an internal endpoint, returning SRAM.
-    /// Static rules are control-plane state and never expire this way.
-    #[cfg(test)]
-    pub(crate) fn expire(&mut self, internal: (Ipv4Addr, u16, IpProto), sram: &mut Sram) -> bool {
-        let Some(&ext_port) = self.outbound.get(&internal) else {
-            return false;
-        };
-        if self.statics.contains_key(&(internal.2, ext_port)) {
-            return false;
-        }
-        self.outbound.remove(&internal);
-        self.inbound.remove(&(internal.2, ext_port));
-        sram.release(SramCategory::Nat, NAT_ENTRY_BYTES);
-        true
-    }
-
     /// Installs a static inbound rule (port forward): traffic to
     /// `(proto, ext_port)` on the external address is rewritten to
     /// `internal`, and outbound traffic from `internal` masquerades with
@@ -335,7 +319,7 @@ impl NatTable {
     /// authoritative mappings (this table is kernel memory) and
     /// re-installs their device copies wholesale during recovery, so the
     /// fresh SRAM must account for them before any entry can be removed
-    /// again — otherwise the first expiry would over-free.
+    /// again — otherwise the first removal would over-free.
     pub fn restore_charges(&self, sram: &mut Sram) -> Result<(), crate::sram::SramError> {
         sram.alloc(
             SramCategory::Nat,
@@ -352,13 +336,6 @@ impl NatTable {
     /// to, if one is installed (audit hook; non-mutating, no miss count).
     pub fn static_target(&self, proto: IpProto, ext_port: u16) -> Option<(Ipv4Addr, u16)> {
         self.statics.get(&(proto, ext_port)).copied()
-    }
-
-    /// Non-mutating inbound lookup for audits: what the dataplane would
-    /// rewrite `(proto, ext_port)` to, without counting a miss.
-    #[cfg(test)]
-    pub(crate) fn lookup_inbound(&self, proto: IpProto, ext_port: u16) -> Option<(Ipv4Addr, u16)> {
-        self.inbound.get(&(proto, ext_port)).copied()
     }
 }
 
@@ -473,28 +450,7 @@ mod tests {
     }
 
     #[test]
-    fn expire_frees_sram_and_port() {
-        let (mut nat, mut sram) = setup();
-        let out = nat
-            .translate_outbound(outbound_pkt("192.168.1.10", 5555), &mut sram)
-            .unwrap();
-        let ext_port = FiveTuple::from_parsed(&out.parse().unwrap())
-            .unwrap()
-            .src_port;
-        assert!(nat.expire((addr("192.168.1.10"), 5555, IpProto::UDP), &mut sram));
-        assert_eq!(sram.used_by(SramCategory::Nat), 0);
-        // Inbound to the old port now misses.
-        let reply = PacketBuilder::new()
-            .ether(Mac::local(2), Mac::local(1))
-            .ipv4(addr("8.8.8.8"), addr("203.0.113.1"))
-            .udp(53, ext_port, b"late")
-            .build();
-        assert!(nat.translate_inbound(reply).is_err());
-        assert!(!nat.expire((addr("192.168.1.10"), 5555, IpProto::UDP), &mut sram));
-    }
-
-    #[test]
-    fn static_rules_forward_and_survive_expiry() {
+    fn static_rules_forward_conflict_and_release() {
         let (mut nat, mut sram) = setup();
         nat.install_static(IpProto::UDP, 8053, (addr("192.168.1.10"), 53), &mut sram)
             .unwrap();
@@ -521,14 +477,18 @@ mod tests {
             Err(NatError::Conflict { port: 8053, .. })
         ));
 
-        // Dataplane expiry cannot evict control-plane state.
-        assert!(!nat.expire((addr("192.168.1.10"), 53, IpProto::UDP), &mut sram));
-        assert_eq!(nat.num_statics(), 1);
-
         // Removal returns the SRAM.
         assert!(nat.remove_static(IpProto::UDP, 8053, &mut sram));
         assert_eq!(sram.used_by(SramCategory::Nat), 0);
-        assert!(nat.lookup_inbound(IpProto::UDP, 8053).is_none());
+        let late = PacketBuilder::new()
+            .ether(Mac::local(2), Mac::local(1))
+            .ipv4(addr("8.8.8.8"), addr("203.0.113.1"))
+            .udp(5353, 8053, b"late")
+            .build();
+        assert!(matches!(
+            nat.translate_inbound(late),
+            Err(NatError::NoMapping { port: 8053, .. })
+        ));
     }
 
     #[test]

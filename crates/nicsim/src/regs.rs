@@ -159,13 +159,6 @@ impl RegFile {
         Ok(())
     }
 
-    /// Reads a register. `pid = None` denotes a privileged access.
-    #[cfg(test)]
-    pub(crate) fn read(&mut self, addr: u64, pid: Option<u32>) -> Result<u64, RegError> {
-        self.check(addr, pid)?;
-        Ok(self.regs[&addr].value)
-    }
-
     /// Non-mutating privileged read for audits: no access check, no
     /// violation accounting, `None` when the register does not exist.
     pub fn peek(&self, addr: u64) -> Option<u64> {
@@ -186,9 +179,15 @@ mod tests {
             Err(RegError::PrivilegeViolation { addr: 0x1000 })
         );
         assert_eq!(rf.violations(), 1);
+        assert_eq!(
+            rf.peek(0x1000),
+            Some(0),
+            "the rejected write landed nowhere"
+        );
         // The kernel itself may write.
         assert!(rf.write(0x1000, 7, None).is_ok());
-        assert_eq!(rf.read(0x1000, None), Ok(7));
+        assert_eq!(rf.peek(0x1000), Some(7));
+        assert_eq!(rf.violations(), 1);
     }
 
     #[test]
@@ -196,26 +195,31 @@ mod tests {
         let mut rf = RegFile::new();
         rf.define_app(0x2000, 10);
         assert!(rf.write(0x2000, 5, Some(10)).is_ok());
-        assert_eq!(rf.read(0x2000, Some(10)), Ok(5));
+        assert_eq!(rf.peek(0x2000), Some(5));
         // Another process cannot touch it.
         assert_eq!(
-            rf.read(0x2000, Some(11)),
+            rf.write(0x2000, 6, Some(11)),
             Err(RegError::NotGranted {
                 addr: 0x2000,
                 pid: 11
             })
         );
+        assert_eq!(rf.peek(0x2000), Some(5));
+        assert_eq!(rf.violations(), 1);
         // The kernel always can.
-        assert_eq!(rf.read(0x2000, None), Ok(5));
+        assert!(rf.write(0x2000, 8, None).is_ok());
+        assert_eq!(rf.peek(0x2000), Some(8));
     }
 
     #[test]
     fn unknown_register_faults() {
         let mut rf = RegFile::new();
         assert_eq!(
-            rf.read(0x9999, None),
+            rf.write(0x9999, 1, None),
             Err(RegError::NoSuchRegister { addr: 0x9999 })
         );
+        assert_eq!(rf.peek(0x9999), None, "a faulting write creates nothing");
+        assert_eq!(rf.violations(), 1);
     }
 
     #[test]

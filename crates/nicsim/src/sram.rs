@@ -106,11 +106,6 @@ impl Sram {
         }
     }
 
-    /// A 16 MiB part, typical of mid-range FPGA NICs' on-chip SRAM.
-    pub fn typical() -> Sram {
-        Sram::new(16 << 20)
-    }
-
     /// Returns bytes currently allocated.
     pub fn used(&self) -> u64 {
         self.used

@@ -1678,24 +1678,6 @@ impl Host {
         );
     }
 
-    /// POSIX-compatibility receive: like [`Host::app_recv`] but models
-    /// `recv(2)` semantics where the payload is *copied* out of the ring
-    /// into a caller-supplied buffer. §4.2: the Norman library "provides
-    /// both POSIX APIs — so that applications can be easily portable …
-    /// as well as more efficient abstractions that prevent unnecessary
-    /// copies". The copy costs `copy_per_byte x len` extra CPU.
-    pub fn app_recv_posix(&mut self, id: ConnId, now: Time, blocking: bool) -> RecvResult {
-        let mut r = self.app_recv(id, now, blocking);
-        if let Some(len) = r.len {
-            let copy = self.cfg.mem.copy(len);
-            r.cpu += copy;
-            if let Some(conn) = self.connection(id) {
-                self.sched.charge_busy(conn.pid, copy);
-            }
-        }
-        r
-    }
-
     /// The application sends a frame on a connection: write payload into
     /// the TX ring (CPU stores), ring the doorbell (MMIO), NIC DMA-reads
     /// and runs egress policy, then schedules.

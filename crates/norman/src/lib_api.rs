@@ -91,12 +91,6 @@ impl NormanSocket {
         host.app_recv(self.conn, now, blocking)
     }
 
-    /// POSIX-style receive: the payload is copied into the caller's
-    /// buffer (portable, but pays `copy_per_byte x len`).
-    pub fn recv_posix(&self, host: &mut Host, now: Time, blocking: bool) -> RecvResult {
-        host.app_recv_posix(self.conn, now, blocking)
-    }
-
     /// Closes the socket.
     pub fn close(self, host: &mut Host) {
         host.close(self.conn);
@@ -188,32 +182,6 @@ mod tests {
             pkt::Payload::Tcp { .. } => {}
             other => panic!("expected TCP, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn posix_recv_pays_the_copy_zero_copy_does_not() {
-        let mut host = Host::new(HostConfig::default());
-        let bob = host.spawn(Uid(1001), "bob", "app");
-        let sock = NormanSocket::connect(
-            &mut host,
-            bob,
-            IpProto::UDP,
-            7000,
-            Ipv4Addr::new(10, 0, 0, 2),
-            9000,
-            Mac::local(9),
-            false,
-        )
-        .unwrap();
-        let frame = remote_frame(&host, 9000, 7000, &[0u8; 1400]);
-        // Same-size delivery twice; compare the two receive flavours.
-        host.deliver_from_wire(&frame, Time::ZERO);
-        host.deliver_from_wire(&frame, Time::ZERO);
-        let zc = sock.recv(&mut host, Time::ZERO, false);
-        let px = sock.recv_posix(&mut host, Time::ZERO, false);
-        assert_eq!(zc.len, px.len);
-        let copy = host.cfg.mem.copy(frame.len());
-        assert_eq!(px.cpu, zc.cpu + copy, "POSIX pays exactly the copy");
     }
 
     #[test]

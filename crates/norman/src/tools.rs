@@ -156,12 +156,6 @@ pub mod kqdisc {
             .map(|_| ())
             .map_err(control)
     }
-
-    /// Returns per-class bytes transmitted (class 0 = default).
-    pub fn class_bytes(host: &Host, cred: &Cred) -> Result<Vec<u64>, ToolError> {
-        require_root(cred, "kqdisc")?;
-        Ok(host.nic.scheduler_class_bytes())
-    }
 }
 
 /// `npolicy` — the unified policy front-end over the `crate::ctrl`
@@ -264,8 +258,6 @@ pub mod knetstat {
         pub(crate) proto: IpProto,
         /// Local port.
         pub(crate) local_port: u16,
-        /// Remote endpoint as text ("-" for listeners).
-        pub(crate) remote: String,
         /// Owning uid.
         pub uid: u32,
         /// Owning pid.
@@ -287,11 +279,6 @@ pub mod knetstat {
             .map(|e| ConnRow {
                 proto: e.tuple.proto,
                 local_port: e.tuple.dst_port,
-                remote: if e.tuple.src_ip.is_unspecified() {
-                    "-".to_string()
-                } else {
-                    format!("{}:{}", e.tuple.src_ip, e.tuple.src_port)
-                },
                 uid: e.uid,
                 pid: e.pid,
                 comm: e.comm.to_string(),
@@ -301,7 +288,6 @@ pub mod knetstat {
         rows.extend(host.stack.socket_stats().into_iter().map(|s| ConnRow {
             proto: s.proto,
             local_port: s.port,
-            remote: "-".to_string(),
             uid: s.uid,
             pid: s.pid.0,
             comm: s.comm,
@@ -319,25 +305,6 @@ pub mod knetstat {
     ) -> Result<Vec<(std::net::Ipv4Addr, oskernel::ArpEntry)>, ToolError> {
         require_root(cred, "knetstat")?;
         Ok(host.arp.entries())
-    }
-
-    /// Renders rows as a netstat-style table.
-    pub fn render(rows: &[ConnRow]) -> String {
-        let mut out =
-            String::from("proto  local  remote               uid    pid    comm             via\n");
-        for r in rows {
-            out.push_str(&format!(
-                "{:<6} {:<6} {:<20} {:<6} {:<6} {:<16} {}\n",
-                r.proto.to_string(),
-                r.local_port,
-                r.remote,
-                r.uid,
-                r.pid,
-                r.comm,
-                r.via
-            ));
-        }
-        out
     }
 }
 
@@ -587,7 +554,6 @@ mod tests {
             Err(ToolError::PermissionDenied { tool: "ksniff" })
         );
         assert!(kfilter::list(&h, &bob).is_err());
-        assert!(kqdisc::class_bytes(&h, &bob).is_err());
         assert!(knetstat::connections(&h, &bob).is_err());
         assert!(npolicy::status(&h, &bob).is_err());
     }
@@ -601,9 +567,6 @@ mod tests {
         assert_eq!(rows[0].comm, "postgres");
         assert_eq!(rows[0].uid, 1001);
         assert_eq!(rows[0].via, "nic");
-        let table = knetstat::render(&rows);
-        assert!(table.contains("postgres"));
-        assert!(table.contains("5432"));
     }
 
     #[test]
@@ -797,8 +760,7 @@ mod tests {
             Time::ZERO,
         )
         .unwrap();
-        let bytes = kqdisc::class_bytes(&h, &root).unwrap();
-        assert_eq!(bytes.len(), 2);
+        assert_eq!(h.nic.scheduler_class_bytes().len(), 2);
     }
 
     #[test]

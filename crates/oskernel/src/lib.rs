@@ -19,9 +19,7 @@
 //! * `process` — the process table binding pids to uids, command names,
 //!   and cgroups: the *process view* that on-NIC and in-kernel
 //!   interposition have but hypervisors and switches do not.
-//! * `cgroup` — the cgroup id a process carries. (The hierarchy with
-//!   `net_cls` class ids, the handle `tc` uses in the §2 QoS scenario,
-//!   has no caller and is compiled for its own tests only.)
+//! * `cgroup` — the cgroup id a process carries.
 //! * `sched` — blocking and wakeup with context-switch accounting, plus
 //!   per-process CPU meters (the §2 process-scheduling scenario's
 //!   polling-vs-blocking comparison).

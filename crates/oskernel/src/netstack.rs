@@ -383,25 +383,6 @@ impl NetStack {
         }
     }
 
-    /// Pulls the next frame the egress qdisc releases at `now`.
-    #[cfg(test)]
-    pub(crate) fn tx_poll(&mut self, now: Time) -> Option<Packet> {
-        let qpkt = self.egress.dequeue(now)?;
-        self.tx_frames.remove(&qpkt.id)
-    }
-
-    /// When the egress qdisc will next release a frame.
-    #[cfg(test)]
-    pub(crate) fn tx_next_ready(&self, now: Time) -> Option<Time> {
-        self.egress.next_ready(now)
-    }
-
-    /// Returns the egress backlog in packets.
-    #[cfg(test)]
-    pub(crate) fn tx_backlog(&self) -> usize {
-        self.egress.len()
-    }
-
     /// Returns (rx_packets, tx_packets) seen by the stack.
     pub fn counters(&self) -> (u64, u64) {
         (self.rx_packets, self.tx_packets)
@@ -482,7 +463,6 @@ mod tests {
     use crate::hooks::Rule;
     use pkt::{Mac, PacketBuilder};
     use qdisc::classify::ClassifierRule;
-    use qdisc::Tbf;
     use std::net::Ipv4Addr;
 
     fn addr(s: &str) -> Ipv4Addr {
@@ -566,8 +546,9 @@ mod tests {
         assert!(ok);
         let (_, cost_large) = stack.tx(pid, &large, Time::ZERO, &procs);
         assert!(cost_large > cost_small, "copy cost should scale");
-        assert_eq!(stack.tx_backlog(), 2);
-        assert!(stack.tx_poll(Time::ZERO).is_some());
+        let mut reg = telemetry::Registry::new();
+        stack.fill_registry(&mut reg);
+        assert_eq!(reg.snapshot().counter("netstack.egress.enqueued"), Some(2));
     }
 
     #[test]
@@ -586,22 +567,6 @@ mod tests {
 
         let (sent, _) = stack.tx(thief, &udp(5432, 9000, 10), Time::ZERO, &procs);
         assert!(!sent, "thief's spoofed send must be dropped");
-    }
-
-    #[test]
-    fn egress_qdisc_shapes_tx() {
-        let (mut stack, procs, pid) = setup();
-        // 1 kB/s, 200 B burst.
-        stack.set_egress_qdisc(Box::new(Tbf::new(1000, 200, 64)));
-        let pkt = udp(5432, 9000, 150); // ~192 B frame
-        stack.tx(pid, &pkt, Time::ZERO, &procs);
-        stack.tx(pid, &pkt, Time::ZERO, &procs);
-        assert!(stack.tx_poll(Time::ZERO).is_some());
-        assert!(stack.tx_poll(Time::ZERO).is_none(), "second frame shaped");
-        let ready = stack
-            .tx_next_ready(Time::ZERO)
-            .expect("shaper reports readiness");
-        assert!(stack.tx_poll(ready).is_some());
     }
 
     #[test]

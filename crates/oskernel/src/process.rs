@@ -10,8 +10,6 @@ use std::fmt;
 
 use crate::cgroup::CgroupId;
 use crate::cred::Cred;
-#[cfg(test)]
-use crate::cred::Uid;
 
 /// A process id.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
@@ -30,8 +28,6 @@ pub enum ProcState {
     Running,
     /// Blocked in a syscall, waiting for a wakeup.
     Blocked,
-    /// Exited.
-    Exited,
 }
 
 /// One process.
@@ -83,18 +79,6 @@ impl ProcessTable {
         pid
     }
 
-    /// Terminates a process.
-    #[cfg(test)]
-    pub(crate) fn exit(&mut self, pid: Pid) -> bool {
-        match self.procs.get_mut(&pid) {
-            Some(p) => {
-                p.state = ProcState::Exited;
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Returns a process by pid.
     pub fn get(&self, pid: Pid) -> Option<&Process> {
         self.procs.get(&pid)
@@ -104,45 +88,12 @@ impl ProcessTable {
     pub fn get_mut(&mut self, pid: Pid) -> Option<&mut Process> {
         self.procs.get_mut(&pid)
     }
-
-    /// Returns the uid owning `pid`, if it exists.
-    #[cfg(test)]
-    pub(crate) fn uid_of(&self, pid: Pid) -> Option<Uid> {
-        self.get(pid).map(|p| p.cred.uid)
-    }
-
-    /// Returns the command name of `pid`.
-    #[cfg(test)]
-    pub(crate) fn comm_of(&self, pid: Pid) -> Option<&str> {
-        self.get(pid).map(|p| p.comm.as_str())
-    }
-
-    /// Iterates over live (non-exited) processes.
-    #[cfg(test)]
-    pub(crate) fn live(&self) -> impl Iterator<Item = &Process> {
-        self.procs.values().filter(|p| p.state != ProcState::Exited)
-    }
-
-    /// Returns all processes owned by `uid`.
-    #[cfg(test)]
-    pub(crate) fn by_uid(&self, uid: Uid) -> Vec<&Process> {
-        let mut v: Vec<&Process> = self.live().filter(|p| p.cred.uid == uid).collect();
-        v.sort_by_key(|p| p.pid);
-        v
-    }
-
-    /// Finds live processes by command name.
-    #[cfg(test)]
-    pub(crate) fn by_comm(&self, comm: &str) -> Vec<&Process> {
-        let mut v: Vec<&Process> = self.live().filter(|p| p.comm == comm).collect();
-        v.sort_by_key(|p| p.pid);
-        v
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cred::Uid;
 
     fn table_with_two() -> (ProcessTable, Pid, Pid) {
         let mut t = ProcessTable::new();
@@ -160,27 +111,14 @@ mod tests {
 
     #[test]
     fn attribution_queries() {
-        let (t, bob, _) = table_with_two();
-        assert_eq!(t.uid_of(bob), Some(Uid(1001)));
-        assert_eq!(t.comm_of(bob), Some("postgres"));
-        assert_eq!(t.by_uid(Uid(1001)).len(), 1);
-        assert_eq!(t.by_comm("mysqld").len(), 1);
-        assert!(t.by_comm("nginx").is_empty());
-    }
-
-    #[test]
-    fn exited_processes_leave_live_views() {
-        let (mut t, bob, _) = table_with_two();
-        assert!(t.exit(bob));
-        assert!(t.by_uid(Uid(1001)).is_empty());
-        assert_eq!(t.live().count(), 1);
-        // Still in the table (zombie-ish), state reflects exit.
-        assert_eq!(t.get(bob).unwrap().state, ProcState::Exited);
-    }
-
-    #[test]
-    fn exit_unknown_pid_is_false() {
-        let mut t = ProcessTable::new();
-        assert!(!t.exit(Pid(42)));
+        let (t, bob, charlie) = table_with_two();
+        let p = t.get(bob).unwrap();
+        assert_eq!(
+            (p.pid, p.cred.uid, p.comm.as_str()),
+            (bob, Uid(1001), "postgres")
+        );
+        assert_eq!(p.state, ProcState::Running);
+        assert_eq!(t.get(charlie).unwrap().comm.as_str(), "mysqld");
+        assert!(t.get(Pid(42)).is_none());
     }
 }

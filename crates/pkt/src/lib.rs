@@ -13,7 +13,7 @@
 //!   view.
 //! * `flow` — [`FiveTuple`] flow keys and Toeplitz RSS hashing.
 //! * `builder` — fluent, checksum-correct packet construction.
-//! * [`mutate`] — NAT/ECN header rewriting with RFC 1624 incremental
+//! * [`mutate`] — NAT header rewriting with RFC 1624 incremental
 //!   checksum fixup.
 //! * [`meta`] — the parse-once [`FrameMeta`] descriptor every dataplane
 //!   stage consumes instead of re-parsing, and the [`Frame`] unit that

@@ -3,8 +3,7 @@
 //! The §5 offload list includes NAT: the NIC must rewrite addresses and
 //! ports at line rate. Hardware does this with RFC 1624 incremental
 //! checksum updates — O(1) per rewritten word, never re-reading the
-//! payload — and so does this module. ECN marking (used by AQM and
-//! congestion control) rewrites the IP TOS byte the same way.
+//! payload — and so does this module.
 
 use std::net::Ipv4Addr;
 
@@ -198,40 +197,9 @@ pub fn rewrite_endpoints_owned(
     Ok(frame)
 }
 
-/// Sets the ECN codepoint in the IPv4 TOS byte (e.g. `0b11`, congestion
-/// experienced, when an AQM marks congestion), fixing the IP checksum
-/// incrementally.
-pub fn set_ecn(packet: &Packet, ecn: u8) -> Result<Packet> {
-    layout(packet.bytes())?;
-    let mut bytes = packet.bytes().to_vec();
-    let tos_word_off = IP_OFF; // version/IHL byte + TOS byte share a word
-    let ver_ihl = bytes[IP_OFF];
-    let new_tos = (bytes[IP_OFF + 1] & !0b11) | (ecn & 0b11);
-    patch_word(&mut bytes, tos_word_off, [ver_ihl, new_tos], &[IP_OFF + 10]);
-    let out = Packet::from_bytes(bytes);
-    // Carry an attached descriptor forward; only the DSCP/ECN byte moved.
-    Ok(match packet.meta() {
-        Some(m) => {
-            let mut meta = *m;
-            meta.dscp_ecn = new_tos;
-            out.with_meta(meta)
-        }
-        None => out,
-    })
-}
-
-/// Returns the ECN codepoint of an IPv4 frame.
-pub fn ecn_of(packet: &Packet) -> Result<u8> {
-    layout(packet.bytes())?;
-    Ok(packet.bytes()[IP_OFF + 1] & 0b11)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// The ECN congestion-experienced codepoint.
-    const ECN_CE: u8 = 0b11;
     use crate::builder::PacketBuilder;
     use crate::ether::Mac;
     use crate::flow::FiveTuple;
@@ -374,22 +342,6 @@ mod tests {
     }
 
     #[test]
-    fn ecn_mark_and_read() {
-        let pkt = udp_pkt();
-        assert_eq!(ecn_of(&pkt).unwrap(), 0);
-        let marked = set_ecn(&pkt, ECN_CE).unwrap();
-        assert_eq!(ecn_of(&marked).unwrap(), ECN_CE);
-        // IPv4 checksum still verifies.
-        assert!(marked.parse().is_ok());
-        // Everything else unchanged.
-        assert_eq!(&marked.bytes()[2..IP_OFF + 1], &pkt.bytes()[2..IP_OFF + 1]);
-        assert_eq!(
-            &marked.bytes()[IP_OFF + 2..IP_OFF + 10],
-            &pkt.bytes()[IP_OFF + 2..IP_OFF + 10]
-        );
-    }
-
-    #[test]
     fn zero_udp_checksum_left_alone() {
         // Hand-build a UDP frame with checksum 0 (sender opted out).
         let pkt = udp_pkt();
@@ -405,7 +357,6 @@ mod tests {
     fn arp_frames_are_rejected() {
         let arp = PacketBuilder::arp_request(Mac::local(1), addr("1.1.1.1"), addr("2.2.2.2"));
         assert!(rewrite_ports(&arp, Some(1), None).is_err());
-        assert!(set_ecn(&arp, ECN_CE).is_err());
     }
 
     #[test]

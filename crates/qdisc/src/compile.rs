@@ -58,8 +58,12 @@ impl std::fmt::Display for SchedCompileError {
 
 impl std::error::Error for SchedCompileError {}
 
-/// Non-panicking `compile_uid_wfq`: rejects non-finite / non-positive
-/// weights and over-long user lists instead of asserting, so the control
+/// Compiles a per-user WFQ configuration: each `(uid, weight)` pair gets
+/// its own class; unlisted users share class 0 with weight
+/// `default_weight`.
+///
+/// Rejects non-finite / non-positive weights and more than 255 users (the
+/// builtin classifier's map is keyed by `uid & 255`), so the control
 /// plane can refuse a bad policy during the verify phase of a commit.
 pub fn try_compile_uid_wfq(
     users: &[(u32, f64)],
@@ -96,27 +100,6 @@ pub fn try_compile_uid_wfq(
     })
 }
 
-/// Compiles a per-user WFQ configuration: each `(uid, weight)` pair gets
-/// its own class; unlisted users share class 0 with weight
-/// `default_weight`.
-///
-/// # Panics
-///
-/// Panics if any weight is invalid or more than 255 users are given
-/// (the builtin classifier's map is keyed by `uid & 255`). Fallible
-/// callers use [`try_compile_uid_wfq`].
-#[cfg(test)]
-pub(crate) fn compile_uid_wfq(users: &[(u32, f64)], default_weight: f64) -> OverlaySchedulerSetup {
-    match try_compile_uid_wfq(users, default_weight) {
-        Ok(setup) => setup,
-        Err(SchedCompileError::TooManyUsers(_)) => panic!("at most 255 distinct users"),
-        Err(SchedCompileError::InvalidWeight { uid: None, .. }) => {
-            panic!("default weight must be positive")
-        }
-        Err(SchedCompileError::InvalidWeight { .. }) => panic!("weights must be positive"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,7 +116,7 @@ mod tests {
 
     #[test]
     fn uid_wfq_assigns_per_user_classes() {
-        let setup = compile_uid_wfq(&[(1001, 3.0), (1002, 1.0)], 1.0);
+        let setup = try_compile_uid_wfq(&[(1001, 3.0), (1002, 1.0)], 1.0).unwrap();
         assert_eq!(setup.class_weights, vec![1.0, 3.0, 1.0]);
         let mut vm = load(&setup);
         let v = |uid: u32, vm: &mut Vm| {
@@ -147,12 +130,6 @@ mod tests {
         assert_eq!(v(1001, &mut vm), Verdict::Class(1));
         assert_eq!(v(1002, &mut vm), Verdict::Class(2));
         assert_eq!(v(4242, &mut vm), Verdict::Class(0)); // default
-    }
-
-    #[test]
-    #[should_panic(expected = "weights must be positive")]
-    fn bad_weight_rejected() {
-        let _ = compile_uid_wfq(&[(1, -1.0)], 1.0);
     }
 
     #[test]
@@ -170,6 +147,10 @@ mod tests {
             Err(SchedCompileError::InvalidWeight { uid: Some(1), .. })
         ));
         assert!(matches!(
+            try_compile_uid_wfq(&[(1, -1.0)], 1.0),
+            Err(SchedCompileError::InvalidWeight { uid: Some(1), .. })
+        ));
+        assert!(matches!(
             try_compile_uid_wfq(&[], -2.0),
             Err(SchedCompileError::InvalidWeight { uid: None, .. })
         ));
@@ -179,12 +160,5 @@ mod tests {
             Err(SchedCompileError::TooManyUsers(256))
         ));
         assert!(try_compile_uid_wfq(&[(1001, 2.5)], 1.0).is_ok());
-    }
-
-    #[test]
-    #[should_panic(expected = "at most 255")]
-    fn too_many_users_rejected() {
-        let users: Vec<(u32, f64)> = (0..256).map(|u| (u, 1.0)).collect();
-        let _ = compile_uid_wfq(&users, 1.0);
     }
 }

@@ -30,11 +30,6 @@ impl Fifo {
             stats: QdiscStats::default(),
         }
     }
-
-    /// Peeks at the head packet.
-    pub(crate) fn peek(&self) -> Option<&QPkt> {
-        self.queue.front()
-    }
 }
 
 impl Qdisc for Fifo {
@@ -56,11 +51,6 @@ impl Qdisc for Fifo {
         self.stats.dequeued += 1;
         self.stats.bytes_dequeued += u64::from(pkt.len);
         Some(pkt)
-    }
-
-    fn next_ready(&self, _now: Time) -> Option<Time> {
-        // A non-empty FIFO is always immediately ready.
-        None
     }
 
     fn len(&self) -> usize {
@@ -121,7 +111,6 @@ mod tests {
         let mut q = Fifo::new(1);
         assert!(q.dequeue(Time::ZERO).is_none());
         assert!(q.is_empty());
-        assert!(q.next_ready(Time::ZERO).is_none());
     }
 
     #[test]

@@ -154,10 +154,6 @@ impl Qdisc for MultiQueue {
         self.dequeue_rr(now).map(|(_, pkt)| pkt)
     }
 
-    fn next_ready(&self, _now: Time) -> Option<Time> {
-        None
-    }
-
     fn len(&self) -> usize {
         self.queues.iter().map(Qdisc::len).sum()
     }

@@ -104,23 +104,14 @@ impl QdiscStats {
     }
 }
 
-/// A queueing discipline.
-///
-/// Time is explicit: shaping disciplines (e.g. [`crate::Tbf`]) may hold
-/// packets until tokens accrue, reporting readiness via
-/// [`Qdisc::next_ready`].
+/// A queueing discipline. Every discipline here is work-conserving: a
+/// non-empty queue always has a packet eligible for [`Qdisc::dequeue`].
 pub trait Qdisc {
     /// Offers a packet at instant `now`.
     fn enqueue(&mut self, pkt: QPkt, now: Time) -> Result<(), EnqueueError>;
 
     /// Releases the next packet eligible at `now`, if any.
     fn dequeue(&mut self, now: Time) -> Option<QPkt>;
-
-    /// If the queue is non-empty but nothing is eligible at `now`,
-    /// returns the earliest instant at which [`Qdisc::dequeue`] will
-    /// succeed. Returns `None` if the queue is empty or a packet is
-    /// already eligible.
-    fn next_ready(&self, now: Time) -> Option<Time>;
 
     /// Returns the number of queued packets.
     fn len(&self) -> usize;

@@ -130,10 +130,6 @@ impl Qdisc for Wfq {
         Some(pkt)
     }
 
-    fn next_ready(&self, _now: Time) -> Option<Time> {
-        None
-    }
-
     fn len(&self) -> usize {
         self.classes.iter().map(|c| c.queue.len()).sum()
     }

@@ -120,15 +120,6 @@ impl Dur {
         Dur((ns * PS_PER_NS as f64).round() as u64)
     }
 
-    /// Returns a span of `s` (fractional) seconds, rounding to the nearest
-    /// picosecond. Negative inputs clamp to zero.
-    pub fn from_secs_f64(s: f64) -> Dur {
-        if s <= 0.0 {
-            return Dur::ZERO;
-        }
-        Dur((s * PS_PER_S as f64).round() as u64)
-    }
-
     /// Returns this span as (possibly fractional) nanoseconds.
     pub fn as_ns_f64(self) -> f64 {
         self.0 as f64 / PS_PER_NS as f64

@@ -30,6 +30,23 @@ run_lint() {
   echo "==> cargo doc --no-deps (warnings are errors)"
   RUSTDOCFLAGS="-D warnings" cargo doc --no-deps
 
+  # `dead_code` cannot see an item under `#[cfg(test)]`: outside a
+  # `mod tests` such an item is code that only its own tests call. The
+  # count may only fall; delete the code instead of gating it. Lower the
+  # ceiling when a change removes some.
+  local ceiling=68 sites count
+  sites="$(find crates/*/src -name '*.rs' -exec awk '
+    FNR == 1 { gated = 0 }
+    gated { if ($0 !~ /^[[:space:]]*mod tests/) print FILENAME ":" FNR ": " $0; gated = 0 }
+    /^[[:space:]]*#\[cfg\(test\)\][[:space:]]*$/ { gated = 1 }' {} + | sort)"
+  count="$(grep -c . <<<"$sites" || true)"
+  echo "==> #[cfg(test)] items outside mod tests: $count (ceiling $ceiling)"
+  if (( count > ceiling )); then
+    echo "$sites" >&2
+    echo "test-gated items rose above $ceiling: delete code that only tests call" >&2
+    exit 1
+  fi
+
   if command -v shellcheck >/dev/null 2>&1; then
     echo "==> shellcheck scripts/*.sh"
     shellcheck scripts/*.sh

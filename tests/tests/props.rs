@@ -13,7 +13,7 @@ use norman::{Host, HostConfig};
 use oskernel::Uid;
 use overlay::{PktCtx, Verdict as OverlayVerdict, Vm};
 use pkt::{checksum, FiveTuple, IpProto, Mac, Packet, PacketBuilder, Payload, RssHasher, TcpFlags};
-use qdisc::{Drr, Fifo, QPkt, Qdisc, Wfq};
+use qdisc::{Fifo, QPkt, Qdisc, Wfq};
 use sim::{
     DetRng, Dur, FaultInjector, FaultSchedule, FaultyLink, Histogram, Link, LossModel, Time,
 };
@@ -184,32 +184,6 @@ fn wfq_conservation_and_intra_class_order() {
                 "class {class} reordered"
             );
         }
-    }
-}
-
-/// DRR likewise conserves and never loses a class's packets.
-#[test]
-fn drr_conservation() {
-    let mut r = rng(7);
-    for _ in 0..32 {
-        let n = r.range_usize(1, 300);
-        let pkts: Vec<(u32, u32)> = (0..n)
-            .map(|_| (r.range_u64(0, 3) as u32, r.range_u64(60, 1500) as u32))
-            .collect();
-        let mut q = Drr::new(&[500, 1500, 4500], 4096);
-        for (i, &(class, len)) in pkts.iter().enumerate() {
-            q.enqueue(
-                QPkt::new(i as u64, len, Time::ZERO).with_class(class),
-                Time::ZERO,
-            )
-            .unwrap();
-        }
-        let mut count = 0;
-        while q.dequeue(Time::ZERO).is_some() {
-            count += 1;
-        }
-        assert_eq!(count, pkts.len());
-        assert!(q.is_empty());
     }
 }
 
@@ -550,27 +524,6 @@ fn mutate_preserves_checksum_validity() {
     }
 }
 
-/// ECN marking is idempotent and never invalidates the IP checksum.
-#[test]
-fn ecn_marking_idempotent() {
-    let mut r = rng(22);
-    for ecn in 0u8..4 {
-        for _ in 0..16 {
-            let payload_len = r.range_usize(0, 100);
-            let p = PacketBuilder::new()
-                .ether(Mac::local(1), Mac::local(2))
-                .ipv4(Ipv4Addr::new(1, 2, 3, 4), Ipv4Addr::new(5, 6, 7, 8))
-                .udp(1, 2, &vec![0u8; payload_len])
-                .build();
-            let once = pkt::mutate::set_ecn(&p, ecn).unwrap();
-            let twice = pkt::mutate::set_ecn(&once, ecn).unwrap();
-            assert_eq!(once.bytes(), twice.bytes());
-            assert_eq!(pkt::mutate::ecn_of(&twice).unwrap(), ecn & 0b11);
-            assert!(twice.parse().is_ok());
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
 // Fault-injection properties
 // ---------------------------------------------------------------------
@@ -785,14 +738,7 @@ fn frame_meta_matches_fresh_parse_through_all_stages() {
         assert_eq!(restored.meta, FrameMeta::derive(restored.bytes()).unwrap());
         assert_eq!(restored.meta.tuple.unwrap().dst_port, int_port);
 
-        // Stage 3: ECN remark carries the descriptor forward too.
-        let marked = pkt::mutate::set_ecn(&restored.pkt, 0b11).unwrap();
-        assert_eq!(
-            *marked.meta().expect("set_ecn keeps the descriptor"),
-            FrameMeta::derive(marked.bytes()).unwrap()
-        );
-
-        // Stage 4: the NIC pipeline hands back the descriptor it used.
+        // Stage 3: the NIC pipeline hands back the descriptor it used.
         let mut nic = nicsim::SmartNic::new(nicsim::NicConfig::default());
         let rx = nic.rx(&restored.pkt, Time::ZERO);
         assert_eq!(rx.meta, Some(FrameMeta::derive(restored.bytes()).unwrap()));
