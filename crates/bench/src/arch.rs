@@ -13,7 +13,7 @@ use sim::Dur;
 use workloads::placement::Cost;
 
 /// The five placements, in presentation order.
-pub const NAMES: [&str; 5] = [
+pub(crate) const NAMES: [&str; 5] = [
     "kernel-stack",
     "raw-bypass",
     "sidecar-core",
@@ -23,7 +23,7 @@ pub const NAMES: [&str; 5] = [
 
 /// What an interposition placement can and cannot do (§3's requirements).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct Capabilities {
+pub(crate) struct Capabilities {
     /// Sees traffic of *all* applications on the host.
     pub global_view: bool,
     /// Can attribute traffic to (uid, pid, comm) and signal processes.
@@ -43,7 +43,7 @@ pub struct Capabilities {
 impl Capabilities {
     /// The §3 requirement list as a score out of 6 (every column except
     /// `line_rate_datapath`, which is the performance side).
-    pub fn policy_score(&self) -> u32 {
+    pub(crate) fn policy_score(&self) -> u32 {
         [
             self.global_view,
             self.process_view,
@@ -63,7 +63,7 @@ impl Capabilities {
 /// # Panics
 ///
 /// Panics on a name outside [`NAMES`].
-pub fn asserted(name: &str) -> Capabilities {
+pub(crate) fn asserted(name: &str) -> Capabilities {
     let [global_view, process_view, isolated_from_app, blocking_io, shaping, programmable, line_rate_datapath] =
         match name {
             "kernel-stack" => [true, true, true, true, true, true, false],
@@ -124,14 +124,14 @@ fn one_frame(app_core: Dur, other_core: Dur) -> Cost {
 /// Sidecar receive: NIC → sidecar ring → interposition → cross-core into
 /// the application's cache, which pays the coherence miss and its
 /// doorbell.
-pub fn sidecar_rx(bytes: usize, rules: u64) -> Cost {
+pub(crate) fn sidecar_rx(bytes: usize, rules: u64) -> Cost {
     let [ring, coherence, interpose, doorbell] = sidecar(bytes, rules);
     one_frame(coherence + doorbell, ring + interpose)
 }
 
 /// Sidecar send: the application produces into the ring and rings the
 /// doorbell; the sidecar pays the coherence miss and interposes.
-pub fn sidecar_tx(bytes: usize, rules: u64) -> Cost {
+pub(crate) fn sidecar_tx(bytes: usize, rules: u64) -> Cost {
     let [ring, coherence, interpose, doorbell] = sidecar(bytes, rules);
     one_frame(ring + doorbell, coherence + interpose)
 }
@@ -139,7 +139,7 @@ pub fn sidecar_tx(bytes: usize, rules: u64) -> Cost {
 /// A hypervisor switch leaves the host side of raw bypass as it is and
 /// adds a match-action stage on the NIC: its cost is *derived from* the
 /// measured bypass run, not computed beside it.
-pub fn hypervisor_switch(bypass: Cost) -> Cost {
+pub(crate) fn hypervisor_switch(bypass: Cost) -> Cost {
     Cost {
         nic_latency: bypass.nic_latency + Dur::from_ns(100) * bypass.frames,
         ..bypass

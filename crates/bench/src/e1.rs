@@ -8,13 +8,14 @@
 //! recipes over one `Host` (`workloads::placement`), charged the way
 //! normanbench's `sim_*` rows are, RX and TX in separate phases; the
 //! sidecar is a closed form and the hypervisor switch is derived from the
-//! measured bypass run (`bench::arch`). Expected shape: KOPI ≈ raw bypass
+//! measured bypass run (`crate::arch`). Expected shape: KOPI ≈ raw bypass
 //! (the delta a number, not a definition) < sidecar < kernel; KOPI pays
 //! pipelined NIC latency instead.
 
-use bench::arch;
 use serde::Serialize;
 use workloads::placement::{partition_policy, Cost, Placement};
+
+use crate::{arch, claim, Mode, Outcome};
 
 #[derive(Serialize)]
 struct Row {
@@ -38,9 +39,7 @@ const RULES_SCANNED: u64 = 1;
 /// What interposing on the NIC may cost the host over not interposing.
 const KOPI_HOST_DELTA_MAX_NS: f64 = 1.0;
 
-fn main() {
-    println!("E1: per-packet cost of interposition placements (paper §1/§2)");
-    println!("(measured = run on Host; analytic = closed form / derived from the bypass run)");
+pub(crate) fn run(_: Mode) -> Outcome {
     let sizes = [64usize, 256, 512, 1024, 1500];
     let policy = partition_policy();
     let mut rows = Vec::new();
@@ -52,23 +51,10 @@ fn main() {
             assert_eq!((rx.delivered, tx.delivered), (N, N), "{}", p.name);
             (rx, tx)
         });
-        let mut table = bench::Table::new(
-            &format!("E1 — {bytes}-byte frames"),
-            &[
-                "architecture",
-                "source",
-                "rx app-core (ns)",
-                "rx other-core (ns)",
-                "rx host total (ns)",
-                "tx host total (ns)",
-                "NIC latency (ns)",
-                "Mpps/core",
-            ],
-        );
-        // Per-frame host cost in whole picoseconds, so a delta prints exactly.
+        // Per-frame host cost in whole picoseconds, so a delta is exact.
         let host_ps = |c: Cost| (c.host() / c.frames).0 as f64;
         let mut push = |arch, source, (rx, tx): (Cost, Cost)| {
-            let row = Row {
+            rows.push(Row {
                 arch,
                 source,
                 frame_bytes: bytes,
@@ -79,18 +65,7 @@ fn main() {
                 nic_latency_ns: rx.per_frame_ns(rx.nic_latency),
                 per_core_mpps: 1e3 / rx.per_frame_ns(rx.app_core),
                 host_delta_vs_bypass_ns: (host_ps(rx) - host_ps(bypass.0)) / 1e3,
-            };
-            table.row(&[
-                arch.to_string(),
-                source.to_string(),
-                format!("{:.0}", row.rx_app_core_ns),
-                format!("{:.0}", row.rx_other_core_ns),
-                format!("{:.0}", row.rx_total_host_ns),
-                format!("{:.0}", row.tx_total_host_ns),
-                format!("{:.0}", row.nic_latency_ns),
-                format!("{:.1}", row.per_core_mpps),
-            ]);
-            rows.push(row);
+            });
         };
         // The sidecar sits behind a plain NIC: bypass's measured latency.
         let sidecar_rx = Cost {
@@ -107,33 +82,45 @@ fn main() {
         push("sidecar-core", "analytic", sidecar);
         push("hypervisor-switch", "analytic", hypervisor);
         push("kopi", "measured", kopi);
-        table.print();
     }
 
-    // Shape assertions (the "who wins" the paper predicts).
+    // The "who wins" the paper predicts, at every size.
     let row = |arch: &str, bytes: usize| {
         rows.iter()
             .find(|r| r.arch == arch && r.frame_bytes == bytes)
             .unwrap()
     };
-    println!("\nKOPI − raw-bypass, measured on Host (bound: host ≤ {KOPI_HOST_DELTA_MAX_NS} ns):");
-    for &bytes in &sizes {
-        let (kopi, bypass) = (row("kopi", bytes), row("raw-bypass", bytes));
-        println!(
-            "  {bytes:>4} B: host {:+.3} ns, NIC latency {:+.0} ns",
-            kopi.host_delta_vs_bypass_ns,
-            kopi.nic_latency_ns - bypass.nic_latency_ns
-        );
-        assert!(kopi.host_delta_vs_bypass_ns.abs() <= KOPI_HOST_DELTA_MAX_NS);
-        assert!(kopi.nic_latency_ns > bypass.nic_latency_ns);
-        assert!(kopi.rx_total_host_ns < row("sidecar-core", bytes).rx_total_host_ns);
-        assert!(
-            row("sidecar-core", bytes).rx_total_host_ns
-                < row("kernel-stack", bytes).rx_total_host_ns
-        );
-        assert!(kopi.tx_total_host_ns < row("kernel-stack", bytes).tx_total_host_ns);
-    }
-    println!("\nShape check PASSED: kopi ≈ raw-bypass < sidecar-core < kernel-stack (all sizes)");
-
-    bench::write_json("exp_e1_datapaths", &rows);
+    let claims = vec![
+        claim(
+            "e1/kopi-within-1ns-of-bypass",
+            sizes
+                .iter()
+                .all(|&b| row("kopi", b).host_delta_vs_bypass_ns.abs() <= KOPI_HOST_DELTA_MAX_NS),
+        ),
+        claim(
+            "e1/kopi-pays-nic-latency",
+            sizes
+                .iter()
+                .all(|&b| row("kopi", b).nic_latency_ns > row("raw-bypass", b).nic_latency_ns),
+        ),
+        claim(
+            "e1/kopi-rx-below-sidecar",
+            sizes.iter().all(|&b| {
+                row("kopi", b).rx_total_host_ns < row("sidecar-core", b).rx_total_host_ns
+            }),
+        ),
+        claim(
+            "e1/sidecar-rx-below-kernel",
+            sizes.iter().all(|&b| {
+                row("sidecar-core", b).rx_total_host_ns < row("kernel-stack", b).rx_total_host_ns
+            }),
+        ),
+        claim(
+            "e1/kopi-tx-below-kernel",
+            sizes.iter().all(|&b| {
+                row("kopi", b).tx_total_host_ns < row("kernel-stack", b).tx_total_host_ns
+            }),
+        ),
+    ];
+    Outcome::new(&rows, claims)
 }

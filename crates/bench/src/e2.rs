@@ -20,14 +20,11 @@
 use memsim::LlcConfig;
 use norman::{Host, HostConfig};
 use oskernel::Uid;
-use pkt::{Mac, PacketBuilder};
 use serde::Serialize;
 use sim::{Dur, Time};
-use std::net::Ipv4Addr;
 
-const FRAME: usize = 1500;
-const CORES: f64 = 6.0;
-const LINE_GBPS: f64 = 100.0;
+use crate::scenario::{goodput_gbps, open_spread, sweep_app_working_set, udp_to_host, FRAME};
+use crate::{claim, Mode, Outcome};
 
 #[derive(Serialize)]
 struct Row {
@@ -39,7 +36,7 @@ struct Row {
     recv_ns_per_pkt: f64,
 }
 
-fn run(conns: usize, llc: LlcConfig, shared_rings: bool) -> (f64, f64, f64, f64) {
+fn run_point(conns: usize, llc: LlcConfig, shared_rings: bool) -> (f64, f64, f64, f64) {
     let mut cfg = HostConfig {
         llc,
         shared_rings,
@@ -54,44 +51,16 @@ fn run(conns: usize, llc: LlcConfig, shared_rings: bool) -> (f64, f64, f64, f64)
     let mut host = Host::new(cfg);
     let pid = host.spawn(Uid(1001), "bob", "server");
 
-    // Open the connections across the port space.
-    let mut ids = Vec::with_capacity(conns);
-    for i in 0..conns {
-        let port = 1024 + (i as u16 % 60_000);
-        let remote_port = 10_000 + (i / 60_000) as u16;
-        let id = host
-            .connect(
-                pid,
-                pkt::IpProto::UDP,
-                port,
-                Ipv4Addr::new(10, 0, 0, 2),
-                remote_port,
-                false,
-            )
-            .expect("open connection");
-        ids.push((id, port, remote_port));
-    }
-
+    let ids: Vec<_> = open_spread(&mut host, pid, conns, 10_000)
+        .into_iter()
+        .map(|(id, port, peer_port)| (id.expect("open connection"), port, peer_port))
+        .collect();
     // Pre-build one frame per connection.
+    let payload = vec![0u8; FRAME - 42];
     let frames: Vec<pkt::Packet> = ids
         .iter()
-        .map(|&(_, port, remote_port)| {
-            PacketBuilder::new()
-                .ether(Mac::local(9), host.cfg.mac)
-                .ipv4(Ipv4Addr::new(10, 0, 0, 2), host.cfg.ip)
-                .udp(remote_port, port, &vec![0u8; FRAME - 42])
-                .build()
-        })
+        .map(|&(_, port, peer_port)| udp_to_host(&host, peer_port, port, &payload))
         .collect();
-
-    // The applications also *compute*: between service rounds they sweep
-    // their own working sets through the cache. Without this pressure the
-    // LLC's 14 non-DDIO ways would quietly absorb every ring (an idle
-    // host has no DDIO problem); with it, ring lines survive only as long
-    // as the DDIO share holds them — the condition the paper describes.
-    let bg_bytes: u64 = 48 << 20;
-    let bg_base: u64 = 0x80_0000_0000;
-    let mem = host.cfg.mem.clone();
 
     // Steady state: warm rounds, then two measured rounds. The shared
     // ring needs enough rounds to wrap at small connection counts.
@@ -140,14 +109,13 @@ fn run(conns: usize, llc: LlcConfig, shared_rings: bool) -> (f64, f64, f64, f64)
             // connection's ring (both slots) before the application's
             // service loop comes back around — the reuse distance spans
             // all live rings.
-            for (i, &(id, ..)) in ids.iter().enumerate() {
+            for frame in &frames {
                 for _ in 0..2 {
-                    let rep = host.deliver_from_wire(&frames[i], Time::ZERO);
+                    let rep = host.deliver_from_wire(frame, Time::ZERO);
                     if measure {
                         dma_total += rep.mem_cost;
                     }
                 }
-                let _ = id;
             }
             for &(id, ..) in &ids {
                 for _ in 0..2 {
@@ -165,20 +133,12 @@ fn run(conns: usize, llc: LlcConfig, shared_rings: bool) -> (f64, f64, f64, f64)
             cpu_hits += s1.cpu_hits - s0.cpu_hits;
             cpu_misses += s1.cpu_misses - s0.cpu_misses;
         }
-        // Application compute phase: sweep the background working set.
-        // (Not charged to per-packet costs; it is the apps' own work.)
-        let mut addr = bg_base;
-        while addr < bg_base + bg_bytes {
-            host.llc_mut()
-                .access_range(addr, 64, memsim::AccessKind::CpuRead, &mem);
-            addr += 64;
-        }
+        sweep_app_working_set(&mut host);
     }
 
     let dma_ns = dma_total.as_ns_f64() / measured_pkts as f64;
     let recv_ns = recv_total.as_ns_f64() / measured_pkts as f64;
-    let bottleneck_ns = dma_ns.max(recv_ns) / CORES;
-    let gbps = (FRAME as f64 * 8.0 / bottleneck_ns).min(LINE_GBPS);
+    let gbps = goodput_gbps(dma_ns.max(recv_ns));
     let hit_rate = if cpu_hits + cpu_misses == 0 {
         1.0
     } else {
@@ -187,10 +147,7 @@ fn run(conns: usize, llc: LlcConfig, shared_rings: bool) -> (f64, f64, f64, f64)
     (gbps, hit_rate, dma_ns, recv_ns)
 }
 
-fn main() {
-    println!("E2: goodput vs concurrent connections (paper §5 cliff)");
-    println!("(6-core receiver, 1500B frames, 2x2KiB rings per connection)\n");
-
+pub(crate) fn run(_: Mode) -> Outcome {
     type Config = (&'static str, fn() -> LlcConfig, bool);
     let conn_counts = [16usize, 64, 256, 512, 1024, 2048, 4096, 8192, 16384];
     let configs: [Config; 3] = [
@@ -201,25 +158,8 @@ fn main() {
 
     let mut rows = Vec::new();
     for (name, llc_fn, shared) in configs {
-        let mut table = bench::Table::new(
-            &format!("E2 — {name}"),
-            &[
-                "connections",
-                "goodput (Gbps)",
-                "consumer hit rate",
-                "DMA ns/pkt",
-                "recv ns/pkt",
-            ],
-        );
         for &n in &conn_counts {
-            let (gbps, hit, dma, recv) = run(n, llc_fn(), shared);
-            table.row(&[
-                n.to_string(),
-                format!("{gbps:.1}"),
-                bench::pct(hit),
-                format!("{dma:.0}"),
-                format!("{recv:.0}"),
-            ]);
+            let (gbps, hit, dma, recv) = run_point(n, llc_fn(), shared);
             rows.push(Row {
                 config: name,
                 connections: n,
@@ -229,37 +169,32 @@ fn main() {
                 recv_ns_per_pkt: recv,
             });
         }
-        table.print();
     }
 
-    // Shape checks: full line rate at <=1024 conns with the paper's DDIO
-    // config, a cliff beyond it, and the mitigation/ablation behaviours.
+    // Full line rate at <=1024 conns with the paper's DDIO config, a
+    // cliff beyond it, and the mitigation/ablation behaviours.
     let g = |config: &str, conns: usize| {
         rows.iter()
             .find(|r| r.config == config && r.connections == conns)
             .unwrap()
             .goodput_gbps
     };
-    assert!(g("ddio-2way (paper)", 1024) >= 99.0, "line rate at 1024");
-    assert!(
-        g("ddio-2way (paper)", 2048) < 0.8 * g("ddio-2way (paper)", 1024),
-        "degradation beyond 1024"
-    );
-    assert!(
-        g("ddio-2way (paper)", 16384) < 0.35 * g("ddio-2way (paper)", 1024),
-        "deep degradation at high counts"
-    );
-    assert!(
-        g("ddio-unlimited", 4096) > 1.4 * g("ddio-2way (paper)", 4096),
-        "unrestricted DDIO moves the cliff out"
-    );
-    assert!(
-        g("shared-rings", 16384) >= 99.0,
-        "shared rings sustain line rate"
-    );
-    println!("\nShape check PASSED: the paper's cliff appears just past 1024 connections under");
-    println!("the DDIO way-cap, moves out when DDIO may fill the whole LLC, and disappears");
-    println!("entirely with shared per-process rings (the §5 mitigation).");
-
-    bench::write_json("exp_e2_conn_scaling", &rows);
+    let paper = "ddio-2way (paper)";
+    let claims = vec![
+        claim("e2/line-rate-at-1024", g(paper, 1024) >= 99.0),
+        claim("e2/cliff-past-1024", g(paper, 2048) < 0.8 * g(paper, 1024)),
+        claim(
+            "e2/deep-cliff-at-16k",
+            g(paper, 16384) < 0.35 * g(paper, 1024),
+        ),
+        claim(
+            "e2/unlimited-ddio-moves-the-cliff",
+            g("ddio-unlimited", 4096) > 1.4 * g(paper, 4096),
+        ),
+        claim(
+            "e2/shared-rings-hold-line-rate",
+            g("shared-rings", 16384) >= 99.0,
+        ),
+    ];
+    Outcome::new(&rows, claims)
 }

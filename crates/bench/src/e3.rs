@@ -13,19 +13,17 @@
 //! connections; without fallback the rest get nothing, with fallback
 //! they limp along at kernel-stack rates.
 
-use std::net::Ipv4Addr;
-
 use norman::host::DeliveryOutcome;
 use norman::{Host, HostConfig};
 use oskernel::Uid;
-use pkt::{IpProto, Mac, PacketBuilder};
+use pkt::IpProto;
 use serde::Serialize;
 use sim::Time;
 
+use crate::scenario::{goodput_gbps, open_spread, udp_to_host, FRAME, LINE_GBPS};
+use crate::{claim, Mode, Outcome};
+
 const TARGET_CONNS: usize = 16_384;
-const FRAME: usize = 1500;
-const LINE_GBPS: f64 = 100.0;
-const CORES: f64 = 6.0;
 
 #[derive(Serialize)]
 struct Row {
@@ -37,39 +35,23 @@ struct Row {
     goodput_without_fallback_gbps: f64,
 }
 
-fn run(sram_bytes: u64) -> Row {
+fn run_point(sram_bytes: u64) -> Row {
     let mut cfg = HostConfig::default();
     cfg.nic.sram_bytes = sram_bytes;
     cfg.ring_slots = 2;
     let mut host = Host::new(cfg);
     let pid = host.spawn(Uid(1001), "bob", "server");
 
-    let mut accepted = Vec::new();
-    let mut refused = 0usize;
-    for i in 0..TARGET_CONNS {
-        let port = 1024 + (i as u16 % 60_000);
-        let remote_port = 10_000 + (i / 60_000) as u16;
-        match host.connect(
-            pid,
-            IpProto::UDP,
-            port,
-            Ipv4Addr::new(10, 0, 0, 2),
-            remote_port,
-            false,
-        ) {
-            Ok(id) => accepted.push((id, port, remote_port)),
-            Err(_) => refused += 1,
-        }
-    }
+    let (accepted, refused): (Vec<_>, Vec<_>) = open_spread(&mut host, pid, TARGET_CONNS, 10_000)
+        .into_iter()
+        .partition(|(id, ..)| id.is_ok());
+    let refused = refused.len();
 
     // Measure the two per-packet service rates empirically: one fast-path
     // connection and one refused connection's traffic.
-    let fast_ns = if let Some(&(id, port, remote_port)) = accepted.first() {
-        let pktf = PacketBuilder::new()
-            .ether(Mac::local(9), host.cfg.mac)
-            .ipv4(Ipv4Addr::new(10, 0, 0, 2), host.cfg.ip)
-            .udp(remote_port, port, &vec![0u8; FRAME - 42])
-            .build();
+    let payload = vec![0u8; FRAME - 42];
+    let fast_ns = if let Some(&(Ok(id), port, peer_port)) = accepted.first() {
+        let pktf = udp_to_host(&host, peer_port, port, &payload);
         let mut total = 0.0;
         let n = 256;
         for _ in 0..n {
@@ -86,11 +68,7 @@ fn run(sram_bytes: u64) -> Row {
     // Slow path: a packet to a port with no NIC flow entry, handled by
     // the kernel stack (which must also bind a socket to accept it).
     host.stack.bind(IpProto::UDP, 62_000, pid, &host.procs);
-    let pkts = PacketBuilder::new()
-        .ether(Mac::local(9), host.cfg.mac)
-        .ipv4(Ipv4Addr::new(10, 0, 0, 2), host.cfg.ip)
-        .udp(9000, 62_000, &vec![0u8; FRAME - 42])
-        .build();
+    let pkts = udp_to_host(&host, 9000, 62_000, &payload);
     let mut slow_total = 0.0;
     let n = 256;
     for _ in 0..n {
@@ -107,7 +85,7 @@ fn run(sram_bytes: u64) -> Row {
     // connections; fast-path connections share the line rate (bounded by
     // CPU), slow-path connections are bounded by one kernel core.
     let offered_per_conn = LINE_GBPS / TARGET_CONNS as f64;
-    let fast_capacity = (FRAME as f64 * 8.0 / (fast_ns / CORES)).min(LINE_GBPS);
+    let fast_capacity = goodput_gbps(fast_ns);
     let fast_share = (accepted.len() as f64 * offered_per_conn).min(fast_capacity);
     let slow_capacity = FRAME as f64 * 8.0 / slow_ns; // one kernel core
     let slow_demand = refused as f64 * offered_per_conn;
@@ -123,59 +101,34 @@ fn run(sram_bytes: u64) -> Row {
     }
 }
 
-fn main() {
-    println!("E3: NIC SRAM exhaustion and the software slow path (paper §5)");
-    println!("(16384 offered connections, even load totalling 100 Gbps)\n");
-
+pub(crate) fn run(_: Mode) -> Outcome {
     let sizes: [u64; 6] = [256 << 10, 1 << 20, 4 << 20, 8 << 20, 16 << 20, 64 << 20];
-    let mut table = bench::Table::new(
-        "E3 — goodput vs NIC SRAM",
-        &[
-            "SRAM (MiB)",
-            "conns accepted",
-            "fast share (Gbps)",
-            "slow share (Gbps)",
-            "with fallback (Gbps)",
-            "without fallback (Gbps)",
-        ],
-    );
-    let mut rows = Vec::new();
-    for &bytes in &sizes {
-        let r = run(bytes);
-        table.row(&[
-            format!("{:.2}", r.sram_mib),
-            r.conns_accepted.to_string(),
-            format!("{:.1}", r.fast_share_gbps),
-            format!("{:.1}", r.slow_share_gbps),
-            format!("{:.1}", r.goodput_with_fallback_gbps),
-            format!("{:.1}", r.goodput_without_fallback_gbps),
-        ]);
-        rows.push(r);
-    }
-    table.print();
+    let rows: Vec<Row> = sizes.iter().map(|&bytes| run_point(bytes)).collect();
 
-    // Shape checks.
     let first = &rows[0];
     let last = &rows[rows.len() - 1];
-    assert!(
-        first.conns_accepted < TARGET_CONNS / 4,
-        "small SRAM refuses most"
-    );
-    assert_eq!(last.conns_accepted, TARGET_CONNS, "big SRAM accepts all");
-    assert!(
-        first.goodput_with_fallback_gbps > first.goodput_without_fallback_gbps,
-        "fallback helps"
-    );
-    assert!(
-        last.goodput_with_fallback_gbps >= 99.0,
-        "full SRAM reaches line rate"
-    );
-    // Accepted connections grow monotonically with SRAM.
-    assert!(rows
-        .windows(2)
-        .all(|w| w[0].conns_accepted <= w[1].conns_accepted));
-    println!("\nShape check PASSED: SRAM bounds accepted connections; the software slow");
-    println!("path recovers part of the refused traffic (the §5 mitigation), at kernel rates.");
-
-    bench::write_json("exp_e3_sram_exhaustion", &rows);
+    let claims = vec![
+        claim(
+            "e3/small-sram-refuses-most",
+            first.conns_accepted < TARGET_CONNS / 4,
+        ),
+        claim(
+            "e3/big-sram-accepts-all",
+            last.conns_accepted == TARGET_CONNS,
+        ),
+        claim(
+            "e3/fallback-helps",
+            first.goodput_with_fallback_gbps > first.goodput_without_fallback_gbps,
+        ),
+        claim(
+            "e3/full-sram-line-rate",
+            last.goodput_with_fallback_gbps >= 99.0,
+        ),
+        claim(
+            "e3/accepted-grows-with-sram",
+            rows.windows(2)
+                .all(|w| w[0].conns_accepted <= w[1].conns_accepted),
+        ),
+    ];
+    Outcome::new(&rows, claims)
 }

@@ -13,11 +13,12 @@
 //! counting policy violations that reach the wire. Kernel stack, raw
 //! bypass and KOPI are runs of that one attack on a `Host`
 //! (`workloads::placement`); the other two rows are asserted from the
-//! paper's capability claims (`bench::arch`).
+//! paper's capability claims (`crate::arch`).
 
-use bench::arch;
 use serde::Serialize;
 use workloads::placement::{partition_policy, Placement};
+
+use crate::{arch, claim, Mode, Outcome};
 
 #[derive(Serialize)]
 struct Row {
@@ -67,10 +68,7 @@ fn run_asserted(name: &'static str) -> Row {
     }
 }
 
-fn main() {
-    println!("E4b: owner-based port partitioning (paper §2, Partitioning Ports)");
-    println!("(policy: port 5432 = Bob's postgres only; attacker: Charlie, 100 attempts)\n");
-
+pub(crate) fn run(_: Mode) -> Outcome {
     let [kernel, bypass, kopi] = Placement::all(&partition_policy()).map(run_measured);
     let rows = [
         kopi,
@@ -80,51 +78,23 @@ fn main() {
         run_asserted("hypervisor-switch"),
     ];
 
-    let mut table = bench::Table::new(
-        "E4b — policy enforcement by architecture",
-        &[
-            "architecture",
-            "source",
-            "legit delivered",
-            "violations delivered",
-            "legit blocked",
-            "enforceable",
-        ],
-    );
-    for r in &rows {
-        table.row(&[
-            r.architecture.to_string(),
-            r.source.to_string(),
-            r.legit_delivered.to_string(),
-            r.violations_delivered.to_string(),
-            r.legit_blocked.to_string(),
-            if r.enforceable { "yes" } else { "no" }.to_string(),
-        ]);
-    }
-    table.print();
-
     let row = |name: &str| rows.iter().find(|r| r.architecture == name).unwrap();
-    for name in ["kopi", "kernel-stack"] {
+    let exact = |name: &str| {
         let r = row(name);
-        assert_eq!(
-            r.violations_delivered, 0,
-            "{name} lets no violation through"
-        );
-        assert_eq!(
-            r.legit_delivered, ATTEMPTS,
-            "{name} passes legitimate traffic"
-        );
-        assert!(r.enforceable);
-    }
+        r.violations_delivered == 0 && r.legit_delivered == ATTEMPTS && r.enforceable
+    };
     let bypass = row("raw-bypass");
-    assert_eq!(bypass.violations_delivered, ATTEMPTS);
-    assert!(!bypass.enforceable);
-    assert!(
-        row("hypervisor-switch").legit_blocked > 0,
-        "hypervisor can only over-block"
-    );
-    println!("\nShape check PASSED: only process-view architectures (kernel, sidecar, KOPI)");
-    println!("enforce the policy exactly; KOPI does so without touching the fast path.");
-
-    bench::write_json("exp_e4b_port_partition", &rows);
+    let claims = vec![
+        claim("e4b/kopi-enforces-exactly", exact("kopi")),
+        claim("e4b/kernel-enforces-exactly", exact("kernel-stack")),
+        claim(
+            "e4b/bypass-lets-every-violation-through",
+            bypass.violations_delivered == ATTEMPTS && !bypass.enforceable,
+        ),
+        claim(
+            "e4b/hypervisor-can-only-over-block",
+            row("hypervisor-switch").legit_blocked > 0,
+        ),
+    ];
+    Outcome::new(&rows, claims)
 }

@@ -14,15 +14,16 @@
 //! one core: bypass-polling (spin), KOPI-blocking (notification queue +
 //! interrupt), and kernel-blocking (syscall-based, for reference).
 
-use std::net::Ipv4Addr;
-
 use norman::host::DeliveryOutcome;
 use norman::{Host, HostConfig};
 use oskernel::Uid;
-use pkt::{IpProto, Mac, PacketBuilder};
+use pkt::IpProto;
 use serde::Serialize;
 use sim::{DetRng, Dur, Time};
 use workloads::PoissonArrivals;
+
+use crate::scenario::{udp_to_host, PEER_IP};
+use crate::{claim, Mode, Outcome};
 
 #[derive(Serialize)]
 struct Row {
@@ -47,20 +48,9 @@ fn run_mode(mode: &'static str, rate: f64) -> Row {
     // and spin briefly instead of paying the block/wake pair.
     let adaptive_threshold = Dur::from_us(8);
     let conn = host
-        .connect(
-            pid,
-            IpProto::UDP,
-            7000,
-            Ipv4Addr::new(10, 0, 0, 2),
-            9000,
-            blocking,
-        )
+        .connect(pid, IpProto::UDP, 7000, PEER_IP, 9000, blocking)
         .unwrap();
-    let pktbuf = PacketBuilder::new()
-        .ether(Mac::local(9), host.cfg.mac)
-        .ipv4(Ipv4Addr::new(10, 0, 0, 2), host.cfg.ip)
-        .udp(9000, 7000, &[0u8; 128])
-        .build();
+    let pktbuf = udp_to_host(&host, 9000, 7000, &[0u8; 128]);
 
     let mut arrivals = PoissonArrivals::new(rate, DetRng::seed_from_u64(42));
     let mut last_event = Time::ZERO;
@@ -124,16 +114,9 @@ fn run_mode(mode: &'static str, rate: f64) -> Row {
     }
 }
 
-fn main() {
-    println!("E4c: CPU cost of polling vs blocking I/O (paper §2/§4.3)");
-    println!("(one connection, Poisson requests, 2us of work per request, 1s simulated)\n");
-
+pub(crate) fn run(_: Mode) -> Outcome {
     let rates = [100.0, 1_000.0, 10_000.0, 100_000.0, 1_000_000.0];
     let mut rows = Vec::new();
-    let mut table = bench::Table::new(
-        "E4c — CPU utilization by I/O discipline",
-        &["mode", "req/s", "CPU util", "useful fraction", "wakeups"],
-    );
     for &rate in &rates {
         for mode in [
             "bypass-polling",
@@ -141,52 +124,60 @@ fn main() {
             "kopi-adaptive",
             "kernel-blocking",
         ] {
-            let r = run_mode(mode, rate);
-            table.row(&[
-                r.mode.to_string(),
-                format!("{:.0}", r.rate_per_sec),
-                bench::pct(r.cpu_utilization),
-                bench::pct(r.efficiency),
-                r.wakeups.to_string(),
-            ]);
-            rows.push(r);
+            rows.push(run_mode(mode, rate));
         }
     }
-    table.print();
 
-    let get = |mode: &str, rate: f64| {
+    let util = |mode: &str, rate: f64| {
         rows.iter()
             .find(|r| r.mode == mode && r.rate_per_sec == rate)
             .unwrap()
+            .cpu_utilization
     };
-    // Polling burns the whole core at every rate.
-    for &rate in &rates {
-        assert!(get("bypass-polling", rate).cpu_utilization > 0.99);
-    }
-    // KOPI blocking scales with load, near zero when idle.
-    assert!(get("kopi-blocking", 100.0).cpu_utilization < 0.01);
-    assert!(get("kopi-blocking", 1_000_000.0).cpu_utilization > 0.5);
-    // KOPI blocking is cheaper than kernel blocking (no per-request
-    // syscalls) but both beat polling at low rates.
-    for &rate in &rates[..4] {
-        assert!(
-            get("kopi-blocking", rate).cpu_utilization
-                <= get("kernel-blocking", rate).cpu_utilization
-        );
-        assert!(
-            get("kernel-blocking", rate).cpu_utilization
-                < get("bypass-polling", rate).cpu_utilization
-        );
-    }
-    // The adaptive policy (§4.3: interrupts only for low-activity queues)
-    // matches pure blocking at low rates and strictly reduces wakeups at
-    // high rates.
-    assert!(get("kopi-adaptive", 100.0).cpu_utilization < 0.01);
-    assert!(
-        get("kopi-adaptive", 1_000_000.0).wakeups < get("kopi-blocking", 1_000_000.0).wakeups / 2
-    );
-    println!("\nShape check PASSED: polling burns a full core at all rates; KOPI blocking");
-    println!("tracks offered load (and beats kernel blocking by avoiding per-request syscalls).");
-
-    bench::write_json("exp_e4c_blocking_io", &rows);
+    let wakeups = |mode: &str| {
+        rows.iter()
+            .find(|r| r.mode == mode && r.rate_per_sec == 1_000_000.0)
+            .unwrap()
+            .wakeups
+    };
+    let below_1m = &rates[..4];
+    let claims = vec![
+        claim(
+            "e4c/polling-burns-the-core",
+            rates.iter().all(|&r| util("bypass-polling", r) > 0.99),
+        ),
+        claim(
+            "e4c/kopi-blocking-idles-near-zero",
+            util("kopi-blocking", 100.0) < 0.01,
+        ),
+        claim(
+            "e4c/kopi-blocking-tracks-load",
+            util("kopi-blocking", 1_000_000.0) > 0.5,
+        ),
+        // No per-request syscalls: KOPI blocking is no dearer than
+        // kernel blocking, and both beat polling below 1M req/s.
+        claim(
+            "e4c/kopi-blocking-at-most-kernel",
+            below_1m
+                .iter()
+                .all(|&r| util("kopi-blocking", r) <= util("kernel-blocking", r)),
+        ),
+        claim(
+            "e4c/kernel-blocking-beats-polling",
+            below_1m
+                .iter()
+                .all(|&r| util("kernel-blocking", r) < util("bypass-polling", r)),
+        ),
+        // §4.3: interrupts only for low-activity queues matches pure
+        // blocking when idle and halves the wakeups under load.
+        claim(
+            "e4c/adaptive-idles-near-zero",
+            util("kopi-adaptive", 100.0) < 0.01,
+        ),
+        claim(
+            "e4c/adaptive-halves-wakeups",
+            wakeups("kopi-adaptive") < wakeups("kopi-blocking") / 2,
+        ),
+    ];
+    Outcome::new(&rows, claims)
 }

@@ -22,6 +22,8 @@ use serde::Serialize;
 use sim::{Dur, Time};
 use workloads::{AliceTestbed, TenantApp};
 
+use crate::{claim, Mode, Outcome};
+
 #[derive(Serialize)]
 struct Row {
     config: &'static str,
@@ -90,7 +92,7 @@ fn drive(tb: &mut AliceTestbed, seconds: u64) -> (u64, u64) {
     (productive, game)
 }
 
-fn run(shaped: bool) -> Row {
+fn run_shaping(shaped: bool) -> Row {
     let mut tb = AliceTestbed::new();
     if shaped {
         // Alice moves the game processes into the game cgroup/uid class
@@ -194,46 +196,27 @@ fn run_work_conserving() -> Row {
     }
 }
 
-fn main() {
-    println!("E4d: per-user WFQ shaping of game traffic (paper §2, QoS)");
-    println!("(4 backlogged apps over one 100 Gbps port; games keyed by user, not port)\n");
-
-    let rows = vec![run(false), run(true), run_work_conserving()];
-    let mut table = bench::Table::new(
-        "E4d — egress shares",
-        &["config", "productive share", "game share", "total Gbps"],
-    );
-    for r in &rows {
-        table.row(&[
-            r.config.to_string(),
-            bench::pct(r.productive_share),
-            bench::pct(r.game_share),
-            format!("{:.1}", r.total_gbps),
-        ]);
-    }
-    table.print();
-
-    let unshaped = &rows[0];
-    let shaped = &rows[1];
-    let conserving = &rows[2];
-    // Without shaping the game takes about its offered share (2 of 4
-    // backlogged apps = ~50%).
-    assert!(
-        (0.35..0.65).contains(&unshaped.game_share),
-        "{}",
-        unshaped.game_share
-    );
-    // With 8:1 WFQ the game class gets ~1/9.
-    assert!(
-        shaped.game_share < 0.15,
-        "shaped game share {}",
-        shaped.game_share
-    );
-    assert!(shaped.productive_share > 0.85);
-    // Work conserving: idle games leave the full link to the others.
-    assert!(conserving.total_gbps > 0.95 * unshaped.total_gbps);
-    println!("\nShape check PASSED: WFQ pins the game class near its 1/9 weight share while");
-    println!("productive traffic is unaffected, and the link stays fully used when games idle.");
-
-    bench::write_json("exp_e4d_qos", &rows);
+pub(crate) fn run(_: Mode) -> Outcome {
+    let rows = vec![run_shaping(false), run_shaping(true), run_work_conserving()];
+    let [unshaped, shaped, conserving] = [&rows[0], &rows[1], &rows[2]];
+    let claims = vec![
+        // Without shaping the game takes about its offered share (2 of 4
+        // backlogged apps).
+        claim(
+            "e4d/unshaped-game-near-half",
+            (0.35..0.65).contains(&unshaped.game_share),
+        ),
+        // With 8:1 WFQ the game class gets ~1/9.
+        claim("e4d/wfq-pins-the-game", shaped.game_share < 0.15),
+        claim(
+            "e4d/productive-traffic-unaffected",
+            shaped.productive_share > 0.85,
+        ),
+        // Idle games leave the full link to the others.
+        claim(
+            "e4d/work-conserving",
+            conserving.total_gbps > 0.95 * unshaped.total_gbps,
+        ),
+    ];
+    Outcome::new(&rows, claims)
 }

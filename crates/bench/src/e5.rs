@@ -13,16 +13,16 @@
 //! We apply each class of update while offering 8.2 Mpps of traffic and
 //! measure update latency and packets lost during the update.
 
-use std::net::Ipv4Addr;
-
 use nicsim::device::ProgramSlot;
 use norman::host::DeliveryOutcome;
 use norman::{Host, HostConfig};
 use oskernel::Uid;
 use overlay::builtins;
-use pkt::{IpProto, Mac, PacketBuilder};
 use serde::Serialize;
 use sim::{Dur, Time};
+
+use crate::scenario::{connect_udp, udp_to_host};
+use crate::{claim, Mode, Outcome};
 
 #[derive(Serialize)]
 struct Row {
@@ -67,28 +67,12 @@ fn setup() -> (Host, nicsim::ConnId, pkt::Packet) {
     };
     let mut host = Host::new(cfg);
     let pid = host.spawn(Uid(1001), "bob", "server");
-    let conn = host
-        .connect(
-            pid,
-            IpProto::UDP,
-            7000,
-            Ipv4Addr::new(10, 0, 0, 2),
-            9000,
-            false,
-        )
-        .unwrap();
-    let frame = PacketBuilder::new()
-        .ether(Mac::local(9), host.cfg.mac)
-        .ipv4(Ipv4Addr::new(10, 0, 0, 2), host.cfg.ip)
-        .udp(9000, 7000, &[0u8; 1458])
-        .build();
+    let conn = connect_udp(&mut host, pid, 7000, 9000).unwrap();
+    let frame = udp_to_host(&host, 9000, 7000, &[0u8; 1458]);
     (host, conn, frame)
 }
 
-fn main() {
-    println!("E5: configuration-update mechanisms (paper §4.4)");
-    println!("(line-rate 1500B traffic offered throughout each update)\n");
-
+pub(crate) fn run(_: Mode) -> Outcome {
     let mut rows = Vec::new();
 
     // --- (a) MMIO data update: insert a firewall rule ---------------------
@@ -164,43 +148,18 @@ fn main() {
         });
     }
 
-    let mut table = bench::Table::new(
-        "E5 — update mechanisms",
-        &[
-            "mechanism",
-            "latency",
-            "packets lost @ 8.2Mpps",
-            "dataplane down",
-        ],
-    );
-    for r in &rows {
-        let latency = if r.latency_us >= 1e6 {
-            format!("{:.1} s", r.latency_us / 1e6)
-        } else if r.latency_us >= 1.0 {
-            format!("{:.1} us", r.latency_us)
-        } else {
-            format!("{:.0} ns", r.latency_us * 1e3)
-        };
-        table.row(&[
-            r.update_kind.to_string(),
-            latency,
-            r.packets_lost.to_string(),
-            if r.dataplane_disrupted { "YES" } else { "no" }.to_string(),
-        ]);
-    }
-    table.print();
-
-    assert_eq!(rows[0].packets_lost, 0, "data updates lose nothing");
-    assert_eq!(rows[1].packets_lost, 0, "overlay swaps lose nothing");
-    assert!(
-        rows[2].packets_lost > 10_000_000,
-        "a reprogram loses seconds of line-rate traffic"
-    );
-    assert!(rows[1].latency_us < 100.0);
-    assert!(rows[2].latency_us > 1e6);
-    println!("\nShape check PASSED: data updates ~100ns, overlay swaps ~20us — both lossless;");
-    println!("a bitstream reprogram takes seconds and drops tens of millions of packets,");
-    println!("which is why the overlay exists (§4.4).");
-
-    bench::write_json("exp_e5_reconfig", &rows);
+    // Data updates and overlay swaps are lossless and fast; a bitstream
+    // reprogram takes seconds and drops tens of millions of packets,
+    // which is why the overlay exists (§4.4).
+    let claims = vec![
+        claim("e5/data-update-lossless", rows[0].packets_lost == 0),
+        claim("e5/overlay-swap-lossless", rows[1].packets_lost == 0),
+        claim(
+            "e5/reprogram-loses-seconds-of-traffic",
+            rows[2].packets_lost > 10_000_000,
+        ),
+        claim("e5/overlay-swap-under-100us", rows[1].latency_us < 100.0),
+        claim("e5/reprogram-takes-seconds", rows[2].latency_us > 1e6),
+    ];
+    Outcome::new(&rows, claims)
 }

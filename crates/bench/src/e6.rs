@@ -19,6 +19,8 @@ use pkt::{Mac, PacketBuilder};
 use serde::Serialize;
 use sim::{DetRng, Dur, Time};
 
+use crate::{claim, Mode, Outcome};
+
 #[derive(Serialize)]
 struct Row {
     platform: &'static str,
@@ -147,42 +149,23 @@ fn run_fixed_function(seed: u64) -> Row {
     }
 }
 
-fn main() {
-    println!("E6: one year of netfilter/sched churn (377 + 249 commits, paper §3)\n");
-
+pub(crate) fn run(_: Mode) -> Outcome {
     let rows = vec![run_kopi(2020), run_fixed_function(2020)];
-    let mut table = bench::Table::new(
-        "E6 — sustaining kernel-developer update cadence",
-        &[
-            "platform",
-            "updates",
-            "behavioural",
-            "control time (ms)",
-            "downtime (s)",
-            "pkts lost (M)",
-        ],
-    );
-    for r in &rows {
-        table.row(&[
-            r.platform.to_string(),
-            r.updates_applied.to_string(),
-            r.behavioural_updates.to_string(),
-            format!("{:.2}", r.control_time_ms),
-            format!("{:.0}", r.dataplane_downtime_s),
-            format!("{:.0}", r.est_packets_lost_millions),
-        ]);
-    }
-    table.print();
-
-    assert_eq!(rows[0].dataplane_downtime_s, 0.0);
-    assert!(
-        rows[1].dataplane_downtime_s > 300.0,
-        "minutes of downtime per year"
-    );
-    assert!(rows[0].control_time_ms < 100.0);
-    println!("\nShape check PASSED: the overlay absorbs a year of updates in milliseconds of");
-    println!("control time and zero downtime; fixed-function hardware would be down for");
-    println!("minutes and lose billions of packets — §3's case for full programmability.");
-
-    bench::write_json("exp_e6_policy_churn", &rows);
+    // The overlay absorbs a year of updates in milliseconds of control
+    // time and no downtime; fixed-function hardware is down for minutes.
+    let claims = vec![
+        claim(
+            "e6/overlay-no-downtime",
+            rows[0].dataplane_downtime_s == 0.0,
+        ),
+        claim(
+            "e6/fixed-function-down-for-minutes",
+            rows[1].dataplane_downtime_s > 300.0,
+        ),
+        claim(
+            "e6/overlay-control-under-100ms",
+            rows[0].control_time_ms < 100.0,
+        ),
+    ];
+    Outcome::new(&rows, claims)
 }

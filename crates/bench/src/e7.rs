@@ -8,16 +8,16 @@
 //! capture) raises pipelined NIC *latency* but leaves host per-packet
 //! cost untouched, and stays below the line-rate budget.
 
-use std::net::Ipv4Addr;
-
 use nicsim::SnifferFilter;
 use norman::{Host, HostConfig, PortReservation, ShapingPolicy};
 use oskernel::Uid;
 use overlay::builtins;
-use pkt::{IpProto, Mac, PacketBuilder};
 use serde::Serialize;
 use sim::Time;
 use workloads::placement::{rx_cost, Flow};
+
+use crate::scenario::{connect_udp, udp_to_host};
+use crate::{claim, Mode, Outcome};
 
 #[derive(Serialize)]
 struct Row {
@@ -27,19 +27,10 @@ struct Row {
     min_frame_line_rate_ok: bool,
 }
 
-fn run(features: &'static str) -> Row {
+fn run_features(features: &'static str) -> Row {
     let mut host = Host::new(HostConfig::default());
     let pid = host.spawn(Uid(1001), "bob", "server");
-    let conn = host
-        .connect(
-            pid,
-            IpProto::UDP,
-            7000,
-            Ipv4Addr::new(10, 0, 0, 2),
-            9000,
-            false,
-        )
-        .unwrap();
+    let conn = connect_udp(&mut host, pid, 7000, 9000).unwrap();
 
     // Every feature is declared in the kernel policy store and lowered
     // onto the NIC by one two-phase control-plane commit.
@@ -59,11 +50,7 @@ fn run(features: &'static str) -> Row {
     })
     .unwrap();
 
-    let frame = PacketBuilder::new()
-        .ether(Mac::local(9), host.cfg.mac)
-        .ipv4(Ipv4Addr::new(10, 0, 0, 2), host.cfg.ip)
-        .udp(9000, 7000, &[0u8; 64])
-        .build();
+    let frame = udp_to_host(&host, 9000, 7000, &[0u8; 64]);
 
     // The accounting E1 and normanbench use; arrivals 1 µs apart so
     // pipeline occupancy does not inflate latency.
@@ -91,61 +78,37 @@ fn run(features: &'static str) -> Row {
     }
 }
 
-fn main() {
-    println!("E7: KOPI feature-cost ablation (paper §3)");
-    println!("(64B frames; features toggled on the NIC pipeline)\n");
-
-    let configs = [
+pub(crate) fn run(_: Mode) -> Outcome {
+    let rows: Vec<Row> = [
         "none",
         "filter",
         "filter+classify",
         "filter+classify+account",
         "filter+classify+account+sniff",
+    ]
+    .into_iter()
+    .map(run_features)
+    .collect();
+
+    let (first, last) = (&rows[0], &rows[rows.len() - 1]);
+    let claims = vec![
+        // The whole point of on-path interposition: host CPU does not
+        // grow with NIC features.
+        claim(
+            "e7/host-cpu-flat",
+            rows.iter()
+                .all(|r| (r.host_cpu_ns - first.host_cpu_ns).abs() < 5.0),
+        ),
+        // Latency grows with features but stays in the hundreds of ns.
+        claim(
+            "e7/latency-grows-with-features",
+            last.nic_latency_ns > first.nic_latency_ns,
+        ),
+        claim("e7/latency-sub-us", last.nic_latency_ns < 1_000.0),
+        claim(
+            "e7/min-frame-line-rate",
+            rows.iter().all(|r| r.min_frame_line_rate_ok),
+        ),
     ];
-    let mut rows = Vec::new();
-    let mut table = bench::Table::new(
-        "E7 — per-feature dataplane cost",
-        &[
-            "features",
-            "NIC latency (ns)",
-            "host CPU (ns/pkt)",
-            "64B line rate",
-        ],
-    );
-    for f in configs {
-        let r = run(f);
-        table.row(&[
-            r.features.to_string(),
-            format!("{:.0}", r.nic_latency_ns),
-            format!("{:.0}", r.host_cpu_ns),
-            if r.min_frame_line_rate_ok {
-                "ok"
-            } else {
-                "EXCEEDED"
-            }
-            .to_string(),
-        ]);
-        rows.push(r);
-    }
-    table.print();
-
-    // Host CPU must not grow with NIC features (the whole point of
-    // on-path interposition).
-    let base_cpu = rows[0].host_cpu_ns;
-    for r in &rows {
-        assert!(
-            (r.host_cpu_ns - base_cpu).abs() < 5.0,
-            "host CPU changed: {} vs {}",
-            r.host_cpu_ns,
-            base_cpu
-        );
-    }
-    // Latency grows with features but stays in the hundreds of ns.
-    assert!(rows.last().unwrap().nic_latency_ns > rows[0].nic_latency_ns);
-    assert!(rows.last().unwrap().nic_latency_ns < 1_000.0);
-    assert!(rows.iter().all(|r| r.min_frame_line_rate_ok));
-    println!("\nShape check PASSED: every feature adds only pipelined NIC latency (sub-us);");
-    println!("host per-packet CPU is unchanged — interposition without data movement.");
-
-    bench::write_json("exp_e7_ablation", &rows);
+    Outcome::new(&rows, claims)
 }

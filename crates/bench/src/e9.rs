@@ -18,7 +18,7 @@
 //! across the mid-run bitstream reprogram (where the control plane must
 //! reconcile the full bundle onto the wiped NIC).
 //!
-//! Four results, all checked at the bottom:
+//! Four results, each a group of claims:
 //!   1. goodput degrades smoothly with injected fault rates (no cliffs,
 //!      no hangs, no panics);
 //!   2. the audit finds zero invariant violations at every checkpoint —
@@ -46,8 +46,11 @@ use norman::{
 use oskernel::Uid;
 use pkt::{IpProto, Mac, Packet, PacketBuilder};
 use serde::Serialize;
-use sim::fault::{CrashInjector, OpFaultInjector};
+use sim::fault::OpFaultInjector;
 use sim::{Dur, FaultSchedule, FaultyLink, Link, Time};
+
+use crate::scenario::{connect_udp, ports_covering_queues, udp_to_host, PEER_IP};
+use crate::{claim, Mode, Outcome};
 
 const SEED: u64 = 0xE9_C4A0;
 const FRAMES: u64 = 20_000;
@@ -97,16 +100,7 @@ fn run_chaos(scenario: &str, schedule: FaultSchedule, outage: Option<Outage>) ->
     };
     let mut host = Host::new(cfg);
     let pid = host.spawn(Uid(1001), "bob", "server");
-    let conn = host
-        .connect(
-            pid,
-            IpProto::UDP,
-            7000,
-            Ipv4Addr::new(10, 0, 0, 2),
-            9000,
-            false,
-        )
-        .unwrap();
+    let conn = connect_udp(&mut host, pid, 7000, 9000).unwrap();
     // Baseline policy before traffic: a reservation on the traffic port
     // (owned by bob, so goodput is unaffected), a fixed shaping policy,
     // and a static NAT forward — all of which must survive rollbacks
@@ -131,14 +125,10 @@ fn run_chaos(scenario: &str, schedule: FaultSchedule, outage: Option<Outage>) ->
     // Trace the whole run: the audit below then checks the telemetry
     // ledger against every layer's counters at each checkpoint.
     host.start_trace();
-    let inbound = PacketBuilder::new()
-        .ether(Mac::local(9), host.cfg.mac)
-        .ipv4(Ipv4Addr::new(10, 0, 0, 2), host.cfg.ip)
-        .udp(9000, 7000, &[0u8; 1458])
-        .build();
+    let inbound = udp_to_host(&host, 9000, 7000, &[0u8; 1458]);
     let outbound = PacketBuilder::new()
         .ether(host.cfg.mac, Mac::local(9))
-        .ipv4(host.cfg.ip, Ipv4Addr::new(10, 0, 0, 2))
+        .ipv4(host.cfg.ip, PEER_IP)
         .udp(7000, 9000, &[0u8; 200])
         .build();
 
@@ -268,26 +258,8 @@ fn run_chaos_recovery() -> Row {
     };
     let mut host = Host::new(cfg);
     let pid = host.spawn(Uid(1001), "bob", "server");
-    let hi = host
-        .connect(
-            pid,
-            IpProto::UDP,
-            7000,
-            Ipv4Addr::new(10, 0, 0, 2),
-            9000,
-            false,
-        )
-        .unwrap();
-    let lo = host
-        .connect(
-            pid,
-            IpProto::UDP,
-            7001,
-            Ipv4Addr::new(10, 0, 0, 2),
-            9000,
-            false,
-        )
-        .unwrap();
+    let hi = connect_udp(&mut host, pid, 7000, 9000).unwrap();
+    let lo = connect_udp(&mut host, pid, 7001, 9000).unwrap();
     host.update_policy(Time::ZERO, |p| {
         p.shaping = Some(ShapingPolicy::new(vec![(Uid(1001), 4.0)]));
         p.degradation = Some(DegradationPolicy {
@@ -298,18 +270,11 @@ fn run_chaos_recovery() -> Row {
         });
     })
     .unwrap();
-    host.set_nic_crash_injector(CrashInjector::seeded_rate(SEED ^ 0x55, 0.001));
+    host.set_nic_crash_injector(OpFaultInjector::seeded_rate(SEED ^ 0x55, 0.001));
     host.start_trace();
 
-    let mk = |host: &Host, port: u16| {
-        PacketBuilder::new()
-            .ether(Mac::local(9), host.cfg.mac)
-            .ipv4(Ipv4Addr::new(10, 0, 0, 2), host.cfg.ip)
-            .udp(9000, port, &[0u8; 1458])
-            .build()
-    };
-    let hp = mk(&host, 7000);
-    let lp = mk(&host, 7001);
+    let hp = udp_to_host(&host, 9000, 7000, &[0u8; 1458]);
+    let lp = udp_to_host(&host, 9000, 7001, &[0u8; 1458]);
     let mut wire = FaultyLink::new(
         Link::hundred_gbe(),
         SEED ^ 0x66,
@@ -360,7 +325,7 @@ fn run_chaos_recovery() -> Row {
     // any outstanding reset + reconcile to completion, then take the
     // final audit.
     let (_, crashes) = host.nic.crash_injector_stats();
-    host.set_nic_crash_injector(CrashInjector::never());
+    host.set_nic_crash_injector(OpFaultInjector::never());
     let end = Time::ZERO + GAP * ROUNDS;
     host.pump(std::slice::from_ref(&hp), end);
     host.pump(std::slice::from_ref(&hp), end + Dur::from_ms(500));
@@ -432,33 +397,10 @@ fn run_chaos_sharded() -> Row {
     let pid = host.spawn(Uid(1001), "bob", "server");
     // Two flows per queue under the boot-time uniform table, so every
     // worker sees traffic from the first burst.
-    let table = nicsim::RssTable::uniform(QUEUES);
-    let mut buckets: Vec<Vec<u16>> = vec![Vec::new(); QUEUES];
-    for port in 7000..9000u16 {
-        let tuple = pkt::FiveTuple::udp(Ipv4Addr::new(10, 0, 0, 2), 9000, host.cfg.ip, port);
-        let q = usize::from(table.queue_for(pkt::meta::flow_hash_of(&tuple)));
-        if buckets[q].len() < 2 {
-            buckets[q].push(port);
-        }
-        if buckets.iter().all(|b| b.len() == 2) {
-            break;
-        }
-    }
-    let mut ports: Vec<u16> = buckets.into_iter().flatten().collect();
-    ports.sort_unstable();
+    let ports = ports_covering_queues(&host, 2);
     let conns: Vec<_> = ports
         .iter()
-        .map(|&port| {
-            host.connect(
-                pid,
-                IpProto::UDP,
-                port,
-                Ipv4Addr::new(10, 0, 0, 2),
-                9000,
-                false,
-            )
-            .unwrap()
-        })
+        .map(|&port| connect_udp(&mut host, pid, port, 9000).unwrap())
         .collect();
     host.run_workers(QUEUES).unwrap();
     host.start_trace();
@@ -466,13 +408,7 @@ fn run_chaos_sharded() -> Row {
 
     let frames: Vec<Packet> = ports
         .iter()
-        .map(|&port| {
-            PacketBuilder::new()
-                .ether(Mac::local(9), host.cfg.mac)
-                .ipv4(Ipv4Addr::new(10, 0, 0, 2), host.cfg.ip)
-                .udp(9000, port, &[0u8; 1458])
-                .build()
-        })
+        .map(|&port| udp_to_host(&host, 9000, port, &[0u8; 1458]))
         .collect();
     let schedule = FaultSchedule {
         corrupt_rate: 0.002,
@@ -646,192 +582,93 @@ fn run_sweep() -> Vec<Row> {
     rows
 }
 
-fn main() {
-    println!("E9: chaos sweep — seeded fault injection with continuous state audits\n");
-
-    let rows = run_sweep();
+pub(crate) fn run(_: Mode) -> Outcome {
+    let mut rows = run_sweep();
     let sharded = run_chaos_sharded();
+    // The same seed replays byte-identically, the sharded segment too.
+    let replayed = serde_json::to_string(&rows).unwrap()
+        == serde_json::to_string(&run_sweep()).unwrap()
+        && serde_json::to_string(&sharded).unwrap()
+            == serde_json::to_string(&run_chaos_sharded()).unwrap();
 
-    let mut table = bench::Table::new(
-        "E9 — goodput under injected faults",
-        &[
-            "scenario",
-            "wire drop",
-            "wire corrupt",
-            "rx malformed",
-            "goodput",
-            "tx deferred/flushed",
-            "policy ok/rb/frz",
-            "gen",
-            "crash/reset/restart/degr",
-            "audit violations",
-        ],
-    );
-    for r in rows.iter().chain(std::iter::once(&sharded)) {
-        table.row(&[
-            r.scenario.clone(),
-            r.wire_dropped.to_string(),
-            r.wire_corrupted.to_string(),
-            r.rx_malformed.to_string(),
-            format!("{:.2}%", r.goodput_pct),
-            format!("{}/{}", r.tx_deferred, r.tx_retry_flushed),
-            format!(
-                "{}/{}/{}",
-                r.policy_commits, r.policy_rollbacks, r.policy_frozen
-            ),
-            r.generation.to_string(),
-            format!(
-                "{}/{}/{}/{}",
-                r.nic_crashes, r.nic_resets, r.shard_restarts, r.degraded_slowpath
-            ),
-            format!("{}/{} audits", r.audit_violations, r.audits),
-        ]);
-    }
-    table.print();
-
-    // (1) Goodput degrades monotonically-ish along the loss curve and
-    // never collapses below the injected fault budget.
-    assert!(
-        (rows[0].goodput_pct - 100.0).abs() < 1e-9,
-        "ideal wire = 100%"
-    );
-    for w in rows[..5].windows(2) {
-        assert!(
-            w[1].goodput_pct <= w[0].goodput_pct + 0.5,
-            "goodput must fall as loss rises"
-        );
-    }
     let five_pct = &rows[3];
-    assert!(
-        five_pct.goodput_pct > 90.0 && five_pct.goodput_pct < 98.0,
-        "5% loss costs about 5% goodput, got {:.2}%",
-        five_pct.goodput_pct
-    );
-    // (2) Corruption is caught at the parser, not delivered: malformed
-    // counts track the corrupted counts (a few multi-bit flips in the
-    // MAC fields can slip past L3/L4 checksums — that is what the FCS
-    // would catch on real hardware).
-    for r in &rows[6..9] {
-        assert!(
-            r.rx_malformed as f64 >= 0.8 * r.wire_corrupted as f64,
-            "{}: {} corrupted but only {} caught",
-            r.scenario,
-            r.wire_corrupted,
-            r.rx_malformed
-        );
-    }
-    // (3) The outage scenario deferred and then flushed app TX.
     let sink = &rows[9];
-    assert!(sink.tx_deferred > 0, "outage must defer app TX");
-    assert!(
-        sink.tx_retry_flushed > 0,
-        "recovery must flush the deferrals"
-    );
-    // (4) Zero invariant violations anywhere. Every audit includes the
-    // control plane's third ledger, so this also proves that no commit —
-    // successful, rolled back, or interrupted by the reprogram — ever
-    // left a partially-applied bundle on the NIC.
-    let total_violations: u64 = rows.iter().map(|r| r.audit_violations).sum();
-    let total_audits: u64 = rows.iter().map(|r| r.audits).sum();
-    assert_eq!(
-        total_violations, 0,
-        "chaos must never corrupt NIC state nor diverge the telemetry ledger from the counters"
-    );
-    // (4b) The control-plane chaos actually fired: across the sweep some
-    // commits landed and some rolled back mid-apply, and each row's live
-    // generation counts exactly the successful commits (baseline + churn).
-    let total_commits: u64 = rows.iter().map(|r| r.policy_commits).sum();
-    let total_rollbacks: u64 = rows.iter().map(|r| r.policy_rollbacks).sum();
-    assert!(total_commits > 0, "policy churn must commit sometimes");
-    assert!(
-        total_rollbacks > 0,
-        "mid-commit policy faults must fire and roll back"
-    );
-    for r in &rows {
-        assert_eq!(
-            r.generation,
-            1 + r.policy_commits,
-            "{}: generation must count successful commits only",
-            r.scenario
-        );
-    }
-    // The reprogram scenario must have reconciled policy onto the wiped NIC.
-    assert!(
-        sink.reconciles >= 1,
-        "bitstream reprogram must trigger a control-plane reconcile"
-    );
-
-    // (4d) The recovery storm: the crash schedule really fired, every
-    // crash was met with a kernel reset (fail-operational, not fail-
-    // stop), overload really demoted the low-prio flow, and the high-
-    // prio flow kept the bulk of its goodput through it all.
-    let storm = rows.last().unwrap();
-    assert!(storm.nic_crashes >= 2, "crash storm must fire");
-    assert_eq!(
-        storm.nic_resets, storm.nic_crashes,
-        "every crash must be answered by a kernel reset"
-    );
-    assert!(
-        storm.reconciles >= storm.nic_crashes,
-        "every reset must be followed by a reconcile"
-    );
-    assert!(
-        storm.degraded_slowpath > 0,
-        "sustained overload must demote the low-prio flow"
-    );
-    assert!(
-        storm.goodput_pct > 70.0,
-        "high-prio goodput through the crash storm collapsed to {:.2}%",
-        storm.goodput_pct
-    );
-
-    // (4c) The sharded segment: four shards under the same
-    // chaos, and the cross-shard audits stay just as clean.
-    assert_eq!(
-        sharded.audit_violations, 0,
-        "sharded chaos must never diverge a shard's ledger from the counters"
-    );
-    assert!(
-        sharded.goodput_pct > 90.0,
-        "sharded goodput collapsed to {:.2}%",
-        sharded.goodput_pct
-    );
-    assert!(
-        sharded.policy_commits > 0,
-        "steering churn must commit sometimes"
-    );
-    assert_eq!(
-        sharded.shard_restarts, 8,
-        "every injected shard panic must restart its shard"
-    );
-    assert_eq!(
-        sharded.generation, sharded.policy_commits,
-        "sharded generation must count successful commits only"
-    );
-
-    // (5) Determinism: the same seed replays byte-identically — including
-    // the sharded segment.
-    let replay = run_sweep();
-    let a = serde_json::to_string(&rows).unwrap();
-    let b = serde_json::to_string(&replay).unwrap();
-    assert_eq!(a, b, "same seed must reproduce byte-identical results");
-    let sharded_replay = run_chaos_sharded();
-    assert_eq!(
-        serde_json::to_string(&sharded).unwrap(),
-        serde_json::to_string(&sharded_replay).unwrap(),
-        "sharded replay must be byte-identical"
-    );
-
-    println!("\nShape check PASSED: goodput degrades smoothly with injected loss/corruption,");
-    println!("corrupted frames are caught at the parser, outage TX defers and flushes, and");
-    println!(
-        "{total_audits} audits across the sweep found {total_violations} invariant violations; replay is byte-identical."
-    );
-    println!(
-        "Control plane under fire: {total_commits} commits landed, {total_rollbacks} rolled back mid-apply — zero partially-applied bundles."
-    );
-
-    let mut all = rows;
-    all.push(sharded);
-    bench::write_json("exp_e9_chaos", &all);
+    let storm = &rows[10];
+    let claims = vec![
+        // (1) Goodput degrades with the loss rate and never collapses
+        // below the injected fault budget.
+        claim(
+            "e9/ideal-wire-full-goodput",
+            (rows[0].goodput_pct - 100.0).abs() < 1e-9,
+        ),
+        claim(
+            "e9/goodput-falls-with-loss",
+            rows[..5]
+                .windows(2)
+                .all(|w| w[1].goodput_pct <= w[0].goodput_pct + 0.5),
+        ),
+        claim(
+            "e9/5pct-loss-costs-about-5pct",
+            five_pct.goodput_pct > 90.0 && five_pct.goodput_pct < 98.0,
+        ),
+        // (2) Corruption is caught at the parser, not delivered (a few
+        // multi-bit flips in the MAC fields slip past the L3/L4 checksums:
+        // the FCS would catch those on real hardware).
+        claim(
+            "e9/corruption-caught-at-parser",
+            rows[6..9]
+                .iter()
+                .all(|r| r.rx_malformed as f64 >= 0.8 * r.wire_corrupted as f64),
+        ),
+        // (3) The outage deferred app TX, then flushed it.
+        claim("e9/outage-defers-tx", sink.tx_deferred > 0),
+        claim("e9/recovery-flushes-tx", sink.tx_retry_flushed > 0),
+        // (4) Every audit also checks the control plane's third ledger, so
+        // no commit — landed, rolled back or cut by the reprogram — ever
+        // left a partially applied bundle on the NIC.
+        claim(
+            "e9/audits-clean",
+            rows.iter().all(|r| r.audit_violations == 0),
+        ),
+        claim(
+            "e9/policy-churn-commits",
+            rows.iter().any(|r| r.policy_commits > 0),
+        ),
+        claim(
+            "e9/policy-faults-roll-back",
+            rows.iter().any(|r| r.policy_rollbacks > 0),
+        ),
+        claim(
+            "e9/generation-counts-commits",
+            rows.iter().all(|r| r.generation == 1 + r.policy_commits),
+        ),
+        claim("e9/reprogram-reconciles", sink.reconciles >= 1),
+        // (4d) The crash storm fired, every crash met a kernel reset and a
+        // reconcile, overload demoted the low-priority flow, and the
+        // high-priority flow kept the bulk of its goodput.
+        claim("e9/crash-storm-fires", storm.nic_crashes >= 2),
+        claim(
+            "e9/every-crash-reset",
+            storm.nic_resets == storm.nic_crashes,
+        ),
+        claim(
+            "e9/every-reset-reconciled",
+            storm.reconciles >= storm.nic_crashes,
+        ),
+        claim("e9/overload-demotes", storm.degraded_slowpath > 0),
+        claim("e9/storm-goodput-over-70pct", storm.goodput_pct > 70.0),
+        // (4c) Four shards under the same chaos: cross-shard audits as clean.
+        claim("e9/sharded-audits-clean", sharded.audit_violations == 0),
+        claim("e9/sharded-goodput-over-90pct", sharded.goodput_pct > 90.0),
+        claim("e9/steering-churn-commits", sharded.policy_commits > 0),
+        claim("e9/every-shard-panic-restarts", sharded.shard_restarts == 8),
+        claim(
+            "e9/sharded-generation-counts-commits",
+            sharded.generation == sharded.policy_commits,
+        ),
+        // (5) Determinism.
+        claim("e9/replay-byte-identical", replayed),
+    ];
+    rows.push(sharded);
+    Outcome::new(&rows, claims)
 }

@@ -5,21 +5,22 @@
 //! peer's packet traverses the on-NIC dataplane into the app's ring, the
 //! blocked app is woken through the notification queue, and a reply
 //! leaves through the NIC scheduler. Every hop of Figure 1 appears in
-//! the printed component trace.
+//! the recorded component trace.
 //!
 //! The walkthrough runs with lifecycle tracing enabled, so alongside the
-//! narrative log it prints the *typed* per-stage trace of the request
-//! frame (`ktrace`-rendered: frame id, stage, verdict, owner, per-stage
-//! latency) — the introspection the paper says interposition buys back.
-
-use std::net::Ipv4Addr;
+//! narrative log it records the *typed* per-stage trace of the request
+//! frame (frame id, stage, verdict, owner) — the introspection the paper
+//! says interposition buys back.
 
 use norman::tools::trace as ktrace;
 use norman::{Host, HostConfig, NormanSocket, TraceFilter};
 use oskernel::Uid;
-use pkt::{IpProto, Mac, PacketBuilder};
+use pkt::{IpProto, Mac};
 use serde::Serialize;
 use sim::{Dur, Time};
+
+use crate::scenario::{udp_to_host, PEER_IP};
+use crate::{claim, Mode, Outcome};
 
 #[derive(Serialize)]
 struct Step {
@@ -45,18 +46,15 @@ struct Output {
     lifecycle: Vec<TypedStep>,
 }
 
-fn main() {
+pub(crate) fn run(_: Mode) -> Outcome {
     let mut steps: Vec<Step> = Vec::new();
     let mut log = |t: Time, component: &str, event: String| {
-        println!("[{:>10}] {:<24} {}", t.to_string(), component, event);
         steps.push(Step {
             t_us: t.as_us_f64(),
             component: component.to_string(),
             event,
         });
     };
-
-    println!("F1: Norman architecture walkthrough (paper Figure 1)\n");
 
     let mut host = Host::new(HostConfig::default());
     host.start_trace();
@@ -74,7 +72,7 @@ fn main() {
         bob,
         IpProto::UDP,
         7000,
-        Ipv4Addr::new(10, 0, 0, 2),
+        PEER_IP,
         9000,
         Mac::local(9),
         true, // blocking I/O via notification queue
@@ -107,11 +105,7 @@ fn main() {
 
     // --- Wire -> NIC dataplane -> ring -> wakeup --------------------------
     now += Dur::from_us(45);
-    let request = PacketBuilder::new()
-        .ether(Mac::local(9), host.cfg.mac)
-        .ipv4(Ipv4Addr::new(10, 0, 0, 2), host.cfg.ip)
-        .udp(9000, 7000, b"ping")
-        .build();
+    let request = udp_to_host(&host, 9000, 7000, b"ping");
     log(
         now,
         "wire",
@@ -136,7 +130,7 @@ fn main() {
         "nic(notify)",
         "notification posted; interrupt fired -> kernel wakes pid 1".into(),
     );
-    assert_eq!(report.kernel_cpu, Dur::ZERO);
+    let zero_kernel_cpu = report.kernel_cpu == Dur::ZERO;
     log(
         now + report.nic_latency,
         "kernel(control)",
@@ -200,21 +194,16 @@ fn main() {
     // The request frame's full lifecycle, ingress -> app delivery.
     let fid = owned[0].frame_id;
     let life = ktrace::lifecycle(&host, &root, fid).unwrap();
-    println!("\nktrace: typed lifecycle of the request frame (id {fid}):\n");
-    print!("{}", ktrace::render(&life));
-    assert!(
-        life.iter().any(|e| e.stage == norman::Stage::RxIngress),
-        "lifecycle starts at ingress"
-    );
-    assert!(
-        life.iter().any(|e| e.stage == norman::Stage::AppDeliver),
-        "lifecycle ends in the application"
-    );
-    assert!(
-        host.audit().is_empty(),
-        "telemetry ledger must agree with counters: {:?}",
-        host.audit()
-    );
+    let has = |stage| life.iter().any(|e| e.stage == stage);
+    let claims = vec![
+        claim("f1/zero-kernel-cpu-on-datapath", zero_kernel_cpu),
+        claim(
+            "f1/lifecycle-runs-ingress-to-app",
+            has(norman::Stage::RxIngress) && has(norman::Stage::AppDeliver),
+        ),
+        // The telemetry ledger agrees with every layer's counters.
+        claim("f1/audit-clean", host.audit().is_empty()),
+    ];
 
     let lifecycle: Vec<TypedStep> = life
         .iter()
@@ -228,6 +217,5 @@ fn main() {
             comm: e.owner.as_ref().map(|o| o.comm.to_string()),
         })
         .collect();
-    bench::write_json("exp_f1_architecture", &Output { steps, lifecycle });
-    println!("\nF1 walkthrough complete: every Figure 1 component exercised.");
+    Outcome::new(&Output { steps, lifecycle }, claims)
 }

@@ -1,6 +1,6 @@
-//! PR5 — multi-queue RSS scaling baseline.
+//! M4 — multi-queue RSS scaling.
 //!
-//! The tentpole question: does sharding the dataplane across N RSS
+//! The question: does sharding the dataplane across N RSS
 //! queues with one shard per queue actually buy aggregate throughput?
 //! Virtual time makes the answer exact: every fast-path delivery charges
 //! its CPU cost to the core of the shard that owns the ring, so the
@@ -9,9 +9,9 @@
 //! bytes over that makespan. Cores are modelled by accounting, not by
 //! host threads, so sharding must not cost wall clock either: each
 //! width is timed against the unsharded run and held within 3x of it
-//! (printed, not stored — `results/` holds deterministic fields only).
+//! (never stored: `results/` holds deterministic fields only).
 //!
-//! Two results, written to `results/exp_pr5_bench.json`:
+//! Two results, written to `results/exp_m4_rss_scaling.json`:
 //!
 //! 1. **Scaling curve** — the identical offered load (same flow count,
 //!    frame size, burst cadence) at 1, 2, and 4 queues/workers. Flows
@@ -22,15 +22,17 @@
 //!    on an unsharded host: identical delivery counts and host counters,
 //!    so multi-queue mode costs nothing when disabled.
 
-use std::net::Ipv4Addr;
 use std::time::Instant;
 
 use norman::host::DeliveryOutcome;
 use norman::{Host, HostConfig};
 use oskernel::Uid;
-use pkt::{FiveTuple, IpProto, Mac, Packet, PacketBuilder};
+use pkt::Packet;
 use serde::Serialize;
 use sim::{Dur, Time};
+
+use crate::scenario::{connect_udp, ports_covering_queues, udp_to_host};
+use crate::{claim, Mode, Outcome};
 
 const FLOWS: usize = 8;
 const PAYLOAD: usize = 1458;
@@ -67,30 +69,6 @@ struct Output {
     parity: Parity,
 }
 
-/// Finds `per_queue` UDP ports per RSS queue under the boot-time uniform
-/// table at width `n`, so the offered load is balanced by construction.
-fn ports_covering_queues(ip: Ipv4Addr, n: usize, per_queue: usize) -> Vec<u16> {
-    let table = nicsim::RssTable::uniform(n);
-    let mut buckets: Vec<Vec<u16>> = vec![Vec::new(); n];
-    for port in 7000..9000u16 {
-        let tuple = FiveTuple::udp(Ipv4Addr::new(10, 0, 0, 2), 9000, ip, port);
-        let q = usize::from(table.queue_for(pkt::meta::flow_hash_of(&tuple)));
-        if buckets[q].len() < per_queue {
-            buckets[q].push(port);
-        }
-        if buckets.iter().all(|b| b.len() == per_queue) {
-            break;
-        }
-    }
-    assert!(
-        buckets.iter().all(|b| b.len() == per_queue),
-        "port scan exhausted before covering {n} queues"
-    );
-    let mut ports: Vec<u16> = buckets.into_iter().flatten().collect();
-    ports.sort_unstable();
-    ports
-}
-
 fn mk_host(queues: usize) -> (Host, Vec<nicsim::ConnId>, Vec<Packet>) {
     let mut h = Host::new(HostConfig {
         nic: nicsim::NicConfig {
@@ -101,30 +79,14 @@ fn mk_host(queues: usize) -> (Host, Vec<nicsim::ConnId>, Vec<Packet>) {
         ..HostConfig::default()
     });
     let pid = h.spawn(Uid(1001), "bob", "server");
-    let ports = ports_covering_queues(h.cfg.ip, queues, FLOWS / queues.max(1));
+    let ports = ports_covering_queues(&h, FLOWS / queues.max(1));
     let conns: Vec<_> = ports
         .iter()
-        .map(|&port| {
-            h.connect(
-                pid,
-                IpProto::UDP,
-                port,
-                Ipv4Addr::new(10, 0, 0, 2),
-                9000,
-                false,
-            )
-            .unwrap()
-        })
+        .map(|&port| connect_udp(&mut h, pid, port, 9000).unwrap())
         .collect();
     let frames: Vec<Packet> = ports
         .iter()
-        .map(|&port| {
-            PacketBuilder::new()
-                .ether(Mac::local(9), h.cfg.mac)
-                .ipv4(Ipv4Addr::new(10, 0, 0, 2), h.cfg.ip)
-                .udp(9000, port, &[0u8; PAYLOAD])
-                .build()
-        })
+        .map(|&port| udp_to_host(&h, 9000, port, &[0u8; PAYLOAD]))
         .collect();
     (h, conns, frames)
 }
@@ -180,9 +142,7 @@ fn scale_point(workers: usize, base_goodput: Option<f64>) -> (ScalePoint, f64) {
     (point, wall_ms)
 }
 
-fn main() {
-    println!("PR5: multi-queue RSS scaling — per-core shards vs the single-queue dataplane\n");
-
+pub(crate) fn run(_: Mode) -> Outcome {
     // --- 1. scaling curve --------------------------------------------------
     let p1 = scale_point(1, None);
     let base = p1.0.goodput_gbps;
@@ -208,6 +168,17 @@ fn main() {
         identical: pump_delivered == worker_delivered && pump_stats == worker_stats,
     };
 
+    let p4 = scaling.iter().find(|p| p.workers == 4).unwrap();
+    let claims = vec![
+        claim("m4/4-workers-at-least-2.5x", p4.speedup_vs_1 >= 2.5),
+        claim("m4/1-worker-matches-pump", parity.identical),
+        // Cores are accounting, not threads: sharding must not cost wall
+        // clock either (timed here, never stored).
+        claim(
+            "m4/sharded-wall-within-3x-of-pump",
+            wall_ms.iter().all(|&wall| wall <= 3.0 * pump_wall_ms),
+        ),
+    ];
     let out = Output {
         schema: "norman-bench-pr5-v1",
         flows: FLOWS,
@@ -216,58 +187,5 @@ fn main() {
         scaling,
         parity,
     };
-
-    let mut table = bench::Table::new(
-        "PR5 — RSS scaling (virtual bottleneck-core time)",
-        &[
-            "workers",
-            "delivered",
-            "makespan (us)",
-            "goodput (Gbps)",
-            "speedup",
-            "wall (ms)",
-        ],
-    );
-    for (p, wall) in out.scaling.iter().zip(&wall_ms) {
-        table.row(&[
-            format!("{}", p.workers),
-            format!("{}", p.delivered),
-            format!("{:.1}", p.makespan_ns / 1e3),
-            format!("{:.1}", p.goodput_gbps),
-            format!("{:.2}x", p.speedup_vs_1),
-            format!("{wall:.1}"),
-        ]);
-    }
-    table.print();
-    println!(
-        "\nparity: pump delivered {} vs 1-worker {} — identical counters: {} \
-         (unsharded wall clock {pump_wall_ms:.1} ms)",
-        out.parity.pump_delivered, out.parity.worker_delivered, out.parity.identical
-    );
-
-    // Acceptance bars.
-    let p4 = out.scaling.iter().find(|p| p.workers == 4).unwrap();
-    assert!(
-        p4.speedup_vs_1 >= 2.5,
-        "4-worker speedup {:.2}x below the 2.5x bar",
-        p4.speedup_vs_1
-    );
-    assert!(
-        out.parity.identical,
-        "single-queue worker mode must match the in-line pump exactly:\n  pump:   {pump_stats}\n  worker: {worker_stats}"
-    );
-    for (p, wall) in out.scaling.iter().zip(&wall_ms) {
-        assert!(
-            *wall <= 3.0 * pump_wall_ms,
-            "{}-worker run took {wall:.1} ms, over 3x the unsharded {pump_wall_ms:.1} ms",
-            p.workers
-        );
-    }
-    println!(
-        "Shape check PASSED: 4 workers sustain {:.2}x the single-queue goodput (bar: 2.5x),",
-        p4.speedup_vs_1
-    );
-    println!("and 1-worker mode replays the classic dataplane counter-for-counter.");
-
-    bench::write_json("exp_pr5_bench", &out);
+    Outcome::new(&out, claims)
 }

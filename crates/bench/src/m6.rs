@@ -1,4 +1,4 @@
-//! PR7 — the connection-scaling cliff under hierarchical flow state.
+//! M6 — the connection-scaling cliff under hierarchical flow state.
 //!
 //! E2 shows the paper's §5 cliff: per-connection ring working sets
 //! outgrow the DDIO share of the LLC just past ~1024 connections and
@@ -9,8 +9,8 @@
 //! picks the eviction policy, so *which* traffic falls off the cliff
 //! becomes a kernel decision instead of a cache accident.
 //!
-//! Sweep: {1k, 100k, 1M} concurrent connections (`BENCH_SMOKE=1`
-//! shrinks to {1k, 4k, 16k}) × four committed policies:
+//! Sweep: {1k, 100k, 1M} concurrent connections (`--smoke` shrinks it
+//! to {1k, 4k, 16k}) × four committed policies:
 //!
 //! * `untiered` — no flow cache: every ring competes for DDIO (E2).
 //! * `lru` — recency only: round-robin traffic thrashes the hot tier,
@@ -26,32 +26,27 @@
 //! figure. Acceptance: priority-aware (and pinned) hold the bar at the
 //! top of the sweep — the cliff moves from ~1k to past 1M — while
 //! untiered and LRU collapse. The full sweep takes minutes, so this is
-//! the one experiment with a smoke mode: a full run writes
-//! `results/exp_pr7_scale.json`, a smoke run
-//! `results/exp_pr7_scale.smoke.json`, and both are committed.
-
-use std::net::Ipv4Addr;
+//! the one experiment with two documents: a full run writes
+//! `results/exp_m6_flow_tiers.json`, a smoke run
+//! `results/exp_m6_flow_tiers.smoke.json`, and both are committed.
 
 use memsim::LlcConfig;
 use nicsim::FlowCacheConfig;
 use norman::host::DeliveryOutcome;
 use norman::{Host, HostConfig};
 use oskernel::Uid;
-use pkt::{IpProto, Mac, PacketBuilder};
 use serde::Serialize;
 use sim::{Dur, Time};
 
-const FRAME: usize = 1500;
-const CORES: f64 = 6.0;
-const LINE_GBPS: f64 = 100.0;
+use crate::scenario::{
+    connect_udp, goodput_gbps, open_spread, sweep_app_working_set, udp_to_host, FRAME,
+};
+use crate::{claim, Mode, Outcome};
+
 const HI_PORT: u16 = 443;
 const HI_COUNT: usize = 512;
 const RING_SLOTS: usize = 2;
 const RING_SLOT_BYTES: usize = 2048;
-
-fn smoke() -> bool {
-    std::env::var_os("BENCH_SMOKE").is_some()
-}
 
 /// Hot-tier capacity sized to the DDIO share: the kernel knows the LLC
 /// topology and the per-connection ring footprint, so it can bound the
@@ -75,11 +70,11 @@ impl ClassAccum {
     }
 
     fn goodput(&self) -> f64 {
-        let serial = self
-            .ns(self.dma)
-            .max(self.ns(self.recv))
-            .max(self.ns(self.nic));
-        (FRAME as f64 * 8.0 / (serial / CORES)).min(LINE_GBPS)
+        goodput_gbps(
+            self.ns(self.dma)
+                .max(self.ns(self.recv))
+                .max(self.ns(self.nic)),
+        )
     }
 }
 
@@ -122,7 +117,7 @@ struct Output {
     cliffs: Vec<Cliff>,
 }
 
-fn run(conns: usize, policy: Option<FlowCacheConfig>, policy_name: &'static str) -> Row {
+fn run_point(conns: usize, policy: Option<FlowCacheConfig>, policy_name: &'static str) -> Row {
     let mut cfg = HostConfig {
         llc: LlcConfig::xeon_default(),
         ..HostConfig::default()
@@ -143,37 +138,16 @@ fn run(conns: usize, policy: Option<FlowCacheConfig>, policy_name: &'static str)
     let hi = HI_COUNT.min(conns / 2);
     let mut ports = Vec::with_capacity(conns);
     let mut conn_ids = Vec::with_capacity(conns);
-    for i in 0..conns {
-        let (port, remote_port) = if i < hi {
-            (HI_PORT, 20_000 + i as u16)
-        } else {
-            let j = i - hi;
-            (1024 + (j % 60_000) as u16, 5_000 + (j / 60_000) as u16)
-        };
-        let id = host
-            .connect(
-                pid,
-                IpProto::UDP,
-                port,
-                Ipv4Addr::new(10, 0, 0, 2),
-                remote_port,
-                false,
-            )
-            .expect("open connection");
-        ports.push((port, remote_port));
-        conn_ids.push(id);
+    for i in 0..hi {
+        let peer_port = 20_000 + i as u16;
+        conn_ids.push(connect_udp(&mut host, pid, HI_PORT, peer_port).expect("open connection"));
+        ports.push((HI_PORT, peer_port));
     }
-
+    for (id, port, peer_port) in open_spread(&mut host, pid, conns - hi, 5_000) {
+        conn_ids.push(id.expect("open connection"));
+        ports.push((port, peer_port));
+    }
     let payload = vec![0u8; FRAME - 42];
-    let src_mac = Mac::local(9);
-    let src_ip = Ipv4Addr::new(10, 0, 0, 2);
-    let (dst_mac, dst_ip) = (host.cfg.mac, host.cfg.ip);
-
-    // Application compute pressure between service rounds, as in E2:
-    // without it the CPU ways would quietly absorb every ring.
-    let bg_bytes: u64 = 48 << 20;
-    let bg_base: u64 = 0x80_0000_0000;
-    let mem = host.cfg.mem.clone();
 
     // Steady state needs one warm round (tier churn reaches its fixed
     // point within a single round-robin pass); big sweeps measure one
@@ -189,11 +163,7 @@ fn run(conns: usize, policy: Option<FlowCacheConfig>, policy_name: &'static str)
         // (high-priority first). The reuse distance of a ring line spans
         // the whole live population, exactly as in E2's spread load.
         for (i, &(port, remote_port)) in ports.iter().enumerate() {
-            let frame = PacketBuilder::new()
-                .ether(src_mac, dst_mac)
-                .ipv4(src_ip, dst_ip)
-                .udp(remote_port, port, &payload)
-                .build();
+            let frame = udp_to_host(&host, remote_port, port, &payload);
             let rep = host.deliver_from_wire(&frame, Time::ZERO);
             assert!(
                 matches!(rep.outcome, DeliveryOutcome::FastPath(_)),
@@ -225,12 +195,7 @@ fn run(conns: usize, policy: Option<FlowCacheConfig>, policy_name: &'static str)
             }
         }
         // Compute phase: sweep the apps' own working set through the LLC.
-        let mut addr = bg_base;
-        while addr < bg_base + bg_bytes {
-            host.llc_mut()
-                .access_range(addr, 64, memsim::AccessKind::CpuRead, &mem);
-            addr += 64;
-        }
+        sweep_app_working_set(&mut host);
     }
     let fs = host.nic.flows.stats();
     let violations = host.audit();
@@ -264,19 +229,13 @@ fn run(conns: usize, policy: Option<FlowCacheConfig>, policy_name: &'static str)
     }
 }
 
-fn main() {
+pub(crate) fn run(mode: Mode) -> Outcome {
     let cap = hot_capacity();
-    let counts: Vec<usize> = if smoke() {
+    let counts: Vec<usize> = if mode.smoke {
         vec![1_000, 4_000, 16_000]
     } else {
         vec![1_000, 100_000, 1_000_000]
     };
-    println!("PR7: connection scaling under hierarchical flow state");
-    println!(
-        "(6-core receiver, 1500B frames, {RING_SLOTS}x{RING_SLOT_BYTES}B rings, \
-         hot tier = {cap} entries = DDIO share, {HI_COUNT} high-prio conns on :{HI_PORT})"
-    );
-
     type Policy = (&'static str, fn(usize) -> Option<FlowCacheConfig>);
     let policies: [Policy; 4] = [
         ("untiered", |_| None),
@@ -290,124 +249,72 @@ fn main() {
     ];
 
     let mut rows = Vec::new();
-    let mut cliffs = Vec::new();
     for (name, make) in policies {
-        let mut table = bench::Table::new(
-            &format!("PR7 — {name}"),
-            &[
-                "connections",
-                "goodput (Gbps)",
-                "hi-prio (Gbps)",
-                "bulk (Gbps)",
-                "hot",
-                "cold",
-                "promotions",
-            ],
-        );
         for &n in &counts {
-            let row = run(n, make(cap), name);
-            table.row(&[
-                n.to_string(),
-                format!("{:.1}", row.goodput_gbps),
-                format!("{:.1}", row.hi_goodput_gbps),
-                format!("{:.1}", row.lo_goodput_gbps),
-                row.hot_entries.to_string(),
-                row.cold_entries.to_string(),
-                row.promotions.to_string(),
-            ]);
-            rows.push(row);
+            rows.push(run_point(n, make(cap), name));
         }
-        table.print();
-
-        let base = rows
-            .iter()
-            .find(|r| r.policy == name && r.connections == counts[0])
-            .expect("baseline row")
-            .hi_goodput_gbps;
-        let cliff = counts
-            .iter()
-            .copied()
-            .filter(|&n| {
-                rows.iter()
-                    .find(|r| r.policy == name && r.connections == n)
-                    .expect("row")
-                    .hi_goodput_gbps
-                    >= 0.90 * base
-            })
-            .max()
-            .unwrap_or(0);
-        let at_max = rows
-            .iter()
-            .find(|r| r.policy == name && r.connections == *counts.last().expect("counts"))
-            .expect("max row");
-        cliffs.push(Cliff {
-            policy: name,
-            cliff_connections: cliff,
-            hi_goodput_at_max: at_max.hi_goodput_gbps,
-            hi_retention_at_max: at_max.hi_goodput_gbps / base,
-        });
     }
-
-    // Shape checks — the acceptance bars.
     let g = |policy: &str, conns: usize| {
         rows.iter()
             .find(|r| r.policy == policy && r.connections == conns)
             .expect("row")
     };
-    let top = *counts.last().expect("counts");
-    for (name, _) in &policies {
-        assert!(
-            g(name, counts[0]).hi_goodput_gbps >= 99.0,
-            "{name}: high-prio line rate at {}",
-            counts[0]
-        );
-    }
-    assert!(
-        g("untiered", top).hi_goodput_gbps < 0.5 * g("untiered", counts[0]).hi_goodput_gbps,
-        "untiered high-prio traffic must fall off the cliff"
-    );
-    assert!(
-        g("lru", top).hi_goodput_gbps < 0.5 * g("lru", counts[0]).hi_goodput_gbps,
-        "LRU cannot protect high-prio traffic from round-robin churn"
-    );
-    for name in ["priority-aware", "pinned"] {
-        let retention = g(name, top).hi_goodput_gbps / g(name, counts[0]).hi_goodput_gbps;
-        assert!(
-            retention >= 0.90,
-            "{name}: high-prio goodput retained {retention:.2} at {top} conns, bar 0.90"
-        );
-        assert!(
-            g(name, top).cold_entries > 0,
-            "{name}: bulk flows must be in the cold tier at {top} conns"
-        );
-    }
-    assert_eq!(
-        g("untiered", top).cold_entries,
-        0,
-        "untiered runs have no cold tier"
-    );
-    println!(
-        "\nShape check PASSED: untiered and LRU high-prio goodput collapse past the DDIO share,"
-    );
-    println!(
-        "priority-aware and pinned hold >=90% of their 1k high-prio goodput at {top} connections —"
-    );
-    println!("the cliff is now a kernel policy decision, not a cache accident.");
+    let (bottom, top) = (counts[0], counts[counts.len() - 1]);
+    let hi = |policy: &str, conns: usize| g(policy, conns).hi_goodput_gbps;
+    let cliffs: Vec<Cliff> = policies
+        .iter()
+        .map(|&(name, _)| {
+            let base = hi(name, bottom);
+            Cliff {
+                policy: name,
+                cliff_connections: counts
+                    .iter()
+                    .copied()
+                    .filter(|&n| hi(name, n) >= 0.90 * base)
+                    .max()
+                    .unwrap_or(0),
+                hi_goodput_at_max: hi(name, top),
+                hi_retention_at_max: hi(name, top) / base,
+            }
+        })
+        .collect();
 
+    let protecting = ["priority-aware", "pinned"];
+    let claims = vec![
+        claim(
+            "m6/every-policy-line-rate-at-1k",
+            policies.iter().all(|(name, _)| hi(name, bottom) >= 99.0),
+        ),
+        claim(
+            "m6/untiered-hi-prio-falls-off-the-cliff",
+            hi("untiered", top) < 0.5 * hi("untiered", bottom),
+        ),
+        claim(
+            "m6/lru-cannot-protect-hi-prio",
+            hi("lru", top) < 0.5 * hi("lru", bottom),
+        ),
+        claim(
+            "m6/priority-policies-retain-90pct-at-top",
+            protecting
+                .iter()
+                .all(|name| hi(name, top) / hi(name, bottom) >= 0.90),
+        ),
+        claim(
+            "m6/priority-policies-keep-bulk-cold",
+            protecting.iter().all(|name| g(name, top).cold_entries > 0),
+        ),
+        claim(
+            "m6/untiered-has-no-cold-tier",
+            g("untiered", top).cold_entries == 0,
+        ),
+    ];
     let out = Output {
         schema: "norman-bench-pr7-v1",
-        smoke: smoke(),
+        smoke: mode.smoke,
         hot_capacity: cap,
         counts,
         rows,
         cliffs,
     };
-    bench::write_json(
-        if smoke() {
-            "exp_pr7_scale.smoke"
-        } else {
-            "exp_pr7_scale"
-        },
-        &out,
-    );
+    Outcome::new(&out, claims)
 }

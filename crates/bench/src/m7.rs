@@ -1,4 +1,4 @@
-//! PR8 — trace-pipeline overhead and offline drop forensics.
+//! M7 — trace-pipeline overhead and offline drop forensics.
 //!
 //! The retis-style pipeline exists so an operator can leave tracing on
 //! during a chaotic run, walk away, and answer "which flows dropped,
@@ -28,28 +28,27 @@
 //!    snapshot (drop conservation), the host's `ring_drops` counter,
 //!    and `Host::audit()` (zero violations at every checkpoint).
 //!
-//! Writes `BENCH_PR8.json` at the repo root for the `check_bench.py pr8`
-//! gate. `BENCH_SMOKE=1` shrinks the sweep for CI.
+//! Writes `BENCH_PR8.json` at the repo root for `scripts/check_bench.py`,
+//! not `results/`: the overhead is wall clock. `--smoke` shrinks the
+//! sweep for CI.
 
-use std::net::Ipv4Addr;
 use std::time::Instant;
 
 use norman::host::DeliveryOutcome;
 use norman::tools::trace as ktrace;
 use norman::{Host, HostConfig};
 use oskernel::{Cred, Uid};
-use pkt::{IpProto, Mac, Packet, PacketBuilder};
+use pkt::Packet;
 use serde::Serialize;
 use sim::{Dur, FaultSchedule, FaultyLink, Link, Time};
+
+use crate::scenario::{connect_udp, ports_covering_queues, udp_to_host};
+use crate::{claim, Mode, Outcome};
 
 const SEED: u64 = 0x9812_74CE;
 const QUEUES: usize = 4;
 const PKT_GAP: Dur = Dur(200_000); // one frame every 200 ns
 const SPILL_EVERY: u64 = 2_000;
-
-fn smoke() -> bool {
-    std::env::var_os("BENCH_SMOKE").is_some()
-}
 
 /// Process-wide CPU time (all threads), nanoseconds. The overhead gate
 /// compares CPU, not wall: the sweep is CPU-bound (file writes land in
@@ -76,16 +75,16 @@ fn cpu_time_ns() -> u64 {
     ts.tv_sec as u64 * 1_000_000_000 + ts.tv_nsec as u64
 }
 
-fn frames() -> u64 {
-    if smoke() {
+fn frames(mode: Mode) -> u64 {
+    if mode.smoke {
         50_000
     } else {
         1_000_000
     }
 }
 
-fn reps() -> usize {
-    if smoke() {
+fn reps(mode: Mode) -> usize {
+    if mode.smoke {
         5
     } else {
         2
@@ -129,7 +128,7 @@ struct RunOutcome {
 }
 
 #[derive(Clone, Copy)]
-enum Mode<'a> {
+enum Tracing<'a> {
     /// Tracing off — the overhead baseline.
     Off,
     /// In-memory tracing only (pre-PR8 behaviour), to split the cost of
@@ -145,7 +144,7 @@ enum Mode<'a> {
 /// drops pile up with bulk's attribution. A 1% lossy wire keeps the
 /// arrival pattern chaotic (but pre-host, so wire losses never enter
 /// the drop ledger).
-fn run(mode: Mode) -> RunOutcome {
+fn run_sweep(tracing: Tracing, total: u64) -> RunOutcome {
     let cfg = HostConfig {
         nic: nicsim::NicConfig {
             num_queues: QUEUES,
@@ -161,54 +160,29 @@ fn run(mode: Mode) -> RunOutcome {
     // Two flows per queue under the boot-time uniform table — one per
     // tenant — so every worker carries both a drained and an overloaded
     // ring.
-    let table = nicsim::RssTable::uniform(QUEUES);
-    let mut buckets: Vec<Vec<u16>> = vec![Vec::new(); QUEUES];
-    for port in 7000..9000u16 {
-        let tuple = pkt::FiveTuple::udp(Ipv4Addr::new(10, 0, 0, 2), 9000, host.cfg.ip, port);
-        let q = usize::from(table.queue_for(pkt::meta::flow_hash_of(&tuple)));
-        if buckets[q].len() < 2 {
-            buckets[q].push(port);
-        }
-        if buckets.iter().all(|b| b.len() == 2) {
-            break;
-        }
-    }
-    let mut ports: Vec<u16> = buckets.into_iter().flatten().collect();
-    ports.sort_unstable();
+    let ports = ports_covering_queues(&host, 2);
     let conns: Vec<_> = ports
         .iter()
         .enumerate()
         .map(|(i, &port)| {
             let pid = if i % 2 == 0 { server } else { bulk };
-            host.connect(
-                pid,
-                IpProto::UDP,
-                port,
-                Ipv4Addr::new(10, 0, 0, 2),
-                9000,
-                false,
-            )
-            .unwrap()
+            connect_udp(&mut host, pid, port, 9000).unwrap()
         })
         .collect();
     host.run_workers(QUEUES).unwrap();
 
     let root = Cred::root();
-    match mode {
-        Mode::Off => {}
-        Mode::TraceOnly => host.start_trace(),
-        Mode::Collect(path) => ktrace::collect(&mut host, &root, "drop-forensics", path).unwrap(),
+    match tracing {
+        Tracing::Off => {}
+        Tracing::TraceOnly => host.start_trace(),
+        Tracing::Collect(path) => {
+            ktrace::collect(&mut host, &root, "drop-forensics", path).unwrap()
+        }
     }
 
     let frames_pkts: Vec<Packet> = ports
         .iter()
-        .map(|&port| {
-            PacketBuilder::new()
-                .ether(Mac::local(9), host.cfg.mac)
-                .ipv4(Ipv4Addr::new(10, 0, 0, 2), host.cfg.ip)
-                .udp(9000, port, &[0u8; 1458])
-                .build()
-        })
+        .map(|&port| udp_to_host(&host, 9000, port, &[0u8; 1458]))
         .collect();
     let mut wire = FaultyLink::new(
         Link::hundred_gbe(),
@@ -216,7 +190,6 @@ fn run(mode: Mode) -> RunOutcome {
         FaultSchedule::steady_loss(0.01),
     );
 
-    let total = frames();
     let mut audits = 0u64;
     let mut audit_violations = 0u64;
     let start = Instant::now();
@@ -249,7 +222,7 @@ fn run(mode: Mode) -> RunOutcome {
             // so the in-memory footprint stays bounded.
             audits += 1;
             audit_violations += host.audit().len() as u64;
-            if let Mode::Collect(_) = mode {
+            if let Tracing::Collect(_) = tracing {
                 host.spill_trace().unwrap();
             }
         }
@@ -259,13 +232,13 @@ fn run(mode: Mode) -> RunOutcome {
     }
     audits += 1;
     audit_violations += host.audit().len() as u64;
-    let sink = match mode {
-        Mode::Off => None,
-        Mode::TraceOnly => {
+    let sink = match tracing {
+        Tracing::Off => None,
+        Tracing::TraceOnly => {
             host.stop_trace();
             None
         }
-        Mode::Collect(_) => Some(ktrace::collect_stop(&mut host, &root).unwrap()),
+        Tracing::Collect(_) => Some(ktrace::collect_stop(&mut host, &root).unwrap()),
     };
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
     let cpu_ms = (cpu_time_ns() - cpu_start) as f64 / 1e6;
@@ -279,12 +252,12 @@ fn run(mode: Mode) -> RunOutcome {
     }
 }
 
-fn main() {
-    println!("PR8: trace-pipeline overhead + offline drop forensics\n");
-    let dir = std::env::temp_dir().join("norman_exp_pr8");
+pub(crate) fn run(mode: Mode) -> Outcome {
+    let dir = std::env::temp_dir().join("norman_exp_m7");
     std::fs::create_dir_all(&dir).expect("create scratch dir");
     let raw = dir.join("chaos.ntrace");
     let sorted = dir.join("chaos.sorted.ntrace");
+    let total = frames(mode);
 
     // Interleave the variants across reps. Walls reported are
     // min-of-reps per variant; the overhead gate uses paired per-rep
@@ -295,10 +268,10 @@ fn main() {
     let mut trace_only: Option<RunOutcome> = None;
     let mut coll: Option<RunOutcome> = None;
     let mut rep_overheads: Vec<f64> = Vec::new();
-    for _ in 0..reps() {
-        let b = run(Mode::Off);
-        let t = run(Mode::TraceOnly);
-        let c = run(Mode::Collect(&raw));
+    for _ in 0..reps(mode) {
+        let b = run_sweep(Tracing::Off, total);
+        let t = run_sweep(Tracing::TraceOnly, total);
+        let c = run_sweep(Tracing::Collect(&raw), total);
         rep_overheads.push(100.0 * (c.cpu_ms - b.cpu_ms) / b.cpu_ms);
         if base.as_ref().is_none_or(|prev| b.wall_ms < prev.wall_ms) {
             base = Some(b);
@@ -317,6 +290,7 @@ fn main() {
     let trace_only = trace_only.unwrap();
     let coll = coll.unwrap();
     let sink = coll.sink.as_ref().expect("collect run recorded");
+    assert!(sink.events > 0, "collect recorded nothing");
     rep_overheads.sort_by(|a, b| a.total_cmp(b));
     let overhead_pct = rep_overheads[0];
 
@@ -325,34 +299,8 @@ fn main() {
     let sstats = ktrace::sort(&raw, &sorted).expect("sort recorded file");
     assert_eq!(sstats.events, sink.events, "sort must carry every event");
     let f = ktrace::report(&sorted).expect("report from sorted file");
-    println!("{}", ktrace::render_report(&f));
+    std::fs::remove_dir_all(&dir).ok();
 
-    // Determinism first: both runs saw the identical seeded sweep.
-    assert_eq!(
-        base.ring_drops, coll.ring_drops,
-        "tracing must not perturb the dataplane"
-    );
-    // Cross-check #1: the file's ledger snapshot vs its recorded events.
-    assert!(
-        f.conservation.is_empty(),
-        "drop conservation violated: {:?}",
-        f.conservation
-    );
-    // Cross-check #2: the reconstructed drops vs the host's counter.
-    assert_eq!(
-        f.report.total_drops, coll.ring_drops,
-        "file must account for every ring drop"
-    );
-    // Cross-check #3: the live audits were clean at every checkpoint.
-    assert_eq!(coll.audit_violations, 0, "audit violations during collect");
-    assert_eq!(base.audit_violations, 0, "audit violations during baseline");
-    // Attribution: every ring drop names the bulk tenant, per flow.
-    assert!(!f.report.sites.is_empty(), "drop sites must be attributed");
-    for site in &f.report.sites {
-        let owner = site.owner.as_ref().expect("drop site has an owner");
-        assert_eq!(owner.uid, 1002, "ring drops belong to the bulk tenant");
-        assert_eq!(owner.comm, "bulk");
-    }
     let bulk_owner_drops = f
         .report
         .owners
@@ -360,25 +308,54 @@ fn main() {
         .filter(|o| o.uid == 1002)
         .map(|o| o.drops)
         .sum::<u64>();
-    assert_eq!(bulk_owner_drops, coll.ring_drops);
-    // Bounded memory: the durable record outgrew the in-memory ring, so
-    // it must have been streamed, not dumped at stop. The smoke sweep is
-    // too short to overflow the ring; the full 1M-frame run is not.
     let ring_capacity = telemetry::hub::DEFAULT_CAPACITY as u64;
-    assert!(
-        smoke() || sink.events > ring_capacity,
-        "sweep too small to prove streaming: {} events <= {} ring slots",
-        sink.events,
-        ring_capacity
-    );
-    assert!(sink.events > 0, "collect recorded nothing");
+    let claims = vec![
+        // Both runs saw the identical seeded sweep.
+        claim(
+            "m7/tracing-does-not-perturb-the-dataplane",
+            base.ring_drops == coll.ring_drops,
+        ),
+        // Cross-check #1: the file's ledger snapshot vs its recorded events.
+        claim("m7/file-conserves-drops", f.conservation.is_empty()),
+        // Cross-check #2: the reconstructed drops vs the host's counter.
+        claim(
+            "m7/file-accounts-for-every-ring-drop",
+            f.report.total_drops == coll.ring_drops,
+        ),
+        // Cross-check #3: the live audits were clean at every checkpoint.
+        claim(
+            "m7/audits-clean",
+            coll.audit_violations == 0 && base.audit_violations == 0,
+        ),
+        // Attribution: every ring drop names the bulk tenant, per flow.
+        claim(
+            "m7/drop-sites-name-the-bulk-tenant",
+            !f.report.sites.is_empty()
+                && f.report.sites.iter().all(|site| {
+                    site.owner
+                        .as_ref()
+                        .is_some_and(|o| o.uid == 1002 && o.comm == "bulk")
+                }),
+        ),
+        claim(
+            "m7/bulk-owner-holds-every-drop",
+            bulk_owner_drops == coll.ring_drops,
+        ),
+        // Bounded memory: the durable record outgrew the in-memory ring,
+        // so it was streamed, not dumped at stop. The smoke sweep is too
+        // short to overflow the ring; the full 1M-frame run is not.
+        claim(
+            "m7/full-run-streams-past-the-ring",
+            mode.smoke || sink.events > ring_capacity,
+        ),
+    ];
 
     let out = Output {
         schema: "norman-bench-pr8-v1",
-        smoke: smoke(),
-        frames: frames(),
+        smoke: mode.smoke,
+        frames: total,
         queues: QUEUES,
-        reps: reps(),
+        reps: reps(mode),
         base_wall_ms: base.wall_ms,
         trace_wall_ms: trace_only.wall_ms,
         collect_wall_ms: coll.wall_ms,
@@ -398,20 +375,5 @@ fn main() {
         bulk_owner_drops,
         conservation_ok: f.conservation.is_empty(),
     };
-    println!(
-        "frames={} cpu: base={:.1}ms trace-only={:.1}ms collect={:.1}ms overhead={:+.2}% events_in_file={} ({} bytes)",
-        out.frames,
-        out.base_cpu_ms,
-        out.trace_cpu_ms,
-        out.collect_cpu_ms,
-        out.overhead_pct,
-        out.events_in_file,
-        out.file_bytes
-    );
-
-    let json = serde_json::to_string_pretty(&out).unwrap();
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_PR8.json");
-    std::fs::write(&root, &json).expect("write BENCH_PR8.json");
-    println!("wrote {}", root.display());
-    std::fs::remove_dir_all(&dir).ok();
+    Outcome::new(&out, claims)
 }

@@ -14,7 +14,8 @@ use std::collections::HashMap;
 use overlay::{verify, CompiledProgram, PktCtx, Program, Verdict, Vm};
 use pkt::{FiveTuple, FrameMeta, IpProto, Packet, PktError};
 use qdisc::{MultiQueue, QPkt, Qdisc};
-use sim::{CrashInjector, Dur, Link, Time};
+use sim::fault::OpFaultInjector;
+use sim::{Dur, Link, Time};
 use telemetry::{
     Comm, DropCause, FrameInfo, HistId, Owner, RecoveryKind, Registry, Stage, StageRec, Telemetry,
     TraceVerdict,
@@ -273,7 +274,7 @@ pub struct SmartNic {
     dead: bool,
     /// Deterministic crash schedule, ticked once per dataplane or
     /// crash-eligible control op.
-    crash_faults: CrashInjector,
+    crash_faults: OpFaultInjector,
     next_pkt_id: u64,
     stats: NicStats,
     tel: Telemetry,
@@ -316,7 +317,7 @@ impl SmartNic {
             pipeline_free: Time::ZERO,
             frozen_until: Time::ZERO,
             dead: false,
-            crash_faults: CrashInjector::never(),
+            crash_faults: OpFaultInjector::never(),
             next_pkt_id: 0,
             stats: NicStats::default(),
             tel,
@@ -858,13 +859,13 @@ impl SmartNic {
     /// crash-eligible control op ticks it once; when it fires the device
     /// [`SmartNic::crash`]es at exactly that op — same seed, same op,
     /// same losses on every replay.
-    pub fn set_crash_injector(&mut self, injector: CrashInjector) {
+    pub fn set_crash_injector(&mut self, injector: OpFaultInjector) {
         self.crash_faults = injector;
     }
 
     /// Crash-schedule observability: (ops ticked, crashes fired).
     pub fn crash_injector_stats(&self) -> (u64, u64) {
-        (self.crash_faults.ops(), self.crash_faults.crashes())
+        (self.crash_faults.ops(), self.crash_faults.injected())
     }
 
     /// Returns whether the device has crashed and awaits a reset.
@@ -892,7 +893,7 @@ impl SmartNic {
     /// `true` if the device is (now) dead. Dead devices don't tick — the
     /// schedule counts ops the hardware actually observed.
     fn tick_crash(&mut self, now: Time) -> bool {
-        if !self.dead && self.crash_faults.should_crash() {
+        if !self.dead && self.crash_faults.should_fail() {
             self.crash(now);
         }
         self.dead
@@ -2688,7 +2689,7 @@ mod tests {
     fn crash_injector_kills_at_exact_op_in_rx_and_batch() {
         // Sequential: 5 frames with a crash at op 3.
         let mut a = nic();
-        a.set_crash_injector(CrashInjector::at_op(3));
+        a.set_crash_injector(OpFaultInjector::fail_nth(3));
         let frames: Vec<Packet> = (0..5).map(|_| udp_to(9999)).collect();
         let seq: Vec<_> = frames
             .iter()
@@ -2696,7 +2697,7 @@ mod tests {
             .collect();
         // Batched: identical dispositions, crash at the same frame.
         let mut b = nic();
-        b.set_crash_injector(CrashInjector::at_op(3));
+        b.set_crash_injector(OpFaultInjector::fail_nth(3));
         let batch: Vec<_> = b
             .rx_batch(&frames, Time::ZERO)
             .into_iter()
@@ -2729,7 +2730,7 @@ mod tests {
         let at = Time::from_us(1);
         let armed = || {
             let mut nic = nic();
-            nic.set_crash_injector(CrashInjector::at_op(3));
+            nic.set_crash_injector(OpFaultInjector::fail_nth(3));
             nic.reprogram_bitstream(Time::ZERO);
             assert!(at < nic.frozen_until());
             nic

@@ -21,11 +21,11 @@ use nicsim::{
 };
 use oskernel::{ArpCache, CgroupId, Cred, NetStack, Pid, ProcessTable, RxOutcome, Scheduler, Uid};
 use pkt::{BufArena, FiveTuple, IpProto, Mac, Packet};
-use sim::fault::{CrashInjector, OpFaultInjector};
+use sim::fault::OpFaultInjector;
 use sim::{Dur, Time};
 use telemetry::{
-    CollectError, CollectorRegistry, DropCause, FileError, FrameInfo, Owner, Profile, RecoveryKind,
-    Registry, SinkStats, Snapshot, Stage, StageRec, Telemetry, TraceVerdict,
+    CollectError, DropCause, FileError, FrameInfo, Owner, Profile, RecoveryKind, Registry,
+    SinkStats, Snapshot, Stage, StageRec, Telemetry, TraceVerdict,
 };
 
 use crate::ctrl::{ControlPlane, CtrlError, PolicyStore, StagedCommit};
@@ -671,24 +671,18 @@ impl Host {
 
     /// Starts a durable collection: like [`Host::start_trace`], but every
     /// event the `profile` selects also streams into the event-series
-    /// file at `path` (profile collectors resolved against the built-in
-    /// [`CollectorRegistry`]). Memory stays bounded — events flow through
-    /// the hub's fixed ring and one file buffer; call
-    /// [`Host::spill_trace`] periodically to checkpoint the ledger and
-    /// push bytes to the OS.
+    /// file at `path`. Memory stays bounded — events flow through the
+    /// hub's fixed ring and one file buffer; call [`Host::spill_trace`]
+    /// periodically to checkpoint the ledger and push bytes to the OS.
+    /// The sink is attached first: a refused collection (one is already
+    /// running) leaves the trace state of the running one untouched.
     pub(crate) fn start_collect(
         &mut self,
-        profile: &Profile,
+        profile: Profile,
         path: &std::path::Path,
     ) -> Result<(), CollectError> {
+        self.tel.start_sink(path, profile)?;
         self.start_trace();
-        if let Err(e) = self
-            .tel
-            .start_sink(path, profile, &CollectorRegistry::builtin())
-        {
-            self.stop_trace();
-            return Err(e);
-        }
         Ok(())
     }
 
@@ -1006,8 +1000,8 @@ impl Host {
     }
 
     /// Arms the op-schedule crash injector on the NIC (chaos testing;
-    /// see [`sim::fault::CrashInjector`]).
-    pub fn set_nic_crash_injector(&mut self, injector: CrashInjector) {
+    /// see [`sim::fault::OpFaultInjector`]).
+    pub fn set_nic_crash_injector(&mut self, injector: OpFaultInjector) {
         self.nic.set_crash_injector(injector);
     }
 
@@ -2408,7 +2402,7 @@ mod tests {
             });
             let bob = h.spawn(Uid(1001), "bob", "server");
             let conn = open_conn(&mut h, bob, 7000, false);
-            h.set_nic_crash_injector(sim::fault::CrashInjector::seeded_rate(seed ^ 0x55, 0.002));
+            h.set_nic_crash_injector(sim::fault::OpFaultInjector::seeded_rate(seed ^ 0x55, 0.002));
             let schedule = sim::FaultSchedule {
                 corrupt_rate: 0.01,
                 reorder_rate: 0.02,

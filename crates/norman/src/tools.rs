@@ -387,7 +387,7 @@ pub mod trace {
                 Profile::builtin_names().join(", ")
             ))
         })?;
-        host.start_collect(&profile, path).map_err(pipeline)
+        host.start_collect(profile, path).map_err(pipeline)
     }
 
     /// Ends a `ktrace collect`, closing the file cleanly (final ledger

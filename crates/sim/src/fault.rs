@@ -455,10 +455,13 @@ impl FaultyLink {
     }
 }
 
-/// A seeded, replayable fault stream for *control-plane operations* (as
-/// opposed to the per-packet [`FaultInjector`]). A policy commit asks it
-/// once per apply step whether that step fails; the answer sequence is a
-/// pure function of the seed and plan, so chaos runs replay bit-identically.
+/// A seeded, replayable fault stream for *operations* (as opposed to the
+/// per-packet [`FaultInjector`]). A policy commit asks it once per apply
+/// step whether that step fails, and rolls back; a NIC asks it once per
+/// dataplane or control op whether the whole device crashes, losing its
+/// volatile state until a kernel-driven reset. The answer sequence is a
+/// pure function of the seed, the plan and the op sequence, so chaos runs
+/// and crash storms replay bit-identically.
 #[derive(Clone, Debug)]
 pub struct OpFaultInjector {
     plan: OpFaultPlan,
@@ -538,97 +541,6 @@ impl OpFaultInjector {
     /// Total failures injected.
     pub fn injected(&self) -> u64 {
         self.injected
-    }
-}
-
-/// A seeded, replayable *device-crash* schedule: whereas
-/// [`OpFaultInjector`] fails individual control operations (the commit
-/// path sees an error and rolls back), a crash verdict kills the whole
-/// device — volatile state is gone and only a kernel-driven reset brings
-/// it back. The device ticks the injector once per dataplane or control
-/// op, so a crash can land at an arbitrary instruction boundary, and the
-/// tick sequence is a pure function of `(seed, plan, op sequence)` —
-/// crash storms replay bit-identically.
-#[derive(Clone, Debug)]
-pub struct CrashInjector {
-    plan: CrashPlan,
-    rng: XorShift64Star,
-    ops: u64,
-    crashes: u64,
-}
-
-#[derive(Clone, Debug)]
-enum CrashPlan {
-    Never,
-    /// Crash exactly at the `n`th op (1-based), then stay quiet.
-    AtOp(u64),
-    /// Crash each op independently with probability `rate` (a storm).
-    Rate(f64),
-}
-
-impl CrashInjector {
-    /// An injector that never crashes the device.
-    pub fn never() -> CrashInjector {
-        CrashInjector {
-            plan: CrashPlan::Never,
-            rng: XorShift64Star::new(1),
-            ops: 0,
-            crashes: 0,
-        }
-    }
-
-    /// Crashes the device exactly at the `n`th op (1-based) it is asked
-    /// about, never again. `n == 0` never crashes.
-    pub fn at_op(n: u64) -> CrashInjector {
-        CrashInjector {
-            plan: if n == 0 {
-                CrashPlan::Never
-            } else {
-                CrashPlan::AtOp(n)
-            },
-            rng: XorShift64Star::new(1),
-            ops: 0,
-            crashes: 0,
-        }
-    }
-
-    /// Crashes at each op independently with probability `rate`, from a
-    /// stream derived from `seed` (own stream: enabling crash storms
-    /// never perturbs packet- or op-level fault sampling).
-    pub fn seeded_rate(seed: u64, rate: f64) -> CrashInjector {
-        let mut sm = seed;
-        let expanded = crate::rng::splitmix64(&mut sm);
-        CrashInjector {
-            plan: CrashPlan::Rate(rate),
-            rng: XorShift64Star::new(expanded),
-            ops: 0,
-            crashes: 0,
-        }
-    }
-
-    /// Decides whether the device crashes at the next op. Advances the
-    /// stream.
-    pub fn should_crash(&mut self) -> bool {
-        self.ops += 1;
-        let crash = match self.plan {
-            CrashPlan::Never => false,
-            CrashPlan::AtOp(n) => self.ops == n,
-            CrashPlan::Rate(rate) => self.rng.chance(rate),
-        };
-        if crash {
-            self.crashes += 1;
-        }
-        crash
-    }
-
-    /// Total operations consulted.
-    pub fn ops(&self) -> u64 {
-        self.ops
-    }
-
-    /// Total crashes issued.
-    pub fn crashes(&self) -> u64 {
-        self.crashes
     }
 }
 
@@ -857,28 +769,6 @@ mod tests {
         };
         assert_eq!(run(42), run(42));
         assert_ne!(run(42), run(43));
-    }
-
-    #[test]
-    fn crash_injector_modes() {
-        let mut never = CrashInjector::never();
-        assert!((0..100).all(|_| !never.should_crash()));
-        assert_eq!(never.ops(), 100);
-        assert_eq!(never.crashes(), 0);
-
-        let mut at = CrashInjector::at_op(4);
-        let fired: Vec<bool> = (0..6).map(|_| at.should_crash()).collect();
-        assert_eq!(fired, vec![false, false, false, true, false, false]);
-        assert_eq!(at.crashes(), 1);
-
-        assert!(!CrashInjector::at_op(0).should_crash());
-
-        let draw = |seed: u64| {
-            let mut inj = CrashInjector::seeded_rate(seed, 0.5);
-            (0..64).map(|_| inj.should_crash()).collect::<Vec<bool>>()
-        };
-        assert_eq!(draw(5), draw(5), "same seed replays the same stream");
-        assert_ne!(draw(5), draw(6));
     }
 
     #[test]

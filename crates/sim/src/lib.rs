@@ -30,7 +30,7 @@ pub(crate) mod rng;
 pub mod stats;
 pub mod time;
 
-pub use fault::{CrashInjector, FaultInjector, FaultSchedule, FaultyLink, LossModel};
+pub use fault::{FaultInjector, FaultSchedule, FaultyLink, LossModel};
 pub use hash::FastMap;
 pub use link::Link;
 pub use rng::DetRng;

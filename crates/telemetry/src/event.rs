@@ -720,16 +720,11 @@ impl TraceFilter {
         self
     }
 
-    /// The part of [`TraceFilter::matches`] that needs only the stage and
-    /// verdict, so an emit site can ask it before the event is built.
-    pub(crate) fn admits_stage(&self, stage: Stage, verdict: TraceVerdict) -> bool {
-        self.stage.is_none_or(|want| want == stage)
-            && (!self.drops_only || verdict.drop_cause().is_some())
-    }
-
     /// Returns `true` when `event` satisfies every populated field.
     pub(crate) fn matches(&self, event: &TraceEvent) -> bool {
-        if !self.admits_stage(event.stage, event.verdict) {
+        if self.stage.is_some_and(|want| want != event.stage)
+            || (self.drops_only && event.verdict.drop_cause().is_none())
+        {
             return false;
         }
         if let Some(id) = self.frame_id {

@@ -21,10 +21,10 @@
 //!   call's histogram samples, so a frame's whole NIC-side record costs a
 //!   single borrow. [`Telemetry::emit`] (a closure returning a finished
 //!   [`TraceEvent`]) forwards to the same record path.
-//! * **Collecting** — while a file sink is attached, the profile's filter
-//!   and collectors are asked about `(stage, verdict)` *before* the
-//!   closure runs: under `drop-forensics` a delivered frame is counted in
-//!   the ledger and otherwise costs nothing.
+//! * **Collecting** — while a file sink is attached, the profile is asked
+//!   about `(stage, verdict)` *before* the closure runs: under
+//!   `drop-forensics` a delivered frame is counted in the ledger and
+//!   otherwise costs nothing.
 //! * Frame-id allocation is a bare `Cell<u64>` increment and runs even
 //!   when disabled, so ids are stable across enable/disable and replay
 //!   remains deterministic.
@@ -55,7 +55,7 @@ use sim::{Dur, Time};
 
 use std::path::Path;
 
-use crate::collect::{CollectError, CollectorRegistry, CollectorSet, Profile};
+use crate::collect::{CollectError, Profile};
 use crate::event::{
     DropCause, FrameInfo, RecoveryEvent, RecoveryKind, Stage, StageRec, TraceEvent, TraceFilter,
     TraceVerdict,
@@ -78,32 +78,26 @@ pub struct HistId(usize);
 /// twice.
 struct Sink {
     writer: EventFileWriter,
-    filter: TraceFilter,
-    collectors: CollectorSet,
-    spill_ledger: bool,
+    profile: Profile,
     error: Option<FileError>,
 }
 
 impl Sink {
-    /// Whether an event at this stage could reach the file — decided
-    /// from the stage and verdict alone, before the event is built.
+    /// Whether an event at this stage reaches the file — decided from
+    /// the stage and verdict alone, before the event is built.
     fn admits(&self, rec: &StageRec) -> bool {
-        self.error.is_none()
-            && self.filter.admits_stage(rec.stage, rec.verdict)
-            && self.collectors.wants_stage(rec.stage, rec.verdict)
+        self.error.is_none() && self.profile.wants_stage(rec.stage, rec.verdict)
     }
 
+    /// Records an event [`Sink::admits`] let through.
     fn offer(&mut self, event: &TraceEvent) {
-        if !self.filter.matches(event) || !self.collectors.wants(event) {
-            return;
-        }
         if let Err(e) = self.writer.append_event(event) {
             self.error = Some(e);
         }
     }
 
     fn offer_recovery(&mut self, event: &RecoveryEvent) {
-        if self.error.is_some() || !self.collectors.wants_recovery(event) {
+        if self.error.is_some() || !self.profile.wants_recovery() {
             return;
         }
         if let Err(e) = self.writer.append_recovery(event) {
@@ -290,7 +284,7 @@ impl Hub {
         if let Some(e) = sink.error.take() {
             return Err(e);
         }
-        if sink.spill_ledger {
+        if sink.profile.spills_ledger() {
             sink.writer
                 .append_ledger(&self.stage_counts, &self.drop_counts, self.evicted)?;
         }
@@ -584,30 +578,21 @@ impl Telemetry {
     }
 
     /// Attaches a durable file sink driven by `profile`: every
-    /// subsequently recorded event that passes the profile's filter and
-    /// is wanted by one of its collectors (resolved against `registry`)
-    /// streams into the event-series file at `path`. While the sink is
-    /// attached, events bypass the in-memory ring (the file is the query
-    /// surface; the ledger still counts everything). Does **not** enable
+    /// subsequently recorded event the profile wants streams into the
+    /// event-series file at `path`. While the sink is attached, events
+    /// bypass the in-memory ring (the file is the query surface; the
+    /// ledger still counts everything). Does **not** enable
     /// tracing or clear state — callers (e.g. `Host::start_collect`)
     /// own that sequencing.
-    pub fn start_sink(
-        &self,
-        path: &Path,
-        profile: &Profile,
-        registry: &CollectorRegistry,
-    ) -> Result<(), CollectError> {
-        let collectors = registry.resolve(&profile.collectors)?;
+    pub fn start_sink(&self, path: &Path, profile: Profile) -> Result<(), CollectError> {
         let mut hub = self.hub.borrow_mut();
         if hub.sink.is_some() {
             return Err(CollectError::AlreadyCollecting);
         }
-        let writer = EventFileWriter::create(path, &profile.name, self.generation.get())?;
+        let writer = EventFileWriter::create(path, profile.name(), self.generation.get())?;
         hub.sink = Some(Sink {
             writer,
-            filter: profile.filter.clone(),
-            collectors,
-            spill_ledger: profile.spills_ledger(),
+            profile,
             error: None,
         });
         Ok(())
@@ -637,7 +622,7 @@ impl Telemetry {
         if let Some(e) = sink.error.take() {
             return Err(e);
         }
-        if sink.spill_ledger {
+        if sink.profile.spills_ledger() {
             sink.writer
                 .append_ledger(&hub.stage_counts, &hub.drop_counts, hub.evicted)?;
         }
@@ -784,19 +769,14 @@ mod tests {
 
     #[test]
     fn sink_streams_matching_events_to_disk() {
-        use crate::collect::{CollectorRegistry, Profile};
+        use crate::collect::Profile;
         use crate::file::EventSeries;
         let path =
             std::env::temp_dir().join(format!("norman-hub-sink-{}.nrmtrace", std::process::id()));
         let tel = Telemetry::new();
         tel.set_enabled(true);
         tel.set_generation(4);
-        tel.start_sink(
-            &path,
-            &Profile::drop_forensics(),
-            &CollectorRegistry::builtin(),
-        )
-        .unwrap();
+        tel.start_sink(&path, Profile::DropForensics).unwrap();
         assert!(tel.sink_active());
         tel.emit(|| ev(1, Stage::RxIngress, TraceVerdict::Pass)); // not collected
         tel.emit(|| ev(1, Stage::RxDrop, TraceVerdict::Drop(DropCause::Malformed)));
@@ -904,18 +884,13 @@ mod tests {
 
     #[test]
     fn profile_stage_mask_is_checked_before_the_frame_is_built() {
-        use crate::collect::{CollectorRegistry, Profile};
+        use crate::collect::Profile;
         use crate::file::EventSeries;
         let path =
             std::env::temp_dir().join(format!("norman-hub-mask-{}.nrmtrace", std::process::id()));
         let tel = Telemetry::new();
         tel.set_enabled(true);
-        tel.start_sink(
-            &path,
-            &Profile::drop_forensics(),
-            &CollectorRegistry::builtin(),
-        )
-        .unwrap();
+        tel.start_sink(&path, Profile::DropForensics).unwrap();
         let built = Cell::new(0);
         let frame = |id: u64| {
             let built = &built;

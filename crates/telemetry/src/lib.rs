@@ -41,11 +41,11 @@
 //! turns the bounded in-memory buffer into a durable, post-hoc-queryable
 //! record:
 //!
-//! * `collect` — pluggable named `Collector`s (lifecycle, drops,
-//!   flow-tier churn, recovery) in a [`CollectorRegistry`], bundled into
-//!   named [`Profile`]s (filter + collector set + output stages) such as
-//!   `drop-forensics`. The hub asks the profile about `(stage, verdict)`
-//!   at the emit site, so an event nobody collects is never built.
+//! * `collect` — four named [`Profile`]s, such as `drop-forensics`, each
+//!   choosing the event classes (lifecycle, drops, flow-tier churn,
+//!   recovery) a collection records and whether it snapshots the ledger.
+//!   The hub asks the profile about `(stage, verdict)` at the emit site,
+//!   so an event nobody collects is never built.
 //! * [`mod@file`] — the durable event-series format: versioned header,
 //!   length-prefixed checksummed records, writer-assigned sequence
 //!   numbers for stable sorts, streamed reads/writes with bounded
@@ -67,7 +67,7 @@ pub mod hub;
 pub(crate) mod metrics;
 pub mod tracking;
 
-pub use collect::{CollectError, CollectorRegistry, Profile};
+pub use collect::{CollectError, Profile};
 pub use event::{
     Comm, DropCause, FrameInfo, Owner, RecoveryKind, Stage, StageRec, TraceEvent, TraceFilter,
     TraceVerdict,

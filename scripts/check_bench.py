@@ -6,7 +6,8 @@ is `results/*.json`, held exactly by `scripts/ci.sh --job results`
 (rerun every experiment, `git status --porcelain results/` must be
 empty); wall clock is normanbench (`BENCHMARK.json`).
 
-* BENCH_PR8.json (trace-pipeline overhead + offline drop forensics):
+* BENCH_PR8.json (`exp m7`: trace-pipeline overhead + offline drop
+  forensics):
   the collect-mode overhead versus tracing-off must stay under the 5%
   acceptance bar (measured as best-of-reps paired process-CPU ratios,
   so the bar is enforced even on noisy runners), drop conservation
@@ -39,7 +40,7 @@ def load(path):
 
 def check_pr8(fresh, base, failures):
     if fresh is None:
-        failures.append("BENCH_PR8.json missing — run exp_pr8_trace first")
+        failures.append("BENCH_PR8.json missing — run `exp m7` first")
         return
     if base is None:
         failures.append("baseline BENCH_PR8.json missing")

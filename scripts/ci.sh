@@ -34,7 +34,7 @@ run_lint() {
   # `mod tests` such an item is code that only its own tests call. The
   # count may only fall; delete the code instead of gating it. Lower the
   # ceiling when a change removes some.
-  local ceiling=68 sites count
+  local ceiling=67 sites count
   sites="$(find crates/*/src -name '*.rs' -exec awk '
     FNR == 1 { gated = 0 }
     gated { if ($0 !~ /^[[:space:]]*mod tests/) print FILENAME ":" FNR ": " $0; gated = 0 }
@@ -97,10 +97,10 @@ run_trace_pipeline() {
   cargo test -q --test flow_tracking
 
   echo "==> record + report a smoke chaos run; drop conservation vs audit"
-  # exp_pr8_trace records the seeded sweep under `ktrace collect`, then
-  # rebuilds the forensics offline and asserts drop conservation against
-  # the host's own ledger and audit — a failed cross-check aborts it.
-  BENCH_SMOKE=1 cargo run --release -p bench --bin exp_pr8_trace
+  # `exp m7` records the seeded sweep under `ktrace collect`, then
+  # rebuilds the forensics offline and claims drop conservation against
+  # the host's own ledger and audit — a failed claim fails the run.
+  cargo run --release -q -p bench --bin exp -- m7 --smoke
 }
 
 run_overlay_diff() {
@@ -157,17 +157,13 @@ run_results() {
   # Virtual time has one committed copy and one gate: rerun every
   # experiment and require `results/` to come out byte-identical. The
   # simulator is fully seeded and the documents hold deterministic
-  # fields only, so there is no tolerance and no per-experiment check —
-  # a number that moves shows up as a diff, and is either a bug or gets
-  # committed on purpose with the reason (docs/CI.md). exp_pr8_trace is
-  # wall clock (bench-smoke). Only exp_pr7_scale reads BENCH_SMOKE: its
-  # full sweep takes minutes, so CI reruns its smoke document.
-  for src in crates/bench/src/bin/exp_*.rs; do
-    bin="$(basename "$src" .rs)"
-    [[ "$bin" == exp_pr8_trace ]] && continue
-    echo "==> $bin"
-    BENCH_SMOKE=1 cargo run --release -q -p bench --bin "$bin"
-  done
+  # fields only, so there is no tolerance — a number that moves shows up
+  # as a diff, and is either a bug or gets committed on purpose with the
+  # reason (docs/CI.md). Every claim must pass too. `--all` skips M7
+  # (wall clock, bench-smoke); `--smoke` reruns M6's smoke document, as
+  # its full sweep takes minutes.
+  echo "==> exp --all --smoke"
+  cargo run --release -q -p bench --bin exp -- --all --smoke
 
   echo "==> results/ == the committed table (exact)"
   if [[ -n "$(git status --porcelain results/)" ]]; then
@@ -183,7 +179,7 @@ run_bench_smoke() {
   # ratio, red on most runs since PR 15 (ROADMAP, first item). It has a
   # job to itself so it shares one with nothing green.
   echo "==> trace-pipeline overhead + forensics bench (smoke)"
-  BENCH_SMOKE=1 cargo run --release -p bench --bin exp_pr8_trace
+  cargo run --release -q -p bench --bin exp -- m7 --smoke
 
   echo "==> BENCH_PR8.json acceptance bars"
   python3 scripts/check_bench.py

@@ -179,3 +179,66 @@ fn offline_report_conserves_drops_against_host_counter() {
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// A refused second `ktrace collect` (one is already running) leaves the
+/// running collection alone: its events keep streaming, its ledger keeps
+/// counting, and the host still audits clean.
+#[test]
+fn refused_second_collect_leaves_the_running_one_intact() {
+    let dir = std::env::temp_dir().join(format!(
+        "norman_flow_tracking_refused_{}",
+        std::process::id()
+    ));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("running.ntrace");
+
+    let mut host = Host::new(HostConfig::default()); // ring_slots: 2
+    let bulk = host.spawn(Uid(1002), "bob", "bulk");
+    host.connect(
+        bulk,
+        IpProto::UDP,
+        7000,
+        Ipv4Addr::new(10, 0, 0, 2),
+        9000,
+        false,
+    )
+    .unwrap();
+    let pkt = PacketBuilder::new()
+        .ether(Mac::local(9), host.cfg.mac)
+        .ipv4(Ipv4Addr::new(10, 0, 0, 2), host.cfg.ip)
+        .udp(9000, 7000, &[0u8; 64])
+        .build();
+    // Nobody drains the 2-slot ring: of 16 frames, 14 drop.
+    let deliver = |host: &mut Host, from: Time| {
+        for i in 0..8 {
+            host.deliver_from_wire(&pkt, from + Dur::from_us(i));
+        }
+    };
+
+    let root = Cred::root();
+    ktrace::collect(&mut host, &root, "full-lifecycle", &path).unwrap();
+    deliver(&mut host, Time::ZERO);
+    let refused_at = Time::from_us(100);
+    assert!(ktrace::collect(&mut host, &root, "drop-forensics", &dir.join("second")).is_err());
+    deliver(&mut host, refused_at);
+    ktrace::collect_stop(&mut host, &root).unwrap();
+    assert!(host.audit().is_empty(), "{:?}", host.audit());
+
+    let series = telemetry::file::EventSeries::load(&path).unwrap();
+    let after = series.events.iter().filter(|e| e.event.at >= refused_at);
+    assert_eq!(
+        after
+            .filter(|e| e.event.stage == telemetry::Stage::RxIngress)
+            .count(),
+        8,
+        "the post-refusal frames must be recorded"
+    );
+    let drops = host.stats().ring_drops;
+    assert_eq!(drops, 6 + 8);
+    let f = ktrace::report(&path).unwrap();
+    assert!(f.conservation.is_empty(), "{:?}", f.conservation);
+    assert_eq!(f.report.total_drops, drops);
+    let ledger: u64 = f.ledger_drops.unwrap().iter().map(|(_, n)| n).sum();
+    assert_eq!(ledger, drops);
+    std::fs::remove_dir_all(&dir).unwrap();
+}

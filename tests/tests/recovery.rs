@@ -24,7 +24,7 @@ use norman::workers::WorkerError;
 use norman::{DegradationPolicy, Host, HostConfig, ShapingPolicy};
 use oskernel::Uid;
 use pkt::{IpProto, Mac, Packet, PacketBuilder};
-use sim::fault::CrashInjector;
+use sim::fault::OpFaultInjector;
 use sim::{Dur, Time};
 use telemetry::RecoveryKind;
 
@@ -86,7 +86,7 @@ fn crash_mid_rx_batch_reconciles_to_identical_policy() {
             .unwrap();
         let want_fps = resident_fingerprints(&host);
         let want_gen = host.policy_generation();
-        host.set_nic_crash_injector(CrashInjector::at_op(crash_at));
+        host.set_nic_crash_injector(OpFaultInjector::fail_nth(crash_at));
 
         let pkt = frame_to(&host, 9000, 7000, 200);
         let burst: Vec<Packet> = (0..8).map(|_| pkt.clone()).collect();
@@ -354,7 +354,7 @@ fn crash_storm_replays_byte_identically() {
             });
         })
         .unwrap();
-        host.set_nic_crash_injector(CrashInjector::seeded_rate(42, 0.01));
+        host.set_nic_crash_injector(OpFaultInjector::seeded_rate(42, 0.01));
         let pkt = frame_to(&host, 9000, 7000, 128);
         let mut t = Time::from_us(1);
         for _ in 0..200 {

@@ -28,7 +28,7 @@ use norman::tools::trace as ktrace;
 use norman::{Host, HostConfig, Stage};
 use oskernel::Uid;
 use pkt::{IpProto, Mac, Packet, PacketBuilder};
-use sim::fault::{CrashInjector, OpFaultInjector};
+use sim::fault::OpFaultInjector;
 use sim::{Dur, Time};
 use telemetry::TraceFilter;
 
@@ -78,7 +78,7 @@ fn seeded_chaos_tiering_replays_byte_identical() {
         // Hot tier of 2 over 6 connections: round-robin traffic churns
         // promotions/evictions on every pass.
         let (mut host, conns) = tiered_host(FlowCacheConfig::priority_aware(2, &[443]), 6);
-        host.set_nic_crash_injector(CrashInjector::seeded_rate(1234, 0.02));
+        host.set_nic_crash_injector(OpFaultInjector::seeded_rate(1234, 0.02));
         let mut t = Time::from_us(1);
         for round in 0..300u64 {
             let port = conns[(round % conns.len() as u64) as usize].1;
@@ -94,7 +94,7 @@ fn seeded_chaos_tiering_replays_byte_identical() {
         }
         // Settle: disarm the injector, drive any pending reset +
         // reconcile to completion so the audit sees steady state.
-        host.set_nic_crash_injector(CrashInjector::never());
+        host.set_nic_crash_injector(OpFaultInjector::never());
         let probe = wire_udp(&host, 9000, 443, 64);
         host.pump(std::slice::from_ref(&probe), t);
         host.pump(std::slice::from_ref(&probe), t + Dur::from_ms(500));
@@ -179,7 +179,7 @@ fn cold_entries_survive_nic_crash_and_audit_balances() {
     assert_eq!(host.nic.flows.num_cold(), 5);
     assert!(host.audit().is_empty());
 
-    host.set_nic_crash_injector(CrashInjector::at_op(3));
+    host.set_nic_crash_injector(OpFaultInjector::fail_nth(3));
     let burst: Vec<Packet> = conns
         .iter()
         .map(|&(_, port)| wire_udp(&host, 9000, port, 100))
