@@ -13,7 +13,7 @@ use std::collections::HashMap;
 
 use overlay::{verify, CompiledProgram, PktCtx, Program, Verdict, Vm};
 use pkt::{FiveTuple, FrameMeta, IpProto, Packet, PktError};
-use qdisc::{MultiQueue, QPkt, Qdisc};
+use qdisc::{MultiQueue, QPkt};
 use sim::fault::OpFaultInjector;
 use sim::{Dur, Link, Time};
 use telemetry::{
@@ -1701,6 +1701,14 @@ impl SmartNic {
 
     /// Offers an egress frame from `conn` to the NIC at `now` (the host
     /// has rung the TX doorbell and the NIC has DMA-read the frame).
+    ///
+    /// The one way out of the host: connection frames and the kernel's
+    /// own (ARP replies, offered under [`ConnId::KERNEL`]) run the same
+    /// pipeline — crash tick, freeze check, egress filter, accounting,
+    /// classifier, TX tap, queue pick, scheduler. The sender is resolved
+    /// first: the kernel is uid 0 / pid 0 / `kernel`, a connection is its
+    /// flow-table binding. A frame refused before that (dead device,
+    /// frozen dataplane, unknown connection) carries no owner.
     pub fn tx_enqueue(
         &mut self,
         conn: ConnId,
@@ -1727,15 +1735,16 @@ impl SmartNic {
                 reason: DropReason::Reprogramming,
             });
         }
-        // Borrow the entry in place: the overlay VMs, scheduler, and
-        // sniffer are all distinct NIC fields, so the entry never needs
-        // cloning on the TX hot path.
-        let Some(entry) = self.flows.entry(conn) else {
+        let owner = if conn == ConnId::KERNEL {
+            Owner::new(0, 0, Comm::KERNEL)
+        } else if let Some(entry) = self.flows.entry(conn) {
+            entry.owner()
+        } else {
             self.emit_tx_refused(fid, meta.as_ref().ok(), len, DropCause::StaleConn, now);
             return Err(NicError::NoSuchConn(conn));
         };
-        let ctx = Self::build_ctx(meta.as_ref().ok(), packet.len(), Some(entry), true, now);
-        let owner = entry.owner();
+        let mut ctx = Self::build_ctx(meta.as_ref().ok(), packet.len(), None, true, now);
+        (ctx.uid, ctx.pid, ctx.conn_id) = (owner.uid, owner.pid, conn.0);
         let tel = &self.tel;
         let emit = |stage, verdict| {
             tel.emit_stage(stage, verdict, now, || {
@@ -1814,94 +1823,6 @@ impl SmartNic {
         }
     }
 
-    /// Offers a kernel-originated frame (ARP replies, slow-path
-    /// responses) to the scheduler. Kernel frames carry root/kernel
-    /// attribution through the egress pipeline and use scheduler class 0.
-    pub fn tx_enqueue_kernel(
-        &mut self,
-        packet: &Packet,
-        now: Time,
-    ) -> Result<TxDisposition, NicError> {
-        self.stats.tx_frames += 1;
-        let meta = FrameMeta::of(packet);
-        let fid = self
-            .tel
-            .adopt_frame_id(meta.as_ref().ok().map(|m| m.frame_id).unwrap_or(0));
-        let len = packet.len() as u32;
-        // Takes the hub as an argument: `tick_crash` below needs `&mut self`.
-        let emit = |tel: &Telemetry, stage, verdict| {
-            tel.emit_stage(stage, verdict, now, || {
-                let kernel = Owner::new(0, 0, Comm::KERNEL);
-                frame_info(fid, meta.as_ref().ok(), len, Some(kernel))
-            })
-        };
-        emit(&self.tel, Stage::TxOffer, TraceVerdict::Pass);
-        if self.tick_crash(now) {
-            self.stats.dropped_dead += 1;
-            emit(
-                &self.tel,
-                Stage::TxDrop,
-                TraceVerdict::Drop(DropCause::DeviceDead),
-            );
-            return Ok(TxDisposition::Drop {
-                reason: DropReason::DeviceDead,
-            });
-        }
-        if now < self.frozen_until {
-            self.stats.dropped_reprogramming += 1;
-            emit(
-                &self.tel,
-                Stage::TxDrop,
-                TraceVerdict::Drop(DropCause::Reprogramming),
-            );
-            return Ok(TxDisposition::Drop {
-                reason: DropReason::Reprogramming,
-            });
-        }
-        let mut ctx = Self::build_ctx(meta.as_ref().ok(), packet.len(), None, true, now);
-        ctx.uid = 0; // the kernel
-        let mut verdict = Verdict::Pass;
-        if let Some(vm) = self.egress_filter.as_mut() {
-            let (v, _) = Self::run_vm(vm, &ctx);
-            verdict = v;
-        }
-        if verdict == Verdict::Drop {
-            self.stats.tx_filtered += 1;
-            emit(
-                &self.tel,
-                Stage::TxDrop,
-                TraceVerdict::Drop(DropCause::Filter),
-            );
-            return Ok(TxDisposition::Drop {
-                reason: DropReason::Filter,
-            });
-        }
-        match &meta {
-            Ok(m) => self
-                .sniffer
-                .tap(now, Direction::Tx, packet, m, Some((0, 0, "kernel"))),
-            Err(e) => {
-                self.sniffer
-                    .tap_unparsed(now, Direction::Tx, packet, e, Some((0, 0, "kernel")))
-            }
-        }
-        let pkt_id = self.next_pkt_id;
-        self.next_pkt_id += 1;
-        // Kernel frames (ARP, slow-path responses) always use queue 0
-        // and depart under the no-connection id.
-        let qpkt = QPkt::new(pkt_id, packet.len() as u32, now).with_tag([u64::MAX, fid]);
-        match self.scheduler.enqueue_on(0, qpkt, now) {
-            Ok(()) => {
-                emit(&self.tel, Stage::TxQueue, TraceVerdict::Class(0));
-                Ok(TxDisposition::Queued { class: 0 })
-            }
-            Err(e) => {
-                emit(&self.tel, Stage::TxDrop, TraceVerdict::Drop(e.cause()));
-                Err(NicError::TxQueueFull)
-            }
-        }
-    }
-
     /// Pulls the next scheduled frame onto the wire. Returns `None` when
     /// nothing is eligible (check [`SmartNic::tx_next_ready`]).
     pub fn tx_poll(&mut self, now: Time) -> Option<TxDeparture> {
@@ -1912,7 +1833,7 @@ impl SmartNic {
         if self.link.next_free() > now {
             return None;
         }
-        let pkt = self.scheduler.dequeue(now)?;
+        let (_, pkt) = self.scheduler.dequeue_rr(now)?;
         let [conn, fid] = pkt.tag;
         let arrives_at = self.link.transmit(now, u64::from(pkt.len));
         self.stats.tx_sent += 1;
@@ -2779,6 +2700,35 @@ mod tests {
             .write(SmartNic::rx_doorbell_addr(id), 1, Some(42))
             .is_ok());
         assert!(nic.audit().is_empty(), "{:?}", nic.audit());
+    }
+
+    #[test]
+    fn kernel_frames_run_the_connection_pipeline_as_uid_0() {
+        let mut nic = nic();
+        let tel = Telemetry::new();
+        tel.set_enabled(true);
+        nic.set_telemetry(tel);
+        nic.configure_scheduler(&[1.0, 1.0], Time::ZERO).unwrap();
+        load(
+            &mut nic,
+            ProgramSlot::Classifier,
+            builtins::uid_classifier(),
+            Time::ZERO,
+        )
+        .unwrap();
+        nic.fill_map(ProgramSlot::Classifier, 0, 0, 2).unwrap(); // uid 0 → class 1
+        let reply = PacketBuilder::arp_request(Mac::local(1), addr("10.0.0.1"), addr("10.0.0.2"));
+        assert_eq!(
+            nic.tx_enqueue(ConnId::KERNEL, &reply, Time::ZERO).unwrap(),
+            TxDisposition::Queued { class: 1 }
+        );
+        let events = nic.telemetry().query(&telemetry::TraceFilter::any());
+        let stages: Vec<Stage> = events.iter().map(|e| e.stage).collect();
+        assert_eq!(stages, [Stage::TxOffer, Stage::TxClass, Stage::TxQueue]);
+        assert!(events
+            .iter()
+            .all(|e| e.owner == Some(Owner::new(0, 0, Comm::KERNEL))));
+        assert_eq!(nic.tx_poll(Time::ZERO).unwrap().conn, ConnId::KERNEL);
     }
 
     #[test]

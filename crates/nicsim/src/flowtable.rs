@@ -30,6 +30,12 @@ use crate::sram::{Sram, SramCategory, SramError};
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct ConnId(pub u64);
 
+impl ConnId {
+    /// The kernel's own egress (ARP replies): the id no connection gets,
+    /// and the one overlay programs read as "no connection".
+    pub const KERNEL: ConnId = ConnId(u64::MAX);
+}
+
 impl std::fmt::Display for ConnId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "conn#{}", self.0)

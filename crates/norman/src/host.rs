@@ -32,6 +32,15 @@ use crate::ctrl::{ControlPlane, CtrlError, PolicyStore, StagedCommit};
 use crate::policy::PortReservation;
 use crate::workers::{Shard, WorkerError};
 
+/// How many ring operations share one MMIO doorbell write (batched
+/// head/tail updates).
+pub const DOORBELL_BATCH: u64 = 4;
+
+/// Frames the host buffers for retry while the NIC dataplane is down for
+/// a bitstream reprogram. Beyond this, sends are refused (backpressure)
+/// rather than growing memory unboundedly.
+pub const TX_RETRY_CAP: usize = 64;
+
 /// Host configuration.
 #[derive(Clone, Debug)]
 pub struct HostConfig {
@@ -52,13 +61,6 @@ pub struct HostConfig {
     /// Share one ring pair per *process* instead of per connection — the
     /// §5 ablation for scaling past per-connection semantics.
     pub shared_rings: bool,
-    /// How many ring operations share one MMIO doorbell write (batched
-    /// head/tail updates).
-    pub doorbell_batch: u64,
-    /// Frames the host buffers for retry while the NIC dataplane is down
-    /// for a bitstream reprogram. Beyond this, sends are refused
-    /// (backpressure) rather than growing memory unboundedly.
-    pub tx_retry_cap: usize,
     /// Slots in the host's frame buffer arena (each `ring_slot_bytes`
     /// wide). Harness-built and wire-adopted frames live here so the
     /// whole RX path — NIC, rings, sniffer taps, app delivery — shares
@@ -78,8 +80,6 @@ impl Default for HostConfig {
             ip: Ipv4Addr::new(10, 0, 0, 1),
             mac: Mac::local(1),
             shared_rings: false,
-            doorbell_batch: 4,
-            tx_retry_cap: 64,
             arena_slots: 4096,
         }
     }
@@ -1366,7 +1366,7 @@ impl Host {
 
     fn doorbell_cost(&mut self) -> Dur {
         self.ring_ops_since_doorbell += 1;
-        if self.ring_ops_since_doorbell >= self.cfg.doorbell_batch {
+        if self.ring_ops_since_doorbell >= DOORBELL_BATCH {
             self.ring_ops_since_doorbell = 0;
             self.mmio.write(&self.cfg.mem.clone())
         } else {
@@ -1560,7 +1560,7 @@ impl Host {
                     report.outcome = DeliveryOutcome::SlowPath;
                     self.stats.slowpath += 1;
                     if let Some(reply) = self.arp.handle_meta(packet, &meta, now) {
-                        let _ = self.nic.tx_enqueue_kernel(&reply, now);
+                        let _ = self.nic.tx_enqueue(ConnId::KERNEL, &reply, now);
                     }
                     return report;
                 }
@@ -1714,13 +1714,12 @@ impl Host {
             Ok(TxDisposition::Queued { .. }) => (true, false),
             Ok(TxDisposition::Drop {
                 reason: DropReason::Reprogramming,
-            })
-            | Err(NicError::Reprogramming { .. }) => {
+            }) => {
                 // The dataplane is down for a bitstream reprogram. Buffer
                 // the frame for retry on recovery instead of silently
                 // losing it — bounded, so a long outage applies
                 // backpressure rather than growing without limit.
-                if self.tx_retry.len() < self.cfg.tx_retry_cap {
+                if self.tx_retry.len() < TX_RETRY_CAP {
                     self.tx_retry.push_back((id, packet.clone()));
                     self.stats.tx_deferred += 1;
                     (false, true)
@@ -1746,7 +1745,6 @@ impl Host {
                 Ok(TxDisposition::Drop {
                     reason: DropReason::Reprogramming,
                 })
-                | Err(NicError::Reprogramming { .. })
                 | Err(NicError::TxQueueFull) => {
                     // Not ready yet: put it back and try again later.
                     self.tx_retry.push_front((conn, pkt));
@@ -2167,12 +2165,10 @@ mod tests {
 
     #[test]
     fn retry_buffer_cap_applies_backpressure() {
-        let cfg = HostConfig {
-            tx_retry_cap: 2,
+        let mut h = Host::new(HostConfig {
             ring_slots: 64,
             ..HostConfig::default()
-        };
-        let mut h = Host::new(cfg);
+        });
         let bob = h.spawn(Uid(1001), "bob", "client");
         let conn = open_conn(&mut h, bob, 7000, false);
         let pkt = PacketBuilder::new()
@@ -2181,13 +2177,14 @@ mod tests {
             .udp(7000, 9000, &[0u8; 64])
             .build();
         h.nic.reprogram_bitstream(Time::ZERO);
-        assert!(h.app_send(conn, &pkt, Time::from_us(1)).deferred);
-        assert!(h.app_send(conn, &pkt, Time::from_us(2)).deferred);
-        let s = h.app_send(conn, &pkt, Time::from_us(3));
-        assert!(!s.deferred, "cap reached: send refused");
-        assert!(!s.queued);
-        assert_eq!(h.tx_retry_len(), 2);
-        assert_eq!(h.stats().tx_retry_dropped, 1);
+        let over = 3;
+        for i in 0..TX_RETRY_CAP + over {
+            let s = h.app_send(conn, &pkt, Time::from_us(1 + i as u64));
+            assert_eq!(s.deferred, i < TX_RETRY_CAP, "send {i}");
+            assert!(!s.queued);
+        }
+        assert_eq!(h.tx_retry_len(), TX_RETRY_CAP);
+        assert_eq!(h.stats().tx_retry_dropped, over as u64);
     }
 
     #[test]

@@ -217,32 +217,6 @@ pub mod npolicy {
             history: host.ctrl().history().to_vec(),
         })
     }
-
-    /// Renders status as a human-readable report.
-    pub fn render(s: &Status) -> String {
-        let mut out = format!(
-            "generation {}  (commits {}, rollbacks {}, reconciles {})\n\
-             reservations {}  shaping {}  sniffer {}  nat-rules {}\n",
-            s.generation,
-            s.commits,
-            s.rollbacks,
-            s.reconciles,
-            s.reservations,
-            if s.shaping { "on" } else { "off" },
-            if s.sniffer { "on" } else { "off" },
-            s.nat_rules,
-        );
-        for r in &s.history {
-            out.push_str(&format!(
-                "  gen {:<4} t={:<12} {:<11} {}\n",
-                r.generation,
-                r.at.to_string(),
-                r.action.to_string(),
-                r.detail
-            ));
-        }
-        out
-    }
 }
 
 /// `knetstat` — the netstat equivalent: every connection on the host
@@ -462,69 +436,12 @@ pub mod trace {
             conservation,
         })
     }
-
-    /// Renders a [`Forensics`] for terminal output.
-    pub fn render_report(f: &Forensics) -> String {
-        let mut out = format!(
-            "profile {} (generation {}, {})\n",
-            f.header.profile,
-            f.header.generation,
-            if f.header.sorted {
-                "sorted"
-            } else {
-                "unsorted"
-            }
-        );
-        out.push_str(&f.report.render());
-        match (&f.ledger_drops, f.conservation.is_empty()) {
-            (Some(_), true) => out.push_str("drop conservation: ok (ledger == recorded events)\n"),
-            (Some(_), false) => {
-                for v in &f.conservation {
-                    out.push_str(&format!("VIOLATION: {v}\n"));
-                }
-            }
-            (None, _) => out.push_str("drop conservation: no ledger snapshot in file\n"),
-        }
-        out
-    }
-
-    /// Renders events as a human-readable trace, one line per stage,
-    /// with the virtual-time delta from the previous stage of the *same
-    /// frame* in the right-hand column.
-    pub fn render(events: &[TraceEvent]) -> String {
-        use std::collections::HashMap;
-        let mut out = String::from(
-            "frame     time_us      stage             verdict       owner              +delta_ns\n",
-        );
-        let mut last_at: HashMap<u64, sim::Time> = HashMap::new();
-        for e in events {
-            let delta = last_at
-                .get(&e.frame_id)
-                .map(|&prev| format!("{:+.1}", (e.at.0.saturating_sub(prev.0)) as f64 / 1000.0))
-                .unwrap_or_else(|| "-".to_string());
-            last_at.insert(e.frame_id, e.at);
-            let owner = e
-                .owner
-                .as_ref()
-                .map(|o| format!("{}/{}({})", o.uid, o.pid, o.comm))
-                .unwrap_or_else(|| "-".to_string());
-            out.push_str(&format!(
-                "{:<9} {:<12.3} {:<17} {:<13} {:<18} {}\n",
-                e.frame_id,
-                e.at.0 as f64 / 1e6,
-                e.stage.name(),
-                e.verdict.to_string(),
-                owner,
-                delta
-            ));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ctrl::CommitAction;
     use crate::host::HostConfig;
     use oskernel::Uid;
     use pkt::{Mac, PacketBuilder};
@@ -653,9 +570,13 @@ mod tests {
         let stages: Vec<Stage> = life.iter().map(|e| e.stage).collect();
         assert_eq!(stages.first(), Some(&Stage::RxIngress));
         assert_eq!(stages.last(), Some(&Stage::RingEnqueue));
-        let table = trace::render(&life);
-        assert!(table.contains("rx_ingress"));
-        assert!(table.contains("ring_enqueue"));
+        assert!(life.iter().all(|e| e.frame_id == fid));
+        let owner = life
+            .last()
+            .and_then(|e| e.owner)
+            .expect("delivery is attributed");
+        assert_eq!(owner.uid, 1001);
+        assert_eq!(owner.comm, "postgres");
         // Unified metrics include NIC counters and trace ledger keys.
         let snap = trace::metrics(&h, &root).unwrap();
         assert_eq!(snap.counter("nic.rx.frames"), Some(1));
@@ -726,10 +647,15 @@ mod tests {
         let owner = site.owner.as_ref().expect("drop site is attributed");
         assert_eq!(owner.uid, 1001);
         assert_eq!(owner.comm, "postgres");
-        assert_eq!(f.report.owners[0].drops, ring_drops);
-        let rendered = trace::render_report(&f);
-        assert!(rendered.contains("drop conservation: ok"));
-        assert!(rendered.contains("postgres"));
+        assert_eq!(
+            f.ledger_drops,
+            Some(vec![(DropCause::RingFull, ring_drops)])
+        );
+        assert_eq!(f.report.owners.len(), 1);
+        assert_eq!(
+            (f.report.owners[0].uid, f.report.owners[0].drops),
+            (1001, ring_drops)
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -781,9 +707,10 @@ mod tests {
         assert_eq!(s.rollbacks, 0);
         assert_eq!(s.reservations, 1);
         assert!(s.shaping);
-        assert_eq!(s.history.len(), 2);
-        let report = npolicy::render(&s);
-        assert!(report.contains("generation 2"));
-        assert!(report.contains("committed"));
+        let history: Vec<_> = s.history.iter().map(|r| (r.generation, r.action)).collect();
+        assert_eq!(
+            history,
+            [(1, CommitAction::Committed), (2, CommitAction::Committed)]
+        );
     }
 }

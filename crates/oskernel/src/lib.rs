@@ -6,7 +6,7 @@
 //! plus a complete software network stack that serves two roles:
 //!
 //! 1. the **kernel-stack baseline** architecture (today's Linux path:
-//!    syscalls, copies, netfilter hooks, qdiscs), and
+//!    syscalls, copies, netfilter hooks), and
 //! 2. **KOPI's software slow path** for traffic the NIC punts (§5).
 //!
 //! Modules:
@@ -25,8 +25,8 @@
 //!   polling-vs-blocking comparison).
 //! * `syscall` — syscall entry/exit and copy cost model.
 //! * `hooks` — netfilter-style chains with owner matching.
-//! * `netstack` — socket demux + hook evaluation + qdisc egress, with
-//!   per-packet cost accounting.
+//! * `netstack` — socket demux + hook evaluation, with per-packet cost
+//!   accounting.
 
 pub(crate) mod arp;
 pub(crate) mod cgroup;

@@ -1,7 +1,7 @@
 //! The in-kernel software network stack.
 //!
 //! This is both the **baseline** (the path every packet takes on a
-//! conventional host: syscall, copy, netfilter, qdisc, driver) and
+//! conventional host: syscall, copy, netfilter, protocol) and
 //! **KOPI's slow path** for punted traffic. All per-packet costs are
 //! explicit so experiments can compare it head-to-head with the other
 //! datapath architectures.
@@ -10,7 +10,6 @@ use std::collections::{HashMap, VecDeque};
 
 use pkt::{BufArena, FrameMeta, IpProto, Packet};
 use qdisc::classify::ClassMatch;
-use qdisc::{Fifo, QPkt, Qdisc};
 use sim::{Dur, Time};
 use telemetry::{DropCause, FrameInfo, Owner, Stage, Telemetry, TraceVerdict};
 
@@ -112,10 +111,7 @@ pub struct NetStack {
     pub input: Chain,
     /// The OUTPUT netfilter chain.
     pub output: Chain,
-    egress: Box<dyn Qdisc>,
     sockets: HashMap<(IpProto, u16), SocketEntry>,
-    tx_frames: HashMap<u64, Packet>,
-    next_tx_id: u64,
     rx_packets: u64,
     tx_packets: u64,
     rx_degraded: u64,
@@ -123,8 +119,7 @@ pub struct NetStack {
 }
 
 impl NetStack {
-    /// Creates a stack with default costs, empty accept-all chains, and a
-    /// 1024-packet FIFO egress qdisc.
+    /// Creates a stack with default costs and empty accept-all chains.
     pub fn new() -> NetStack {
         NetStack::with_costs(StackCosts::default())
     }
@@ -133,12 +128,9 @@ impl NetStack {
     pub(crate) fn with_costs(costs: StackCosts) -> NetStack {
         NetStack {
             costs,
-            input: Chain::new("INPUT", HookVerdict::Accept),
-            output: Chain::new("OUTPUT", HookVerdict::Accept),
-            egress: Box::new(Fifo::new(1024)),
+            input: Chain::new(HookVerdict::Accept),
+            output: Chain::new(HookVerdict::Accept),
             sockets: HashMap::new(),
-            tx_frames: HashMap::new(),
-            next_tx_id: 0,
             rx_packets: 0,
             tx_packets: 0,
             rx_degraded: 0,
@@ -155,12 +147,6 @@ impl NetStack {
     /// Returns the cost model.
     pub fn costs(&self) -> &StackCosts {
         &self.costs
-    }
-
-    /// Replaces the egress qdisc (what `tc qdisc replace dev eth0 root`
-    /// does).
-    pub fn set_egress_qdisc(&mut self, q: Box<dyn Qdisc>) {
-        self.egress = q;
     }
 
     /// Binds a socket to `(proto, port)` for `pid`.
@@ -309,10 +295,11 @@ impl NetStack {
     }
 
     /// A `send()` call: charges the syscall + copy + OUTPUT chain +
-    /// protocol work, then hands the frame to the egress qdisc.
+    /// protocol work. The send ends at the OUTPUT chain: the stack keeps
+    /// no egress queue of its own.
     ///
-    /// Returns the total kernel time and whether the frame was queued
-    /// (`false` = dropped by policy or full qdisc).
+    /// Returns the total kernel time and whether the frame was accepted
+    /// (`false` = dropped by the OUTPUT chain).
     pub fn tx(
         &mut self,
         pid: Pid,
@@ -359,28 +346,11 @@ impl NetStack {
                 s.tx_bytes += packet.len() as u64;
             }
         }
-        let id = self.next_tx_id;
-        self.next_tx_id += 1;
-        let qpkt = QPkt::new(id, packet.len() as u32, now);
-        match self.egress.enqueue(qpkt, now) {
-            Ok(()) => {
-                self.tx_frames.insert(id, packet.clone());
-                self.tel
-                    .emit_stage(Stage::NetstackTx, TraceVerdict::Pass, now, || {
-                        stack_frame(fid, tuple, len, owner)
-                    });
-                (true, cost)
-            }
-            Err(e) => {
-                self.tel.emit_stage(
-                    Stage::NetstackTxDrop,
-                    TraceVerdict::Drop(e.cause()),
-                    now,
-                    || stack_frame(fid, tuple, len, owner),
-                );
-                (false, cost)
-            }
-        }
+        self.tel
+            .emit_stage(Stage::NetstackTx, TraceVerdict::Pass, now, || {
+                stack_frame(fid, tuple, len, owner)
+            });
+        (true, cost)
     }
 
     /// Returns (rx_packets, tx_packets) seen by the stack.
@@ -388,9 +358,9 @@ impl NetStack {
         (self.rx_packets, self.tx_packets)
     }
 
-    /// Number of queued packets (socket receive queues plus frames parked
-    /// in the egress qdisc) whose bytes live in `arena` — the netstack's
-    /// contribution to the host's arena-occupancy ledger. Since
+    /// Number of packets queued on socket receive queues whose bytes live
+    /// in `arena` — the netstack's contribution to the host's
+    /// arena-occupancy ledger. Since
     /// [`Packet`] clones are refcount bumps, every packet counted here
     /// pins exactly one slot reference of that arena.
     pub fn arena_resident(&self, arena: &BufArena) -> usize {
@@ -398,8 +368,7 @@ impl NetStack {
         self.sockets
             .values()
             .map(|s| s.rx_queue.iter().filter(ours).count())
-            .sum::<usize>()
-            + self.tx_frames.values().filter(ours).count()
+            .sum()
     }
 
     /// Records that a frame reached this stack because the host demoted
@@ -425,7 +394,6 @@ impl NetStack {
         reg.set_counter("netstack.sockets", self.sockets.len() as u64);
         reg.set_counter("netstack.input.rules", self.input.len() as u64);
         reg.set_counter("netstack.output.rules", self.output.len() as u64);
-        self.egress.stats().fill_registry(reg, "netstack.egress");
     }
 
     /// Returns `knetstat`-style rows for every socket.
@@ -548,7 +516,7 @@ mod tests {
         assert!(cost_large > cost_small, "copy cost should scale");
         let mut reg = telemetry::Registry::new();
         stack.fill_registry(&mut reg);
-        assert_eq!(reg.snapshot().counter("netstack.egress.enqueued"), Some(2));
+        assert_eq!(reg.snapshot().counter("netstack.tx.packets"), Some(2));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use sim::Time;
 
-use crate::types::{EnqueueError, QPkt, Qdisc, QdiscStats};
+use crate::types::{EnqueueError, QPkt, QdiscStats};
 use crate::wfq::Wfq;
 
 /// A bank of per-TX-queue [`Wfq`] schedulers with round-robin service.
@@ -141,28 +141,19 @@ impl MultiQueue {
         }
         purged
     }
-}
 
-impl Qdisc for MultiQueue {
-    /// Single-queue-compatible enqueue: offers to queue 0. Multi-queue
-    /// callers should use [`MultiQueue::enqueue_on`].
-    fn enqueue(&mut self, pkt: QPkt, now: Time) -> Result<(), EnqueueError> {
-        self.enqueue_on(0, pkt, now)
+    /// Queued packets across all queues.
+    pub fn len(&self) -> usize {
+        self.queues.iter().map(Wfq::len).sum()
     }
 
-    fn dequeue(&mut self, now: Time) -> Option<QPkt> {
-        self.dequeue_rr(now).map(|(_, pkt)| pkt)
+    /// Returns `true` when no queue holds a packet.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 
-    fn len(&self) -> usize {
-        self.queues.iter().map(Qdisc::len).sum()
-    }
-
-    fn backlog_bytes(&self) -> u64 {
-        self.queues.iter().map(Qdisc::backlog_bytes).sum()
-    }
-
-    fn stats(&self) -> QdiscStats {
+    /// Counters summed across queues.
+    pub fn stats(&self) -> QdiscStats {
         let mut total = QdiscStats::default();
         for q in &self.queues {
             let s = q.stats();
@@ -190,11 +181,11 @@ mod tests {
         let mut wfq = Wfq::new(&[2.0, 1.0], 64);
         for i in 0..40 {
             let p = pkt(i, 600, (i % 2) as u32);
-            mq.enqueue(p, Time::ZERO).unwrap();
+            mq.enqueue_on(0, p, Time::ZERO).unwrap();
             wfq.enqueue(p, Time::ZERO).unwrap();
         }
         loop {
-            let a = mq.dequeue(Time::ZERO);
+            let a = mq.dequeue_rr(Time::ZERO).map(|(_, p)| p);
             let b = wfq.dequeue(Time::ZERO);
             assert_eq!(a, b);
             if a.is_none() {
@@ -239,7 +230,6 @@ mod tests {
         assert_eq!(s.dropped, 1);
         assert_eq!(s.bytes_enqueued, 300);
         assert_eq!(mq.len(), 2);
-        assert_eq!(mq.backlog_bytes(), 300);
     }
 
     #[test]
@@ -253,7 +243,8 @@ mod tests {
         assert_eq!(mq.weights(), &[1.0, 3.0]);
         assert_eq!((mq.queue_len(0), mq.queue_len(1)), (1, 2));
         // The new weights decide the order: class 1 (weight 3) first.
-        let order: Vec<u64> = std::iter::from_fn(|| mq.dequeue(Time::ZERO).map(|p| p.id)).collect();
+        let order: Vec<u64> =
+            std::iter::from_fn(|| mq.dequeue_rr(Time::ZERO).map(|(_, p)| p.id)).collect();
         assert_eq!(order, vec![3, 2, 1]);
     }
 
@@ -270,7 +261,7 @@ mod tests {
         assert_eq!(mq.num_queues(), 1);
         assert_eq!(mq.len(), 2);
         assert_eq!(mq.stats().dropped, 1);
-        assert_eq!(mq.dequeue(Time::ZERO).unwrap().class, 0);
+        assert_eq!(mq.dequeue_rr(Time::ZERO).unwrap().1.class, 0);
     }
 
     #[test]

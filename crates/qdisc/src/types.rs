@@ -1,4 +1,4 @@
-//! Common qdisc types and the [`Qdisc`] trait.
+//! Types every discipline shares.
 
 use std::fmt;
 
@@ -102,30 +102,6 @@ impl QdiscStats {
         reg.set_counter(&format!("{prefix}.bytes_enqueued"), self.bytes_enqueued);
         reg.set_counter(&format!("{prefix}.bytes_dequeued"), self.bytes_dequeued);
     }
-}
-
-/// A queueing discipline. Every discipline here is work-conserving: a
-/// non-empty queue always has a packet eligible for [`Qdisc::dequeue`].
-pub trait Qdisc {
-    /// Offers a packet at instant `now`.
-    fn enqueue(&mut self, pkt: QPkt, now: Time) -> Result<(), EnqueueError>;
-
-    /// Releases the next packet eligible at `now`, if any.
-    fn dequeue(&mut self, now: Time) -> Option<QPkt>;
-
-    /// Returns the number of queued packets.
-    fn len(&self) -> usize;
-
-    /// Returns `true` when no packets are queued.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Returns the queued bytes.
-    fn backlog_bytes(&self) -> u64;
-
-    /// Returns accumulated counters.
-    fn stats(&self) -> QdiscStats;
 }
 
 #[cfg(test)]

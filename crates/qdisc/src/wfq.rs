@@ -12,13 +12,12 @@ use std::collections::VecDeque;
 
 use sim::Time;
 
-use crate::types::{EnqueueError, QPkt, Qdisc, QdiscStats};
+use crate::types::{EnqueueError, QPkt, QdiscStats};
 
 struct ClassState {
     queue: VecDeque<(QPkt, f64)>, // (packet, finish tag)
     weight: f64,
     last_finish: f64,
-    backlog: u64,
     sent: u64,
 }
 
@@ -46,7 +45,6 @@ impl Wfq {
                     queue: VecDeque::new(),
                     weight: w,
                     last_finish: 0.0,
-                    backlog: 0,
                     sent: 0,
                 })
                 .collect(),
@@ -76,17 +74,15 @@ impl Wfq {
         let mut purged = Vec::new();
         for class in self.classes.iter_mut() {
             while let Some((pkt, _)) = class.queue.pop_front() {
-                class.backlog -= u64::from(pkt.len);
                 self.stats.dropped += 1;
                 purged.push(pkt);
             }
         }
         purged
     }
-}
 
-impl Qdisc for Wfq {
-    fn enqueue(&mut self, pkt: QPkt, _now: Time) -> Result<(), EnqueueError> {
+    /// Offers a packet at instant `now`.
+    pub fn enqueue(&mut self, pkt: QPkt, _now: Time) -> Result<(), EnqueueError> {
         let idx = pkt.class as usize;
         if idx >= self.classes.len() {
             self.stats.dropped += 1;
@@ -105,13 +101,14 @@ impl Qdisc for Wfq {
         let finish = start + f64::from(pkt.len) / class.weight;
         class.last_finish = finish;
         class.queue.push_back((pkt, finish));
-        class.backlog += u64::from(pkt.len);
         self.stats.enqueued += 1;
         self.stats.bytes_enqueued += u64::from(pkt.len);
         Ok(())
     }
 
-    fn dequeue(&mut self, _now: Time) -> Option<QPkt> {
+    /// Releases the queued packet with the smallest finish tag. Work
+    /// conserving: a non-empty scheduler always releases one.
+    pub fn dequeue(&mut self, _now: Time) -> Option<QPkt> {
         // Serve the head with the minimum finish tag.
         let (idx, finish) = self
             .classes
@@ -121,7 +118,6 @@ impl Qdisc for Wfq {
             .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite tags"))?;
         let class = &mut self.classes[idx];
         let (pkt, _) = class.queue.pop_front().expect("head exists");
-        class.backlog -= u64::from(pkt.len);
         class.sent += u64::from(pkt.len);
         // Advance the virtual clock to the served packet's finish tag.
         self.vtime = self.vtime.max(finish);
@@ -130,15 +126,13 @@ impl Qdisc for Wfq {
         Some(pkt)
     }
 
-    fn len(&self) -> usize {
+    /// Returns the number of queued packets.
+    pub(crate) fn len(&self) -> usize {
         self.classes.iter().map(|c| c.queue.len()).sum()
     }
 
-    fn backlog_bytes(&self) -> u64 {
-        self.classes.iter().map(|c| c.backlog).sum()
-    }
-
-    fn stats(&self) -> QdiscStats {
+    /// Returns accumulated counters.
+    pub(crate) fn stats(&self) -> QdiscStats {
         self.stats
     }
 }
@@ -276,7 +270,6 @@ mod tests {
         // Class order, FIFO within class.
         assert_eq!(purged.iter().map(|p| p.id).collect::<Vec<_>>(), [1, 3, 2]);
         assert_eq!(q.len(), 0);
-        assert_eq!(q.backlog_bytes(), 0);
         let s = q.stats();
         assert_eq!(s.dropped, 3);
         assert_eq!(s.dequeued, 0);

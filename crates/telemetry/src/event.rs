@@ -163,7 +163,7 @@ pub enum DropCause {
     Malformed,
     /// The destination shared-memory ring was full.
     RingFull,
-    /// A qdisc (NIC scheduler or netstack egress) refused the frame.
+    /// The NIC TX scheduler refused the frame (its queue was full).
     QdiscFull,
     /// No socket was bound to the frame's destination.
     NoSocket,

@@ -6,7 +6,7 @@
 //! and — for drops — into a persistent **drop-site ledger** keyed by
 //! `(tuple, stage, cause)`. Live flow records are garbage-collected
 //! (idle-first, then oldest-first) once the table exceeds its cap, but
-//! the drop-site ledger and the global per-cause/per-stage totals never
+//! the drop-site ledger and the global per-cause totals never
 //! evict: collecting a short-lived flow loses its byte counts, never its
 //! drop attribution. That is the property a long-lived trace needs —
 //! bounded memory with a complete "which flows dropped, where, and
@@ -18,8 +18,6 @@
 //! conservation entirely offline.
 
 use std::collections::HashMap;
-use std::fmt;
-use std::fmt::Write as _;
 
 use pkt::FiveTuple;
 use sim::{Dur, Time};
@@ -96,26 +94,6 @@ pub struct DropSite {
     pub(crate) last: Time,
 }
 
-impl fmt::Display for DropSite {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}:{}>{}:{} {:<14} {:<14} x{}",
-            self.tuple.src_ip,
-            self.tuple.src_port,
-            self.tuple.dst_ip,
-            self.tuple.dst_port,
-            self.stage.name(),
-            self.cause.name(),
-            self.count
-        )?;
-        if let Some(o) = &self.owner {
-            write!(f, " [{o}]")?;
-        }
-        Ok(())
-    }
-}
-
 /// Per-owner drop totals (the *process view* of the forensics).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct OwnerDrops {
@@ -135,14 +113,10 @@ pub struct FlowTracker {
     flows: HashMap<FiveTuple, FlowRecord>,
     sites: HashMap<(FiveTuple, usize, usize), DropSite>,
     drops_by_cause: [u64; DropCause::COUNT],
-    drops_by_stage: [u64; Stage::COUNT],
-    events: u64,
     flows_seen: u64,
     collected: u64,
     gc_runs: u64,
     peak_live: usize,
-    untupled: u64,
-    untupled_drops: u64,
     last_at: Time,
 }
 
@@ -154,32 +128,22 @@ impl FlowTracker {
             flows: HashMap::new(),
             sites: HashMap::new(),
             drops_by_cause: [0; DropCause::COUNT],
-            drops_by_stage: [0; Stage::COUNT],
-            events: 0,
             flows_seen: 0,
             collected: 0,
             gc_runs: 0,
             peak_live: 0,
-            untupled: 0,
-            untupled_drops: 0,
             last_at: Time::ZERO,
         }
     }
 
     /// Folds one event into the tracker.
     pub(crate) fn observe(&mut self, e: &TraceEvent) {
-        self.events += 1;
         self.last_at = self.last_at.max(e.at);
         let dropped = e.verdict.drop_cause();
         if let Some(cause) = dropped {
             self.drops_by_cause[cause.index()] += 1;
-            self.drops_by_stage[e.stage.index()] += 1;
         }
         let Some(tuple) = e.tuple else {
-            self.untupled += 1;
-            if dropped.is_some() {
-                self.untupled_drops += 1;
-            }
             return;
         };
         if let Some(cause) = dropped {
@@ -363,24 +327,8 @@ impl FlowTracker {
             .collect();
         owners.sort_by(|a, b| b.drops.cmp(&a.drops).then(a.uid.cmp(&b.uid)));
         FlowReport {
-            events: self.events,
             flows_seen: self.flows_seen,
-            flows_live: self.flows.len(),
-            flows_collected: self.collected,
-            peak_live: self.peak_live,
-            gc_runs: self.gc_runs,
             total_drops: self.total_drops(),
-            untupled_drops: self.untupled_drops,
-            drops_by_cause: DropCause::ALL
-                .iter()
-                .filter(|c| self.drops_by_cause[c.index()] != 0)
-                .map(|c| (*c, self.drops_by_cause[c.index()]))
-                .collect(),
-            drops_by_stage: Stage::ALL
-                .iter()
-                .filter(|s| self.drops_by_stage[s.index()] != 0)
-                .map(|s| (*s, self.drops_by_stage[s.index()]))
-                .collect(),
             sites,
             owners,
         }
@@ -390,77 +338,14 @@ impl FlowTracker {
 /// The answer to "which flows dropped, where, and whose were they".
 #[derive(Clone, Debug)]
 pub struct FlowReport {
-    /// Events folded into the tracker.
-    pub(crate) events: u64,
     /// Distinct flows ever tracked.
     pub flows_seen: u64,
-    /// Flows still live at report time.
-    pub(crate) flows_live: usize,
-    /// Flow records garbage-collected along the way.
-    pub(crate) flows_collected: u64,
-    /// Largest live-flow table during the run.
-    pub(crate) peak_live: usize,
-    /// GC passes run.
-    pub(crate) gc_runs: u64,
     /// Total drops (including events with no parsed tuple).
     pub total_drops: u64,
-    /// Drops whose event carried no 5-tuple (unattributable to a flow,
-    /// e.g. malformed frames that failed the parser).
-    pub(crate) untupled_drops: u64,
-    /// Nonzero per-cause drop totals.
-    pub(crate) drops_by_cause: Vec<(DropCause, u64)>,
-    /// Nonzero per-stage drop totals.
-    pub(crate) drops_by_stage: Vec<(Stage, u64)>,
     /// Drop sites, most drops first.
     pub sites: Vec<DropSite>,
     /// Per-process drop totals, most drops first.
     pub owners: Vec<OwnerDrops>,
-}
-
-impl FlowReport {
-    /// Renders the report for terminal output.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "flows: {} seen, {} live, {} collected (peak {}, {} gc passes)",
-            self.flows_seen, self.flows_live, self.flows_collected, self.peak_live, self.gc_runs
-        );
-        let _ = writeln!(
-            out,
-            "events: {}; drops: {} ({} without a parsed tuple)",
-            self.events, self.total_drops, self.untupled_drops
-        );
-        if !self.drops_by_cause.is_empty() {
-            let _ = writeln!(out, "drops by cause:");
-            for (cause, n) in &self.drops_by_cause {
-                let _ = writeln!(out, "  {:<16} {n}", cause.name());
-            }
-        }
-        if !self.drops_by_stage.is_empty() {
-            let _ = writeln!(out, "drops by stage:");
-            for (stage, n) in &self.drops_by_stage {
-                let _ = writeln!(out, "  {:<16} {n}", stage.name());
-            }
-        }
-        if !self.sites.is_empty() {
-            let _ = writeln!(out, "drop sites (most drops first):");
-            for site in &self.sites {
-                let _ = writeln!(out, "  {site}");
-            }
-        }
-        if !self.owners.is_empty() {
-            let _ = writeln!(out, "drops by owner:");
-            for o in &self.owners {
-                let _ = writeln!(
-                    out,
-                    "  uid={} pid={} comm={} — {} drops",
-                    o.uid, o.pid, o.comm, o.drops
-                );
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -592,8 +477,8 @@ mod tests {
         tr.observe(&e);
         let report = tr.report();
         assert_eq!(report.total_drops, 1);
-        assert_eq!(report.untupled_drops, 1);
         assert!(report.sites.is_empty());
-        assert_eq!(report.drops_by_cause, vec![(DropCause::Malformed, 1)]);
+        assert!(report.owners.is_empty());
+        assert_eq!(tr.drops_by_cause(DropCause::Malformed), 1);
     }
 }

@@ -16,6 +16,7 @@
 //! configured nothing privileged to observe or refuse.
 
 use nicsim::ConnId;
+use norman::host::DOORBELL_BATCH;
 use norman::{Host, HostConfig, PortReservation};
 use oskernel::{HookVerdict, Pid, Rule};
 use pkt::{IpProto, Packet, PacketBuilder};
@@ -111,8 +112,7 @@ pub fn rx_cost(host: &mut Host, flow: Flow, frame: &Packet, n: u64) -> Cost {
 
 /// The application sends `frame` `n` times. A phase of its own, never
 /// interleaved with [`rx_cost`]: `Host` batches doorbells on one counter
-/// for both directions. Socket sends sit in the stack's egress FIFO, so a
-/// host takes 1,024 of them.
+/// for both directions.
 pub fn tx_cost(host: &mut Host, flow: Flow, frame: &Packet, n: u64) -> Cost {
     let mut c = Cost {
         frames: n,
@@ -142,7 +142,7 @@ pub fn tx_cost(host: &mut Host, flow: Flow, frame: &Packet, n: u64) -> Cost {
 /// LLC latency, plus one doorbell per batch.
 pub fn one_transfer(cfg: &HostConfig, frame_bytes: usize) -> Dur {
     let lines = 2 + frame_bytes.div_ceil(64) as u64;
-    cfg.mem.llc_hit * lines + cfg.mem.mmio_write / cfg.doorbell_batch
+    cfg.mem.llc_hit * lines + cfg.mem.mmio_write / DOORBELL_BATCH
 }
 
 /// What E4b's attacker achieved.

@@ -34,7 +34,7 @@ run_lint() {
   # `mod tests` such an item is code that only its own tests call. The
   # count may only fall; delete the code instead of gating it. Lower the
   # ceiling when a change removes some.
-  local ceiling=67 sites count
+  local ceiling=63 sites count
   sites="$(find crates/*/src -name '*.rs' -exec awk '
     FNR == 1 { gated = 0 }
     gated { if ($0 !~ /^[[:space:]]*mod tests/) print FILENAME ":" FNR ": " $0; gated = 0 }
@@ -144,6 +144,11 @@ run_normanbench_smoke() {
   # change is gated on it whatever the wall-clock guard below says.
   echo "==> normanbench smoke (all four workloads, traced == untraced vns)"
   cargo test --manifest-path benchmark/Cargo.toml
+
+  # What BENCHMARK.json runs: the release binary must still build
+  # against the workspace crates it links.
+  echo "==> cargo build --release (normanbench)"
+  cargo build --release --manifest-path benchmark/Cargo.toml
 
   # Virtual time is bit-identical across refactors, as a gate: the five
   # sim_* values of four workloads x two seeds at smoke length must equal

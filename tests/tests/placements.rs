@@ -123,3 +123,16 @@ fn recipes_configure_what_they_say() {
     assert_eq!(kopi.tb.host.policy().reservations, partition_policy());
     assert!(kopi.tb.host.policy_generation() > 0);
 }
+
+#[test]
+fn kernel_socket_sends_end_at_the_output_chain_and_pin_no_frame() {
+    // A kernel-socket send is syscall, copy, OUTPUT chain and protocol;
+    // the stack keeps no egress queue to fill or to pin frames in.
+    let mut p = Placement::kernel_stack(&partition_policy());
+    let app = p.tb.postgres.clone();
+    let sent = p.tx(&app, 64, 2_000);
+    assert_eq!(sent.delivered, 2_000);
+    let host = &mut p.tb.host;
+    assert_eq!(host.stack.arena_resident(host.arena()), 0);
+    assert!(host.audit().is_empty(), "audit: {:?}", host.audit());
+}

@@ -13,7 +13,7 @@ use norman::{Host, HostConfig};
 use oskernel::Uid;
 use overlay::{PktCtx, Verdict as OverlayVerdict, Vm};
 use pkt::{checksum, FiveTuple, IpProto, Mac, Packet, PacketBuilder, Payload, RssHasher, TcpFlags};
-use qdisc::{Fifo, QPkt, Qdisc, Wfq};
+use qdisc::{QPkt, Wfq};
 use sim::{
     DetRng, Dur, FaultInjector, FaultSchedule, FaultyLink, Histogram, Link, LossModel, Time,
 };
@@ -123,31 +123,6 @@ fn rss_is_deterministic_and_bounded() {
         let q = h.queue_for(&ft);
         assert!(q < queues);
         assert_eq!(q, h.queue_for(&ft));
-    }
-}
-
-/// FIFO conserves packets and bytes and preserves order.
-#[test]
-fn fifo_conservation() {
-    let mut r = rng(5);
-    for _ in 0..32 {
-        let n = r.range_usize(1, 200);
-        let lens: Vec<u32> = (0..n).map(|_| r.range_u64(60, 1500) as u32).collect();
-        let mut q = Fifo::new(1024);
-        for (i, &len) in lens.iter().enumerate() {
-            q.enqueue(QPkt::new(i as u64, len, Time::ZERO), Time::ZERO)
-                .unwrap();
-        }
-        let mut out = Vec::new();
-        while let Some(p) = q.dequeue(Time::ZERO) {
-            out.push(p);
-        }
-        assert_eq!(out.len(), lens.len());
-        assert!(out.windows(2).all(|w| w[0].id < w[1].id));
-        let bytes_in: u64 = lens.iter().map(|&l| u64::from(l)).sum();
-        let bytes_out: u64 = out.iter().map(|p| u64::from(p.len)).sum();
-        assert_eq!(bytes_in, bytes_out);
-        assert_eq!(q.backlog_bytes(), 0);
     }
 }
 

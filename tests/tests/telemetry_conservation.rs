@@ -238,22 +238,24 @@ fn tx_drops_are_typed_everywhere() {
     );
     assert_eq!(host.telemetry().stage_count(Stage::NetstackTxDrop), 1);
 
-    // Qdisc exhaustion on the kernel egress path.
-    host.stack.output.flush();
-    host.stack.set_egress_qdisc(Box::new(qdisc::Fifo::new(2)));
+    // Tail drops at the NIC TX scheduler: one connection's frames share
+    // one queue, so offering its limit and `over` more without polling
+    // refuses exactly `over`, each traced once.
+    let limit = host.nic.config().tx_queue_limit;
+    let over = 3;
     let mut refused = 0;
-    for _ in 0..5 {
-        let (sent, _) = host.stack.tx(bob, &out, Time::ZERO, &host.procs);
-        if !sent {
+    for _ in 0..limit + over {
+        if !host.app_send(conn, &out, Time::ZERO).queued {
             refused += 1;
         }
     }
-    assert!(refused > 0);
+    assert_eq!(refused, over as u64);
     assert_eq!(
         host.telemetry().drop_count(DropCause::QdiscFull),
         refused,
         "qdisc tail drops must be traced"
     );
+    assert_eq!(host.pump_tx(Time::MAX).len(), limit);
 
     // Every drop event across the run carries a typed cause.
     let drops = host.telemetry().query(&TraceFilter::any().drops());
