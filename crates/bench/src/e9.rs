@@ -33,7 +33,7 @@
 //!      byte-identical results (tracing on does not perturb replay).
 //!
 //! A final sharded segment reruns the kitchen-sink wire against a
-//! 4-queue host with one shard per RSS queue ([`Host::run_workers`]):
+//! 4-queue host, which [`Host::new`] gives one shard per RSS queue:
 //! the audits — which now cross shard boundaries — must stay just as
 //! clean, and the segment must replay byte-identically.
 
@@ -402,7 +402,6 @@ fn run_chaos_sharded() -> Row {
         .iter()
         .map(|&port| connect_udp(&mut host, pid, port, 9000).unwrap())
         .collect();
-    host.run_workers(QUEUES).unwrap();
     host.start_trace();
     host.set_policy_fault_injector(OpFaultInjector::seeded_rate(SEED ^ 0x44, POLICY_FAULT_RATE));
 

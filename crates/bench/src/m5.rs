@@ -197,7 +197,6 @@ fn shard_panic_run() -> ShardPanicRun {
     let conns: Vec<_> = (0..4u16)
         .map(|port| connect_udp(&mut host, bob, 7000 + port, 9000).expect("connect"))
         .collect();
-    host.run_workers(2).expect("workers");
     let frames: Vec<Packet> = (0..4u16)
         .map(|port| udp_to_host(&host, 9000, 7000 + port, &[0u8; 100]))
         .collect();
@@ -228,9 +227,8 @@ fn shard_panic_run() -> ShardPanicRun {
     }
     let offered = pumps * frames.len() as u64;
     let rerouted = host.stats().worker_rerouted;
-    let restarts = host.worker_restarts();
+    let restarts = host.stats().worker_restarts;
     let violations = host.audit();
-    host.stop_workers();
     let conserved = received + rerouted == offered;
     ShardPanicRun {
         shards: 2,
@@ -337,7 +335,7 @@ fn storm_run() -> StormRun {
         host.pump(std::slice::from_ref(&pkt), t);
         host.pump(std::slice::from_ref(&pkt), t + Dur::from_ms(500));
         let resets = host.nic.stats().resets;
-        let restarts = host.worker_restarts();
+        let restarts = host.stats().worker_restarts;
         let violations = host.audit();
         (
             host.metrics_snapshot().to_json_pretty(),

@@ -169,7 +169,6 @@ fn run_sweep(tracing: Tracing, total: u64) -> RunOutcome {
             connect_udp(&mut host, pid, port, 9000).unwrap()
         })
         .collect();
-    host.run_workers(QUEUES).unwrap();
 
     let root = Cred::root();
     match tracing {

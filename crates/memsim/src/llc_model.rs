@@ -200,10 +200,9 @@ fn produce(
 
 /// Drives 24,000 seeded operations over rings of 1, 2, 3 and 64 slots.
 /// The rings are carried back and forth between two caches (`a` and `b`,
-/// possibly of different geometry) the way `run_workers` / `stop_workers`
-/// carries a connection's rings between the host LLC and a shard's
-/// partition, so every residency entry a ring holds goes stale wholesale
-/// now and then; foreign traffic makes single entries stale in between.
+/// possibly of different geometry) the way a shard restart hands a
+/// connection's rings a fresh cache, so every residency entry a ring
+/// holds goes stale wholesale now and then; foreign traffic makes single entries stale in between.
 fn run(a: &LlcConfig, b: &LlcConfig, slot_bytes: usize, seed: u64) {
     let ops = if cfg!(miri) { 240 } else { 24_000 };
     let costs = MemCosts::default();

@@ -162,8 +162,9 @@ pub struct Connection {
     rings: Option<RingPair>,
     /// The shard whose cache and core this connection's ring traffic is
     /// charged to: the RSS queue its flow steers to under the committed
-    /// indirection table (always 0 on an unsharded host). Resolved at
-    /// setup and after every policy commit — never per frame.
+    /// indirection table, modulo the boot queue count (always 0 on a
+    /// one-queue host). Resolved at setup and after every policy commit —
+    /// never per frame.
     shard: usize,
     /// The process binding trace events carry, resolved once when the
     /// connection is set up (a process's `comm` is fixed at spawn, and the
@@ -320,13 +321,15 @@ pub struct Host {
     pub procs: ProcessTable,
     /// Scheduler and CPU meters.
     pub sched: Scheduler,
-    /// The dataplane shards, never empty. An unsharded host has one,
-    /// whose cache is the whole last-level cache (with DDIO way-cap);
-    /// [`Host::run_workers`] replaces it with one way-disjoint partition
-    /// per RSS queue.
+    /// The dataplane shards, one per boot RSS queue. A one-queue host
+    /// has one, whose cache is the whole last-level cache (with DDIO
+    /// way-cap); otherwise shard `i` owns partition `i` of `llc_plan`.
     shards: Vec<Shard>,
-    /// Set while [`Host::run_workers`] has the LLC partitioned.
-    sharded: Option<Sharded>,
+    /// The way-disjoint carve-up the shards' caches were built from, with
+    /// a per-partition DDIO mask floored at one way, so one shard's ring
+    /// working set cannot evict another's and every shard can absorb
+    /// inbound DMA.
+    llc_plan: LlcPartitionPlan,
     /// MMIO accounting.
     pub mmio: MmioBus,
     /// The SmartNIC.
@@ -372,22 +375,6 @@ pub struct Host {
     /// lets [`Host::maybe_reconcile`] rebuild the flow table exactly
     /// once per NIC reset, before the control plane reinstalls policy.
     resets_restored: u64,
-    /// LLC traffic per shard index through partitions that no longer
-    /// exist — banked by [`Host::stop_workers`] and by a shard restart —
-    /// so the `llc.shard.<n>.*` metrics stay cumulative across both.
-    shard_llc: Vec<LlcStats>,
-}
-
-/// What [`Host::run_workers`] sets aside while the LLC is partitioned.
-struct Sharded {
-    /// The whole-cache model, parked so that after
-    /// [`Host::stop_workers`] the host is exactly as before.
-    whole_llc: Llc,
-    /// The way-disjoint carve-up the shards' caches were built from:
-    /// shard `i` owns partition `i` outright, with a per-partition DDIO
-    /// mask floored at one way, so one shard's ring working set cannot
-    /// evict another's and every shard can absorb inbound DMA.
-    plan: LlcPartitionPlan,
 }
 
 /// Watermark-detector state for overload degradation. The window counts
@@ -405,14 +392,35 @@ struct DegradeState {
 }
 
 impl Host {
-    /// Creates a host.
+    /// Creates a host with one dataplane shard per RSS queue the NIC
+    /// boots with (`cfg.nic.num_queues`), each with its own core meter
+    /// and a way-disjoint partition of the LLC. A one-queue host has one
+    /// shard over the whole cache.
     ///
     /// One telemetry hub is shared by every layer — the NIC, the
     /// software stack, and the host's own ring bookkeeping all emit into
     /// it, so a single frame id threads the full lifecycle. Tracing
     /// starts disabled (free dataplane) unless `NORMAN_TELEMETRY=1` is
     /// set in the environment.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.shared_rings` is set with more than one queue (two
+    /// connections of one process may steer to different shards, and a
+    /// shared ring pair cannot belong to both), or if there are more
+    /// queues than LLC ways to partition among their shards.
     pub fn new(cfg: HostConfig) -> Host {
+        let queues = cfg.nic.num_queues;
+        assert!(
+            !cfg.shared_rings || queues == 1,
+            "shared per-process rings cannot be sharded across {queues} RSS queues"
+        );
+        let llc_plan = LlcPartitionPlan::split(cfg.llc.clone(), queues);
+        let shards = llc_plan
+            .shards()
+            .iter()
+            .map(|geometry| Shard::new(Llc::new(geometry.clone())))
+            .collect();
         let tel = Telemetry::new();
         if std::env::var("NORMAN_TELEMETRY").as_deref() == Ok("1") {
             tel.set_enabled(true);
@@ -424,8 +432,8 @@ impl Host {
         Host {
             procs: ProcessTable::new(),
             sched: Scheduler::with_defaults(),
-            shards: vec![Shard::new(Llc::new(cfg.llc.clone()))],
-            sharded: None,
+            shards,
+            llc_plan,
             mmio: MmioBus::new(),
             nic,
             stack,
@@ -445,7 +453,6 @@ impl Host {
             tel_baseline_resident: 0,
             degrade: DegradeState::default(),
             resets_restored: 0,
-            shard_llc: Vec::new(),
             cfg,
         }
     }
@@ -454,82 +461,11 @@ impl Host {
     // Multi-queue shards
     // ------------------------------------------------------------------
 
-    /// Starts multi-queue mode: one dataplane shard per NIC RSS queue,
-    /// each with its own core meter and a way-disjoint partition of the
-    /// LLC. `n` must equal the NIC's configured queue count so ownership
-    /// is 1:1.
-    ///
-    /// Every connection — existing and future — is charged to the shard
-    /// its flow steers to under the live RSS indirection table; rings
-    /// themselves are host memory and never move. The whole-cache model
-    /// is parked until [`Host::stop_workers`].
-    ///
-    /// With `n == 1` the host is byte-identical to an unsharded one: it
-    /// is the same delivery code over the same cache geometry.
-    pub fn run_workers(&mut self, n: usize) -> Result<(), WorkerError> {
-        if self.sharded.is_some() {
-            return Err(WorkerError::AlreadyRunning);
-        }
-        if self.cfg.shared_rings {
-            return Err(WorkerError::SharedRings);
-        }
-        let queues = self.nic.num_queues();
-        if n == 0 || n != queues {
-            return Err(WorkerError::QueueMismatch { workers: n, queues });
-        }
-        let plan = LlcPartitionPlan::split(self.cfg.llc.clone(), n);
-        if self.shard_llc.len() < n {
-            self.shard_llc.resize_with(n, LlcStats::default);
-        }
-        let partitions = plan
-            .shards()
-            .iter()
-            .map(|geometry| Shard::new(Llc::new(geometry.clone())))
-            .collect();
-        let whole_llc = std::mem::replace(&mut self.shards, partitions)
-            .pop()
-            .expect("an unsharded host has exactly one shard")
-            .llc;
-        self.sharded = Some(Sharded { whole_llc, plan });
-        self.reindex_connections();
-        Ok(())
-    }
-
-    /// Stops multi-queue mode: the partitions are dropped (their LLC
-    /// counters banked into [`Host::shard_llc_stats`]) and the parked
-    /// whole-cache model comes back. The host then behaves exactly as
-    /// before [`Host::run_workers`]. A no-op on an unsharded host.
-    pub fn stop_workers(&mut self) {
-        let Some(Sharded { whole_llc, .. }) = self.sharded.take() else {
-            return;
-        };
-        for (banked, shard) in self.shard_llc.iter_mut().zip(&self.shards) {
-            banked.absorb(&shard.llc.stats());
-        }
-        self.shards = vec![Shard::new(whole_llc)];
-        self.reindex_connections();
-    }
-
-    /// Whether multi-queue mode is active.
-    pub fn workers_active(&self) -> bool {
-        self.sharded.is_some()
-    }
-
-    /// How many shards multi-queue mode is running (0 when unsharded).
-    pub fn num_workers(&self) -> usize {
-        self.sharded.as_ref().map_or(0, |_| self.shards.len())
-    }
-
     /// The supervisor's half of a shard panic: restarts shard `shard`
     /// (cold cache, restart counted), charges the backoff penalty to its
     /// core, and records `ShardPanic`/`ShardRestart` recovery events at
-    /// the time of the operation that panicked. The discarded partition's
-    /// LLC counters are banked like [`Host::stop_workers`] banks them; an
-    /// unsharded host's whole-cache counters start over with its cache.
+    /// the time of the operation that panicked.
     fn restart_shard(&mut self, shard: usize, payload: &str, now: Time) {
-        if self.sharded.is_some() {
-            self.shard_llc[shard].absorb(&self.shards[shard].llc.stats());
-        }
         let penalty = self.shards[shard].restart();
         self.stats.worker_restarts += 1;
         self.sched.charge_core_busy(shard, penalty);
@@ -551,17 +487,18 @@ impl Host {
     /// Injects a panic into shard `shard` (chaos testing): the supervisor
     /// treats it as a crash between operations, so by the time this
     /// returns the shard has been restarted and the crash is fully
-    /// accounted; its rings are untouched. Always returns
-    /// [`WorkerError::ShardPanicked`] describing the crash it caused
-    /// (or [`WorkerError::NotRunning`] outside multi-queue mode).
+    /// accounted; its rings are untouched. Always returns an error:
+    /// [`WorkerError::ShardPanicked`] describing the crash it caused, or
+    /// [`WorkerError::NoSuchShard`] when the host has no shard `shard`.
     pub fn inject_worker_panic(
         &mut self,
         shard: usize,
         msg: &str,
         now: Time,
     ) -> Result<(), WorkerError> {
-        if self.sharded.is_none() {
-            return Err(WorkerError::NotRunning);
+        let shards = self.shards.len();
+        if shard >= shards {
+            return Err(WorkerError::NoSuchShard { shard, shards });
         }
         self.restart_shard(shard, msg, now);
         Err(WorkerError::ShardPanicked {
@@ -570,15 +507,10 @@ impl Host {
         })
     }
 
-    /// Total shard restarts the supervisor has performed since
-    /// [`Host::run_workers`].
-    pub fn worker_restarts(&self) -> u64 {
-        self.shards.iter().map(|s| s.restarts).sum()
-    }
-
     /// Which of `n` shards a connection with this RX tuple belongs to
-    /// under `rss` (modulo the shard count, so a policy that shrinks the
-    /// queue set cannot leave a connection without a shard).
+    /// under `rss` (modulo the shard count, so a policy that steers to
+    /// more queues than the host booted with cannot leave a connection
+    /// without a shard).
     fn shard_for_tuple(rss: &RssTable, tuple: &FiveTuple, n: usize) -> usize {
         if n == 1 {
             return 0;
@@ -586,9 +518,9 @@ impl Host {
         usize::from(rss.queue_for(pkt::meta::flow_hash_of(tuple))) % n
     }
 
-    /// Re-resolves every connection's shard after the shard count or the
-    /// RSS steering may have changed. No ring moves: the index only says
-    /// which cache and core the connection's ring traffic is charged to.
+    /// Re-resolves every connection's shard after the RSS steering may
+    /// have changed. No ring moves: the index only says which cache and
+    /// core the connection's ring traffic is charged to.
     fn reindex_connections(&mut self) {
         let n = self.shards.len();
         let rss = self.nic.rss();
@@ -604,36 +536,22 @@ impl Host {
         self.stats
     }
 
-    /// The whole-cache LLC model: the one shard's cache on an unsharded
-    /// host, parked (and untouched) while [`Host::run_workers`] has the
-    /// cache partitioned.
+    /// Shard 0's cache: the whole LLC on a one-queue host, shard 0's
+    /// partition of it otherwise.
     pub fn llc(&self) -> &Llc {
-        match &self.sharded {
-            Some(sharded) => &sharded.whole_llc,
-            None => &self.shards[0].llc,
-        }
+        &self.shards[0].llc
     }
 
-    /// Mutable access to the whole-cache LLC model (benchmarks model
-    /// application compute phases by sweeping working sets through it).
+    /// Mutable access to shard 0's cache (benchmarks model application
+    /// compute phases by sweeping working sets through it).
     pub fn llc_mut(&mut self) -> &mut Llc {
-        match &mut self.sharded {
-            Some(sharded) => &mut sharded.whole_llc,
-            None => &mut self.shards[0].llc,
-        }
+        &mut self.shards[0].llc
     }
 
-    /// Cumulative LLC traffic through shard `i`'s partitions, live and
-    /// across [`Host::stop_workers`]/[`Host::run_workers`] cycles. Only
-    /// multi-queue mode counts here; unsharded traffic is [`Host::llc`]'s.
+    /// Cumulative LLC traffic through shard `i`'s cache, live and across
+    /// its restarts (default for a shard the host does not have).
     pub fn shard_llc_stats(&self, i: usize) -> LlcStats {
-        let mut stats = self.shard_llc.get(i).copied().unwrap_or_default();
-        if self.sharded.is_some() {
-            if let Some(shard) = self.shards.get(i) {
-                stats.absorb(&shard.llc.stats());
-            }
-        }
-        stats
+        self.shards.get(i).map(Shard::llc_stats).unwrap_or_default()
     }
 
     /// Returns the shared telemetry handle (the hub every layer emits
@@ -715,9 +633,7 @@ impl Host {
         violations.extend(self.ctrl.audit(&self.nic, self.nat.as_ref()));
         // Way conservation: the per-shard partitions must tile the donor
         // cache exactly (no way lost, none double-owned).
-        if let Some(sharded) = &self.sharded {
-            violations.extend(sharded.plan.audit());
-        }
+        violations.extend(self.llc_plan.audit());
         // Arena conservation: every live slot must be reachable from some
         // resident handle — rings, kernel socket queues, or the TX retry
         // buffer. A live count above residency means a leaked
@@ -816,20 +732,21 @@ impl Host {
         reg.set_counter("host.degraded", u64::from(self.degrade.engaged));
         reg.set_counter("host.connections", self.num_connections() as u64);
         reg.set_counter("host.tx_retry_len", self.tx_retry.len() as u64);
-        reg.set_counter("host.workers", self.num_workers() as u64);
+        reg.set_counter("host.workers", self.shards.len() as u64);
         reg.set_gauge("host.kernel_cpu_us", self.kernel_cpu.as_us_f64());
         reg.set_counter("host.arena_live", self.arena.live() as u64);
         reg.set_counter("host.arena_slots", self.arena.slots() as u64);
-        let llc = self.llc().stats();
-        reg.set_counter("llc.ddio_evictions", llc.ddio_evictions);
-        reg.set_counter("llc.dma_hits", llc.dma_hits);
-        reg.set_counter("llc.dma_misses", llc.dma_misses);
-        for i in 0..self.shard_llc.len() {
-            let s = self.shard_llc_stats(i);
+        let mut llc = LlcStats::default();
+        for (i, shard) in self.shards.iter().enumerate() {
+            let s = shard.llc_stats();
             reg.set_counter(&format!("llc.shard.{i}.ddio_evictions"), s.ddio_evictions);
             reg.set_counter(&format!("llc.shard.{i}.dma_hits"), s.dma_hits);
             reg.set_counter(&format!("llc.shard.{i}.dma_misses"), s.dma_misses);
+            llc.absorb(&s);
         }
+        reg.set_counter("llc.ddio_evictions", llc.ddio_evictions);
+        reg.set_counter("llc.dma_hits", llc.dma_hits);
+        reg.set_counter("llc.dma_misses", llc.dma_misses);
         reg.snapshot()
     }
 
@@ -2231,7 +2148,6 @@ mod tests {
         let mut h = host();
         let bob = h.spawn(Uid(1001), "bob", "server");
         let conn = open_conn(&mut h, bob, 7000, false);
-        h.run_workers(1).unwrap();
         h.start_trace();
         let pkt = wire_udp(h.cfg.ip, 9000, 7000, 100);
         let (reports, _) = h.pump(std::slice::from_ref(&pkt), Time::ZERO);
@@ -2240,7 +2156,6 @@ mod tests {
             .inject_worker_panic(0, "injected shard fault", Time::from_us(5))
             .unwrap_err();
         assert!(matches!(err, WorkerError::ShardPanicked { shard: 0, .. }));
-        assert_eq!(h.worker_restarts(), 1);
         assert_eq!(h.stats().worker_restarts, 1);
         // The frame enqueued before the crash survived in its ring.
         let r = h.app_recv(conn, Time::from_us(10), false);
@@ -2254,7 +2169,43 @@ mod tests {
         );
         assert_eq!(h.telemetry().recovery_count(RecoveryKind::ShardPanic), 1);
         assert_eq!(h.telemetry().recovery_count(RecoveryKind::ShardRestart), 1);
-        h.stop_workers();
+    }
+
+    #[test]
+    fn panic_injection_into_a_missing_shard_is_refused() {
+        let mut h = host();
+        let bob = h.spawn(Uid(1001), "bob", "server");
+        let conn = open_conn(&mut h, bob, 7000, false);
+        assert_eq!(
+            h.inject_worker_panic(1, "no such shard", Time::ZERO),
+            Err(WorkerError::NoSuchShard {
+                shard: 1,
+                shards: 1
+            })
+        );
+        assert_eq!(h.stats().worker_restarts, 0);
+        let pkt = wire_udp(h.cfg.ip, 9000, 7000, 100);
+        let (reports, _) = h.pump(std::slice::from_ref(&pkt), Time::ZERO);
+        assert_eq!(reports[0].outcome, DeliveryOutcome::FastPath(conn));
+    }
+
+    #[test]
+    #[should_panic(expected = "shared per-process rings cannot be sharded")]
+    fn shared_rings_refuse_more_than_one_queue() {
+        let mut cfg = HostConfig {
+            shared_rings: true,
+            ..HostConfig::default()
+        };
+        cfg.nic.num_queues = 2;
+        Host::new(cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "way-disjoint slices")]
+    fn more_queues_than_llc_ways_are_refused() {
+        let mut cfg = HostConfig::default();
+        cfg.nic.num_queues = 17; // the default LLC has 16 ways
+        Host::new(cfg);
     }
 
     #[test]
@@ -2267,7 +2218,6 @@ mod tests {
         let conns: Vec<ConnId> = (0..4)
             .map(|i| open_conn(&mut h, bob, 7000 + i, false))
             .collect();
-        h.run_workers(1).unwrap();
         h.start_trace();
         let burst: Vec<Packet> = (0..4)
             .map(|i| wire_udp(h.cfg.ip, 9000, 7000 + i, 100))
@@ -2287,7 +2237,6 @@ mod tests {
         }
         assert_eq!(h.stats().worker_rerouted, 1);
         assert_eq!(h.stats().worker_restarts, 1);
-        assert_eq!(h.worker_restarts(), 1);
         let events = h.telemetry().recovery_events();
         let kinds: Vec<_> = events.iter().map(|e| (e.kind, e.at)).collect();
         assert_eq!(

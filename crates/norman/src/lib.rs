@@ -20,10 +20,11 @@
 //!   bitstream reprograms, and audited against the NIC.
 //! * [`policy`] — the administrator-facing policy types (port
 //!   reservations, shaping policies) and how they lower onto the NIC.
-//! * [`workers`] — the multi-queue sharding layer: [`Host::run_workers`]
-//!   gives each RSS queue a shard — a core meter and a way-disjoint LLC
-//!   partition the host charges that queue's deliveries to, in-thread —
-//!   with a supervised boundary that restarts a shard that panics.
+//! * [`workers`] — the dataplane shards: [`Host::new`] gives each RSS
+//!   queue the NIC boots with a shard — a core meter and a way-disjoint
+//!   LLC partition the host charges that queue's deliveries to,
+//!   in-thread — with a supervised boundary that restarts a shard that
+//!   panics. A one-queue host is the one-shard case.
 //! * [`tools`] — `ksniff` (tcpdump), `kfilter` (iptables), `kqdisc`
 //!   (tc), `knetstat` (netstat), and [`tools::trace`] (`ktrace`, the
 //!   per-packet lifecycle introspector the paper argues interposition

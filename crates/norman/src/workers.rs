@@ -1,23 +1,23 @@
-//! Dataplane shards: the multi-queue sharding layer.
+//! Dataplane shards: one per RSS queue the NIC boots with.
 //!
 //! A *shard* is the slice of the host one RSS queue's traffic runs on,
 //! modelled as plain state the host calls in-thread: an LLC partition,
 //! a core meter (in [`oskernel::Scheduler`], indexed by shard) and a
-//! restart count. Every host has at least one; the unsharded host is
-//! the one-shard case, whose partition is the whole cache.
-//! [`Host::run_workers`](crate::Host::run_workers) re-partitions the LLC
-//! into `n` way-disjoint shards and re-indexes every connection by the
-//! committed RSS table; nothing else changes. Ring pairs are host memory
-//! and live in one map on the host in every mode — a connection only
-//! remembers which shard's cache and core its ring traffic is charged to.
+//! restart count. [`Host::new`](crate::Host::new) builds one shard per
+//! boot queue over a way-disjoint partition of the LLC; a one-queue host
+//! is the one-shard case, whose partition is the whole cache. Each
+//! connection is charged to the shard its flow steers to under the live
+//! RSS table (modulo the shard count); an RSS commit re-steers
+//! connections among the boot shards and never re-partitions the cache.
+//! Ring pairs are host memory and live in one map on the host — a
+//! connection only remembers which shard's cache and core its ring
+//! traffic is charged to.
 //!
 //! Many cores are modelled by accounting, not by host threads: each
 //! fast-path delivery charges its cost to the owning shard's core meter,
 //! so the makespan of a run is the busiest core's meter. The simulation
-//! itself is single-threaded and deterministic, counters and trace
-//! events are live (there is no barrier to wait for), and `run_workers(1)`
-//! is byte-identical to the unsharded host because it *is* the same code
-//! over the same geometry.
+//! itself is single-threaded and deterministic, and counters and trace
+//! events are live (there is no barrier to wait for).
 //!
 //! What sharding does isolate is failure. The one shard operation that
 //! has a frame in flight — the RX ring produce, `Shard::rx_produce` —
@@ -26,31 +26,24 @@
 //! frame through the software slow path. Rings and their contents are
 //! never touched by a restart.
 
-use memsim::{Llc, MemCosts, RingError};
+use memsim::{Llc, LlcStats, MemCosts, RingError};
 use pkt::Packet;
 use sim::Dur;
 
 use crate::host::{RxDesc, RxRing};
 
-/// Why [`Host::run_workers`](crate::Host::run_workers) refused, or what
-/// the shard supervisor reports after a shard panic.
+/// What the shard supervisor reports after a shard panic, or why
+/// [`Host::inject_worker_panic`](crate::Host::inject_worker_panic)
+/// refused.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum WorkerError {
-    /// Multi-queue mode is already active; stop it first.
-    AlreadyRunning,
-    /// Multi-queue mode is not active.
-    NotRunning,
-    /// The shard count must match the NIC's RSS queue count so each
-    /// queue has exactly one owner.
-    QueueMismatch {
-        /// Requested shard count.
-        workers: usize,
-        /// The NIC's configured RSS queue count.
-        queues: usize,
+    /// There is no shard with this index.
+    NoSuchShard {
+        /// The requested shard.
+        shard: usize,
+        /// How many shards the host has (its boot RSS queue count).
+        shards: usize,
     },
-    /// Shared (per-process) rings cannot be sharded by flow: two
-    /// connections of one process may steer to different queues.
-    SharedRings,
     /// A shard panicked. The supervisor caught it and restarted the
     /// shard — cold LLC partition, counted, backoff charged to its core;
     /// its rings and the other shards were never affected.
@@ -65,13 +58,8 @@ pub enum WorkerError {
 impl std::fmt::Display for WorkerError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            WorkerError::AlreadyRunning => write!(f, "workers already running"),
-            WorkerError::NotRunning => write!(f, "workers not running"),
-            WorkerError::QueueMismatch { workers, queues } => {
-                write!(f, "{workers} workers cannot own {queues} RSS queues 1:1")
-            }
-            WorkerError::SharedRings => {
-                write!(f, "shared per-process rings cannot be sharded by flow")
+            WorkerError::NoSuchShard { shard, shards } => {
+                write!(f, "no shard {shard} on a host with {shards} shards")
             }
             WorkerError::ShardPanicked { shard, payload } => {
                 write!(f, "worker shard {shard} panicked: {payload}")
@@ -88,6 +76,9 @@ pub(crate) struct Shard {
     /// The cache this shard's ring traffic goes through: the whole LLC
     /// on a one-shard host, a way-disjoint partition of it otherwise.
     pub(crate) llc: Llc,
+    /// LLC traffic through the caches earlier restarts discarded, so
+    /// [`Shard::llc_stats`] stays cumulative across restarts.
+    banked: LlcStats,
     /// Supervised restarts of this shard (drives the backoff doubling).
     pub(crate) restarts: u64,
     /// Fault injection for the supervision test: the next RX produce on
@@ -100,10 +91,18 @@ impl Shard {
     pub(crate) fn new(llc: Llc) -> Shard {
         Shard {
             llc,
+            banked: LlcStats::default(),
             restarts: 0,
             #[cfg(test)]
             fault: None,
         }
+    }
+
+    /// Cumulative LLC traffic through this shard's cache, across restarts.
+    pub(crate) fn llc_stats(&self) -> LlcStats {
+        let mut stats = self.banked;
+        stats.absorb(&self.llc.stats());
+        stats
     }
 
     /// DMAs `frame` into `ring` through this shard's cache — the one RX
@@ -148,10 +147,11 @@ impl Shard {
     }
 
     /// Restarts the shard after a caught panic: its cache comes back
-    /// cold (counters and all — the host banks them first), the restart
-    /// is counted, and the backoff penalty to charge to its core is
-    /// returned — doubling from 50 µs, capped after six doublings.
+    /// cold (its counters banked first), the restart is counted, and the
+    /// backoff penalty to charge to its core is returned — doubling from
+    /// 50 µs, capped after six doublings.
     pub(crate) fn restart(&mut self) -> Dur {
+        self.banked.absorb(&self.llc.stats());
         self.llc = Llc::new(self.llc.config().clone());
         self.restarts += 1;
         Dur::from_us(50 << (self.restarts - 1).min(6))

@@ -3,20 +3,20 @@
 # needed (the workspace is hermetic — all dependencies are in-tree).
 #
 #   scripts/ci.sh                 # every job, sequentially
-#   scripts/ci.sh --job lint      # one job: lint | build-test |
-#                                 #   release-test | telemetry-test |
-#                                 #   recovery-test | trace-pipeline |
-#                                 #   overlay-diff | miri |
-#                                 #   normanbench-smoke | results |
-#                                 #   bench-smoke | all
+#   scripts/ci.sh --job lint      # one job (`jobs` below, or all)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# The jobs, in the order `all` runs them; job `x-y` runs `run_x_y`.
+jobs=(lint build-test release-test telemetry-test recovery-test trace-pipeline
+  overlay-diff miri normanbench-smoke results bench-smoke)
+usage="usage: ci.sh [--job $(IFS='|'; echo "${jobs[*]}")|all]"
+
 job="all"
 if [[ "${1:-}" == "--job" ]]; then
-  job="${2:?usage: ci.sh [--job lint|build-test|release-test|telemetry-test|recovery-test|trace-pipeline|overlay-diff|miri|normanbench-smoke|results|bench-smoke|all]}"
+  job="${2:?$usage}"
 elif [[ -n "${1:-}" ]]; then
-  echo "usage: ci.sh [--job lint|build-test|release-test|telemetry-test|recovery-test|trace-pipeline|overlay-diff|miri|normanbench-smoke|results|bench-smoke|all]" >&2
+  echo "$usage" >&2
   exit 2
 fi
 
@@ -190,35 +190,15 @@ run_bench_smoke() {
   python3 scripts/check_bench.py
 }
 
-case "$job" in
-  lint) run_lint ;;
-  build-test) run_build_test ;;
-  release-test) run_release_test ;;
-  telemetry-test) run_telemetry_test ;;
-  recovery-test) run_recovery_test ;;
-  trace-pipeline) run_trace_pipeline ;;
-  overlay-diff) run_overlay_diff ;;
-  miri) run_miri ;;
-  normanbench-smoke) run_normanbench_smoke ;;
-  results) run_results ;;
-  bench-smoke) run_bench_smoke ;;
-  all)
-    run_lint
-    run_build_test
-    run_release_test
-    run_telemetry_test
-    run_recovery_test
-    run_trace_pipeline
-    run_overlay_diff
-    run_miri
-    run_normanbench_smoke
-    run_results
-    run_bench_smoke
-    ;;
-  *)
-    echo "unknown job: $job (want lint, build-test, release-test, telemetry-test, recovery-test, trace-pipeline, overlay-diff, miri, normanbench-smoke, results, bench-smoke, or all)" >&2
-    exit 2
-    ;;
-esac
+if [[ "$job" == all ]]; then
+  for j in "${jobs[@]}"; do
+    "run_${j//-/_}"
+  done
+elif [[ " ${jobs[*]} " == *" $job "* ]]; then
+  "run_${job//-/_}"
+else
+  echo "unknown job: $job (want one of: ${jobs[*]} all)" >&2
+  exit 2
+fi
 
 echo "CI gate passed ($job)."

@@ -177,7 +177,6 @@ fn shard_panic_under_load_keeps_every_frame_accounted() {
             .unwrap(),
         );
     }
-    host.run_workers(2).unwrap();
     host.start_trace();
     let frames: Vec<Packet> = (0..4u16)
         .map(|port| frame_to(&host, 9000, 7000 + port, 100))
@@ -196,7 +195,6 @@ fn shard_panic_under_load_keeps_every_frame_accounted() {
     assert!(matches!(err, WorkerError::ShardPanicked { shard: 1, .. }));
     host.pump(&frames, Time::from_us(5));
 
-    assert_eq!(host.worker_restarts(), 2);
     assert_eq!(host.stats().worker_restarts, 2);
     // All 12 frames are in rings (restarts never touch them); drain them.
     let mut received = 0;
@@ -211,7 +209,6 @@ fn shard_panic_under_load_keeps_every_frame_accounted() {
     let tel = host.telemetry();
     assert_eq!(tel.recovery_count(RecoveryKind::ShardPanic), 2);
     assert_eq!(tel.recovery_count(RecoveryKind::ShardRestart), 2);
-    host.stop_workers();
 }
 
 #[test]

@@ -8,15 +8,13 @@
 //! 1. **Determinism** — promotion/eviction under a seeded NIC crash
 //!    storm replays to a byte-identical metrics document (which folds in
 //!    every `flowtable.*` counter), with clean audits across both tiers.
-//! 2. **Worker parity** — `run_workers(1)` over a tiered flow table
-//!    stays counter-for-counter identical to the inline pump path.
-//! 3. **Crash conservation** — cold-tier entries survive a NIC crash:
+//! 2. **Crash conservation** — cold-tier entries survive a NIC crash:
 //!    the kernel rebuilds both tiers deterministically under the
 //!    committed policy and `Host::audit` balances hot + cold against
 //!    open connections.
-//! 4. **Observability** — tier movements surface as
+//! 3. **Observability** — tier movements surface as
 //!    `Stage::FlowPromoted` / `Stage::FlowDemoted` through `ktrace`.
-//! 5. **Control plane** — the policy commits, validates, rolls back,
+//! 4. **Control plane** — the policy commits, validates, rolls back,
 //!    and reverts through the same two-phase `ctrl` path as every
 //!    other dataplane policy.
 
@@ -112,60 +110,6 @@ fn seeded_chaos_tiering_replays_byte_identical() {
     assert!(promotions > 0, "storm must exercise promotions");
     assert!(evictions > 0, "storm must exercise evictions");
     assert_eq!(a, b, "tier churn under chaos must replay byte-identically");
-}
-
-/// The single-worker shard path over a tiered flow table must be
-/// indistinguishable, counter for counter, from the inline pump path.
-#[test]
-fn tiering_worker_mode_matches_inline_counter_for_counter() {
-    fn run(workers: bool) -> String {
-        let (mut host, conns) = tiered_host(FlowCacheConfig::lru(2), 5);
-        if workers {
-            host.run_workers(1).expect("workers");
-        }
-        let mut log = String::new();
-        for round in 0..8u64 {
-            let t = Time::from_us(round * 50);
-            // Rotate so every connection crosses cold->hot->cold.
-            let burst: Vec<Packet> = (0..3)
-                .map(|k| {
-                    let port = conns[((round + k) % conns.len() as u64) as usize].1;
-                    wire_udp(&host, 9000, port, 200)
-                })
-                .collect();
-            let (reports, _) = host.pump(&burst, t);
-            for r in &reports {
-                log.push_str(&format!("{:?} {:?}\n", r.outcome, r.mem_cost));
-            }
-            for (i, &(id, _)) in conns.iter().enumerate() {
-                let r = host.app_recv(id, t + Dur::from_us(1), false);
-                log.push_str(&format!("recv {i} {:?} {:?}\n", r.len, r.cpu));
-            }
-        }
-        if workers {
-            host.stop_workers();
-        }
-        let fs = host.nic.flows.stats();
-        log.push_str(&format!(
-            "hot {} cold {} lookups {} cold_hits {} promotions {} evictions {}\n",
-            host.nic.flows.num_hot(),
-            host.nic.flows.num_cold(),
-            fs.lookups,
-            fs.cold_hits,
-            fs.promotions,
-            fs.evictions
-        ));
-        for &(id, port) in &conns {
-            log.push_str(&format!(
-                "tier {port} {:?}\n",
-                host.nic.flows.tier_of(id).expect("live conn")
-            ));
-        }
-        let violations = host.audit();
-        assert!(violations.is_empty(), "audit: {violations:?}");
-        log
-    }
-    assert_eq!(run(false), run(true));
 }
 
 /// Cold-tier entries survive a NIC crash: the recovery path rebuilds

@@ -1,12 +1,12 @@
-//! Multi-queue integration: RSS-sharded dataplane vs the single-queue
-//! baseline.
+//! Multi-queue integration: a host booted with N RSS queues runs one
+//! dataplane shard per queue.
 //!
-//! Four properties, matching the PR's acceptance bar:
+//! Four properties:
 //!
-//! 1. **Replay equivalence** — `run_workers(1)` is byte-identical to the
-//!    single-queue `Host::pump` path: every delivery report, recv/send
-//!    result, departure, counter, and CPU meter matches, and the trace
-//!    ledger balances identically.
+//! 1. **Shards are the boot queues** — `Host::new` alone gives each
+//!    queue a shard: each flow's ring traffic is charged to its own
+//!    shard's core meter and LLC partition, and the per-shard counters
+//!    read live and stay cumulative across a shard restart.
 //! 2. **Generation uniformity** — every trace event of a sharded
 //!    delivery carries the policy generation in force when its frame was
 //!    handled, even across faulted commits that roll back mid-apply. A
@@ -24,7 +24,7 @@ use std::net::Ipv4Addr;
 
 use nicsim::RssTable;
 use norman::host::DeliveryOutcome;
-use norman::{DegradationPolicy, Host, HostConfig, RssPolicy, ShapingPolicy, Stage, WorkerError};
+use norman::{Host, HostConfig, RssPolicy, ShapingPolicy, Stage};
 use oskernel::Uid;
 use pkt::{FiveTuple, IpProto, Mac, Packet, PacketBuilder};
 use sim::fault::OpFaultInjector;
@@ -34,14 +34,6 @@ fn wire_udp(host_ip: Ipv4Addr, src_port: u16, dst_port: u16, len: usize) -> Pack
     PacketBuilder::new()
         .ether(Mac::local(9), Mac::local(1))
         .ipv4(Ipv4Addr::new(10, 0, 0, 2), host_ip)
-        .udp(src_port, dst_port, &vec![0u8; len])
-        .build()
-}
-
-fn out_udp(host: &Host, src_port: u16, dst_port: u16, len: usize) -> Packet {
-    PacketBuilder::new()
-        .ether(host.cfg.mac, Mac::local(9))
-        .ipv4(host.cfg.ip, Ipv4Addr::new(10, 0, 0, 2))
         .udp(src_port, dst_port, &vec![0u8; len])
         .build()
 }
@@ -79,140 +71,11 @@ fn ports_covering_queues(host_ip: Ipv4Addr, num_queues: usize, per_queue: usize)
     buckets.concat()
 }
 
-/// Runs one fixed traffic script — bursts, drains, sends, a policy
-/// commit, ring overflow — and returns a full textual transcript of
-/// every observable result plus final counters/meters. With `degrade`,
-/// a degradation policy over the overflowing flow is committed first.
-fn scripted_run(workers: bool, degrade: bool) -> String {
-    let cfg = HostConfig {
-        ring_slots: 4,
-        ..HostConfig::default()
-    };
-    let mut h = Host::new(cfg);
-    h.telemetry().set_enabled(true);
-    let bob = h.spawn(Uid(1001), "bob", "server");
-    let ports: Vec<u16> = (7000..7008).collect();
-    let conns: Vec<_> = ports
-        .iter()
-        .map(|&port| {
-            h.connect(
-                bob,
-                IpProto::UDP,
-                port,
-                Ipv4Addr::new(10, 0, 0, 2),
-                9000,
-                false,
-            )
-            .unwrap()
-        })
-        .collect();
-    if workers {
-        h.run_workers(1).unwrap();
-    }
-    if degrade {
-        // A window shorter than a burst: the detector engages on the
-        // first ring-full frames of an overflowing burst, so the rest of
-        // that same burst must already be demoted.
-        h.update_policy(Time::ZERO, |p| {
-            p.degradation = Some(DegradationPolicy {
-                high_watermark: 0.5,
-                low_watermark: 0.0,
-                window: 2,
-                low_prio_ports: vec![ports[0]],
-            })
-        })
-        .unwrap();
-    }
-    let mut log = String::new();
-    for round in 0..6u64 {
-        let now = Time::from_us(round * 100);
-        let mut burst: Vec<Packet> = ports
-            .iter()
-            .map(|&p| wire_udp(h.cfg.ip, 9000, p, 200 + usize::from(p % 7) * 64))
-            .collect();
-        // Unknown-port slow-path traffic rides in every burst.
-        burst.push(wire_udp(h.cfg.ip, 1, 9999, 64));
-        // Overflow the first ring in later rounds (4 slots, no drain).
-        if round >= 4 {
-            for _ in 0..4 {
-                burst.push(wire_udp(h.cfg.ip, 9000, ports[0], 128));
-            }
-        }
-        let (reports, departures) = h.pump(&burst, now);
-        log.push_str(&format!("round {round}: {reports:?} {departures:?}\n"));
-        // Drain a rotating subset, send replies on another.
-        for (i, &conn) in conns.iter().enumerate() {
-            if (i as u64 + round).is_multiple_of(2) {
-                let r = h.app_recv(conn, now + Dur::from_us(1), false);
-                log.push_str(&format!("recv {i}: {r:?}\n"));
-            }
-            if (i as u64 + round).is_multiple_of(3) {
-                let s = h.app_send(
-                    conn,
-                    &out_udp(&h, ports[i], 9000, 256),
-                    now + Dur::from_us(2),
-                );
-                log.push_str(&format!("send {i}: {s:?}\n"));
-            }
-        }
-        let deps = h.pump_tx(now + Dur::from_us(3));
-        log.push_str(&format!("tx {round}: {deps:?}\n"));
-        // A policy commit mid-script exercises the re-index path. The
-        // commit reconfigures the TX scheduler, which discards queued
-        // frames while the NIC keeps their pending-conn records — so
-        // drain the wire fully first, as a real kernel would quiesce TX.
-        if round == 2 {
-            let mut t = now + Dur::from_us(3);
-            while h.nic.tx_backlog() > 0 {
-                t += Dur::from_us(10);
-                let deps = h.pump_tx(t);
-                log.push_str(&format!("drain {round}: {deps:?}\n"));
-            }
-            let g = h
-                .update_policy(now + Dur::from_us(4), |p| {
-                    p.shaping = Some(ShapingPolicy::new(vec![(Uid(1001), 2.0)]))
-                })
-                .unwrap();
-            log.push_str(&format!("gen {g}\n"));
-        }
-    }
-    log.push_str(&format!("stats {:?}\n", h.stats()));
-    log.push_str(&format!("meter {:?}\n", h.sched.meter(bob)));
-    log.push_str(&format!("kernel_cpu {:?}\n", h.kernel_cpu));
-    for stage in [
-        Stage::RxIngress,
-        Stage::RingEnqueue,
-        Stage::RingDequeue,
-        Stage::AppDeliver,
-    ] {
-        log.push_str(&format!(
-            "stage {stage:?} {}\n",
-            h.telemetry().stage_count(stage)
-        ));
-    }
-    log.push_str(&format!("drops {}\n", h.telemetry().total_drops()));
-    log.push_str(&format!("recovery {:?}\n", h.telemetry().recovery_events()));
-    let violations = h.audit();
-    assert!(violations.is_empty(), "audit: {violations:?}");
-    log
-}
-
+/// `Host::new` alone makes a 4-queue host four shards: each flow's ring
+/// traffic is charged to its own shard's core meter and LLC partition
+/// and to no other, and the `llc.*` metrics are the sum over the shards.
 #[test]
-fn one_worker_replay_is_byte_identical_to_pump() {
-    for degrade in [false, true] {
-        let baseline = scripted_run(false, degrade);
-        let sharded = scripted_run(true, degrade);
-        assert_eq!(
-            baseline, sharded,
-            "run_workers(1) must replay the single-queue dataplane exactly"
-        );
-        // The degraded script really does engage mid-burst.
-        assert_eq!(baseline.contains("DegradeEngaged"), degrade);
-    }
-}
-
-#[test]
-fn worker_mode_survives_stop_and_restart() {
+fn each_flow_is_charged_to_its_own_boot_shard() {
     let cfg = HostConfig {
         nic: nicsim::NicConfig {
             num_queues: 4,
@@ -223,56 +86,58 @@ fn worker_mode_survives_stop_and_restart() {
     };
     let mut h = Host::new(cfg);
     let bob = h.spawn(Uid(1001), "bob", "server");
-    let ports = ports_covering_queues(h.cfg.ip, 4, 2);
-    let conns: Vec<_> = ports
-        .iter()
-        .map(|&port| {
-            h.connect(
-                bob,
-                IpProto::UDP,
-                port,
-                Ipv4Addr::new(10, 0, 0, 2),
-                9000,
-                false,
-            )
-            .unwrap()
-        })
-        .collect();
-    h.run_workers(4).unwrap();
-    assert!(h.workers_active());
-    assert_eq!(h.num_workers(), 4);
-
-    let burst: Vec<Packet> = ports
-        .iter()
-        .map(|&p| wire_udp(h.cfg.ip, 9000, p, 400))
-        .collect();
-    let (reports, _) = h.pump(&burst, Time::ZERO);
-    assert!(reports
-        .iter()
-        .all(|r| matches!(r.outcome, DeliveryOutcome::FastPath(_))));
-
-    // Rings (with resident frames) fold back into the host on stop; the
-    // frames are still receivable on the single-queue path.
-    h.stop_workers();
-    assert!(!h.workers_active());
-    for &conn in &conns {
-        assert!(h.app_recv(conn, Time::from_us(10), false).len.is_some());
+    // One port per queue, in queue order: `ports[q]` steers to queue q.
+    let ports = ports_covering_queues(h.cfg.ip, 4, 1);
+    for &port in &ports {
+        h.connect(
+            bob,
+            IpProto::UDP,
+            port,
+            Ipv4Addr::new(10, 0, 0, 2),
+            9000,
+            false,
+        )
+        .unwrap();
     }
-    assert_eq!(h.stats().fast_delivered, ports.len() as u64);
-
-    // And worker mode can start again afterwards.
-    h.run_workers(4).unwrap();
-    let (reports, _) = h.pump(&burst, Time::from_us(20));
-    assert!(reports
-        .iter()
-        .all(|r| matches!(r.outcome, DeliveryOutcome::FastPath(_))));
-    let violations = h.audit();
-    assert!(violations.is_empty(), "audit: {violations:?}");
+    assert_eq!(h.metrics_snapshot().counter("host.workers"), Some(4));
+    let shard_dma = |h: &Host, c: usize| {
+        let snap = h.metrics_snapshot();
+        snap.counter(&format!("llc.shard.{c}.dma_hits")).unwrap()
+            + snap.counter(&format!("llc.shard.{c}.dma_misses")).unwrap()
+    };
+    for (q, &port) in ports.iter().enumerate() {
+        let busy: Vec<Dur> = (0..4).map(|c| h.sched.core_meter(c).busy).collect();
+        let dma: Vec<u64> = (0..4).map(|c| shard_dma(&h, c)).collect();
+        let frame = wire_udp(h.cfg.ip, 9000, port, 400);
+        let report = h.deliver_from_wire(&frame, Time::from_us(q as u64));
+        assert!(matches!(report.outcome, DeliveryOutcome::FastPath(_)));
+        for c in 0..4 {
+            let charged = h.sched.core_meter(c).busy > busy[c];
+            assert_eq!(charged, c == q, "core {c} after the queue-{q} flow's frame");
+            let cached = shard_dma(&h, c) > dma[c];
+            assert_eq!(
+                cached,
+                c == q,
+                "shard {c} LLC after the queue-{q} flow's frame"
+            );
+        }
+    }
+    let snap = h.metrics_snapshot();
+    for what in ["dma_hits", "dma_misses", "ddio_evictions"] {
+        let per_shard: u64 = (0..4)
+            .map(|c| snap.counter(&format!("llc.shard.{c}.{what}")).unwrap())
+            .sum();
+        assert_eq!(
+            snap.counter(&format!("llc.{what}")),
+            Some(per_shard),
+            "{what}"
+        );
+    }
 }
 
 /// Counters, core meters and the per-shard LLC metrics are live: there
 /// is no barrier to take before reading them, and the per-shard LLC
-/// counters keep accumulating across stop/start cycles.
+/// counters keep accumulating across a shard's restart cycle.
 #[test]
 fn sharded_counters_are_live_and_shard_llc_stats_span_cycles() {
     let cfg = HostConfig {
@@ -297,7 +162,6 @@ fn sharded_counters_are_live_and_shard_llc_stats_span_cycles() {
         )
         .unwrap();
     }
-    h.run_workers(4).unwrap();
     let burst: Vec<Packet> = ports
         .iter()
         .map(|&p| wire_udp(h.cfg.ip, 9000, p, 400))
@@ -318,11 +182,13 @@ fn sharded_counters_are_live_and_shard_llc_stats_span_cycles() {
     }
 
     let first: Vec<_> = (0..4).map(|c| h.shard_llc_stats(c)).collect();
-    h.stop_workers();
-    for (c, banked) in first.iter().enumerate() {
-        assert_eq!(h.shard_llc_stats(c), *banked, "stop must bank shard {c}");
+    for c in 0..4 {
+        h.inject_worker_panic(c, "restart", Time::from_us(5))
+            .unwrap_err();
     }
-    h.run_workers(4).unwrap();
+    for (c, banked) in first.iter().enumerate() {
+        assert_eq!(h.shard_llc_stats(c), *banked, "restart must bank shard {c}");
+    }
     h.pump(&burst, Time::from_us(10));
     for (c, banked) in first.iter().enumerate() {
         assert!(
@@ -330,35 +196,6 @@ fn sharded_counters_are_live_and_shard_llc_stats_span_cycles() {
             "shard {c} must keep counting on top of the earlier cycle"
         );
     }
-}
-
-#[test]
-fn run_workers_validates_its_preconditions() {
-    let mut h = Host::new(HostConfig::default());
-    assert_eq!(
-        h.run_workers(2),
-        Err(WorkerError::QueueMismatch {
-            workers: 2,
-            queues: 1
-        }),
-        "worker count must match the NIC queue count"
-    );
-    assert_eq!(
-        h.run_workers(0),
-        Err(WorkerError::QueueMismatch {
-            workers: 0,
-            queues: 1
-        })
-    );
-    h.run_workers(1).unwrap();
-    assert_eq!(h.run_workers(1), Err(WorkerError::AlreadyRunning));
-
-    let shared = HostConfig {
-        shared_rings: true,
-        ..HostConfig::default()
-    };
-    let mut h2 = Host::new(shared);
-    assert_eq!(h2.run_workers(1), Err(WorkerError::SharedRings));
 }
 
 /// Every burst's ring-enqueue events must carry the generation that was
@@ -394,7 +231,6 @@ fn quiesce_barrier_keeps_generations_uniform_across_faulted_commits() {
                 .unwrap()
             })
             .collect();
-        h.run_workers(4).unwrap();
         h.start_trace();
         h.set_policy_fault_injector(OpFaultInjector::seeded_rate(seed, 0.15));
 
@@ -501,7 +337,6 @@ fn conservation_holds_with_four_workers_under_chaos() {
             .unwrap()
         })
         .collect();
-    h.run_workers(4).unwrap();
     h.start_trace();
     h.set_policy_fault_injector(OpFaultInjector::seeded_rate(0xFEED, 0.10));
 
@@ -662,7 +497,6 @@ fn rss_commit_reshards_ring_ownership_without_stranding_flows() {
             .unwrap()
         })
         .collect();
-    h.run_workers(4).unwrap();
 
     let burst: Vec<Packet> = ports
         .iter()
@@ -780,6 +614,8 @@ fn frame_ids_ride_the_ring_when_tracing_starts_on_resident_frames() {
     assert!(h.audit().is_empty(), "audit: {:?}", h.audit());
 }
 
+/// A shard's worker stops and starts when the supervisor restarts it;
+/// the frames resident in its rings keep their ids across it.
 #[test]
 fn frame_ids_ride_the_ring_across_worker_start_and_stop() {
     let cfg = HostConfig {
@@ -808,8 +644,8 @@ fn frame_ids_ride_the_ring_across_worker_start_and_stop() {
         })
         .collect();
     h.start_trace();
-    // One burst per phase, each frame a different length: resident on the
-    // host when the workers start, resident in the shards when they stop.
+    // One burst per phase, each frame a different length, with every
+    // shard restarted between phases while the frames sit in its rings.
     let mut traced_wire = Vec::new();
     let mut burst = |h: &mut Host, base: usize, at: Time| {
         let frames: Vec<Packet> = ports
@@ -823,12 +659,17 @@ fn frame_ids_ride_the_ring_across_worker_start_and_stop() {
             .iter()
             .all(|r| matches!(r.outcome, DeliveryOutcome::FastPath(_))));
     };
+    let restart_all = |h: &mut Host, at: Time| {
+        for shard in 0..4 {
+            h.inject_worker_panic(shard, "restart", at).unwrap_err();
+        }
+    };
     burst(&mut h, 100, Time::from_us(1));
-    h.run_workers(4).unwrap();
-    burst(&mut h, 200, Time::from_us(2));
+    restart_all(&mut h, Time::from_us(2));
+    burst(&mut h, 200, Time::from_us(3));
     assert!(h.audit().is_empty(), "audit: {:?}", h.audit());
-    h.stop_workers();
-    burst(&mut h, 300, Time::from_us(3));
+    restart_all(&mut h, Time::from_us(4));
+    burst(&mut h, 300, Time::from_us(5));
     for _ in 0..3 {
         for &conn in &conns {
             assert!(h.app_recv(conn, Time::from_us(10), false).len.is_some());
