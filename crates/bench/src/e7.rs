@@ -57,6 +57,12 @@ fn run_features(features: &'static str) -> Row {
     let n = 512;
     let cost = rx_cost(&mut host, Flow::Ring(conn), &frame, n);
     assert_eq!(cost.delivered, n, "every frame takes the fast path");
+    if features.contains("account") {
+        // Byte accounting (slot 0, map 0, keyed by the uid's low byte)
+        // saw every frame.
+        let bytes = host.nic.read_accounting_map(0, 0, 1001 & 0xFF);
+        assert_eq!(bytes, Some(n * frame.len() as u64), "accounted bytes");
+    }
     let t = Time::from_us(n);
 
     // Line-rate feasibility for 64 B frames (6.72 ns on the wire): the

@@ -37,12 +37,8 @@
 //! the audits — which now cross shard boundaries — must stay just as
 //! clean, and the segment must replay byte-identically.
 
-use std::net::Ipv4Addr;
-
 use norman::host::DeliveryOutcome;
-use norman::{
-    CtrlError, DegradationPolicy, Host, HostConfig, NatRule, PortReservation, ShapingPolicy,
-};
+use norman::{CtrlError, DegradationPolicy, Host, HostConfig, PortReservation, ShapingPolicy};
 use oskernel::Uid;
 use pkt::{IpProto, Mac, Packet, PacketBuilder};
 use serde::Serialize;
@@ -102,18 +98,12 @@ fn run_chaos(scenario: &str, schedule: FaultSchedule, outage: Option<Outage>) ->
     let pid = host.spawn(Uid(1001), "bob", "server");
     let conn = connect_udp(&mut host, pid, 7000, 9000).unwrap();
     // Baseline policy before traffic: a reservation on the traffic port
-    // (owned by bob, so goodput is unaffected), a fixed shaping policy,
-    // and a static NAT forward — all of which must survive rollbacks
-    // and the mid-run bitstream reprogram intact.
+    // (owned by bob, so goodput is unaffected) and a fixed shaping
+    // policy — both of which must survive rollbacks and the mid-run
+    // bitstream reprogram intact.
     host.update_policy(Time::ZERO, |p| {
         p.reservations.push(PortReservation::new(7000, Uid(1001)));
         p.shaping = Some(ShapingPolicy::new(vec![(Uid(1001), 4.0)]));
-        p.nat_external_ip = Some(Ipv4Addr::new(198, 51, 100, 1));
-        p.nat_rules.push(NatRule {
-            proto: IpProto::UDP,
-            ext_port: 8080,
-            internal: (Ipv4Addr::new(192, 168, 0, 2), 80),
-        });
     })
     .unwrap();
     // From here on, individual commit operations fail with a seeded

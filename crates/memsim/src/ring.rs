@@ -284,13 +284,6 @@ impl<T> DescRing<T> {
         self.consume(llc, costs, AccessKind::DmaRead)
     }
 
-    /// Consumes the oldest payload via CPU loads, discarding the
-    /// descriptor (drain paths), returning `(len, cost)`.
-    pub fn consume_cpu(&mut self, llc: &mut Llc, costs: &MemCosts) -> Option<(usize, Dur)> {
-        self.consume(llc, costs, AccessKind::CpuRead)
-            .map(|(_, len, cost)| (len, cost))
-    }
-
     /// Consumes the oldest payload via DMA reads, discarding the
     /// descriptor.
     pub fn consume_dma(&mut self, llc: &mut Llc, costs: &MemCosts) -> Option<(usize, Dur)> {
@@ -326,40 +319,6 @@ impl<T> DescRing<T> {
     }
 }
 
-impl<T: Default> DescRing<T> {
-    /// Produces a payload of `len` bytes with a default descriptor (the
-    /// charge-model-only [`HostRing`] form).
-    pub fn produce_dma(
-        &mut self,
-        len: usize,
-        llc: &mut Llc,
-        costs: &MemCosts,
-    ) -> Result<Dur, RingError> {
-        self.produce_dma_with(T::default(), len, llc, costs)
-    }
-
-    /// [`DescRing::produce_dma_bypass_with`] with a default descriptor.
-    #[cfg(test)]
-    pub(crate) fn produce_dma_bypass(
-        &mut self,
-        len: usize,
-        llc: &mut Llc,
-        costs: &MemCosts,
-    ) -> Result<Dur, RingError> {
-        self.produce_dma_bypass_with(T::default(), len, llc, costs)
-    }
-
-    /// [`DescRing::produce_cpu_with`] with a default descriptor.
-    pub fn produce_cpu(
-        &mut self,
-        len: usize,
-        llc: &mut Llc,
-        costs: &MemCosts,
-    ) -> Result<Dur, RingError> {
-        self.produce_cpu_with(T::default(), len, llc, costs)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -374,12 +333,12 @@ mod tests {
         let mut ring = HostRing::new(0, 4, 2048);
         let mut c = llc();
         let costs = MemCosts::default();
-        ring.produce_dma(100, &mut c, &costs).unwrap();
-        ring.produce_dma(200, &mut c, &costs).unwrap();
+        ring.produce_dma_with((), 100, &mut c, &costs).unwrap();
+        ring.produce_dma_with((), 200, &mut c, &costs).unwrap();
         assert_eq!(ring.len(), 2);
-        let (len, _) = ring.consume_cpu(&mut c, &costs).unwrap();
+        let ((), len, _) = ring.consume_cpu_desc(&mut c, &costs).unwrap();
         assert_eq!(len, 100);
-        let (len, _) = ring.consume_cpu(&mut c, &costs).unwrap();
+        let ((), len, _) = ring.consume_cpu_desc(&mut c, &costs).unwrap();
         assert_eq!(len, 200);
         assert!(ring.is_empty());
     }
@@ -389,13 +348,16 @@ mod tests {
         let mut ring = HostRing::new(0, 2, 64);
         let mut c = llc();
         let costs = MemCosts::default();
-        ring.produce_dma(1, &mut c, &costs).unwrap();
-        ring.produce_dma(1, &mut c, &costs).unwrap();
-        assert_eq!(ring.produce_dma(1, &mut c, &costs), Err(RingError::Full));
+        ring.produce_dma_with((), 1, &mut c, &costs).unwrap();
+        ring.produce_dma_with((), 1, &mut c, &costs).unwrap();
+        assert_eq!(
+            ring.produce_dma_with((), 1, &mut c, &costs),
+            Err(RingError::Full)
+        );
         assert_eq!(ring.counters().2, 1);
         // Draining frees a slot.
-        ring.consume_cpu(&mut c, &costs);
-        assert!(ring.produce_dma(1, &mut c, &costs).is_ok());
+        ring.consume_cpu_desc(&mut c, &costs);
+        assert!(ring.produce_dma_with((), 1, &mut c, &costs).is_ok());
     }
 
     #[test]
@@ -404,7 +366,7 @@ mod tests {
         let mut c = llc();
         let costs = MemCosts::default();
         assert_eq!(
-            ring.produce_dma(65, &mut c, &costs),
+            ring.produce_dma_with((), 65, &mut c, &costs),
             Err(RingError::Oversize { len: 65, slot: 64 })
         );
     }
@@ -432,21 +394,22 @@ mod tests {
         let mut c = llc();
         let mut ring = HostRing::new(1 << 12, 2, 2048);
         for _ in 0..2 {
-            ring.produce_cpu(1500, &mut c, &costs).unwrap();
+            ring.produce_cpu_with((), 1500, &mut c, &costs).unwrap();
             ring.consume_dma(&mut c, &costs).unwrap();
         }
         let warm = c.set_scans();
         let lens = [64, 256, 1024, 1500].into_iter().cycle().take(1000);
         for len in lens.clone() {
-            ring.produce_cpu(len, &mut c, &costs).unwrap();
+            ring.produce_cpu_with((), len, &mut c, &costs).unwrap();
             ring.consume_dma(&mut c, &costs).unwrap();
         }
         assert_eq!(c.set_scans(), warm, "a CPU producer rescanned a set");
         // A bypassing DMA write allocates nothing, but the lines are
         // resident and proven, so it has nothing to look up either.
         for len in lens {
-            ring.produce_dma_bypass(len, &mut c, &costs).unwrap();
-            ring.consume_cpu(&mut c, &costs).unwrap();
+            ring.produce_dma_bypass_with((), len, &mut c, &costs)
+                .unwrap();
+            ring.consume_cpu_desc(&mut c, &costs).unwrap();
         }
         assert_eq!(c.set_scans(), warm, "a bypassing producer rescanned a set");
     }
@@ -455,7 +418,9 @@ mod tests {
     fn consume_empty_is_none() {
         let mut ring = HostRing::new(0, 2, 64);
         let mut c = llc();
-        assert!(ring.consume_cpu(&mut c, &MemCosts::default()).is_none());
+        assert!(ring
+            .consume_cpu_desc(&mut c, &MemCosts::default())
+            .is_none());
     }
 
     #[test]
@@ -464,14 +429,14 @@ mod tests {
         let mut c = llc();
         let mut ring = HostRing::new(0, 64, 2048);
         // Warm up: first pass faults every line in.
-        let cold = ring.produce_dma(1500, &mut c, &costs).unwrap();
-        ring.consume_cpu(&mut c, &costs);
+        let cold = ring.produce_dma_with((), 1500, &mut c, &costs).unwrap();
+        ring.consume_cpu_desc(&mut c, &costs);
         // Wrap fully around so the same slot is reused while hot.
         for _ in 0..64 {
-            ring.produce_dma(1500, &mut c, &costs).unwrap();
-            ring.consume_cpu(&mut c, &costs);
+            ring.produce_dma_with((), 1500, &mut c, &costs).unwrap();
+            ring.consume_cpu_desc(&mut c, &costs);
         }
-        let hot = ring.produce_dma(1500, &mut c, &costs).unwrap();
+        let hot = ring.produce_dma_with((), 1500, &mut c, &costs).unwrap();
         assert!(hot < cold, "hot {hot} vs cold {cold}");
     }
 
@@ -480,9 +445,9 @@ mod tests {
         let costs = MemCosts::default();
         let mut c = llc();
         let mut ring = HostRing::new(0, 16, 2048);
-        ring.produce_dma(2048, &mut c, &costs).unwrap();
+        ring.produce_dma_with((), 2048, &mut c, &costs).unwrap();
         c.reset_stats();
-        ring.consume_cpu(&mut c, &costs);
+        ring.consume_cpu_desc(&mut c, &costs);
         let s = c.stats();
         assert_eq!(
             s.cpu_misses, 0,
@@ -509,10 +474,10 @@ mod tests {
                     c.reset_stats();
                 }
                 for ring in &mut rings {
-                    ring.produce_dma(1500, &mut c, &costs).unwrap();
+                    ring.produce_dma_with((), 1500, &mut c, &costs).unwrap();
                 }
                 for ring in &mut rings {
-                    ring.consume_cpu(&mut c, &costs);
+                    ring.consume_cpu_desc(&mut c, &costs);
                 }
             }
             c.stats().cpu_hit_rate()
@@ -541,12 +506,12 @@ mod tests {
         let mut hot = HostRing::new(0, 2, 2048);
         // Warm the hot ring, then record its steady-state cost.
         for _ in 0..4 {
-            hot.produce_dma(1500, &mut c, &costs).unwrap();
-            hot.consume_cpu(&mut c, &costs).unwrap();
+            hot.produce_dma_with((), 1500, &mut c, &costs).unwrap();
+            hot.consume_cpu_desc(&mut c, &costs).unwrap();
         }
         let before = {
-            hot.produce_dma(1500, &mut c, &costs).unwrap();
-            let (_, consume) = hot.consume_cpu(&mut c, &costs).unwrap();
+            hot.produce_dma_with((), 1500, &mut c, &costs).unwrap();
+            let ((), _, consume) = hot.consume_cpu_desc(&mut c, &costs).unwrap();
             consume
         };
         // A storm of cold-flow traffic through bypassing rings: it cannot
@@ -555,22 +520,23 @@ mod tests {
             .map(|i| HostRing::new(i * (8 << 10), 2, 2048))
             .collect();
         for ring in &mut cold_rings {
-            ring.produce_dma_bypass(1500, &mut c, &costs).unwrap();
+            ring.produce_dma_bypass_with((), 1500, &mut c, &costs)
+                .unwrap();
         }
         let after = {
-            hot.produce_dma(1500, &mut c, &costs).unwrap();
-            let (_, consume) = hot.consume_cpu(&mut c, &costs).unwrap();
+            hot.produce_dma_with((), 1500, &mut c, &costs).unwrap();
+            let ((), _, consume) = hot.consume_cpu_desc(&mut c, &costs).unwrap();
             consume
         };
         assert_eq!(after, before, "bypass storm displaced hot-ring lines");
         // Whereas the same storm through allocating DMA does displace it.
         for ring in &mut cold_rings {
-            ring.consume_cpu(&mut c, &costs).unwrap();
-            ring.produce_dma(1500, &mut c, &costs).unwrap();
+            ring.consume_cpu_desc(&mut c, &costs).unwrap();
+            ring.produce_dma_with((), 1500, &mut c, &costs).unwrap();
         }
         let thrashed = {
-            hot.produce_dma(1500, &mut c, &costs).unwrap();
-            let (_, consume) = hot.consume_cpu(&mut c, &costs).unwrap();
+            hot.produce_dma_with((), 1500, &mut c, &costs).unwrap();
+            let ((), _, consume) = hot.consume_cpu_desc(&mut c, &costs).unwrap();
             consume
         };
         assert!(thrashed > after, "allocating storm should thrash");
@@ -626,13 +592,13 @@ mod tests {
         let mut carrying: DescRing<Vec<u8>> = DescRing::new(4096, 8, 2048);
         for i in 0..32usize {
             let len = 64 + (i * 97) % 1400;
-            let a = plain.produce_dma(len, &mut c1, &costs).unwrap();
+            let a = plain.produce_dma_with((), len, &mut c1, &costs).unwrap();
             let b = carrying
                 .produce_dma_with(vec![0u8; len], len, &mut c2, &costs)
                 .unwrap();
             assert_eq!(a, b, "produce cost diverged at {i}");
             if i % 3 == 0 || plain.is_full() {
-                let (la, ca) = plain.consume_cpu(&mut c1, &costs).unwrap();
+                let ((), la, ca) = plain.consume_cpu_desc(&mut c1, &costs).unwrap();
                 let (_, lb, cb) = carrying.consume_cpu_desc(&mut c2, &costs).unwrap();
                 assert_eq!((la, ca), (lb, cb), "consume cost diverged at {i}");
             }

@@ -1338,9 +1338,7 @@ impl SmartNic {
                 .sniffer
                 .tap_unparsed(now, Direction::Rx, packet, e, None),
         }
-        let fid = self
-            .tel
-            .adopt_frame_id(meta.ok().map(|m| m.frame_id).unwrap_or(0));
+        let fid = self.tel.alloc_frame_id();
         let meta_out = meta.ok().copied().map(|mut m| {
             m.frame_id = fid;
             m
@@ -1458,9 +1456,9 @@ impl SmartNic {
         hit: Option<LookupHit>,
         now: Time,
     ) -> RxResult {
-        // Tag the frame for lifecycle tracing: adopt an id assigned by an
-        // upstream stage (e.g. a NAT box sharing the hub) or allocate one.
-        meta.frame_id = self.tel.adopt_frame_id(meta.frame_id);
+        // Tag the frame for lifecycle tracing: NIC ingress is where a
+        // frame's lifecycle starts.
+        meta.frame_id = self.tel.alloc_frame_id();
         // RSS steering: the indirection table maps the Toeplitz hash to
         // the RX queue this frame is delivered on.
         meta.queue = self.rss.queue_for(meta.flow_hash);
@@ -1717,9 +1715,7 @@ impl SmartNic {
     ) -> Result<TxDisposition, NicError> {
         self.stats.tx_frames += 1;
         let meta = FrameMeta::of(packet);
-        let fid = self
-            .tel
-            .adopt_frame_id(meta.as_ref().ok().map(|m| m.frame_id).unwrap_or(0));
+        let fid = self.tel.alloc_frame_id();
         let len = packet.len() as u32;
         if self.tick_crash(now) {
             self.stats.dropped_dead += 1;
@@ -2365,11 +2361,9 @@ mod tests {
         nic.tx_enqueue(id, &pkt, Time::ZERO).unwrap();
         let q = usize::from(nic.rss().queue_for(hash));
         // The frame sits on exactly the queue its hash steers to.
-        for other in 0..4 {
-            let expect = usize::from(other == q);
-            assert_eq!(nic.scheduler.queue_len(other), expect, "queue {other}");
-        }
-        assert!(nic.tx_poll(Time::ZERO).is_some());
+        let (queue, _) = nic.scheduler.dequeue_rr(Time::ZERO).unwrap();
+        assert_eq!(queue, q);
+        assert!(nic.scheduler.is_empty());
     }
 
     #[test]

@@ -20,8 +20,6 @@
 //!   coalescing, the mechanism behind blocking I/O (§4.3).
 //! * [`sniff`] — the dataplane capture tap that `ksniff` (tcpdump
 //!   equivalent) reads: global visibility with process attribution.
-//! * `nat` — source-NAT with RFC 1624 incremental rewriting (§5 lists
-//!   NAT among the kernel functions KOPI must offload).
 //! * [`rss`] — the receive-side-scaling indirection table steering each
 //!   frame's Toeplitz hash to one of N RX/TX queue pairs, programmable
 //!   only through the kernel control plane.
@@ -33,7 +31,6 @@
 
 pub mod device;
 pub mod flowtable;
-pub(crate) mod nat;
 pub(crate) mod notify;
 pub mod pipeline;
 pub(crate) mod regs;
@@ -43,7 +40,6 @@ pub(crate) mod sram;
 
 pub use device::{NicError, SmartNic, POLICY_GENERATION_REG};
 pub use flowtable::{ConnId, FlowCacheConfig, FlowStats, FlowTable, FlowTier};
-pub use nat::NatTable;
 pub use notify::{Notification, NotifyKind};
 pub use pipeline::{NicConfig, RxDisposition, RxResult, TxDisposition};
 pub use rss::{RssTable, MAX_QUEUES, RSS_TABLE_SIZE};

@@ -22,19 +22,16 @@ pub enum SramCategory {
     Maps,
     /// Packet buffering between pipeline stages.
     Buffers,
-    /// NAT translation entries.
-    Nat,
 }
 
 impl SramCategory {
     /// All categories, for reporting.
-    pub(crate) const ALL: [SramCategory; 6] = [
+    pub(crate) const ALL: [SramCategory; 5] = [
         SramCategory::FlowTable,
         SramCategory::RingContext,
         SramCategory::Program,
         SramCategory::Maps,
         SramCategory::Buffers,
-        SramCategory::Nat,
     ];
 }
 
@@ -46,7 +43,6 @@ impl fmt::Display for SramCategory {
             SramCategory::Program => "program",
             SramCategory::Maps => "maps",
             SramCategory::Buffers => "buffers",
-            SramCategory::Nat => "nat",
         };
         f.write_str(s)
     }
@@ -80,7 +76,7 @@ impl std::error::Error for SramError {}
 pub struct Sram {
     capacity: u64,
     used: u64,
-    by_category: [u64; 6],
+    by_category: [u64; 5],
     failures: u64,
 }
 
@@ -91,7 +87,6 @@ fn cat_index(c: SramCategory) -> usize {
         SramCategory::Program => 2,
         SramCategory::Maps => 3,
         SramCategory::Buffers => 4,
-        SramCategory::Nat => 5,
     }
 }
 
@@ -101,7 +96,7 @@ impl Sram {
         Sram {
             capacity,
             used: 0,
-            by_category: [0; 6],
+            by_category: [0; 5],
             failures: 0,
         }
     }
@@ -217,7 +212,7 @@ mod tests {
         let mut s = Sram::new(1000);
         s.alloc(SramCategory::Program, 64).unwrap();
         let report = s.report();
-        assert_eq!(report.len(), 6);
+        assert_eq!(report.len(), 5);
         assert!(report.contains(&(SramCategory::Program, 64)));
         assert!(report.contains(&(SramCategory::Maps, 0)));
     }

@@ -4,11 +4,11 @@
 //! The paper's architecture (§4.4) has exactly one configurer of the
 //! on-path SmartNIC — the kernel. This module enforces that shape in the
 //! simulator: every policy the administrator can express (port
-//! reservations, per-user shaping, capture filters, NAT forwards, raw
-//! accounting programs) lives in one kernel-resident [`PolicyStore`],
-//! compiles into one [`PolicyBundle`] (overlay programs + map fills +
-//! scheduler weights + NAT entries + register writes), and reaches the
-//! NIC only through an epoch-versioned two-phase commit:
+//! reservations, per-user shaping, capture filters, raw accounting
+//! programs) lives in one kernel-resident [`PolicyStore`], compiles into
+//! one [`PolicyBundle`] (overlay programs, map fills, scheduler weights,
+//! register writes), and reaches the NIC only through an epoch-versioned
+//! two-phase commit:
 //!
 //! * **Phase 1 — verify & stage.** The bundle is compiled and every
 //!   overlay program is run through the verifier; scheduler weights are
@@ -38,18 +38,18 @@
 //!   new hardware.
 //! * **The third audit ledger.** [`ControlPlane::audit`] cross-checks
 //!   NIC-resident state (program fingerprints, filter map entries,
-//!   scheduler classes, sniffer, NAT statics, the generation register)
+//!   scheduler classes, sniffer, the generation register)
 //!   against the kernel's policy store, giving `Host::audit` a third,
 //!   structurally independent account of the dataplane.
 
-use std::net::Ipv4Addr;
+use std::collections::HashMap;
+use std::convert::Infallible;
 use std::rc::Rc;
 
 use nicsim::device::ProgramSlot;
 use nicsim::rss::{RssTable, MAX_QUEUES, RSS_TABLE_SIZE};
-use nicsim::{FlowCacheConfig, NatTable, SmartNic, POLICY_GENERATION_REG};
+use nicsim::{FlowCacheConfig, SmartNic, POLICY_GENERATION_REG};
 use overlay::{builtins, CompiledProgram, Program};
-use pkt::IpProto;
 use qdisc::compile;
 use sim::fault::OpFaultInjector;
 use sim::Time;
@@ -108,19 +108,6 @@ pub struct DegradationPolicy {
     pub low_prio_ports: Vec<u16>,
 }
 
-/// A static NAT forward: inbound `(proto, ext_port)` is rewritten to
-/// `internal`, and outbound traffic from `internal` masquerades with the
-/// same external port.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct NatRule {
-    /// Transport protocol.
-    pub proto: IpProto,
-    /// External (public) port.
-    pub ext_port: u16,
-    /// Internal endpoint the rule forwards to.
-    pub internal: (Ipv4Addr, u16),
-}
-
 /// The kernel's complete, authoritative policy state. Mutated only
 /// inside [`ControlPlane::update`]-style transactions; the store never
 /// diverges from the installed bundle except while a reconcile is
@@ -136,10 +123,6 @@ pub struct PolicyStore {
     pub sniffer: Option<SnifferFilter>,
     /// Raw passive accounting programs (verdicts ignored).
     pub accounting: Vec<Program>,
-    /// NAT masquerade address, when NAT policy is in force.
-    pub nat_external_ip: Option<Ipv4Addr>,
-    /// Static NAT forwards (require `nat_external_ip`).
-    pub nat_rules: Vec<NatRule>,
     /// RSS steering (queue count + indirection). `None` leaves the NIC's
     /// boot-time configuration untouched, so unrelated commits never
     /// perturb queue steering.
@@ -170,8 +153,6 @@ pub(crate) struct PolicyBundle {
     accounting: Vec<(Program, Rc<CompiledProgram>)>,
     /// Capture-tap filter.
     sniffer: Option<SnifferFilter>,
-    /// NAT masquerade address + static forwards.
-    nat: Option<(Ipv4Addr, Vec<NatRule>)>,
     /// RSS steering, fully resolved: `(num_queues, explicit indirection
     /// table)`. `None` = the store has no RSS policy; the NIC keeps its
     /// boot configuration.
@@ -186,7 +167,7 @@ pub(crate) struct PolicyBundle {
 
 impl PolicyBundle {
     /// The boot-time bundle: pass-through overlay, single-class
-    /// scheduler, no taps, no NAT.
+    /// scheduler, no taps.
     pub(crate) fn empty() -> PolicyBundle {
         PolicyBundle {
             programs: Vec::new(),
@@ -194,7 +175,6 @@ impl PolicyBundle {
             sched_weights: vec![1.0],
             accounting: Vec::new(),
             sniffer: None,
-            nat: None,
             rss: None,
             degradation: None,
             flow_cache: None,
@@ -208,6 +188,19 @@ impl PolicyBundle {
         let mut programs = Vec::new();
         let mut map_fills = Vec::new();
 
+        // One owner per port: the filter map holds one uid per port, so
+        // two owners would leave the NIC enforcing the last one written
+        // while the kernel admits by the first.
+        let mut owners = HashMap::new();
+        for r in &store.reservations {
+            let owner = (r.uid, &r.comm);
+            if *owners.entry(r.port).or_insert(owner) != owner {
+                return Err(CtrlError::Compile(format!(
+                    "port {} reserved for two owners",
+                    r.port
+                )));
+            }
+        }
         if !store.reservations.is_empty() {
             for slot in [ProgramSlot::IngressFilter, ProgramSlot::EgressFilter] {
                 programs.push((slot, builtins::port_owner_filter()));
@@ -234,27 +227,6 @@ impl PolicyBundle {
                 setup.class_weights
             }
             None => vec![1.0],
-        };
-
-        let nat = match (store.nat_external_ip, store.nat_rules.is_empty()) {
-            (Some(ip), _) => {
-                let mut seen = std::collections::HashSet::new();
-                for r in &store.nat_rules {
-                    if !seen.insert((r.proto, r.ext_port)) {
-                        return Err(CtrlError::Compile(format!(
-                            "duplicate NAT rule for {} port {}",
-                            r.proto, r.ext_port
-                        )));
-                    }
-                }
-                Some((ip, store.nat_rules.clone()))
-            }
-            (None, false) => {
-                return Err(CtrlError::Compile(
-                    "NAT rules require an external ip".to_string(),
-                ));
-            }
-            (None, true) => None,
         };
 
         let rss = match &store.rss {
@@ -356,7 +328,6 @@ impl PolicyBundle {
             sched_weights,
             accounting,
             sniffer: store.sniffer,
-            nat,
             rss,
             degradation: store.degradation.clone(),
             flow_cache,
@@ -371,26 +342,10 @@ impl PolicyBundle {
     }
 }
 
-/// A bundle that passed phase 1 and is waiting for phase 2. Plain
-/// kernel memory: NIC-side faults (e.g. an app writing control
-/// registers) cannot touch it.
-#[derive(Clone, Debug)]
-pub struct StagedCommit {
-    store: PolicyStore,
-    bundle: PolicyBundle,
-}
-
-impl StagedCommit {
-    /// The store this staged commit will install.
-    pub fn store(&self) -> &PolicyStore {
-        &self.store
-    }
-}
-
 /// Control-plane failures.
 #[derive(Debug)]
 pub enum CtrlError {
-    /// Phase 1 refused the policy (verifier, weights, NAT conflicts).
+    /// Phase 1 refused the policy (verifier, weights, port conflicts).
     Compile(String),
     /// Phase 1 verified a program but could not ahead-of-time compile
     /// it to a native artifact. The commit aborts before phase 2: the
@@ -634,10 +589,10 @@ impl ControlPlane {
     /// NIC, and the generation are untouched; the only mutation is the
     /// `ctrl.compile_rejected` counter when the AOT compiler refuses a
     /// verified program.
-    pub(crate) fn stage(
+    fn stage(
         &mut self,
         mutate: impl FnOnce(&mut PolicyStore),
-    ) -> Result<StagedCommit, CtrlError> {
+    ) -> Result<(PolicyStore, PolicyBundle), CtrlError> {
         let mut store = self.store.clone();
         mutate(&mut store);
         let bundle = PolicyBundle::compile(&store).inspect_err(|e| {
@@ -645,18 +600,18 @@ impl ControlPlane {
                 self.stats.compile_rejected += 1;
             }
         })?;
-        Ok(StagedCommit { store, bundle })
+        Ok((store, bundle))
     }
 
     /// Phase 2: atomically swaps the staged bundle in under a new
     /// generation. On a mid-commit failure the prior bundle is fully
     /// reinstalled (rollback), the generation does not advance, and the
     /// store keeps its previous contents.
-    pub(crate) fn commit_staged(
+    fn commit_staged(
         &mut self,
         nic: &mut SmartNic,
-        nat: &mut Option<NatTable>,
-        staged: StagedCommit,
+        store: PolicyStore,
+        bundle: PolicyBundle,
         now: Time,
     ) -> Result<u64, CtrlError> {
         if nic.is_dead() {
@@ -674,12 +629,12 @@ impl ControlPlane {
             });
         }
         let prior = self.installed.clone();
-        match self.apply(nic, nat, &staged.bundle, now, true) {
+        match self.apply(nic, &bundle, now, true) {
             Ok(()) => {
                 self.generation += 1;
-                self.finish_apply(nic, &staged.bundle);
-                self.store = staged.store;
-                self.installed = staged.bundle;
+                self.finish_apply(nic);
+                self.store = store;
+                self.installed = bundle;
                 self.stats.commits += 1;
                 self.record(
                     now,
@@ -699,7 +654,7 @@ impl ControlPlane {
                 // `applied_weights` tracks the *actual* scheduler state,
                 // so the rollback reconfigures the scheduler only if the
                 // failed apply got far enough to change it.
-                if let Err(rb_step) = self.apply(nic, nat, &prior, now, false) {
+                if let Err(rb_step) = self.apply(nic, &prior, now, false) {
                     if nic.is_dead() {
                         // The device died mid-commit and cannot even take
                         // the rollback. That is not "NIC state undefined":
@@ -719,7 +674,7 @@ impl ControlPlane {
                     }
                     return Err(CtrlError::RollbackFailed { step: rb_step });
                 }
-                self.finish_apply(nic, &prior);
+                self.finish_apply(nic);
                 self.stats.rollbacks += 1;
                 if step.contains("(watchdog") {
                     self.stats.watchdog_aborts += 1;
@@ -737,15 +692,18 @@ impl ControlPlane {
 
     /// The transaction most callers want: stage + commit in one call.
     /// On any failure the store is left exactly as before.
+    ///
+    /// `_unused` is always `None` (`Infallible` has no value); it stays
+    /// only because normanbench's bare-NIC replay passes `&mut None`.
     pub fn update(
         &mut self,
         nic: &mut SmartNic,
-        nat: &mut Option<NatTable>,
+        _unused: &mut Option<Infallible>,
         now: Time,
         mutate: impl FnOnce(&mut PolicyStore),
     ) -> Result<u64, CtrlError> {
-        let staged = self.stage(mutate)?;
-        self.commit_staged(nic, nat, staged, now)
+        let (store, bundle) = self.stage(mutate)?;
+        self.commit_staged(nic, store, bundle, now)
     }
 
     /// Whether NIC-resident state diverges from the kernel store and
@@ -764,12 +722,7 @@ impl ControlPlane {
     /// while the device is dead (the kernel must reset it first) or
     /// still frozen, or when nothing was wiped. Returns whether a
     /// reconcile ran.
-    pub(crate) fn reconcile(
-        &mut self,
-        nic: &mut SmartNic,
-        nat: &mut Option<NatTable>,
-        now: Time,
-    ) -> Result<bool, CtrlError> {
+    pub(crate) fn reconcile(&mut self, nic: &mut SmartNic, now: Time) -> Result<bool, CtrlError> {
         if nic.is_dead() || !self.needs_reconcile(nic) || nic.is_frozen(now) {
             return Ok(false);
         }
@@ -786,10 +739,10 @@ impl ControlPlane {
         }
         let bundle = self.installed.clone();
         // Apply with faults off: reconcile is the recovery path.
-        if let Err(step) = self.apply(nic, nat, &bundle, now, false) {
+        if let Err(step) = self.apply(nic, &bundle, now, false) {
             return Err(CtrlError::RollbackFailed { step });
         }
-        self.finish_apply(nic, &bundle);
+        self.finish_apply(nic);
         self.reprograms_seen = nic.stats().bitstream_reprograms;
         self.resets_seen = resets;
         self.stats.reconciles += 1;
@@ -815,7 +768,6 @@ impl ControlPlane {
     fn apply(
         &mut self,
         nic: &mut SmartNic,
-        nat: &mut Option<NatTable>,
         bundle: &PolicyBundle,
         now: Time,
         use_faults: bool,
@@ -988,38 +940,12 @@ impl ControlPlane {
             None => nic.disable_sniffer(),
         }
 
-        match &bundle.nat {
-            Some((ip, rules)) => {
-                if nat.is_none() {
-                    op(&mut self.stats, &mut self.faults, &mut budget, "nat_create")?;
-                    let mut table = NatTable::new(*ip);
-                    table.set_telemetry(self.tel.clone());
-                    *nat = Some(table);
-                }
-                let table = nat.as_mut().expect("just ensured");
-                if table.external_ip() != *ip {
-                    return Err("nat_rebind: external ip changed under live table".to_string());
-                }
-                table.clear_statics(&mut nic.sram);
-                for r in rules {
-                    op(&mut self.stats, &mut self.faults, &mut budget, "nat_static")?;
-                    table
-                        .install_static(r.proto, r.ext_port, r.internal, &mut nic.sram)
-                        .map_err(|e| format!("nat_static: {e}"))?;
-                }
-            }
-            None => {
-                if let Some(table) = nat.as_mut() {
-                    table.clear_statics(&mut nic.sram);
-                }
-            }
-        }
         Ok(())
     }
 
     /// Post-apply bookkeeping shared by commit, rollback, and
     /// reconcile: write the generation register and restamp telemetry.
-    fn finish_apply(&mut self, nic: &mut SmartNic, _bundle: &PolicyBundle) {
+    fn finish_apply(&mut self, nic: &mut SmartNic) {
         let _ = nic.regs.write(POLICY_GENERATION_REG, self.generation, None);
         self.tel.set_generation(self.generation);
     }
@@ -1044,7 +970,7 @@ impl ControlPlane {
     /// control plane has not yet run), NIC-resident checks are skipped —
     /// the divergence is real, known, and about to be repaired; only
     /// the generation stamps are still required to agree.
-    pub(crate) fn audit(&self, nic: &SmartNic, nat: Option<&NatTable>) -> Vec<String> {
+    pub(crate) fn audit(&self, nic: &SmartNic) -> Vec<String> {
         let mut violations = Vec::new();
 
         match nic.regs.peek(POLICY_GENERATION_REG) {
@@ -1155,42 +1081,6 @@ impl ControlPlane {
                 acct.len(),
                 want_acct.len()
             ));
-        }
-
-        match (&bundle.nat, nat) {
-            (Some((ip, rules)), Some(table)) => {
-                if table.external_ip() != *ip {
-                    violations.push(format!(
-                        "NAT external ip {} != store {ip}",
-                        table.external_ip()
-                    ));
-                }
-                if table.num_statics() != rules.len() {
-                    violations.push(format!(
-                        "NAT statics resident {} != store {}",
-                        table.num_statics(),
-                        rules.len()
-                    ));
-                }
-                for r in rules {
-                    if table.static_target(r.proto, r.ext_port) != Some(r.internal) {
-                        violations.push(format!(
-                            "NAT static {} port {} does not forward to {:?}",
-                            r.proto, r.ext_port, r.internal
-                        ));
-                    }
-                }
-            }
-            (Some(_), None) => violations.push("store has NAT policy but no table".to_string()),
-            (None, Some(table)) => {
-                if table.num_statics() != 0 {
-                    violations.push(format!(
-                        "{} NAT statics resident with no NAT policy in store",
-                        table.num_statics()
-                    ));
-                }
-            }
-            (None, None) => {}
         }
 
         violations

@@ -16,8 +16,8 @@ use std::net::Ipv4Addr;
 use memsim::{DescRing, Llc, LlcConfig, LlcPartitionPlan, LlcStats, MemCosts, MmioBus};
 use nicsim::pipeline::{DropReason, TxDeparture};
 use nicsim::{
-    ConnId, NatTable, NicConfig, NicError, Notification, NotifyKind, RssTable, RxDisposition,
-    SmartNic, TxDisposition,
+    ConnId, NicConfig, NicError, Notification, NotifyKind, RssTable, RxDisposition, SmartNic,
+    TxDisposition,
 };
 use oskernel::{ArpCache, CgroupId, Cred, NetStack, Pid, ProcessTable, RxOutcome, Scheduler, Uid};
 use pkt::{BufArena, FiveTuple, IpProto, Mac, Packet};
@@ -28,8 +28,7 @@ use telemetry::{
     SinkStats, Snapshot, Stage, StageRec, Telemetry, TraceVerdict,
 };
 
-use crate::ctrl::{ControlPlane, CtrlError, PolicyStore, StagedCommit};
-use crate::policy::PortReservation;
+use crate::ctrl::{ControlPlane, CtrlError, PolicyStore};
 use crate::workers::{Shard, WorkerError};
 
 /// How many ring operations share one MMIO doorbell write (batched
@@ -350,9 +349,6 @@ pub struct Host {
     arena: BufArena,
     /// The unified control plane: the only writer of dataplane policy.
     ctrl: ControlPlane,
-    /// The kernel-owned NAT table, created and populated solely by
-    /// `ctrl` when NAT policy is in force.
-    nat: Option<NatTable>,
     next_ring_index: u64,
     ring_ops_since_doorbell: u64,
     /// Kernel CPU consumed by the slow path and control plane.
@@ -371,9 +367,9 @@ pub struct Host {
     /// [`DegradationPolicy`](crate::ctrl::DegradationPolicy).
     degrade: DegradeState,
     /// `nic.stats().resets` value up to which kernel flow state
-    /// (connections, listeners, NAT SRAM charges) has been restored —
-    /// lets [`Host::maybe_reconcile`] rebuild the flow table exactly
-    /// once per NIC reset, before the control plane reinstalls policy.
+    /// (connections and listeners) has been restored — lets
+    /// [`Host::maybe_reconcile`] rebuild the flow table exactly once per
+    /// NIC reset, before the control plane reinstalls policy.
     resets_restored: u64,
 }
 
@@ -443,7 +439,6 @@ impl Host {
             tx_retry: VecDeque::new(),
             arena: BufArena::new(cfg.arena_slots, cfg.ring_slot_bytes),
             ctrl: ControlPlane::new(tel.clone()),
-            nat: None,
             next_ring_index: 0,
             ring_ops_since_doorbell: 0,
             kernel_cpu: Dur::ZERO,
@@ -548,12 +543,6 @@ impl Host {
         &mut self.shards[0].llc
     }
 
-    /// Cumulative LLC traffic through shard `i`'s cache, live and across
-    /// its restarts (default for a shard the host does not have).
-    pub fn shard_llc_stats(&self, i: usize) -> LlcStats {
-        self.shards.get(i).map(Shard::llc_stats).unwrap_or_default()
-    }
-
     /// Returns the shared telemetry handle (the hub every layer emits
     /// into).
     pub fn telemetry(&self) -> &Telemetry {
@@ -630,7 +619,7 @@ impl Host {
     pub fn audit(&mut self) -> Vec<String> {
         let mut violations = self.nic.audit();
         // Third ledger: NIC-resident policy state vs the kernel store.
-        violations.extend(self.ctrl.audit(&self.nic, self.nat.as_ref()));
+        violations.extend(self.ctrl.audit(&self.nic));
         // Way conservation: the per-shard partitions must tile the donor
         // cache exactly (no way lost, none double-owned).
         violations.extend(self.llc_plan.audit());
@@ -709,9 +698,6 @@ impl Host {
         self.stack.fill_registry(&mut reg);
         self.tel.fill_registry(&mut reg);
         self.ctrl.fill_registry(&mut reg);
-        if let Some(nat) = &self.nat {
-            nat.fill_registry(&mut reg);
-        }
         reg.set_counter("host.fast_delivered", self.stats.fast_delivered);
         reg.set_counter("host.ring_drops", self.stats.ring_drops);
         reg.set_counter("host.slowpath", self.stats.slowpath);
@@ -814,42 +800,7 @@ impl Host {
         mutate: impl FnOnce(&mut PolicyStore),
     ) -> Result<u64, CtrlError> {
         let ops_before = self.ctrl.stats().apply_ops;
-        let Host {
-            ref mut ctrl,
-            ref mut nic,
-            ref mut nat,
-            ..
-        } = *self;
-        let result = ctrl.update(nic, nat, now, mutate);
-        self.charge_policy_ops(ops_before);
-        self.reindex_connections();
-        result
-    }
-
-    /// Phase 1 only: compiles and verifies a mutated copy of the policy
-    /// store without touching the NIC or the live store. Commit the
-    /// result with [`Host::commit_staged_policy`].
-    pub fn stage_policy(
-        &mut self,
-        mutate: impl FnOnce(&mut PolicyStore),
-    ) -> Result<StagedCommit, CtrlError> {
-        self.ctrl.stage(mutate)
-    }
-
-    /// Phase 2 for a previously staged commit.
-    pub fn commit_staged_policy(
-        &mut self,
-        staged: StagedCommit,
-        now: Time,
-    ) -> Result<u64, CtrlError> {
-        let ops_before = self.ctrl.stats().apply_ops;
-        let Host {
-            ref mut ctrl,
-            ref mut nic,
-            ref mut nat,
-            ..
-        } = *self;
-        let result = ctrl.commit_staged(nic, nat, staged, now);
+        let result = self.ctrl.update(&mut self.nic, &mut None, now, mutate);
         self.charge_policy_ops(ops_before);
         self.reindex_connections();
         result
@@ -881,11 +832,6 @@ impl Host {
         self.ctrl.generation()
     }
 
-    /// The kernel-owned NAT table, if NAT policy is in force.
-    pub fn nat(&self) -> Option<&NatTable> {
-        self.nat.as_ref()
-    }
-
     /// Arms fault injection on policy-commit apply steps (chaos testing;
     /// see [`sim::fault::OpFaultInjector`]).
     pub fn set_policy_fault_injector(&mut self, faults: OpFaultInjector) {
@@ -908,14 +854,6 @@ impl Host {
         self.nic.reprogram_bitstream(now)
     }
 
-    /// Crashes the NIC at `now` (fault injection): all volatile device
-    /// state is wiped and the dataplane goes dead until the kernel
-    /// drives a reset — which the reconcile check does on the next
-    /// dataplane entry.
-    pub fn crash_nic(&mut self, now: Time) {
-        self.nic.crash(now);
-    }
-
     /// Arms the op-schedule crash injector on the NIC (chaos testing;
     /// see [`sim::fault::OpFaultInjector`]).
     pub fn set_nic_crash_injector(&mut self, injector: OpFaultInjector) {
@@ -930,9 +868,8 @@ impl Host {
     /// This is the kernel's fail-operational loop: a dead NIC is reset
     /// here (nothing else in the system has the authority), then once
     /// the device thaws the kernel rebuilds what the crash wiped —
-    /// connections and listeners back into the flow table, NAT SRAM
-    /// charges, and finally the committed policy bundle via
-    /// [`ControlPlane::reconcile`].
+    /// connections and listeners back into the flow table, and finally
+    /// the committed policy bundle via [`ControlPlane::reconcile`].
     fn maybe_reconcile(&mut self, now: Time) {
         if self.nic.is_dead() {
             self.kernel_cpu += self.stack.costs().syscalls.control_call();
@@ -946,13 +883,8 @@ impl Host {
             self.resets_restored = self.nic.stats().resets;
         }
         let ops_before = self.ctrl.stats().apply_ops;
-        let Host {
-            ref mut ctrl,
-            ref mut nic,
-            ref mut nat,
-            ..
-        } = *self;
-        ctrl.reconcile(nic, nat, now)
+        self.ctrl
+            .reconcile(&mut self.nic, now)
             .expect("reconcile runs fault-free and reinstalls onto an empty NIC");
         self.charge_policy_ops(ops_before);
         self.reindex_connections();
@@ -960,10 +892,7 @@ impl Host {
 
     /// Rebuilds the kernel-owned NIC flow state a crash wiped: every
     /// open connection, then every listener, is reinstalled (each in id
-    /// order, so recovery is deterministic and ids are preserved), and
-    /// the NAT table re-charges its SRAM footprint. Must run before the
-    /// control plane reconciles — policy steps release NAT SRAM they
-    /// believe is charged.
+    /// order, so recovery is deterministic and ids are preserved).
     ///
     /// The committed flow-cache policy is reinstalled *first*, so both
     /// tiers rebuild deterministically under it: restored entries land
@@ -1000,15 +929,6 @@ impl Host {
             .expect("restore onto a freshly reset NIC cannot exhaust SRAM");
             self.kernel_cpu += self.mmio.write(&self.cfg.mem.clone());
         }
-        if let Some(nat) = &self.nat {
-            nat.restore_charges(&mut self.nic.sram)
-                .expect("restore onto a freshly reset NIC cannot exhaust SRAM");
-        }
-    }
-
-    /// Returns the active reservations.
-    pub(crate) fn reservations(&self) -> &[PortReservation] {
-        &self.ctrl.store().reservations
     }
 
     /// Opens a connection for `pid` on `local_port` to
@@ -1714,7 +1634,7 @@ impl Host {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::ShapingPolicy;
+    use crate::policy::{PortReservation, ShapingPolicy};
     use pkt::PacketBuilder;
 
     fn host() -> Host {
@@ -2118,7 +2038,7 @@ mod tests {
             h.deliver_from_wire(&pkt, Time::ZERO).outcome,
             DeliveryOutcome::FastPath(conn)
         );
-        h.crash_nic(Time::from_us(10));
+        h.nic.crash(Time::from_us(10));
         assert!(h.nic.is_dead());
         // First entry after the crash: the kernel resets the device.
         // The dataplane is still frozen, so the frame is lost.

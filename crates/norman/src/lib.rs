@@ -25,8 +25,9 @@
 //!   LLC partition the host charges that queue's deliveries to,
 //!   in-thread — with a supervised boundary that restarts a shard that
 //!   panics. A one-queue host is the one-shard case.
-//! * [`tools`] — `ksniff` (tcpdump), `kfilter` (iptables), `kqdisc`
-//!   (tc), `knetstat` (netstat), and [`tools::trace`] (`ktrace`, the
+//! * [`tools`] — `ksniff` (tcpdump), `kqdisc` (tc), `knetstat`
+//!   (netstat), `npolicy` (the whole policy store, iptables-style port
+//!   reservations included), and [`tools::trace`] (`ktrace`, the
 //!   per-packet lifecycle introspector the paper argues interposition
 //!   makes possible): each routes through the control plane, never the
 //!   dataplane.
@@ -99,7 +100,7 @@ pub mod policy;
 pub mod tools;
 pub mod workers;
 
-pub use ctrl::{ControlPlane, CtrlError, DegradationPolicy, NatRule, PolicyStore, RssPolicy};
+pub use ctrl::{ControlPlane, CtrlError, DegradationPolicy, PolicyStore, RssPolicy};
 pub use host::{DeliveryReport, Host, HostConfig};
 pub use lib_api::NormanSocket;
 pub use policy::{PortReservation, ShapingPolicy};

@@ -158,7 +158,10 @@ mod tests {
         .unwrap();
         let frame = sock.frame(b"GET /");
         let parsed = frame.parse().unwrap();
-        assert_eq!(parsed.ports(), Some((1234, 80)));
+        assert_eq!(
+            pkt::FiveTuple::from_parsed(&parsed).map(|t| (t.src_port, t.dst_port)),
+            Some((1234, 80))
+        );
         assert_eq!(parsed.ip().unwrap().dst, Ipv4Addr::new(10, 0, 0, 2));
     }
 

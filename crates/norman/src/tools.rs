@@ -1,12 +1,14 @@
-//! Administrative tools: `ksniff`, `kfilter`, `kqdisc`, `knetstat`,
-//! `npolicy`, `trace` (`ktrace`).
+//! Administrative tools: `ksniff`, `kqdisc`, `knetstat`, `npolicy`,
+//! `trace` (`ktrace`).
 //!
-//! Each tool is the Norman analogue of a classic utility (tcpdump,
-//! iptables, tc, netstat) and works the way Figure 1 prescribes: the
-//! tool calls into the **in-kernel control plane**, which updates the
-//! on-NIC dataplane — the data path itself is never detoured. All tools
-//! require privileged credentials; an unprivileged user cannot inspect
-//! global traffic or rewrite policy (the isolation requirement of §3).
+//! Each tool is the Norman analogue of a classic utility (tcpdump, tc,
+//! netstat, and iptables, whose owner-aware port rules are a port
+//! reservation applied through `npolicy`) and works the way Figure 1
+//! prescribes: the tool calls into the **in-kernel control plane**,
+//! which updates the on-NIC dataplane — the data path itself is never
+//! detoured. All tools require privileged credentials; an unprivileged
+//! user cannot inspect global traffic or rewrite policy (the isolation
+//! requirement of §3).
 //!
 //! Every policy-writing tool is a front-end over one transaction path:
 //! [`Host::update_policy`], the two-phase epoch-versioned commit of
@@ -21,7 +23,7 @@ use pkt::IpProto;
 use sim::Time;
 
 use crate::host::Host;
-use crate::policy::{PortReservation, ShapingPolicy};
+use crate::policy::ShapingPolicy;
 
 /// Tool failures.
 #[derive(Debug, PartialEq, Eq)]
@@ -116,30 +118,6 @@ pub mod ksniff {
     }
 }
 
-/// `kfilter` — the iptables equivalent (owner-aware port policy).
-pub mod kfilter {
-    use super::*;
-
-    /// Installs a port reservation (setup check + NIC dataplane filter).
-    pub fn reserve(
-        host: &mut Host,
-        cred: &Cred,
-        r: PortReservation,
-        now: Time,
-    ) -> Result<(), ToolError> {
-        require_root(cred, "kfilter")?;
-        host.update_policy(now, |p| p.reservations.push(r))
-            .map(|_| ())
-            .map_err(control)
-    }
-
-    /// Lists active reservations.
-    pub fn list(host: &Host, cred: &Cred) -> Result<Vec<PortReservation>, ToolError> {
-        require_root(cred, "kfilter")?;
-        Ok(host.reservations().to_vec())
-    }
-}
-
 /// `kqdisc` — the tc equivalent (per-user WFQ on the NIC scheduler).
 pub mod kqdisc {
     use super::*;
@@ -194,8 +172,6 @@ pub mod npolicy {
         pub shaping: bool,
         /// Whether the capture tap is on.
         pub sniffer: bool,
-        /// Static NAT forwards in force.
-        pub nat_rules: usize,
         /// Commit history, oldest first (bounded).
         pub history: Vec<CommitRecord>,
     }
@@ -213,7 +189,6 @@ pub mod npolicy {
             reservations: store.reservations.len(),
             shaping: store.shaping.is_some(),
             sniffer: store.sniffer.is_some(),
-            nat_rules: store.nat_rules.len(),
             history: host.ctrl().history().to_vec(),
         })
     }
@@ -270,16 +245,6 @@ pub mod knetstat {
         rows.sort_by_key(|r| (r.proto.0, r.local_port, r.pid));
         Ok(rows)
     }
-
-    /// Lists the kernel ARP cache (`arp -a` / `ip neigh`): the first
-    /// thing Alice inspects in the §2 debugging scenario.
-    pub fn arp_cache(
-        host: &Host,
-        cred: &Cred,
-    ) -> Result<Vec<(std::net::Ipv4Addr, oskernel::ArpEntry)>, ToolError> {
-        require_root(cred, "knetstat")?;
-        Ok(host.arp.entries())
-    }
 }
 
 /// `trace` (`ktrace`) — the paper's missing tool: per-packet lifecycle
@@ -288,9 +253,9 @@ pub mod knetstat {
 /// Where `ksniff` gives the *global view* (every frame on the wire) and
 /// `knetstat` the *process view* (who owns which connection), `ktrace`
 /// joins them per packet: one query shows a frame's full path — NIC
-/// pipeline stages, NAT rewrites, ring DMA, notification, kernel
-/// delivery — with the owning (uid, pid, comm) and per-stage timing,
-/// filtered BPF-style by flow, owner, stage, or verdict.
+/// pipeline stages, ring DMA, notification, kernel delivery — with the
+/// owning (uid, pid, comm) and per-stage timing, filtered BPF-style by
+/// flow, owner, stage, or verdict.
 pub mod trace {
     use super::*;
     use std::path::Path;
@@ -443,6 +408,7 @@ mod tests {
     use super::*;
     use crate::ctrl::CommitAction;
     use crate::host::HostConfig;
+    use crate::policy::PortReservation;
     use oskernel::Uid;
     use pkt::{Mac, PacketBuilder};
     use std::net::Ipv4Addr;
@@ -470,7 +436,6 @@ mod tests {
             ksniff::start(&mut h, &bob, SnifferFilter::all(), Time::ZERO),
             Err(ToolError::PermissionDenied { tool: "ksniff" })
         );
-        assert!(kfilter::list(&h, &bob).is_err());
         assert!(knetstat::connections(&h, &bob).is_err());
         assert!(npolicy::status(&h, &bob).is_err());
     }
@@ -529,19 +494,6 @@ mod tests {
         assert_eq!(top.len(), 2);
         assert_eq!(top[0], ("flooder".to_string(), 99, 50));
         assert_eq!(top[1], ("innocent".to_string(), 7, 3));
-    }
-
-    #[test]
-    fn knetstat_arp_view_requires_root_and_lists_entries() {
-        let (mut h, _) = host_with_conn();
-        // Learn a neighbour through the kernel responder.
-        let req =
-            pkt::PacketBuilder::arp_request(Mac::local(9), Ipv4Addr::new(10, 0, 0, 2), h.cfg.ip);
-        h.deliver_from_wire(&req, Time::ZERO);
-        let rows = knetstat::arp_cache(&h, &Cred::root()).unwrap();
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].0, Ipv4Addr::new(10, 0, 0, 2));
-        assert!(knetstat::arp_cache(&h, &Cred::new(Uid(1001), "bob")).is_err());
     }
 
     #[test]
@@ -657,22 +609,6 @@ mod tests {
             (1001, ring_drops)
         );
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn kfilter_roundtrip() {
-        let (mut h, _) = host_with_conn();
-        let root = Cred::root();
-        kfilter::reserve(
-            &mut h,
-            &root,
-            PortReservation::new(5432, Uid(1001)),
-            Time::ZERO,
-        )
-        .unwrap();
-        let rules = kfilter::list(&h, &root).unwrap();
-        assert_eq!(rules.len(), 1);
-        assert_eq!(rules[0].port, 5432);
     }
 
     #[test]

@@ -48,18 +48,12 @@ impl ArpCache {
         v
     }
 
-    /// Processes an ARP frame from the wire. Learns the sender mapping
-    /// and, for who-has requests targeting this host, returns the reply
-    /// frame to transmit.
-    pub fn handle(&mut self, frame: &Packet, now: Time) -> Option<Packet> {
-        let meta = FrameMeta::of(frame).ok()?;
-        self.handle_meta(frame, &meta, now)
-    }
-
-    /// [`ArpCache::handle`] with the parse-once descriptor supplied by
-    /// the caller (the KOPI slow path hands down the NIC's descriptor).
-    /// Only the 28 ARP payload bytes are decoded — the descriptor already
-    /// establishes the frame class and offsets.
+    /// Processes an ARP frame from the wire, given its parse-once
+    /// descriptor (the KOPI slow path hands down the NIC's). Learns the
+    /// sender mapping and, for who-has requests targeting this host,
+    /// returns the reply frame to transmit. Only the 28 ARP payload bytes
+    /// are decoded — the descriptor already establishes the frame class
+    /// and offsets.
     pub fn handle_meta(&mut self, frame: &Packet, meta: &FrameMeta, now: Time) -> Option<Packet> {
         if !meta.is_arp() {
             return None;
@@ -91,6 +85,11 @@ mod tests {
     use super::*;
     use pkt::Payload;
 
+    /// Feeds `frame` to the cache with the descriptor the NIC derives.
+    fn handle(c: &mut ArpCache, frame: &Packet, now: Time) -> Option<Packet> {
+        c.handle_meta(frame, &FrameMeta::of(frame).unwrap(), now)
+    }
+
     fn cache() -> ArpCache {
         ArpCache::new("10.0.0.1".parse().unwrap(), Mac::local(1))
     }
@@ -115,7 +114,7 @@ mod tests {
     fn answers_requests_for_own_address() {
         let mut c = cache();
         let req = who_has("10.0.0.2", Mac::local(2), "10.0.0.1");
-        let reply = c.handle(&req, Time::ZERO).expect("must answer");
+        let reply = handle(&mut c, &req, Time::ZERO).expect("must answer");
         let parsed = reply.parse().unwrap();
         match parsed.payload {
             Payload::Arp(arp) => {
@@ -133,13 +132,14 @@ mod tests {
     fn ignores_requests_for_other_hosts() {
         let mut c = cache();
         let req = who_has("10.0.0.2", Mac::local(2), "10.0.0.3");
-        assert!(c.handle(&req, Time::ZERO).is_none());
+        assert!(handle(&mut c, &req, Time::ZERO).is_none());
     }
 
     #[test]
     fn learns_requester_mapping() {
         let mut c = cache();
-        c.handle(
+        handle(
+            &mut c,
             &who_has("10.0.0.2", Mac::local(2), "10.0.0.1"),
             Time::from_ms(5),
         );
@@ -158,15 +158,20 @@ mod tests {
             unreachable!()
         };
         let reply = PacketBuilder::arp_reply(&req, Mac::local(9));
-        c.handle(&reply, Time::ZERO);
+        handle(&mut c, &reply, Time::ZERO);
         assert_eq!(entry(&c, "10.0.0.9").unwrap().mac, Mac::local(9));
     }
 
     #[test]
     fn refresh_updates_timestamp_and_mac() {
         let mut c = cache();
-        c.handle(&who_has("10.0.0.2", Mac::local(2), "10.0.0.1"), Time::ZERO);
-        c.handle(
+        handle(
+            &mut c,
+            &who_has("10.0.0.2", Mac::local(2), "10.0.0.1"),
+            Time::ZERO,
+        );
+        handle(
+            &mut c,
             &who_has("10.0.0.2", Mac::local(7), "10.0.0.1"),
             Time::from_secs(1),
         );
@@ -178,8 +183,16 @@ mod tests {
     #[test]
     fn entries_view_is_sorted() {
         let mut c = cache();
-        c.handle(&who_has("10.0.0.9", Mac::local(9), "10.0.0.1"), Time::ZERO);
-        c.handle(&who_has("10.0.0.2", Mac::local(2), "10.0.0.1"), Time::ZERO);
+        handle(
+            &mut c,
+            &who_has("10.0.0.9", Mac::local(9), "10.0.0.1"),
+            Time::ZERO,
+        );
+        handle(
+            &mut c,
+            &who_has("10.0.0.2", Mac::local(2), "10.0.0.1"),
+            Time::ZERO,
+        );
         let rows = c.entries();
         assert_eq!(rows.len(), 2);
         assert!(rows[0].0 < rows[1].0);
@@ -193,7 +206,7 @@ mod tests {
             .ipv4("10.0.0.2".parse().unwrap(), "10.0.0.1".parse().unwrap())
             .udp(1, 2, b"x")
             .build();
-        assert!(c.handle(&udp, Time::ZERO).is_none());
+        assert!(handle(&mut c, &udp, Time::ZERO).is_none());
         assert!(c.entries().is_empty());
     }
 }

@@ -146,12 +146,19 @@ mod tests {
         let mut chain = Chain::new(HookVerdict::Accept);
         // Rule 1: accept postgres owned by bob on 5432.
         let mut allow = Rule::new(HookVerdict::Accept);
-        allow.matcher = ClassifierRule::any().match_dst_port(5432).match_uid(1001);
+        allow.matcher = ClassifierRule {
+            dst_port: Some(5432),
+            uid: Some(1001),
+            ..ClassifierRule::default()
+        };
         allow.comm = Some("postgres".to_string());
         chain.append(allow);
         // Rule 2: drop everything else on 5432.
         let mut deny = Rule::new(HookVerdict::Drop);
-        deny.matcher = ClassifierRule::any().match_dst_port(5432);
+        deny.matcher = ClassifierRule {
+            dst_port: Some(5432),
+            ..ClassifierRule::default()
+        };
         chain.append(deny);
         chain
     }

@@ -191,7 +191,7 @@ impl NetStack {
             Ok(meta) => self.rx_with_meta(packet, &meta, now),
             Err(_) => {
                 self.rx_packets += 1;
-                let fid = self.tel.adopt_frame_id(0);
+                let fid = self.tel.alloc_frame_id();
                 let len = packet.len() as u32;
                 self.tel.emit_stage(
                     Stage::NetstackDrop,
@@ -330,7 +330,7 @@ impl NetStack {
         let owner = Some(Owner::new(uid, pid.0, comm));
         let (verdict, hook_cost) = self.output.evaluate(&m, Some(&comm));
         cost += hook_cost;
-        let fid = self.tel.adopt_frame_id(meta.map_or(0, |m| m.frame_id));
+        let fid = self.tel.alloc_frame_id();
         let len = packet.len() as u32;
         if verdict == HookVerdict::Drop {
             self.tel.emit_stage(
@@ -483,10 +483,17 @@ mod tests {
         let (mut stack, _procs, _pid) = setup();
         // Drop anything on 5432 not owned by uid 9999 (so: everything).
         let mut allow = Rule::new(HookVerdict::Accept);
-        allow.matcher = ClassifierRule::any().match_dst_port(5432).match_uid(9999);
+        allow.matcher = ClassifierRule {
+            dst_port: Some(5432),
+            uid: Some(9999),
+            ..ClassifierRule::default()
+        };
         stack.input.append(allow);
         let mut deny = Rule::new(HookVerdict::Drop);
-        deny.matcher = ClassifierRule::any().match_dst_port(5432);
+        deny.matcher = ClassifierRule {
+            dst_port: Some(5432),
+            ..ClassifierRule::default()
+        };
         stack.input.append(deny);
         let (outcome, _) = stack.rx(&udp(9000, 5432, 10), Time::ZERO);
         assert_eq!(outcome, RxOutcome::Filtered);
@@ -526,11 +533,18 @@ mod tests {
         let mut stack = NetStack::new();
         // Only postgres/uid1001 may send from 5432.
         let mut allow = Rule::new(HookVerdict::Accept);
-        allow.matcher = ClassifierRule::any().match_src_port(5432).match_uid(1001);
+        allow.matcher = ClassifierRule {
+            src_port: Some(5432),
+            uid: Some(1001),
+            ..ClassifierRule::default()
+        };
         allow.comm = Some("postgres".into());
         stack.output.append(allow);
         let mut deny = Rule::new(HookVerdict::Drop);
-        deny.matcher = ClassifierRule::any().match_src_port(5432);
+        deny.matcher = ClassifierRule {
+            src_port: Some(5432),
+            ..ClassifierRule::default()
+        };
         stack.output.append(deny);
 
         let (sent, _) = stack.tx(thief, &udp(5432, 9000, 10), Time::ZERO, &procs);

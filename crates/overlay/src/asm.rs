@@ -1,7 +1,8 @@
 //! A text assembler for overlay programs.
 //!
-//! The control-plane tools (`kqdisc`, `kfilter`) express policies in this
-//! assembly, which the kernel assembles, verifies, and loads onto the NIC.
+//! The control plane's policies (port filters, shaping classifiers,
+//! accounting) are written in this assembly, which the kernel
+//! assembles, verifies, and loads onto the NIC.
 //!
 //! # Syntax
 //!
@@ -28,7 +29,7 @@ use std::collections::HashMap;
 use std::fmt;
 
 use crate::isa::{AluOp, CmpOp, CtxField, Insn, Operand, Reg, Verdict};
-use crate::program::{FlowMapSpec, MapSpec, Program, TailBody};
+use crate::program::{FlowMapSpec, MapSpec, Program};
 
 /// An assembly error with its 1-based source line.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -486,18 +487,16 @@ pub fn assemble(name: &str, src: &str) -> Result<Program, AsmError> {
         if bi == 0 {
             main_insns = insns;
         } else {
-            tails.push(TailBody {
-                name: body_name.unwrap_or_default(),
-                insns,
-            });
+            tails.push((body_name.unwrap_or_default(), insns));
         }
     }
 
-    let mut program = Program::new(name, main_insns, maps);
-    program.flow_maps = flow_maps;
-    program.counters = counters;
-    program.tails = tails;
-    Ok(program)
+    let program = Program::new(name, main_insns, maps);
+    let program = flow_maps.into_iter().fold(program, Program::with_flow_map);
+    let program = counters.into_iter().fold(program, Program::with_counter);
+    Ok(tails
+        .into_iter()
+        .fold(program, |p, (name, insns)| p.with_tail(name, insns)))
 }
 
 /// Disassembles a program back into assembler source text, such that

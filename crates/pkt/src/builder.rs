@@ -80,8 +80,6 @@ enum L4<'p> {
         src_port: u16,
         dst_port: u16,
         flags: TcpFlags,
-        seq: u32,
-        ack: u32,
         payload: BuildPayload<'p>,
     },
 }
@@ -157,8 +155,6 @@ impl<'p> PacketBuilder<'p> {
             src_port,
             dst_port,
             flags,
-            seq: 0,
-            ack: 0,
             payload: BuildPayload::Bytes(payload),
         })
     }
@@ -174,23 +170,6 @@ impl<'p> PacketBuilder<'p> {
             dscp: self.dscp,
             l4: Some(l4),
         }
-    }
-
-    /// Sets TCP sequence/ack numbers (applies to a previously attached TCP
-    /// segment).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no TCP segment has been attached.
-    pub fn tcp_seq(mut self, seq: u32, ack: u32) -> Self {
-        match &mut self.l4 {
-            Some(L4::Tcp { seq: s, ack: a, .. }) => {
-                *s = seq;
-                *a = ack;
-            }
-            _ => panic!("tcp_seq requires a TCP segment"),
-        }
-        self
     }
 
     /// Builds the frame, computing lengths and checksums — and attaching
@@ -370,14 +349,10 @@ impl BuildPlan<'_> {
                 src_port,
                 dst_port,
                 flags,
-                seq,
-                ack,
                 payload,
             } => {
                 let mut tcp = TcpHeader::new(*src_port, *dst_port);
                 tcp.flags = *flags;
-                tcp.seq = *seq;
-                tcp.ack = *ack;
                 tcp.write_to(seg);
                 payload.write_to(&mut seg[TcpHeader::LEN..]);
                 let sum = pseudo_header_checksum(self.src_ip, self.dst_ip, IpProto::TCP.0, seg, 16);
@@ -452,17 +427,15 @@ mod tests {
     }
 
     #[test]
-    fn tcp_frame_round_trips_seq_numbers() {
+    fn tcp_frame_round_trips_ports_and_flags() {
         let pkt = PacketBuilder::new()
             .ether(Mac::local(1), Mac::local(2))
             .ipv4(addr("10.0.0.1"), addr("10.0.0.2"))
             .tcp(22, 5000, TcpFlags::ACK, b"data")
-            .tcp_seq(1000, 2000)
             .build();
         match pkt.parse().unwrap().payload {
             Payload::Tcp { tcp, .. } => {
-                assert_eq!(tcp.seq, 1000);
-                assert_eq!(tcp.ack, 2000);
+                assert_eq!((tcp.src_port, tcp.dst_port), (22, 5000));
                 assert!(tcp.flags.contains(TcpFlags::ACK));
             }
             other => panic!("expected TCP, got {other:?}"),
@@ -510,12 +483,6 @@ mod tests {
     #[should_panic(expected = "ipv4() not called")]
     fn missing_ip_panics() {
         let _ = PacketBuilder::new().udp(1, 2, b"").build();
-    }
-
-    #[test]
-    #[should_panic(expected = "tcp_seq requires a TCP segment")]
-    fn tcp_seq_without_tcp_panics() {
-        let _ = PacketBuilder::new().udp(1, 2, b"").tcp_seq(1, 2);
     }
 
     #[test]

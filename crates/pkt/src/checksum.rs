@@ -68,18 +68,6 @@ pub fn verify(data: &[u8]) -> bool {
     finish(sum_words(0, data)) == 0
 }
 
-/// Incrementally updates a checksum after one 16-bit word changes from
-/// `old_word` to `new_word` (RFC 1624, eqn. 3: `HC' = ~(~HC + ~m + m')`).
-///
-/// This is how NAT hardware rewrites headers without re-summing the
-/// packet: O(1) per changed word.
-pub(crate) fn incremental_update(checksum: u16, old_word: u16, new_word: u16) -> u16 {
-    let mut acc = u32::from(!checksum) + u32::from(!old_word) + u32::from(new_word);
-    acc = (acc & 0xFFFF) + (acc >> 16);
-    acc = (acc & 0xFFFF) + (acc >> 16);
-    !(acc as u16)
-}
-
 /// Computes the TCP/UDP checksum over the IPv4 pseudo-header plus the
 /// transport `segment` (header + payload) as if its two-byte checksum
 /// field at the even offset `field` were zero, without copying: the
@@ -331,7 +319,7 @@ mod tests {
     }
 
     #[test]
-    fn verify_and_incremental_update_round_trip_at_every_even_length() {
+    fn verify_round_trips_at_every_even_length() {
         let mut rng = sim::DetRng::seed_from_u64(1624);
         for len in (4..=1514).step_by(2) {
             let mut data: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
@@ -339,13 +327,6 @@ mod tests {
             let sum = internet_checksum(&data);
             data[0..2].copy_from_slice(&sum.to_be_bytes());
             assert!(verify(&data), "len {len}");
-            // Rewrite the last word; RFC 1624 must agree with a re-sum.
-            let old_word = u16::from_be_bytes([data[len - 2], data[len - 1]]);
-            let new_word = rng.next_u64() as u16;
-            data[len - 2..].copy_from_slice(&new_word.to_be_bytes());
-            let updated = incremental_update(sum, old_word, new_word);
-            data[0..2].copy_from_slice(&updated.to_be_bytes());
-            assert!(verify(&data), "len {len} after rewrite");
         }
     }
 
@@ -391,41 +372,6 @@ mod tests {
             6,
         );
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn incremental_matches_full_recompute() {
-        // Build a header, change one word, and check RFC 1624 equals a
-        // full recompute.
-        let mut data = vec![0x45u8, 0x00, 0x00, 0x28, 0x12, 0x34, 0x40, 0x00, 0x40, 0x11];
-        data.extend_from_slice(&[0, 0]);
-        data.extend_from_slice(&[10, 0, 0, 1, 10, 0, 0, 2]);
-        let sum = internet_checksum(&data);
-        data[10..12].copy_from_slice(&sum.to_be_bytes());
-
-        // Rewrite the source address's first word 10.0 -> 192.168.
-        let old_word = u16::from_be_bytes([data[12], data[13]]);
-        data[12] = 192;
-        data[13] = 168;
-        let new_word = u16::from_be_bytes([data[12], data[13]]);
-        let updated = incremental_update(sum, old_word, new_word);
-
-        data[10..12].copy_from_slice(&[0, 0]);
-        let full = internet_checksum(&data);
-        assert_eq!(updated, full);
-    }
-
-    #[test]
-    fn incremental_is_invertible() {
-        let sum = 0x1234u16;
-        let step = incremental_update(sum, 0xAAAA, 0xBBBB);
-        let back = incremental_update(step, 0xBBBB, 0xAAAA);
-        assert_eq!(back, sum);
-    }
-
-    #[test]
-    fn incremental_noop_change_preserves_sum() {
-        assert_eq!(incremental_update(0x4242, 0x7777, 0x7777), 0x4242);
     }
 
     #[test]

@@ -185,22 +185,6 @@ impl RssHasher {
         self.toeplitz(&Self::hash_input(ft))
     }
 
-    /// Incrementally updates a hash after an endpoint rewrite.
-    ///
-    /// Toeplitz is linear over GF(2) — `H(a ^ b) == H(a) ^ H(b)` — so the
-    /// rewritten tuple's hash is the old hash xored with the hash of the
-    /// changed bits. NAT uses this to keep descriptors current without
-    /// re-hashing the full input.
-    pub(crate) fn hash_delta(&self, old_hash: u32, old: &FiveTuple, new: &FiveTuple) -> u32 {
-        let a = Self::hash_input(old);
-        let b = Self::hash_input(new);
-        let mut delta = [0u8; INPUT_LEN];
-        for (d, (x, y)) in delta.iter_mut().zip(a.iter().zip(b.iter())) {
-            *d = x ^ y;
-        }
-        old_hash ^ self.toeplitz(&delta)
-    }
-
     /// Maps a five-tuple to an RSS queue index.
     pub fn queue_for(&self, ft: &FiveTuple) -> u32 {
         self.hash(ft) % self.queues
@@ -300,7 +284,6 @@ mod tests {
                 );
                 let (ia, ib) = (RssHasher::hash_input(&a), RssHasher::hash_input(&b));
                 assert_eq!(h.hash(&a), toeplitz_bit_serial(&key, &ia), "{a}");
-                assert_eq!(h.hash_delta(h.hash(&a), &a, &b), h.hash(&b), "{a} -> {b}");
                 let mut xor = [0u8; INPUT_LEN];
                 for (x, (p, q)) in xor.iter_mut().zip(ia.iter().zip(&ib)) {
                     *x = p ^ q;
@@ -317,25 +300,6 @@ mod tests {
                     "bit {bit}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn hash_delta_equals_fresh_hash() {
-        let h = RssHasher::with_default_key(1);
-        let old = FiveTuple::tcp(addr("192.168.1.10"), 40_000, addr("8.8.8.8"), 443);
-        let cases = [
-            FiveTuple::tcp(addr("203.0.113.1"), 32_768, addr("8.8.8.8"), 443),
-            FiveTuple::tcp(addr("192.168.1.10"), 40_000, addr("10.0.0.9"), 8443),
-            old.reversed(),
-            old, // no-op rewrite
-        ];
-        for new in cases {
-            assert_eq!(
-                h.hash_delta(h.hash(&old), &old, &new),
-                h.hash(&new),
-                "{new}"
-            );
         }
     }
 

@@ -13,8 +13,6 @@
 //!   view.
 //! * `flow` — [`FiveTuple`] flow keys and Toeplitz RSS hashing.
 //! * `builder` — fluent, checksum-correct packet construction.
-//! * [`mutate`] — NAT header rewriting with RFC 1624 incremental
-//!   checksum fixup.
 //! * [`meta`] — the parse-once [`FrameMeta`] descriptor every dataplane
 //!   stage consumes instead of re-parsing, and the [`Frame`] unit that
 //!   pairs it with its buffer.
@@ -29,7 +27,6 @@ pub(crate) mod ether;
 pub(crate) mod flow;
 pub(crate) mod ipv4;
 pub mod meta;
-pub mod mutate;
 pub(crate) mod packet;
 pub(crate) mod tcp;
 pub(crate) mod udp;

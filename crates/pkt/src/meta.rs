@@ -6,16 +6,13 @@
 //! carries a [`FrameMeta`] descriptor computed exactly once: at ingress
 //! (the NIC parser stage) or at build time (`crate::builder`, whose
 //! output is checksum-correct by construction). Every later stage (flow
-//! lookup, filters, NAT, classification, sniffing, the slow-path stack)
-//! reads the descriptor instead of the bytes.
+//! lookup, filters, classification, sniffing, the slow-path stack) reads
+//! the descriptor instead of the bytes.
 //!
-//! Mutation discipline: only NAT-style header rewrites may change a
-//! descriptor, and they do so incrementally — offsets are stable, the
-//! tuple is patched in place, and the flow hash is updated via the
-//! Toeplitz linearity identity (see `crate::flow::RssHasher::hash_delta`)
-//! rather than recomputed from the bytes. The audit invariant, enforced by
-//! property tests, is that a descriptor carried through any pipeline stage
-//! equals one freshly derived from the stage's output bytes.
+//! No stage rewrites frame bytes, so a descriptor never changes after it
+//! is derived. The audit invariant, enforced by property tests, is that a
+//! descriptor carried through any pipeline stage equals one freshly
+//! derived from the stage's output bytes.
 
 use std::net::Ipv4Addr;
 use std::ops::Range;
@@ -83,7 +80,7 @@ pub fn derive_count() -> u64 {
 pub struct FrameMeta {
     /// Dataplane-unique trace id (0 = not yet admitted/tagged). Assigned
     /// by the first telemetry-aware stage the frame crosses and carried
-    /// unchanged through rewrites; excluded from equality.
+    /// unchanged from then on; excluded from equality.
     pub frame_id: u64,
     /// Packet class (dispatch key for every stage).
     pub(crate) class: PacketClass,
@@ -214,31 +211,6 @@ impl FrameMeta {
     /// Byte range of the application payload within the frame.
     pub fn payload(&self) -> Range<usize> {
         self.payload_off..self.payload_off + self.payload_len
-    }
-
-    /// Applies a NAT endpoint rewrite to the descriptor incrementally:
-    /// the tuple is patched and the flow hash updated via Toeplitz
-    /// linearity — no byte access, no re-hash of the full input.
-    ///
-    /// Offsets, class, lengths and checksum flags are untouched: RFC 1624
-    /// fixups keep the sums valid, and NAT never moves headers.
-    pub(crate) fn rewrite_endpoints(
-        &mut self,
-        new_src: Option<(Ipv4Addr, u16)>,
-        new_dst: Option<(Ipv4Addr, u16)>,
-    ) {
-        let Some(old) = self.tuple else { return };
-        let mut t = old;
-        if let Some((ip, port)) = new_src {
-            t.src_ip = ip;
-            t.src_port = port;
-        }
-        if let Some((ip, port)) = new_dst {
-            t.dst_ip = ip;
-            t.dst_port = port;
-        }
-        self.flow_hash = shared_hasher().hash_delta(self.flow_hash, &old, &t);
-        self.tuple = Some(t);
     }
 
     /// Renders the same tcpdump-style one-liner as `Parsed`'s `Display`,
@@ -420,19 +392,6 @@ mod tests {
         assert_eq!(meta.tuple, None);
         assert_eq!(meta.flow_hash, 0);
         assert_eq!(meta.payload(), 14..14 + ArpPacket::LEN);
-    }
-
-    #[test]
-    fn rewrite_endpoints_updates_tuple_and_hash() {
-        let pkt = udp_pkt();
-        let mut meta = FrameMeta::of(&pkt).unwrap();
-        meta.rewrite_endpoints(Some((addr("203.0.113.1"), 40_000)), None);
-        let t = meta.tuple.unwrap();
-        assert_eq!(t.src_ip, addr("203.0.113.1"));
-        assert_eq!(t.src_port, 40_000);
-        assert_eq!(t.dst_ip, addr("10.0.0.2"));
-        // The incrementally updated hash equals a from-scratch hash.
-        assert_eq!(meta.flow_hash, flow_hash_of(&t));
     }
 
     #[test]

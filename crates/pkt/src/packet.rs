@@ -79,28 +79,6 @@ impl Packet {
         }
     }
 
-    /// Mutable access to the wire bytes when this handle is the sole
-    /// owner of its buffer (heap `Rc` or arena slot, refcount 1) —
-    /// the in-place NAT rewrite path. `None` when the frame is shared;
-    /// callers then fall back to copy-on-write.
-    pub(crate) fn bytes_mut_unique(&mut self) -> Option<&mut [u8]> {
-        match &mut self.data {
-            Buf::Heap(rc) => Rc::get_mut(rc),
-            Buf::Arena(f) => f.bytes_mut(),
-        }
-    }
-
-    /// Replaces the attached descriptor in place (after an in-place
-    /// header rewrite recomputed it).
-    pub(crate) fn set_meta(&mut self, meta: FrameMeta) {
-        debug_assert_eq!(
-            meta.frame_len,
-            self.len(),
-            "descriptor/frame length mismatch"
-        );
-        self.meta = Some(meta);
-    }
-
     /// Attaches a descriptor computed for exactly these bytes.
     pub fn with_meta(mut self, meta: FrameMeta) -> Packet {
         debug_assert_eq!(
@@ -246,15 +224,6 @@ impl Parsed {
         }
     }
 
-    /// Returns (src_port, dst_port) for TCP/UDP frames.
-    pub fn ports(&self) -> Option<(u16, u16)> {
-        match &self.payload {
-            Payload::Tcp { tcp, .. } => Some((tcp.src_port, tcp.dst_port)),
-            Payload::Udp { udp, .. } => Some((udp.src_port, udp.dst_port)),
-            _ => None,
-        }
-    }
-
     /// Verifies the transport checksum against `frame` (the same buffer
     /// this view was parsed from).
     ///
@@ -322,7 +291,10 @@ mod tests {
             .udp(1234, 5678, b"payload")
             .build();
         let parsed = pkt.parse().unwrap();
-        assert_eq!(parsed.ports(), Some((1234, 5678)));
+        assert_eq!(
+            crate::FiveTuple::from_parsed(&parsed).map(|t| (t.src_port, t.dst_port)),
+            Some((1234, 5678))
+        );
         assert!(!matches!(parsed.payload, Payload::Arp(_)));
         match parsed.payload {
             Payload::Udp { ref payload, .. } => {
@@ -340,7 +312,10 @@ mod tests {
             .tcp(22, 40000, crate::TcpFlags::SYN, b"")
             .build();
         let parsed = pkt.parse().unwrap();
-        assert_eq!(parsed.ports(), Some((22, 40000)));
+        assert_eq!(
+            crate::FiveTuple::from_parsed(&parsed).map(|t| (t.src_port, t.dst_port)),
+            Some((22, 40000))
+        );
         assert!(parsed.ip().is_some());
     }
 
@@ -353,7 +328,10 @@ mod tests {
         );
         let parsed = pkt.parse().unwrap();
         assert!(matches!(parsed.payload, Payload::Arp(_)));
-        assert_eq!(parsed.ports(), None);
+        assert_eq!(
+            crate::FiveTuple::from_parsed(&parsed).map(|t| (t.src_port, t.dst_port)),
+            None
+        );
         assert!(parsed.ip().is_none());
         assert_eq!(parsed.ether.dst, Mac::BROADCAST);
     }

@@ -53,7 +53,8 @@ impl ClassMatch {
     }
 }
 
-/// One classification rule: all present fields must match.
+/// One classification rule: all present fields must match (the default
+/// rule has none and matches everything).
 #[derive(Clone, Debug, Default)]
 pub struct ClassifierRule {
     /// Match source IP.
@@ -75,43 +76,6 @@ pub struct ClassifierRule {
 }
 
 impl ClassifierRule {
-    /// Creates a rule with no constraints (matches everything).
-    pub fn any() -> ClassifierRule {
-        ClassifierRule::default()
-    }
-
-    /// Builder: match on uid.
-    pub fn match_uid(mut self, uid: u32) -> Self {
-        self.uid = Some(uid);
-        self
-    }
-
-    /// Builder: match on destination port.
-    pub fn match_dst_port(mut self, port: u16) -> Self {
-        self.dst_port = Some(port);
-        self
-    }
-
-    /// Builder: match on source port.
-    pub fn match_src_port(mut self, port: u16) -> Self {
-        self.src_port = Some(port);
-        self
-    }
-
-    /// Builder: match on protocol.
-    #[cfg(test)]
-    pub(crate) fn match_proto(mut self, proto: IpProto) -> Self {
-        self.proto = Some(proto);
-        self
-    }
-
-    /// Builder: match on DSCP.
-    #[cfg(test)]
-    pub(crate) fn match_dscp(mut self, dscp: u8) -> Self {
-        self.dscp = Some(dscp);
-        self
-    }
-
     /// Returns `true` if `m` satisfies every present constraint.
     pub fn matches(&self, m: &ClassMatch) -> bool {
         let tuple_ok = |f: &dyn Fn(&FiveTuple) -> bool| match &m.tuple {
@@ -183,18 +147,22 @@ mod tests {
     #[test]
     fn tuple_constraints_fail_on_arp() {
         // ARP has no tuple, so a port rule cannot match it.
-        assert!(!ClassifierRule::any()
-            .match_dst_port(22)
-            .matches(&m(None, 0)));
+        assert!(!ClassifierRule {
+            dst_port: Some(22),
+            ..ClassifierRule::default()
+        }
+        .matches(&m(None, 0)));
     }
 
     #[test]
     fn combined_constraints_all_required() {
         let t = FiveTuple::tcp(addr("10.0.0.1"), 5000, addr("10.0.0.2"), 22);
-        let rule = ClassifierRule::any()
-            .match_dst_port(22)
-            .match_proto(IpProto::TCP)
-            .match_uid(1001);
+        let rule = ClassifierRule {
+            dst_port: Some(22),
+            proto: Some(IpProto::TCP),
+            uid: Some(1001),
+            ..ClassifierRule::default()
+        };
         assert!(rule.matches(&m(Some(t), 1001)));
         assert!(!rule.matches(&m(Some(t), 1002))); // wrong uid
         let udp = FiveTuple::udp(addr("10.0.0.1"), 5000, addr("10.0.0.2"), 22);
@@ -204,8 +172,11 @@ mod tests {
     #[test]
     fn ip_and_dscp_matching() {
         let t = FiveTuple::udp(addr("192.168.0.5"), 1, addr("10.0.0.1"), 2);
-        let mut rule = ClassifierRule::any().match_dscp(0xB8);
-        rule.src_ip = Some(addr("192.168.0.5"));
+        let rule = ClassifierRule {
+            src_ip: Some(addr("192.168.0.5")),
+            dscp: Some(0xB8),
+            ..ClassifierRule::default()
+        };
         let mut mm = m(Some(t), 0);
         mm.dscp = 0xB8;
         assert!(rule.matches(&mm));
@@ -218,7 +189,10 @@ mod tests {
         // The "process view": unbound traffic (uid = MAX) never matches a
         // uid rule, mirroring why hypervisor-level interposition cannot
         // express such policies.
-        let rule = ClassifierRule::any().match_uid(1001);
+        let rule = ClassifierRule {
+            uid: Some(1001),
+            ..ClassifierRule::default()
+        };
         assert!(!rule.matches(&ClassMatch::default()));
     }
 }

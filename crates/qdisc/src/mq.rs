@@ -126,11 +126,6 @@ impl MultiQueue {
         totals
     }
 
-    /// Queued packets on one queue.
-    pub fn queue_len(&self, queue: usize) -> usize {
-        self.queues[queue].len()
-    }
-
     /// Drains every queued packet across all queues without serving them
     /// (see `Wfq::purge`): queue order, then class order, then FIFO —
     /// deterministic, so a crash loses the same frames on every replay.
@@ -241,11 +236,11 @@ mod tests {
         assert!(mq.reconfigure(2, &[1.0, 3.0], Time::ZERO).is_empty());
         assert_eq!(mq.num_classes(), 2);
         assert_eq!(mq.weights(), &[1.0, 3.0]);
-        assert_eq!((mq.queue_len(0), mq.queue_len(1)), (1, 2));
-        // The new weights decide the order: class 1 (weight 3) first.
-        let order: Vec<u64> =
-            std::iter::from_fn(|| mq.dequeue_rr(Time::ZERO).map(|(_, p)| p.id)).collect();
-        assert_eq!(order, vec![3, 2, 1]);
+        // The packets keep their queues, and the new weights decide the
+        // order on queue 1: class 1 (weight 3) first.
+        let order: Vec<(usize, u64)> =
+            std::iter::from_fn(|| mq.dequeue_rr(Time::ZERO).map(|(q, p)| (q, p.id))).collect();
+        assert_eq!(order, vec![(0, 3), (1, 2), (1, 1)]);
     }
 
     #[test]

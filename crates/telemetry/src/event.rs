@@ -23,8 +23,6 @@ pub enum Stage {
     RxIngress,
     /// NIC parser stage produced (or failed to produce) a descriptor.
     RxParse,
-    /// NAT translation applied (verdict carries hit/miss).
-    RxNat,
     /// Ingress filter program ran (verdict carries pass/drop).
     RxFilter,
     /// Flow-table lookup (verdict carries hit/miss).
@@ -74,13 +72,12 @@ pub enum Stage {
 
 impl Stage {
     /// Number of stages (ledger array size).
-    pub(crate) const COUNT: usize = 24;
+    pub(crate) const COUNT: usize = 23;
 
     /// All stages, in lifecycle order (ledger iteration order).
     pub(crate) const ALL: [Stage; Stage::COUNT] = [
         Stage::RxIngress,
         Stage::RxParse,
-        Stage::RxNat,
         Stage::RxFilter,
         Stage::RxFlowLookup,
         Stage::FlowPromoted,
@@ -116,7 +113,6 @@ impl Stage {
         match self {
             Stage::RxIngress => "rx_ingress",
             Stage::RxParse => "rx_parse",
-            Stage::RxNat => "rx_nat",
             Stage::RxFilter => "rx_filter",
             Stage::RxFlowLookup => "rx_flow_lookup",
             Stage::FlowPromoted => "flow_promoted",
@@ -169,8 +165,6 @@ pub enum DropCause {
     NoSocket,
     /// A netfilter chain verdict dropped the frame.
     NetfilterDrop,
-    /// NAT had no mapping (or no translation applies) for the frame.
-    NatMiss,
     /// The connection state for the frame vanished (stale entry).
     StaleConn,
     /// The TX retry buffer overflowed during an outage.
@@ -182,7 +176,7 @@ pub enum DropCause {
 
 impl DropCause {
     /// Number of drop causes (ledger array size).
-    pub(crate) const COUNT: usize = 12;
+    pub(crate) const COUNT: usize = 11;
 
     /// All causes (ledger iteration order).
     pub const ALL: [DropCause; DropCause::COUNT] = [
@@ -194,7 +188,6 @@ impl DropCause {
         DropCause::QdiscFull,
         DropCause::NoSocket,
         DropCause::NetfilterDrop,
-        DropCause::NatMiss,
         DropCause::StaleConn,
         DropCause::RetryOverflow,
         DropCause::DeviceDead,
@@ -218,7 +211,6 @@ impl DropCause {
             DropCause::QdiscFull => "qdisc_full",
             DropCause::NoSocket => "no_socket",
             DropCause::NetfilterDrop => "netfilter_drop",
-            DropCause::NatMiss => "nat_miss",
             DropCause::StaleConn => "stale_conn",
             DropCause::RetryOverflow => "retry_overflow",
             DropCause::DeviceDead => "device_dead",
@@ -329,7 +321,7 @@ impl fmt::Display for RecoveryEvent {
 pub enum TraceVerdict {
     /// The stage let the frame continue.
     Pass,
-    /// A lookup stage matched (flow table, NAT mapping).
+    /// A lookup stage matched (flow table).
     Hit,
     /// A lookup stage did not match.
     Miss,

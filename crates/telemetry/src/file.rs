@@ -22,8 +22,7 @@
 //!
 //! [`EventFileReader`] streams records back (it is an `Iterator`);
 //! [`sort_file`] rewrites a file ordered by `(at, seq)` and sets the
-//! sorted flag; [`EventSeries`] loads a (small) file whole and offers a
-//! binary-search [`EventSeries::seek`] on sorted series.
+//! sorted flag; [`EventSeries`] loads a (small) file whole.
 
 use std::fmt;
 use std::fs::File;
@@ -41,8 +40,11 @@ use crate::event::{
 /// File magic: the first eight bytes of every event-series file.
 pub(crate) const MAGIC: &[u8; 8] = b"NRMTRACE";
 
-/// Current (and only) format version.
-pub(crate) const FORMAT_VERSION: u16 = 1;
+/// Current (and only) format version. Events store each [`Stage`] and
+/// [`DropCause`] as its declaration index, so removing or reordering a
+/// variant moves the codes and bumps this (version 2 dropped the NAT
+/// stage and drop cause); a test pins every code to the version.
+pub(crate) const FORMAT_VERSION: u16 = 2;
 
 /// Header flag: records are sorted by `(at, seq)` (set by [`sort_file`]).
 pub(crate) const FLAG_SORTED: u16 = 1 << 0;
@@ -779,9 +781,9 @@ impl Iterator for EventFileReader {
     }
 }
 
-/// An event-series file loaded whole — for tests, small traces, and
-/// seekable queries. Large traces should stream via [`EventFileReader`]
-/// (the flow tracker does).
+/// An event-series file loaded whole — for tests and small traces.
+/// Large traces should stream via [`EventFileReader`] (the flow tracker
+/// does).
 #[derive(Clone, Debug)]
 pub struct EventSeries {
     /// The file header.
@@ -820,20 +822,6 @@ impl EventSeries {
             ledger,
             fin,
         })
-    }
-
-    /// On a sorted series, the index of the first event at or after `t`
-    /// (binary search — the reader-side "seek"). On unsorted series this
-    /// scans.
-    pub fn seek(&self, t: Time) -> usize {
-        if self.header.sorted {
-            self.events.partition_point(|e| e.event.at < t)
-        } else {
-            self.events
-                .iter()
-                .position(|e| e.event.at >= t)
-                .unwrap_or(self.events.len())
-        }
     }
 }
 
@@ -961,6 +949,78 @@ mod tests {
         fs::remove_file(&path).unwrap();
     }
 
+    /// Every stage's and drop cause's byte in an event record, pinned to
+    /// the format version: a reorder or removal that moves a code fails
+    /// here until `FORMAT_VERSION` and this table change together.
+    #[test]
+    fn stage_and_drop_cause_codes_are_pinned_to_the_format_version() {
+        assert_eq!(FORMAT_VERSION, 2, "a new version pins its own codes");
+        let stages = [
+            "rx_ingress",
+            "rx_parse",
+            "rx_filter",
+            "rx_flow_lookup",
+            "flow_promoted",
+            "flow_demoted",
+            "rx_deliver",
+            "rx_slowpath",
+            "rx_drop",
+            "ring_enqueue",
+            "ring_dequeue",
+            "notify",
+            "netstack_deliver",
+            "netstack_drop",
+            "netstack_tx",
+            "netstack_tx_drop",
+            "app_deliver",
+            "tx_offer",
+            "tx_filter",
+            "tx_class",
+            "tx_queue",
+            "tx_drop",
+            "tx_depart",
+        ];
+        let causes = [
+            "filter",
+            "reprogramming",
+            "policy_fault",
+            "malformed",
+            "ring_full",
+            "qdisc_full",
+            "no_socket",
+            "netfilter_drop",
+            "stale_conn",
+            "retry_overflow",
+            "device_dead",
+        ];
+        // seq, frame id, time, generation (u64 each), then the length.
+        const STAGE_BYTE: usize = 4 * 8 + 4;
+        let encoded = |stage, verdict| {
+            let e = TraceEvent {
+                stage,
+                verdict,
+                ..sample_event(1)
+            };
+            encode_event(0, &e)
+        };
+        let got: Vec<(u8, &str)> = Stage::ALL
+            .iter()
+            .map(|&s| (encoded(s, TraceVerdict::Pass)[STAGE_BYTE], s.name()))
+            .collect();
+        let want: Vec<(u8, &str)> = (0..).zip(stages).collect();
+        assert_eq!(got, want);
+        let got: Vec<(u8, &str)> = DropCause::ALL
+            .iter()
+            .map(|&c| {
+                let p = encoded(Stage::RxDrop, TraceVerdict::Drop(c));
+                assert_eq!(p[STAGE_BYTE + 1], VERDICT_DROP);
+                (p[STAGE_BYTE + 2], c.name())
+            })
+            .collect();
+        let want: Vec<(u8, &str)> = (0..).zip(causes).collect();
+        assert_eq!(got, want);
+    }
+
     #[test]
     fn truncated_file_yields_typed_error() {
         let path = tmp("trunc");
@@ -1052,7 +1112,7 @@ mod tests {
             .map(|e| e.seq)
             .collect();
         assert!(t100.windows(2).all(|w| w[0] < w[1]));
-        assert_eq!(series.seek(Time(500)), t100.len());
+        assert_eq!(t100.len(), 10);
         fs::remove_file(&path).unwrap();
         fs::remove_file(&out).unwrap();
     }

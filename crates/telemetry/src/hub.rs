@@ -1,7 +1,7 @@
 //! The shared telemetry hub.
 //!
 //! One [`Telemetry`] handle is cloned into every component of a simulated
-//! host (NIC, netstack, NAT, host glue). It is an `Rc` over interior-
+//! host (NIC, netstack, host glue). It is an `Rc` over interior-
 //! mutable state — the dataplane that emits is single-threaded and
 //! deterministic, so no locking is needed and event order is exactly
 //! simulation order.
@@ -366,8 +366,8 @@ impl Telemetry {
     }
 
     /// Adopts an id already carried by a frame (nonzero) or allocates a
-    /// fresh one. Lets an upstream stage (e.g. a NAT box in front of the
-    /// NIC) tag the frame first and have the NIC keep the same id.
+    /// fresh one. The kernel netstack keeps the id the NIC gave a frame
+    /// it punted to the slow path, so one lifecycle spans both.
     #[inline]
     pub fn adopt_frame_id(&self, carried: u64) -> u64 {
         if carried != 0 {

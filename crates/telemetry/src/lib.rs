@@ -11,7 +11,7 @@
 //! * `event` — typed stage events ([`TraceEvent`]): every frame entering
 //!   the dataplane is tagged with a `frame_id` (carried in
 //!   `pkt::FrameMeta`) and each pipeline stage (ingress, parse, filter,
-//!   NAT, flow lookup, ring, notification, netstack, qdisc, departure)
+//!   flow lookup, ring, notification, netstack, qdisc, departure)
 //!   records what happened to it, with uid/pid/comm attribution joined at
 //!   the kernel boundary. An event has two halves — what the frame's
 //!   stages share ([`FrameInfo`]) and what is particular to one stage

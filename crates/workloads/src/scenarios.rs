@@ -191,7 +191,10 @@ mod tests {
         let tb = AliceTestbed::new();
         let pkt = tb.outbound(&tb.mysql, 100);
         let parsed = pkt.parse().unwrap();
-        assert_eq!(parsed.ports(), Some((3306, 9000 + 3306)));
+        assert_eq!(
+            pkt::FiveTuple::from_parsed(&parsed).map(|t| (t.src_port, t.dst_port)),
+            Some((3306, 9000 + 3306))
+        );
     }
 
     #[test]

@@ -9,7 +9,7 @@ use std::net::Ipv4Addr;
 use nicsim::device::ProgramSlot;
 use nicsim::{SnifferFilter, POLICY_GENERATION_REG};
 use norman::host::DeliveryOutcome;
-use norman::{CtrlError, Host, HostConfig, NatRule, PortReservation, ShapingPolicy};
+use norman::{CtrlError, Host, HostConfig, PortReservation, ShapingPolicy};
 use oskernel::Uid;
 use pkt::{IpProto, Mac, Packet, PacketBuilder};
 use sim::fault::OpFaultInjector;
@@ -29,12 +29,6 @@ fn full_policy(h: &mut Host, now: Time) -> u64 {
         p.reservations.push(PortReservation::new(5432, Uid(1001)));
         p.shaping = Some(ShapingPolicy::new(vec![(Uid(1001), 4.0), (Uid(1002), 1.0)]));
         p.sniffer = Some(SnifferFilter::all());
-        p.nat_external_ip = Some(Ipv4Addr::new(198, 51, 100, 1));
-        p.nat_rules.push(NatRule {
-            proto: IpProto::UDP,
-            ext_port: 8080,
-            internal: (Ipv4Addr::new(192, 168, 0, 2), 80),
-        });
     })
     .unwrap()
 }
@@ -64,10 +58,10 @@ fn compile_rejection_leaves_everything_untouched() {
     let mut h = Host::new(HostConfig::default());
     full_policy(&mut h, Time::ZERO);
     let before = h.policy().clone();
-    // NAT rules without an external ip are refused in phase 1.
+    // A second owner for a reserved port is refused in phase 1.
     let err = h
         .update_policy(Time::from_us(1), |p| {
-            p.nat_external_ip = None;
+            p.reservations.push(PortReservation::new(5432, Uid(1002)));
         })
         .unwrap_err();
     assert!(matches!(err, CtrlError::Compile(_)), "got {err}");
@@ -193,10 +187,9 @@ fn reconcile_reinstalls_policy_after_bitstream_reprogram() {
     // Reconcile reinstalls the same policy: the generation is unchanged.
     assert_eq!(h.policy_generation(), gen_before);
     assert_eq!(h.nic.regs.peek(POLICY_GENERATION_REG), Some(gen_before));
-    // Scheduler classes, sniffer, and NAT statics are all back.
+    // Scheduler classes and sniffer are both back.
     assert_eq!(h.nic.scheduler_class_bytes().len(), 3);
     assert!(h.nic.sniffer.is_enabled());
-    assert_eq!(h.nat().unwrap().num_statics(), 1);
     assert!(h.audit().is_empty(), "audit: {:?}", h.audit());
 }
 
@@ -238,21 +231,14 @@ fn degenerate_scheduler_weights_are_rejected_in_phase_one() {
 }
 
 #[test]
-fn app_register_writes_cannot_corrupt_a_staged_bundle() {
-    // Satellite: a staged (phase-1) bundle is plain kernel memory. An
-    // application hammering NIC control registers mid-transaction gets
-    // privilege faults, and the commit that follows is byte-identical
-    // to one staged without the interference.
+fn app_register_writes_cannot_corrupt_a_commit() {
+    // Satellite: policy lives in kernel memory until phase 2 writes it.
+    // An application hammering NIC control registers gets privilege
+    // faults, and the commit that follows installs exactly its policy.
     let mut h = Host::new(HostConfig::default());
-    let staged = h
-        .stage_policy(|p| {
-            p.reservations.push(PortReservation::new(5432, Uid(1001)));
-            p.shaping = Some(ShapingPolicy::new(vec![(Uid(1001), 3.0)]));
-        })
-        .unwrap();
 
     // An app (pid 42) tries to write the kernel-only generation register
-    // and a nonexistent control register between stage and commit.
+    // and a nonexistent control register.
     let violations_before = h.nic.regs.violations();
     assert!(h
         .nic
@@ -262,43 +248,67 @@ fn app_register_writes_cannot_corrupt_a_staged_bundle() {
     assert!(h.nic.regs.write(0x20_1234, 0xBEEF, Some(42)).is_err());
     assert_eq!(h.nic.regs.violations(), violations_before + 2);
 
-    // The staged store is untouched and the commit applies it exactly.
-    assert_eq!(staged.store().reservations.len(), 1);
-    let g = h.commit_staged_policy(staged, Time::from_us(1)).unwrap();
+    let g = h
+        .update_policy(Time::from_us(1), |p| {
+            p.reservations.push(PortReservation::new(5432, Uid(1001)));
+            p.shaping = Some(ShapingPolicy::new(vec![(Uid(1001), 3.0)]));
+        })
+        .unwrap();
     assert_eq!(g, 1);
     assert_eq!(h.nic.regs.peek(POLICY_GENERATION_REG), Some(1));
+    assert_eq!(h.policy().reservations.len(), 1);
     assert_eq!(h.policy().reservations[0].port, 5432);
     assert_eq!(h.nic.scheduler_class_bytes().len(), 2);
     assert!(h.audit().is_empty(), "audit: {:?}", h.audit());
 }
 
 #[test]
-fn nat_rules_are_kernel_owned_and_conflict_checked() {
+fn conflicting_port_reservations_are_refused() {
+    // The NIC filter map holds one owner per port. Two owners for one
+    // port would leave the NIC enforcing the last while `connect`
+    // admits by the first, so phase 1 refuses the second owner.
     let mut h = Host::new(HostConfig::default());
-    full_policy(&mut h, Time::ZERO);
-    let nat = h.nat().expect("NAT policy creates the kernel table");
-    assert_eq!(
-        nat.static_target(IpProto::UDP, 8080),
-        Some((Ipv4Addr::new(192, 168, 0, 2), 80))
-    );
-
-    // Duplicate external ports are a phase-1 conflict.
+    h.update_policy(Time::ZERO, |p| {
+        p.reservations.push(PortReservation::new(5432, Uid(1001)))
+    })
+    .unwrap();
+    let before = h.policy().clone();
     let err = h
         .update_policy(Time::from_us(1), |p| {
-            p.nat_rules.push(NatRule {
-                proto: IpProto::UDP,
-                ext_port: 8080,
-                internal: (Ipv4Addr::new(192, 168, 0, 3), 81),
-            })
+            p.reservations.push(PortReservation::new(5432, Uid(1002)))
         })
         .unwrap_err();
     assert!(matches!(err, CtrlError::Compile(_)), "got {err}");
-
-    // Dropping the rules removes the statics (and the audit agrees).
-    h.update_policy(Time::from_us(2), |p| p.nat_rules.clear())
-        .unwrap();
-    assert_eq!(h.nat().unwrap().num_statics(), 0);
+    assert_eq!(h.policy_generation(), 1);
+    assert_eq!(h.policy().reservations, before.reservations);
     assert!(h.audit().is_empty(), "audit: {:?}", h.audit());
+
+    // The same owner twice is no conflict.
+    h.update_policy(Time::from_us(2), |p| {
+        p.reservations.push(PortReservation::new(5432, Uid(1001)))
+    })
+    .unwrap();
+    assert!(h.audit().is_empty(), "audit: {:?}", h.audit());
+
+    // Both planes agree on the owner: bob is admitted and his first
+    // frame reaches him.
+    let bob = h.spawn(Uid(1001), "bob", "postgres");
+    h.connect(
+        bob,
+        IpProto::UDP,
+        5432,
+        Ipv4Addr::new(10, 0, 0, 2),
+        9000,
+        false,
+    )
+    .unwrap();
+    let frame = wire_udp(h.cfg.ip, 9000, 5432, 100);
+    let report = h.deliver_from_wire(&frame, Time::from_us(3));
+    assert!(
+        matches!(report.outcome, DeliveryOutcome::FastPath(_)),
+        "got {:?}",
+        report.outcome
+    );
 }
 
 #[test]

@@ -4,7 +4,7 @@
 use nicsim::SnifferFilter;
 use norman::host::DeliveryOutcome;
 use norman::policy::{PortReservation, ShapingPolicy};
-use norman::tools::{kfilter, knetstat, kqdisc, ksniff, ToolError};
+use norman::tools::{knetstat, kqdisc, ksniff, npolicy, ToolError};
 use oskernel::Cred;
 use pkt::PacketBuilder;
 use sim::{Dur, Time};
@@ -14,12 +14,9 @@ use workloads::{AliceTestbed, BOB, CHARLIE};
 fn port_partition_holds_in_both_planes() {
     let mut tb = AliceTestbed::new();
     let root = Cred::root();
-    kfilter::reserve(
-        &mut tb.host,
-        &root,
-        PortReservation::new(5432, BOB),
-        Time::ZERO,
-    )
+    npolicy::apply(&mut tb.host, &root, Time::ZERO, |p| {
+        p.reservations.push(PortReservation::new(5432, BOB))
+    })
     .unwrap();
 
     // Control plane: charlie cannot open 5432.
@@ -67,9 +64,10 @@ fn tools_require_privilege() {
         ksniff::start(&mut tb.host, &bob, SnifferFilter::all(), Time::ZERO),
         Err(ToolError::PermissionDenied { .. })
     ));
-    assert!(
-        kfilter::reserve(&mut tb.host, &bob, PortReservation::new(1, BOB), Time::ZERO).is_err()
-    );
+    assert!(npolicy::apply(&mut tb.host, &bob, Time::ZERO, |p| {
+        p.reservations.push(PortReservation::new(1, BOB))
+    })
+    .is_err());
     assert!(
         kqdisc::install_wfq(&mut tb.host, &bob, ShapingPolicy::new(vec![]), Time::ZERO).is_err()
     );
@@ -164,7 +162,10 @@ fn shaping_policy_survives_policy_updates_without_drops() {
     for i in 0..200u64 {
         let now = Time::from_us(i * 10);
         if i == 100 {
-            kfilter::reserve(&mut tb.host, &root, PortReservation::new(2222, BOB), now).unwrap();
+            npolicy::apply(&mut tb.host, &root, now, |p| {
+                p.reservations.push(PortReservation::new(2222, BOB))
+            })
+            .unwrap();
         }
         if let Ok(nicsim::TxDisposition::Queued { .. }) =
             tb.host.nic.tx_enqueue(tb.postgres.conn, &frame, now)

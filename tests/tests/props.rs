@@ -47,7 +47,10 @@ fn udp_build_parse_round_trip() {
             .udp(sport, dport, &payload)
             .build();
         let parsed = pkt.parse().unwrap();
-        assert_eq!(parsed.ports(), Some((sport, dport)));
+        assert_eq!(
+            pkt::FiveTuple::from_parsed(&parsed).map(|t| (t.src_port, t.dst_port)),
+            Some((sport, dport))
+        );
         let ip = parsed.ip().unwrap();
         assert_eq!(ip.src, src);
         assert_eq!(ip.dst, dst);
@@ -60,7 +63,7 @@ fn udp_build_parse_round_trip() {
     }
 }
 
-/// TCP frames round-trip including sequence numbers and flags.
+/// TCP frames round-trip including ports and flags.
 #[test]
 fn tcp_build_parse_round_trip() {
     let mut r = rng(2);
@@ -68,19 +71,17 @@ fn tcp_build_parse_round_trip() {
         let (src, dst) = (arb_ip(&mut r), arb_ip(&mut r));
         let sport = r.next_u64() as u16;
         let dport = r.next_u64() as u16;
-        let seq = r.next_u64() as u32;
-        let ack = r.next_u64() as u32;
         let payload = arb_bytes(&mut r, 600);
         let pkt = PacketBuilder::new()
             .ether(Mac::local(1), Mac::local(2))
             .ipv4(src, dst)
             .tcp(sport, dport, TcpFlags::ACK.with(TcpFlags::PSH), &payload)
-            .tcp_seq(seq, ack)
             .build();
-        match pkt.parse().unwrap().payload {
+        let parsed = pkt.parse().unwrap();
+        let ft = FiveTuple::from_parsed(&parsed).unwrap();
+        assert_eq!((ft.src_port, ft.dst_port), (sport, dport));
+        match parsed.payload {
             Payload::Tcp { tcp, .. } => {
-                assert_eq!(tcp.seq, seq);
-                assert_eq!(tcp.ack, ack);
                 assert!(tcp.flags.contains(TcpFlags::PSH));
             }
             _ => panic!("expected TCP"),
@@ -197,7 +198,7 @@ fn host_ring_fifo_under_interleaving() {
         let ops = r.range_usize(1, 400);
         for _ in 0..ops {
             if r.chance(0.5) {
-                match ring.produce_dma(next_len, &mut llc, &costs) {
+                match ring.produce_dma_with((), next_len, &mut llc, &costs) {
                     Ok(_) => {
                         expected.push_back(next_len);
                         next_len = 100 + (next_len + 37) % 1900;
@@ -205,8 +206,8 @@ fn host_ring_fifo_under_interleaving() {
                     Err(_) => assert!(ring.is_full()),
                 }
             } else {
-                match ring.consume_cpu(&mut llc, &costs) {
-                    Some((len, _)) => assert_eq!(Some(len), expected.pop_front()),
+                match ring.consume_cpu_desc(&mut llc, &costs) {
+                    Some(((), len, _)) => assert_eq!(Some(len), expected.pop_front()),
                     None => assert!(expected.is_empty()),
                 }
             }
@@ -429,76 +430,6 @@ fn parser_is_total_on_corrupted_frames() {
     }
 }
 
-/// NAT round trip: any internal endpoint masquerades out and any reply
-/// restores the exact original endpoint, with valid checksums at every
-/// step.
-#[test]
-fn nat_round_trip() {
-    let mut r = rng(20);
-    let mut cases = 0;
-    while cases < 64 {
-        let internal = Ipv4Addr::new(192, 168, 1, r.range_u64(1, 255) as u8);
-        let external = Ipv4Addr::new(203, 0, 113, 1);
-        let remote = arb_ip(&mut r);
-        if remote == external || remote == internal {
-            continue;
-        }
-        cases += 1;
-        let int_port = r.range_u64(1, 65536) as u16;
-        let remote_port = r.range_u64(1, 65536) as u16;
-        let payload = arb_bytes(&mut r, 256);
-        let mut nat = nicsim::NatTable::new(external);
-        let mut sram = nicsim::Sram::new(1 << 20);
-        let out_frame = PacketBuilder::new()
-            .ether(Mac::local(1), Mac::local(2))
-            .ipv4(internal, remote)
-            .udp(int_port, remote_port, &payload)
-            .build();
-        let masq = nat.translate_outbound(out_frame, &mut sram).unwrap();
-        let mt = FiveTuple::from_parsed(&masq.parse().unwrap()).unwrap();
-        assert_eq!(mt.src_ip, external);
-
-        let reply = PacketBuilder::new()
-            .ether(Mac::local(2), Mac::local(1))
-            .ipv4(remote, external)
-            .udp(remote_port, mt.src_port, &payload)
-            .build();
-        let restored = nat.translate_inbound(reply).unwrap();
-        let rt = FiveTuple::from_parsed(&restored.parse().unwrap()).unwrap();
-        assert_eq!(rt.dst_ip, internal);
-        assert_eq!(rt.dst_port, int_port);
-    }
-}
-
-/// Incremental checksum updates agree with full recomputation for
-/// arbitrary address/port rewrites.
-#[test]
-fn mutate_preserves_checksum_validity() {
-    let mut r = rng(21);
-    for _ in 0..64 {
-        let new_src = arb_ip(&mut r);
-        let new_port = r.range_u64(1, 65536) as u16;
-        let payload = arb_bytes(&mut r, 300);
-        let original = PacketBuilder::new()
-            .ether(Mac::local(1), Mac::local(2))
-            .ipv4(Ipv4Addr::new(10, 1, 2, 3), Ipv4Addr::new(10, 4, 5, 6))
-            .udp(1111, 2222, &payload)
-            .build();
-        let rewritten = pkt::mutate::rewrite_ipv4_addrs(&original, Some(new_src), None).unwrap();
-        let rewritten = pkt::mutate::rewrite_ports(&rewritten, Some(new_port), None).unwrap();
-        // parse() verifies the IP checksum; verify the UDP sum explicitly.
-        let parsed = rewritten.parse().unwrap();
-        let ft = FiveTuple::from_parsed(&parsed).unwrap();
-        assert_eq!(ft.src_ip, new_src);
-        assert_eq!(ft.src_port, new_port);
-        assert!(pkt::UdpHeader::verify_segment(
-            new_src,
-            Ipv4Addr::new(10, 4, 5, 6),
-            &rewritten.bytes()[34..]
-        ));
-    }
-}
-
 // ---------------------------------------------------------------------
 // Fault-injection properties
 // ---------------------------------------------------------------------
@@ -645,78 +576,44 @@ fn corrupted_frames_never_create_state() {
 // ---------------------------------------------------------------------
 
 /// The ingress-derived `FrameMeta` stays equal to a fresh `parse()` of
-/// the frame bytes after every pipeline stage — including NAT's
-/// incremental header rewrite, which must keep offsets, tuple, Toeplitz
+/// the frame bytes after every pipeline stage: offsets, tuple, Toeplitz
 /// flow hash, and checksum-verified flags in lockstep with the bytes.
 #[test]
 fn frame_meta_matches_fresh_parse_through_all_stages() {
     use pkt::{Frame, FrameMeta};
 
     let mut r = rng(26);
-    let mut cases = 0;
-    while cases < 64 {
-        let internal = Ipv4Addr::new(192, 168, 1, r.range_u64(1, 255) as u8);
-        let external = Ipv4Addr::new(203, 0, 113, 1);
-        let remote = arb_ip(&mut r);
-        if remote == external || remote == internal {
-            continue;
-        }
-        cases += 1;
-        let int_port = r.range_u64(1, 65536) as u16;
+    for _ in 0..64 {
+        let (local, remote) = (arb_ip(&mut r), arb_ip(&mut r));
+        let local_port = r.range_u64(1, 65536) as u16;
         let remote_port = r.range_u64(1, 65536) as u16;
         let payload = arb_bytes(&mut r, 400);
         let tcp = r.chance(0.5);
-        let b = PacketBuilder::new()
-            .ether(Mac::local(1), Mac::local(2))
-            .ipv4(internal, remote);
-        let pkt = if tcp {
-            b.tcp(int_port, remote_port, TcpFlags::ACK, &payload)
-                .build()
-        } else {
-            b.udp(int_port, remote_port, &payload).build()
+        let build = |src, dst, sport, dport| {
+            let b = PacketBuilder::new()
+                .ether(Mac::local(1), Mac::local(2))
+                .ipv4(src, dst);
+            if tcp {
+                b.tcp(sport, dport, TcpFlags::ACK, &payload).build()
+            } else {
+                b.udp(sport, dport, &payload).build()
+            }
         };
 
         // Stage 0: ingress. The build-time descriptor equals a fresh
         // derive over the bytes.
-        let frame = Frame::ingress(pkt.clone()).unwrap();
+        let frame = Frame::ingress(build(local, remote, local_port, remote_port)).unwrap();
         assert_eq!(frame.meta, FrameMeta::derive(frame.bytes()).unwrap());
 
-        // Stage 1: outbound NAT rewrite updates the descriptor
-        // incrementally (RFC 1624 sums, Toeplitz XOR delta).
-        let mut nat = nicsim::NatTable::new(external);
-        let mut sram = nicsim::Sram::new(1 << 20);
-        let masq = nat
-            .translate_outbound_frame(frame.clone(), &mut sram, sim::Time::ZERO)
-            .unwrap();
-        assert_eq!(masq.meta, FrameMeta::derive(masq.bytes()).unwrap());
+        // Stage 1: the reply comes back; its descriptor tracks the bytes.
+        let reply = Frame::ingress(build(remote, local, remote_port, local_port)).unwrap();
+        assert_eq!(reply.meta, FrameMeta::derive(reply.bytes()).unwrap());
+        assert_eq!(reply.meta.tuple.unwrap().dst_port, local_port);
 
-        // Stage 2: the reply comes back and inbound NAT restores the
-        // original endpoint; the descriptor again tracks the bytes.
-        let ext_port = masq.meta.tuple.unwrap().src_port;
-        let rb = PacketBuilder::new()
-            .ether(Mac::local(2), Mac::local(1))
-            .ipv4(remote, external);
-        let reply = if tcp {
-            rb.tcp(remote_port, ext_port, TcpFlags::ACK, &payload)
-                .build()
-        } else {
-            rb.udp(remote_port, ext_port, &payload).build()
-        };
-        let reply_frame = Frame::ingress(reply).unwrap();
-        assert_eq!(
-            reply_frame.meta,
-            FrameMeta::derive(reply_frame.bytes()).unwrap()
-        );
-        let restored = nat
-            .translate_inbound_frame(reply_frame.clone(), sim::Time::ZERO)
-            .unwrap();
-        assert_eq!(restored.meta, FrameMeta::derive(restored.bytes()).unwrap());
-        assert_eq!(restored.meta.tuple.unwrap().dst_port, int_port);
-
-        // Stage 3: the NIC pipeline hands back the descriptor it used.
+        // Stage 2: the NIC pipeline hands back the descriptor it used.
         let mut nic = nicsim::SmartNic::new(nicsim::NicConfig::default());
-        let rx = nic.rx(&restored.pkt, Time::ZERO);
-        assert_eq!(rx.meta, Some(FrameMeta::derive(restored.bytes()).unwrap()));
+        let rx = nic.rx(&reply.pkt, Time::ZERO);
+        assert_eq!(rx.meta, Some(FrameMeta::derive(reply.bytes()).unwrap()));
     }
 }
 

@@ -139,7 +139,7 @@ fn crash_recovery_preserves_frame_conservation() {
     for i in 0..4 {
         host.deliver_from_wire(&pkt, Time::from_us(i));
     }
-    host.crash_nic(Time::from_us(10));
+    host.nic.crash(Time::from_us(10));
     // Frames already DMA'd into host rings survive the device crash.
     for _ in 0..4 {
         assert_eq!(

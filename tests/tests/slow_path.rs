@@ -82,7 +82,7 @@ fn arp_reply_contents_are_correct() {
     // Reconstruct the reply via the cache responder for content check.
     let reply = host
         .arp
-        .handle(&req, Time::from_us(2))
+        .handle_meta(&req, req.meta().unwrap(), Time::from_us(2))
         .expect("still answers");
     let arp = parse_arp(&reply);
     assert_eq!(arp.op, ArpOp::Reply);

@@ -227,7 +227,10 @@ fn tx_drops_are_typed_everywhere() {
 
     // Kernel-path sends against a dropping OUTPUT chain.
     let mut deny = Rule::new(HookVerdict::Drop);
-    deny.matcher = ClassifierRule::any().match_src_port(7000);
+    deny.matcher = ClassifierRule {
+        src_port: Some(7000),
+        ..ClassifierRule::default()
+    };
     host.stack.output.append(deny);
     let (sent, _) = host.stack.tx(bob, &out, Time::ZERO, &host.procs);
     assert!(!sent);

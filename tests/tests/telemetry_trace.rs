@@ -1,6 +1,6 @@
 //! The introspection layer end to end: one packet's full lifecycle —
-//! NAT gateway rewrite, NIC pipeline (parse, filter, flow lookup), ring
-//! DMA, notification, application delivery — captured as typed trace
+//! NIC pipeline (parse, filter, flow lookup), ring DMA, notification,
+//! application delivery — captured as typed trace
 //! events on a single frame id, attributed to the owning process, and
 //! queried through the `ktrace` management tool with BPF-ish filters.
 //!
@@ -13,18 +13,19 @@ use std::net::Ipv4Addr;
 use norman::tools::trace as ktrace;
 use norman::{Host, HostConfig, NormanSocket, PortReservation, Stage, TraceFilter, TraceVerdict};
 use oskernel::{Cred, Uid};
-use pkt::{Frame, IpProto, Mac, PacketBuilder};
+use pkt::{IpProto, Mac, PacketBuilder};
 use sim::{Dur, Time};
 
 fn stages(events: &[norman::TraceEvent]) -> Vec<Stage> {
     events.iter().map(|e| e.stage).collect()
 }
 
-/// The acceptance demo: a reply frame crosses a NAT gateway, then the
-/// full Norman dataplane, while `ktrace` records every stage under one
-/// frame id with uid/pid/comm attribution and per-stage virtual time.
+/// The acceptance demo: a reply frame crosses the full Norman dataplane
+/// from NIC ingress to the application, while `ktrace` records every
+/// stage under one frame id with uid/pid/comm attribution and per-stage
+/// virtual time.
 #[test]
-fn one_packet_full_lifecycle_with_nat_and_attribution() {
+fn one_packet_full_lifecycle_with_attribution() {
     let mut host = Host::new(HostConfig::default());
     let bob = host.spawn(Uid(1001), "bob", "server");
     // A port reservation loads the NIC ingress+egress filters, so the
@@ -45,49 +46,20 @@ fn one_packet_full_lifecycle_with_nat_and_attribution() {
     )
     .unwrap();
 
-    // A NAT gateway sits in front of the host, sharing its telemetry
-    // hub: the frame id allocated at the NAT follows the frame into the
-    // NIC and all the way to the application.
-    let external = Ipv4Addr::new(203, 0, 113, 1);
-    let mut nat = nicsim::NatTable::new(external);
-    nat.set_telemetry(host.telemetry().clone());
-    let mut nat_sram = nicsim::Sram::new(1 << 20);
-
     host.start_trace();
 
-    // Outbound through the gateway: the server's packet to the remote,
-    // masqueraded to the external ip. This installs the NAT mapping.
-    let outbound = PacketBuilder::new()
-        .ether(host.cfg.mac, Mac::local(9))
-        .ipv4(host.cfg.ip, Ipv4Addr::new(203, 0, 113, 9))
-        .udp(7000, 9000, b"ping")
-        .build();
-    let out_frame = Frame::ingress(outbound).unwrap();
-    let masq = nat
-        .translate_outbound_frame(out_frame, &mut nat_sram, Time::ZERO)
-        .unwrap();
-    let ext_port = masq.meta.tuple.unwrap().src_port;
-
-    // The reply arrives at the gateway addressed to (external, ext_port);
-    // inbound NAT restores (host.ip, 7000) and tags the frame id.
-    let t_nat = Time::from_us(40);
-    let reply = PacketBuilder::new()
-        .ether(Mac::local(9), host.cfg.mac)
-        .ipv4(Ipv4Addr::new(203, 0, 113, 9), external)
-        .udp(9000, ext_port, b"pong")
-        .build();
-    let reply_frame = Frame::ingress(reply).unwrap();
-    let restored = nat.translate_inbound_frame(reply_frame, t_nat).unwrap();
-    let fid = restored.meta.frame_id;
-    assert_ne!(fid, 0, "NAT must tag the frame with a lifecycle id");
-
     // Blocking read arms the notification path before the frame lands.
-    let r = sock.recv(&mut host, t_nat, true);
+    let r = sock.recv(&mut host, Time::from_us(40), true);
     assert!(r.blocked);
 
-    // The rewritten frame crosses the wire into the NIC dataplane.
+    // The remote's reply crosses the wire into the NIC dataplane.
+    let reply = PacketBuilder::new()
+        .ether(Mac::local(9), host.cfg.mac)
+        .ipv4(Ipv4Addr::new(203, 0, 113, 9), host.cfg.ip)
+        .udp(9000, 7000, b"pong")
+        .build();
     let t_wire = Time::from_us(45);
-    let report = host.deliver_from_wire(&restored.pkt, t_wire);
+    let report = host.deliver_from_wire(&reply, t_wire);
     assert!(matches!(
         report.outcome,
         norman::host::DeliveryOutcome::FastPath(_)
@@ -99,12 +71,22 @@ fn one_packet_full_lifecycle_with_nat_and_attribution() {
     let r = sock.recv(&mut host, t_recv, true);
     assert!(r.len.is_some());
 
-    // --- One frame id, every stage -------------------------------------
+    // NIC ingress tags the frame with its lifecycle id.
     let root = Cred::root();
+    let ingress = ktrace::query(
+        &host,
+        &root,
+        &TraceFilter::any().with_stage(Stage::RxIngress),
+    )
+    .unwrap();
+    assert_eq!(ingress.len(), 1);
+    let fid = ingress[0].frame_id;
+    assert_ne!(fid, 0, "ingress must tag the frame with a lifecycle id");
+
+    // --- One frame id, every stage -------------------------------------
     let life = ktrace::lifecycle(&host, &root, fid).unwrap();
     let got = stages(&life);
     for want in [
-        Stage::RxNat,
         Stage::RxIngress,
         Stage::RxParse,
         Stage::RxFilter,
@@ -117,10 +99,9 @@ fn one_packet_full_lifecycle_with_nat_and_attribution() {
     ] {
         assert!(got.contains(&want), "lifecycle missing {want:?}: {got:?}");
     }
-    // Per-stage timing: the NAT hop precedes ingress, the pipeline adds
-    // latency before delivery, and the app consumes later still.
+    // Per-stage timing: the pipeline adds latency before delivery, and
+    // the app consumes later still.
     let at = |s: Stage| life.iter().find(|e| e.stage == s).unwrap().at;
-    assert_eq!(at(Stage::RxNat), t_nat);
     assert_eq!(at(Stage::RxIngress), t_wire);
     assert!(at(Stage::RxDeliver) >= t_wire + Dur::from_ns(300));
     assert_eq!(at(Stage::AppDeliver), t_recv);
@@ -136,8 +117,8 @@ fn one_packet_full_lifecycle_with_nat_and_attribution() {
     let owned = ktrace::query(&host, &root, &TraceFilter::any().with_uid(1001)).unwrap();
     assert!(owned.iter().all(|e| e.owner.as_ref().unwrap().uid == 1001));
     assert!(owned.iter().any(|e| e.frame_id == fid));
-    // Flow view: BPF-ish 5-tuple match on the restored tuple.
-    let tuple = restored.meta.tuple.unwrap();
+    // Flow view: BPF-ish 5-tuple match on the reply's tuple.
+    let tuple = reply.meta().unwrap().tuple.unwrap();
     let flow = ktrace::query(&host, &root, &TraceFilter::any().with_tuple(tuple)).unwrap();
     assert!(flow.iter().any(|e| e.stage == Stage::RxDeliver));
     // Stage view: every flow-table consult in the capture window.
@@ -157,12 +138,6 @@ fn one_packet_full_lifecycle_with_nat_and_attribution() {
     let snap = host.metrics_snapshot();
     assert_eq!(snap.counter("nic.rx.frames"), Some(1));
     assert_eq!(snap.counter("host.fast_delivered"), Some(1));
-    // The gateway is its own box; it contributes its own registry rows.
-    let mut nat_reg = telemetry::Registry::new();
-    nat.fill_registry(&mut nat_reg);
-    let nat_snap = nat_reg.snapshot();
-    assert_eq!(nat_snap.counter("nat.translated_in"), Some(1));
-    assert_eq!(nat_snap.counter("nat.translated_out"), Some(1));
     let json = snap.to_json_pretty();
     assert!(json.contains("\"nic.rx.frames\""));
     assert!(json.contains("\"lat.nic.parse\""));

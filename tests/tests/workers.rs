@@ -170,29 +170,32 @@ fn sharded_counters_are_live_and_shard_llc_stats_span_cycles() {
     h.pump(&burst, Time::ZERO);
 
     assert_eq!(h.stats().fast_delivered, n);
-    let snap = h.metrics_snapshot();
-    assert_eq!(snap.counter("host.fast_delivered"), Some(n));
-    let dma = |s: memsim::LlcStats| s.dma_hits + s.dma_misses;
+    // Shard `c`'s cumulative LLC counters, as the metrics snapshot reads
+    // them: (DMA hits, DMA misses, DDIO evictions).
+    let shard_llc = |h: &Host, c: usize| {
+        let snap = h.metrics_snapshot();
+        let read = |what: &str| snap.counter(&format!("llc.shard.{c}.{what}")).unwrap();
+        (read("dma_hits"), read("dma_misses"), read("ddio_evictions"))
+    };
+    let dma = |(hits, misses, _): (u64, u64, u64)| hits + misses;
+    assert_eq!(h.metrics_snapshot().counter("host.fast_delivered"), Some(n));
     for c in 0..4 {
         assert!(h.sched.core_meter(c).busy > Dur::ZERO, "core {c} idle");
-        let hits = snap.counter(&format!("llc.shard.{c}.dma_hits")).unwrap();
-        let misses = snap.counter(&format!("llc.shard.{c}.dma_misses")).unwrap();
-        assert!(hits + misses > 0, "shard {c} shows no DMA traffic");
-        assert_eq!(hits + misses, dma(h.shard_llc_stats(c)));
+        assert!(dma(shard_llc(&h, c)) > 0, "shard {c} shows no DMA traffic");
     }
 
-    let first: Vec<_> = (0..4).map(|c| h.shard_llc_stats(c)).collect();
+    let first: Vec<_> = (0..4).map(|c| shard_llc(&h, c)).collect();
     for c in 0..4 {
         h.inject_worker_panic(c, "restart", Time::from_us(5))
             .unwrap_err();
     }
     for (c, banked) in first.iter().enumerate() {
-        assert_eq!(h.shard_llc_stats(c), *banked, "restart must bank shard {c}");
+        assert_eq!(shard_llc(&h, c), *banked, "restart must bank shard {c}");
     }
     h.pump(&burst, Time::from_us(10));
     for (c, banked) in first.iter().enumerate() {
         assert!(
-            dma(h.shard_llc_stats(c)) > dma(*banked),
+            dma(shard_llc(&h, c)) > dma(*banked),
             "shard {c} must keep counting on top of the earlier cycle"
         );
     }
