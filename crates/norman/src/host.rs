@@ -13,7 +13,7 @@
 use std::collections::VecDeque;
 use std::net::Ipv4Addr;
 
-use memsim::{DescRing, Llc, LlcConfig, LlcPartitionPlan, LlcStats, MemCosts, MmioBus};
+use memsim::{DescRing, HostRing, Llc, LlcConfig, LlcPartitionPlan, LlcStats, MemCosts, MmioBus};
 use nicsim::pipeline::{DropReason, TxDeparture};
 use nicsim::{
     ConnId, NicConfig, NicError, Notification, NotifyKind, RssTable, RxDisposition, SmartNic,
@@ -119,12 +119,6 @@ impl std::error::Error for ConnectError {}
 /// values (iteration order never relied on; exposure paths sort).
 pub(crate) use sim::FastMap;
 
-/// A host ring whose descriptors are the frame handles themselves: the
-/// slot a frame occupies in the memory model is paired with the
-/// [`Packet`] that owns its bytes, so RX→app delivery moves a refcount,
-/// never a payload.
-pub(crate) type PktRing = DescRing<Packet>;
-
 /// An RX ring descriptor: the frame handle plus the lifecycle id the NIC
 /// tagged the frame with, so whoever consumes the slot can name the frame
 /// it held, whenever tracing started.
@@ -134,14 +128,19 @@ pub(crate) struct RxDesc {
     pub(crate) fid: u64,
 }
 
-/// The RX direction of a ring pair.
+/// The RX direction of a ring pair: the slot a frame occupies in the
+/// memory model is paired with the [`Packet`] that owns its bytes, so
+/// RX→app delivery moves a refcount, never a payload.
 pub(crate) type RxRing = DescRing<RxDesc>;
 
-/// The pinned rings §4.3 gives a connection: one per direction.
+/// The pinned rings §4.3 gives a connection: one per direction. The TX
+/// ring carries no descriptor: `Host::app_send` produces a frame's slot
+/// and the NIC DMA-reads it back in the same call, so only the memory
+/// the slot's lines cost is modelled, and no frame is ever resident.
 #[derive(Debug)]
 struct RingPair {
     rx: RxRing,
-    tx: PktRing,
+    tx: HostRing,
 }
 
 /// One open connection.
@@ -624,7 +623,7 @@ impl Host {
         // cache exactly (no way lost, none double-owned).
         violations.extend(self.llc_plan.audit());
         // Arena conservation: every live slot must be reachable from some
-        // resident handle — rings, kernel socket queues, or the TX retry
+        // resident handle — RX rings, kernel socket queues, or the TX retry
         // buffer. A live count above residency means a leaked
         // (unreachable) slot.
         // Residency can legitimately exceed liveness: many descriptors may
@@ -635,7 +634,7 @@ impl Host {
         let ours = |p: &&Packet| p.arena_frame().is_some_and(|f| self.arena.owns(f));
         let resident = self
             .ring_pairs()
-            .flat_map(|r| r.rx.iter_descs().map(|d| &d.pkt).chain(r.tx.iter_descs()))
+            .flat_map(|r| r.rx.iter_descs().map(|d| &d.pkt))
             .filter(ours)
             .count() as u64
             + self.stack.arena_resident(&self.arena) as u64
@@ -1117,7 +1116,7 @@ impl Host {
         let (slots, slot_bytes) = (self.cfg.ring_slots, self.cfg.ring_slot_bytes);
         RingPair {
             rx: RxRing::new(self.alloc_ring_addr(), slots, slot_bytes),
-            tx: PktRing::new(self.alloc_ring_addr(), slots, slot_bytes),
+            tx: HostRing::new(self.alloc_ring_addr(), slots, slot_bytes),
         }
     }
 
@@ -1130,7 +1129,7 @@ impl Host {
     /// 16 GiB physical arena instead.
     fn alloc_ring_addr(&mut self) -> u64 {
         let footprint =
-            (self.cfg.ring_slots as u64) * (PktRing::DESC_BYTES + self.cfg.ring_slot_bytes as u64);
+            (self.cfg.ring_slots as u64) * (HostRing::DESC_BYTES + self.cfg.ring_slot_bytes as u64);
         let cell = footprint.next_multiple_of(4096);
         // Power-of-two cell count so the odd multiplier is a bijection.
         let cells = ((16u64 << 30) / cell).next_power_of_two() / 2;
@@ -1523,7 +1522,7 @@ impl Host {
         let (pid, shard) = (conn.pid, conn.shard);
         let tx_ring = &mut conn.ring_pair(&mut self.proc_rings).tx;
         let (llc, mem) = (&mut self.shards[shard].llc, &self.cfg.mem);
-        let Ok(produce) = tx_ring.produce_cpu_with(packet.clone(), packet.len(), llc, mem) else {
+        let Ok(produce) = tx_ring.produce_cpu_with((), packet.len(), llc, mem) else {
             return SendResult {
                 queued: false,
                 deferred: false,

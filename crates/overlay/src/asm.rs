@@ -77,6 +77,11 @@ fn parse_u64(tok: &str, line: usize) -> Result<u64, AsmError> {
     })
 }
 
+/// A verdict argument: 32 bits, refused rather than truncated.
+fn parse_u32(tok: &str, line: usize) -> Result<u32, AsmError> {
+    u32::try_from(parse_u64(tok, line)?).or_else(|_| err(line, format!("`{tok}` exceeds 32 bits")))
+}
+
 fn parse_operand(tok: &str, line: usize) -> Result<Operand, AsmError> {
     if tok.starts_with('r') && tok.len() <= 3 && tok[1..].chars().all(|c| c.is_ascii_digit()) {
         Ok(Operand::Reg(parse_reg(tok, line)?))
@@ -414,8 +419,8 @@ pub fn assemble(name: &str, src: &str) -> Result<Program, AsmError> {
                     ["pass"] => Some(Verdict::Pass),
                     ["drop"] => Some(Verdict::Drop),
                     ["slowpath"] => Some(Verdict::SlowPath),
-                    ["class", arg] => Some(Verdict::Class(parse_u64(arg, line)? as u32)),
-                    ["redirect", arg] => Some(Verdict::Redirect(parse_u64(arg, line)? as u32)),
+                    ["class", arg] => Some(Verdict::Class(parse_u32(arg, line)?)),
+                    ["redirect", arg] => Some(Verdict::Redirect(parse_u32(arg, line)?)),
                     [v] if v.starts_with('r') && v[1..].chars().all(|c| c.is_ascii_digit()) => {
                         // `ret rN` returns a register-encoded verdict.
                         bodies
@@ -722,6 +727,10 @@ mod tests {
         assert!(assemble("t", "ret slowpath").is_ok());
         assert!(assemble("t", "ldimm r2, 0\nret r2").is_ok());
         assert!(assemble("t", "ret bananas").is_err());
+        assert!(assemble("t", "ret class 4294967295").is_ok());
+        let e = assemble("t", "ret class 4294967298").unwrap_err();
+        assert_eq!(e.to_string(), "line 1: `4294967298` exceeds 32 bits");
+        assert!(assemble("t", "ret redirect 0x100000000").is_err());
     }
 
     #[test]

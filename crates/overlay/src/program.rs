@@ -39,9 +39,10 @@ impl MapSpec {
         }
     }
 
-    /// SRAM footprint of this map in bytes.
+    /// SRAM footprint of this map in bytes (saturating: an unverified
+    /// declaration may be any size).
     pub(crate) fn bytes(&self) -> u64 {
-        self.size as u64 * 8
+        (self.size as u64).saturating_mul(8)
     }
 }
 
@@ -72,7 +73,8 @@ impl FlowMapSpec {
     /// SRAM footprint in bytes: every record slot plus the 16-byte flow
     /// key, pre-provisioned for the declared flow capacity.
     pub(crate) fn bytes(&self) -> u64 {
-        (self.slots as u64 * 8 + 16) * self.max_flows as u64
+        let record = (self.slots as u64).saturating_mul(8).saturating_add(16);
+        record.saturating_mul(self.max_flows as u64)
     }
 }
 
@@ -161,10 +163,11 @@ impl Program {
     /// (8 bytes per instruction, as a packed overlay encoding, tails
     /// included) plus all map, flow-map and counter state.
     pub fn sram_bytes(&self) -> u64 {
-        self.total_insns() as u64 * 8
-            + self.maps.iter().map(MapSpec::bytes).sum::<u64>()
-            + self.flow_maps.iter().map(FlowMapSpec::bytes).sum::<u64>()
-            + self.counters.len() as u64 * 8
+        let code_and_counters = (self.total_insns() + self.counters.len()) as u64 * 8;
+        let maps = self.maps.iter().map(MapSpec::bytes);
+        let flow_maps = self.flow_maps.iter().map(FlowMapSpec::bytes);
+        maps.chain(flow_maps)
+            .fold(code_and_counters, u64::saturating_add)
     }
 
     /// A deterministic content fingerprint (FNV-1a over name, instruction

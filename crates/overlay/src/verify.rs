@@ -363,13 +363,16 @@ pub fn verify(program: &Program) -> Result<usize, VerifyError> {
     }
 
     // Map declarations. Flow maps pre-provision `slots * max_flows`
-    // entries, charged against the same SRAM entry budget.
-    let total_entries: usize = program.maps.iter().map(|m| m.size).sum::<usize>()
-        + program
-            .flow_maps
-            .iter()
-            .map(|fm| fm.slots * fm.max_flows)
-            .sum::<usize>();
+    // entries, charged against the same SRAM entry budget. Saturating:
+    // declared sizes are untrusted, and a sum that wrapped would pass.
+    let flow_entries = program
+        .flow_maps
+        .iter()
+        .map(|fm| fm.slots.saturating_mul(fm.max_flows));
+    let map_entries = program.maps.iter().map(|m| m.size);
+    let total_entries = map_entries
+        .chain(flow_entries)
+        .fold(0, usize::saturating_add);
     if total_entries > MAX_MAP_ENTRIES {
         return Err(VerifyError::MapsTooLarge {
             entries: total_entries,
@@ -412,7 +415,7 @@ pub fn verify(program: &Program) -> Result<usize, VerifyError> {
 mod tests {
     use super::*;
     use crate::isa::{AluOp, CmpOp, CtxField, Verdict};
-    use crate::program::MapSpec;
+    use crate::program::{FlowMapSpec, MapSpec};
 
     fn prog(insns: Vec<Insn>) -> Program {
         Program::new("t", insns, vec![])
@@ -599,6 +602,26 @@ mod tests {
             vec![MapSpec::new("huge", MAX_MAP_ENTRIES + 1)],
         );
         assert!(matches!(verify(&p), Err(VerifyError::MapsTooLarge { .. })));
+    }
+
+    #[test]
+    fn map_sizes_whose_sum_would_wrap_are_rejected() {
+        // `usize::MAX + 2` entries wrap to 1: a plain sum would pass it.
+        let p = Program::new(
+            "m",
+            vec![Insn::Ret {
+                verdict: Verdict::Pass,
+            }],
+            vec![MapSpec::new("a", usize::MAX), MapSpec::new("b", 2)],
+        )
+        .with_flow_map(FlowMapSpec::new("f", 16, usize::MAX));
+        assert_eq!(
+            verify(&p),
+            Err(VerifyError::MapsTooLarge {
+                entries: usize::MAX
+            })
+        );
+        assert_eq!(p.sram_bytes(), u64::MAX);
     }
 
     #[test]

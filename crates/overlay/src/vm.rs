@@ -1,11 +1,16 @@
-//! The overlay interpreter.
+//! The overlay machine: its state, the [`Vm`] that owns it, and the
+//! interpreter.
 //!
-//! Executes a verified [`Program`] against a packet context, charging one
-//! overlay cycle per instruction. Map state persists in the [`Vm`] across
-//! packets (counters, token buckets). The VM defends in depth: even
-//! though the verifier guarantees termination and register hygiene, the
-//! interpreter still bounds-checks everything and converts violations
-//! into [`VmError`]s rather than panicking — a misbehaving program must
+//! A [`Vm`] holds one loaded program and the state that persists across
+//! packets (maps, flow maps, counters: token buckets, byte accounting).
+//! The NIC builds every `Vm` with [`Vm::with_compiled`], so [`Vm::run`]
+//! executes the flat op array of [`crate::compile`]. The interpreter,
+//! [`Vm::run_interp`], walks the source instructions, charging one
+//! overlay cycle per instruction; it is the oracle the compiled engine
+//! is tested against, and both run over the one [`VmState`] layout.
+//! Both defend in depth: even though the verifier guarantees termination
+//! and register hygiene, every access is bounds-checked and a violation
+//! becomes a [`VmError`] rather than a panic — a misbehaving program must
 //! never take down the dataplane.
 
 use crate::isa::{CtxField, Insn, Operand, Reg, Verdict, NUM_REGS};

@@ -104,12 +104,14 @@ impl MultiQueue {
     /// given enqueue history.
     pub fn dequeue_rr(&mut self, now: Time) -> Option<(usize, QPkt)> {
         let n = self.queues.len();
-        for off in 0..n {
-            let q = (self.next_rr + off) % n;
+        let mut q = self.next_rr;
+        for _ in 0..n {
+            let next = if q + 1 == n { 0 } else { q + 1 };
             if let Some(pkt) = self.queues[q].dequeue(now) {
-                self.next_rr = (q + 1) % n;
+                self.next_rr = next;
                 return Some((q, pkt));
             }
+            q = next;
         }
         None
     }
@@ -165,6 +167,7 @@ impl MultiQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::VecDeque;
 
     fn pkt(id: u64, len: u32, class: u32) -> QPkt {
         QPkt::new(id, len, Time::ZERO).with_class(class)
@@ -257,6 +260,97 @@ mod tests {
         assert_eq!(mq.len(), 2);
         assert_eq!(mq.stats().dropped, 1);
         assert_eq!(mq.dequeue_rr(Time::ZERO).unwrap().1.class, 0);
+    }
+
+    /// One class of the reference: queued `(id, finish tag)`s and the
+    /// last finish tag.
+    type RefClass = (VecDeque<(u64, f64)>, f64);
+
+    /// The dequeue order as first written: per-class finish tags compared
+    /// with `partial_cmp`, queues visited with `% n`.
+    struct Reference {
+        /// Per queue: its classes and its virtual clock.
+        queues: Vec<(Vec<RefClass>, f64)>,
+        weights: Vec<f64>,
+        next_rr: usize,
+        /// Dequeues whose winner shared its finish tag with another head.
+        ties: usize,
+    }
+
+    impl Reference {
+        fn enqueue(&mut self, q: usize, id: u64, len: u32, class: usize) {
+            let (classes, vtime) = &mut self.queues[q];
+            let (queue, last_finish) = &mut classes[class];
+            let finish = last_finish.max(*vtime) + f64::from(len) / self.weights[class];
+            *last_finish = finish;
+            queue.push_back((id, finish));
+        }
+
+        fn dequeue(&mut self) -> Option<(usize, u64)> {
+            let n = self.queues.len();
+            for off in 0..n {
+                let q = (self.next_rr + off) % n;
+                let (classes, vtime) = &mut self.queues[q];
+                let heads: Vec<(usize, f64)> = classes
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(i, (queue, _))| queue.front().map(|&(_, f)| (i, f)))
+                    .collect();
+                let head = heads
+                    .iter()
+                    .copied()
+                    .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
+                if let Some((class, finish)) = head {
+                    self.ties += usize::from(heads.iter().filter(|h| h.1 == finish).count() > 1);
+                    let (id, _) = classes[class].0.pop_front().unwrap();
+                    *vtime = vtime.max(finish);
+                    self.next_rr = (q + 1) % n;
+                    return Some((q, id));
+                }
+            }
+            None
+        }
+    }
+
+    #[test]
+    fn dequeue_order_matches_a_partial_cmp_reference_on_a_seeded_stream() {
+        let weights = [1.0, 2.0, 1.0, 4.0];
+        let (queues, limit) = (3, 64);
+        let mut mq = MultiQueue::new(queues, &weights, limit);
+        let mut reference = Reference {
+            queues: vec![(vec![(VecDeque::new(), 0.0); weights.len()], 0.0); queues],
+            weights: weights.to_vec(),
+            next_rr: 0,
+            ties: 0,
+        };
+        let mut rng = sim::DetRng::seed_from_u64(0x2545_f491);
+        let mut served = 0;
+        for id in 0..20_000u64 {
+            if rng.chance(0.6) {
+                let q = rng.range_usize(0, queues);
+                let class = rng.range_usize(0, weights.len());
+                // Equal lengths on equal weights make equal tags: ties.
+                let len = if rng.chance(0.5) {
+                    1000
+                } else {
+                    rng.range_u64(64, 1501) as u32
+                };
+                let pkt = QPkt::new(id, len, Time::ZERO).with_class(class as u32);
+                if mq.enqueue_on(q, pkt, Time::ZERO).is_ok() {
+                    reference.enqueue(q, id, len, class);
+                }
+            } else {
+                let got = mq.dequeue_rr(Time::ZERO).map(|(q, p)| (q, p.id));
+                assert_eq!(got, reference.dequeue(), "at step {id}");
+                served += usize::from(got.is_some());
+            }
+        }
+        while let Some((q, p)) = mq.dequeue_rr(Time::ZERO) {
+            assert_eq!(Some((q, p.id)), reference.dequeue());
+        }
+        assert_eq!(reference.dequeue(), None);
+        let ties = reference.ties;
+        assert!(served > 5_000 && ties > 10, "served {served}, ties {ties}");
     }
 
     #[test]

@@ -109,15 +109,17 @@ impl Wfq {
     /// Releases the queued packet with the smallest finish tag. Work
     /// conserving: a non-empty scheduler always releases one.
     pub fn dequeue(&mut self, _now: Time) -> Option<QPkt> {
-        // Serve the head with the minimum finish tag.
+        // Serve the head with the minimum finish tag, the lowest class on
+        // a tie. `enqueue` only makes finite, non-negative tags, which
+        // `total_cmp` orders as `partial_cmp` would.
         let (idx, finish) = self
             .classes
             .iter()
             .enumerate()
             .filter_map(|(i, c)| c.queue.front().map(|(_, f)| (i, *f)))
-            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite tags"))?;
+            .min_by(|a, b| a.1.total_cmp(&b.1))?;
         let class = &mut self.classes[idx];
-        let (pkt, _) = class.queue.pop_front().expect("head exists");
+        let (pkt, _) = class.queue.pop_front()?;
         class.sent += u64::from(pkt.len);
         // Advance the virtual clock to the served packet's finish tag.
         self.vtime = self.vtime.max(finish);

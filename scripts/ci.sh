@@ -119,6 +119,10 @@ run_overlay_diff() {
   echo "==> differential fuzz again with lifecycle tracing enabled"
   (cd tests && NORMAN_TELEMETRY=1 cargo test -q --test overlay_diff)
 
+  echo "==> assembler fuzz: 100k mutated sources, no panic, lockstep engines (seeded)"
+  # Tier-1 runs a few thousand of these; the ignored test is the long run.
+  (cd tests && cargo test -q --test fuzz_asm -- --ignored)
+
   echo "==> commit-time compile gate suite (rejection, rollback, reconcile)"
   (cd tests && cargo test -q --test ctrl_commit)
 }

@@ -2,7 +2,9 @@
 //! per frame that number is zero: the NIC's parser verifies TCP/UDP
 //! checksums in place, the rings and the arena are reserved up front,
 //! and `Host::pump` allocates its two result vectors once per burst
-//! whatever the burst's length.
+//! whatever the burst's length. Egress under a committed policy is the
+//! same: `Host::app_send` allocates nothing per frame, and
+//! `Host::pump_tx` only its result vector when something departs.
 //!
 //! A counting global allocator keeps per-thread counts, so tests that
 //! run in parallel do not mix. Every count is taken after a warm-up
@@ -17,10 +19,11 @@ use std::net::Ipv4Addr;
 
 use nicsim::ConnId;
 use norman::host::DeliveryOutcome;
-use norman::{Host, HostConfig};
+use norman::{Host, HostConfig, PortReservation, ShapingPolicy};
 use oskernel::Uid;
+use overlay::builtins;
 use pkt::{FrameMeta, IpProto, Mac, Packet, PacketBuilder, TcpFlags};
-use sim::Time;
+use sim::{Dur, Time};
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
@@ -236,4 +239,82 @@ fn pump_allocates_per_burst_not_per_frame() {
         let n = allocs_in(|| pump(&mut host, burst));
         assert_eq!(n, PUMP_ALLOCS_PER_BURST, "pump of {} frames", burst.len());
     }
+}
+
+#[test]
+fn tx_allocates_nothing_per_frame_under_a_committed_policy() {
+    // Reservations (the port-owner filter), shaping (the uid classifier
+    // and the TX scheduler) and accounting: every overlay program and
+    // the qdisc run on every frame.
+    let mut host = host();
+    host.update_policy(Time::ZERO, |p| {
+        for i in 0..FLOWS {
+            let uid = Uid(if i % 2 == 0 { 1001 } else { 1002 });
+            p.reservations
+                .push(PortReservation::new(FIRST_PORT + i, uid));
+        }
+        p.shaping = Some(ShapingPolicy::new(vec![(Uid(1001), 3.0), (Uid(1002), 1.0)]));
+        p.accounting.push(builtins::byte_accounting());
+    })
+    .expect("commit reservations, shaping and accounting");
+    let (bob, carol) = (
+        host.spawn(Uid(1001), "bob", "app"),
+        host.spawn(Uid(1002), "carol", "app"),
+    );
+    let conns: Vec<ConnId> = (0..FLOWS)
+        .map(|i| {
+            let pid = if i % 2 == 0 { bob } else { carol };
+            host.connect(
+                pid,
+                IpProto::UDP,
+                FIRST_PORT + i,
+                REMOTE_IP,
+                REMOTE_PORT,
+                false,
+            )
+            .expect("open a flow")
+        })
+        .collect();
+    let frames: Vec<Packet> = LENS
+        .iter()
+        .flat_map(|&len| (0..FLOWS).map(move |i| (i, len)))
+        .map(|(i, len)| {
+            PacketBuilder::new()
+                .ether(host.cfg.mac, Mac::local(9))
+                .ipv4(host.cfg.ip, REMOTE_IP)
+                .udp(FIRST_PORT + i, REMOTE_PORT, &vec![0x5Au8; len - 42])
+                .build_in(host.arena())
+        })
+        .collect();
+    // One frame at a time, each sent a wire time after the last, so
+    // every `pump_tx` finds the link free and the frame just sent
+    // departs.
+    let mut now = Time::ZERO;
+    let send = |host: &mut Host, now: Time, i: usize| {
+        let k = i % frames.len();
+        let r = host.app_send(conns[k % conns.len()], &frames[k], now);
+        assert!(r.queued, "frame {k} queued");
+    };
+    let pump = |host: &mut Host, now: Time| {
+        assert_eq!(host.pump_tx(now).len(), 1);
+    };
+    // Every frame of the pool twice (a ring meeting a longer frame than
+    // it has seen grows its residency table once), then `warm`'s rule.
+    let mut step = |host: &mut Host, i: usize| {
+        now += Dur::from_us(1);
+        send(host, now, i);
+        pump(host, now);
+    };
+    (0..2 * frames.len()).for_each(|i| step(&mut host, i));
+    warm(&mut host, step);
+    for i in 0..FRAMES {
+        now += Dur::from_us(1);
+        assert_eq!(allocs_in(|| send(&mut host, now, i)), 0, "app_send {i}");
+        assert_eq!(allocs_in(|| pump(&mut host, now)), 1, "pump_tx {i}");
+        let idle = allocs_in(|| assert!(host.pump_tx(now).is_empty()));
+        assert_eq!(idle, 0, "pump_tx with nothing to send");
+    }
+    // The pool's slots are the test's, not the host's: release them.
+    drop(frames);
+    assert_eq!(host.audit(), Vec::<String>::new());
 }

@@ -1,7 +1,7 @@
 //! Differential fuzzing of the overlay's two execution engines.
 //!
 //! The interpreter (`Vm::run_interp`) is the semantic oracle; the
-//! AOT-compiled closure artifact (`Vm::run` with a compiled program)
+//! compiled op array (`Vm::run` with a compiled program)
 //! must be *bit-identical* on every observable surface: verdicts,
 //! cycle counts, marks, register files, map contents, per-flow scratch
 //! records, saturating counters, overflow-drop tallies, and fault
