@@ -256,11 +256,16 @@ impl LlcPartitionPlan {
 }
 
 /// Asks the kernel to back a buffer with transparent huge pages. The
-/// model's way-slot array spans megabytes and is indexed by hashed set,
-/// so with 4 KiB pages nearly every modeled access is also a real dTLB
-/// miss; 2 MiB pages remove that. Purely an optimization — errors are
+/// way-slot array is already faulted in as 4 KiB pages when the advice
+/// arrives, so the cache it is called for starts without them. The
+/// advised range stays marked, though: about ten seconds into a
+/// normanbench run the process holds 12 MB of huge pages (0 without
+/// the call), and the hosts built after that are set up faster. Without
+/// the call `setup_s` read +3.7 % on `rx_fast` and +6.4 % on `tx_shaped`
+/// (ten pairs each, 2-vCPU box). Purely an optimization — errors are
 /// ignored and the call is skipped off Linux and under miri (no FFI).
-#[allow(unused_variables)]
+/// The only `unsafe` in this crate.
+#[allow(unused_variables, unsafe_code)]
 fn advise_huge_pages(addr: *const u8, len: usize) {
     #[cfg(all(target_os = "linux", not(miri)))]
     {

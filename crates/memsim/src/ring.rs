@@ -48,6 +48,9 @@ impl std::error::Error for RingError {}
 /// agree on (the dataplane uses a refcounted arena frame handle); the
 /// modeled memory cost charges the pinned descriptor and payload-slot
 /// addresses, exactly as if the bytes lived in the ring's slot memory.
+/// Every produce and consume moves a `T` in and out of its slot record,
+/// so `T` should be a handle, not a payload: the dataplane's is 40
+/// bytes (`norman`'s `RxDesc`), its record 48.
 /// [`HostRing`] is the descriptor-free alias used where only the charge
 /// model matters.
 #[derive(Clone, Debug)]

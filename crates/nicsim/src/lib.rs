@@ -29,6 +29,8 @@
 //!   classifier, accounting) and a transmit scheduler: one WFQ per TX
 //!   queue (`qdisc::MultiQueue`).
 
+#![forbid(unsafe_code)]
+
 pub mod device;
 pub mod flowtable;
 pub(crate) mod notify;

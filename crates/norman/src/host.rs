@@ -121,7 +121,10 @@ pub(crate) use sim::FastMap;
 
 /// An RX ring descriptor: the frame handle plus the lifecycle id the NIC
 /// tagged the frame with, so whoever consumes the slot can name the frame
-/// it held, whenever tracing started.
+/// it held, whenever tracing started. 40 bytes, and the ring's slot
+/// record (payload length plus the descriptor while occupied) 48: the
+/// handle carries its parse-once descriptor behind a shared pointer,
+/// never inline.
 #[derive(Debug)]
 pub(crate) struct RxDesc {
     pub(crate) pkt: Packet,
@@ -1646,6 +1649,15 @@ mod tests {
             .ipv4(Ipv4Addr::new(10, 0, 0, 2), host_ip)
             .udp(src_port, dst_port, &vec![0u8; len])
             .build()
+    }
+
+    #[test]
+    fn rx_slot_record_and_receive_stay_small() {
+        // Every fast-path frame is moved into a ring slot record and out
+        // again in a `RecvResult`; a field added to `Packet` or `RxDesc`
+        // grows both on every frame.
+        assert!(std::mem::size_of::<(u32, Option<RxDesc>)>() <= 48);
+        assert!(std::mem::size_of::<RecvResult>() <= 64);
     }
 
     fn open_conn(h: &mut Host, pid: Pid, port: u16, notify: bool) -> ConnId {

@@ -93,6 +93,8 @@
 //!     .any(|r| r.uid == 1001 && r.comm == "echo-server" && r.via == "nic"));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub(crate) mod ctrl;
 pub mod host;
 pub(crate) mod lib_api;

@@ -28,6 +28,8 @@
 //! * `netstack` — socket demux + hook evaluation, with per-packet cost
 //!   accounting.
 
+#![forbid(unsafe_code)]
+
 pub(crate) mod arp;
 pub(crate) mod cgroup;
 pub(crate) mod cred;

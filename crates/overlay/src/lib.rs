@@ -25,6 +25,8 @@
 //! always terminate within `len(program)` cycles, the kernel control
 //! plane can hot-swap policies without risking a wedged dataplane.
 
+#![forbid(unsafe_code)]
+
 pub(crate) mod asm;
 pub mod builtins;
 pub(crate) mod compile;

@@ -38,12 +38,20 @@ impl Buf {
 /// of every frame without perturbing the dataplane.
 ///
 /// A packet may carry a parse-once [`FrameMeta`] descriptor (attached at
-/// build time or at ingress); equality and hashing consider only the wire
-/// bytes, so a frame with and without meta is the same frame.
+/// build time or by [`crate::Frame::ingress`]); equality and hashing
+/// consider only the wire bytes, so a frame with and without meta is the
+/// same frame.
+///
+/// The handle is 32 bytes: the buffer handle plus one pointer. A
+/// descriptor never changes once derived, so it lives behind an `Rc`
+/// that every clone shares, and moving or cloning a handle never copies
+/// it. The descriptor belongs to the handle, not to the arena slot: a
+/// second handle made with [`Packet::from_arena`] over the same slot
+/// carries none, and the NIC parses it afresh.
 #[derive(Clone)]
 pub struct Packet {
     data: Buf,
-    meta: Option<FrameMeta>,
+    meta: Option<Rc<FrameMeta>>,
 }
 
 impl PartialEq for Packet {
@@ -79,20 +87,21 @@ impl Packet {
         }
     }
 
-    /// Attaches a descriptor computed for exactly these bytes.
+    /// Attaches a descriptor computed for exactly these bytes: one heap
+    /// block, shared by every clone of the returned handle.
     pub fn with_meta(mut self, meta: FrameMeta) -> Packet {
         debug_assert_eq!(
             meta.frame_len,
             self.len(),
             "descriptor/frame length mismatch"
         );
-        self.meta = Some(meta);
+        self.meta = Some(Rc::new(meta));
         self
     }
 
     /// Returns the attached parse-once descriptor, if any.
     pub fn meta(&self) -> Option<&FrameMeta> {
-        self.meta.as_ref()
+        self.meta.as_deref()
     }
 
     /// Returns the wire bytes.
@@ -367,5 +376,23 @@ mod tests {
         let copy = pkt.clone();
         assert_eq!(pkt, copy);
         assert_eq!(pkt.bytes().as_ptr(), copy.bytes().as_ptr());
+    }
+
+    #[test]
+    fn clone_shares_the_descriptor() {
+        let pkt = PacketBuilder::new()
+            .ether(Mac::local(1), Mac::local(2))
+            .ipv4("10.0.0.1".parse().unwrap(), "10.0.0.2".parse().unwrap())
+            .udp(53, 53, b"x")
+            .build();
+        let copy = pkt.clone();
+        assert!(std::ptr::eq(pkt.meta().unwrap(), copy.meta().unwrap()));
+    }
+
+    #[test]
+    fn handle_is_32_bytes() {
+        // A field added here is copied by every ring slot, clone and
+        // receive on the dataplane; grow the handle only on purpose.
+        assert!(std::mem::size_of::<Packet>() <= 32);
     }
 }

@@ -15,6 +15,8 @@
 //! mirror of overlay classifiers) and [`compile`] lowers qdisc
 //! configurations to overlay programs for the NIC.
 
+#![forbid(unsafe_code)]
+
 pub mod classify;
 pub mod compile;
 pub(crate) mod mq;

@@ -23,6 +23,8 @@
 //! All simulation state is single-threaded and deterministic: running the
 //! same experiment twice with the same seed produces byte-identical output.
 
+#![forbid(unsafe_code)]
+
 pub mod fault;
 pub(crate) mod hash;
 pub(crate) mod link;

@@ -60,6 +60,8 @@
 //! (5-tuples, frame meta) so every layer above — nicsim, oskernel, qdisc,
 //! norman, bench — can register into the same hub.
 
+#![forbid(unsafe_code)]
+
 pub(crate) mod collect;
 pub(crate) mod event;
 pub mod file;

@@ -6,6 +6,8 @@
 //! misbehaving ARP flooder. See DESIGN.md §2 for the substitution
 //! rationale.
 
+#![forbid(unsafe_code)]
+
 pub(crate) mod generators;
 pub mod placement;
 pub(crate) mod scenarios;

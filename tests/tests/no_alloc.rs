@@ -5,6 +5,8 @@
 //! whatever the burst's length. Egress under a committed policy is the
 //! same: `Host::app_send` allocates nothing per frame, and
 //! `Host::pump_tx` only its result vector when something departs.
+//! Building a frame costs one block, the descriptor its clones share.
+//! Wire frames carry no descriptor, so none of that reaches ingress.
 //!
 //! A counting global allocator keeps per-thread counts, so tests that
 //! run in parallel do not mix. Every count is taken after a warm-up
@@ -142,6 +144,22 @@ fn warm(host: &mut Host, mut step: impl FnMut(&mut Host, usize)) {
         step(host, i);
         i += 1;
     }
+}
+
+#[test]
+fn build_in_allocates_the_shared_descriptor_and_clone_nothing() {
+    let host = host();
+    let payload = [0x5Au8; 64];
+    let builder = PacketBuilder::new()
+        .ether(host.cfg.mac, Mac::local(9))
+        .ipv4(host.cfg.ip, REMOTE_IP)
+        .udp(FIRST_PORT, REMOTE_PORT, &payload);
+    let mut built = None;
+    let n = allocs_in(|| built = Some(builder.build_in(host.arena())));
+    let built = built.unwrap();
+    assert!(built.arena_frame().is_some() && built.meta().is_some());
+    assert_eq!(n, 1, "build_in into a free slot: the descriptor's block");
+    assert_eq!(allocs_in(|| drop(built.clone())), 0, "Packet::clone");
 }
 
 #[test]

@@ -15,14 +15,29 @@ use sim::Time;
 
 const FRAMES: u64 = 48;
 
-/// A frame as it comes off the wire: bytes, no descriptor.
-fn wire_frame(host: &Host, src_port: u16, dst_port: u16) -> Packet {
-    let built = PacketBuilder::new()
+/// A UDP frame from the remote peer to `host`.
+fn to_host(host: &Host, src_port: u16, dst_port: u16) -> PacketBuilder<'static> {
+    PacketBuilder::new()
         .ether(Mac::local(9), host.cfg.mac)
         .ipv4(Ipv4Addr::new(10, 0, 0, 2), host.cfg.ip)
         .udp(src_port, dst_port, b"payload")
-        .build();
+}
+
+/// A frame as it comes off the wire: bytes, no descriptor.
+fn wire_frame(host: &Host, src_port: u16, dst_port: u16) -> Packet {
+    let built = to_host(host, src_port, dst_port).build();
     let wire = Packet::from_bytes(built.bytes().to_vec());
+    assert!(wire.meta().is_none());
+    wire
+}
+
+/// The same frame in the form normanbench replays: a second handle over
+/// a built arena slot. The descriptor belongs to the built handle, not
+/// to the slot, so this one carries none.
+fn arena_wire_frame(host: &Host, src_port: u16, dst_port: u16) -> Packet {
+    let built = to_host(host, src_port, dst_port).build_in(host.arena());
+    assert!(built.meta().is_some());
+    let wire = Packet::from_arena(built.arena_frame().unwrap().clone());
     assert!(wire.meta().is_none());
     wire
 }
@@ -49,8 +64,21 @@ fn host_with_socket() -> (Host, NormanSocket) {
 
 #[test]
 fn fast_path_frames_are_parsed_once_each() {
-    let (mut host, sock) = host_with_socket();
+    let (host, sock) = host_with_socket();
     let burst: Vec<Packet> = (0..FRAMES).map(|_| wire_frame(&host, 9000, 7000)).collect();
+    pump_and_receive_parses_once_each(host, &sock, &burst);
+}
+
+#[test]
+fn arena_wire_frames_are_parsed_once_each() {
+    let (host, sock) = host_with_socket();
+    let burst: Vec<Packet> = (0..FRAMES)
+        .map(|_| arena_wire_frame(&host, 9000, 7000))
+        .collect();
+    pump_and_receive_parses_once_each(host, &sock, &burst);
+}
+
+fn pump_and_receive_parses_once_each(mut host: Host, sock: &NormanSocket, burst: &[Packet]) {
     let before = derive_count();
     for chunk in burst.chunks(16) {
         let (reports, _) = host.pump(chunk, Time::ZERO);
