@@ -43,7 +43,7 @@ use oskernel::Uid;
 use pkt::{IpProto, Mac, Packet, PacketBuilder};
 use serde::Serialize;
 use sim::fault::OpFaultInjector;
-use sim::{Dur, FaultSchedule, FaultyLink, Link, Time};
+use sim::{Dur, FaultSchedule, FaultyLink, Link, Time, Violation};
 
 use crate::scenario::{connect_udp, ports_covering_queues, udp_to_host, PEER_IP};
 use crate::{claim, Mode, Outcome};
@@ -126,7 +126,7 @@ fn run_chaos(scenario: &str, schedule: FaultSchedule, outage: Option<Outage>) ->
     let mut delivered_ok = 0u64;
     let mut audits = 0u64;
     let mut audit_violations = 0u64;
-    let mut first_violation: Option<String> = None;
+    let mut first_violation: Option<Violation> = None;
 
     let deliver = |host: &mut Host, at: Time, frame: Vec<u8>, delivered_ok: &mut u64| {
         // Wire bytes are adopted straight into the host arena: the rest
@@ -275,7 +275,7 @@ fn run_chaos_recovery() -> Row {
     let mut audits = 0u64;
     let mut audits_skipped = 0u64;
     let mut audit_violations = 0u64;
-    let mut first_violation: Option<String> = None;
+    let mut first_violation: Option<Violation> = None;
     for i in 0..ROUNDS {
         let t = Time::ZERO + GAP * i;
         for d in wire.transmit(t, hp.bytes().to_vec()) {
@@ -414,7 +414,7 @@ fn run_chaos_sharded() -> Row {
     let mut audit_violations = 0u64;
     let mut policy_commits = 0u64;
     let mut policy_rollbacks = 0u64;
-    let mut first_violation: Option<String> = None;
+    let mut first_violation: Option<Violation> = None;
     for i in 0..FRAMES {
         let t = Time::ZERO + PKT_GAP * i;
         let flow = (i % ports.len() as u64) as usize;

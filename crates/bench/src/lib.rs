@@ -130,8 +130,14 @@ pub static EXPERIMENTS: [Experiment; 17] = [
     entry("m7", "BENCH_PR8.json", m7::run),
 ];
 
+/// The tree `exp` runs in, not the one it was built from: the nearest
+/// directory at or above the current one with `Cargo.toml` and `results/`.
 fn repo_root() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
+    let cwd = std::env::current_dir().expect("current directory");
+    cwd.ancestors()
+        .find(|dir| dir.join("Cargo.toml").is_file() && dir.join("results").is_dir())
+        .unwrap_or_else(|| panic!("no workspace with results/ at or above {}", cwd.display()))
+        .to_path_buf()
 }
 
 /// Runs `exp`, writes its document and prints one line per claim.

@@ -5,6 +5,7 @@
 //! CPU accesses allocate anywhere. Replacement is LRU within the ways the
 //! access class is allowed to use; hits anywhere refresh recency.
 
+use sim::audit::{check, check_at, Check, Violation};
 use sim::Dur;
 
 use crate::costs::MemCosts;
@@ -204,52 +205,30 @@ impl LlcPartitionPlan {
     /// donor's ways and (set-aligned) capacity, and the per-shard DDIO
     /// masks must sum to the donor's budget floored at one way per shard
     /// (see [`LlcPartitionPlan::split`]).
-    pub fn audit(&self) -> Vec<String> {
-        let mut violations = Vec::new();
+    pub fn audit(&self) -> Vec<Violation> {
+        let (mut violations, total) = (Vec::new(), &self.total);
+        let v = &mut violations;
         let ways: u32 = self.shards.iter().map(|s| s.ways).sum();
-        if ways != self.total.ways {
-            violations.push(format!(
-                "llc plan: shard ways sum {ways} != donor {}",
-                self.total.ways
-            ));
-        }
+        check(v, Check::LlcWays, total.ways.into(), ways.into());
         let ddio: u32 = self.shards.iter().map(|s| s.ddio_ways).sum();
-        let want_ddio = if self.total.ddio_ways == 0 {
+        let want_ddio = if total.ddio_ways == 0 {
             0
         } else {
-            self.total.ddio_ways.max(self.shards.len() as u32)
+            total.ddio_ways.max(self.shards.len() as u32)
         };
-        if ddio != want_ddio {
-            violations.push(format!(
-                "llc plan: shard DDIO ways sum {ddio} != floored donor budget {want_ddio}"
-            ));
-        }
-        for (i, s) in self.shards.iter().enumerate() {
-            if self.total.ddio_ways > 0 && s.ddio_ways == 0 {
-                violations.push(format!("llc plan: shard {i} lost its DDIO way"));
+        check(v, Check::LlcDdioWays, want_ddio.into(), ddio.into());
+        let bytes = self.shards.iter().map(|s| s.size_bytes).sum();
+        let donor = total.sets() * total.line_bytes * u64::from(total.ways);
+        check(v, Check::LlcCapacity, donor, bytes);
+        for (i, s) in (0u64..).zip(&self.shards) {
+            if total.ddio_ways > 0 && s.ddio_ways == 0 {
+                v.push(Violation::new(Check::LlcShardDdio, 1, 0).at(i));
             }
             if s.ddio_ways > s.ways {
-                violations.push(format!(
-                    "llc plan: shard {i} DDIO mask {} exceeds its {} ways",
-                    s.ddio_ways, s.ways
-                ));
+                let (ways, ddio) = (s.ways.into(), s.ddio_ways.into());
+                v.push(Violation::new(Check::LlcShardDdioMask, ways, ddio).at(i));
             }
-        }
-        let bytes: u64 = self.shards.iter().map(|s| s.size_bytes).sum();
-        let donor = self.total.sets() * self.total.line_bytes * u64::from(self.total.ways);
-        if bytes != donor {
-            violations.push(format!(
-                "llc plan: shard capacity sum {bytes} != donor {donor}"
-            ));
-        }
-        for (i, s) in self.shards.iter().enumerate() {
-            if s.sets() != self.total.sets() {
-                violations.push(format!(
-                    "llc plan: shard {i} has {} sets, donor {}",
-                    s.sets(),
-                    self.total.sets()
-                ));
-            }
+            check_at(v, Check::LlcShardSets, i, total.sets(), s.sets());
         }
         violations
     }

@@ -14,6 +14,7 @@ use std::collections::HashMap;
 use overlay::{verify, CompiledProgram, PktCtx, Program, Verdict, Vm};
 use pkt::{FiveTuple, FrameMeta, IpProto, Packet, PktError};
 use qdisc::{MultiQueue, QPkt};
+use sim::audit::{check, Check, Violation};
 use sim::fault::OpFaultInjector;
 use sim::{Dur, Link, Time};
 use telemetry::{
@@ -1038,57 +1039,34 @@ impl SmartNic {
     /// Returns a list of violations (empty = all invariants hold). Chaos
     /// harnesses call this after every injected fault; any violation means
     /// a fault corrupted NIC state rather than just losing traffic.
-    pub fn audit(&self) -> Vec<String> {
+    pub fn audit(&self) -> Vec<Violation> {
         let mut violations = Vec::new();
+        let v = &mut violations;
+        let flows = &self.flows;
+        let (hot, cold) = (flows.num_hot() as u64, flows.num_cold() as u64);
+        let (exact, listeners) = (flows.num_exact() as u64, flows.num_listeners() as u64);
+        let used = |c| self.sram.used_by(c);
 
         // Flow-table SRAM equals *hot-tier* entries at their fixed costs;
         // cold-tier entries live in host memory and charge nothing.
-        let expect_flow = self.flows.num_hot() as u64 * crate::flowtable::ENTRY_BYTES
-            + self.flows.num_listeners() as u64 * crate::flowtable::LISTENER_BYTES;
-        let actual_flow = self.sram.used_by(SramCategory::FlowTable);
-        if actual_flow != expect_flow {
-            violations.push(format!(
-                "flow-table SRAM {actual_flow} != {} hot * {} + {} listeners * {} = {expect_flow}",
-                self.flows.num_hot(),
-                crate::flowtable::ENTRY_BYTES,
-                self.flows.num_listeners(),
-                crate::flowtable::LISTENER_BYTES,
-            ));
-        }
+        let want =
+            hot * crate::flowtable::ENTRY_BYTES + listeners * crate::flowtable::LISTENER_BYTES;
+        check(v, Check::FlowTableSram, want, used(SramCategory::FlowTable));
 
         // Tier conservation: every exact connection is in exactly one
         // tier — none lost, none double-counted.
-        if self.flows.num_hot() + self.flows.num_cold() != self.flows.num_exact() {
-            violations.push(format!(
-                "flow tiers: {} hot + {} cold != {} exact connections",
-                self.flows.num_hot(),
-                self.flows.num_cold(),
-                self.flows.num_exact(),
-            ));
-        }
-        violations.extend(self.flows.audit_tiers());
+        check(v, Check::FlowTiers, exact, hot + cold);
+        v.extend(flows.audit_tiers());
 
         // Entry records cover exactly the exact + listener keys.
-        let key_count = self.flows.num_exact() + self.flows.num_listeners();
-        if self.flows.num_entries() != key_count {
-            violations.push(format!(
-                "flow-table entry records {} != exact {} + listeners {}",
-                self.flows.num_entries(),
-                self.flows.num_exact(),
-                self.flows.num_listeners(),
-            ));
-        }
+        let entries = flows.num_entries() as u64;
+        check(v, Check::FlowEntries, exact + listeners, entries);
 
         // Ring contexts: one per *hot* exact-match connection, none for
         // cold connections or listeners.
-        let expect_rings = self.flows.num_hot() as u64 * RING_CONTEXT_BYTES;
-        let actual_rings = self.sram.used_by(SramCategory::RingContext);
-        if actual_rings != expect_rings {
-            violations.push(format!(
-                "ring-context SRAM {actual_rings} != {} hot conns * {RING_CONTEXT_BYTES} = {expect_rings}",
-                self.flows.num_hot(),
-            ));
-        }
+        let want = hot * RING_CONTEXT_BYTES;
+        let rings = used(SramCategory::RingContext);
+        check(v, Check::RingContextSram, want, rings);
 
         // Overlay slots: Program/Maps SRAM equals the sum over loaded VMs.
         let mut expect_insn = 0u64;
@@ -1104,60 +1082,29 @@ impl SmartNic {
             expect_insn += insn;
             expect_maps += vm.program().sram_bytes() - insn;
         }
-        let actual_insn = self.sram.used_by(SramCategory::Program);
-        let actual_maps = self.sram.used_by(SramCategory::Maps);
-        if actual_insn != expect_insn {
-            violations.push(format!(
-                "program SRAM {actual_insn} != loaded programs' instruction bytes {expect_insn}"
-            ));
-        }
-        if actual_maps != expect_maps {
-            violations.push(format!(
-                "maps SRAM {actual_maps} != loaded programs' map bytes {expect_maps}"
-            ));
-        }
+        let insns = used(SramCategory::Program);
+        check(v, Check::ProgramSram, expect_insn, insns);
+        check(v, Check::MapsSram, expect_maps, used(SramCategory::Maps));
 
         // SRAM totals are internally consistent.
-        let by_category: u64 = SramCategory::ALL
-            .iter()
-            .map(|&c| self.sram.used_by(c))
-            .sum();
-        if by_category != self.sram.used() {
-            violations.push(format!(
-                "SRAM category sum {by_category} != used total {}",
-                self.sram.used()
-            ));
-        }
+        let by_category = SramCategory::ALL.iter().map(|&c| used(c)).sum();
+        check(v, Check::SramTotal, self.sram.used(), by_category);
 
         // RSS state is internally consistent: the TX scheduler bank has
         // one queue per RSS queue, every indirection entry names a live
         // queue, and the kernel register mirrors the active count.
-        if self.scheduler.num_queues() != self.rss.num_queues() {
-            violations.push(format!(
-                "TX scheduler has {} queues but RSS table has {}",
-                self.scheduler.num_queues(),
-                self.rss.num_queues()
-            ));
+        let queues = self.rss.num_queues() as u64;
+        let scheduler = self.scheduler.num_queues() as u64;
+        check(v, Check::TxSchedulerQueues, queues, scheduler);
+        let mut table = (0u64..).zip(self.rss.indirection());
+        if let Some((i, &q)) = table.find(|&(_, &q)| u64::from(q) >= queues) {
+            v.push(Violation::new(Check::RssIndirection, queues, q.into()).at(i));
         }
-        if let Some((index, &queue)) = self
-            .rss
-            .indirection()
-            .iter()
-            .enumerate()
-            .find(|&(_, &q)| usize::from(q) >= self.rss.num_queues())
-        {
-            violations.push(format!(
-                "RSS indirection[{index}] = {queue} names a nonexistent queue (have {})",
-                self.rss.num_queues()
-            ));
-        }
-        if self.regs.peek(RSS_NUM_QUEUES_REG) != Some(self.rss.num_queues() as u64) {
-            violations.push(format!(
-                "RSS queue-count register {:?} != active table's {}",
-                self.regs.peek(RSS_NUM_QUEUES_REG),
-                self.rss.num_queues()
-            ));
-        }
+        let register = self
+            .regs
+            .peek(RSS_NUM_QUEUES_REG)
+            .unwrap_or(Violation::NONE);
+        check(v, Check::RssQueueRegister, queues, register);
 
         // Second, independent ledger: when tracing is on, the telemetry
         // stage totals (accumulated since the trace baseline) must agree
@@ -1167,69 +1114,61 @@ impl SmartNic {
             let b = &self.tel_baseline;
             let s = &self.stats;
             let stage = |st: Stage| self.tel.stage_count(st);
+            let drops = |cause: DropCause| self.tel.drop_count(cause);
             let checks = [
                 (
-                    "rx_ingress vs rx_frames",
-                    stage(Stage::RxIngress),
+                    Check::LedgerRxIngress,
                     s.rx_frames - b.rx_frames,
+                    stage(Stage::RxIngress),
                 ),
                 (
-                    "rx_deliver vs rx_delivered",
-                    stage(Stage::RxDeliver),
+                    Check::LedgerRxDeliver,
                     s.rx_delivered - b.rx_delivered,
+                    stage(Stage::RxDeliver),
                 ),
                 (
-                    "rx_slowpath vs rx_slowpath",
-                    stage(Stage::RxSlowPath),
+                    Check::LedgerRxSlowPath,
                     s.rx_slowpath - b.rx_slowpath,
+                    stage(Stage::RxSlowPath),
                 ),
                 (
-                    "tx_offer vs tx_frames",
-                    stage(Stage::TxOffer),
+                    Check::LedgerTxOffer,
                     s.tx_frames - b.tx_frames,
+                    stage(Stage::TxOffer),
                 ),
                 (
-                    "tx_depart vs tx_sent",
-                    stage(Stage::TxDepart),
+                    Check::LedgerTxDepart,
                     s.tx_sent - b.tx_sent,
+                    stage(Stage::TxDepart),
                 ),
                 (
-                    "drop(malformed) vs rx_malformed+rx_bad_checksum",
-                    self.tel.drop_count(DropCause::Malformed),
+                    Check::LedgerDropMalformed,
                     (s.rx_malformed - b.rx_malformed) + (s.rx_bad_checksum - b.rx_bad_checksum),
+                    drops(DropCause::Malformed),
                 ),
                 (
-                    "drop(filter) vs rx_filtered+tx_filtered",
-                    self.tel.drop_count(DropCause::Filter),
+                    Check::LedgerDropFilter,
                     (s.rx_filtered - b.rx_filtered) + (s.tx_filtered - b.tx_filtered),
+                    drops(DropCause::Filter),
                 ),
                 (
-                    "drop(reprogramming) vs dropped_reprogramming",
-                    self.tel.drop_count(DropCause::Reprogramming),
+                    Check::LedgerDropReprogramming,
                     s.dropped_reprogramming - b.dropped_reprogramming,
+                    drops(DropCause::Reprogramming),
                 ),
                 (
-                    "drop(device_dead) vs dropped_dead+tx_crash_purged",
-                    self.tel.drop_count(DropCause::DeviceDead),
+                    Check::LedgerDropDeviceDead,
                     (s.dropped_dead - b.dropped_dead) + (s.tx_crash_purged - b.tx_crash_purged),
+                    drops(DropCause::DeviceDead),
                 ),
             ];
-            for (what, ledger, counters) in checks {
-                if ledger != counters {
-                    violations.push(format!(
-                        "telemetry {what}: ledger {ledger} != counters {counters}"
-                    ));
-                }
+            for (what, counters, ledger) in checks {
+                check(v, what, counters, ledger);
             }
             let rx_terminal =
                 stage(Stage::RxDeliver) + stage(Stage::RxSlowPath) + stage(Stage::RxDrop);
-            if stage(Stage::RxIngress) != rx_terminal {
-                violations.push(format!(
-                    "RX conservation: {} ingress events != {} terminal (deliver+slowpath+drop)",
-                    stage(Stage::RxIngress),
-                    rx_terminal
-                ));
-            }
+            let ingress = stage(Stage::RxIngress);
+            check(v, Check::RxConservation, ingress, rx_terminal);
             // A frame purged by a crash, or refused by a reconfigured
             // scheduler, was both queued (TxQueue at enqueue time) and
             // dropped (TxDrop later), so those are subtracted to keep
@@ -1237,13 +1176,8 @@ impl SmartNic {
             let purged = (s.tx_crash_purged - b.tx_crash_purged)
                 + (s.tx_reconfig_dropped - b.tx_reconfig_dropped);
             let tx_terminal = stage(Stage::TxQueue) + stage(Stage::TxDrop) - purged;
-            if stage(Stage::TxOffer) != tx_terminal {
-                violations.push(format!(
-                    "TX conservation: {} offer events != {} terminal (queue+drop-purged)",
-                    stage(Stage::TxOffer),
-                    tx_terminal
-                ));
-            }
+            let offers = stage(Stage::TxOffer);
+            check(v, Check::TxConservation, offers, tx_terminal);
         }
 
         violations
@@ -2487,10 +2421,7 @@ mod tests {
         let mut nic = nic();
         nic.regs.write(RSS_NUM_QUEUES_REG, 9, None).unwrap();
         let v = nic.audit();
-        assert!(
-            v.iter().any(|s| s.contains("RSS queue-count register")),
-            "{v:?}"
-        );
+        assert_eq!(v, [Violation::new(Check::RssQueueRegister, 1, 9)]);
     }
 
     #[test]

@@ -20,6 +20,7 @@
 //! exhaustion is an insert failure, exactly the pre-hierarchy behavior
 //! (§5's resource-exhaustion concern).
 
+use sim::audit::{check, check_at, Check, Violation};
 use sim::FastMap;
 
 use pkt::{FiveTuple, IpProto};
@@ -964,70 +965,47 @@ impl FlowTable {
     /// Internal-consistency audit: the indexes, the recency lists, the
     /// tier tags and the cold counter must describe the same partition of
     /// the entries, and every list must be in victim order.
-    pub(crate) fn audit_tiers(&self) -> Vec<String> {
+    pub(crate) fn audit_tiers(&self) -> Vec<Violation> {
+        const NONE: u64 = Violation::NONE;
         let mut violations = Vec::new();
+        let v = &mut violations;
         let cell = |slot: u32| self.slab.get(slot as usize).and_then(Option::as_ref);
         // Indexes → slab: no dangling slot, no entry filed under a key or
         // id that is not its own.
-        for (id, &slot) in &self.by_id {
-            if cell(slot).map(|s| s.entry.id) != Some(*id) {
-                violations.push(format!("flow index: {id} maps to slot {slot}, not its own"));
+        let misfiled =
+            |check, at: &Resolved| Violation::new(check, at.slot.into(), NONE).at(at.id.0);
+        for (&id, &slot) in &self.by_id {
+            if cell(slot).map(|s| s.entry.id) != Some(id) {
+                v.push(misfiled(Check::FlowIdIndex, &Resolved { id, slot }));
             }
         }
         // The entry an index value names, if the slot still holds it.
         let own = |at: &Resolved| cell(at.slot).map(|s| &s.entry).filter(|e| e.id == at.id);
-        let misfiled = |at: &Resolved| {
-            format!(
-                "flow index: {} is filed under a key its slot {} does not hold",
-                at.id, at.slot
-            )
-        };
         let (mut hot_tagged, mut cold_tagged) = (0, 0);
         for (key, at) in &self.exact {
             match own(at).filter(|e| !e.listener && exact_key(&e.tuple) == *key) {
                 Some(e) if e.tier == FlowTier::Hot => hot_tagged += 1,
                 Some(_) => cold_tagged += 1,
-                None => violations.push(misfiled(at)),
+                None => v.push(misfiled(Check::FlowKeyIndex, at)),
             }
         }
         for (key, at) in &self.listeners {
             if !own(at).is_some_and(|e| e.listener && (e.tuple.proto, e.tuple.dst_port) == *key) {
-                violations.push(misfiled(at));
+                v.push(misfiled(Check::FlowKeyIndex, at));
             }
         }
-        let occupied = self.slab.iter().flatten().count();
-        if occupied != self.by_id.len() || occupied + self.free.len() != self.slab.len() {
-            violations.push(format!(
-                "flow slab: {occupied} occupied + {} free of {} cells, {} ids indexed",
-                self.free.len(),
-                self.slab.len(),
-                self.by_id.len()
-            ));
-        }
-        if hot_tagged != self.num_hot() {
-            violations.push(format!(
-                "flow tiers: {hot_tagged} hot-tagged entries != {} recency-list members",
-                self.num_hot()
-            ));
-        }
-        if cold_tagged != self.cold {
-            violations.push(format!(
-                "flow tiers: {cold_tagged} cold-tagged entries != cold counter {}",
-                self.cold
-            ));
-        }
-        if self.hot.len() != self.num_queues {
-            violations.push(format!(
-                "flow tiers: {} queue slices for {} queues",
-                self.hot.len(),
-                self.num_queues
-            ));
-        }
-        for (q, lists) in self.hot.iter().enumerate() {
-            for (rank, list) in lists.iter().enumerate() {
-                let name = format!("recency list q{q} rank {rank}");
-                if rank == 0 && list.len > 0 {
-                    violations.push(format!("{name}: rank 0 is never hot"));
+        let occupied = self.slab.iter().flatten().count() as u64;
+        check(v, Check::FlowSlabIds, self.by_id.len() as u64, occupied);
+        let cells = occupied + self.free.len() as u64;
+        check(v, Check::FlowSlabCells, self.slab.len() as u64, cells);
+        check(v, Check::FlowHotTagged, self.num_hot() as u64, hot_tagged);
+        check(v, Check::FlowColdTagged, self.cold as u64, cold_tagged);
+        let queues = self.hot.len() as u64;
+        check(v, Check::FlowQueueSlices, self.num_queues as u64, queues);
+        for (q, lists) in (0u64..).zip(&self.hot) {
+            for (rank, list) in (0u64..).zip(lists) {
+                if rank == 0 {
+                    check_at(v, Check::ListRankZero, q, 0, list.len as u64);
                 }
                 // Walk at most one step past the recorded length, so a
                 // cycle reads as a wrong length instead of hanging.
@@ -1035,45 +1013,31 @@ impl FlowTable {
                 let mut last_use = 0;
                 while at != NIL && walked <= list.len {
                     let Some(s) = cell(at) else {
-                        violations.push(format!("{name}: dangling slot {at}"));
+                        v.push(Violation::new(Check::ListDangling, NONE, at.into()).at(q));
                         break;
                     };
-                    let e = &s.entry;
-                    if e.listener || e.tier != FlowTier::Hot || usize::from(e.queue) != q {
-                        violations.push(format!("{name} disagrees with {}'s tier or queue", e.id));
+                    let (e, id) = (&s.entry, s.entry.id.0);
+                    if e.listener || e.tier != FlowTier::Hot || u64::from(e.queue) != q {
+                        v.push(Violation::new(Check::ListMember, q, e.queue.into()).at(id));
                     }
-                    if usize::from(e.rank) != rank {
-                        violations.push(format!("{name} holds {} of rank {}", e.id, e.rank));
-                    }
+                    check_at(v, Check::ListRank, id, rank, e.rank.into());
                     if e.last_use <= last_use {
-                        violations.push(format!(
-                            "{name}: {} (last use {}) follows last use {last_use}",
-                            e.id, e.last_use
-                        ));
+                        v.push(Violation::new(Check::ListOrder, last_use, e.last_use).at(id));
                     }
-                    if s.prev != prev {
-                        violations.push(format!("{name}: {}'s back link is wrong", e.id));
-                    }
+                    check_at(v, Check::ListBackLink, id, prev.into(), s.prev.into());
                     last_use = e.last_use;
                     (prev, at) = (at, s.next);
                     walked += 1;
                 }
-                if walked != list.len || (at == NIL && prev != list.tail) {
-                    violations.push(format!(
-                        "{name}: walked {walked} entries to slot {prev}, list says {} ending at {}",
-                        list.len, list.tail
-                    ));
+                check_at(v, Check::ListLength, q, list.len as u64, walked as u64);
+                if at == NIL {
+                    check_at(v, Check::ListTail, q, list.tail.into(), prev.into());
                 }
             }
-            if let Some(c) = &self.cache {
-                if hot_len(lists) > self.queue_capacity(q) {
-                    violations.push(format!(
-                        "queue {q} holds {} hot entries over its {} slice of {}",
-                        hot_len(lists),
-                        self.queue_capacity(q),
-                        c.hot_capacity
-                    ));
-                }
+            let hot = hot_len(lists) as u64;
+            let slice = self.queue_capacity(q as usize) as u64;
+            if hot > slice {
+                v.push(Violation::new(Check::QueueHotBudget, slice, hot).at(q));
             }
         }
         violations

@@ -522,24 +522,24 @@ fn audit_names_each_way_a_list_can_be_wrong() {
         &mut live(&mut ft.slab, slot).entry
     }
     type Corrupt = fn(&mut FlowTable);
-    let cases: [(&str, Corrupt); 6] = [
-        ("walked 2 entries", |ft| ft.hot[0][1].len = 3),
-        ("holds conn#0 of rank 2", |ft| entry(ft, 0).rank = 2),
-        ("follows last use", |ft| entry(ft, 1).last_use = 1),
-        ("dangling slot", |ft| {
+    let cases: [(Check, Corrupt); 6] = [
+        (Check::ListLength, |ft| ft.hot[0][1].len = 3),
+        (Check::ListRank, |ft| entry(ft, 0).rank = 2),
+        (Check::ListOrder, |ft| entry(ft, 1).last_use = 1),
+        (Check::ListDangling, |ft| {
             let slot = ft.by_id[&ConnId(1)];
             ft.slab[slot as usize] = None;
         }),
-        ("tier or queue", |ft| entry(ft, 0).queue = 1),
-        ("tier or queue", |ft| entry(ft, 2).tier = FlowTier::Cold),
+        (Check::ListMember, |ft| entry(ft, 0).queue = 1),
+        (Check::ListMember, |ft| entry(ft, 2).tier = FlowTier::Cold),
     ];
     for (expect, corrupt) in cases {
         let mut ft = build(&mut sram);
         corrupt(&mut ft);
         let audit = ft.audit_tiers();
         assert!(
-            audit.iter().any(|v| v.contains(expect)),
-            "expected a violation containing {expect:?}, got {audit:?}"
+            audit.iter().any(|v| v.check == expect),
+            "expected a {expect:?} violation, got {audit:?}"
         );
     }
 }

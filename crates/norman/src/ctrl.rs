@@ -48,9 +48,10 @@ use std::rc::Rc;
 
 use nicsim::device::ProgramSlot;
 use nicsim::rss::{RssTable, MAX_QUEUES, RSS_TABLE_SIZE};
-use nicsim::{FlowCacheConfig, SmartNic, POLICY_GENERATION_REG};
+use nicsim::{FlowCacheConfig, NicError, SmartNic, POLICY_GENERATION_REG};
 use overlay::{builtins, CompiledProgram, Program};
 use qdisc::compile;
+use sim::audit::{check, check_at, Check, Violation};
 use sim::fault::OpFaultInjector;
 use sim::Time;
 use telemetry::{RecoveryKind, Registry, Telemetry};
@@ -362,28 +363,103 @@ pub enum CtrlError {
         /// When it comes back.
         until: Time,
     },
-    /// Phase 2 failed at `step`; the NIC was rolled back to the prior
-    /// generation.
-    CommitFailed {
-        /// The apply step that failed.
-        step: String,
-    },
+    /// Phase 2 failed; the NIC was rolled back to the prior generation.
+    CommitFailed(Failure),
     /// Phase 2 failed *and* the rollback failed — the NIC state is
     /// undefined. Only reachable if the fault model breaks the
     /// recovery path's invariants; treated as fatal by callers.
-    RollbackFailed {
-        /// The rollback step that failed.
-        step: String,
-    },
-    /// The device died mid-transaction (or was already dead), so neither
-    /// the commit nor the rollback could reach it. Unlike
+    RollbackFailed(Failure),
+    /// The device died mid-transaction (the commit's failure), or was
+    /// already dead (`None`: the commit was refused before any step), so
+    /// neither the commit nor the rollback could reach it. Unlike
     /// [`CtrlError::RollbackFailed`] this is *not* fatal: the kernel
     /// store keeps the prior committed policy, and reconcile reinstalls
     /// it after the device is reset — the transaction simply aborted.
-    DeviceLost {
-        /// The apply step at which the device was found dead.
-        step: String,
-    },
+    DeviceLost(Option<Failure>),
+}
+
+/// One operation of phase 2's apply, in the order apply issues them.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Step {
+    /// Empty an overlay slot the bundle does not fill.
+    UnloadProgram,
+    /// Remove one resident accounting program.
+    ClearAccounting,
+    /// Hot-swap a program into its overlay slot.
+    LoadProgram,
+    /// Write one map entry of a loaded program.
+    FillMap,
+    /// Reprogram the TX scheduler's class weights.
+    ConfigureScheduler,
+    /// Reprogram RSS steering (queue count and indirection table).
+    ConfigureRss,
+    /// Reprogram flow-cache tiering.
+    ConfigureFlowCache,
+    /// Install one accounting program.
+    AddAccounting,
+    /// Switch the capture tap on or off.
+    Sniffer,
+}
+
+impl Step {
+    /// This step failed for `cause`.
+    fn failed(self, cause: Cause) -> Failure {
+        Failure { step: self, cause }
+    }
+}
+
+impl std::fmt::Display for Step {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            Step::UnloadProgram => "unload_program",
+            Step::ClearAccounting => "clear_accounting",
+            Step::LoadProgram => "load_program",
+            Step::FillMap => "fill_map",
+            Step::ConfigureScheduler => "configure_scheduler",
+            Step::ConfigureRss => "configure_rss",
+            Step::ConfigureFlowCache => "configure_flow_cache",
+            Step::AddAccounting => "add_accounting",
+            Step::Sniffer => "sniffer",
+        })
+    }
+}
+
+/// Why an apply step failed.
+#[derive(Debug)]
+pub enum Cause {
+    /// The op-fault injector failed it.
+    Injected,
+    /// The commit watchdog's op budget ran out before it.
+    Watchdog,
+    /// The NIC refused it.
+    Nic(NicError),
+}
+
+/// The apply step that failed, and why.
+#[derive(Debug)]
+pub struct Failure {
+    /// The step.
+    pub step: Step,
+    /// Why it failed.
+    pub cause: Cause,
+}
+
+impl Failure {
+    /// Wraps the NIC's refusal of `step` (for `map_err`).
+    fn nic(step: Step) -> impl FnOnce(NicError) -> Failure {
+        move |e| step.failed(Cause::Nic(e))
+    }
+}
+
+impl std::fmt::Display for Failure {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let step = self.step;
+        match &self.cause {
+            Cause::Injected => write!(f, "{step} (injected)"),
+            Cause::Watchdog => write!(f, "{step} (watchdog: op deadline exceeded)"),
+            Cause::Nic(e) => write!(f, "{step}: {e}"),
+        }
+    }
 }
 
 impl std::fmt::Display for CtrlError {
@@ -398,20 +474,23 @@ impl std::fmt::Display for CtrlError {
                 )
             }
             CtrlError::Frozen { until } => write!(f, "dataplane reprogramming until {until}"),
-            CtrlError::CommitFailed { step } => {
+            CtrlError::CommitFailed(step) => {
                 write!(
                     f,
                     "commit failed at {step}; rolled back to prior generation"
                 )
             }
-            CtrlError::RollbackFailed { step } => {
+            CtrlError::RollbackFailed(step) => {
                 write!(f, "rollback failed at {step}; NIC state undefined")
             }
-            CtrlError::DeviceLost { step } => {
+            CtrlError::DeviceLost(Some(step)) => {
                 write!(
                     f,
                     "commit aborted at {step}: device dead; reconcile after reset"
                 )
+            }
+            CtrlError::DeviceLost(None) => {
+                write!(f, "commit refused: device dead; reconcile after reset")
             }
         }
     }
@@ -433,17 +512,6 @@ pub enum CommitAction {
     Aborted,
 }
 
-impl std::fmt::Display for CommitAction {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CommitAction::Committed => write!(f, "committed"),
-            CommitAction::RolledBack => write!(f, "rolled-back"),
-            CommitAction::Reconciled => write!(f, "reconciled"),
-            CommitAction::Aborted => write!(f, "aborted"),
-        }
-    }
-}
-
 /// One line of commit history.
 #[derive(Clone, Debug)]
 pub struct CommitRecord {
@@ -453,8 +521,6 @@ pub struct CommitRecord {
     pub at: Time,
     /// What happened.
     pub action: CommitAction,
-    /// Human detail (failing step, program counts).
-    pub detail: String,
 }
 
 /// Control-plane counters.
@@ -619,9 +685,7 @@ impl ControlPlane {
             // apply would "succeed" without installing anything. Refuse
             // up front — the kernel resets the device, reconcile
             // reinstalls the committed policy, and the caller retries.
-            return Err(CtrlError::DeviceLost {
-                step: "commit refused: device dead".to_string(),
-            });
+            return Err(CtrlError::DeviceLost(None));
         }
         if nic.is_frozen(now) {
             return Err(CtrlError::Frozen {
@@ -636,25 +700,16 @@ impl ControlPlane {
                 self.store = store;
                 self.installed = bundle;
                 self.stats.commits += 1;
-                self.record(
-                    now,
-                    CommitAction::Committed,
-                    format!(
-                        "{} programs, {} fills, {} classes",
-                        self.installed.programs.len(),
-                        self.installed.map_fills.len(),
-                        self.installed.sched_weights.len()
-                    ),
-                );
+                self.record(now, CommitAction::Committed);
                 Ok(self.generation)
             }
-            Err(step) => {
+            Err(failure) => {
                 // Roll back: reinstall the prior bundle, with fault
                 // injection off — recovery must not recurse.
                 // `applied_weights` tracks the *actual* scheduler state,
                 // so the rollback reconfigures the scheduler only if the
                 // failed apply got far enough to change it.
-                if let Err(rb_step) = self.apply(nic, &prior, now, false) {
+                if let Err(rb_failure) = self.apply(nic, &prior, now, false) {
                     if nic.is_dead() {
                         // The device died mid-commit and cannot even take
                         // the rollback. That is not "NIC state undefined":
@@ -664,28 +719,28 @@ impl ControlPlane {
                         // byte-for-byte. Abort the transaction instead of
                         // declaring the control plane wedged.
                         self.stats.aborts += 1;
-                        self.record(now, CommitAction::Aborted, format!("device lost at {step}"));
+                        self.record(now, CommitAction::Aborted);
                         self.tel.record_recovery(
                             now,
                             RecoveryKind::CommitAborted,
-                            format!("commit aborted at {step}: device dead"),
+                            format!("commit aborted at {failure}: device dead"),
                         );
-                        return Err(CtrlError::DeviceLost { step });
+                        return Err(CtrlError::DeviceLost(Some(failure)));
                     }
-                    return Err(CtrlError::RollbackFailed { step: rb_step });
+                    return Err(CtrlError::RollbackFailed(rb_failure));
                 }
                 self.finish_apply(nic);
                 self.stats.rollbacks += 1;
-                if step.contains("(watchdog") {
+                if let Cause::Watchdog = failure.cause {
                     self.stats.watchdog_aborts += 1;
                     self.tel.record_recovery(
                         now,
                         RecoveryKind::CommitAborted,
-                        format!("watchdog cancelled commit at {step}; rolled back"),
+                        format!("watchdog cancelled commit at {failure}; rolled back"),
                     );
                 }
-                self.record(now, CommitAction::RolledBack, format!("failed at {step}"));
-                Err(CtrlError::CommitFailed { step })
+                self.record(now, CommitAction::RolledBack);
+                Err(CtrlError::CommitFailed(failure))
             }
         }
     }
@@ -739,21 +794,13 @@ impl ControlPlane {
         }
         let bundle = self.installed.clone();
         // Apply with faults off: reconcile is the recovery path.
-        if let Err(step) = self.apply(nic, &bundle, now, false) {
-            return Err(CtrlError::RollbackFailed { step });
-        }
+        self.apply(nic, &bundle, now, false)
+            .map_err(CtrlError::RollbackFailed)?;
         self.finish_apply(nic);
         self.reprograms_seen = nic.stats().bitstream_reprograms;
         self.resets_seen = resets;
         self.stats.reconciles += 1;
-        self.record(
-            now,
-            CommitAction::Reconciled,
-            format!(
-                "after reprogram #{} / reset #{}",
-                self.reprograms_seen, self.resets_seen
-            ),
-        );
+        self.record(now, CommitAction::Reconciled);
         self.tel.record_recovery(
             now,
             RecoveryKind::ReconcileDone,
@@ -763,7 +810,7 @@ impl ControlPlane {
     }
 
     /// Wipe-then-install of `bundle` onto the NIC. Returns the failing
-    /// step name on error. When `use_faults`, the op-fault injector is
+    /// step on error. When `use_faults`, the op-fault injector is
     /// consulted before every operation.
     fn apply(
         &mut self,
@@ -771,27 +818,10 @@ impl ControlPlane {
         bundle: &PolicyBundle,
         now: Time,
         use_faults: bool,
-    ) -> Result<(), String> {
+    ) -> Result<(), Failure> {
         // The watchdog deadline applies only to fault-eligible commits;
         // rollback and reconcile must always run to completion.
         let mut budget = if use_faults { self.watchdog_ops } else { None };
-        let op = |stats: &mut CtrlStats,
-                  faults: &mut OpFaultInjector,
-                  budget: &mut Option<u64>,
-                  step: &str|
-         -> Result<(), String> {
-            if let Some(b) = budget {
-                if *b == 0 {
-                    return Err(format!("{step} (watchdog: op deadline exceeded)"));
-                }
-                *b -= 1;
-            }
-            stats.apply_ops += 1;
-            if use_faults && faults.should_fail() {
-                return Err(format!("{step} (injected)"));
-            }
-            Ok(())
-        };
 
         // Wipe the overlay slots the bundle does not reinstall, so a
         // shrinking policy converges too. Slots it does reinstall are
@@ -803,143 +833,99 @@ impl ControlPlane {
             ProgramSlot::Classifier,
         ] {
             if bundle.program_for(slot).is_none() && nic.program_loaded(slot) {
-                op(
-                    &mut self.stats,
-                    &mut self.faults,
-                    &mut budget,
-                    "unload_program",
-                )?;
+                self.op(&mut budget, use_faults, Step::UnloadProgram)?;
                 nic.unload_program(slot);
             }
         }
         while nic.num_accounting() > 0 {
-            op(
-                &mut self.stats,
-                &mut self.faults,
-                &mut budget,
-                "clear_accounting",
-            )?;
+            self.op(&mut budget, use_faults, Step::ClearAccounting)?;
             nic.remove_accounting(nic.num_accounting() - 1);
         }
 
         for (slot, program, artifact) in &bundle.programs {
-            op(
-                &mut self.stats,
-                &mut self.faults,
-                &mut budget,
-                "load_program",
-            )?;
+            self.op(&mut budget, use_faults, Step::LoadProgram)?;
             nic.load_program(*slot, program.clone(), Rc::clone(artifact), now)
-                .map_err(|e| format!("load_program: {e}"))?;
+                .map_err(Failure::nic(Step::LoadProgram))?;
         }
         for &(slot, map, key, value) in &bundle.map_fills {
-            op(&mut self.stats, &mut self.faults, &mut budget, "fill_map")?;
+            self.op(&mut budget, use_faults, Step::FillMap)?;
             nic.fill_map(slot, map, key, value)
-                .map_err(|e| format!("fill_map: {e}"))?;
+                .map_err(Failure::nic(Step::FillMap))?;
         }
 
         if self.applied_weights != bundle.sched_weights {
-            op(
-                &mut self.stats,
-                &mut self.faults,
-                &mut budget,
-                "configure_scheduler",
-            )?;
+            self.op(&mut budget, use_faults, Step::ConfigureScheduler)?;
             nic.configure_scheduler(&bundle.sched_weights, now)
-                .map_err(|e| format!("configure_scheduler: {e}"))?;
+                .map_err(Failure::nic(Step::ConfigureScheduler))?;
             self.applied_weights = bundle.sched_weights.clone();
         }
 
-        match &bundle.rss {
-            Some((queues, table)) => {
-                let differs = match &self.applied_rss {
-                    Some((q, t)) => q != queues || t != table,
-                    None => true,
-                };
-                if differs {
-                    op(
-                        &mut self.stats,
-                        &mut self.faults,
-                        &mut budget,
-                        "configure_rss",
-                    )?;
-                    nic.configure_rss(*queues, table, now)
-                        .map_err(|e| format!("configure_rss: {e}"))?;
-                    self.applied_rss = Some((*queues, table.clone()));
-                }
-            }
-            None => {
-                // Wipe-then-install: a bundle without RSS policy reverts
-                // the NIC to its boot-time uniform steering — but only if
-                // the control plane programmed RSS before (so unrelated
-                // commits on a freshly booted NIC never touch steering,
-                // and rollbacks of a first RSS commit fully undo it).
-                if self.applied_rss.is_some() {
-                    op(
-                        &mut self.stats,
-                        &mut self.faults,
-                        &mut budget,
-                        "configure_rss",
-                    )?;
+        // Wipe-then-install: a bundle without RSS policy reverts the NIC
+        // to its boot-time uniform steering — but only if the control
+        // plane programmed RSS before (so unrelated commits on a freshly
+        // booted NIC never touch steering, and rollbacks of a first RSS
+        // commit fully undo it).
+        if self.applied_rss != bundle.rss {
+            self.op(&mut budget, use_faults, Step::ConfigureRss)?;
+            let (queues, table) = match &bundle.rss {
+                Some((queues, table)) => (*queues, table.clone()),
+                None => {
                     let boot = nic.config().num_queues;
-                    let uniform: Vec<u16> =
-                        (0..RSS_TABLE_SIZE).map(|i| (i % boot) as u16).collect();
-                    nic.configure_rss(boot, &uniform, now)
-                        .map_err(|e| format!("configure_rss: {e}"))?;
-                    self.applied_rss = None;
+                    (
+                        boot,
+                        (0..RSS_TABLE_SIZE).map(|i| (i % boot) as u16).collect(),
+                    )
                 }
-            }
+            };
+            nic.configure_rss(queues, &table, now)
+                .map_err(Failure::nic(Step::ConfigureRss))?;
+            self.applied_rss = bundle.rss.clone();
         }
 
-        match &bundle.flow_cache {
-            Some(fc) => {
-                if self.applied_flow_cache.as_ref() != Some(fc) {
-                    op(
-                        &mut self.stats,
-                        &mut self.faults,
-                        &mut budget,
-                        "configure_flow_cache",
-                    )?;
-                    nic.configure_flow_cache(Some(fc.clone()), now)
-                        .map_err(|e| format!("configure_flow_cache: {e}"))?;
-                    self.applied_flow_cache = Some(fc.clone());
-                }
-            }
-            None => {
-                // Same revert discipline as RSS: only undo tiering the
-                // control plane itself programmed, so rollback of a first
-                // flow-cache commit restores untiered boot behavior.
-                if self.applied_flow_cache.is_some() {
-                    op(
-                        &mut self.stats,
-                        &mut self.faults,
-                        &mut budget,
-                        "configure_flow_cache",
-                    )?;
-                    nic.configure_flow_cache(None, now)
-                        .map_err(|e| format!("configure_flow_cache: {e}"))?;
-                    self.applied_flow_cache = None;
-                }
-            }
+        // Same revert discipline as RSS: only undo tiering the control
+        // plane itself programmed, so rollback of a first flow-cache
+        // commit restores untiered boot behavior.
+        if self.applied_flow_cache != bundle.flow_cache {
+            self.op(&mut budget, use_faults, Step::ConfigureFlowCache)?;
+            nic.configure_flow_cache(bundle.flow_cache.clone(), now)
+                .map_err(Failure::nic(Step::ConfigureFlowCache))?;
+            self.applied_flow_cache = bundle.flow_cache.clone();
         }
 
         for (program, artifact) in &bundle.accounting {
-            op(
-                &mut self.stats,
-                &mut self.faults,
-                &mut budget,
-                "add_accounting",
-            )?;
+            self.op(&mut budget, use_faults, Step::AddAccounting)?;
             nic.add_accounting(program.clone(), Rc::clone(artifact), now)
-                .map_err(|e| format!("add_accounting: {e}"))?;
+                .map_err(Failure::nic(Step::AddAccounting))?;
         }
 
-        op(&mut self.stats, &mut self.faults, &mut budget, "sniffer")?;
+        self.op(&mut budget, use_faults, Step::Sniffer)?;
         match bundle.sniffer {
             Some(filter) => nic.enable_sniffer(filter),
             None => nic.disable_sniffer(),
         }
 
+        Ok(())
+    }
+
+    /// Admits one apply operation: spends one unit of the watchdog
+    /// `budget` (if armed), counts the op, and consults the fault
+    /// injector when `use_faults`.
+    fn op(
+        &mut self,
+        budget: &mut Option<u64>,
+        use_faults: bool,
+        step: Step,
+    ) -> Result<(), Failure> {
+        if let Some(b) = budget {
+            if *b == 0 {
+                return Err(step.failed(Cause::Watchdog));
+            }
+            *b -= 1;
+        }
+        self.stats.apply_ops += 1;
+        if use_faults && self.faults.should_fail() {
+            return Err(step.failed(Cause::Injected));
+        }
         Ok(())
     }
 
@@ -950,7 +936,7 @@ impl ControlPlane {
         self.tel.set_generation(self.generation);
     }
 
-    fn record(&mut self, at: Time, action: CommitAction, detail: String) {
+    fn record(&mut self, at: Time, action: CommitAction) {
         if self.history.len() == HISTORY_CAP {
             self.history.remove(0);
         }
@@ -958,7 +944,6 @@ impl ControlPlane {
             generation: self.generation,
             at,
             action,
-            detail,
         });
     }
 
@@ -970,117 +955,70 @@ impl ControlPlane {
     /// control plane has not yet run), NIC-resident checks are skipped —
     /// the divergence is real, known, and about to be repaired; only
     /// the generation stamps are still required to agree.
-    pub(crate) fn audit(&self, nic: &SmartNic) -> Vec<String> {
+    pub(crate) fn audit(&self, nic: &SmartNic) -> Vec<Violation> {
+        const NONE: u64 = Violation::NONE;
         let mut violations = Vec::new();
-
-        match nic.regs.peek(POLICY_GENERATION_REG) {
-            Some(reg) if reg == self.generation => {}
-            Some(reg) => violations.push(format!(
-                "generation register {reg} != kernel generation {}",
-                self.generation
-            )),
-            None => violations.push("generation register missing".to_string()),
-        }
-        if self.tel.generation() != self.generation {
-            violations.push(format!(
-                "telemetry generation {} != kernel generation {}",
-                self.tel.generation(),
-                self.generation
-            ));
-        }
+        let v = &mut violations;
+        let register = nic.regs.peek(POLICY_GENERATION_REG).unwrap_or(NONE);
+        check(v, Check::GenerationRegister, self.generation, register);
+        let stamped = self.tel.generation();
+        check(v, Check::TelemetryGeneration, self.generation, stamped);
 
         if self.needs_reconcile(nic) {
             return violations;
         }
 
         let bundle = &self.installed;
-        for slot in [
+        let slots = [
             ProgramSlot::IngressFilter,
             ProgramSlot::EgressFilter,
             ProgramSlot::Classifier,
-        ] {
-            match (bundle.program_for(slot), nic.program_fingerprint(slot)) {
-                (Some(want), Some(got)) => {
-                    if want.fingerprint() != got {
-                        violations.push(format!(
-                            "{slot:?}: resident program fingerprint {got:#x} != store '{}'",
-                            want.name
-                        ));
-                    }
-                }
-                (Some(want), None) => violations.push(format!(
-                    "{slot:?}: store expects '{}' but no program resident",
-                    want.name
-                )),
-                (None, Some(_)) => violations.push(format!(
-                    "{slot:?}: resident program not present in policy store"
-                )),
-                (None, None) => {}
-            }
+        ];
+        for (i, slot) in (0u64..).zip(slots) {
+            let want = bundle.program_for(slot).map_or(NONE, Program::fingerprint);
+            let got = nic.program_fingerprint(slot).unwrap_or(NONE);
+            check_at(v, Check::ResidentProgram, i, want, got);
         }
 
         for r in &self.store.reservations {
+            let owner = u64::from(r.uid.0) + 1;
             for slot in [ProgramSlot::IngressFilter, ProgramSlot::EgressFilter] {
-                let want = u64::from(r.uid.0) + 1;
-                match nic.read_map(slot, 0, r.port as usize) {
-                    Some(got) if got == want => {}
-                    got => violations.push(format!(
-                        "{slot:?} map[port {}]: resident {got:?} != reserved uid+1 {want}",
-                        r.port
-                    )),
-                }
+                let got = nic.read_map(slot, 0, r.port as usize).unwrap_or(NONE);
+                check_at(v, Check::FilterMap, r.port.into(), owner, got);
             }
         }
 
-        let classes = nic.scheduler_class_bytes().len();
-        if classes != bundle.sched_weights.len() {
-            violations.push(format!(
-                "scheduler has {classes} classes, store expects {}",
-                bundle.sched_weights.len()
-            ));
-        }
+        let classes = nic.scheduler_class_bytes().len() as u64;
+        let want = bundle.sched_weights.len() as u64;
+        check(v, Check::SchedulerClasses, want, classes);
 
         if let Some((queues, table)) = &bundle.rss {
-            if nic.num_queues() != *queues {
-                violations.push(format!(
-                    "NIC exposes {} queues, RSS policy expects {queues}",
-                    nic.num_queues()
-                ));
-            }
-            if nic.rss().indirection() != &table[..] {
-                violations
-                    .push("NIC RSS indirection table diverges from the policy store".to_string());
+            check(v, Check::RssQueues, *queues as u64, nic.num_queues() as u64);
+            let resident = nic.rss().indirection();
+            let mut entries = (0u64..).zip(table.iter().zip(resident));
+            if let Some((i, (&want, &got))) = entries.find(|(_, (want, got))| want != got) {
+                v.push(Violation::new(Check::RssTable, want.into(), got.into()).at(i));
             }
         }
 
         if nic.flow_cache() != bundle.flow_cache.as_ref() {
-            violations.push(format!(
-                "NIC flow cache {:?} diverges from store {:?}",
-                nic.flow_cache().map(|fc| fc.mode.name()),
-                bundle.flow_cache.as_ref().map(|fc| fc.mode.name())
+            let hot = |fc: Option<&FlowCacheConfig>| fc.map_or(NONE, |fc| fc.hot_capacity as u64);
+            let want = hot(bundle.flow_cache.as_ref());
+            v.push(Violation::new(
+                Check::FlowCache,
+                want,
+                hot(nic.flow_cache()),
             ));
         }
 
-        if nic.sniffer.is_enabled() != bundle.sniffer.is_some() {
-            violations.push(format!(
-                "sniffer enabled={} but store says {}",
-                nic.sniffer.is_enabled(),
-                bundle.sniffer.is_some()
-            ));
-        }
+        let sniffing = nic.sniffer.is_enabled().into();
+        check(v, Check::Sniffer, bundle.sniffer.is_some().into(), sniffing);
 
         let acct = nic.accounting_fingerprints();
-        let want_acct: Vec<u64> = bundle
-            .accounting
-            .iter()
-            .map(|(p, _)| p.fingerprint())
-            .collect();
-        if acct != want_acct {
-            violations.push(format!(
-                "accounting programs resident {} != store {}",
-                acct.len(),
-                want_acct.len()
-            ));
+        let want_acct = bundle.accounting.iter().map(|(p, _)| p.fingerprint());
+        if !acct.iter().copied().eq(want_acct) {
+            let (want, got) = (bundle.accounting.len() as u64, acct.len() as u64);
+            v.push(Violation::new(Check::Accounting, want, got));
         }
 
         violations

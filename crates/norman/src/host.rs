@@ -21,6 +21,7 @@ use nicsim::{
 };
 use oskernel::{ArpCache, CgroupId, Cred, NetStack, Pid, ProcessTable, RxOutcome, Scheduler, Uid};
 use pkt::{BufArena, FiveTuple, IpProto, Mac, Packet};
+use sim::audit::{check, Check, Violation};
 use sim::fault::OpFaultInjector;
 use sim::{Dur, Time};
 use telemetry::{
@@ -618,7 +619,7 @@ impl Host {
     /// invariant (empty = consistent). The trace ledger gives the audit
     /// a second, structurally different account of the same dataplane,
     /// so a bug has to corrupt both in the same way to hide.
-    pub fn audit(&mut self) -> Vec<String> {
+    pub fn audit(&mut self) -> Vec<Violation> {
         let mut violations = self.nic.audit();
         // Third ledger: NIC-resident policy state vs the kernel store.
         violations.extend(self.ctrl.audit(&self.nic));
@@ -643,49 +644,30 @@ impl Host {
             + self.stack.arena_resident(&self.arena) as u64
             + self.tx_retry.iter().map(|(_, p)| p).filter(ours).count() as u64;
         if live > resident {
-            violations.push(format!(
-                "arena occupancy: {live} live slots > {resident} resident handles (leak)"
-            ));
+            violations.push(Violation::new(Check::ArenaLeak, resident, live));
         }
         if !self.tel.is_enabled() {
             return violations;
         }
-        let mut check = |what: &str, ledger: u64, counters: u64| {
-            if ledger != counters {
-                violations.push(format!(
-                    "telemetry {what}: ledger {ledger} != counters {counters}"
-                ));
-            }
-        };
+        let v = &mut violations;
         let d = |now: u64, base: u64| now.saturating_sub(base);
         let ring_full = self.tel.drop_count(DropCause::RingFull);
         let ring_enq_pass = self
             .tel
             .stage_count(Stage::RingEnqueue)
             .saturating_sub(ring_full);
-        check(
-            "ring enqueue",
-            ring_enq_pass,
-            d(self.stats.fast_delivered, self.tel_baseline.fast_delivered),
-        );
-        check(
-            "ring-full drops",
-            ring_full,
-            d(self.stats.ring_drops, self.tel_baseline.ring_drops),
-        );
+        let (s, b) = (&self.stats, &self.tel_baseline);
+        let delivered = d(s.fast_delivered, b.fast_delivered);
+        check(v, Check::LedgerRingEnqueue, delivered, ring_enq_pass);
+        let ring_drops = d(s.ring_drops, b.ring_drops);
+        check(v, Check::LedgerRingFull, ring_drops, ring_full);
         // Frames already resident when tracing started were never counted
         // as enqueues, but their dequeues are. A frame a `close` discarded
         // left its ring without one.
-        let discarded = d(
-            self.stats.discarded_at_close,
-            self.tel_baseline.discarded_at_close,
-        );
-        check(
-            "ring occupancy",
-            (self.tel_baseline_resident + ring_enq_pass)
-                .saturating_sub(self.tel.stage_count(Stage::RingDequeue) + discarded),
-            self.rx_resident(),
-        );
+        let discarded = d(s.discarded_at_close, b.discarded_at_close);
+        let occupancy = (self.tel_baseline_resident + ring_enq_pass)
+            .saturating_sub(self.tel.stage_count(Stage::RingDequeue) + discarded);
+        check(v, Check::LedgerRingOccupancy, self.rx_resident(), occupancy);
         violations
     }
 
@@ -2330,7 +2312,7 @@ mod tests {
         std::mem::forget(h.arena().adopt(b"leaked").expect("slot"));
         let violations = h.audit();
         assert!(
-            violations.iter().any(|v| v.starts_with("arena occupancy")),
+            violations.iter().any(|v| v.check == Check::ArenaLeak),
             "one live slot, no resident handle of this arena: {violations:?}"
         );
     }

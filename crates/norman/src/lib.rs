@@ -102,7 +102,9 @@ pub mod policy;
 pub mod tools;
 pub mod workers;
 
-pub use ctrl::{ControlPlane, CtrlError, DegradationPolicy, PolicyStore, RssPolicy};
+pub use ctrl::{
+    Cause, ControlPlane, CtrlError, DegradationPolicy, Failure, PolicyStore, RssPolicy, Step,
+};
 pub use host::{DeliveryReport, Host, HostConfig};
 pub use lib_api::NormanSocket;
 pub use policy::{PortReservation, ShapingPolicy};

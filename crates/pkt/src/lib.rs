@@ -14,8 +14,7 @@
 //! * `flow` — [`FiveTuple`] flow keys and Toeplitz RSS hashing.
 //! * `builder` — fluent, checksum-correct packet construction.
 //! * [`meta`] — the parse-once [`FrameMeta`] descriptor every dataplane
-//!   stage consumes instead of re-parsing, and the [`Frame`] unit that
-//!   pairs it with its buffer.
+//!   stage consumes instead of re-parsing.
 //! * `arena` — the pooled frame arena ([`BufArena`]/[`FrameRef`]): slab
 //!   slots, refcounted descriptors, and the single-threaded unsafe core.
 
@@ -37,7 +36,7 @@ pub use builder::PacketBuilder;
 pub use ether::Mac;
 pub use flow::{FiveTuple, RssHasher};
 pub use ipv4::IpProto;
-pub use meta::{Frame, FrameMeta};
+pub use meta::FrameMeta;
 pub use packet::{Packet, Payload};
 pub use tcp::TcpFlags;
 pub use udp::UdpHeader;

@@ -247,53 +247,6 @@ impl FrameMeta {
     }
 }
 
-/// A packet buffer paired with its (guaranteed-present) descriptor: the
-/// unit the dataplane hands from stage to stage after ingress.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Frame {
-    /// The wire bytes (with the descriptor attached for `Debug`/reuse).
-    pub pkt: Packet,
-    /// The parse-once descriptor.
-    pub meta: FrameMeta,
-}
-
-impl Frame {
-    /// Admits a packet into the dataplane: reuses an attached descriptor
-    /// (build-time meta) or derives one — the only parse on the path.
-    pub fn ingress(pkt: Packet) -> Result<Frame> {
-        let meta = FrameMeta::of(&pkt)?;
-        Ok(Frame::from_parts(pkt, meta))
-    }
-
-    /// Pairs a packet with a descriptor already computed for its bytes.
-    pub(crate) fn from_parts(pkt: Packet, meta: FrameMeta) -> Frame {
-        debug_assert_eq!(
-            meta.frame_len,
-            pkt.len(),
-            "descriptor/frame length mismatch"
-        );
-        Frame {
-            pkt: pkt.with_meta(meta),
-            meta,
-        }
-    }
-
-    /// Returns the wire bytes.
-    pub fn bytes(&self) -> &[u8] {
-        self.pkt.bytes()
-    }
-
-    /// Returns the frame length in bytes.
-    pub fn len(&self) -> usize {
-        self.pkt.len()
-    }
-
-    /// Returns `true` for a zero-length buffer.
-    pub fn is_empty(&self) -> bool {
-        self.pkt.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -410,12 +363,5 @@ mod tests {
                 pkt.parse().unwrap().to_string()
             );
         }
-    }
-
-    #[test]
-    fn ingress_roundtrip() {
-        let frame = Frame::ingress(udp_pkt()).unwrap();
-        assert_eq!(frame.pkt.meta(), Some(&frame.meta));
-        assert_eq!(frame.len(), frame.meta.frame_len);
     }
 }

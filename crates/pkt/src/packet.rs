@@ -38,7 +38,7 @@ impl Buf {
 /// of every frame without perturbing the dataplane.
 ///
 /// A packet may carry a parse-once [`FrameMeta`] descriptor (attached at
-/// build time or by [`crate::Frame::ingress`]); equality and hashing
+/// build time or by [`Packet::with_meta`]); equality and hashing
 /// consider only the wire bytes, so a frame with and without meta is the
 /// same frame.
 ///

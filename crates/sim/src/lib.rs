@@ -16,6 +16,7 @@
 //! * `link` — serialization/propagation delay modelling for a fixed-rate
 //!   network link.
 //! * `hash` — the fast deterministic hasher behind hot-path maps.
+//! * [`audit`] — the typed [`Violation`] every cross-layer audit returns.
 //!
 //! There is no event queue: every layer is call-driven, and whoever
 //! drives it passes the instant (`now`) each call happens at.
@@ -25,6 +26,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod audit;
 pub mod fault;
 pub(crate) mod hash;
 pub(crate) mod link;
@@ -32,6 +34,7 @@ pub(crate) mod rng;
 pub mod stats;
 pub mod time;
 
+pub use audit::{Check, Violation};
 pub use fault::{FaultInjector, FaultSchedule, FaultyLink, LossModel};
 pub use hash::FastMap;
 pub use link::Link;

@@ -47,6 +47,23 @@ run_lint() {
     exit 1
   fi
 
+  # Diagnostics are types: an audit returns `sim::Violation`s and a
+  # commit failure names a `ctrl::Step`. No `-> Vec<String>`, no
+  # `Result<_, String>`, no `step: String` above `mod tests` in the
+  # dataplane crates. The one exception is `norman::workers`, whose
+  # captured panic payload is text by nature.
+  echo "==> no string diagnostics in memsim, nicsim, norman"
+  local strings
+  strings="$(find crates/memsim/src crates/nicsim/src crates/norman/src -name '*.rs' \
+    ! -name '*_model.rs' ! -path crates/norman/src/workers.rs -exec awk '
+    /^mod tests \{/ { nextfile }
+    /-> Vec<String>|Result<.*, String>|step: String/ { print FILENAME ":" FNR ": " $0 }' {} + | sort)"
+  if [[ -n "$strings" ]]; then
+    echo "$strings" >&2
+    echo "diagnostics as strings: return sim::Violation or a typed error instead" >&2
+    exit 1
+  fi
+
   # The same rule for `pub fn`s: one that nothing outside tests names
   # either gains a caller or goes (docs/CI.md lists the few kept).
   echo "==> pub fns only tests call"

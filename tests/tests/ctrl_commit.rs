@@ -4,12 +4,13 @@
 //! the third audit ledger that cross-checks NIC-resident state against
 //! the kernel policy store.
 
+use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 use nicsim::device::ProgramSlot;
 use nicsim::{SnifferFilter, POLICY_GENERATION_REG};
 use norman::host::DeliveryOutcome;
-use norman::{CtrlError, Host, HostConfig, PortReservation, ShapingPolicy};
+use norman::{Cause, CtrlError, Failure, Host, HostConfig, PortReservation, ShapingPolicy, Step};
 use oskernel::Uid;
 use pkt::{IpProto, Mac, Packet, PacketBuilder};
 use sim::fault::OpFaultInjector;
@@ -72,48 +73,78 @@ fn compile_rejection_leaves_everything_untouched() {
 
 #[test]
 fn mid_commit_fault_rolls_back_to_prior_generation() {
-    let mut h = Host::new(HostConfig::default());
-    full_policy(&mut h, Time::ZERO);
-    let reserved = wire_udp(h.cfg.ip, 9000, 5432, 100);
-
-    // Fail the 3rd apply operation of the next commit.
-    h.set_policy_fault_injector(OpFaultInjector::fail_nth(3));
     let mutation = |p: &mut norman::PolicyStore| {
         p.reservations.push(PortReservation::new(7777, Uid(1002)));
         p.shaping = Some(ShapingPolicy::new(vec![(Uid(1002), 9.0)]));
     };
-    let before = h.kernel_cpu;
-    let err = h.update_policy(Time::from_us(5), mutation).unwrap_err();
-    let rolled_back = h.kernel_cpu - before;
-    assert!(matches!(err, CtrlError::CommitFailed { .. }), "got {err}");
+    let committed = || {
+        let mut h = Host::new(HostConfig::default());
+        full_policy(&mut h, Time::ZERO);
+        h
+    };
 
-    // Generation did not advance; the store still holds generation 1's
-    // policy; the NIC matches it exactly (third ledger: no divergence).
-    assert_eq!(h.policy_generation(), 1);
-    assert_eq!(h.ctrl().stats().rollbacks, 1);
-    assert_eq!(h.policy().reservations.len(), 1);
-    assert!(h.policy().reservations.iter().all(|r| r.port == 5432));
-    assert!(h.audit().is_empty(), "audit: {:?}", h.audit());
+    // A clean commit of the mutation issues `k` apply operations, so a
+    // commit has exactly `k` points a fault can hit.
+    let mut h = committed();
+    let (ops, cpu) = (h.ctrl().stats().apply_ops, h.kernel_cpu);
+    assert_eq!(h.update_policy(Time::from_us(5), mutation).unwrap(), 2);
+    let clean = h.kernel_cpu - cpu;
+    let k = h.ctrl().stats().apply_ops - ops;
 
-    // Generation 1's dataplane policy still enforces: uid 1001 owns
-    // 5432, and unowned traffic to it is dropped by the NIC filter.
-    let report = h.deliver_from_wire(&reserved, Time::from_us(6));
-    assert_eq!(report.outcome, DeliveryOutcome::Dropped);
+    let mut per_step = BTreeMap::<Step, u64>::new();
+    for i in 1..=k + 1 {
+        let mut h = committed();
+        let fingerprints = resident_fingerprints(&h);
+        h.set_policy_fault_injector(OpFaultInjector::fail_nth(i));
+        let before = h.kernel_cpu;
+        let result = h.update_policy(Time::from_us(5), mutation);
+        let rolled_back = h.kernel_cpu - before;
+        if i == k + 1 {
+            // One past the last operation: nothing fails.
+            assert_eq!(result.unwrap(), 2, "fault point {i} of {k}");
+            assert!(h.audit().is_empty(), "audit: {:?}", h.audit());
+            break;
+        }
+        let err = result.unwrap_err();
+        let CtrlError::CommitFailed(Failure {
+            step,
+            cause: Cause::Injected,
+        }) = err
+        else {
+            panic!("fault point {i}: got {err}");
+        };
+        *per_step.entry(step).or_default() += 1;
 
-    // With the fault consumed, the same transaction now commits.
-    let before = h.kernel_cpu;
-    let g = h.update_policy(Time::from_us(7), mutation).unwrap();
-    let clean = h.kernel_cpu - before;
-    assert_eq!(g, 2);
-    assert!(h.audit().is_empty(), "audit: {:?}", h.audit());
+        // Generation did not advance; the store still holds generation
+        // 1's policy; the NIC matches it exactly (third ledger: no
+        // divergence).
+        assert_eq!(h.policy_generation(), 1, "fault point {i} at {step}");
+        assert_eq!(h.ctrl().stats().rollbacks, 1);
+        assert!(h.policy().reservations.iter().all(|r| r.port == 5432));
+        assert_eq!(resident_fingerprints(&h), fingerprints, "fault point {i}");
+        assert!(h.audit().is_empty(), "fault point {i}: {:?}", h.audit());
 
-    // A rollback re-applies the prior bundle on top of the partial
-    // apply: dearer than the clean commit, but a bounded number of
-    // applies, not pathological (EXPERIMENTS M3).
-    assert!(
-        clean < rolled_back && rolled_back < clean * 3,
-        "rollback charged {rolled_back:?} of kernel CPU, the clean commit {clean:?}"
-    );
+        // Generation 1's dataplane policy still enforces: uid 1001 owns
+        // 5432, and unowned traffic to it is dropped by the NIC filter.
+        let reserved = wire_udp(h.cfg.ip, 9000, 5432, 100);
+        let report = h.deliver_from_wire(&reserved, Time::from_us(6));
+        assert_eq!(report.outcome, DeliveryOutcome::Dropped, "fault point {i}");
+
+        // A rollback re-applies the prior bundle on top of the partial
+        // apply: a bounded number of applies, not pathological
+        // (EXPERIMENTS M3). From the third point on, the partial apply
+        // and the rollback together cost more than the clean commit.
+        assert!(
+            (i < 3 || clean < rolled_back) && rolled_back < clean * 3,
+            "fault point {i}: rollback charged {rolled_back:?}, the clean commit {clean:?}"
+        );
+
+        // With the fault consumed, the same transaction now commits.
+        assert_eq!(h.update_policy(Time::from_us(7), mutation).unwrap(), 2);
+        assert!(h.audit().is_empty(), "audit: {:?}", h.audit());
+    }
+    println!("{k} fault points per commit: {per_step:?}");
+    assert_eq!(per_step.values().sum::<u64>(), k);
 }
 
 #[test]

@@ -334,5 +334,5 @@ fn tx_allocates_nothing_per_frame_under_a_committed_policy() {
     }
     // The pool's slots are the test's, not the host's: release them.
     drop(frames);
-    assert_eq!(host.audit(), Vec::<String>::new());
+    assert_eq!(host.audit(), Vec::<sim::Violation>::new());
 }

@@ -580,7 +580,7 @@ fn corrupted_frames_never_create_state() {
 /// flow hash, and checksum-verified flags in lockstep with the bytes.
 #[test]
 fn frame_meta_matches_fresh_parse_through_all_stages() {
-    use pkt::{Frame, FrameMeta};
+    use pkt::FrameMeta;
 
     let mut r = rng(26);
     for _ in 0..64 {
@@ -602,17 +602,19 @@ fn frame_meta_matches_fresh_parse_through_all_stages() {
 
         // Stage 0: ingress. The build-time descriptor equals a fresh
         // derive over the bytes.
-        let frame = Frame::ingress(build(local, remote, local_port, remote_port)).unwrap();
-        assert_eq!(frame.meta, FrameMeta::derive(frame.bytes()).unwrap());
+        let frame = build(local, remote, local_port, remote_port);
+        let meta = FrameMeta::of(&frame).unwrap();
+        assert_eq!(meta, FrameMeta::derive(frame.bytes()).unwrap());
 
         // Stage 1: the reply comes back; its descriptor tracks the bytes.
-        let reply = Frame::ingress(build(remote, local, remote_port, local_port)).unwrap();
-        assert_eq!(reply.meta, FrameMeta::derive(reply.bytes()).unwrap());
-        assert_eq!(reply.meta.tuple.unwrap().dst_port, local_port);
+        let reply = build(remote, local, remote_port, local_port);
+        let reply_meta = FrameMeta::of(&reply).unwrap();
+        assert_eq!(reply_meta, FrameMeta::derive(reply.bytes()).unwrap());
+        assert_eq!(reply_meta.tuple.unwrap().dst_port, local_port);
 
         // Stage 2: the NIC pipeline hands back the descriptor it used.
         let mut nic = nicsim::SmartNic::new(nicsim::NicConfig::default());
-        let rx = nic.rx(&reply.pkt, Time::ZERO);
+        let rx = nic.rx(&reply, Time::ZERO);
         assert_eq!(rx.meta, Some(FrameMeta::derive(reply.bytes()).unwrap()));
     }
 }

@@ -21,7 +21,7 @@ use std::net::Ipv4Addr;
 use nicsim::device::ProgramSlot;
 use norman::host::DeliveryOutcome;
 use norman::workers::WorkerError;
-use norman::{DegradationPolicy, Host, HostConfig, ShapingPolicy};
+use norman::{Cause, CtrlError, DegradationPolicy, Failure, Host, HostConfig, ShapingPolicy};
 use oskernel::Uid;
 use pkt::{IpProto, Mac, Packet, PacketBuilder};
 use sim::fault::OpFaultInjector;
@@ -227,8 +227,16 @@ fn commit_watchdog_aborts_stalled_transaction() {
             p.rss = Some(norman::RssPolicy::uniform(1));
         })
         .unwrap_err();
-    let msg = err.to_string();
-    assert!(msg.contains("watchdog"), "unexpected error: {msg}");
+    assert!(
+        matches!(
+            err,
+            CtrlError::CommitFailed(Failure {
+                cause: Cause::Watchdog,
+                ..
+            })
+        ),
+        "unexpected error: {err}"
+    );
     // The rollback left everything exactly as committed before.
     assert_eq!(host.policy_generation(), gen_before);
     assert_eq!(resident_fingerprints(&host), fps_before);
