@@ -221,13 +221,14 @@ impl LlcPartitionPlan {
         let donor = total.sets() * total.line_bytes * u64::from(total.ways);
         check(v, Check::LlcCapacity, donor, bytes);
         for (i, s) in (0u64..).zip(&self.shards) {
-            if total.ddio_ways > 0 && s.ddio_ways == 0 {
-                v.push(Violation::new(Check::LlcShardDdio, 1, 0).at(i));
-            }
-            if s.ddio_ways > s.ways {
-                let (ways, ddio) = (s.ways.into(), s.ddio_ways.into());
-                v.push(Violation::new(Check::LlcShardDdioMask, ways, ddio).at(i));
-            }
+            // The DDIO mask keeps a way when the donor has some, and fits the shard.
+            let floor = u32::from(total.ddio_ways > 0);
+            let bound = if s.ddio_ways < floor {
+                floor
+            } else {
+                s.ddio_ways.min(s.ways)
+            };
+            check_at(v, Check::LlcShardDdio, i, bound.into(), s.ddio_ways.into());
             check_at(v, Check::LlcShardSets, i, total.sets(), s.sets());
         }
         violations

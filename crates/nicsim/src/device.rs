@@ -14,7 +14,7 @@ use std::collections::HashMap;
 use overlay::{verify, CompiledProgram, PktCtx, Program, Verdict, Vm};
 use pkt::{FiveTuple, FrameMeta, IpProto, Packet, PktError};
 use qdisc::{MultiQueue, QPkt};
-use sim::audit::{check, Check, Violation};
+use sim::audit::{check, check_at, Check, Violation};
 use sim::fault::OpFaultInjector;
 use sim::{Dur, Link, Time};
 use telemetry::{
@@ -1046,12 +1046,15 @@ impl SmartNic {
         let (hot, cold) = (flows.num_hot() as u64, flows.num_cold() as u64);
         let (exact, listeners) = (flows.num_exact() as u64, flows.num_listeners() as u64);
         let used = |c| self.sram.used_by(c);
+        let sram = |v: &mut Vec<Violation>, c: SramCategory, want| {
+            check_at(v, Check::Sram, c as u64, want, used(c));
+        };
 
         // Flow-table SRAM equals *hot-tier* entries at their fixed costs;
         // cold-tier entries live in host memory and charge nothing.
         let want =
             hot * crate::flowtable::ENTRY_BYTES + listeners * crate::flowtable::LISTENER_BYTES;
-        check(v, Check::FlowTableSram, want, used(SramCategory::FlowTable));
+        sram(v, SramCategory::FlowTable, want);
 
         // Tier conservation: every exact connection is in exactly one
         // tier — none lost, none double-counted.
@@ -1064,9 +1067,7 @@ impl SmartNic {
 
         // Ring contexts: one per *hot* exact-match connection, none for
         // cold connections or listeners.
-        let want = hot * RING_CONTEXT_BYTES;
-        let rings = used(SramCategory::RingContext);
-        check(v, Check::RingContextSram, want, rings);
+        sram(v, SramCategory::RingContext, hot * RING_CONTEXT_BYTES);
 
         // Overlay slots: Program/Maps SRAM equals the sum over loaded VMs.
         let mut expect_insn = 0u64;
@@ -1082,13 +1083,12 @@ impl SmartNic {
             expect_insn += insn;
             expect_maps += vm.program().sram_bytes() - insn;
         }
-        let insns = used(SramCategory::Program);
-        check(v, Check::ProgramSram, expect_insn, insns);
-        check(v, Check::MapsSram, expect_maps, used(SramCategory::Maps));
+        sram(v, SramCategory::Program, expect_insn);
+        sram(v, SramCategory::Maps, expect_maps);
 
         // SRAM totals are internally consistent.
         let by_category = SramCategory::ALL.iter().map(|&c| used(c)).sum();
-        check(v, Check::SramTotal, self.sram.used(), by_category);
+        check(v, Check::Sram, self.sram.used(), by_category);
 
         // RSS state is internally consistent: the TX scheduler bank has
         // one queue per RSS queue, every indirection entry names a live
@@ -1115,60 +1115,34 @@ impl SmartNic {
             let s = &self.stats;
             let stage = |st: Stage| self.tel.stage_count(st);
             let drops = |cause: DropCause| self.tel.drop_count(cause);
-            let checks = [
-                (
-                    Check::LedgerRxIngress,
-                    s.rx_frames - b.rx_frames,
-                    stage(Stage::RxIngress),
-                ),
-                (
-                    Check::LedgerRxDeliver,
-                    s.rx_delivered - b.rx_delivered,
-                    stage(Stage::RxDeliver),
-                ),
-                (
-                    Check::LedgerRxSlowPath,
-                    s.rx_slowpath - b.rx_slowpath,
-                    stage(Stage::RxSlowPath),
-                ),
-                (
-                    Check::LedgerTxOffer,
-                    s.tx_frames - b.tx_frames,
-                    stage(Stage::TxOffer),
-                ),
-                (
-                    Check::LedgerTxDepart,
-                    s.tx_sent - b.tx_sent,
-                    stage(Stage::TxDepart),
-                ),
-                (
-                    Check::LedgerDropMalformed,
-                    (s.rx_malformed - b.rx_malformed) + (s.rx_bad_checksum - b.rx_bad_checksum),
-                    drops(DropCause::Malformed),
-                ),
-                (
-                    Check::LedgerDropFilter,
-                    (s.rx_filtered - b.rx_filtered) + (s.tx_filtered - b.tx_filtered),
-                    drops(DropCause::Filter),
-                ),
-                (
-                    Check::LedgerDropReprogramming,
-                    s.dropped_reprogramming - b.dropped_reprogramming,
-                    drops(DropCause::Reprogramming),
-                ),
-                (
-                    Check::LedgerDropDeviceDead,
-                    (s.dropped_dead - b.dropped_dead) + (s.tx_crash_purged - b.tx_crash_purged),
-                    drops(DropCause::DeviceDead),
-                ),
+            let stages = [
+                (Stage::RxIngress, s.rx_frames - b.rx_frames),
+                (Stage::RxDeliver, s.rx_delivered - b.rx_delivered),
+                (Stage::RxSlowPath, s.rx_slowpath - b.rx_slowpath),
+                (Stage::TxOffer, s.tx_frames - b.tx_frames),
+                (Stage::TxDepart, s.tx_sent - b.tx_sent),
             ];
-            for (what, counters, ledger) in checks {
-                check(v, what, counters, ledger);
+            for (st, counters) in stages {
+                let at = st.index() as u64;
+                check_at(v, Check::StageLedger, at, counters, stage(st));
+            }
+            let malformed =
+                (s.rx_malformed - b.rx_malformed) + (s.rx_bad_checksum - b.rx_bad_checksum);
+            let filtered = (s.rx_filtered - b.rx_filtered) + (s.tx_filtered - b.tx_filtered);
+            let reprogramming = s.dropped_reprogramming - b.dropped_reprogramming;
+            let dead = (s.dropped_dead - b.dropped_dead) + (s.tx_crash_purged - b.tx_crash_purged);
+            let causes = [
+                (DropCause::Malformed, malformed),
+                (DropCause::Filter, filtered),
+                (DropCause::Reprogramming, reprogramming),
+                (DropCause::DeviceDead, dead),
+            ];
+            for (cause, counters) in causes {
+                let at = cause.index() as u64;
+                check_at(v, Check::DropLedger, at, counters, drops(cause));
             }
             let rx_terminal =
                 stage(Stage::RxDeliver) + stage(Stage::RxSlowPath) + stage(Stage::RxDrop);
-            let ingress = stage(Stage::RxIngress);
-            check(v, Check::RxConservation, ingress, rx_terminal);
             // A frame purged by a crash, or refused by a reconfigured
             // scheduler, was both queued (TxQueue at enqueue time) and
             // dropped (TxDrop later), so those are subtracted to keep
@@ -1176,8 +1150,14 @@ impl SmartNic {
             let purged = (s.tx_crash_purged - b.tx_crash_purged)
                 + (s.tx_reconfig_dropped - b.tx_reconfig_dropped);
             let tx_terminal = stage(Stage::TxQueue) + stage(Stage::TxDrop) - purged;
-            let offers = stage(Stage::TxOffer);
-            check(v, Check::TxConservation, offers, tx_terminal);
+            let conserved = [
+                (Stage::RxIngress, rx_terminal),
+                (Stage::TxOffer, tx_terminal),
+            ];
+            for (st, terminal) in conserved {
+                let at = st.index() as u64;
+                check_at(v, Check::Conservation, at, stage(st), terminal);
+            }
         }
 
         violations

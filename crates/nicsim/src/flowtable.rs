@@ -973,10 +973,10 @@ impl FlowTable {
         // Indexes → slab: no dangling slot, no entry filed under a key or
         // id that is not its own.
         let misfiled =
-            |check, at: &Resolved| Violation::new(check, at.slot.into(), NONE).at(at.id.0);
+            |at: &Resolved| Violation::new(Check::FlowIndex, at.slot.into(), NONE).at(at.id.0);
         for (&id, &slot) in &self.by_id {
             if cell(slot).map(|s| s.entry.id) != Some(id) {
-                v.push(misfiled(Check::FlowIdIndex, &Resolved { id, slot }));
+                v.push(misfiled(&Resolved { id, slot }));
             }
         }
         // The entry an index value names, if the slot still holds it.
@@ -986,12 +986,12 @@ impl FlowTable {
             match own(at).filter(|e| !e.listener && exact_key(&e.tuple) == *key) {
                 Some(e) if e.tier == FlowTier::Hot => hot_tagged += 1,
                 Some(_) => cold_tagged += 1,
-                None => v.push(misfiled(Check::FlowKeyIndex, at)),
+                None => v.push(misfiled(at)),
             }
         }
         for (key, at) in &self.listeners {
             if !own(at).is_some_and(|e| e.listener && (e.tuple.proto, e.tuple.dst_port) == *key) {
-                v.push(misfiled(Check::FlowKeyIndex, at));
+                v.push(misfiled(at));
             }
         }
         let occupied = self.slab.iter().flatten().count() as u64;
@@ -1004,8 +1004,9 @@ impl FlowTable {
         check(v, Check::FlowQueueSlices, self.num_queues as u64, queues);
         for (q, lists) in (0u64..).zip(&self.hot) {
             for (rank, list) in (0u64..).zip(lists) {
+                let name = q * RANKS as u64 + rank;
                 if rank == 0 {
-                    check_at(v, Check::ListRankZero, q, 0, list.len as u64);
+                    check_at(v, Check::ListRankZero, name, 0, list.len as u64);
                 }
                 // Walk at most one step past the recorded length, so a
                 // cycle reads as a wrong length instead of hanging.
@@ -1013,13 +1014,13 @@ impl FlowTable {
                 let mut last_use = 0;
                 while at != NIL && walked <= list.len {
                     let Some(s) = cell(at) else {
-                        v.push(Violation::new(Check::ListDangling, NONE, at.into()).at(q));
+                        v.push(Violation::new(Check::ListDangling, NONE, at.into()).at(name));
                         break;
                     };
                     let (e, id) = (&s.entry, s.entry.id.0);
-                    if e.listener || e.tier != FlowTier::Hot || u64::from(e.queue) != q {
-                        v.push(Violation::new(Check::ListMember, q, e.queue.into()).at(id));
-                    }
+                    let hot = !e.listener && e.tier == FlowTier::Hot;
+                    let queue = if hot { e.queue.into() } else { NONE };
+                    check_at(v, Check::ListMember, id, q, queue);
                     check_at(v, Check::ListRank, id, rank, e.rank.into());
                     if e.last_use <= last_use {
                         v.push(Violation::new(Check::ListOrder, last_use, e.last_use).at(id));
@@ -1029,9 +1030,9 @@ impl FlowTable {
                     (prev, at) = (at, s.next);
                     walked += 1;
                 }
-                check_at(v, Check::ListLength, q, list.len as u64, walked as u64);
+                check_at(v, Check::ListLength, name, list.len as u64, walked as u64);
                 if at == NIL {
-                    check_at(v, Check::ListTail, q, list.tail.into(), prev.into());
+                    check_at(v, Check::ListTail, name, list.tail.into(), prev.into());
                 }
             }
             let hot = hot_len(lists) as u64;

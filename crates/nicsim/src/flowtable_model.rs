@@ -522,24 +522,28 @@ fn audit_names_each_way_a_list_can_be_wrong() {
         &mut live(&mut ft.slab, slot).entry
     }
     type Corrupt = fn(&mut FlowTable);
-    let cases: [(Check, Corrupt); 6] = [
-        (Check::ListLength, |ft| ft.hot[0][1].len = 3),
-        (Check::ListRank, |ft| entry(ft, 0).rank = 2),
-        (Check::ListOrder, |ft| entry(ft, 1).last_use = 1),
-        (Check::ListDangling, |ft| {
+    // Each corruption, the check it breaks, and the list (queue × 4 +
+    // rank) or connection id that check names.
+    let cases: [(Check, u64, Corrupt); 6] = [
+        (Check::ListLength, 1, |ft| ft.hot[0][1].len = 3),
+        (Check::ListRank, 0, |ft| entry(ft, 0).rank = 2),
+        (Check::ListOrder, 1, |ft| entry(ft, 1).last_use = 1),
+        (Check::ListDangling, 1, |ft| {
             let slot = ft.by_id[&ConnId(1)];
             ft.slab[slot as usize] = None;
         }),
-        (Check::ListMember, |ft| entry(ft, 0).queue = 1),
-        (Check::ListMember, |ft| entry(ft, 2).tier = FlowTier::Cold),
+        (Check::ListMember, 0, |ft| entry(ft, 0).queue = 1),
+        (Check::ListMember, 2, |ft| {
+            entry(ft, 2).tier = FlowTier::Cold
+        }),
     ];
-    for (expect, corrupt) in cases {
+    for (expect, at, corrupt) in cases {
         let mut ft = build(&mut sram);
         corrupt(&mut ft);
         let audit = ft.audit_tiers();
         assert!(
-            audit.iter().any(|v| v.check == expect),
-            "expected a {expect:?} violation, got {audit:?}"
+            audit.iter().any(|v| v.check == expect && v.at == Some(at)),
+            "expected a {expect:?} violation at {at}, got {audit:?}"
         );
     }
 }

@@ -1014,11 +1014,15 @@ impl ControlPlane {
         let sniffing = nic.sniffer.is_enabled().into();
         check(v, Check::Sniffer, bundle.sniffer.is_some().into(), sniffing);
 
-        let acct = nic.accounting_fingerprints();
-        let want_acct = bundle.accounting.iter().map(|(p, _)| p.fingerprint());
-        if !acct.iter().copied().eq(want_acct) {
-            let (want, got) = (bundle.accounting.len() as u64, acct.len() as u64);
-            v.push(Violation::new(Check::Accounting, want, got));
+        let want: Vec<u64> = bundle
+            .accounting
+            .iter()
+            .map(|(p, _)| p.fingerprint())
+            .collect();
+        let got = nic.accounting_fingerprints();
+        let fp = |fps: &[u64], i| fps.get(i).copied().unwrap_or(NONE);
+        if let Some(i) = (0..want.len().max(got.len())).find(|&i| fp(&want, i) != fp(&got, i)) {
+            check_at(v, Check::Accounting, i as u64, fp(&want, i), fp(&got, i));
         }
 
         violations

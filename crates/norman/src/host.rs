@@ -21,7 +21,7 @@ use nicsim::{
 };
 use oskernel::{ArpCache, CgroupId, Cred, NetStack, Pid, ProcessTable, RxOutcome, Scheduler, Uid};
 use pkt::{BufArena, FiveTuple, IpProto, Mac, Packet};
-use sim::audit::{check, Check, Violation};
+use sim::audit::{check, check_at, Check, Violation};
 use sim::fault::OpFaultInjector;
 use sim::{Dur, Time};
 use telemetry::{
@@ -658,16 +658,17 @@ impl Host {
             .saturating_sub(ring_full);
         let (s, b) = (&self.stats, &self.tel_baseline);
         let delivered = d(s.fast_delivered, b.fast_delivered);
-        check(v, Check::LedgerRingEnqueue, delivered, ring_enq_pass);
-        let ring_drops = d(s.ring_drops, b.ring_drops);
-        check(v, Check::LedgerRingFull, ring_drops, ring_full);
+        let enqueue = Stage::RingEnqueue.index() as u64;
+        check_at(v, Check::StageLedger, enqueue, delivered, ring_enq_pass);
+        let (ring_drops, full) = (d(s.ring_drops, b.ring_drops), DropCause::RingFull.index());
+        check_at(v, Check::DropLedger, full as u64, ring_drops, ring_full);
         // Frames already resident when tracing started were never counted
         // as enqueues, but their dequeues are. A frame a `close` discarded
         // left its ring without one.
         let discarded = d(s.discarded_at_close, b.discarded_at_close);
         let occupancy = (self.tel_baseline_resident + ring_enq_pass)
             .saturating_sub(self.tel.stage_count(Stage::RingDequeue) + discarded);
-        check(v, Check::LedgerRingOccupancy, self.rx_resident(), occupancy);
+        check(v, Check::RingOccupancy, self.rx_resident(), occupancy);
         violations
     }
 

@@ -19,20 +19,19 @@ pub enum Check {
     LlcWays,
     /// Shard DDIO ways sum to the donor's budget, floored at one per shard.
     LlcDdioWays,
-    /// Shard `at` kept a DDIO way (the donor has some).
+    /// Shard `at`'s DDIO ways (`found`) lie between one (when the donor has
+    /// some) and the shard's ways; `expected` is the bound they cross.
     LlcShardDdio,
-    /// Shard `at`'s DDIO mask (`found`) fits its ways (`expected`).
-    LlcShardDdioMask,
     /// Shard capacities sum to the donor's set-aligned capacity.
     LlcCapacity,
     /// Shard `at` has the donor's set count.
     LlcShardSets,
 
-    // -- nicsim flow table: indexes, recency lists, tiers agree.
-    /// The id index files connection `at` under slot `expected`, which does not hold it.
-    FlowIdIndex,
-    /// A key index (exact or listener) files connection `at` under slot `expected` wrongly.
-    FlowKeyIndex,
+    // -- nicsim flow table: indexes, recency lists, tiers agree. A
+    // recency list is named by `queue × 4 + rank`.
+    /// An index (id, exact key or listener key) files connection `at` under
+    /// slot `expected`, which does not hold it.
+    FlowIndex,
     /// Occupied slab cells equal the indexed ids.
     FlowSlabIds,
     /// Occupied plus free cells equal the slab's length.
@@ -43,68 +42,50 @@ pub enum Check {
     FlowColdTagged,
     /// One hot-list slice per queue.
     FlowQueueSlices,
-    /// Queue `at`'s rank-0 recency list is empty (rank 0 is never hot).
+    /// Recency list `at`, of rank 0, is empty (rank 0 is never hot).
     ListRankZero,
-    /// Queue `at`'s recency list reaches slot `found`, which is empty.
+    /// Recency list `at` reaches slot `found`, which is empty.
     ListDangling,
-    /// Connection `at` is on queue `expected`'s list but cold, a listener, or of queue `found`.
+    /// Connection `at` is on queue `expected`'s list but of queue `found`,
+    /// or (`found` none) cold or a listener.
     ListMember,
     /// Connection `at` sits on the rank-`expected` list with rank `found`.
     ListRank,
-    /// Connection `at` (last use `found`) follows last use `expected`, not above it.
+    /// Connection `at`'s last use (`found`) is strictly above its
+    /// predecessor's (`expected`), so a tie breaks it too.
     ListOrder,
     /// Connection `at`'s back link is slot `found`, not `expected`.
     ListBackLink,
-    /// Queue `at`'s recency list walks as many entries as it records.
+    /// Recency list `at` walks as many entries as it records.
     ListLength,
-    /// Queue `at`'s recency list ends at the tail it records.
+    /// Recency list `at` ends at the tail it records.
     ListTail,
     /// Queue `at` holds `found` hot entries, over its slice `expected`.
     QueueHotBudget,
 
     // -- nicsim device: SRAM, tiers, RSS and the trace ledger.
-    /// Flow-table SRAM equals hot entries and listeners at their costs.
-    FlowTableSram,
+    /// SRAM category `at` (`nicsim::SramCategory`, in declaration order)
+    /// holds what its contents cost; with no `at`, the categories sum to
+    /// the used total.
+    Sram,
     /// Hot plus cold connections equal the exact connections.
     FlowTiers,
     /// Entry records equal exact connections plus listeners.
     FlowEntries,
-    /// Ring-context SRAM equals one context per hot connection.
-    RingContextSram,
-    /// Program SRAM equals the loaded programs' instruction bytes.
-    ProgramSram,
-    /// Maps SRAM equals the loaded programs' map bytes.
-    MapsSram,
-    /// SRAM category totals sum to the used total.
-    SramTotal,
     /// The TX scheduler has one queue per RSS queue.
     TxSchedulerQueues,
-    /// RSS indirection entry `at` names queue `found`, beyond the `expected` queues.
+    /// RSS indirection entry `at` names queue `found`, not below the queue count `expected`.
     RssIndirection,
     /// The RSS queue-count register mirrors the active table.
     RssQueueRegister,
-    /// Trace ledger: `rx_ingress` events equal `rx_frames`.
-    LedgerRxIngress,
-    /// Trace ledger: `rx_deliver` events equal `rx_delivered`.
-    LedgerRxDeliver,
-    /// Trace ledger: `rx_slowpath` events equal `rx_slowpath`.
-    LedgerRxSlowPath,
-    /// Trace ledger: `tx_offer` events equal `tx_frames`.
-    LedgerTxOffer,
-    /// Trace ledger: `tx_depart` events equal `tx_sent`.
-    LedgerTxDepart,
-    /// Trace ledger: malformed drops equal malformed plus bad-checksum frames.
-    LedgerDropMalformed,
-    /// Trace ledger: filter drops equal `rx_filtered + tx_filtered`.
-    LedgerDropFilter,
-    /// Trace ledger: reprogramming drops equal `dropped_reprogramming`.
-    LedgerDropReprogramming,
-    /// Trace ledger: dead-device drops equal dead drops plus crash-purged frames.
-    LedgerDropDeviceDead,
-    /// RX ingress events equal deliver + slowpath + drop events.
-    RxConservation,
-    /// TX offer events equal queue + drop events, less purged frames.
-    TxConservation,
+    /// Trace ledger: the counters (`expected`) equal the events of stage `at`
+    /// (`telemetry::Stage::index`; for `ring_enqueue`, those that passed).
+    StageLedger,
+    /// Trace ledger: the counters (`expected`) equal the drops of cause `at`
+    /// (`telemetry::DropCause::index`).
+    DropLedger,
+    /// Frames entering at stage `at` equal those leaving by a terminal stage.
+    Conservation,
 
     // -- norman control plane: NIC-resident policy matches the store.
     /// The NIC's generation register holds the kernel generation.
@@ -121,22 +102,19 @@ pub enum Check {
     RssQueues,
     /// RSS indirection entry `at` holds the policy's queue.
     RssTable,
-    /// The NIC's flow-cache config equals the store's (hot capacities shown).
+    /// The NIC's flow-cache config equals the store's. The values are the
+    /// hot capacities, equal when another field differs.
     FlowCache,
     /// The sniffer is on (1) exactly when the store has a filter.
     Sniffer,
-    /// The resident accounting programs equal the store's: counts.
+    /// Accounting program `at` on the NIC has the store's fingerprint.
     Accounting,
 
     // -- norman host: arena conservation and the ring ledger.
     /// Live arena slots (`found`) do not exceed resident handles (`expected`).
     ArenaLeak,
-    /// Trace ledger: passed ring enqueues equal fast deliveries.
-    LedgerRingEnqueue,
-    /// Trace ledger: ring-full drops equal `ring_drops`.
-    LedgerRingFull,
     /// Trace ledger: enqueues less dequeues and close discards equal RX ring residency.
-    LedgerRingOccupancy,
+    RingOccupancy,
 }
 
 /// One broken invariant.

@@ -101,10 +101,10 @@ impl Stage {
         Stage::TxDepart,
     ];
 
-    /// Dense ledger index of this stage: its position in [`Stage::ALL`],
-    /// which lists the variants in declaration order.
+    /// Dense ledger index of this stage: its position in declaration
+    /// order, which `Stage::ALL` follows.
     #[inline]
-    pub(crate) fn index(self) -> usize {
+    pub fn index(self) -> usize {
         self as usize
     }
 

@@ -119,7 +119,8 @@ fn mid_commit_fault_rolls_back_to_prior_generation() {
         // 1's policy; the NIC matches it exactly (third ledger: no
         // divergence).
         assert_eq!(h.policy_generation(), 1, "fault point {i} at {step}");
-        assert_eq!(h.ctrl().stats().rollbacks, 1);
+        assert_eq!(h.ctrl().stats().rollbacks, 1, "fault point {i}");
+        assert_eq!(h.policy().reservations.len(), 1, "fault point {i}");
         assert!(h.policy().reservations.iter().all(|r| r.port == 5432));
         assert_eq!(resident_fingerprints(&h), fingerprints, "fault point {i}");
         assert!(h.audit().is_empty(), "fault point {i}: {:?}", h.audit());
