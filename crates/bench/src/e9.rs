@@ -84,6 +84,34 @@ struct Row {
     audits_skipped: u64,
 }
 
+/// A run's audit checkpoints: how many ran, the violations they found in
+/// all, and the first of those.
+#[derive(Default)]
+struct AuditTally {
+    audits: u64,
+    violations: u64,
+    first: Option<Violation>,
+}
+
+impl AuditTally {
+    /// One checkpoint: audits `host` and counts what it finds.
+    fn audit(&mut self, host: &mut Host) {
+        let violations = host.audit();
+        self.audits += 1;
+        self.violations += violations.len() as u64;
+        if self.first.is_none() {
+            self.first = violations.into_iter().next();
+        }
+    }
+
+    /// Prints the first violation of `scenario`, if there was one.
+    fn report(&self, scenario: &str) {
+        if let Some(v) = &self.first {
+            eprintln!("AUDIT VIOLATION [{scenario}]: {v}");
+        }
+    }
+}
+
 struct Outage {
     /// Reprogram the NIC when this many frames have been offered.
     at_frame: u64,
@@ -124,9 +152,7 @@ fn run_chaos(scenario: &str, schedule: FaultSchedule, outage: Option<Outage>) ->
 
     let mut wire = FaultyLink::new(Link::hundred_gbe(), SEED ^ 0x11, schedule);
     let mut delivered_ok = 0u64;
-    let mut audits = 0u64;
-    let mut audit_violations = 0u64;
-    let mut first_violation: Option<Violation> = None;
+    let mut tally = AuditTally::default();
 
     let deliver = |host: &mut Host, at: Time, frame: Vec<u8>, delivered_ok: &mut u64| {
         // Wire bytes are adopted straight into the host arena: the rest
@@ -173,12 +199,7 @@ fn run_chaos(scenario: &str, schedule: FaultSchedule, outage: Option<Outage>) ->
             deliver(&mut host, d.at, d.frame, &mut delivered_ok);
         }
         if i % AUDIT_EVERY == 0 {
-            audits += 1;
-            let violations = host.audit();
-            audit_violations += violations.len() as u64;
-            if first_violation.is_none() {
-                first_violation = violations.into_iter().next();
-            }
+            tally.audit(&mut host);
         }
     }
     // Drain frames still held for reordering, then a final audit.
@@ -187,12 +208,8 @@ fn run_chaos(scenario: &str, schedule: FaultSchedule, outage: Option<Outage>) ->
         deliver(&mut host, d.at, d.frame, &mut delivered_ok);
     }
     let _ = host.pump_tx(Time::MAX);
-    audits += 1;
-    let final_violations = host.audit();
-    audit_violations += final_violations.len() as u64;
-    if let Some(v) = first_violation.or_else(|| final_violations.into_iter().next()) {
-        eprintln!("AUDIT VIOLATION [{scenario}]: {v}");
-    }
+    tally.audit(&mut host);
+    tally.report(scenario);
     // Segment-end conservation: with rings and socket queues drained,
     // every slot reference handed out over the run — including frames
     // dropped by the wire's faults, the NIC, full rings, and the
@@ -218,8 +235,8 @@ fn run_chaos(scenario: &str, schedule: FaultSchedule, outage: Option<Outage>) ->
         goodput_pct: 100.0 * delivered_ok as f64 / FRAMES as f64,
         tx_deferred: hs.tx_deferred,
         tx_retry_flushed: hs.tx_retry_flushed,
-        audits,
-        audit_violations,
+        audits: tally.audits,
+        audit_violations: tally.violations,
         policy_commits,
         policy_rollbacks,
         policy_frozen,
@@ -272,10 +289,8 @@ fn run_chaos_recovery() -> Row {
     );
 
     let mut delivered_ok = 0u64;
-    let mut audits = 0u64;
+    let mut tally = AuditTally::default();
     let mut audits_skipped = 0u64;
-    let mut audit_violations = 0u64;
-    let mut first_violation: Option<Violation> = None;
     for i in 0..ROUNDS {
         let t = Time::ZERO + GAP * i;
         for d in wire.transmit(t, hp.bytes().to_vec()) {
@@ -300,12 +315,7 @@ fn run_chaos_recovery() -> Row {
                 && !host.nic.is_frozen(t)
                 && !host.ctrl().needs_reconcile(&host.nic);
             if settled {
-                audits += 1;
-                let violations = host.audit();
-                audit_violations += violations.len() as u64;
-                if first_violation.is_none() {
-                    first_violation = violations.into_iter().next();
-                }
+                tally.audit(&mut host);
             } else {
                 audits_skipped += 1;
             }
@@ -319,12 +329,8 @@ fn run_chaos_recovery() -> Row {
     let end = Time::ZERO + GAP * ROUNDS;
     host.pump(std::slice::from_ref(&hp), end);
     host.pump(std::slice::from_ref(&hp), end + Dur::from_ms(500));
-    audits += 1;
-    let final_violations = host.audit();
-    audit_violations += final_violations.len() as u64;
-    if let Some(v) = first_violation.or_else(|| final_violations.into_iter().next()) {
-        eprintln!("AUDIT VIOLATION [recovery storm]: {v}");
-    }
+    tally.audit(&mut host);
+    tally.report("recovery storm");
     // Conservation after the storm: crash wipes, overload drops, and
     // slow-path demotions all release their slot references — draining
     // both rings and both demoted-traffic socket queues must leave the
@@ -352,8 +358,8 @@ fn run_chaos_recovery() -> Row {
         goodput_pct: 100.0 * delivered_ok as f64 / ROUNDS as f64,
         tx_deferred: hs.tx_deferred,
         tx_retry_flushed: hs.tx_retry_flushed,
-        audits,
-        audit_violations,
+        audits: tally.audits,
+        audit_violations: tally.violations,
         policy_commits: 0,
         policy_rollbacks: 0,
         policy_frozen: 0,
@@ -410,11 +416,9 @@ fn run_chaos_sharded() -> Row {
     let mut wire = FaultyLink::new(Link::hundred_gbe(), SEED ^ 0x33, schedule);
 
     let mut delivered_ok = 0u64;
-    let mut audits = 0u64;
-    let mut audit_violations = 0u64;
+    let mut tally = AuditTally::default();
     let mut policy_commits = 0u64;
     let mut policy_rollbacks = 0u64;
-    let mut first_violation: Option<Violation> = None;
     for i in 0..FRAMES {
         let t = Time::ZERO + PKT_GAP * i;
         let flow = (i % ports.len() as u64) as usize;
@@ -461,12 +465,7 @@ fn run_chaos_sharded() -> Row {
             }
         }
         if i % AUDIT_EVERY == 0 {
-            audits += 1;
-            let violations = host.audit();
-            audit_violations += violations.len() as u64;
-            if first_violation.is_none() {
-                first_violation = violations.into_iter().next();
-            }
+            tally.audit(&mut host);
         }
     }
     for d in wire.flush(Time::ZERO + PKT_GAP * FRAMES) {
@@ -476,12 +475,8 @@ fn run_chaos_sharded() -> Row {
             delivered_ok += 1;
         }
     }
-    audits += 1;
-    let final_violations = host.audit();
-    audit_violations += final_violations.len() as u64;
-    if let Some(v) = first_violation.or_else(|| final_violations.into_iter().next()) {
-        eprintln!("AUDIT VIOLATION [sharded N=4]: {v}");
-    }
+    tally.audit(&mut host);
+    tally.report("sharded N=4");
     // Every shard's core did real work under chaos.
     assert_eq!(host.sched.num_cores_charged(), QUEUES);
     // Cross-shard conservation: after draining every ring the pool must
@@ -509,8 +504,8 @@ fn run_chaos_sharded() -> Row {
         goodput_pct: 100.0 * delivered_ok as f64 / FRAMES as f64,
         tx_deferred: 0,
         tx_retry_flushed: 0,
-        audits,
-        audit_violations,
+        audits: tally.audits,
+        audit_violations: tally.violations,
         policy_commits,
         policy_rollbacks,
         policy_frozen: 0,

@@ -235,35 +235,6 @@ impl LlcPartitionPlan {
     }
 }
 
-/// Asks the kernel to back a buffer with transparent huge pages. The
-/// way-slot array is already faulted in as 4 KiB pages when the advice
-/// arrives, so the cache it is called for starts without them. The
-/// advised range stays marked, though: about ten seconds into a
-/// normanbench run the process holds 12 MB of huge pages (0 without
-/// the call), and the hosts built after that are set up faster. Without
-/// the call `setup_s` read +3.7 % on `rx_fast` and +6.4 % on `tx_shaped`
-/// (ten pairs each, 2-vCPU box). Purely an optimization — errors are
-/// ignored and the call is skipped off Linux and under miri (no FFI).
-/// The only `unsafe` in this crate.
-#[allow(unused_variables, unsafe_code)]
-fn advise_huge_pages(addr: *const u8, len: usize) {
-    #[cfg(all(target_os = "linux", not(miri)))]
-    {
-        extern "C" {
-            fn madvise(addr: *mut std::ffi::c_void, length: usize, advice: i32) -> i32;
-        }
-        const MADV_HUGEPAGE: i32 = 14;
-        const PAGE: usize = 4096;
-        let start = addr as usize & !(PAGE - 1);
-        let end = (addr as usize + len + PAGE - 1) & !(PAGE - 1);
-        // SAFETY: the range covers pages of a live allocation we own;
-        // MADV_HUGEPAGE only tunes its backing, never its contents.
-        unsafe {
-            madvise(start as *mut std::ffi::c_void, end - start, MADV_HUGEPAGE);
-        }
-    }
-}
-
 /// One way slot of the modeled cache: the resident line's address (the
 /// tag) and its LRU recency stamp, packed together so the hit path's
 /// read-tag/stamp-recency pair lands in one real cache line.
@@ -286,26 +257,38 @@ impl LineSlot {
 
 /// The last-level cache model.
 ///
-/// One `LineSlot` (tag + recency stamp, 16 bytes) per way, set-major in
-/// one array, beside a validity bitmask and a most-recently-touched way
-/// hint per set. The hint short-circuits the way scan for the dominant
-/// re-touch case and the bitmask drives the scan and the victim choice;
-/// neither changes a modeled outcome: valid tags within a set are
-/// unique, so the hinted hit is the hit the scan would find, and the
-/// victim is the lowest invalid way the access class may allocate into,
-/// else the least recently used of those ways. Callers that touch fixed
-/// lines over and over (rings) hold a way-slot index per line and go
-/// through `Llc::access_lines_memo`, which says what such an entry may
-/// and may not skip.
+/// One `LineSlot` (tag + recency stamp, 16 bytes) per way, in blocks of
+/// `ways` slots, one block per set that ever allocated a line, beside a
+/// validity bitmask and a most-recently-touched way hint per set. The
+/// hint short-circuits the way scan for the dominant re-touch case and
+/// the bitmask drives the scan and the victim choice; neither changes a
+/// modeled outcome: valid tags within a set are unique, so the hinted hit
+/// is the hit the scan would find, and the victim is the lowest invalid
+/// way the access class may allocate into, else the least recently used
+/// of those ways. Callers that touch fixed lines over and over (rings)
+/// hold a way-slot index per line and go through `Llc::access_lines_memo`,
+/// which says what such an entry may and may not skip.
+///
+/// A set's block is appended to the slot pool the first time an access
+/// allocates into the set, and stays where it is: the pool is reserved
+/// for every set at construction and never reallocates or moves a block,
+/// so a way-slot index, once handed out, names the same way of the same
+/// set for the cache's life. A set that never allocated has no valid way
+/// and costs its 4-byte block entry, not `ways` slots.
 pub struct Llc {
     cfg: LlcConfig,
     sets: u64,
     ways: usize,
-    /// Tag + recency per way slot, `sets * ways` long, set-major. The
-    /// pair shares one 16-byte slot so the dominant hit path (read tag,
-    /// stamp recency) touches a single real cache line instead of two
-    /// parallel arrays.
+    /// Tag + recency per way slot, a block of `ways` slots per set that
+    /// has allocated, in order of first allocation. The pair shares one
+    /// 16-byte slot so the dominant hit path (read tag, stamp recency)
+    /// touches a single real cache line instead of two parallel arrays.
+    /// Reserved for `sets * ways` slots up front and never written past
+    /// the blocks in use.
     lines: Vec<LineSlot>,
+    /// Per-set block entry: 0 while the set has never allocated (and so
+    /// holds no valid way), else 1 + the index of its block in `lines`.
+    block: Vec<u32>,
     /// Per-set validity bitmask (way `w` valid iff bit `w` set).
     valid: Vec<u64>,
     /// Per-set most-recently-touched way hint.
@@ -348,16 +331,11 @@ impl Llc {
             slots < u64::from(u32::MAX),
             "{slots} way slots do not fit a u32 way-slot index"
         );
-        let slots = slots as usize;
-        let lines = vec![LineSlot::EMPTY; slots];
-        advise_huge_pages(
-            lines.as_ptr() as *const u8,
-            std::mem::size_of_val(&lines[..]),
-        );
         Llc {
             sets,
             ways: cfg.ways as usize,
-            lines,
+            lines: Vec::with_capacity(slots as usize),
+            block: vec![0; sets as usize],
             valid: vec![0; sets as usize],
             mru: vec![0; sets as usize],
             line_shift: cfg
@@ -403,8 +381,10 @@ impl Llc {
     #[cfg(test)]
     fn dump(&self) -> Vec<Vec<Option<(u64, u64)>>> {
         let way = |set: usize, w: usize| {
-            let l = self.lines[set * self.ways + w];
-            (self.valid[set] >> w & 1 == 1).then_some((l.tag, l.last_use))
+            (self.valid[set] >> w & 1 == 1).then(|| {
+                let l = self.lines[self.block_base(set) + w];
+                (l.tag, l.last_use)
+            })
         };
         (0..self.sets as usize)
             .map(|set| (0..self.ways).map(|w| way(set, w)).collect())
@@ -449,15 +429,22 @@ impl Llc {
         }
     }
 
+    /// Index in `lines` of way 0 of `set`, which must have a block
+    /// (any set with a valid way has one).
+    fn block_base(&self, set: usize) -> usize {
+        (self.block[set] as usize - 1) * self.ways
+    }
+
     /// Touches the single cache line containing `addr`.
     pub fn access(&mut self, addr: u64, kind: AccessKind) -> AccessOutcome {
         self.access_line(self.line_of(addr), kind).0
     }
 
     /// Touches the line with line address (= tag) `tag`, returning the
-    /// outcome and the way slot (`set * ways + way`) now holding the
-    /// line — `None` when the access did not leave it cached (a
-    /// no-allocate DMA miss).
+    /// outcome and the way slot (the line's index in `lines`) now holding
+    /// the line — `None` when the access did not leave it cached (a
+    /// no-allocate DMA miss). A set with no valid way misses without a
+    /// look at `lines`, and gets its block only if the miss allocates.
     fn access_line(&mut self, tag: u64, kind: AccessKind) -> (AccessOutcome, Option<u32>) {
         self.clock += 1;
         #[cfg(debug_assertions)]
@@ -465,13 +452,15 @@ impl Llc {
             self.set_scans += 1;
         }
         let set = self.set_of(tag) as usize;
-        let base = set * self.ways;
         let vmask = self.valid[set];
 
         // Hit anywhere in the set. The MRU hint catches the dominant
         // re-touch case without scanning; valid tags within a set are
         // unique, so hint and scan can only find the same line.
         let hint = self.mru[set] as usize;
+        // With no valid way there is no block, and nothing below reads
+        // `lines` at `base` before the miss path appends one.
+        let base = if vmask == 0 { 0 } else { self.block_base(set) };
         let hit_way = if vmask >> hint & 1 == 1 && self.lines[base + hint].tag == tag {
             Some(hint)
         } else {
@@ -535,6 +524,17 @@ impl Llc {
                 }
             }
             best
+        };
+        let base = if vmask == 0 {
+            // First allocation into the set: append its block. The pool
+            // has room for every set's, so this never reallocates.
+            debug_assert!(self.lines.len() + self.ways <= self.lines.capacity());
+            self.lines
+                .resize(self.lines.len() + self.ways, LineSlot::EMPTY);
+            self.block[set] = (self.lines.len() / self.ways) as u32;
+            self.lines.len() - self.ways
+        } else {
+            base
         };
         self.lines[base + victim] = LineSlot {
             tag,
@@ -854,6 +854,46 @@ mod tests {
             line_bytes: 64,
             hash_sets: true,
         });
+    }
+
+    #[test]
+    fn fresh_cache_owns_no_way_slots() {
+        let c = Llc::new(LlcConfig::xeon_default());
+        assert!(c.lines.is_empty());
+        assert!(c.lines.capacity() >= 32 << 20 >> 6);
+        let c = small_cache(4, 2);
+        assert_eq!(c.dump(), vec![vec![None; 4]; 4]);
+    }
+
+    #[test]
+    fn no_allocate_miss_on_an_untouched_set_creates_no_block() {
+        let costs = MemCosts::default();
+        for (ddio_ways, kind) in [(2, AccessKind::DmaWriteBypass), (0, AccessKind::DmaWrite)] {
+            let mut c = small_cache(4, ddio_ways);
+            assert_eq!(c.access(0, kind), AccessOutcome::Miss);
+            assert_eq!(c.access_range(64, 3 * 64, kind, &costs), costs.dma_dram * 3);
+            assert!(c.lines.is_empty(), "{kind:?}");
+            assert_eq!(c.block, [0; 4], "{kind:?}");
+            assert_eq!(c.dump(), vec![vec![None; 4]; 4]);
+        }
+    }
+
+    #[test]
+    fn first_allocation_creates_one_block_per_set() {
+        let mut c = small_cache(4, 2);
+        let stride = 4 * 64;
+        c.access(stride, AccessKind::DmaWrite);
+        // Set 0's block is the first in the pool, its line in way 0.
+        assert_eq!((c.lines.len(), c.block[0]), (4, 1));
+        assert_eq!(c.lines[0].tag, 4);
+        // A second line in the same set reuses the block.
+        c.access(0, AccessKind::CpuRead);
+        assert_eq!(c.lines.len(), 4);
+        // Another set gets the next block.
+        c.access(3 * 64, AccessKind::CpuWrite);
+        assert_eq!((c.lines.len(), c.block[3]), (8, 2));
+        assert_eq!(c.block[1..3], [0, 0]);
+        assert_eq!(c.lines[4].tag, 3);
     }
 
     #[test]

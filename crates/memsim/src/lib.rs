@@ -22,7 +22,7 @@
 //! * `mmio` — cost accounting for MMIO register reads/writes (doorbells
 //!   and head/tail pointers in the Norman design).
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub(crate) mod cache;
 pub(crate) mod costs;

@@ -9,7 +9,8 @@
 //! descriptor and payload slot occupy, and an [`Llc`] behind real
 //! [`DescRing`]s (the memo path) — and they must agree on every returned
 //! cost, on [`LlcStats`] after every op, and on every way of every set
-//! (tag and recency stamp) at the end.
+//! (tag and recency stamp) at the end. A write that never allocates, on
+//! a set no line has reached, must also leave that set without a block.
 
 use std::collections::VecDeque;
 
@@ -230,6 +231,7 @@ fn run(a: &LlcConfig, b: &LlcConfig, slot_bytes: usize, seed: u64) {
     let foreign_span = 2 * a.size_bytes.max(b.size_bytes);
     let mut pairs = [[0u32; 2]; 3];
     let mut next_desc = 0u64;
+    let mut untouched = 0;
 
     for op in 0..ops {
         if rng.chance(0.002) {
@@ -238,7 +240,8 @@ fn run(a: &LlcConfig, b: &LlcConfig, slot_bytes: usize, seed: u64) {
         let rig = &mut rigs[cur];
         let r = rng.range_usize(0, rings.len());
         let (ring, shadow) = &mut rings[r];
-        match rng.range_u64(0, 100) {
+        // The first op finds every set untouched.
+        match if op == 0 { 90 } else { rng.range_u64(0, 100) } {
             // Produce: any producer, any length the slot can hold (and
             // now and then one it cannot).
             0..=44 => {
@@ -291,10 +294,40 @@ fn run(a: &LlcConfig, b: &LlcConfig, slot_bytes: usize, seed: u64) {
                 pairs[p][c] += 1;
                 rig.check(&what, cost);
             }
+            // A write that never allocates, on a set no line has reached
+            // yet where one turns up: it misses without giving the set a
+            // block.
+            90..=91 => {
+                let no_allocate = if rig.reference.cfg.ddio_ways == 0 && rng.chance(0.5) {
+                    AccessKind::DmaWrite
+                } else {
+                    AccessKind::DmaWriteBypass
+                };
+                let line_bytes = rig.reference.cfg.line_bytes;
+                let (mut addr, mut fresh) = (0, false);
+                for _ in 0..16 {
+                    addr = (64 << 20) + rng.range_u64(0, foreign_span);
+                    let set = &rig.reference.sets[rig.reference.set_of(addr / line_bytes)];
+                    fresh = set.iter().all(Option::is_none);
+                    if fresh {
+                        break;
+                    }
+                }
+                let cost = rig.foreign(addr, 1, no_allocate, &costs);
+                let what = ("no-allocate", op, addr, no_allocate);
+                rig.check(&what, cost);
+                if fresh {
+                    untouched += 1;
+                    for llc in [&rig.plain, &rig.ringed] {
+                        let set = llc.set_of(llc.line_of(addr)) as usize;
+                        assert_eq!(llc.block[set], 0, "{what:?}");
+                    }
+                }
+            }
             // Foreign traffic, half of it over the rings' own lines: it
             // evicts what the rings remember and brings lines back into
             // other ways.
-            90..=98 => {
+            92..=98 => {
                 let kind = *rng.pick(&ALL_KINDS);
                 let len = rng.range_u64(0, 4 * slot_bytes as u64);
                 let addr = if rng.chance(0.5) {
@@ -320,6 +353,7 @@ fn run(a: &LlcConfig, b: &LlcConfig, slot_bytes: usize, seed: u64) {
         assert!(cfg!(miri) || s.cpu_hits + s.dma_hits > 0, "no hits: {s:?}");
         assert!(cfg!(miri) || s.cpu_misses + s.dma_misses > 0, "{s:?}");
     }
+    assert!(untouched > 0, "no no-allocate write met an untouched set");
     assert!(
         cfg!(miri) || pairs.iter().flatten().all(|&n| n > 0),
         "a producer / consumer pair never ran: {pairs:?}"

@@ -47,10 +47,10 @@ use std::convert::Infallible;
 use std::rc::Rc;
 
 use nicsim::device::ProgramSlot;
-use nicsim::rss::{RssTable, MAX_QUEUES, RSS_TABLE_SIZE};
+use nicsim::rss::{RssError, RssTable, MAX_QUEUES, RSS_TABLE_SIZE};
 use nicsim::{FlowCacheConfig, NicError, SmartNic, POLICY_GENERATION_REG};
-use overlay::{builtins, CompiledProgram, Program};
-use qdisc::compile;
+use overlay::{builtins, CompiledProgram, Program, VerifyError};
+use qdisc::compile::{self, SchedCompileError};
 use sim::audit::{check, check_at, Check, Violation};
 use sim::fault::OpFaultInjector;
 use sim::Time;
@@ -196,10 +196,7 @@ impl PolicyBundle {
         for r in &store.reservations {
             let owner = (r.uid, &r.comm);
             if *owners.entry(r.port).or_insert(owner) != owner {
-                return Err(CtrlError::Compile(format!(
-                    "port {} reserved for two owners",
-                    r.port
-                )));
+                return Err(CtrlError::Compile(Refusal::PortOwners(r.port)));
             }
         }
         if !store.reservations.is_empty() {
@@ -220,7 +217,7 @@ impl PolicyBundle {
                     .map(|&(uid, w)| (uid.0, w))
                     .collect();
                 let setup = compile::try_compile_uid_wfq(&users, policy.default_weight)
-                    .map_err(|e| CtrlError::Compile(e.to_string()))?;
+                    .map_err(|e| CtrlError::Compile(Refusal::Shaping(e)))?;
                 for (map, key, value) in setup.map_fills {
                     map_fills.push((ProgramSlot::Classifier, map, key, value));
                 }
@@ -233,10 +230,7 @@ impl PolicyBundle {
         let rss = match &store.rss {
             Some(policy) => {
                 if !(1..=MAX_QUEUES).contains(&policy.num_queues) {
-                    return Err(CtrlError::Compile(format!(
-                        "RSS queue count {} outside 1..={MAX_QUEUES}",
-                        policy.num_queues
-                    )));
+                    return Err(CtrlError::Compile(Refusal::RssQueues(policy.num_queues)));
                 }
                 let table: Vec<u16> = if policy.indirection.is_empty() {
                     (0..RSS_TABLE_SIZE)
@@ -246,7 +240,7 @@ impl PolicyBundle {
                     policy.indirection.clone()
                 };
                 RssTable::validated(policy.num_queues, &table)
-                    .map_err(|e| CtrlError::Compile(format!("RSS policy rejected: {e}")))?;
+                    .map_err(|e| CtrlError::Compile(Refusal::RssTable(e)))?;
                 Some((policy.num_queues, table))
             }
             None => None,
@@ -255,9 +249,7 @@ impl PolicyBundle {
         let flow_cache = match &store.flow_cache {
             Some(fc) => {
                 if fc.hot_capacity == 0 {
-                    return Err(CtrlError::Compile(
-                        "flow cache hot capacity must be nonzero".to_string(),
-                    ));
+                    return Err(CtrlError::Compile(Refusal::FlowCacheCapacity));
                 }
                 // Normalize the port lists so audit can compare the
                 // installed config against the bundle with plain equality.
@@ -272,22 +264,15 @@ impl PolicyBundle {
         };
 
         if let Some(d) = &store.degradation {
-            if !(d.high_watermark > 0.0 && d.high_watermark <= 1.0) {
-                return Err(CtrlError::Compile(format!(
-                    "degradation high watermark {} outside (0, 1]",
-                    d.high_watermark
-                )));
+            let (high, low) = (d.high_watermark, d.low_watermark);
+            if !(high > 0.0 && high <= 1.0) {
+                return Err(CtrlError::Compile(Refusal::HighWatermark(high)));
             }
-            if !(d.low_watermark >= 0.0 && d.low_watermark < d.high_watermark) {
-                return Err(CtrlError::Compile(format!(
-                    "degradation low watermark {} must be in [0, high {})",
-                    d.low_watermark, d.high_watermark
-                )));
+            if !(low >= 0.0 && low < high) {
+                return Err(CtrlError::Compile(Refusal::LowWatermark(low, high)));
             }
             if d.window == 0 {
-                return Err(CtrlError::Compile(
-                    "degradation window must be nonzero".to_string(),
-                ));
+                return Err(CtrlError::Compile(Refusal::DegradationWindow));
             }
         }
 
@@ -298,9 +283,13 @@ impl PolicyBundle {
         // failure after a clean verify is a `CompileRejected`: the commit
         // never reaches phase 2, so the resident bundle (and its
         // fingerprints) survive.
-        let aot = |program: &Program, kind: &str| -> Result<Rc<CompiledProgram>, CtrlError> {
-            overlay::verify(program).map_err(|e| {
-                CtrlError::Compile(format!("{kind} '{}' rejected: {e}", program.name))
+        let aot = |program: &Program, accounting: bool| -> Result<Rc<CompiledProgram>, CtrlError> {
+            overlay::verify(program).map_err(|error| {
+                CtrlError::Compile(Refusal::Verify {
+                    program: program.name.clone(),
+                    accounting,
+                    error,
+                })
             })?;
             overlay::compile(program).map_err(|e| CtrlError::CompileRejected {
                 program: program.name.clone(),
@@ -310,7 +299,7 @@ impl PolicyBundle {
         let programs = programs
             .into_iter()
             .map(|(slot, program)| {
-                let artifact = aot(&program, "program")?;
+                let artifact = aot(&program, false)?;
                 Ok((slot, program, artifact))
             })
             .collect::<Result<Vec<_>, CtrlError>>()?;
@@ -318,7 +307,7 @@ impl PolicyBundle {
             .accounting
             .iter()
             .map(|program| {
-                let artifact = aot(program, "accounting")?;
+                let artifact = aot(program, true)?;
                 Ok((program.clone(), artifact))
             })
             .collect::<Result<Vec<_>, CtrlError>>()?;
@@ -343,11 +332,70 @@ impl PolicyBundle {
     }
 }
 
+/// Why phase 1 refused a policy store.
+#[derive(Debug)]
+pub enum Refusal {
+    /// Two reservations give this port different owners.
+    PortOwners(u16),
+    /// The shaping weights do not compile to a scheduler.
+    Shaping(SchedCompileError),
+    /// This RSS queue count is outside `1..=MAX_QUEUES`.
+    RssQueues(usize),
+    /// The RSS indirection table does not fit the queue count.
+    RssTable(RssError),
+    /// The flow cache's hot tier has no capacity.
+    FlowCacheCapacity,
+    /// This degradation high watermark is outside `(0, 1]`.
+    HighWatermark(f64),
+    /// This degradation low watermark (first) is outside `[0, high)`
+    /// for the high watermark (second).
+    LowWatermark(f64, f64),
+    /// The degradation window is zero frames.
+    DegradationWindow,
+    /// The overlay verifier refused a program of the bundle.
+    Verify {
+        /// Name of the refused program.
+        program: String,
+        /// Whether it is an accounting program (else a slot's program).
+        accounting: bool,
+        /// The verifier's reason.
+        error: VerifyError,
+    },
+}
+
+impl std::fmt::Display for Refusal {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Refusal::PortOwners(port) => write!(f, "port {port} reserved for two owners"),
+            Refusal::Shaping(e) => write!(f, "{e}"),
+            Refusal::RssQueues(n) => write!(f, "RSS queue count {n} outside 1..={MAX_QUEUES}"),
+            Refusal::RssTable(e) => write!(f, "RSS policy rejected: {e}"),
+            Refusal::FlowCacheCapacity => f.write_str("flow cache hot capacity must be nonzero"),
+            Refusal::HighWatermark(high) => {
+                write!(f, "degradation high watermark {high} outside (0, 1]")
+            }
+            Refusal::LowWatermark(low, high) => write!(
+                f,
+                "degradation low watermark {low} must be in [0, high {high})"
+            ),
+            Refusal::DegradationWindow => f.write_str("degradation window must be nonzero"),
+            Refusal::Verify {
+                program,
+                accounting,
+                error,
+            } => {
+                let kind = if *accounting { "accounting" } else { "program" };
+                write!(f, "{kind} '{program}' rejected: {error}")
+            }
+        }
+    }
+}
+
 /// Control-plane failures.
 #[derive(Debug)]
 pub enum CtrlError {
     /// Phase 1 refused the policy (verifier, weights, port conflicts).
-    Compile(String),
+    Compile(Refusal),
     /// Phase 1 verified a program but could not ahead-of-time compile
     /// it to a native artifact. The commit aborts before phase 2: the
     /// prior bundle stays installed with its fingerprints intact, and

@@ -797,7 +797,7 @@ impl Host {
         let ops = self.ctrl.stats().apply_ops - ops_before;
         self.kernel_cpu += self.stack.costs().syscalls.control_call();
         for _ in 0..ops {
-            self.kernel_cpu += self.mmio.write(&self.cfg.mem.clone());
+            self.kernel_cpu += self.mmio.write(&self.cfg.mem);
         }
     }
 
@@ -912,7 +912,7 @@ impl Host {
                 }
             }
             .expect("restore onto a freshly reset NIC cannot exhaust SRAM");
-            self.kernel_cpu += self.mmio.write(&self.cfg.mem.clone());
+            self.kernel_cpu += self.mmio.write(&self.cfg.mem);
         }
     }
 
@@ -1190,7 +1190,7 @@ impl Host {
         self.ring_ops_since_doorbell += 1;
         if self.ring_ops_since_doorbell >= DOORBELL_BATCH {
             self.ring_ops_since_doorbell = 0;
-            self.mmio.write(&self.cfg.mem.clone())
+            self.mmio.write(&self.cfg.mem)
         } else {
             Dur::ZERO
         }

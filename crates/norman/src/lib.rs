@@ -103,7 +103,8 @@ pub mod tools;
 pub mod workers;
 
 pub use ctrl::{
-    Cause, ControlPlane, CtrlError, DegradationPolicy, Failure, PolicyStore, RssPolicy, Step,
+    Cause, ControlPlane, CtrlError, DegradationPolicy, Failure, PolicyStore, Refusal, RssPolicy,
+    Step,
 };
 pub use host::{DeliveryReport, Host, HostConfig};
 pub use lib_api::NormanSocket;

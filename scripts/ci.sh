@@ -64,6 +64,21 @@ run_lint() {
     exit 1
   fi
 
+  # `unsafe` lives in pkt (the arena core, which the miri job audits)
+  # and bench (m7's CPU-clock read); every other crate root forbids it,
+  # so any build refuses a new `unsafe` block there.
+  echo "==> #![forbid(unsafe_code)] in every crate root but pkt and bench"
+  local root missing=()
+  for root in crates/*/src/lib.rs; do
+    case "$root" in crates/pkt/* | crates/bench/*) continue ;; esac
+    grep -qxF '#![forbid(unsafe_code)]' "$root" || missing+=("$root")
+  done
+  if (( ${#missing[@]} )); then
+    printf '%s\n' "${missing[@]}" >&2
+    echo "crate roots above lack #![forbid(unsafe_code)]" >&2
+    exit 1
+  fi
+
   # The same rule for `pub fn`s: one that nothing outside tests names
   # either gains a caller or goes (docs/CI.md lists the few kept).
   echo "==> pub fns only tests call"
@@ -147,7 +162,8 @@ run_overlay_diff() {
 run_miri() {
   # Undefined-behaviour audit of the unsafe core: the pkt buffer arena
   # (raw slab pointers, refcounted recycling, the seeded slot model) and
-  # the memsim ring/cache walks that consume its handles. Requires the
+  # the memsim ring/cache index walks (safe code: memsim forbids
+  # `unsafe`, so there they are held to bounds checks). Requires the
   # nightly toolchain with the miri component (rustup component add
   # miri --toolchain nightly); hosted CI installs it, local runs
   # without it skip with a warning so the gate stays runnable offline.

@@ -10,9 +10,12 @@ use std::net::Ipv4Addr;
 use nicsim::device::ProgramSlot;
 use nicsim::{SnifferFilter, POLICY_GENERATION_REG};
 use norman::host::DeliveryOutcome;
-use norman::{Cause, CtrlError, Failure, Host, HostConfig, PortReservation, ShapingPolicy, Step};
+use norman::{
+    Cause, CtrlError, Failure, Host, HostConfig, PortReservation, Refusal, ShapingPolicy, Step,
+};
 use oskernel::Uid;
 use pkt::{IpProto, Mac, Packet, PacketBuilder};
+use qdisc::compile::SchedCompileError;
 use sim::fault::OpFaultInjector;
 use sim::{Dur, Time};
 use telemetry::Stage;
@@ -65,7 +68,10 @@ fn compile_rejection_leaves_everything_untouched() {
             p.reservations.push(PortReservation::new(5432, Uid(1002)));
         })
         .unwrap_err();
-    assert!(matches!(err, CtrlError::Compile(_)), "got {err}");
+    assert!(
+        matches!(err, CtrlError::Compile(Refusal::PortOwners(5432))),
+        "got {err}"
+    );
     assert_eq!(h.policy_generation(), 1);
     assert_eq!(h.policy().reservations, before.reservations);
     assert!(h.audit().is_empty(), "audit: {:?}", h.audit());
@@ -250,7 +256,20 @@ fn degenerate_scheduler_weights_are_rejected_in_phase_one() {
                 p.shaping = Some(ShapingPolicy::new(vec![(Uid(1001), bad)]))
             })
             .unwrap_err();
-        assert!(matches!(err, CtrlError::Compile(_)), "weight {bad}: {err}");
+        assert_eq!(
+            err.to_string(),
+            format!("policy rejected: weight {bad} for uid 1001 must be finite and positive")
+        );
+        assert!(
+            matches!(
+                err,
+                CtrlError::Compile(Refusal::Shaping(SchedCompileError::InvalidWeight {
+                    uid: Some(1001),
+                    ..
+                }))
+            ),
+            "weight {bad}: {err}"
+        );
         assert_eq!(h.policy_generation(), 0);
     }
     // The NIC-level guard also refuses direct degenerate configuration.
@@ -310,7 +329,14 @@ fn conflicting_port_reservations_are_refused() {
             p.reservations.push(PortReservation::new(5432, Uid(1002)))
         })
         .unwrap_err();
-    assert!(matches!(err, CtrlError::Compile(_)), "got {err}");
+    assert!(
+        matches!(err, CtrlError::Compile(Refusal::PortOwners(5432))),
+        "got {err}"
+    );
+    assert_eq!(
+        err.to_string(),
+        "policy rejected: port 5432 reserved for two owners"
+    );
     assert_eq!(h.policy_generation(), 1);
     assert_eq!(h.policy().reservations, before.reservations);
     assert!(h.audit().is_empty(), "audit: {:?}", h.audit());
