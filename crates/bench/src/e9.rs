@@ -441,8 +441,8 @@ fn run_chaos_sharded() -> Row {
                 Err(e) => panic!("unexpected control-plane error: {e}"),
             }
         }
-        // Shard chaos: panic a shard (round-robin) every 2500 frames;
-        // the supervisor must restart it without losing a resident
+        // Shard chaos: crash a shard (round-robin) every 2500 frames;
+        // the host must restart it without losing a resident
         // frame or dirtying a single cross-shard audit.
         if i % 2500 == 2499 {
             let shard = ((i / 2500) % QUEUES as u64) as usize;

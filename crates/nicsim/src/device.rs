@@ -1203,7 +1203,8 @@ impl SmartNic {
         }
     }
 
-    /// Runs a VM defensively: faults fail closed to `Drop`.
+    /// Runs a VM defensively: faults fail closed to `Drop`, so a faulting
+    /// program's frame is counted as a filter drop ([`DropReason::Filter`]).
     fn run_vm(vm: &mut Vm, ctx: &PktCtx) -> (Verdict, u64) {
         match vm.run(ctx) {
             Ok(exec) => (exec.verdict, exec.cycles),
@@ -1253,14 +1254,10 @@ impl SmartNic {
                 .tap_unparsed(now, Direction::Rx, packet, e, None),
         }
         let fid = self.tel.alloc_frame_id();
-        let meta_out = meta.ok().copied().map(|mut m| {
-            m.frame_id = fid;
-            m
-        });
         let len = packet.len() as u32;
         self.emit_rx_drop(
             fid,
-            meta_out.as_ref(),
+            meta.ok(),
             len,
             now,
             DropCause::Malformed,
@@ -1273,7 +1270,6 @@ impl SmartNic {
             ready_at: start + latency,
             latency,
             interrupt: false,
-            meta: meta_out,
             cold: false,
         }
     }
@@ -1292,7 +1288,6 @@ impl SmartNic {
             ready_at: now,
             latency: Dur::ZERO,
             interrupt: false,
-            meta: None,
             cold: false,
         }
     }
@@ -1311,7 +1306,6 @@ impl SmartNic {
             ready_at: now,
             latency: Dur::ZERO,
             interrupt: false,
-            meta: None,
             cold: false,
         }
     }
@@ -1395,10 +1389,9 @@ impl SmartNic {
         // stage will actually run it — with no overlay loaded the frame
         // skips the (field-by-field) context assembly entirely, which is
         // observationally identical since nothing else reads it.
-        let filter_loaded = self.ingress_filter.is_some();
         let mut overlay_cycles = 0u64;
         let mut verdict = Verdict::Pass;
-        if filter_loaded || !self.accounting.is_empty() {
+        if self.ingress_filter.is_some() || !self.accounting.is_empty() {
             let entry = hit.and_then(|h| self.flows.entry(h.id));
             let ctx = Self::build_ctx(Some(&meta), packet.len(), entry, false, now);
             if let Some(vm) = self.ingress_filter.as_mut() {
@@ -1429,6 +1422,10 @@ impl SmartNic {
         self.pipeline_free = start + occupancy;
         let ready_at = start + latency;
 
+        // The trace's shared fields, taken from the descriptor before it
+        // moves into the verdict.
+        let frame = frame_info(meta.frame_id, Some(&meta), packet.len() as u32, None);
+        let mut interrupt = false;
         let disposition = match (verdict, hit) {
             (Verdict::Drop, _) => {
                 self.stats.rx_filtered += 1;
@@ -1440,43 +1437,43 @@ impl SmartNic {
                 self.stats.rx_slowpath += 1;
                 RxDisposition::SlowPath {
                     reason: SlowPathReason::PolicyPunt,
+                    meta,
                 }
             }
             (_, Some(h)) => {
                 self.stats.rx_delivered += 1;
+                // A notify connection's owner is told the frame is ready.
+                if h.notify {
+                    let q = self
+                        .notify_queues
+                        .entry(h.pid)
+                        .or_insert_with(|| NotifyQueue::new(self.cfg.notify_capacity));
+                    interrupt = q.post(Notification {
+                        conn: h.id,
+                        kind: NotifyKind::RxReady,
+                        at: ready_at,
+                    });
+                }
                 RxDisposition::Deliver {
                     conn: h.id,
                     notify: h.notify,
+                    meta,
                 }
             }
             (_, None) => {
                 self.stats.rx_slowpath += 1;
                 RxDisposition::SlowPath {
                     reason: SlowPathReason::NoFlowMatch,
+                    meta,
                 }
             }
         };
-
-        // Post notifications for delivered packets on notify connections.
-        let mut interrupt = false;
-        if let (RxDisposition::Deliver { conn, notify: true }, Some(h)) = (disposition, hit) {
-            let q = self
-                .notify_queues
-                .entry(h.pid)
-                .or_insert_with(|| NotifyQueue::new(self.cfg.notify_capacity));
-            interrupt = q.post(Notification {
-                conn,
-                kind: NotifyKind::RxReady,
-                at: ready_at,
-            });
-        }
 
         let result = RxResult {
             disposition,
             ready_at,
             latency,
             interrupt,
-            meta: Some(meta),
             cold,
         };
         if self.tel.is_enabled() {
@@ -1489,23 +1486,7 @@ impl SmartNic {
                 (h.overlay, overlay_time),
             ];
             let n = if overlay_time > Dur::ZERO { 4 } else { 3 };
-            // A dropping filter verdict is *not* a filter-stage event —
-            // the terminal RxDrop carries the cause, so the ledger counts
-            // each dropped frame exactly once.
-            let filter_stage = match verdict {
-                _ if !filter_loaded => None,
-                Verdict::Drop => None,
-                Verdict::SlowPath => Some(TraceVerdict::SlowPath),
-                _ => Some(TraceVerdict::Pass),
-            };
-            self.trace_rx(
-                &result,
-                packet.len() as u32,
-                hit,
-                filter_stage,
-                now,
-                &hists[..n],
-            );
+            self.trace_rx(&result, frame, hit, now, &hists[..n]);
         }
         result
     }
@@ -1515,27 +1496,21 @@ impl SmartNic {
     /// filter stage, the terminal event (exactly one of deliver, slowpath
     /// or drop: the conservation ledger) and the notification — together
     /// with its stage-latency samples, in one hub call: one borrow, the
-    /// shared fields written once. Ownership is joined from the
+    /// shared fields (`frame`) written once. Ownership is joined from the
     /// flow-table entry the kernel installed — the paper's process view,
     /// with no kernel round-trip.
     fn trace_rx(
         &self,
         rx: &RxResult,
-        len: u32,
+        frame: FrameInfo,
         hit: Option<LookupHit>,
-        filter_stage: Option<TraceVerdict>,
         now: Time,
         hists: &[(HistId, Dur)],
     ) {
-        let meta = rx.meta.as_ref();
-        let fid = meta.map_or(0, |m| m.frame_id);
-        let frame = || {
-            frame_info(
-                fid,
-                meta,
-                len,
-                hit.map(|h| Owner::new(h.uid, h.pid, h.comm)),
-            )
+        let fid = frame.frame_id;
+        let frame = || FrameInfo {
+            owner: hit.map(|h| Owner::new(h.uid, h.pid, h.comm)),
+            ..frame
         };
         let mut stages = [StageRec::new(Stage::RxIngress, TraceVerdict::Pass, now); 7];
         let mut filled = 1;
@@ -1555,7 +1530,20 @@ impl SmartNic {
         if hit.is_some_and(|h| h.promoted) {
             steered = push(Stage::FlowPromoted, TraceVerdict::Pass, now);
         }
-        if let Some(v) = filter_stage {
+        // The filter's verdict is the disposition's cause. A dropping
+        // verdict is *not* a filter-stage event — the terminal RxDrop
+        // carries the cause, so the ledger counts each dropped frame
+        // exactly once.
+        let filter = match rx.disposition {
+            _ if self.ingress_filter.is_none() => None,
+            RxDisposition::Drop { .. } => None,
+            RxDisposition::SlowPath {
+                reason: SlowPathReason::PolicyPunt,
+                ..
+            } => Some(TraceVerdict::SlowPath),
+            _ => Some(TraceVerdict::Pass),
+        };
+        if let Some(v) = filter {
             push(Stage::RxFilter, v, now);
         }
         let (terminal, verdict) = match rx.disposition {
@@ -1837,12 +1825,13 @@ mod tests {
     fn unmatched_rx_goes_to_slowpath() {
         let mut nic = nic();
         let r = nic.rx(&udp_to(9999), Time::ZERO);
-        assert_eq!(
+        assert!(matches!(
             r.disposition,
             RxDisposition::SlowPath {
-                reason: SlowPathReason::NoFlowMatch
+                reason: SlowPathReason::NoFlowMatch,
+                ..
             }
-        );
+        ));
         assert_eq!(nic.stats().rx_slowpath, 1);
     }
 
@@ -1853,13 +1842,10 @@ mod tests {
             .open_connection(rx_tuple(5432), 1001, 42, "postgres", false)
             .unwrap();
         let r = nic.rx(&udp_to(5432), Time::ZERO);
-        assert_eq!(
+        assert!(matches!(
             r.disposition,
-            RxDisposition::Deliver {
-                conn: id,
-                notify: false
-            }
-        );
+            RxDisposition::Deliver { conn, notify: false, .. } if conn == id
+        ));
         assert!(r.latency > Dur::ZERO);
         assert_eq!(nic.stats().rx_delivered, 1);
     }
@@ -2233,7 +2219,10 @@ mod tests {
         nic.open_connection(rx_tuple(80), 0, 1, "a", false).unwrap();
         let r = nic.rx(&udp_to(80), Time::ZERO);
         assert_eq!(nic.num_queues(), 1);
-        assert_eq!(r.meta.unwrap().queue, 0);
+        let RxDisposition::Deliver { meta, .. } = r.disposition else {
+            panic!("a matched frame is delivered: {:?}", r.disposition);
+        };
+        assert_eq!(meta.queue, 0);
     }
 
     #[test]
@@ -2248,8 +2237,9 @@ mod tests {
             nic.open_connection(rx_tuple(port), 0, 1, "a", false)
                 .unwrap();
             let r = nic.rx(&udp_to(port), Time::ZERO);
-            assert!(matches!(r.disposition, RxDisposition::Deliver { .. }));
-            let m = r.meta.unwrap();
+            let RxDisposition::Deliver { meta: m, .. } = r.disposition else {
+                panic!("a matched frame is delivered: {:?}", r.disposition);
+            };
             // Stamp agrees with the table the kernel programmed.
             assert_eq!(m.queue, nic.rss().queue_for(m.flow_hash));
             seen[usize::from(m.queue)] = true;
@@ -2500,13 +2490,10 @@ mod tests {
             .open_connection(rx_tuple(5432), 1001, 42, "postgres", false)
             .unwrap();
         let r = nic.rx(&udp_to(5432), after);
-        assert_eq!(
+        assert!(matches!(
             r.disposition,
-            RxDisposition::Deliver {
-                conn: id,
-                notify: false
-            }
-        );
+            RxDisposition::Deliver { conn, notify: false, .. } if conn == id
+        ));
         assert_eq!(nic.stats().resets, 1);
         assert!(nic.audit().is_empty(), "{:?}", nic.audit());
     }
@@ -2530,12 +2517,13 @@ mod tests {
             .map(|r| r.disposition)
             .collect();
         assert_eq!(seq, batch);
-        assert_eq!(
+        assert!(matches!(
             seq[1],
             RxDisposition::SlowPath {
-                reason: SlowPathReason::NoFlowMatch
+                reason: SlowPathReason::NoFlowMatch,
+                ..
             }
-        );
+        ));
         assert_eq!(
             seq[2],
             RxDisposition::Drop {
@@ -2592,13 +2580,10 @@ mod tests {
         nic.restore_connection(id, rx_tuple(5432), 1001, 42, "postgres", true)
             .unwrap();
         let r = nic.rx(&udp_to(5432), after);
-        assert_eq!(
+        assert!(matches!(
             r.disposition,
-            RxDisposition::Deliver {
-                conn: id,
-                notify: true
-            }
-        );
+            RxDisposition::Deliver { conn, notify: true, .. } if conn == id
+        ));
         // Doorbells answer to the owner again.
         assert!(nic
             .regs

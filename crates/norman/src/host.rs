@@ -300,10 +300,7 @@ pub struct HostStats {
     /// Frames demoted to the software slow path by overload degradation
     /// (low-priority flows while the degrade detector is engaged).
     pub degraded_slowpath: u64,
-    /// Frames rerouted through the slow path because their owning shard
-    /// panicked mid-delivery — accounted, never silently dropped.
-    pub worker_rerouted: u64,
-    /// Shards restarted by the supervisor after a panic.
+    /// Shards restarted after a crash.
     pub worker_restarts: u64,
     /// Delivered frames still unread in an RX ring when `Host::close`
     /// released it.
@@ -459,35 +456,14 @@ impl Host {
     // Multi-queue shards
     // ------------------------------------------------------------------
 
-    /// The supervisor's half of a shard panic: restarts shard `shard`
-    /// (cold cache, restart counted), charges the backoff penalty to its
-    /// core, and records `ShardPanic`/`ShardRestart` recovery events at
-    /// the time of the operation that panicked.
-    fn restart_shard(&mut self, shard: usize, payload: &str, now: Time) {
-        let penalty = self.shards[shard].restart();
-        self.stats.worker_restarts += 1;
-        self.sched.charge_core_busy(shard, penalty);
-        self.tel.record_recovery(
-            now,
-            RecoveryKind::ShardPanic,
-            format!("shard {shard}: {payload}"),
-        );
-        self.tel.record_recovery(
-            now,
-            RecoveryKind::ShardRestart,
-            format!(
-                "shard {shard} restart #{} (backoff {penalty})",
-                self.shards[shard].restarts
-            ),
-        );
-    }
-
-    /// Injects a panic into shard `shard` (chaos testing): the supervisor
-    /// treats it as a crash between operations, so by the time this
-    /// returns the shard has been restarted and the crash is fully
-    /// accounted; its rings are untouched. Always returns an error:
-    /// [`WorkerError::ShardPanicked`] describing the crash it caused, or
-    /// [`WorkerError::NoSuchShard`] when the host has no shard `shard`.
+    /// Crashes shard `shard` between operations (chaos testing) and
+    /// recovers it: by the time this returns the shard has restarted with
+    /// a cold cache, the restart is counted, the backoff penalty is
+    /// charged to its core, and `ShardPanic`/`ShardRestart` recovery
+    /// events are recorded at `now`; its rings are untouched. Always
+    /// returns an error: [`WorkerError::ShardPanicked`] describing the
+    /// crash it caused, or [`WorkerError::NoSuchShard`] when the host has
+    /// no shard `shard`.
     pub fn inject_worker_panic(
         &mut self,
         shard: usize,
@@ -498,7 +474,22 @@ impl Host {
         if shard >= shards {
             return Err(WorkerError::NoSuchShard { shard, shards });
         }
-        self.restart_shard(shard, msg, now);
+        let penalty = self.shards[shard].restart();
+        self.stats.worker_restarts += 1;
+        self.sched.charge_core_busy(shard, penalty);
+        self.tel.record_recovery(
+            now,
+            RecoveryKind::ShardPanic,
+            format!("shard {shard}: {msg}"),
+        );
+        self.tel.record_recovery(
+            now,
+            RecoveryKind::ShardRestart,
+            format!(
+                "shard {shard} restart #{} (backoff {penalty})",
+                self.shards[shard].restarts
+            ),
+        );
         Err(WorkerError::ShardPanicked {
             shard,
             payload: msg.to_string(),
@@ -697,7 +688,6 @@ impl Host {
         reg.set_counter("host.tx_retry_flushed", self.stats.tx_retry_flushed);
         reg.set_counter("host.tx_retry_dropped", self.stats.tx_retry_dropped);
         reg.set_counter("host.degraded_slowpath", self.stats.degraded_slowpath);
-        reg.set_counter("host.worker_rerouted", self.stats.worker_rerouted);
         reg.set_counter("host.worker_restarts", self.stats.worker_restarts);
         reg.set_counter("host.discarded_at_close", self.stats.discarded_at_close);
         reg.set_counter("host.degraded", u64::from(self.degrade.engaged));
@@ -1210,7 +1200,7 @@ impl Host {
     pub fn deliver_frame(&mut self, packet: Packet, now: Time) -> DeliveryReport {
         self.maybe_reconcile(now);
         let rx = self.nic.rx(&packet, now);
-        self.finish_delivery(&mut Some(packet), rx, now)
+        self.finish_delivery(packet, rx, now)
     }
 
     /// Delivers a burst of frames arriving together at `now`, then drains
@@ -1228,7 +1218,7 @@ impl Host {
         let deliveries = packets
             .iter()
             .zip(rxs)
-            .map(|(p, rx)| self.finish_delivery(&mut Some(p.clone()), rx, now))
+            .map(|(p, rx)| self.finish_delivery(p.clone(), rx, now))
             .collect();
         let departures = self.pump_tx(now);
         (deliveries, departures)
@@ -1236,20 +1226,15 @@ impl Host {
 
     /// The host-side half of ingress: routes one NIC verdict to rings,
     /// the slow path, or drop accounting, reusing the parse-once
-    /// descriptor the NIC handed back (`rx.meta`) — the host never
-    /// re-parses frame bytes.
-    ///
-    /// `frame` comes in `Some` and is taken only by the ring produce, so
-    /// whatever stops a delivery short of that still has the frame to
-    /// hand to the slow path — and the fast path moves the caller's
-    /// handle into the ring without an intermediate copy.
+    /// descriptor inside the verdict — the host never re-parses frame
+    /// bytes. The fast path moves the caller's handle into the ring
+    /// without an intermediate copy.
     fn finish_delivery(
         &mut self,
-        frame: &mut Option<Packet>,
+        packet: Packet,
         rx: nicsim::RxResult,
         now: Time,
     ) -> DeliveryReport {
-        let packet = frame.as_ref().expect("the caller passes the frame");
         let mut report = DeliveryReport {
             outcome: DeliveryOutcome::Dropped,
             mem_cost: Dur::ZERO,
@@ -1258,7 +1243,7 @@ impl Host {
             woke: None,
         };
         match rx.disposition {
-            RxDisposition::Deliver { conn, .. } => {
+            RxDisposition::Deliver { conn, ref meta, .. } => {
                 let c = match self.endpoints.get_mut(&conn) {
                     Some(Endpoint::Conn(c)) => c,
                     other => {
@@ -1269,9 +1254,8 @@ impl Host {
                         // client already waiting, a full backlog turns new
                         // ones away. Otherwise it matched a flow entry the
                         // kernel did not install.
-                        let tuple = rx.meta.and_then(|m| m.tuple);
                         if let (Some(Endpoint::Listener { backlog, .. }), Some(tuple)) =
-                            (other, tuple)
+                            (other, meta.tuple)
                         {
                             if !backlog.contains(&tuple) {
                                 if backlog.len() < ACCEPT_BACKLOG {
@@ -1281,7 +1265,7 @@ impl Host {
                                 }
                             }
                         }
-                        self.punt_to_stack(packet, rx.meta.as_ref(), now, &mut report);
+                        self.punt_to_stack(&packet, meta, now, &mut report);
                         return report;
                     }
                 };
@@ -1298,7 +1282,7 @@ impl Host {
                     // fast path so high-priority traffic keeps the
                     // rings. The frame is handled by the kernel stack —
                     // slower, but delivered and accounted.
-                    self.punt_to_stack(packet, rx.meta.as_ref(), now, &mut report);
+                    self.punt_to_stack(&packet, meta, now, &mut report);
                     self.stack.note_degraded_rx();
                     self.stats.degraded_slowpath += 1;
                     // Demoted deliveries count as unpressured window
@@ -1309,30 +1293,14 @@ impl Host {
                 // The descriptor *is* the frame handle: producing into the
                 // ring moves the handle instead of copying bytes.
                 let plen = packet.len();
-                let fid = rx.meta.as_ref().map_or(0, |m| m.frame_id);
-                let produced = match self.shards[shard].rx_produce(
+                let fid = meta.frame_id;
+                let produced = self.shards[shard].rx_produce(
                     &mut c.ring_pair(&mut self.proc_rings).rx,
-                    frame,
+                    packet,
                     fid,
-                    plen,
                     rx.cold,
                     &self.cfg.mem,
-                ) {
-                    Ok(produced) => produced,
-                    Err(payload) => {
-                        // The shard died with the frame in flight: restart
-                        // it and reroute the frame through the software
-                        // slow path, so it is delivered and accounted
-                        // rather than silently lost.
-                        self.restart_shard(shard, &payload, now);
-                        let packet = frame
-                            .as_ref()
-                            .expect("a shard that panics has not produced yet");
-                        self.punt_to_stack(packet, rx.meta.as_ref(), now, &mut report);
-                        self.stats.worker_rerouted += 1;
-                        return report;
-                    }
-                };
+                );
                 let verdict = match produced {
                     Ok(cost) => {
                         report.mem_cost = cost;
@@ -1357,7 +1325,7 @@ impl Host {
                     self.tel
                         .emit_stage(Stage::RingEnqueue, verdict, rx.ready_at, || FrameInfo {
                             frame_id: fid,
-                            tuple: rx.meta.as_ref().and_then(|m| m.tuple),
+                            tuple: meta.tuple,
                             len: plen as u32,
                             owner: Some(owner),
                         });
@@ -1372,21 +1340,21 @@ impl Host {
                     }
                 }
             }
-            RxDisposition::SlowPath { .. } => {
+            RxDisposition::SlowPath { ref meta, .. } => {
                 // ARP is handled by the kernel itself: update the cache
                 // and answer who-has requests for our address.
-                if let Some(meta) = rx.meta.filter(|m| m.is_arp()) {
+                if meta.is_arp() {
                     let cost = Dur::from_ns(400); // cache update + reply build
                     self.kernel_cpu += cost;
                     report.kernel_cpu = cost;
                     report.outcome = DeliveryOutcome::SlowPath;
                     self.stats.slowpath += 1;
-                    if let Some(reply) = self.arp.handle_meta(packet, &meta, now) {
+                    if let Some(reply) = self.arp.handle_meta(&packet, meta, now) {
                         let _ = self.nic.tx_enqueue(ConnId::KERNEL, &reply, now);
                     }
                     return report;
                 }
-                self.punt_to_stack(packet, rx.meta.as_ref(), now, &mut report);
+                self.punt_to_stack(&packet, meta, now, &mut report);
             }
             RxDisposition::Drop { reason } => {
                 if reason == DropReason::Malformed {
@@ -1399,21 +1367,17 @@ impl Host {
         report
     }
 
-    /// Hands a frame the fast path is not carrying to the kernel stack
-    /// (with the NIC's descriptor when the parser stage produced one) and
-    /// accounts it as a slow-path delivery, waking the socket's owner if
-    /// the stack asks for it.
+    /// Hands a frame the fast path is not carrying to the kernel stack,
+    /// with the NIC's descriptor, and accounts it as a slow-path delivery,
+    /// waking the socket's owner if the stack asks for it.
     fn punt_to_stack(
         &mut self,
         packet: &Packet,
-        meta: Option<&pkt::FrameMeta>,
+        meta: &pkt::FrameMeta,
         now: Time,
         report: &mut DeliveryReport,
     ) {
-        let (outcome, cost) = match meta {
-            Some(m) => self.stack.rx_with_meta(packet, m, now),
-            None => self.stack.rx(packet, now),
-        };
+        let (outcome, cost) = self.stack.rx_with_meta(packet, meta, now);
         self.kernel_cpu += cost;
         report.kernel_cpu = cost;
         report.outcome = DeliveryOutcome::SlowPath;
@@ -1641,6 +1605,9 @@ mod tests {
         // grows both on every frame.
         assert!(std::mem::size_of::<(u32, Option<RxDesc>)>() <= 48);
         assert!(std::mem::size_of::<RecvResult>() <= 64);
+        // The NIC's verdict, descriptor inside, is built for every frame
+        // and moved into the host's delivery.
+        assert!(std::mem::size_of::<nicsim::RxResult>() <= 128);
     }
 
     fn open_conn(h: &mut Host, pid: Pid, port: u16, notify: bool) -> ConnId {
@@ -2059,30 +2026,71 @@ mod tests {
 
     #[test]
     fn worker_panic_is_survived_with_frames_intact() {
-        let mut h = host();
+        let mut h = Host::new(HostConfig {
+            ring_slots: 8,
+            ..HostConfig::default()
+        });
         let bob = h.spawn(Uid(1001), "bob", "server");
-        let conn = open_conn(&mut h, bob, 7000, false);
+        let conns: Vec<ConnId> = (0..4)
+            .map(|i| open_conn(&mut h, bob, 7000 + i, false))
+            .collect();
         h.start_trace();
-        let pkt = wire_udp(h.cfg.ip, 9000, 7000, 100);
-        let (reports, _) = h.pump(std::slice::from_ref(&pkt), Time::ZERO);
-        assert_eq!(reports[0].outcome, DeliveryOutcome::FastPath(conn));
-        let err = h
-            .inject_worker_panic(0, "injected shard fault", Time::from_us(5))
-            .unwrap_err();
-        assert!(matches!(err, WorkerError::ShardPanicked { shard: 0, .. }));
-        assert_eq!(h.stats().worker_restarts, 1);
-        // The frame enqueued before the crash survived in its ring.
-        let r = h.app_recv(conn, Time::from_us(10), false);
-        assert_eq!(r.len, Some(pkt.len()));
+        let burst: Vec<Packet> = (0..4)
+            .map(|i| wire_udp(h.cfg.ip, 9000, 7000 + i, 100))
+            .collect();
+        let fast = |reports: &[DeliveryReport]| {
+            for (r, &conn) in reports.iter().zip(&conns) {
+                assert_eq!(r.outcome, DeliveryOutcome::FastPath(conn));
+            }
+        };
+        // One frame resident in every ring before the crashes.
+        fast(&h.pump(&burst, Time::ZERO).0);
+
+        // Shard 0 crashes twice between operations; the backoff charged
+        // to its core doubles.
+        let busy = |h: &Host| h.sched.core_meter(0).busy;
+        let crashes = [
+            (Time::from_us(5), Dur::from_us(50)),
+            (Time::from_us(7), Dur::from_us(100)),
+        ];
+        for (n, &(at, backoff)) in crashes.iter().enumerate() {
+            let before = busy(&h);
+            let err = h
+                .inject_worker_panic(0, "injected shard fault", at)
+                .unwrap_err();
+            assert!(matches!(err, WorkerError::ShardPanicked { shard: 0, .. }));
+            assert_eq!(busy(&h) - before, backoff);
+            assert_eq!(h.stats().worker_restarts, n as u64 + 1);
+        }
+        let events = h.telemetry().recovery_events();
+        let kinds: Vec<_> = events.iter().map(|e| (e.kind, e.at)).collect();
+        assert_eq!(
+            kinds,
+            crashes
+                .iter()
+                .flat_map(|&(at, _)| [
+                    (RecoveryKind::ShardPanic, at),
+                    (RecoveryKind::ShardRestart, at)
+                ])
+                .collect::<Vec<_>>()
+        );
+
         // The replacement shard serves new traffic.
-        let (reports, _) = h.pump(std::slice::from_ref(&pkt), Time::from_us(20));
-        assert_eq!(reports[0].outcome, DeliveryOutcome::FastPath(conn));
+        fast(&h.pump(&burst, Time::from_us(20)).0);
+        // Nothing that was in a ring was lost: the frame from before the
+        // crashes and the one after it, everywhere.
+        for (&conn, frame) in conns.iter().zip(&burst) {
+            for _ in 0..2 {
+                let r = h.app_recv(conn, Time::from_us(30), false);
+                assert_eq!(r.len, Some(frame.len()));
+            }
+            assert!(h.app_recv(conn, Time::from_us(30), false).len.is_none());
+        }
         assert!(
             h.audit().is_empty(),
-            "conservation must hold across the restart"
+            "conservation must hold across the restarts: {:?}",
+            h.audit()
         );
-        assert_eq!(h.telemetry().recovery_count(RecoveryKind::ShardPanic), 1);
-        assert_eq!(h.telemetry().recovery_count(RecoveryKind::ShardRestart), 1);
     }
 
     #[test]
@@ -2120,69 +2128,6 @@ mod tests {
         let mut cfg = HostConfig::default();
         cfg.nic.num_queues = 17; // the default LLC has 16 ways
         Host::new(cfg);
-    }
-
-    #[test]
-    fn shard_panic_mid_delivery_reroutes_the_frame_and_keeps_the_rings() {
-        let mut h = Host::new(HostConfig {
-            ring_slots: 8,
-            ..HostConfig::default()
-        });
-        let bob = h.spawn(Uid(1001), "bob", "server");
-        let conns: Vec<ConnId> = (0..4)
-            .map(|i| open_conn(&mut h, bob, 7000 + i, false))
-            .collect();
-        h.start_trace();
-        let burst: Vec<Packet> = (0..4)
-            .map(|i| wire_udp(h.cfg.ip, 9000, 7000 + i, 100))
-            .collect();
-        // One frame resident in every ring before the fault.
-        h.pump(&burst, Time::ZERO);
-
-        let busy = |h: &Host| h.sched.core_meter(0).busy;
-        let before = busy(&h);
-        h.shards[0].fault = Some("fault during produce".into());
-        let now = Time::from_us(7);
-        let (reports, _) = h.pump(&burst, now);
-        assert_eq!(reports[0].outcome, DeliveryOutcome::SlowPath);
-        assert!(reports[0].kernel_cpu > Dur::ZERO);
-        for (r, &conn) in reports.iter().zip(&conns).skip(1) {
-            assert_eq!(r.outcome, DeliveryOutcome::FastPath(conn));
-        }
-        assert_eq!(h.stats().worker_rerouted, 1);
-        assert_eq!(h.stats().worker_restarts, 1);
-        let events = h.telemetry().recovery_events();
-        let kinds: Vec<_> = events.iter().map(|e| (e.kind, e.at)).collect();
-        assert_eq!(
-            kinds,
-            [
-                (RecoveryKind::ShardPanic, now),
-                (RecoveryKind::ShardRestart, now)
-            ]
-        );
-        // The core paid the three deliveries plus the first backoff.
-        let delivered: Dur = reports.iter().fold(Dur::ZERO, |d, r| d + r.mem_cost);
-        let first_backoff = busy(&h) - before - delivered;
-        assert_eq!(first_backoff, Dur::from_us(50));
-
-        // A second fault on the same shard doubles the backoff.
-        let before = busy(&h);
-        h.shards[0].fault = Some("fault during produce".into());
-        let r = h.deliver_from_wire(&burst[0], Time::from_us(9));
-        assert_eq!(r.outcome, DeliveryOutcome::SlowPath);
-        assert_eq!(busy(&h) - before, first_backoff * 2);
-        assert_eq!(h.stats().worker_rerouted, 2);
-
-        // Nothing that was in a ring was lost: one frame from before the
-        // fault everywhere, one more where the delivery went through.
-        for (i, &conn) in conns.iter().enumerate() {
-            let want = if i == 0 { 1 } else { 2 };
-            for _ in 0..want {
-                assert!(h.app_recv(conn, Time::from_us(20), false).len.is_some());
-            }
-            assert!(h.app_recv(conn, Time::from_us(20), false).len.is_none());
-        }
-        assert!(h.audit().is_empty(), "{:?}", h.audit());
     }
 
     #[test]

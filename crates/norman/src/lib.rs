@@ -23,8 +23,8 @@
 //! * [`workers`] — the dataplane shards: [`Host::new`] gives each RSS
 //!   queue the NIC boots with a shard — a core meter and a way-disjoint
 //!   LLC partition the host charges that queue's deliveries to,
-//!   in-thread — with a supervised boundary that restarts a shard that
-//!   panics. A one-queue host is the one-shard case.
+//!   in-thread. A crashed shard restarts cold, its rings intact. A
+//!   one-queue host is the one-shard case.
 //! * [`tools`] — `ksniff` (tcpdump), `kqdisc` (tc), `knetstat`
 //!   (netstat), `npolicy` (the whole policy store, iptables-style port
 //!   reservations included), and [`tools::trace`] (`ktrace`, the

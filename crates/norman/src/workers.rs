@@ -19,12 +19,12 @@
 //! itself is single-threaded and deterministic, and counters and trace
 //! events are live (there is no barrier to wait for).
 //!
-//! What sharding does isolate is failure. The one shard operation that
-//! has a frame in flight — the RX ring produce, `Shard::rx_produce` —
-//! runs under a supervised call boundary (`supervised`); a panic there
-//! restarts that shard (`Shard::restart`) and the host reroutes the
-//! frame through the software slow path. Rings and their contents are
-//! never touched by a restart.
+//! What sharding does isolate is failure. A shard fails as a crash
+//! between operations ([`Host::inject_worker_panic`](crate::Host::inject_worker_panic)):
+//! the shard restarts (`Shard::restart`) with a cold cache and a backoff
+//! charged to its core, and no frame is in flight when it does. Rings
+//! and their contents are host memory and are never touched by a
+//! restart.
 
 use memsim::{Llc, LlcStats, MemCosts, RingError};
 use pkt::Packet;
@@ -32,9 +32,8 @@ use sim::Dur;
 
 use crate::host::{RxDesc, RxRing};
 
-/// What the shard supervisor reports after a shard panic, or why
-/// [`Host::inject_worker_panic`](crate::Host::inject_worker_panic)
-/// refused.
+/// What [`Host::inject_worker_panic`](crate::Host::inject_worker_panic)
+/// reports: the crash it caused, or why it refused.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum WorkerError {
     /// There is no shard with this index.
@@ -44,13 +43,13 @@ pub enum WorkerError {
         /// How many shards the host has (its boot RSS queue count).
         shards: usize,
     },
-    /// A shard panicked. The supervisor caught it and restarted the
-    /// shard — cold LLC partition, counted, backoff charged to its core;
-    /// its rings and the other shards were never affected.
+    /// A shard crashed and was restarted — cold LLC partition, counted,
+    /// backoff charged to its core; its rings and the other shards were
+    /// never affected.
     ShardPanicked {
         /// Which shard crashed.
         shard: usize,
-        /// The panic payload, stringified.
+        /// The message the crash was injected with.
         payload: String,
     },
 }
@@ -79,12 +78,8 @@ pub(crate) struct Shard {
     /// LLC traffic through the caches earlier restarts discarded, so
     /// [`Shard::llc_stats`] stays cumulative across restarts.
     banked: LlcStats,
-    /// Supervised restarts of this shard (drives the backoff doubling).
+    /// Restarts of this shard (drives the backoff doubling).
     pub(crate) restarts: u64,
-    /// Fault injection for the supervision test: the next RX produce on
-    /// this shard panics with this message.
-    #[cfg(test)]
-    pub(crate) fault: Option<String>,
 }
 
 impl Shard {
@@ -93,8 +88,6 @@ impl Shard {
             llc,
             banked: LlcStats::default(),
             restarts: 0,
-            #[cfg(test)]
-            fault: None,
         }
     }
 
@@ -106,47 +99,34 @@ impl Shard {
     }
 
     /// DMAs `frame` into `ring` through this shard's cache — the one RX
-    /// ring produce site, and the shard operation the supervisor guards:
-    /// `Err` carries the payload of a panic inside it. The frame is taken
-    /// only at the produce itself, so a shard that panics before then
-    /// leaves it with the caller to reroute.
+    /// ring produce site.
     ///
     /// Cold-tier flows DMA with DDIO bypass: a demoted flow's ring
     /// traffic must not evict the DDIO lines hot flows depend on (the §5
     /// cliff mechanism).
     ///
-    /// Kept out of line, boundary and all: with the `catch_unwind` (or
-    /// the ring and cache walk under it) inlined into `finish_delivery`,
-    /// its landing pads and register pressure tax every path through the
-    /// delivery code (~3 % of `rx_fast`, measured).
+    /// Kept out of line so the ring and cache walk stay out of the
+    /// delivery code's other paths; inlined, it measured no faster on
+    /// `rx_fast`.
     #[inline(never)]
     pub(crate) fn rx_produce(
         &mut self,
         ring: &mut RxRing,
-        frame: &mut Option<Packet>,
+        frame: Packet,
         fid: u64,
-        len: usize,
         cold: bool,
         mem: &MemCosts,
-    ) -> Result<Result<Dur, RingError>, String> {
-        supervised(|| {
-            #[cfg(test)]
-            if let Some(msg) = self.fault.take() {
-                std::panic::resume_unwind(Box::new(msg));
-            }
-            let desc = RxDesc {
-                pkt: frame.take().expect("caller supplies the frame"),
-                fid,
-            };
-            if cold {
-                ring.produce_dma_bypass_with(desc, len, &mut self.llc, mem)
-            } else {
-                ring.produce_dma_with(desc, len, &mut self.llc, mem)
-            }
-        })
+    ) -> Result<Dur, RingError> {
+        let len = frame.len();
+        let desc = RxDesc { pkt: frame, fid };
+        if cold {
+            ring.produce_dma_bypass_with(desc, len, &mut self.llc, mem)
+        } else {
+            ring.produce_dma_with(desc, len, &mut self.llc, mem)
+        }
     }
 
-    /// Restarts the shard after a caught panic: its cache comes back
+    /// Restarts the shard after a crash: its cache comes back
     /// cold (its counters banked first), the restart is counted, and the
     /// backoff penalty to charge to its core is returned — doubling from
     /// 50 µs, capped after six doublings.
@@ -156,20 +136,4 @@ impl Shard {
         self.restarts += 1;
         Dur::from_us(50 << (self.restarts - 1).min(6))
     }
-}
-
-/// The supervised call boundary: runs one shard operation and turns a
-/// panic inside it into the stringified payload, for the host to restart
-/// the shard and account the crash. Rings are not behind the boundary's
-/// state — they are host memory and survive whatever the shard does.
-fn supervised<T>(op: impl FnOnce() -> T) -> Result<T, String> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(op)).map_err(|e| {
-        if let Some(s) = e.downcast_ref::<&str>() {
-            (*s).to_string()
-        } else if let Some(s) = e.downcast_ref::<String>() {
-            s.clone()
-        } else {
-            "opaque panic payload".to_string()
-        }
-    })
 }

@@ -180,35 +180,10 @@ impl NetStack {
         self.sockets.remove(&(proto, port)).is_some()
     }
 
-    /// Processes one received frame. Returns the outcome and the kernel
-    /// CPU time consumed (softirq + protocol + INPUT chain).
-    ///
-    /// Derives the frame descriptor when the caller has none; the KOPI
-    /// slow path should use [`NetStack::rx_with_meta`] with the
-    /// descriptor the NIC parser stage already computed.
-    pub fn rx(&mut self, packet: &Packet, now: Time) -> (RxOutcome, Dur) {
-        match FrameMeta::of(packet) {
-            Ok(meta) => self.rx_with_meta(packet, &meta, now),
-            Err(_) => {
-                self.rx_packets += 1;
-                let fid = self.tel.alloc_frame_id();
-                let len = packet.len() as u32;
-                self.tel.emit_stage(
-                    Stage::NetstackDrop,
-                    TraceVerdict::Drop(DropCause::Malformed),
-                    now,
-                    || stack_frame(fid, None, len, None),
-                );
-                (
-                    RxOutcome::NoSocket,
-                    self.costs.softirq + self.costs.protocol,
-                )
-            }
-        }
-    }
-
-    /// [`NetStack::rx`] with the parse-once descriptor supplied by the
-    /// caller — the stack never re-parses the frame bytes.
+    /// Processes one received frame with the parse-once descriptor the
+    /// NIC's parser stage computed — the stack never re-parses the frame
+    /// bytes. Returns the outcome and the kernel CPU time consumed
+    /// (softirq + protocol + INPUT chain).
     pub fn rx_with_meta(
         &mut self,
         packet: &Packet,
@@ -445,6 +420,11 @@ mod tests {
             .build()
     }
 
+    /// The stack's receive with the descriptor the NIC would hand it.
+    fn rx(stack: &mut NetStack, p: &Packet) -> (RxOutcome, Dur) {
+        stack.rx_with_meta(p, &FrameMeta::of(p).unwrap(), Time::ZERO)
+    }
+
     fn setup() -> (NetStack, ProcessTable, Pid) {
         let mut procs = ProcessTable::new();
         let pid = procs.spawn(Cred::new(Uid(1001), "bob"), "postgres", CgroupId::ROOT);
@@ -456,7 +436,7 @@ mod tests {
     #[test]
     fn rx_delivers_to_bound_socket() {
         let (mut stack, _procs, pid) = setup();
-        let (outcome, cost) = stack.rx(&udp(9000, 5432, 100), Time::ZERO);
+        let (outcome, cost) = rx(&mut stack, &udp(9000, 5432, 100));
         assert_eq!(outcome, RxOutcome::Delivered { pid, wake: false });
         assert!(cost >= Dur::from_ns(450)); // softirq + protocol at least
         let (pkt, _) = stack.recv(IpProto::UDP, 5432, false);
@@ -466,7 +446,7 @@ mod tests {
     #[test]
     fn rx_without_socket_is_unreachable() {
         let (mut stack, _, _) = setup();
-        let (outcome, _) = stack.rx(&udp(9000, 9999, 10), Time::ZERO);
+        let (outcome, _) = rx(&mut stack, &udp(9000, 9999, 10));
         assert_eq!(outcome, RxOutcome::NoSocket);
     }
 
@@ -495,7 +475,7 @@ mod tests {
             ..ClassifierRule::default()
         };
         stack.input.append(deny);
-        let (outcome, _) = stack.rx(&udp(9000, 5432, 10), Time::ZERO);
+        let (outcome, _) = rx(&mut stack, &udp(9000, 5432, 10));
         assert_eq!(outcome, RxOutcome::Filtered);
     }
 
@@ -505,10 +485,10 @@ mod tests {
         // Empty queue, blocking recv arms the waiter.
         let (pkt, _) = stack.recv(IpProto::UDP, 5432, true);
         assert!(pkt.is_none());
-        let (o1, _) = stack.rx(&udp(9000, 5432, 10), Time::ZERO);
+        let (o1, _) = rx(&mut stack, &udp(9000, 5432, 10));
         assert_eq!(o1, RxOutcome::Delivered { pid, wake: true });
         // Second packet while data already queued: no wake needed.
-        let (o2, _) = stack.rx(&udp(9000, 5432, 10), Time::ZERO);
+        let (o2, _) = rx(&mut stack, &udp(9000, 5432, 10));
         assert_eq!(o2, RxOutcome::Delivered { pid, wake: false });
     }
 
@@ -554,7 +534,7 @@ mod tests {
     #[test]
     fn socket_stats_report_attribution() {
         let (mut stack, procs, pid) = setup();
-        stack.rx(&udp(9000, 5432, 100), Time::ZERO);
+        rx(&mut stack, &udp(9000, 5432, 100));
         stack.tx(pid, &udp(5432, 9000, 50), Time::ZERO, &procs);
         let rows = stack.socket_stats();
         assert_eq!(rows.len(), 1);
@@ -571,7 +551,7 @@ mod tests {
     fn arp_is_not_delivered_to_sockets() {
         let (mut stack, _, _) = setup();
         let arp = PacketBuilder::arp_request(Mac::local(1), addr("10.0.0.2"), addr("10.0.0.1"));
-        let (outcome, _) = stack.rx(&arp, Time::ZERO);
+        let (outcome, _) = rx(&mut stack, &arp);
         assert_eq!(outcome, RxOutcome::NoSocket);
     }
 }

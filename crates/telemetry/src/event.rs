@@ -153,7 +153,10 @@ pub enum DropCause {
     Filter,
     /// The NIC was frozen mid-bitstream-reprogram.
     Reprogramming,
-    /// A policy/accounting VM faulted while processing the frame.
+    /// A policy/accounting VM faulted while processing the frame. The
+    /// NIC does not emit it: it fails a faulting program closed to a
+    /// `Drop` verdict, counted as [`DropCause::Filter`]. The variant stays
+    /// because trace format 2 pins every cause's index.
     PolicyFault,
     /// The frame failed to parse or failed checksum verification.
     Malformed,

@@ -172,7 +172,10 @@ fn derive_and_nic_rx_allocate_nothing_per_frame() {
             assert!(frames.iter().all(|f| f.meta().is_none()));
             let rx = |host: &mut Host, i: usize| {
                 let r = host.nic.rx(&frames[i % frames.len()], Time::ZERO);
-                assert!(r.meta.is_some_and(|m| m.l4_checksum_ok));
+                assert!(matches!(
+                    r.disposition,
+                    nicsim::RxDisposition::Deliver { meta, .. } if meta.l4_checksum_ok
+                ));
             };
             warm(&mut host, rx);
             let derive = allocs_in(|| {

@@ -615,7 +615,12 @@ fn frame_meta_matches_fresh_parse_through_all_stages() {
         // Stage 2: the NIC pipeline hands back the descriptor it used.
         let mut nic = nicsim::SmartNic::new(nicsim::NicConfig::default());
         let rx = nic.rx(&reply, Time::ZERO);
-        assert_eq!(rx.meta, Some(FrameMeta::derive(reply.bytes()).unwrap()));
+        let derived = FrameMeta::derive(reply.bytes()).unwrap();
+        assert!(
+            matches!(rx.disposition, nicsim::RxDisposition::SlowPath { meta, .. } if meta == derived),
+            "{:?}",
+            rx.disposition
+        );
     }
 }
 

@@ -617,7 +617,7 @@ fn frame_ids_ride_the_ring_when_tracing_starts_on_resident_frames() {
     assert!(h.audit().is_empty(), "audit: {:?}", h.audit());
 }
 
-/// A shard's worker stops and starts when the supervisor restarts it;
+/// A shard's worker stops and starts when a crash restarts it;
 /// the frames resident in its rings keep their ids across it.
 #[test]
 fn frame_ids_ride_the_ring_across_worker_start_and_stop() {
