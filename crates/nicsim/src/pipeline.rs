@@ -224,4 +224,18 @@ mod tests {
         // magnitude — that asymmetry is what the eviction policy manages.
         assert!(c.cold_lookup_cost.0 >= c.lookup_cost.0 * 10);
     }
+
+    #[test]
+    fn rx_verdict_layout_is_pinned() {
+        use std::mem::{align_of, size_of};
+        // A one-byte reason ahead of the descriptor left every frame's
+        // verdict copied at odd offsets: +4.2 % on normanbench's `rx_fast`
+        // while `size_of::<RxResult>() <= 128` still held. Both reasons
+        // stay word-aligned, so the descriptor after them is too.
+        let why = "the NIC verdict's layout moved; an odd-offset verdict cost +4.2 % on rx_fast";
+        assert_eq!(align_of::<SlowPathReason>(), 8, "{why}");
+        assert_eq!(align_of::<DropReason>(), 8, "{why}");
+        assert_eq!(size_of::<RxDisposition>(), 104, "{why}");
+        assert_eq!(size_of::<RxResult>(), 128, "{why}");
+    }
 }

@@ -7,7 +7,7 @@
 //! every drop is typed ([`DropCause`]) so "no silent drops" is checkable
 //! as a property, not a convention.
 
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Mutex;
 
@@ -361,30 +361,37 @@ impl fmt::Display for TraceVerdict {
 
 /// A process command name, interned for the life of the process so per-
 /// event attribution is a plain copy: no refcount, no allocation.
-/// Compares and derefs like `&str`.
+/// Compares, orders, hashes and derefs like `&str`.
+///
+/// One word: a reference to the interned name's `&'static str`, so an
+/// [`Owner`] (and `Option<Owner>`) is 16 bytes and the trace ring's frame
+/// record 48 (DESIGN.md §11). Reading the name follows that reference and
+/// takes no lock.
 ///
 /// Interned names are never freed. Their number is bounded by the distinct
 /// names the process ever sees: one per spawned command, plus the names
 /// read back from trace files (each at most 64 KiB, and all of them
 /// together no larger than the files themselves).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Comm(&'static str);
+#[derive(Clone, Copy, Debug)]
+pub struct Comm(&'static &'static str);
 
 impl Comm {
     /// The kernel's own attribution (ARP replies, slow-path responses).
-    pub const KERNEL: Comm = Comm("kernel");
+    pub const KERNEL: Comm = Comm(&"kernel");
 
     /// Interns a command name.
     pub fn new(comm: &str) -> Comm {
-        static NAMES: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
+        static NAMES: Mutex<BTreeMap<&'static str, &'static &'static str>> =
+            Mutex::new(BTreeMap::new());
         let mut names = NAMES
             .lock()
-            .expect("the interner lock is only held across a set lookup and insert");
+            .expect("the interner lock is only held across a map lookup and insert");
         if let Some(&name) = names.get(comm) {
             return Comm(name);
         }
         let name: &'static str = Box::leak(comm.into());
-        names.insert(name);
+        let name: &'static &'static str = Box::leak(Box::new(name));
+        names.insert(*name, name);
         Comm(name)
     }
 
@@ -394,10 +401,44 @@ impl Comm {
     }
 }
 
+impl Default for Comm {
+    fn default() -> Comm {
+        Comm(&"")
+    }
+}
+
+// By name, not by address: `KERNEL` and `Default` are not the interner's,
+// and sorted output must not follow the order names were first seen in.
+impl PartialEq for Comm {
+    fn eq(&self, other: &Comm) -> bool {
+        self.as_str() == other.as_str()
+    }
+}
+
+impl Eq for Comm {}
+
+impl PartialOrd for Comm {
+    fn partial_cmp(&self, other: &Comm) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Comm {
+    fn cmp(&self, other: &Comm) -> std::cmp::Ordering {
+        self.as_str().cmp(other.as_str())
+    }
+}
+
+impl std::hash::Hash for Comm {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.as_str().hash(state);
+    }
+}
+
 impl std::ops::Deref for Comm {
     type Target = str;
     fn deref(&self) -> &str {
-        self.0
+        self.as_str()
     }
 }
 
@@ -488,6 +529,12 @@ impl Owner {
         }
     }
 }
+
+// One word of name and two of ids: the trace ring's frame record and the
+// flow table's lookup copy both carry an owner on every traced frame.
+const _: () = assert!(std::mem::size_of::<Comm>() == 8);
+const _: () = assert!(std::mem::size_of::<Owner>() == 16);
+const _: () = assert!(std::mem::size_of::<Option<Owner>>() == 16);
 
 impl fmt::Display for Owner {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -821,6 +868,27 @@ mod tests {
         assert_eq!(Comm::KERNEL, Comm::new("kernel"));
         assert_eq!(Comm::default(), "");
         assert!(a != Comm::new("nginx"));
+    }
+
+    #[test]
+    fn comm_orders_and_hashes_by_name_not_by_interning_order() {
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+        let zeta = Comm::new("zeta-order-probe");
+        let alpha = Comm::new("alpha-order-probe");
+        let mut names = vec![zeta, alpha, Comm::KERNEL, Comm::default()];
+        names.sort();
+        assert_eq!(names, [Comm::default(), alpha, Comm::KERNEL, zeta]);
+        assert!(alpha < zeta);
+        let hash = |c: Comm| {
+            let mut h = DefaultHasher::new();
+            c.hash(&mut h);
+            h.finish()
+        };
+        // `KERNEL` is not the interner's copy, yet equal to it, and so
+        // hashes the same.
+        assert!(!std::ptr::eq(Comm::KERNEL.0, Comm::new("kernel").0));
+        assert_eq!(hash(Comm::KERNEL), hash(Comm::new("kernel")));
     }
 
     #[test]

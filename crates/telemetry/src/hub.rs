@@ -33,12 +33,13 @@
 //!
 //! * the **event ring** — bounded at `capacity` events, oldest evicted
 //!   first, with an eviction counter so truncation is visible. It holds
-//!   plain fixed-size data in two parallel queues: one 64-byte frame
-//!   record per emission call (the [`FrameInfo`] and the policy
-//!   generation) and one 16-byte cell per stage event, the last cell of
-//!   a call marked so eviction knows when to release the record. Nothing
-//!   in either queue is read back on the hot path except the cell being
-//!   evicted. [`TraceEvent`]s exist only where somebody reads
+//!   plain fixed-size data: one 48-byte frame record per emission call
+//!   (the [`FrameInfo`]) in a queue, and one 16-byte cell per stage event
+//!   in a fixed slab that wraps and is overwritten in place, the last cell
+//!   of a call marked so that overwriting it releases the record. The
+//!   policy generation is kept once per run of records stored under it,
+//!   not per record. Nothing is read back on the hot path except the cell
+//!   being overwritten. [`TraceEvent`]s exist only where somebody reads
 //!   them: [`Telemetry::events`], [`Telemetry::query`],
 //!   [`Telemetry::lifecycle`] and the file sink;
 //! * the **ledger** — per-[`Stage`] and per-[`DropCause`] totals that
@@ -106,14 +107,6 @@ impl Sink {
     }
 }
 
-/// One emission call's shared fields as the ring stores them: written
-/// once, however many stage cells follow.
-#[derive(Clone, Copy)]
-struct FrameRec {
-    frame: FrameInfo,
-    generation: u64,
-}
-
 /// A [`StageRec`] in 16 bytes: the verdict is split into a kind and its
 /// argument (class id or drop-cause index).
 #[derive(Clone, Copy)]
@@ -167,19 +160,35 @@ impl StageCell {
     }
 }
 
-// The ring's documented layout (DESIGN.md §11): one cache line per
-// emission call, four stage cells per cache line.
-const _: () = assert!(std::mem::size_of::<FrameRec>() == 64);
+// The ring's documented layout (DESIGN.md §11): a frame record is a
+// `FrameInfo`, four stage cells fill a cache line.
+const _: () = assert!(std::mem::size_of::<FrameInfo>() <= 48);
 const _: () = assert!(std::mem::size_of::<StageCell>() == 16);
 
 struct Hub {
-    /// Frame records, oldest first. The oldest owns the cells at the
-    /// front of `cells` up to and including the first one marked `last`,
-    /// the next record the run after that, and so on.
-    frames: VecDeque<FrameRec>,
-    cells: VecDeque<StageCell>,
+    /// Frame records, oldest first: one per emission call with a cell
+    /// still in the ring. The oldest owns the oldest cells up to and
+    /// including the first one marked `last`, the next record the run
+    /// after that, and so on.
+    frames: VecDeque<FrameInfo>,
+    /// Records released since the last clear: the sequence number of
+    /// `frames[0]`.
+    released: u64,
+    /// `(first record's sequence number, policy generation)` of each run
+    /// of records stored under one generation, oldest first. The first
+    /// covers `frames[0]`; one is pushed when a record is stored under a
+    /// new generation and popped once the next one covers the oldest
+    /// record.
+    epochs: VecDeque<(u64, u64)>,
+    /// Stage cells: filled in order up to `capacity`, then overwritten in
+    /// place at `head`.
+    cells: Vec<StageCell>,
+    /// Where the next cell goes: the oldest cell once the slab is full.
+    head: usize,
+    /// Events recorded into the ring since the last clear, the leading
+    /// stages of a call longer than the ring included.
+    written: u64,
     capacity: usize,
-    evicted: u64,
     stage_counts: [u64; Stage::COUNT],
     drop_counts: [u64; DropCause::COUNT],
     hists: Vec<(String, Histogram)>,
@@ -196,18 +205,18 @@ struct Hub {
 
 impl Hub {
     /// Reserves the event ring, once: a hub that is never enabled never
-    /// pays for it. The cell queue gets its full `capacity` and never
+    /// pays for it. The cell slab gets its full `capacity` and never
     /// grows. The record queue needs one slot per *call*, which is
     /// `capacity` only if every call carries a single stage; a queue
     /// cycles through all the memory it owns, so reserving for that worst
-    /// case would drag four times the cache lines through a traced run
-    /// that a typical one (two to three stages per call) needs. It starts
-    /// at a quarter and doubles on demand — at most twice in the hub's
-    /// life, both while the ring first fills, and never past `capacity`.
+    /// case would drag twice the cache lines through a traced run that a
+    /// typical one (two to three stages per call) needs. It gets half, and
+    /// grows only when calls average fewer than two stages — then once, to
+    /// `capacity` ([`Hub::grow_records`]).
     fn reserve_ring(&mut self) {
         if self.cells.capacity() == 0 {
             self.cells.reserve_exact(self.capacity);
-            self.frames.reserve_exact(self.capacity.div_ceil(4));
+            self.frames.reserve_exact(self.capacity.div_ceil(2));
         }
     }
 
@@ -242,42 +251,89 @@ impl Hub {
         // A call with more stages than the ring holds keeps its last
         // `capacity` (the leading ones would have been overwritten by the
         // rest anyway).
-        let overflow = (self.cells.len() + stages.len()).saturating_sub(self.capacity);
-        let old = overflow.min(self.cells.len());
-        // Oldest out: a frame record goes with its last cell.
-        for _ in 0..old {
-            if self.cells.pop_front().is_some_and(|cell| cell.last) {
-                self.frames.pop_front();
-            }
-        }
-        self.evicted += overflow as u64;
-        let Some((last, rest)) = stages[overflow - old..].split_last() else {
+        let kept = &stages[stages.len().saturating_sub(self.capacity)..];
+        let Some((last, rest)) = kept.split_last() else {
             return;
         };
-        self.frames.push_back(FrameRec {
-            frame: frame(),
-            generation,
-        });
+        self.written += stages.len() as u64;
+        let released = self.released;
         for rec in rest {
-            self.cells.push_back(StageCell::pack(rec, false));
+            self.put(StageCell::pack(rec, false));
         }
-        self.cells.push_back(StageCell::pack(last, true));
+        self.put(StageCell::pack(last, true));
+        // The call's record goes in after the records its cells released,
+        // so the queue never holds more than `capacity`.
+        if self.epochs.back().is_none_or(|&(_, g)| g != generation) {
+            let seq = self.released + self.frames.len() as u64;
+            self.epochs.push_back((seq, generation));
+        }
+        if self.frames.len() == self.frames.capacity() {
+            self.grow_records();
+        }
+        self.frames.push_back(frame());
+        if self.released != released {
+            while self.epochs.len() > 1 && self.epochs[1].0 <= self.released {
+                self.epochs.pop_front();
+            }
+        }
     }
 
-    /// Materialises the buffered events, oldest first.
+    /// Writes one cell at `head`; overwriting the last cell of a call
+    /// releases that call's record.
+    #[inline]
+    fn put(&mut self, cell: StageCell) {
+        if self.cells.len() < self.capacity {
+            self.cells.push(cell);
+        } else if std::mem::replace(&mut self.cells[self.head], cell).last {
+            self.frames.pop_front();
+            self.released += 1;
+        }
+        self.head += 1;
+        if self.head == self.capacity {
+            self.head = 0;
+        }
+    }
+
+    /// The record queue is full: calls have averaged fewer than two
+    /// stages. Every buffered record owns at least one cell, so room for
+    /// `capacity` is the last growth the queue ever needs.
+    #[cold]
+    fn grow_records(&mut self) {
+        self.frames.reserve_exact(self.capacity - self.frames.len());
+    }
+
+    /// Number of events evicted from the ring since the last clear.
+    fn evicted(&self) -> u64 {
+        self.written.saturating_sub(self.capacity as u64)
+    }
+
+    /// Materialises the buffered events, oldest first, giving each record
+    /// the generation of the epoch it falls in.
     fn events(&self) -> impl Iterator<Item = TraceEvent> + '_ {
-        let mut frames = self.frames.iter();
-        let mut current = frames.next();
-        self.cells.iter().map(move |cell| {
-            let f = current.expect("every buffered cell belongs to a frame record");
+        let (newer, older) = self.cells.split_at(self.head);
+        let mut epochs = self.epochs.iter().peekable();
+        let mut generation = 0;
+        let mut records = (self.released..)
+            .zip(&self.frames)
+            .map(move |(seq, frame)| {
+                while let Some(&(_, g)) = epochs.next_if(|&&(first, _)| first <= seq) {
+                    generation = g;
+                }
+                (frame, generation)
+            });
+        let mut current = records.next();
+        older.iter().chain(newer).map(move |cell| {
+            let (frame, generation) =
+                current.expect("every buffered cell belongs to a frame record");
             if cell.last {
-                current = frames.next();
+                current = records.next();
             }
-            f.frame.event(&cell.unpack(), f.generation)
+            frame.event(&cell.unpack(), generation)
         })
     }
 
     fn spill_sink(&mut self) -> Result<(), FileError> {
+        let evicted = self.evicted();
         let Some(sink) = self.sink.as_mut() else {
             return Ok(());
         };
@@ -286,7 +342,7 @@ impl Hub {
         }
         if sink.profile.spills_ledger() {
             sink.writer
-                .append_ledger(&self.stage_counts, &self.drop_counts, self.evicted)?;
+                .append_ledger(&self.stage_counts, &self.drop_counts, evicted)?;
         }
         sink.writer.flush()?;
         Ok(())
@@ -325,9 +381,12 @@ impl Telemetry {
             generation: Rc::new(Cell::new(0)),
             hub: Rc::new(RefCell::new(Hub {
                 frames: VecDeque::new(),
-                cells: VecDeque::new(),
+                released: 0,
+                epochs: VecDeque::new(),
+                cells: Vec::new(),
+                head: 0,
+                written: 0,
                 capacity: capacity.max(1),
-                evicted: 0,
                 stage_counts: [0; Stage::COUNT],
                 drop_counts: [0; DropCause::COUNT],
                 hists: Vec::new(),
@@ -499,7 +558,7 @@ impl Telemetry {
 
     /// Number of events evicted from the bounded buffer so far.
     pub fn evicted(&self) -> u64 {
-        self.hub.borrow().evicted
+        self.hub.borrow().evicted()
     }
 
     /// Number of events currently buffered.
@@ -537,8 +596,11 @@ impl Telemetry {
     pub fn clear(&self) {
         let mut hub = self.hub.borrow_mut();
         hub.frames.clear();
+        hub.released = 0;
+        hub.epochs.clear();
         hub.cells.clear();
-        hub.evicted = 0;
+        hub.head = 0;
+        hub.written = 0;
         hub.stage_counts = [0; Stage::COUNT];
         hub.drop_counts = [0; DropCause::COUNT];
         for (_, h) in hub.hists.iter_mut() {
@@ -570,7 +632,7 @@ impl Telemetry {
                 reg.set_counter(&format!("recovery.{}", kind.name()), n);
             }
         }
-        reg.set_counter("trace.buffer.evicted", hub.evicted);
+        reg.set_counter("trace.buffer.evicted", hub.evicted());
         reg.set_counter("trace.buffer.len", hub.cells.len() as u64);
         for (name, h) in hub.hists.iter() {
             reg.merge_hist(name, h);
@@ -624,7 +686,7 @@ impl Telemetry {
         }
         if sink.profile.spills_ledger() {
             sink.writer
-                .append_ledger(&hub.stage_counts, &hub.drop_counts, hub.evicted)?;
+                .append_ledger(&hub.stage_counts, &hub.drop_counts, hub.evicted())?;
         }
         let stats = sink.writer.finish()?;
         Ok(Some(stats))
@@ -635,6 +697,7 @@ impl Telemetry {
 mod tests {
     use super::*;
     use crate::event::Owner;
+    use std::collections::BTreeSet;
 
     fn ev(id: u64, stage: Stage, verdict: TraceVerdict) -> TraceEvent {
         TraceEvent {
@@ -818,27 +881,36 @@ mod tests {
         );
         tel.set_enabled(true);
         let (cells, frames) = reserved(&tel);
-        assert!(cells >= DEFAULT_CAPACITY);
-        assert!((DEFAULT_CAPACITY / 4..DEFAULT_CAPACITY).contains(&frames));
-        // Four stages per call, several wraps: nothing grows.
-        let group = [StageRec::new(Stage::RxIngress, TraceVerdict::Pass, Time::ZERO); 4];
-        for _ in 0..DEFAULT_CAPACITY {
-            tel.emit_stages(&group, &[], || {
-                ev(1, Stage::RxIngress, TraceVerdict::Pass).frame()
-            });
+        assert_eq!(cells, DEFAULT_CAPACITY);
+        assert!((DEFAULT_CAPACITY / 2..DEFAULT_CAPACITY).contains(&frames));
+        // A traced fast-path frame's calls — the NIC's four stages, the
+        // ring's one, the receive's two — over several wraps: neither
+        // queue reallocates.
+        let rec = StageRec::new(Stage::RxIngress, TraceVerdict::Pass, Time::ZERO);
+        for i in 0..DEFAULT_CAPACITY as u64 {
+            for n in [4, 1, 2] {
+                tel.emit_stages(&[rec; 4][..n], &[], || {
+                    ev(i, Stage::RxIngress, TraceVerdict::Pass).frame()
+                });
+            }
         }
+        assert!(tel.evicted() > 5 * DEFAULT_CAPACITY as u64);
         assert_eq!(reserved(&tel), (cells, frames));
         // One stage per call is the worst case for the record queue: it
-        // grows to hold one record per buffered event, and stops there.
+        // grows once, to one record per buffered event, and stops there.
+        let mut sizes = vec![frames];
         for i in 0..3 * DEFAULT_CAPACITY as u64 {
             tel.emit(|| ev(i, Stage::RxIngress, TraceVerdict::Pass));
+            let (cells_now, frames_now) = reserved(&tel);
+            assert_eq!(cells_now, cells, "the cell slab never grows");
+            if sizes.last() != Some(&frames_now) {
+                sizes.push(frames_now);
+            }
         }
-        tel.set_enabled(false);
-        tel.set_enabled(true);
-        let (cells_now, frames_now) = reserved(&tel);
-        assert_eq!(cells_now, cells);
-        assert!((DEFAULT_CAPACITY..2 * DEFAULT_CAPACITY).contains(&frames_now));
+        assert_eq!(sizes.len(), 2, "one growth: {sizes:?}");
+        assert_eq!(sizes[1], DEFAULT_CAPACITY);
         assert_eq!(tel.len(), DEFAULT_CAPACITY);
+        assert_eq!(tel.events()[0].frame_id, 2 * DEFAULT_CAPACITY as u64);
     }
 
     #[test]
@@ -941,12 +1013,18 @@ mod tests {
 
     /// Seeded random event sequences through a small ring, checked after
     /// every step against the obvious model: a `Vec` of everything ever
-    /// recorded, of which the ring shows the last `capacity`.
+    /// recorded (since the last clear), of which the ring shows the last
+    /// `capacity`. The policy generation changes between calls, within
+    /// one frame's sequence of calls and while older epochs are being
+    /// overwritten, so every generation a reader sees comes from the
+    /// epoch queue.
     #[test]
     fn ring_matches_a_plain_vec_model_across_wraps() {
         use pkt::{FiveTuple, IpProto};
         use sim::DetRng;
         use std::net::Ipv4Addr;
+
+        const COMMS: [&str; 4] = ["svc", "memcached", "", "kernel"];
 
         fn arb_rec(r: &mut DetRng) -> StageRec {
             let verdict = match r.range_u64(0, 6) {
@@ -964,10 +1042,13 @@ mod tests {
                 rec
             }
         }
+        // Tuple and owner present or absent in all four combinations,
+        // one chosen per frame.
         fn arb_frame(r: &mut DetRng) -> FrameInfo {
+            let shape = r.range_u64(0, 4);
             FrameInfo {
                 frame_id: r.range_u64(0, 6),
-                tuple: r.chance(0.7).then(|| FiveTuple {
+                tuple: (shape & 1 != 0).then(|| FiveTuple {
                     src_ip: Ipv4Addr::from(r.next_u64() as u32),
                     dst_ip: Ipv4Addr::from(r.next_u64() as u32),
                     src_port: r.next_u64() as u16,
@@ -975,14 +1056,17 @@ mod tests {
                     proto: IpProto(r.next_u64() as u8),
                 }),
                 len: r.next_u64() as u32,
-                owner: r.chance(0.7).then(|| {
+                owner: (shape & 2 != 0).then(|| {
                     Owner::new(
                         r.range_u64(1000, 1003) as u32,
                         r.next_u64() as u32,
-                        *r.pick(&["svc", "memcached", ""]),
+                        *r.pick(&COMMS),
                     )
                 }),
             }
+        }
+        fn arb_recs(r: &mut DetRng, max: usize) -> Vec<StageRec> {
+            (0..r.range_usize(0, max + 1)).map(|_| arb_rec(r)).collect()
         }
 
         for (seed, capacity) in [(1, 1), (2, 5), (3, 7), (4, 64)] {
@@ -990,10 +1074,17 @@ mod tests {
             let tel = Telemetry::with_capacity(capacity);
             tel.set_enabled(true);
             let mut model: Vec<TraceEvent> = Vec::new();
+            let mut ever: Vec<TraceEvent> = Vec::new();
+            let mut epochs_popped = 0;
             for step in 0..40 * capacity.max(8) {
-                match r.range_u64(0, 10) {
-                    0 => tel.set_generation(r.range_u64(0, 4)),
-                    1 | 2 => {
+                let epochs_before = tel.hub.borrow().epochs.front().copied();
+                let mut emit = |tel: &Telemetry, frame: FrameInfo, recs: &[StageRec]| {
+                    tel.emit_stages(recs, &[], || frame);
+                    model.extend(recs.iter().map(|rec| frame.event(rec, tel.generation())));
+                };
+                match r.range_u64(0, 40) {
+                    0..=5 => tel.set_generation(r.range_u64(0, 4)),
+                    6..=13 => {
                         // A finished event; the hub stamps the generation
                         // over whatever the producer left there.
                         let e = arb_frame(&mut r).event(&arb_rec(&mut r), r.next_u64());
@@ -1003,13 +1094,25 @@ mod tests {
                             ..e
                         });
                     }
+                    14..=19 => {
+                        // One frame's calls with the policy changing
+                        // between them: its events straddle two epochs.
+                        let frame = arb_frame(&mut r);
+                        for _ in 0..r.range_usize(2, 4) {
+                            tel.set_generation(r.range_u64(0, 4));
+                            let recs = arb_recs(&mut r, 3);
+                            emit(&tel, frame, &recs);
+                        }
+                    }
+                    20 => {
+                        tel.clear();
+                        ever.append(&mut model);
+                    }
                     _ => {
                         // Zero to nine stages: more than the small rings hold.
                         let frame = arb_frame(&mut r);
-                        let recs: Vec<StageRec> =
-                            (0..r.range_usize(0, 10)).map(|_| arb_rec(&mut r)).collect();
-                        tel.emit_stages(&recs, &[], || frame);
-                        model.extend(recs.iter().map(|rec| frame.event(rec, tel.generation())));
+                        let recs = arb_recs(&mut r, 9);
+                        emit(&tel, frame, &recs);
                     }
                 }
                 let kept = &model[model.len().saturating_sub(capacity)..];
@@ -1017,6 +1120,21 @@ mod tests {
                 assert_eq!(tel.len(), kept.len(), "{ctx}");
                 assert_eq!(tel.evicted(), (model.len() - kept.len()) as u64, "{ctx}");
                 assert_eq!(tel.events(), kept, "{ctx}");
+                {
+                    // One epoch per generation run among the buffered
+                    // records at most; the first covers the oldest.
+                    let hub = tel.hub.borrow();
+                    assert!(hub.frames.len() <= capacity, "{ctx}");
+                    assert_eq!(hub.frames.is_empty(), hub.epochs.is_empty(), "{ctx}");
+                    assert!(hub.epochs.len() <= hub.frames.len(), "{ctx}");
+                    assert!(
+                        hub.epochs.front().is_none_or(|e| e.0 <= hub.released),
+                        "{ctx}"
+                    );
+                    if epochs_before.is_some_and(|e| hub.epochs.front() != Some(&e)) {
+                        epochs_popped += 1;
+                    }
+                }
                 for stage in [Stage::RxIngress, Stage::TxDepart, *r.pick(&Stage::ALL)] {
                     let n = model.iter().filter(|e| e.stage == stage).count();
                     assert_eq!(tel.stage_count(stage), n as u64, "{ctx} {stage}");
@@ -1030,10 +1148,11 @@ mod tests {
                 let fid = r.range_u64(0, 6);
                 let life: Vec<_> = kept.iter().filter(|e| e.frame_id == fid).cloned().collect();
                 assert_eq!(tel.lifecycle(fid), life, "{ctx}");
-                let filter = match r.range_u64(0, 4) {
+                let filter = match r.range_u64(0, 5) {
                     0 => TraceFilter::any().drops(),
                     1 => TraceFilter::any().with_uid(1001).with_generation(2),
                     2 => TraceFilter::any().with_port(7001),
+                    3 => TraceFilter::any().with_comm(COMMS[r.range_usize(0, COMMS.len())]),
                     _ => TraceFilter::any()
                         .with_comm("svc")
                         .with_stage(*r.pick(&Stage::ALL)),
@@ -1041,13 +1160,24 @@ mod tests {
                 let want: Vec<_> = kept.iter().filter(|e| filter.matches(e)).cloned().collect();
                 assert_eq!(tel.query(&filter), want, "{ctx}");
             }
-            assert!(
-                model.len() > 10 * capacity,
-                "several wraps: {}",
-                model.len()
-            );
             let drops = model.iter().filter(|e| e.verdict.drop_cause().is_some());
             assert_eq!(tel.total_drops(), drops.count() as u64);
+            ever.append(&mut model);
+            assert!(ever.len() > 10 * capacity, "several wraps: {}", ever.len());
+            assert!(epochs_popped > 10, "epoch pruning ran: {epochs_popped}");
+            // Every packed field took more than one value.
+            let shapes: BTreeSet<_> = ever
+                .iter()
+                .map(|e| (e.tuple.is_some(), e.owner.is_some()))
+                .collect();
+            assert_eq!(shapes.len(), 4, "{shapes:?}");
+            let comms: BTreeSet<_> = ever
+                .iter()
+                .filter_map(|e| e.owner.map(|o| o.comm))
+                .collect();
+            assert_eq!(comms.len(), COMMS.len(), "{comms:?}");
+            let generations: BTreeSet<_> = ever.iter().map(|e| e.generation).collect();
+            assert_eq!(generations.len(), 4, "{generations:?}");
         }
     }
 

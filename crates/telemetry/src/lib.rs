@@ -16,17 +16,17 @@
 //!   the kernel boundary. An event has two halves — what the frame's
 //!   stages share ([`FrameInfo`]) and what is particular to one stage
 //!   ([`StageRec`]) — and producers hand the hub the halves, not the
-//!   event. Attribution is plain data: [`Comm`] is an interned
-//!   `&'static str`, so an [`Owner`] is `Copy` and `Send` and costs no
-//!   refcount. [`TraceFilter`] gives tcpdump/BPF-ish querying by 5-tuple,
+//!   event. Attribution is plain data: [`Comm`] is one word referring to
+//!   an interned `&'static str`, so an [`Owner`] is 16 bytes, `Copy` and
+//!   `Send`, and costs no refcount. [`TraceFilter`] gives tcpdump/BPF-ish querying by 5-tuple,
 //!   owner, stage and verdict.
 //! * [`hub`] — the [`Telemetry`] handle every component shares. A single
 //!   `Cell<bool>` gate makes the disabled path effectively free: emission
 //!   takes a closure, so nothing is built unless tracing is on, and a hub
 //!   nobody enables never reserves its ring. Enabled, emission is
 //!   stage-first ([`Telemetry::emit_stages`]): one call, one borrow, the
-//!   shared fields written once into a 64-byte record and each stage
-//!   into a 16-byte cell; [`TraceEvent`]s are materialised only for
+//!   shared fields written once into a 48-byte record and each stage
+//!   into a 16-byte cell, overwritten in place once the ring wraps; [`TraceEvent`]s are materialised only for
 //!   readers. The hub also keeps an aggregate *ledger* (per-stage and
 //!   per-drop cause totals) that never evicts, which `SmartNic::audit` /
 //!   `Host::audit` cross-check against the dataplane's own counters:

@@ -105,9 +105,11 @@ run_release_test() {
   # overflow checks and debug_assert! are compiled out there, and
   # anything debug-only must be gated (parse_once.rs is). pkt is here for
   # its checksum property tests: carry- and overflow-sensitive code, and
-  # in release they corrupt every byte offset, not every 13th.
+  # in release they corrupt every byte offset, not every 13th. telemetry
+  # is here for its seeded ring model: the trace ring's wrapping cursor
+  # and epoch queue run in the build whose speed is measured.
   echo "==> cargo test --release -q (dataplane crates + integration)"
-  cargo test --release -q -p pkt -p memsim -p qdisc -p nicsim -p norman -p integration
+  cargo test --release -q -p pkt -p memsim -p qdisc -p nicsim -p telemetry -p norman -p integration
 }
 
 run_telemetry_test() {

@@ -12,8 +12,9 @@
 //! run in parallel do not mix. Every count is taken after a warm-up
 //! that has seen every flow once and, when `NORMAN_TELEMETRY=1` has
 //! tracing on from construction, has filled the trace ring once: its
-//! record queue starts at a quarter of the ring and doubles (at most
-//! twice) only while the ring first fills.
+//! cell slab and record queue are reserved on first enable, the record
+//! queue grows (once) only when calls average fewer than two stages,
+//! and its epoch queue allocates when the first record is stored.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
